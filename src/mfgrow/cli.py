@@ -25,7 +25,7 @@ from .diagnostics import (
     profile,
     write_gnuplot_script,
 )
-from .errors import MfgrowError, MissingDataError
+from .errors import ConfigError, MfgrowError, MissingDataError
 from .init import InitSpec, initialize, nonzero_mean_default
 from .measure import (
     FunctionBasedStrategy,
@@ -45,10 +45,6 @@ EXIT_INPUT = 2
 EXIT_MISSING_DATA = 3
 
 
-class CliError(MfgrowError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Experiment config
 # ---------------------------------------------------------------------------
@@ -65,24 +61,24 @@ _INIT_KEYS = {"mode", "phi", "distributions", "rc_pairs"}
 def _require_keys(doc: dict, allowed: set, what: str) -> None:
     unknown = set(doc) - allowed
     if unknown:
-        raise CliError(f"unknown {what} keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 def load_config(path) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise CliError(f"config file not found: {path}") from None
+        raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
-        raise CliError(f"config is not valid JSON: {exc}") from None
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise CliError("config must hold a JSON object")
+        raise ConfigError("config must hold a JSON object")
     _require_keys(doc, _TOP_KEYS, "config")
     for key, allowed in (("arch", _ARCH_KEYS), ("optimizer", _OPT_KEYS),
                          ("dataset", _DATASET_KEYS)):
         if key in doc:
             if not isinstance(doc[key], dict):
-                raise CliError(f"config key {key!r} must be an object")
+                raise ConfigError(f"config key {key!r} must be an object")
             _require_keys(doc[key], allowed, key)
     if isinstance(doc.get("init"), dict):
         _require_keys(doc["init"], _INIT_KEYS, "init")
@@ -92,14 +88,14 @@ def load_config(path) -> dict:
 def _build_arch(cfg: dict):
     arch_cfg = cfg.get("arch")
     if not arch_cfg:
-        raise CliError("config needs an 'arch' section")
+        raise ConfigError("config needs an 'arch' section")
     if "file" in arch_cfg:
         graph = arch_from_json(Path(arch_cfg["file"]).read_text(encoding="utf-8"))
         if "parametrization" in cfg:
             graph = graph.with_parametrization(cfg["parametrization"])
         return graph
     if arch_cfg.get("builder", "mlp") != "mlp":
-        raise CliError(f"unknown arch builder {arch_cfg.get('builder')!r}")
+        raise ConfigError(f"unknown arch builder {arch_cfg.get('builder')!r}")
     return build_mlp(
         int(arch_cfg.get("depth", 3)),
         arch_cfg.get("widths", 300),
@@ -148,7 +144,7 @@ def cifar_dir(explicit=None):
 def _load_dataset(cfg: dict, seed: int):
     ds = cfg.get("dataset")
     if not ds:
-        raise CliError("config needs a 'dataset' section")
+        raise ConfigError("config needs a 'dataset' section")
     kind = ds.get("kind")
     if kind == "cifar10":
         return load_cifar10(cifar_dir(ds.get("dir")))
@@ -159,7 +155,7 @@ def _load_dataset(cfg: dict, seed: int):
         rng = Rng(seed)
         return (synth_regression(kind, n, noise, rng),
                 synth_regression(kind, test_n, noise, rng, split="test"))
-    raise CliError(f"unknown dataset kind {kind!r}")
+    raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
 def _out_dir(args, cfg=None) -> Path:
@@ -180,7 +176,7 @@ def cmd_gamma(args) -> int:
     elif args.arch is not None:
         graph = arch_from_json(Path(args.arch).read_text(encoding="utf-8"))
     else:
-        raise CliError("gamma needs an architecture file or --mlp DEPTH")
+        raise ConfigError("gamma needs an architecture file or --mlp DEPTH")
     print(format_partition(compute_partition(graph)))
     return EXIT_OK
 
@@ -230,7 +226,7 @@ def _parse_strategy(name: str, n_groups: int, n_candidates: int, p_max: int):
         return GroupStrategy(n_groups)
     if name == "function_based":
         return FunctionBasedStrategy(n_candidates, tuple(moment_specs(p_max)))
-    raise CliError(f"unknown strategy {name!r}")
+    raise ConfigError(f"unknown strategy {name!r}")
 
 
 def cmd_transfer(args) -> int:
@@ -281,7 +277,7 @@ def cmd_diagnose(args) -> int:
         path.write_text(histograms_to_csv(edges, counts), encoding="utf-8")
         print(f"wrote {path}")
     else:
-        raise CliError(f"unknown report {args.report!r}")
+        raise ConfigError(f"unknown report {args.report!r}")
     return EXIT_OK
 
 
@@ -290,7 +286,7 @@ def cmd_sample(args) -> int:
     partition = compute_partition(net.arch)
     measures = extract_measures(net, partition)
     if not 0 <= args.group < len(measures):
-        raise CliError(f"group must be in [0, {len(measures)}), got {args.group}")
+        raise ConfigError(f"group must be in [0, {len(measures)}), got {args.group}")
     m = measures[args.group]
     out = _out_dir(args)
     measure_path = out / f"group{args.group}_measure.csv"
@@ -339,7 +335,7 @@ def cmd_reproduce(args) -> int:
         else:
             result = experiments.accuracy_experiment(directory, seeds=seeds, out_dir=out)
     else:
-        raise CliError(f"unknown experiment {name!r}")
+        raise ConfigError(f"unknown experiment {name!r}")
     print(result["summary"])
     return EXIT_OK if result["passed"] else EXIT_ACCEPTANCE
 

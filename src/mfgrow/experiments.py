@@ -12,7 +12,7 @@ import statistics
 from pathlib import Path
 
 from .arch import build_mlp, compute_partition
-from .data import Dataset, load_cifar10, synth_regression
+from .data import load_cifar10, synth_regression
 from .diagnostics import (
     CorrExperimentConfig,
     correlation_experiment,
@@ -27,10 +27,10 @@ from .transfer import TrainConfig, TransferPlan, grow_then_train, transfer, unif
 
 PARAMS = ("SP", "muP", "MFP")
 
-# Width-compensated rates for SP/muP (their explicit forward scalars would
-# otherwise freeze the hidden layers at large width); MFP's per-weight
+# One base rate. SP/muP rescale it with width (their explicit forward scalars
+# would otherwise freeze the hidden layers at large width); MFP's per-weight
 # multipliers already carry its width scaling.
-DEFAULT_LR = {"SP": 0.1, "muP": 0.1, "MFP": 0.1}
+DEFAULT_LR = 0.1
 DEFAULT_LR_EXPONENT = {"SP": 1.0, "muP": 1.0, "MFP": 0.0}
 
 
@@ -42,17 +42,13 @@ def _write(out_dir, name: str, text: str) -> None:
     (out_dir / name).write_text(text, encoding="utf-8")
 
 
-def _cifar(cifar_dir) -> tuple[Dataset, Dataset]:
-    return load_cifar10(cifar_dir)
-
-
 def _train_cifar_net(parametrization, width, epochs, seed, train_data, test_data,
                      lr=None, batch_size=64):
     arch = build_mlp(3, width, with_bias=True, input_dim=train_data.inputs.shape[1],
                      output_dim=10, parametrization=parametrization)
     net = initialize(zeros_network(arch), nonzero_mean_default(parametrization, arch), Rng(seed))
     opt = OptimizerState.create(
-        net, kind="sgd", lr=DEFAULT_LR[parametrization] if lr is None else lr,
+        net, kind="sgd", lr=DEFAULT_LR if lr is None else lr,
         lr_width_exponent=DEFAULT_LR_EXPONENT[parametrization],
     )
     log = train(net, train_data, opt, epochs, batch_size, Rng(seed),
@@ -63,7 +59,7 @@ def _train_cifar_net(parametrization, width, epochs, seed, train_data, test_data
 def accuracy_experiment(cifar_dir, width=300, epochs=10, seeds=(0, 1, 2), out_dir=None,
                         threshold=0.43) -> dict:
     """Test accuracy of the 3-layer net under all three parametrizations."""
-    train_data, test_data = _cifar(cifar_dir)
+    train_data, test_data = load_cifar10(cifar_dir)
     rows = ["parametrization,seed,test_acc"]
     medians = {}
     for param in PARAMS:
@@ -87,7 +83,7 @@ def accuracy_experiment(cifar_dir, width=300, epochs=10, seeds=(0, 1, 2), out_di
 def table1(cifar_dir, width=1000, epochs=10, seeds=(0, 1, 2), out_dir=None) -> dict:
     """Cross-layer correlation table at init and after training for the
     three parametrizations; thresholds are the qualitative acceptance bands."""
-    train_data, test_data = _cifar(cifar_dir)
+    train_data, test_data = load_cifar10(cifar_dir)
     per_param: dict[str, dict] = {}
     rows = ["parametrization,seed,stage,pair,abs_pearson"]
     for param in PARAMS:
@@ -95,7 +91,7 @@ def table1(cifar_dir, width=1000, epochs=10, seeds=(0, 1, 2), out_dir=None) -> d
         for seed in seeds:
             cfg = CorrExperimentConfig(
                 param, width=width, epochs=epochs, seed=seed,
-                lr=DEFAULT_LR[param], lr_width_exponent=DEFAULT_LR_EXPONENT[param],
+                lr=DEFAULT_LR, lr_width_exponent=DEFAULT_LR_EXPONENT[param],
             )
             init_rep, trained_rep = correlation_experiment(cfg, train_data, test_data)
             per_seed_init.append({f"{a}~{b}": r for a, b, r in init_rep.pairs})
@@ -143,7 +139,7 @@ def table1(cifar_dir, width=1000, epochs=10, seeds=(0, 1, 2), out_dir=None) -> d
 
 def fig1_heatmaps(cifar_dir, width=300, epochs=10, seed=0, out_dir=None) -> dict:
     """Middle-layer heatmap grids at init and after training."""
-    train_data, test_data = _cifar(cifar_dir)
+    train_data, test_data = load_cifar10(cifar_dir)
     written = []
     for param in PARAMS:
         arch = build_mlp(3, width, with_bias=True, input_dim=train_data.inputs.shape[1],
@@ -154,7 +150,7 @@ def fig1_heatmaps(cifar_dir, width=300, epochs=10, seed=0, out_dir=None) -> dict
             Path(out_dir).mkdir(parents=True, exist_ok=True)
             heatmap_export(net, "w1", "minmax", path=Path(out_dir) / name)
             written.append(name)
-        opt = OptimizerState.create(net, lr=DEFAULT_LR[param],
+        opt = OptimizerState.create(net, lr=DEFAULT_LR,
                                     lr_width_exponent=DEFAULT_LR_EXPONENT[param])
         train(net, train_data, opt, epochs, 64, Rng(seed), test_data=test_data,
               loss="cross_entropy")
@@ -169,23 +165,27 @@ def _transfer_experiment(cifar_dir, source_width, target_width, rates, seeds,
                          transfer_epoch, post_epochs, out_dir, tag) -> dict:
     """Grow or prune at a given epoch and compare against the from-scratch
     benchmark at the target width."""
-    train_data, test_data = _cifar(cifar_dir)
+    train_data, test_data = load_cifar10(cifar_dir)
+    # Neither the source nor the from-scratch benchmark depends on the rates,
+    # and grow_then_train clones its source, so each is trained once per seed.
+    sources, benchmarks = {}, {}
+    for seed in seeds:
+        sources[seed], _ = _train_cifar_net("MFP", source_width, transfer_epoch, seed,
+                                            train_data, test_data)
+        _, bench_log = _train_cifar_net("MFP", target_width, transfer_epoch + post_epochs,
+                                        seed, train_data, test_data)
+        benchmarks[seed] = bench_log.final("test_acc")
     rows = ["r1,r2,seed,epoch,test_acc,benchmark_acc"]
     checks = {}
     for r1, r2 in rates:
         gaps = []
         for seed in seeds:
-            src, _ = _train_cifar_net("MFP", source_width, transfer_epoch, seed,
-                                      train_data, test_data)
             plan = TransferPlan(strategy=RandomStrategy(), r1=r1, r2=r2, seed=seed)
-            cfg = TrainConfig(lr=DEFAULT_LR["MFP"], epochs=post_epochs, batch_size=64,
+            cfg = TrainConfig(lr=DEFAULT_LR, epochs=post_epochs, batch_size=64,
                               loss="cross_entropy", seed=seed)
-            log = grow_then_train(src, target_width, plan, cfg, train_data, test_data)
-            _, bench_log = _train_cifar_net("MFP", target_width,
-                                            transfer_epoch + post_epochs, seed,
-                                            train_data, test_data)
+            log = grow_then_train(sources[seed], target_width, plan, cfg, train_data, test_data)
             acc = log.final("test_acc")
-            bench = bench_log.final("test_acc")
+            bench = benchmarks[seed]
             gaps.append(bench - acc)
             rows.append(f"{r1},{r2},{seed},{post_epochs},{acc:.4f},{bench:.4f}")
         checks[f"r1={r1},r2={r2}"] = statistics.median(gaps) <= 0.02

@@ -157,11 +157,3 @@ def initialize(net: Network, spec: InitSpec, rng: Rng) -> Network:
             store[w.name] = flat.reshape(w.shape)
     return Network(arch, store, dict(net.meta))
 
-
-def rc_components(w_shape: tuple[int, int], phi: str, rng: Rng, name: str,
-                  mu_r: DistributionSpec, mu_c: DistributionSpec):
-    """Draw the (R, C) pair for one matrix; regeneration from these 2N stored
-    values reproduces the matrix exactly."""
-    r = mu_r.draw(rng.substream(f"init/{name}/R"), w_shape[0])
-    c = mu_c.draw(rng.substream(f"init/{name}/C"), w_shape[1])
-    return r, c, _phi_apply(phi, r, c)

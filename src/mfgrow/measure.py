@@ -44,9 +44,6 @@ class GroupMeasure:
     features: dict[str, np.ndarray] = field(default_factory=dict)
     slices: dict[str, Slice] = field(default_factory=dict)
 
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(self.features)
-
     def restricted(self, idx: np.ndarray) -> dict[str, np.ndarray]:
         return {name: vals[idx] for name, vals in self.features.items()}
 

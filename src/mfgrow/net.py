@@ -2,6 +2,12 @@
 backpropagation, per-weight learning-rate scaling, SGD and Adam, and the
 training loop.
 
+One layer executor runs every network. Each call builds a layer plan from
+the arch: per layer the weight, the bias, the forward scalar, the activation,
+and a flag that adds the previous layer's pre-activation before the
+activation. skip4 is a chain with that residual add declared on its third
+layer; w1's rows feed both paths, which is why they carry two gammas.
+
 Forward scalars sit on every contraction and depend on the contracted axis:
 a contraction over a width-N hidden axis gets 1/N under MFP and 1/sqrt(N)
 under SP and muP, except the final output contraction which gets 1/N under
@@ -16,6 +22,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,24 +33,13 @@ from .tensor import Rng, as_f64
 LOSSES = ("square", "cross_entropy")
 DIVERGENCE_LIMIT = 1e6
 
-
-def _tanh_d(a):
-    t = np.tanh(a)
-    return 1.0 - t * t
-
-
+# Activation and its derivative, the latter written in terms of the
+# activation's output so the backward pass needs only the layer inputs.
 _ACTIVATIONS = {
-    "tanh": (np.tanh, _tanh_d),
-    "relu": (lambda a: np.maximum(a, 0.0), lambda a: (a > 0.0).astype(np.float64)),
-    "identity": (lambda a: a, lambda a: np.ones_like(a)),
+    "tanh": (np.tanh, lambda z: 1.0 - z * z),
+    "relu": (lambda a: np.maximum(a, 0.0), lambda z: (z > 0.0).astype(np.float64)),
+    "identity": (lambda a: a, lambda z: np.ones_like(z)),
 }
-
-
-def activation_fns(name: str):
-    try:
-        return _ACTIVATIONS[name]
-    except KeyError:
-        raise ParameterError(f"unknown activation {name!r}") from None
 
 
 @dataclass
@@ -98,21 +94,34 @@ def _contraction_scalar(parametrization: str, fan: int, role: str, final: bool) 
     return 1.0 / math.sqrt(fan)
 
 
-def layer_scalar(net: Network, layer_index: int) -> float:
-    """Forward scalar of one layer's contraction (1.0 for the elementwise
-    vector embedding, which contracts nothing)."""
+class _Layer(NamedTuple):
+    weight: str
+    bias: str | None
+    scalar: float
+    act: tuple | None  # (activation, derivative from output); None on the output layer
+    residual: bool  # add the previous layer's pre-activation before the activation
+
+
+def _plan(net: Network) -> list[_Layer]:
+    """The layer plan the executor runs; the only place that reads the topology."""
     arch = net.arch
-    layers = arch.layers
-    wname = layers[layer_index][0]
-    w = arch.weight(wname)
-    final = layer_index == len(layers) - 1
-    if w.kind == "vector":
-        if layer_index == 0:
-            return 1.0
-        gamma = arch.axis_gamma(wname, ROW)
-        return _contraction_scalar(arch.parametrization, gamma.width, gamma.role, final)
-    gamma = arch.axis_gamma(wname, COL)
-    return _contraction_scalar(arch.parametrization, gamma.width, gamma.role, final)
+    last = len(arch.layers) - 1
+    plan = []
+    for i, (wname, bname) in enumerate(arch.layers):
+        vector = net.store[wname].ndim == 1
+        if vector and i == 0:
+            scalar = 1.0  # elementwise embedding contracts nothing
+        else:
+            gamma = arch.axis_gamma(wname, ROW if vector else COL)
+            scalar = _contraction_scalar(arch.parametrization, gamma.width, gamma.role, i == last)
+        act = None
+        if i < last:
+            try:
+                act = _ACTIVATIONS[arch.activations[i]]
+            except KeyError:
+                raise ParameterError(f"unknown activation {arch.activations[i]!r}") from None
+        plan.append(_Layer(wname, bname, scalar, act, arch.topology == "skip4" and i == 2))
+    return plan
 
 
 def _check_input(net: Network, X: np.ndarray) -> np.ndarray:
@@ -124,74 +133,34 @@ def _check_input(net: Network, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _forward_chain(net: Network, X: np.ndarray, keep: bool):
-    arch = net.arch
-    acts = [activation_fns(a) for a in arch.activations]
-    zs = [X]
-    pre = []
+def _run(net: Network, plan: list[_Layer], X: np.ndarray, keep: bool):
+    """Forward pass; returns the output and, with ``keep``, each layer's input."""
+    inputs = []
     z = X
-    last = len(arch.layers) - 1
-    for i, (wname, bname) in enumerate(arch.layers):
-        w = net.store[wname]
-        s = layer_scalar(net, i)
-        if w.ndim == 1:
-            if i == 0:
-                a = X[:, 0:1] * w[None, :]
-            else:
-                a = s * (z @ w)[:, None]
-        else:
-            a = s * (z @ w.T)
-        if bname is not None:
-            a = a + net.store[bname][None, :]
-        if i < last:
-            fn = acts[i][0]
-            z = fn(a)
-        else:
-            z = a
+    prev = None
+    for i, layer in enumerate(plan):
+        w = net.store[layer.weight]
         if keep:
-            pre.append(a)
-            zs.append(z)
-    return (z, pre, zs) if keep else z
-
-
-def _forward_skip4(net: Network, X: np.ndarray, keep: bool):
-    arch = net.arch
-    fn, _ = activation_fns(arch.activations[0])
-    u, bu = net.store["u"], net.store["bu"]
-    w1, b1 = net.store["w1"], net.store["b1"]
-    w2, b2 = net.store["w2"], net.store["b2"]
-    v, bv = net.store["v"], net.store["bv"]
-    s1 = layer_scalar(net, 1)  # w1 contraction
-    s2 = layer_scalar(net, 2)  # w2 contraction
-    s3 = layer_scalar(net, 3)  # output contraction
-
-    if u.ndim == 1:
-        a0 = X[:, 0:1] * u[None, :] + bu[None, :]
-    else:
-        s0 = layer_scalar(net, 0)
-        a0 = s0 * (X @ u.T) + bu[None, :]
-    z0 = fn(a0)
-    a1 = s1 * (z0 @ w1.T) + b1[None, :]
-    h1 = fn(a1)
-    direct = s2 * (h1 @ w2.T) + b2[None, :]
-    skip = s1 * (z0 @ w1.T) + b1[None, :]
-    a2 = direct + skip
-    g = fn(a2)
-    if v.ndim == 1:
-        out = s3 * (g @ v)[:, None] + bv[None, :]
-    else:
-        out = s3 * (g @ v.T) + bv[None, :]
-    if keep:
-        return out, (a0, z0, a1, h1, a2, g)
-    return out
+            inputs.append(z)
+        if w.ndim == 2:
+            a = layer.scalar * (z @ w.T)
+        elif i == 0:
+            a = X[:, 0:1] * w[None, :]
+        else:
+            a = layer.scalar * (z @ w)[:, None]
+        if layer.bias is not None:
+            a = a + net.store[layer.bias][None, :]
+        if layer.residual:
+            a = a + prev
+        prev = a
+        z = a if layer.act is None else layer.act[0](a)
+    return z, inputs
 
 
 def forward_batch(net: Network, X: np.ndarray) -> np.ndarray:
     """Evaluate the network on a (batch, input_dim) array."""
     X = _check_input(net, X)
-    if net.arch.topology == "skip4":
-        return _forward_skip4(net, X, keep=False)
-    return _forward_chain(net, X, keep=False)
+    return _run(net, _plan(net), X, keep=False)[0]
 
 
 def forward(net: Network, x) -> np.ndarray:
@@ -223,86 +192,6 @@ def _loss_and_delta(out: np.ndarray, Y: np.ndarray, loss: str):
     raise ParameterError(f"unknown loss {loss!r}")
 
 
-def _backward_chain(net: Network, X: np.ndarray, Y: np.ndarray, loss: str):
-    arch = net.arch
-    acts = [activation_fns(a) for a in arch.activations]
-    out, pre, zs = _forward_chain(net, X, keep=True)
-    losses, delta = _loss_and_delta(out, Y, loss)
-    B = X.shape[0]
-    grads: dict[str, np.ndarray] = {}
-    last = len(arch.layers) - 1
-    for i in range(last, -1, -1):
-        wname, bname = arch.layers[i]
-        w = net.store[wname]
-        s = layer_scalar(net, i)
-        z_prev = zs[i]
-        if w.ndim == 1:
-            if i == 0:
-                # Elementwise embedding: a = x * u + bu.
-                grads[wname] = (delta * X[:, 0:1]).mean(axis=0)
-                if bname is not None:
-                    grads[bname] = delta.mean(axis=0)
-                delta = None
-            else:
-                d = delta[:, 0]
-                grads[wname] = s * (d[:, None] * z_prev).mean(axis=0)
-                if bname is not None:
-                    grads[bname] = delta.mean(axis=0)
-                delta = s * d[:, None] * w[None, :]
-        else:
-            grads[wname] = s * (delta.T @ z_prev) / B
-            if bname is not None:
-                grads[bname] = delta.mean(axis=0)
-            delta = s * (delta @ w)
-        if i > 0 and delta is not None:
-            _, dfn = acts[i - 1]
-            delta = delta * dfn(pre[i - 1])
-    return grads, float(losses.mean())
-
-
-def _backward_skip4(net: Network, X: np.ndarray, Y: np.ndarray, loss: str):
-    arch = net.arch
-    _, dfn = activation_fns(arch.activations[0])
-    u, v = net.store["u"], net.store["v"]
-    w1, w2 = net.store["w1"], net.store["w2"]
-    s1 = layer_scalar(net, 1)
-    s2 = layer_scalar(net, 2)
-    s3 = layer_scalar(net, 3)
-    out, (a0, z0, a1, h1, a2, g) = _forward_skip4(net, X, keep=True)
-    losses, delta = _loss_and_delta(out, Y, loss)
-    B = X.shape[0]
-    grads: dict[str, np.ndarray] = {}
-
-    if v.ndim == 1:
-        d = delta[:, 0]
-        grads["v"] = s3 * (d[:, None] * g).mean(axis=0)
-        grads["bv"] = delta.mean(axis=0)
-        dg = s3 * d[:, None] * v[None, :]
-    else:
-        grads["v"] = s3 * (delta.T @ g) / B
-        grads["bv"] = delta.mean(axis=0)
-        dg = s3 * (delta @ v)
-    dg = dg * dfn(a2)
-
-    grads["w2"] = s2 * (dg.T @ h1) / B
-    grads["b2"] = dg.mean(axis=0)
-    dh1 = s2 * (dg @ w2) * dfn(a1)
-
-    # w1 and b1 act twice: through the hidden path (rows as gamma 2) and
-    # through the skip path (rows as gamma 3); gradients add.
-    grads["w1"] = s1 * ((dh1.T @ z0) + (dg.T @ z0)) / B
-    grads["b1"] = (dh1 + dg).mean(axis=0)
-
-    dz0 = (s1 * (dh1 @ w1) + s1 * (dg @ w1)) * dfn(a0)
-    if u.ndim == 1:
-        grads["u"] = (dz0 * X[:, 0:1]).mean(axis=0)
-    else:
-        s0 = layer_scalar(net, 0)
-        grads["u"] = s0 * (dz0.T @ X) / B
-    grads["bu"] = dz0.mean(axis=0)
-    return grads, float(losses.mean())
-
-
 def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str = "square"):
     """Mean gradients of the loss over a batch. Returns (grads, mean_loss)."""
     X = _check_input(net, X)
@@ -311,9 +200,36 @@ def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str = "squa
         Y = Y[:, None]
     if loss not in LOSSES:
         raise ParameterError(f"unknown loss {loss!r}")
-    if net.arch.topology == "skip4":
-        return _backward_skip4(net, X, Y, loss)
-    return _backward_chain(net, X, Y, loss)
+    plan = _plan(net)
+    out, inputs = _run(net, plan, X, keep=True)
+    losses, delta = _loss_and_delta(out, Y, loss)
+    B = X.shape[0]
+    grads: dict[str, np.ndarray] = {}
+    for i in range(len(plan) - 1, -1, -1):
+        layer = plan[i]
+        w = net.store[layer.weight]
+        z = inputs[i]
+        if w.ndim == 2:
+            grads[layer.weight] = layer.scalar * (delta.T @ z) / B
+        elif i == 0:
+            grads[layer.weight] = (delta * z[:, 0:1]).mean(axis=0)
+        else:
+            grads[layer.weight] = layer.scalar * (delta[:, 0:1] * z).mean(axis=0)
+        if layer.bias is not None:
+            grads[layer.bias] = delta.mean(axis=0)
+        if i == 0:
+            break
+        if w.ndim == 2:
+            back = layer.scalar * (delta @ w)
+        else:
+            back = layer.scalar * delta[:, 0:1] * w[None, :]
+        # z is the previous layer's activation output.
+        back = back * plan[i - 1].act[1](z)
+        if layer.residual:
+            # The residual add passes this layer's delta straight through.
+            back = back + delta
+        delta = back
+    return grads, float(losses.mean())
 
 
 def backward(net: Network, x, y, loss: str = "square") -> dict[str, np.ndarray]:
@@ -352,8 +268,9 @@ def lr_multiplier(weight: str, arch: ArchGraph, parametrization: str | None = No
 class OptimizerState:
     """SGD or Adam with fixed per-weight multipliers.
 
-    ``lr_width_exponent`` rescales the base rate by max_hidden_width**alpha;
-    the SP/muP baselines keep it at 0 (plain constant rate).
+    ``lr_width_exponent`` rescales the base rate by max_hidden_width**alpha.
+    It defaults to 0 (a plain constant rate); the scripted SP/muP experiments
+    use 1.0 to compensate their width-dependent forward scalars.
     """
 
     kind: str
@@ -431,9 +348,11 @@ class TrainingLog:
 def evaluate(net: Network, inputs: np.ndarray, targets: np.ndarray, loss: str = "square",
              chunk: int = 1024):
     """Mean loss (and accuracy for classification) over a dataset."""
+    n = inputs.shape[0]
+    if n == 0:
+        raise ParameterError("evaluation data is empty")
     total = 0.0
     correct = 0
-    n = inputs.shape[0]
     for start in range(0, n, chunk):
         X = inputs[start : start + chunk]
         Y = targets[start : start + chunk]

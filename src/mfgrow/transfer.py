@@ -39,7 +39,6 @@ class TransferPlan:
 
     targets: dict[int, int] = field(default_factory=dict)
     strategy: object = field(default_factory=RandomStrategy)
-    per_group_strategy: dict[int, object] = field(default_factory=dict)
     r1: float = 0.0
     r2: float = 0.0
     noise_mode: str = "perturb"  # "perturb": w*(1+u); "literal": w*u
@@ -55,9 +54,6 @@ class TransferPlan:
 
     def target_for(self, gi: int, width: int) -> int:
         return int(self.targets.get(gi, width))
-
-    def strategy_for(self, gi: int):
-        return self.per_group_strategy.get(gi, self.strategy)
 
 
 def uniform_plan(partition: GammaPartition, new_width: int, **kwargs) -> TransferPlan:
@@ -105,7 +101,7 @@ def _group_index_set(measures, partition, plan, gi, rng) -> np.ndarray:
                 f"group {gi} has a data-tied width {width}; cannot resize to {target}"
             )
         return np.arange(width, dtype=np.int64)
-    strategy = plan.strategy_for(gi)
+    strategy = plan.strategy
     if isinstance(strategy, _IdentityStrategy):
         if target != width:
             raise ParameterError(f"identity strategy cannot resize group {gi}")

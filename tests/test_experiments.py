@@ -69,11 +69,19 @@ class TestCifarPipeline:
     def test_transfer_pipeline_grow_and_prune(self, fixture_dir, tmp_path):
         grow = _transfer_experiment(
             fixture_dir, source_width=16, target_width=48,
-            rates=((0.0, 0.0),), seeds=(0,), transfer_epoch=1, post_epochs=1,
+            rates=((0.0, 0.0), (1.0, 0.4)), seeds=(0,), transfer_epoch=1, post_epochs=1,
             out_dir=tmp_path, tag="smoke_grow",
         )
-        assert "r1=0.0,r2=0.0" in grow["checks"]
-        assert (tmp_path / "smoke_grow.csv").exists()
+        assert set(grow["checks"]) == {"r1=0.0,r2=0.0", "r1=1.0,r2=0.4"}
+        csv = (tmp_path / "smoke_grow.csv").read_text()
+        # The source and the from-scratch benchmark are trained once per seed,
+        # so the benchmark column cannot depend on the rates.
+        rows = [line.split(",") for line in csv.splitlines()[1:]]
+        assert len({row[5] for row in rows}) == 1
+        # Same bytes as when both nets were retrained for every rate pair.
+        assert csv == ("r1,r2,seed,epoch,test_acc,benchmark_acc\n"
+                       "0.0,0.0,0,1,0.4036,0.4036\n"
+                       "1.0,0.4,0,1,0.4010,0.4036\n")
         prune = _transfer_experiment(
             fixture_dir, source_width=48, target_width=16,
             rates=((0.5, 0.5),), seeds=(0,), transfer_epoch=1, post_epochs=1,

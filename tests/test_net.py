@@ -9,6 +9,7 @@ from mfgrow.net import (
     Network,
     OptimizerState,
     backward,
+    backward_batch,
     evaluate,
     forward,
     forward_batch,
@@ -17,6 +18,7 @@ from mfgrow.net import (
     zeros_network,
 )
 from mfgrow.tensor import Rng
+from mfgrow.transfer import duplicate_grow
 
 
 def make_net(depth, width, parametrization="MFP", with_bias=False, with_skip=False,
@@ -201,6 +203,30 @@ class TestFiveLayerClosedForms:
             assert np.allclose(grads[name], -delta / mults[name], rtol=1e-10, atol=1e-14)
 
 
+class TestDuplicationTrajectory:
+    """k-fold duplication commutes with MFP SGD: the duplicated net follows
+    the small net's trajectory exactly, so the outputs agree to round-off
+    after every step (Net2Net, arXiv 1511.05641; mean-field dynamics depend
+    only on the empirical measure, arXiv 1804.06561)."""
+
+    @pytest.mark.parametrize("with_skip", [False, True])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_sgd_trajectory_preserved(self, with_skip, k):
+        small = make_net(4, 8, with_bias=True, with_skip=with_skip, seed=4)
+        big = duplicate_grow(small, k)
+        opt_small = OptimizerState.create(small, lr=0.05)
+        opt_big = OptimizerState.create(big, lr=0.05)
+        gen = Rng(12).generator()
+        probe = gen.uniform(-2, 2, size=(64, 1))
+        for _ in range(20):
+            X = gen.uniform(-2, 2, size=(16, 1))
+            Y = np.sin(2.0 * X)
+            opt_small.apply(small, backward_batch(small, X, Y)[0])
+            opt_big.apply(big, backward_batch(big, X, Y)[0])
+            dev = np.abs(forward_batch(small, probe) - forward_batch(big, probe)).max()
+            assert dev <= 1e-12
+
+
 class TestLrMultiplier:
     def test_five_layer_mfp_scalars(self):
         arch = build_mlp(5, [5, 6, 7, 4], parametrization="MFP")
@@ -268,6 +294,11 @@ class TestTrain:
         opt = OptimizerState.create(net, kind="adam", lr=0.01)
         log = train(net, data, opt, epochs=20, batch_size=32, rng=Rng(2))
         assert log.rows[-1][2] < log.rows[0][2] * 0.5
+
+    def test_evaluate_empty_rejected(self):
+        net = make_net(2, 8)
+        with pytest.raises(ParameterError):
+            evaluate(net, np.zeros((0, 1)), np.zeros(0))
 
     def test_negative_lr_rejected(self):
         net = make_net(2, 8)
