@@ -181,9 +181,6 @@ class GammaPartition:
                 return i
         raise StructureError(f"gamma {gamma_id} not in partition")
 
-    def axis_group(self, arch: ArchGraph, weight: str, axis: str) -> int:
-        return self.group_of(arch.axis_gamma(weight, axis).id)
-
 
 def compute_partition(g: ArchGraph) -> GammaPartition:
     """Union-find over gamma ids: merge all gammas appearing at the same
@@ -541,16 +538,25 @@ def arch_from_json(text: str) -> ArchGraph:
         if key not in doc:
             raise StructureError(f"architecture file is missing {key!r}")
     try:
-        weights = tuple(
-            WeightSpec(w["name"], w["kind"], tuple(int(d) for d in w["shape"]))
-            for w in doc["weights"]
-        )
-        usages = tuple(
-            AxisUsage(u["weight"], u["axis"], int(u["gamma"])) for u in doc["usages"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise StructureError(f"malformed weight or usage entry: {exc}") from exc
+        graph = _graph_from_doc(doc)
+        graph.validate()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StructureError(
+            f"malformed architecture entry: {type(exc).__name__}: {exc}"
+        ) from exc
+    return graph
 
+
+def _graph_from_doc(doc: dict) -> ArchGraph:
+    """Build the graph from a parsed arch document. Wrong value types and
+    missing entry keys surface as the builtin errors they raise."""
+    weights = tuple(
+        WeightSpec(w["name"], w["kind"], tuple(int(d) for d in w["shape"]))
+        for w in doc["weights"]
+    )
+    usages = tuple(
+        AxisUsage(u["weight"], u["axis"], int(u["gamma"])) for u in doc["usages"]
+    )
     if "gammas" in doc:
         gammas = tuple(
             GammaVar(int(gm["id"]), int(gm["width"]), gm.get("role", "hidden"))
@@ -576,7 +582,7 @@ def arch_from_json(text: str) -> ArchGraph:
         gammas = tuple(GammaVar(gid, w, role(w)) for gid, w in sorted(seen.items()))
 
     layers = tuple((w, b) for w, b in doc.get("layers", []))
-    graph = ArchGraph(
+    return ArchGraph(
         weights=weights,
         usages=usages,
         gammas=gammas,
@@ -585,5 +591,3 @@ def arch_from_json(text: str) -> ArchGraph:
         layers=layers,
         activations=tuple(doc.get("activations", [])),
     )
-    graph.validate()
-    return graph

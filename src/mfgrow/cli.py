@@ -235,10 +235,11 @@ def cmd_transfer(args) -> int:
     strategy = _parse_strategy(args.strategy, args.n_groups, args.n_candidates, args.p_max)
     plan = uniform_plan(
         partition, args.widths, strategy=strategy, r1=args.r1, r2=args.r2,
-        noise_mode=args.noise, seed=args.seed if args.seed is not None else 0,
+        noise_mode=args.noise,
     )
-    grown = transfer(net, partition, plan)
-    save_checkpoint(grown, args.out_ckpt, seed=plan.seed)
+    seed = args.seed if args.seed is not None else 0
+    grown = transfer(net, partition, plan, Rng(seed))
+    save_checkpoint(grown, args.out_ckpt, seed=seed)
     print(f"wrote {args.out_ckpt} (widths -> {args.widths})")
     return EXIT_OK
 
@@ -297,7 +298,7 @@ def cmd_sample(args) -> int:
         idx_path = out / f"group{args.group}_indices.csv"
         idx_path.write_text(
             "position,source_index\n"
-            + "\n".join(f"{i},{v}" for i, v in enumerate(idx.indices)) + "\n",
+            + "\n".join(f"{i},{v}" for i, v in enumerate(idx)) + "\n",
             encoding="utf-8",
         )
         print(f"wrote {measure_path} and {idx_path}")

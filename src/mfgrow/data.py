@@ -167,6 +167,13 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
 
+    def text(self, n: int) -> str:
+        start = self.pos
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{self.path}: bytes at {start} are not UTF-8: {exc}") from exc
+
 
 def load_checkpoint(path) -> Network:
     raw = Path(path).read_bytes()
@@ -181,21 +188,23 @@ def load_checkpoint(path) -> Network:
     if param_code not in _PARAM_NAME:
         raise CheckpointError(f"{path}: unknown parametrization code {param_code}")
     arch_len = r.unpack("<I")
-    arch = arch_from_json(r.take(arch_len).decode("utf-8"))
+    arch = arch_from_json(r.text(arch_len))
     if arch.parametrization != _PARAM_NAME[param_code]:
         raise CheckpointError(f"{path}: parametrization byte disagrees with arch JSON")
     count = r.unpack("<I")
     store: dict[str, np.ndarray] = {}
     for _ in range(count):
         name_len = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        name = r.text(name_len)
         dtype_code = r.unpack("<B")
         if dtype_code not in (0, 1):
             raise CheckpointError(f"{path}: weight {name}: unknown dtype code {dtype_code}")
         ndim = r.unpack("<B")
+        if ndim not in (1, 2):
+            raise CheckpointError(f"{path}: weight {name}: {ndim} dimensions, expected 1 or 2")
         shape = tuple(r.unpack("<I") for _ in range(ndim))
         np_dtype = "<f4" if dtype_code == 0 else "<f8"
-        nbytes = int(np.prod(shape, dtype=np.int64)) * (4 if dtype_code == 0 else 8)
+        nbytes = math.prod(shape) * (4 if dtype_code == 0 else 8)
         arr = np.frombuffer(r.take(nbytes), dtype=np_dtype).reshape(shape)
         store[name] = as_f64(arr)
     if r.pos != len(raw):

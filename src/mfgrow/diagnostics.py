@@ -1,6 +1,8 @@
 """Diagnostics that make row/column structure visible: axis profiles,
-cross-layer correlation reports, sortable heatmap grids, row-mean histogram
-trajectories, and the first-step update-scaling probe.
+pairwise and four-pair (Table 1) correlation reports, sortable heatmap grids,
+row-mean histogram trajectories, and the first-step update-scaling probe.
+Apart from the probe, nothing here trains: the scripted experiments train
+the nets and pass them in.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arch import build_mlp
-from .data import Dataset, synth_regression
+from .data import synth_regression
 from .errors import ParameterError, ShapeError
 from .init import initialize, nonzero_mean_default
-from .net import Network, OptimizerState, backward_batch, train, zeros_network
+from .net import Network, OptimizerState, backward_batch, zeros_network
 from .tensor import Rng, pearson_abs
 
 
@@ -63,13 +65,6 @@ class CorrelationReport:
     """Absolute Pearson correlations between named profile pairs."""
 
     pairs: list[tuple[str, str, float]] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
-
-    def value(self, a: str, b: str) -> float:
-        for pa, pb, r in self.pairs:
-            if (pa, pb) == (a, b) or (pb, pa) == (a, b):
-                return r
-        raise KeyError(f"no pair ({a}, {b}) in report")
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -96,38 +91,23 @@ def correlation_matrix(profiles: list[Profile], names: list[str] | None = None) 
     return report
 
 
-@dataclass(frozen=True)
-class CorrExperimentConfig:
-    """3-layer correlation run: parametrization, width, schedule, data."""
-
-    parametrization: str
-    width: int
-    epochs: int
-    seed: int
-    lr: float = 0.1
-    batch_size: int = 64
-    optimizer: str = "sgd"
-    loss: str = "cross_entropy"
-    partial_rows: int = 4
-    lr_width_exponent: float = 0.0
-
-
-def _table_profiles(net: Network, partial_rows: int) -> dict[str, Profile]:
-    first = profile(net, "u", "row", "mean")
-    m_col = profile(net, "w1", "col", "mean")
-    m_row = profile(net, "w1", "row", "mean")
+def four_pair_report(net: Network) -> CorrelationReport:
+    """The four first/last-layer vs middle-layer profile correlations of a
+    3-layer net (the paper's Table 1). The first layer is u's row mean, the
+    middle layer w1's row and column means, and the last layer v's column
+    sums over its first 4 output rows (v itself when it is a vector)."""
     v = net.arch.weight("v")
     if v.kind == "matrix":
-        k = min(partial_rows, v.shape[0])
-        last = profile(net, "v", "col", ("partial_sum", k))
+        last = profile(net, "v", "col", ("partial_sum", min(4, v.shape[0])))
     else:
         last = profile(net, "v", "row", "mean")
-    return {"first_layer": first, "M.column": m_col, "M.row": m_row, "last_layer": last}
-
-
-def _four_pair_report(net: Network, partial_rows: int, metadata: dict) -> CorrelationReport:
-    p = _table_profiles(net, partial_rows)
-    report = CorrelationReport(metadata=dict(metadata))
+    p = {
+        "first_layer": profile(net, "u", "row", "mean"),
+        "M.column": profile(net, "w1", "col", "mean"),
+        "M.row": profile(net, "w1", "row", "mean"),
+        "last_layer": last,
+    }
+    report = CorrelationReport()
     for a, b in (
         ("first_layer", "M.column"),
         ("first_layer", "M.row"),
@@ -136,40 +116,6 @@ def _four_pair_report(net: Network, partial_rows: int, metadata: dict) -> Correl
     ):
         report.pairs.append((a, b, pearson_abs(p[a].values, p[b].values)))
     return report
-
-
-def correlation_experiment(
-    cfg: CorrExperimentConfig, train_data: Dataset, test_data: Dataset | None = None
-) -> tuple[CorrelationReport, CorrelationReport]:
-    """Train a 3-layer net and report the four first/last-vs-middle profile
-    correlations at initialization and after training."""
-    input_dim = train_data.inputs.shape[1]
-    if train_data.classification:
-        output_dim = int(train_data.targets.max()) + 1
-        loss = "cross_entropy"
-    else:
-        output_dim = train_data.targets.shape[1]
-        loss = "square"
-    arch = build_mlp(
-        3, cfg.width, with_bias=True, input_dim=input_dim, output_dim=output_dim,
-        parametrization=cfg.parametrization,
-    )
-    rng = Rng(cfg.seed)
-    net = initialize(zeros_network(arch), nonzero_mean_default(cfg.parametrization, arch), rng)
-    meta = {
-        "parametrization": cfg.parametrization, "width": cfg.width,
-        "seed": cfg.seed, "epochs": cfg.epochs,
-    }
-    init_report = _four_pair_report(net, cfg.partial_rows, {**meta, "step": 0})
-    opt = OptimizerState.create(
-        net, kind=cfg.optimizer, lr=cfg.lr, lr_width_exponent=cfg.lr_width_exponent
-    )
-    log = train(net, train_data, opt, cfg.epochs, cfg.batch_size, rng,
-                test_data=test_data, loss=loss)
-    trained_report = _four_pair_report(
-        net, cfg.partial_rows, {**meta, "step": log.rows[-1][1]}
-    )
-    return init_report, trained_report
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,12 @@ from pathlib import Path
 
 from .arch import build_mlp, compute_partition
 from .data import load_cifar10, synth_regression
-from .diagnostics import (
-    CorrExperimentConfig,
-    correlation_experiment,
-    heatmap_export,
-    update_scaling_probe,
-)
+from .diagnostics import four_pair_report, heatmap_export, update_scaling_probe
 from .init import initialize, nonzero_mean_default
 from .measure import FunctionBasedStrategy, RandomStrategy, moment_specs
 from .net import OptimizerState, evaluate, train, zeros_network
 from .tensor import Rng
-from .transfer import TrainConfig, TransferPlan, grow_then_train, transfer, uniform_plan
+from .transfer import transfer, uniform_plan
 
 PARAMS = ("SP", "muP", "MFP")
 
@@ -42,18 +37,20 @@ def _write(out_dir, name: str, text: str) -> None:
     (out_dir / name).write_text(text, encoding="utf-8")
 
 
-def _train_cifar_net(parametrization, width, epochs, seed, train_data, test_data,
-                     lr=None, batch_size=64):
+def _cifar_net(param, width, seed, train_data):
+    """The 3-layer CIFAR net (input -> width -> width -> 10), initialized."""
     arch = build_mlp(3, width, with_bias=True, input_dim=train_data.inputs.shape[1],
-                     output_dim=10, parametrization=parametrization)
-    net = initialize(zeros_network(arch), nonzero_mean_default(parametrization, arch), Rng(seed))
+                     output_dim=10, parametrization=param)
+    return initialize(zeros_network(arch), nonzero_mean_default(param, arch), Rng(seed))
+
+
+def _fit(net, epochs, seed, train_data, test_data):
+    """SGD at the scripted rates, batch 64, cross-entropy; trains ``net`` in place."""
     opt = OptimizerState.create(
-        net, kind="sgd", lr=DEFAULT_LR if lr is None else lr,
-        lr_width_exponent=DEFAULT_LR_EXPONENT[parametrization],
+        net, lr=DEFAULT_LR, lr_width_exponent=DEFAULT_LR_EXPONENT[net.parametrization]
     )
-    log = train(net, train_data, opt, epochs, batch_size, Rng(seed),
-                test_data=test_data, loss="cross_entropy")
-    return net, log
+    return train(net, train_data, opt, epochs, 64, Rng(seed),
+                 test_data=test_data, loss="cross_entropy")
 
 
 def accuracy_experiment(cifar_dir, width=300, epochs=10, seeds=(0, 1, 2), out_dir=None,
@@ -65,8 +62,8 @@ def accuracy_experiment(cifar_dir, width=300, epochs=10, seeds=(0, 1, 2), out_di
     for param in PARAMS:
         accs = []
         for seed in seeds:
-            _, log = _train_cifar_net(param, width, epochs, seed, train_data, test_data)
-            acc = log.final("test_acc")
+            net = _cifar_net(param, width, seed, train_data)
+            acc = _fit(net, epochs, seed, train_data, test_data).final("test_acc")
             accs.append(acc)
             rows.append(f"{param},{seed},{acc:.4f}")
         medians[param] = statistics.median(accs)
@@ -89,11 +86,10 @@ def table1(cifar_dir, width=1000, epochs=10, seeds=(0, 1, 2), out_dir=None) -> d
     for param in PARAMS:
         per_seed_init, per_seed_trained = [], []
         for seed in seeds:
-            cfg = CorrExperimentConfig(
-                param, width=width, epochs=epochs, seed=seed,
-                lr=DEFAULT_LR, lr_width_exponent=DEFAULT_LR_EXPONENT[param],
-            )
-            init_rep, trained_rep = correlation_experiment(cfg, train_data, test_data)
+            net = _cifar_net(param, width, seed, train_data)
+            init_rep = four_pair_report(net)
+            _fit(net, epochs, seed, train_data, test_data)
+            trained_rep = four_pair_report(net)
             per_seed_init.append({f"{a}~{b}": r for a, b, r in init_rep.pairs})
             per_seed_trained.append({f"{a}~{b}": r for a, b, r in trained_rep.pairs})
             for stage, rep in (("init", init_rep), ("trained", trained_rep)):
@@ -142,18 +138,13 @@ def fig1_heatmaps(cifar_dir, width=300, epochs=10, seed=0, out_dir=None) -> dict
     train_data, test_data = load_cifar10(cifar_dir)
     written = []
     for param in PARAMS:
-        arch = build_mlp(3, width, with_bias=True, input_dim=train_data.inputs.shape[1],
-                         output_dim=10, parametrization=param)
-        net = initialize(zeros_network(arch), nonzero_mean_default(param, arch), Rng(seed))
+        net = _cifar_net(param, width, seed, train_data)
         name = f"fig1_{param}_init.grid"
         if out_dir is not None:
             Path(out_dir).mkdir(parents=True, exist_ok=True)
             heatmap_export(net, "w1", "minmax", path=Path(out_dir) / name)
             written.append(name)
-        opt = OptimizerState.create(net, lr=DEFAULT_LR,
-                                    lr_width_exponent=DEFAULT_LR_EXPONENT[param])
-        train(net, train_data, opt, epochs, 64, Rng(seed), test_data=test_data,
-              loss="cross_entropy")
+        _fit(net, epochs, seed, train_data, test_data)
         name = f"fig1_{param}_trained.grid"
         if out_dir is not None:
             heatmap_export(net, "w1", "minmax", path=Path(out_dir) / name)
@@ -167,23 +158,24 @@ def _transfer_experiment(cifar_dir, source_width, target_width, rates, seeds,
     benchmark at the target width."""
     train_data, test_data = load_cifar10(cifar_dir)
     # Neither the source nor the from-scratch benchmark depends on the rates,
-    # and grow_then_train clones its source, so each is trained once per seed.
+    # and transfer leaves its source untouched, so each is trained once per seed.
     sources, benchmarks = {}, {}
     for seed in seeds:
-        sources[seed], _ = _train_cifar_net("MFP", source_width, transfer_epoch, seed,
-                                            train_data, test_data)
-        _, bench_log = _train_cifar_net("MFP", target_width, transfer_epoch + post_epochs,
-                                        seed, train_data, test_data)
+        sources[seed] = _cifar_net("MFP", source_width, seed, train_data)
+        _fit(sources[seed], transfer_epoch, seed, train_data, test_data)
+        bench_net = _cifar_net("MFP", target_width, seed, train_data)
+        bench_log = _fit(bench_net, transfer_epoch + post_epochs, seed, train_data, test_data)
         benchmarks[seed] = bench_log.final("test_acc")
     rows = ["r1,r2,seed,epoch,test_acc,benchmark_acc"]
     checks = {}
     for r1, r2 in rates:
         gaps = []
         for seed in seeds:
-            plan = TransferPlan(strategy=RandomStrategy(), r1=r1, r2=r2, seed=seed)
-            cfg = TrainConfig(lr=DEFAULT_LR, epochs=post_epochs, batch_size=64,
-                              loss="cross_entropy", seed=seed)
-            log = grow_then_train(sources[seed], target_width, plan, cfg, train_data, test_data)
+            source = sources[seed]
+            partition = compute_partition(source.arch)
+            plan = uniform_plan(partition, target_width, strategy=RandomStrategy(), r1=r1, r2=r2)
+            grown = transfer(source, partition, plan, Rng(seed))
+            log = _fit(grown, post_epochs, seed, train_data, test_data)
             acc = log.final("test_acc")
             bench = benchmarks[seed]
             gaps.append(bench - acc)
@@ -226,10 +218,9 @@ def twolayer_regen(seed=0, source_width=500, target_width=2000, out_dir=None,
 
     partition = compute_partition(net.arch)
     plan = uniform_plan(
-        partition, target_width,
-        strategy=FunctionBasedStrategy(64, tuple(moment_specs(4))), seed=seed + 2,
+        partition, target_width, strategy=FunctionBasedStrategy(64, tuple(moment_specs(4))),
     )
-    regen = transfer(net, partition, plan)
+    regen = transfer(net, partition, plan, Rng(seed + 2))
     regen_mse, _ = evaluate(regen, test_data.inputs, test_data.targets, "square")
     ratio = regen_mse / src_mse
     passed = ratio <= ratio_bound

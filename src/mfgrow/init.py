@@ -110,20 +110,6 @@ def nonzero_mean_default(parametrization: str, arch: ArchGraph) -> InitSpec:
     return iid_spec(dists)
 
 
-def uniform_iid_spec(arch: ArchGraph, bound_scale: float = 1.0) -> InitSpec:
-    """Symmetric fan-based uniform on weights, zero biases; the init used for
-    the SP/MFP heatmap and accuracy experiments."""
-    dists: dict[str, DistributionSpec] = {}
-    bias_names = {b for _, b in arch.layers if b is not None}
-    for w in arch.weights:
-        if w.name in bias_names:
-            dists[w.name] = constant(0.0)
-        else:
-            bound = bound_scale * sqrt(1.0 / _fan_in(arch, w.name))
-            dists[w.name] = uniform(-bound, bound)
-    return iid_spec(dists)
-
-
 def initialize(net: Network, spec: InitSpec, rng: Rng) -> Network:
     """Fill a network's store from the given init spec. Returns a new Network."""
     arch = net.arch

@@ -214,14 +214,6 @@ class FunctionBasedStrategy:
             raise ParameterError(f"n_candidates must be >= 1, got {self.n_candidates}")
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """Source sample positions chosen for one group (length = target width)."""
-
-    group_index: int
-    indices: np.ndarray
-
-
 def _surviving_pool(m: GroupMeasure, r2: float) -> np.ndarray:
     """Indices surviving the norm-rate filter: the top ceil((1-r2)*width)
     samples by feature norm, descending (stable on ties)."""
@@ -248,9 +240,9 @@ def _draw_from_pool(pool: np.ndarray, target: int, gen: np.random.Generator,
     return gen.choice(pool, size=target, replace=replace)
 
 
-def draw_indices(m: GroupMeasure, target: int, strategy, r2: float, rng) -> IndexSet:
-    """Pick ``target`` source positions per the strategy, after the r2
-    norm filter."""
+def draw_indices(m: GroupMeasure, target: int, strategy, r2: float, rng) -> np.ndarray:
+    """Pick ``target`` source positions (int64) per the strategy, after the
+    r2 norm filter."""
     if target < 1:
         raise ParameterError(f"target must be >= 1, got {target}")
     gen = rng.generator() if hasattr(rng, "generator") else rng
@@ -279,7 +271,7 @@ def draw_indices(m: GroupMeasure, target: int, strategy, r2: float, rng) -> Inde
         idx = best
     else:
         raise ParameterError(f"unknown sampling strategy {strategy!r}")
-    return IndexSet(m.group_index, np.asarray(idx, dtype=np.int64))
+    return np.asarray(idx, dtype=np.int64)
 
 
 def coupling_contrast(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:

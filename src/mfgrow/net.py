@@ -321,7 +321,6 @@ class TrainingLog:
 
     seed: int
     rows: list[tuple] = field(default_factory=list)
-    tags: dict = field(default_factory=dict)
 
     COLUMNS = ("epoch", "step", "train_loss", "test_loss", "test_acc", "seed")
 

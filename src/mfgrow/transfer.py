@@ -3,7 +3,8 @@ reconstruction, multiplicative noise, naive duplication, and pruning.
 
 Every weight sharing a group is rebuilt from the same index set, so jointly
 trained slices stay coupled. Forward scalars need no bookkeeping: they derive
-from the new widths.
+from the new widths. All randomness comes from the Rng the caller passes in;
+training the transferred net is left to the caller.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ import numpy as np
 
 from .arch import COL, GammaPartition, GammaVar, ROW, WeightSpec, compute_partition
 from .errors import ParameterError
-from .measure import IndexSet, RandomStrategy, draw_indices, extract_measures
-
-__all__ = ["DuplicateStrategy", "IndexSet", "TrainConfig", "TransferPlan",
-           "apply_noise", "duplicate_grow", "grow_then_train", "identity_plan",
-           "transfer", "uniform_plan"]
-from .net import Network, OptimizerState, TrainingLog, train
+from .measure import RandomStrategy, draw_indices, extract_measures
+from .net import Network
 from .tensor import Rng
+
+__all__ = ["DuplicateStrategy", "TransferPlan", "apply_noise", "duplicate_grow",
+           "transfer", "uniform_plan"]
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ class TransferPlan:
     r1: float = 0.0
     r2: float = 0.0
     noise_mode: str = "perturb"  # "perturb": w*(1+u); "literal": w*u
-    seed: int | None = None
 
     def __post_init__(self):
         if self.r1 < 0:
@@ -80,18 +79,6 @@ def apply_noise(w, r1: float, mode: str, rng) -> np.ndarray:
     return w * u if mode == "literal" else w * (1.0 + u)
 
 
-@dataclass(frozen=True)
-class _IdentityStrategy:
-    """Keep source indices as-is (valid only when the width is unchanged)."""
-
-
-IDENTITY = _IdentityStrategy()
-
-
-def identity_plan(partition: GammaPartition, **kwargs) -> TransferPlan:
-    return TransferPlan(strategy=IDENTITY, **kwargs)
-
-
 def _group_index_set(measures, partition, plan, gi, rng) -> np.ndarray:
     width = partition.widths[gi]
     target = plan.target_for(gi, width)
@@ -102,10 +89,6 @@ def _group_index_set(measures, partition, plan, gi, rng) -> np.ndarray:
             )
         return np.arange(width, dtype=np.int64)
     strategy = plan.strategy
-    if isinstance(strategy, _IdentityStrategy):
-        if target != width:
-            raise ParameterError(f"identity strategy cannot resize group {gi}")
-        return np.arange(width, dtype=np.int64)
     if isinstance(strategy, DuplicateStrategy):
         if target % width != 0:
             raise ParameterError(
@@ -114,23 +97,17 @@ def _group_index_set(measures, partition, plan, gi, rng) -> np.ndarray:
         return np.tile(np.arange(width, dtype=np.int64), target // width)
     return draw_indices(
         measures[gi], target, strategy, plan.r2, rng.substream(f"transfer/idx/{gi}")
-    ).indices
+    )
 
 
 def transfer(
     net: Network,
     partition: GammaPartition,
     plan: TransferPlan,
-    rng: Rng | None = None,
+    rng: Rng,
 ) -> Network:
-    """Resample every group per the plan and rebuild all weights."""
-    if rng is None:
-        if plan.seed is None:
-            raise ParameterError("transfer needs an Rng or a plan seed")
-        rng = Rng(plan.seed)
-    elif plan.seed is not None:
-        rng = Rng(plan.seed)
-
+    """Resample every group per the plan and rebuild all weights. The source
+    network is left untouched."""
     arch = net.arch
     measures = extract_measures(net, partition)
     index_sets = {
@@ -138,7 +115,7 @@ def transfer(
         for gi in range(len(partition))
     }
 
-    axis_group = {
+    axis_to_group = {
         (u.weight, u.axis): partition.group_of(u.gamma) for u in arch.usages
     }
 
@@ -148,12 +125,12 @@ def transfer(
         arr = net.store[w.name]
         resampled = False
         if w.kind == "vector":
-            gi = axis_group[(w.name, ROW)]
+            gi = axis_to_group[(w.name, ROW)]
             arr = arr[index_sets[gi]]
             resampled = partition.resizable[gi]
         else:
-            gi_r = axis_group[(w.name, ROW)]
-            gi_c = axis_group[(w.name, COL)]
+            gi_r = axis_to_group[(w.name, ROW)]
+            gi_c = axis_to_group[(w.name, COL)]
             arr = arr[index_sets[gi_r]][:, index_sets[gi_c]]
             resampled = partition.resizable[gi_r] or partition.resizable[gi_c]
         if resampled and plan.r1 > 0.0:
@@ -189,62 +166,3 @@ def duplicate_grow(net: Network, k: int, rng: Rng | None = None) -> Network:
     }
     plan = TransferPlan(targets=targets, strategy=DuplicateStrategy())
     return transfer(net, partition, plan, rng or Rng(0))
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Post-transfer (or from-scratch) training setup."""
-
-    optimizer: str = "sgd"
-    lr: float = 0.1
-    lr_width_exponent: float = 0.0
-    epochs: int = 3
-    batch_size: int = 64
-    loss: str = "square"
-    seed: int = 0
-
-
-def grow_then_train(
-    small_ckpt,
-    target_widths: int | dict[int, int],
-    plan: TransferPlan,
-    train_cfg: TrainConfig,
-    train_data,
-    test_data=None,
-) -> TrainingLog:
-    """Load a checkpoint, transfer to the target widths, resume training.
-
-    ``small_ckpt`` may be a path or an already-loaded Network. The log is
-    tagged with the plan parameters so it can sit next to a from-scratch
-    benchmark.
-    """
-    if isinstance(small_ckpt, Network):
-        net = small_ckpt.clone()
-    else:
-        from .data import load_checkpoint
-
-        net = load_checkpoint(small_ckpt)
-    partition = compute_partition(net.arch)
-    if isinstance(target_widths, int):
-        targets = {
-            gi: target_widths for gi in range(len(partition)) if partition.resizable[gi]
-        }
-    else:
-        targets = dict(target_widths)
-    plan = replace(plan, targets=targets)
-    rng = Rng(plan.seed if plan.seed is not None else train_cfg.seed)
-    grown = transfer(net, partition, plan, rng)
-
-    opt = OptimizerState.create(
-        grown, kind=train_cfg.optimizer, lr=train_cfg.lr,
-        lr_width_exponent=train_cfg.lr_width_exponent,
-    )
-    log = train(
-        grown, train_data, opt, train_cfg.epochs, train_cfg.batch_size,
-        Rng(train_cfg.seed), test_data=test_data, loss=train_cfg.loss,
-    )
-    log.tags.update(
-        r1=plan.r1, r2=plan.r2, noise_mode=plan.noise_mode,
-        strategy=type(plan.strategy).__name__, targets=dict(targets),
-    )
-    return log

@@ -196,6 +196,20 @@ class TestJson:
         with pytest.raises(StructureError, match="bogus"):
             arch_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d["weights"][0].update(shape=["x"]),
+        lambda d: d["gammas"][0].pop("id"),
+        lambda d: d["layers"].append(["u", "bu", "w1"]),
+        lambda d: d.update(activations=3),
+        lambda d: d["weights"][0].update(name=["u"]),
+    ], ids=["shape_not_int", "gamma_without_id", "layer_not_pair", "activations_not_list",
+            "unhashable_weight_name"])
+    def test_malformed_entries_rejected(self, corrupt):
+        doc = json.loads(arch_to_json(build_mlp(3, 4, with_bias=True)))
+        corrupt(doc)
+        with pytest.raises(StructureError, match="malformed"):
+            arch_from_json(json.dumps(doc))
+
     def test_invalid_json_rejected(self):
         with pytest.raises(StructureError):
             arch_from_json("{not json")

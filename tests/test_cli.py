@@ -128,6 +128,14 @@ class TestDiagnoseCli:
         text = (out / "correlations.csv").read_text()
         assert text.splitlines()[0] == "profile_a,profile_b,abs_pearson"
 
+    def test_corrupt_checkpoint_exits_2(self, small_ckpt, tmp_path, capsys):
+        raw = bytearray(small_ckpt.read_bytes())
+        raw[30] ^= 0x80  # inside the arch JSON: no longer UTF-8
+        small_ckpt.write_bytes(bytes(raw))
+        assert main(["diagnose", "--ckpt", str(small_ckpt), "--report", "corr",
+                     "--out", str(tmp_path / "diag")]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_heatmap_report(self, small_ckpt, tmp_path):
         out = tmp_path / "diag"
         assert main(["diagnose", "--ckpt", str(small_ckpt), "--report", "heatmap",

@@ -129,6 +129,28 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
 
+    # The arch JSON starts after the 21-byte header (magic, version, seed,
+    # param code, JSON length), so byte 30 lies inside it. The first weight's
+    # name follows the JSON, the weight count and the name length; its ndim
+    # byte follows the name and the dtype byte.
+    @pytest.mark.parametrize("where, value, match", [
+        ("arch_json", 0xFF, "not UTF-8"),
+        ("weight_name", 0xFF, "not UTF-8"),
+        ("ndim", 0x50, "dimensions"),
+    ])
+    def test_hostile_bytes_raise_checkpoint_error(self, tmp_path, where, value, match):
+        net = example_net()
+        path = tmp_path / "h.ckpt"
+        save_checkpoint(net, path)
+        raw = bytearray(path.read_bytes())
+        name_at = 21 + int.from_bytes(raw[17:21], "little") + 4 + 2
+        offset = {"arch_json": 30, "weight_name": name_at,
+                  "ndim": name_at + len(net.arch.weights[0].name) + 1}[where]
+        raw[offset] = value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
     def test_truncation_detected(self, tmp_path):
         net = example_net()
         path = tmp_path / "e.ckpt"

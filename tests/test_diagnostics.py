@@ -4,9 +4,8 @@ import pytest
 from mfgrow.arch import build_mlp
 from mfgrow.data import synth_regression
 from mfgrow.diagnostics import (
-    CorrExperimentConfig,
-    correlation_experiment,
     correlation_matrix,
+    four_pair_report,
     heatmap_export,
     histogram_trajectory,
     histograms_to_csv,
@@ -66,7 +65,7 @@ class TestCorrelationMatrix:
         p = profile(net, "w1", "row")
         q = type(p)(p.weight, p.axis, p.reducer, -p.values)
         report = correlation_matrix([p, q], names=["a", "b"])
-        assert report.value("a", "b") == pytest.approx(1.0)
+        assert report.pairs == [("a", "b", pytest.approx(1.0))]
 
     def test_independent_profiles_decorrelated(self):
         gen = Rng(1).generator()
@@ -93,30 +92,28 @@ class TestCorrelationMatrix:
         assert pearson_abs(a, -0.5 * b + 1.0) == pytest.approx(base, abs=1e-12)
 
 
-class TestCorrelationExperiment:
-    def test_smoke_on_synthetic_classification(self):
-        # Tiny stand-in dataset exercising the full pipeline shape.
-        gen = Rng(3).generator()
-        inputs = gen.normal(size=(256, 12))
-        labels = (inputs[:, 0] > 0).astype(np.int64)
-        from mfgrow.data import Dataset
+class TestFourPairReport:
+    PAIRS = [("first_layer", "M.column"), ("first_layer", "M.row"),
+             ("last_layer", "M.row"), ("last_layer", "M.column")]
 
-        data = Dataset(inputs, labels)
-        cfg = CorrExperimentConfig("MFP", width=32, epochs=2, seed=0, lr=0.05)
-        init_rep, trained_rep = correlation_experiment(cfg, data)
-        for rep in (init_rep, trained_rep):
-            assert len(rep.pairs) == 4
-            for _, _, r in rep.pairs:
+    @pytest.mark.parametrize("output_dim", [1, 10])  # vector and matrix v
+    def test_four_pairs_in_unit_interval(self, output_dim):
+        for param in ("SP", "muP", "MFP"):
+            net = make_net(3, 32, parametrization=param, with_bias=True, input_dim=12,
+                           output_dim=output_dim)
+            report = four_pair_report(net)
+            assert [(a, b) for a, b, _ in report.pairs] == self.PAIRS
+            for _, _, r in report.pairs:
                 assert 0.0 <= r <= 1.0
-        assert init_rep.metadata["step"] == 0
-        assert trained_rep.metadata["step"] > 0
 
     def test_deterministic(self):
         data = synth_regression("sine", 128, 0.0, Rng(9))
-        cfg = CorrExperimentConfig("SP", width=16, epochs=1, seed=1, lr=0.01)
-        a = correlation_experiment(cfg, data)
-        b = correlation_experiment(cfg, data)
-        assert a[1].pairs == b[1].pairs
+        reports = []
+        for _ in range(2):
+            net = make_net(3, 16, parametrization="SP", seed=1)
+            train(net, data, OptimizerState.create(net, lr=0.01), 1, 64, Rng(1))
+            reports.append(four_pair_report(net).pairs)
+        assert reports[0] == reports[1]
 
 
 class TestHeatmap:

@@ -8,7 +8,8 @@ import pytest
 
 from mfgrow.data import CIFAR_RECORD, load_cifar10
 from mfgrow.experiments import (
-    _train_cifar_net,
+    _cifar_net,
+    _fit,
     _transfer_experiment,
     fig1_heatmaps,
     table1,
@@ -41,15 +42,23 @@ class TestCifarPipeline:
     def test_loss_decreases_first_epoch_all_parametrizations(self, fixture_dir):
         train_data, test_data = load_cifar10(fixture_dir)
         for param in ("SP", "muP", "MFP"):
-            _, log = _train_cifar_net(param, 24, 1, 0, train_data, test_data)
+            log = _fit(_cifar_net(param, 24, 0, train_data), 1, 0, train_data, test_data)
             first, last = log.rows[0][2], log.rows[-1][2]
             assert last < first, f"{param}: loss did not decrease ({first} -> {last})"
 
-    def test_accuracy_pipeline_beats_chance(self, fixture_dir):
+    def test_accuracy_pipeline_beats_chance(self, fixture_dir, tmp_path):
         result = accuracy_experiment(fixture_dir, width=24, epochs=3, seeds=(0,),
-                                     threshold=0.0)
+                                     threshold=0.0, out_dir=tmp_path)
         assert result["passed"]
         assert result["medians"]["MFP"] > 0.15  # chance is 0.1
+        # Pinned bytes: any change to the scripted rates, batch size or seeding
+        # of the shared training path shows up here.
+        assert (tmp_path / "accuracy.csv").read_text() == (
+            "parametrization,seed,test_acc\n"
+            "SP,0,0.4036\n"
+            "muP,0,0.4010\n"
+            "MFP,0,0.3750\n"
+        )
 
     def test_table1_pipeline_structure(self, fixture_dir, tmp_path):
         result = table1(fixture_dir, width=24, epochs=1, seeds=(0,), out_dir=tmp_path)

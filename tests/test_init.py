@@ -12,7 +12,6 @@ from mfgrow.init import (
     nonzero_mean_default,
     rc_eligible,
     rc_spec,
-    uniform_iid_spec,
 )
 from mfgrow.net import zeros_network
 from mfgrow.tensor import Rng, gaussian, uniform
@@ -134,11 +133,6 @@ class TestDefaults:
         assert d.kind == "gaussian"
         assert d.a == 0.0
         assert d.b == pytest.approx(1.0 / 20.0)
-
-    def test_uniform_iid_spec_runs(self):
-        arch = build_mlp(3, 16, with_bias=True)
-        net = initialize(zeros_network(arch), uniform_iid_spec(arch), Rng(1))
-        assert np.isfinite(net.store["w1"]).all()
 
 
 class TestDeterminism:

@@ -162,23 +162,23 @@ class TestDrawIndices:
 
     def test_random_indices_in_range(self):
         m = self.measure_with_norms(np.arange(1.0, 11.0))
-        idx = draw_indices(m, 10, RandomStrategy(), 0.0, Rng(0)).indices
-        assert idx.shape == (10,)
+        idx = draw_indices(m, 10, RandomStrategy(), 0.0, Rng(0))
+        assert idx.shape == (10,) and idx.dtype == np.int64
         assert ((0 <= idx) & (idx < 10)).all()
 
     def test_r2_keeps_top_half_by_norm(self):
         m = self.measure_with_norms(np.arange(1.0, 11.0))
-        idx = draw_indices(m, 200, RandomStrategy(), 0.5, Rng(1)).indices
+        idx = draw_indices(m, 200, RandomStrategy(), 0.5, Rng(1))
         assert set(idx) == {5, 6, 7, 8, 9}  # norms 6..10
 
     def test_pruning_without_replacement(self):
         m = self.measure_with_norms(np.arange(1.0, 11.0))
-        idx = draw_indices(m, 8, RandomStrategy(), 0.0, Rng(2)).indices
+        idx = draw_indices(m, 8, RandomStrategy(), 0.0, Rng(2))
         assert len(set(idx.tolist())) == 8
 
     def test_group_strategy_draws_from_bands(self):
         m = self.measure_with_norms(np.arange(1.0, 101.0))
-        idx = draw_indices(m, 500, GroupStrategy(4), 0.0, Rng(3)).indices
+        idx = draw_indices(m, 500, GroupStrategy(4), 0.0, Rng(3))
         assert ((0 <= idx) & (idx < 100)).all()
         # Each quartile band receives draws.
         bands = set(idx // 25)
@@ -189,7 +189,7 @@ class TestDrawIndices:
         m = self.measure_with_norms(gen.normal(size=64))
         specs = moment_specs(4)
         strat = FunctionBasedStrategy(64, tuple(specs))
-        winner = draw_indices(m, 64, strat, 0.0, Rng(6)).indices
+        winner = draw_indices(m, 64, strat, 0.0, Rng(6))
         ref = m.restricted(np.arange(64))
         win_loss = weighted_measure_loss(ref, m.restricted(winner), specs)
         # Brute-force the same candidate universe: winner must beat the median.

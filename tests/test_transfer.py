@@ -10,12 +10,9 @@ from mfgrow.net import OptimizerState, evaluate, forward_batch, train, zeros_net
 from mfgrow.tensor import Rng
 from mfgrow.transfer import (
     DuplicateStrategy,
-    TrainConfig,
     TransferPlan,
     apply_noise,
     duplicate_grow,
-    grow_then_train,
-    identity_plan,
     transfer,
     uniform_plan,
 )
@@ -59,7 +56,8 @@ class TestIdentityTransfer:
     def test_bit_identical(self):
         net = make_net(3, 12, with_bias=True)
         p = compute_partition(net.arch)
-        out = transfer(net, p, identity_plan(p), Rng(0))
+        # No targets: every group keeps its width and is tiled once.
+        out = transfer(net, p, TransferPlan(strategy=DuplicateStrategy()), Rng(0))
         for k in net.store:
             assert np.array_equal(out.store[k], net.store[k])
 
@@ -160,11 +158,21 @@ class TestRandomGrowth:
     def test_deterministic_given_plan_and_seed(self):
         net = make_net(3, 20, seed=8)
         p = compute_partition(net.arch)
-        plan = uniform_plan(p, 60, r1=0.3, seed=123)
-        a = transfer(net, p, plan)
-        b = transfer(net, p, plan)
+        plan = uniform_plan(p, 60, r1=0.3)
+        a = transfer(net, p, plan, Rng(123))
+        b = transfer(net, p, plan, Rng(123))
+        c = transfer(net, p, plan, Rng(124))
         for k in a.store:
             assert np.array_equal(a.store[k], b.store[k])
+        assert not np.array_equal(a.store["w1"], c.store["w1"])
+
+    def test_source_untouched(self):
+        net = make_net(3, 20, seed=14, with_bias=True)
+        before = {k: v.copy() for k, v in net.store.items()}
+        p = compute_partition(net.arch)
+        transfer(net, p, uniform_plan(p, 40, r1=0.5, r2=0.3), Rng(15))
+        for k in before:
+            assert np.array_equal(net.store[k], before[k])
 
 
 def _recover(src, new):
@@ -197,24 +205,20 @@ class TestGrowThenTrain:
         train(small, train_data, opt, epochs=4, batch_size=32, rng=Rng(22))
         pre_loss, _ = evaluate(small, test_data.inputs, test_data.targets, "square")
 
-        plan = TransferPlan(strategy=DuplicateStrategy(), r1=0.0, r2=0.0, seed=23)
-        log = grow_then_train(
-            small, 80, plan,
-            TrainConfig(lr=0.05, epochs=1, batch_size=32, seed=24),
-            train_data, test_data,
-        )
+        p = compute_partition(small.arch)
+        grown = transfer(small, p, uniform_plan(p, 80, strategy=DuplicateStrategy()), Rng(23))
+        opt = OptimizerState.create(grown, lr=0.05)
+        log = train(grown, train_data, opt, epochs=1, batch_size=32, rng=Rng(24),
+                    test_data=test_data)
         # Epoch-0 row holds the post-transfer, pre-training test loss.
         assert log.rows[0][3] == pytest.approx(pre_loss, abs=1e-9)
-        assert log.tags["r1"] == 0.0
 
     def test_function_based_strategy_accepted(self):
         train_data = synth_regression("sine", 128, 0.0, Rng(30))
         small = make_net(2, 30, seed=31)
-        plan = TransferPlan(
-            strategy=FunctionBasedStrategy(8, tuple(moment_specs(2))), seed=32
-        )
-        log = grow_then_train(
-            small, 60, plan, TrainConfig(lr=0.05, epochs=1, batch_size=32, seed=33),
-            train_data,
-        )
+        p = compute_partition(small.arch)
+        strategy = FunctionBasedStrategy(8, tuple(moment_specs(2)))
+        grown = transfer(small, p, uniform_plan(p, 60, strategy=strategy), Rng(32))
+        opt = OptimizerState.create(grown, lr=0.05)
+        log = train(grown, train_data, opt, epochs=1, batch_size=32, rng=Rng(33))
         assert len(log.rows) == 2
