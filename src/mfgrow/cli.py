@@ -26,18 +26,18 @@ from .diagnostics import (
     write_gnuplot_script,
 )
 from .errors import ConfigError, MfgrowError, MissingDataError
-from .init import InitSpec, initialize, nonzero_mean_default
+from .init import InitSpec, initialize, iid_spec, nonzero_mean_default, rc_spec
 from .measure import (
+    DuplicateStrategy,
     FunctionBasedStrategy,
     GroupStrategy,
     RandomStrategy,
     draw_indices,
     extract_measures,
-    moment_specs,
 )
 from .net import OptimizerState, train, zeros_network
 from .tensor import DistributionSpec, Rng
-from .transfer import DuplicateStrategy, transfer, uniform_plan
+from .transfer import transfer, uniform_plan
 
 EXIT_OK = 0
 EXIT_ACCEPTANCE = 1
@@ -119,15 +119,12 @@ def _build_init_spec(cfg: dict, arch) -> InitSpec:
     mode = init_cfg.get("mode", "iid")
     dists = {k: _parse_distribution(v) for k, v in init_cfg.get("distributions", {}).items()}
     if mode == "iid":
-        return InitSpec("iid", distributions=dists)
+        return iid_spec(dists)
     pairs = {
         k: (_parse_distribution(v[0]), _parse_distribution(v[1]))
         for k, v in init_cfg.get("rc_pairs", {}).items()
     }
-    phi = init_cfg.get("phi", "sum")
-    if isinstance(phi, str):
-        phi = {k: phi for k in pairs}
-    return InitSpec("rc", distributions=dists, rc_pairs=pairs, phi=phi)
+    return rc_spec(arch, pairs, dists, init_cfg.get("phi", "sum"))
 
 
 def cifar_dir(explicit=None):
@@ -225,7 +222,7 @@ def _parse_strategy(name: str, n_groups: int, n_candidates: int, p_max: int):
     if name == "group":
         return GroupStrategy(n_groups)
     if name == "function_based":
-        return FunctionBasedStrategy(n_candidates, tuple(moment_specs(p_max)))
+        return FunctionBasedStrategy(n_candidates, p_max)
     raise ConfigError(f"unknown strategy {name!r}")
 
 
@@ -292,7 +289,7 @@ def cmd_sample(args) -> int:
     out = _out_dir(args)
     measure_path = out / f"group{args.group}_measure.csv"
     measure_path.write_text(m.to_csv(), encoding="utf-8")
-    if args.target:
+    if args.target is not None:
         strategy = _parse_strategy(args.strategy, args.n_groups, args.n_candidates, args.p_max)
         idx = draw_indices(m, args.target, strategy, args.r2, Rng(args.seed or 0))
         idx_path = out / f"group{args.group}_indices.csv"

@@ -15,7 +15,7 @@ from .arch import build_mlp, compute_partition
 from .data import load_cifar10, synth_regression
 from .diagnostics import four_pair_report, heatmap_export, update_scaling_probe
 from .init import initialize, nonzero_mean_default
-from .measure import FunctionBasedStrategy, RandomStrategy, moment_specs
+from .measure import FunctionBasedStrategy, RandomStrategy
 from .net import OptimizerState, evaluate, train, zeros_network
 from .tensor import Rng
 from .transfer import transfer, uniform_plan
@@ -217,9 +217,7 @@ def twolayer_regen(seed=0, source_width=500, target_width=2000, out_dir=None,
     src_mse, _ = evaluate(net, test_data.inputs, test_data.targets, "square")
 
     partition = compute_partition(net.arch)
-    plan = uniform_plan(
-        partition, target_width, strategy=FunctionBasedStrategy(64, tuple(moment_specs(4))),
-    )
+    plan = uniform_plan(partition, target_width, strategy=FunctionBasedStrategy(64, 4))
     regen = transfer(net, partition, plan, Rng(seed + 2))
     regen_mse, _ = evaluate(regen, test_data.inputs, test_data.targets, "square")
     ratio = regen_mse / src_mse

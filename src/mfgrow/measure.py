@@ -1,11 +1,10 @@
-"""Empirical measures over gamma groups, moment-matching losses, and the
+"""Empirical measures over gamma groups, the moment-matching loss, and the
 index-sampling strategies used for weight transfer.
 
 One GroupMeasure per partition group: sample i bundles everything indexed by
 that group at position i (vector entries, matrix rows, matrix columns). The
 per-sample scalar features are the slice profiles (mean over the opposing
-axis); the full slices are kept alongside for reconstruction, so a network
-can be reassembled from its measures without loss.
+axis); the full slices are kept alongside for the r2 norm filter.
 """
 
 from __future__ import annotations
@@ -21,15 +20,6 @@ from .errors import ParameterError
 from .net import Network
 
 
-@dataclass(frozen=True)
-class Slice:
-    """Full per-sample slice data for one (weight, axis): shape (width, k)."""
-
-    weight: str
-    axis: str
-    values: np.ndarray
-
-
 @dataclass
 class GroupMeasure:
     """The joint sample cloud of one gamma group.
@@ -42,15 +32,14 @@ class GroupMeasure:
     gamma_ids: tuple[int, ...]
     width: int
     features: dict[str, np.ndarray] = field(default_factory=dict)
-    slices: dict[str, Slice] = field(default_factory=dict)
+    slices: dict[str, np.ndarray] = field(default_factory=dict)  # name -> (width, k)
 
     def restricted(self, idx: np.ndarray) -> dict[str, np.ndarray]:
         return {name: vals[idx] for name, vals in self.features.items()}
 
     def sample_norms(self) -> np.ndarray:
         """Euclidean norm per sample over all concatenated full slices."""
-        parts = [s.values for s in self.slices.values()]
-        stacked = np.concatenate(parts, axis=1)
+        stacked = np.concatenate(list(self.slices.values()), axis=1)
         return np.sqrt(np.sum(stacked * stacked, axis=1))
 
     def to_csv(self) -> str:
@@ -95,23 +84,8 @@ def extract_measures(net: Network, partition: GammaPartition) -> list[GroupMeasu
                 values = arr.T
                 profile = arr.mean(axis=0)
             m.features[name] = profile
-            m.slices[name] = Slice(w.name, ax, values)
+            m.slices[name] = values
     return measures
-
-
-def reassemble(net: Network, measures: list[GroupMeasure]) -> Network:
-    """Rebuild the weight store from full slices (round-trip check)."""
-    out = net.clone()
-    for m in measures:
-        for s in m.slices.values():
-            w = net.arch.weight(s.weight)
-            if w.kind == "vector":
-                out.store[s.weight] = s.values[:, 0].copy()
-            elif s.axis == ROW:
-                out.store[s.weight] = s.values.copy()
-            else:
-                out.store[s.weight] = s.values.T.copy()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -119,67 +93,21 @@ def reassemble(net: Network, measures: list[GroupMeasure]) -> Network:
 # ---------------------------------------------------------------------------
 
 
-def moment_loss(a: np.ndarray, b: np.ndarray, p: int) -> float:
-    """Sum over q = 1..p of |mean|a|^q - mean|b|^q|."""
-    if p < 1:
-        raise ParameterError(f"p must be >= 1, got {p}")
-    a = np.abs(np.asarray(a, dtype=np.float64))
-    b = np.abs(np.asarray(b, dtype=np.float64))
-    if a.size == 0 or b.size == 0:
-        raise ParameterError("moment_loss needs non-empty features")
+def weighted_measure_loss(x: dict[str, np.ndarray], y: dict[str, np.ndarray],
+                          p_max: int) -> float:
+    """Sum over the features of ``x`` and over q = 1..p_max of
+    |mean|x_f|^q - mean|y_f|^q|, accumulated features outer, q inner."""
     total = 0.0
-    for q in range(1, p + 1):
-        total += abs(float(np.mean(a**q)) - float(np.mean(b**q)))
-    return total
-
-
-@dataclass(frozen=True)
-class TestFunctionSpec:
-    """A moment(p) or indicator(p, q) discrepancy with a positive weight."""
-
-    __test__ = False  # not a pytest class, despite the name
-
-    kind: str  # "moment" | "indicator"
-    p: int
-    q: float = 0.0
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("moment", "indicator"):
-            raise ParameterError(f"unknown test function kind {self.kind!r}")
-        if self.p < 1:
-            raise ParameterError(f"p must be >= 1, got {self.p}")
-        if self.kind == "indicator" and self.q <= 0:
-            raise ParameterError(f"indicator threshold q must be > 0, got {self.q}")
-        if self.weight <= 0:
-            raise ParameterError(f"weight must be positive, got {self.weight}")
-
-    def discrepancy(self, a: np.ndarray, b: np.ndarray) -> float:
-        aa = np.abs(a) ** self.p
-        bb = np.abs(b) ** self.p
-        if self.kind == "moment":
-            return abs(float(aa.mean()) - float(bb.mean()))
-        return abs(float((aa >= self.q).mean()) - float((bb >= self.q).mean()))
-
-
-def moment_specs(p_max: int, weight: float = 1.0) -> list[TestFunctionSpec]:
-    return [TestFunctionSpec("moment", p, weight=weight) for p in range(1, p_max + 1)]
-
-
-def weighted_measure_loss(x, y, specs: list[TestFunctionSpec]) -> float:
-    """Weighted sum of per-spec discrepancies over shared features.
-
-    ``x`` and ``y`` are GroupMeasures or plain name->values dicts.
-    """
-    xf = x.features if isinstance(x, GroupMeasure) else x
-    yf = y.features if isinstance(y, GroupMeasure) else y
-    total = 0.0
-    for name, vals in xf.items():
-        other = yf.get(name)
+    for name, vals in x.items():
+        other = y.get(name)
         if other is None:
             raise ParameterError(f"unknown feature {name!r} in comparison measure")
-        for spec in specs:
-            total += spec.weight * spec.discrepancy(vals, other)
+        a = np.abs(np.asarray(vals, dtype=np.float64))
+        b = np.abs(np.asarray(other, dtype=np.float64))
+        if a.size == 0 or b.size == 0:
+            raise ParameterError("weighted_measure_loss needs non-empty features")
+        for q in range(1, p_max + 1):
+            total += abs(float((a**q).mean()) - float((b**q).mean()))
     return total
 
 
@@ -206,12 +134,23 @@ class GroupStrategy:
 
 @dataclass(frozen=True)
 class FunctionBasedStrategy:
+    """Keep the best of ``n_candidates`` random draws under the moment loss
+    with moments 1..p_max."""
+
     n_candidates: int
-    specs: tuple[TestFunctionSpec, ...]
+    p_max: int
 
     def __post_init__(self):
         if self.n_candidates < 1:
             raise ParameterError(f"n_candidates must be >= 1, got {self.n_candidates}")
+        if self.p_max < 1:
+            raise ParameterError(f"p_max must be >= 1, got {self.p_max}")
+
+
+@dataclass(frozen=True)
+class DuplicateStrategy:
+    """Tile the identity index set k times: growth to k*N where the new
+    square matrices consist of k*k blocks equal to the original."""
 
 
 def _surviving_pool(m: GroupMeasure, r2: float) -> np.ndarray:
@@ -242,9 +181,15 @@ def _draw_from_pool(pool: np.ndarray, target: int, gen: np.random.Generator,
 
 def draw_indices(m: GroupMeasure, target: int, strategy, r2: float, rng) -> np.ndarray:
     """Pick ``target`` source positions (int64) per the strategy, after the
-    r2 norm filter."""
+    r2 norm filter (which duplication ignores)."""
     if target < 1:
         raise ParameterError(f"target must be >= 1, got {target}")
+    if isinstance(strategy, DuplicateStrategy):
+        if target % m.width != 0:
+            raise ParameterError(
+                f"duplication needs an integer multiple of {m.width}, got target {target}"
+            )
+        return np.tile(np.arange(m.width, dtype=np.int64), target // m.width)
     gen = rng.generator() if hasattr(rng, "generator") else rng
     pool = _surviving_pool(m, r2)
 
@@ -265,7 +210,7 @@ def draw_indices(m: GroupMeasure, target: int, strategy, r2: float, rng) -> np.n
         best_loss = math.inf
         for _ in range(strategy.n_candidates):
             cand = _draw_from_pool(pool, target, gen)
-            loss = weighted_measure_loss(reference, m.restricted(cand), list(strategy.specs))
+            loss = weighted_measure_loss(reference, m.restricted(cand), strategy.p_max)
             if loss < best_loss:
                 best, best_loss = cand, loss
         idx = best

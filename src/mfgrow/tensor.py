@@ -1,12 +1,8 @@
 """Dense float64 substrate: seeded counter-based RNG, distributions, and
-matrix/vector products with a pinned summation order.
+the absolute Pearson correlation.
 
-Everything downstream works in 64-bit floats. ``matvec`` and ``matmul``
-accumulate strictly in ascending inner-index order, so their results are
-bit-identical to a naive triple loop; they are the reference kernels for
-oracle-style tests and small reconstruction work. Hot training paths use
-BLAS batched products (run-to-run deterministic on a fixed platform) and
-are cross-checked against these kernels in the test suite.
+Everything downstream works in 64-bit floats. Matrix products are plain
+NumPy/BLAS calls, run-to-run deterministic on a fixed platform.
 """
 
 from __future__ import annotations
@@ -19,9 +15,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 
-# Type aliases: a Matrix is a 2-d float64 ndarray (row-major), a Vector a
-# 1-d float64 ndarray.
-Matrix = np.ndarray
+# Type alias: a Vector is a 1-d float64 ndarray.
 Vector = np.ndarray
 
 
@@ -104,38 +98,6 @@ def sample(rng, dist: DistributionSpec, n: int) -> Vector:
     """Draw ``n`` values from ``dist`` using an Rng or a Generator."""
     gen = rng.generator() if isinstance(rng, Rng) else rng
     return dist.draw(gen, n)
-
-
-def matvec(m: Matrix, x: Vector) -> Vector:
-    """m @ x with strictly ascending-index accumulation.
-
-    Each output entry is built by adding terms j = 0, 1, ... in order, so
-    the result matches a scalar triple loop bit for bit.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2 or x.ndim != 1:
-        raise ShapeError(f"matvec expects a matrix and a vector, got ndim {m.ndim} and {x.ndim}")
-    if m.shape[1] != x.shape[0]:
-        raise ShapeError(f"matvec: matrix is {m.shape[0]}x{m.shape[1]}, vector has length {x.shape[0]}")
-    out = np.zeros(m.shape[0], dtype=np.float64)
-    for j in range(m.shape[1]):
-        out += m[:, j] * x[j]
-    return out
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """a @ b with strictly ascending-index accumulation over the shared axis."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects two matrices, got ndim {a.ndim} and {b.ndim}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: left is {a.shape[0]}x{a.shape[1]}, right is {b.shape[0]}x{b.shape[1]}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
-    for j in range(a.shape[1]):
-        out += a[:, j : j + 1] * b[j, :]
-    return out
 
 
 def pearson_abs(a: Vector, b: Vector) -> float:

@@ -15,18 +15,11 @@ import numpy as np
 
 from .arch import COL, GammaPartition, GammaVar, ROW, WeightSpec, compute_partition
 from .errors import ParameterError
-from .measure import RandomStrategy, draw_indices, extract_measures
+from .measure import DuplicateStrategy, RandomStrategy, draw_indices, extract_measures
 from .net import Network
 from .tensor import Rng
 
-__all__ = ["DuplicateStrategy", "TransferPlan", "apply_noise", "duplicate_grow",
-           "transfer", "uniform_plan"]
-
-
-@dataclass(frozen=True)
-class DuplicateStrategy:
-    """Tile the identity index set k times: growth to k*N where the new
-    square matrices consist of k*k blocks equal to the original."""
+__all__ = ["TransferPlan", "apply_noise", "duplicate_grow", "transfer", "uniform_plan"]
 
 
 @dataclass(frozen=True)
@@ -88,15 +81,8 @@ def _group_index_set(measures, partition, plan, gi, rng) -> np.ndarray:
                 f"group {gi} has a data-tied width {width}; cannot resize to {target}"
             )
         return np.arange(width, dtype=np.int64)
-    strategy = plan.strategy
-    if isinstance(strategy, DuplicateStrategy):
-        if target % width != 0:
-            raise ParameterError(
-                f"duplication needs an integer multiple of {width}, got target {target}"
-            )
-        return np.tile(np.arange(width, dtype=np.int64), target // width)
     return draw_indices(
-        measures[gi], target, strategy, plan.r2, rng.substream(f"transfer/idx/{gi}")
+        measures[gi], target, plan.strategy, plan.r2, rng.substream(f"transfer/idx/{gi}")
     )
 
 
@@ -108,6 +94,7 @@ def transfer(
 ) -> Network:
     """Resample every group per the plan and rebuild all weights. The source
     network is left untouched."""
+    net.validate()
     arch = net.arch
     measures = extract_measures(net, partition)
     index_sets = {

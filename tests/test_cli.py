@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mfgrow.arch import arch_to_json, build_mlp
+from mfgrow.arch import arch_to_json, build_mlp, build_skip_block
 from mfgrow.cli import main
 from mfgrow.data import load_checkpoint, save_checkpoint
 from mfgrow.init import initialize, nonzero_mean_default
@@ -119,6 +119,24 @@ class TestTransferCli:
         xs = Rng(1).generator().normal(size=(50, 1))
         assert np.allclose(forward_batch(dup, xs), forward_batch(src, xs), atol=1e-12)
 
+    def test_fragment_without_layers_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "fragment.ckpt"
+        save_checkpoint(zeros_network(build_skip_block(8)), src)
+        rc = main(["transfer", "--from", str(src), "--widths", "16",
+                   "--out", str(tmp_path / "big.ckpt")])
+        assert rc == 2
+        assert "runnable topology" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p_max", ["0", "-3"])
+    def test_nonpositive_p_max_exits_2(self, small_ckpt, tmp_path, capsys, p_max):
+        out_ckpt = tmp_path / "big.ckpt"
+        rc = main(["transfer", "--from", str(small_ckpt), "--widths", "40",
+                   "--strategy", "function_based", "--p-max", p_max,
+                   "--out", str(out_ckpt)])
+        assert rc == 2
+        assert "p_max" in capsys.readouterr().err
+        assert not out_ckpt.exists()
+
 
 class TestDiagnoseCli:
     def test_corr_report(self, small_ckpt, tmp_path):
@@ -160,6 +178,14 @@ class TestSampleCli:
         assert (out / "group1_measure.csv").exists()
         idx = (out / "group1_indices.csv").read_text().splitlines()
         assert len(idx) == 51
+
+    def test_zero_target_exits_2(self, small_ckpt, tmp_path, capsys):
+        out = tmp_path / "samp"
+        rc = main(["sample", "--ckpt", str(small_ckpt), "--group", "1",
+                   "--target", "0", "--out", str(out)])
+        assert rc == 2
+        assert "target must be >= 1" in capsys.readouterr().err
+        assert not (out / "group1_indices.csv").exists()
 
     def test_bad_group_exits_2(self, small_ckpt, tmp_path):
         assert main(["sample", "--ckpt", str(small_ckpt), "--group", "9",

@@ -1,68 +1,8 @@
 import numpy as np
 import pytest
 
-from mfgrow.errors import ParameterError, ShapeError
-from mfgrow.tensor import Rng, constant, gaussian, matmul, matvec, pearson_abs, sample, uniform
-
-
-def loop_matvec(m, x):
-    out = np.zeros(m.shape[0])
-    for i in range(m.shape[0]):
-        acc = 0.0
-        for j in range(m.shape[1]):
-            acc += m[i, j] * x[j]
-        out[i] = acc
-    return out
-
-
-def loop_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for k in range(b.shape[1]):
-            acc = 0.0
-            for j in range(a.shape[1]):
-                acc += a[i, j] * b[j, k]
-            out[i, k] = acc
-    return out
-
-
-class TestMatvec:
-    def test_identity(self):
-        assert np.array_equal(matvec(np.eye(3), np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
-
-    def test_zero(self):
-        out = matvec(np.zeros((2, 4)), np.arange(4.0))
-        assert np.array_equal(out, np.zeros(2))
-
-    def test_matches_triple_loop_bit_for_bit(self):
-        gen = Rng(7).generator()
-        m = gen.normal(size=(5, 5))
-        x = gen.normal(size=5)
-        assert np.array_equal(matvec(m, x), loop_matvec(m, x))
-
-    def test_dimension_mismatch_names_shapes(self):
-        with pytest.raises(ShapeError, match="2x3"):
-            matvec(np.zeros((2, 3)), np.zeros(4))
-
-
-class TestMatmul:
-    def test_matches_triple_loop_bit_for_bit(self):
-        gen = Rng(11).generator()
-        a = gen.normal(size=(4, 6))
-        b = gen.normal(size=(6, 3))
-        assert np.array_equal(matmul(a, b), loop_matmul(a, b))
-
-    def test_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-
-    def test_blas_agrees_within_float_noise(self):
-        # The batched training path uses @; it must agree with the pinned
-        # order up to reassociation error.
-        gen = Rng(3).generator()
-        a = gen.normal(size=(8, 40))
-        b = gen.normal(size=(40, 8))
-        assert np.allclose(a @ b, matmul(a, b), rtol=1e-13, atol=1e-13)
+from mfgrow.errors import ParameterError
+from mfgrow.tensor import Rng, constant, gaussian, pearson_abs, sample, uniform
 
 
 class TestRng:

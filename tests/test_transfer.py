@@ -5,11 +5,10 @@ from mfgrow.arch import build_mlp, compute_partition
 from mfgrow.data import synth_regression
 from mfgrow.errors import ParameterError
 from mfgrow.init import initialize, nonzero_mean_default
-from mfgrow.measure import FunctionBasedStrategy, RandomStrategy, moment_specs
+from mfgrow.measure import DuplicateStrategy, FunctionBasedStrategy, RandomStrategy
 from mfgrow.net import OptimizerState, evaluate, forward_batch, train, zeros_network
 from mfgrow.tensor import Rng
 from mfgrow.transfer import (
-    DuplicateStrategy,
     TransferPlan,
     apply_noise,
     duplicate_grow,
@@ -217,7 +216,7 @@ class TestGrowThenTrain:
         train_data = synth_regression("sine", 128, 0.0, Rng(30))
         small = make_net(2, 30, seed=31)
         p = compute_partition(small.arch)
-        strategy = FunctionBasedStrategy(8, tuple(moment_specs(2)))
+        strategy = FunctionBasedStrategy(8, 2)
         grown = transfer(small, p, uniform_plan(p, 60, strategy=strategy), Rng(32))
         opt = OptimizerState.create(grown, lr=0.05)
         log = train(grown, train_data, opt, epochs=1, batch_size=32, rng=Rng(33))
