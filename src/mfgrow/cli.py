@@ -108,23 +108,45 @@ def _build_arch(cfg: dict):
     )
 
 
-def _parse_distribution(doc) -> DistributionSpec:
-    return DistributionSpec(doc["kind"], float(doc.get("a", 0.0)), float(doc.get("b", 0.0)))
+def _parse_distribution(doc, where: str) -> DistributionSpec:
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise ConfigError(f"init {where}: a distribution is an object with a 'kind'")
+    try:
+        a, b = float(doc.get("a", 0.0)), float(doc.get("b", 0.0))
+    except (TypeError, ValueError):
+        raise ConfigError(f"init {where}: distribution 'a' and 'b' must be numbers") from None
+    return DistributionSpec(doc["kind"], a, b)
+
+
+def _init_section(init_cfg: dict, key: str) -> dict:
+    section = init_cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"init {key!r} must be an object")
+    return section
 
 
 def _build_init_spec(cfg: dict, arch) -> InitSpec:
     init_cfg = cfg.get("init", "default")
     if init_cfg == "default":
         return nonzero_mean_default(cfg.get("parametrization", arch.parametrization), arch)
+    if not isinstance(init_cfg, dict):
+        raise ConfigError('config key \'init\' must be "default" or an object')
     mode = init_cfg.get("mode", "iid")
-    dists = {k: _parse_distribution(v) for k, v in init_cfg.get("distributions", {}).items()}
+    if mode not in ("iid", "rc"):
+        raise ConfigError(f"unknown init mode {mode!r} (expected 'iid' or 'rc')")
+    dists = {k: _parse_distribution(v, k)
+             for k, v in _init_section(init_cfg, "distributions").items()}
     if mode == "iid":
         return iid_spec(dists)
-    pairs = {
-        k: (_parse_distribution(v[0]), _parse_distribution(v[1]))
-        for k, v in init_cfg.get("rc_pairs", {}).items()
-    }
-    return rc_spec(arch, pairs, dists, init_cfg.get("phi", "sum"))
+    pairs = {}
+    for k, v in _init_section(init_cfg, "rc_pairs").items():
+        if not isinstance(v, list) or len(v) != 2:
+            raise ConfigError(f"init rc_pairs {k!r} must be a [row, col] pair of distributions")
+        pairs[k] = (_parse_distribution(v[0], f"{k} row"), _parse_distribution(v[1], f"{k} col"))
+    phi = init_cfg.get("phi", "sum")
+    if not isinstance(phi, (str, dict)):
+        raise ConfigError("init 'phi' must be a form name or an object of them per weight")
+    return rc_spec(arch, pairs, dists, phi)
 
 
 def cifar_dir(explicit=None):

@@ -148,8 +148,9 @@ def heatmap_export(net: Network, weight: str, normalize: str = "minmax",
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"# weight={weight} rows={grid.shape[0]} cols={grid.shape[1]} "
                      f"normalize={normalize} sorted={sort}\n")
-            for row in grid:
-                fh.write(" ".join(f"{v:.6f}" for v in row) + "\n")
+            line = " ".join(["%.6f"] * grid.shape[1]) + "\n"
+            for row in grid.tolist():
+                fh.write(line % tuple(row))
     return grid
 
 

@@ -15,6 +15,10 @@ muP as well. Contractions over data axes (the input dimension) get 1/fan
 under MFP and no scalar under SP/muP, where fan-scaled initialization keeps
 pre-activations O(1). For 1-d input these rules collapse to the plain
 three-parametrization forms.
+
+Each scalar is applied to the smaller side of its product: in place on the
+(batch, out) forward output, and folded with the batch mean's 1/B into the
+(batch, out) delta before a weight gradient is formed.
 """
 
 from __future__ import annotations
@@ -142,16 +146,19 @@ def _run(net: Network, plan: list[_Layer], X: np.ndarray, keep: bool):
         w = net.store[layer.weight]
         if keep:
             inputs.append(z)
+        # Every branch makes a fresh array, so the scale and adds work in place.
         if w.ndim == 2:
-            a = layer.scalar * (z @ w.T)
+            a = z @ w.T
         elif i == 0:
             a = X[:, 0:1] * w[None, :]
         else:
-            a = layer.scalar * (z @ w)[:, None]
+            a = (z @ w)[:, None]
+        if layer.scalar != 1.0:
+            a *= layer.scalar
         if layer.bias is not None:
-            a = a + net.store[layer.bias][None, :]
+            a += net.store[layer.bias]
         if layer.residual:
-            a = a + prev
+            a += prev
         prev = a
         z = a if layer.act is None else layer.act[0](a)
     return z, inputs
@@ -210,7 +217,8 @@ def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str = "squa
         w = net.store[layer.weight]
         z = inputs[i]
         if w.ndim == 2:
-            grads[layer.weight] = layer.scalar * (delta.T @ z) / B
+            # Scale the (batch, out) delta, not the (out, in) product.
+            grads[layer.weight] = (delta * (layer.scalar / B)).T @ z
         elif i == 0:
             grads[layer.weight] = (delta * z[:, 0:1]).mean(axis=0)
         else:
@@ -220,14 +228,16 @@ def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str = "squa
         if i == 0:
             break
         if w.ndim == 2:
-            back = layer.scalar * (delta @ w)
+            back = delta @ w
+            if layer.scalar != 1.0:
+                back *= layer.scalar
         else:
             back = layer.scalar * delta[:, 0:1] * w[None, :]
         # z is the previous layer's activation output.
-        back = back * plan[i - 1].act[1](z)
+        back *= plan[i - 1].act[1](z)
         if layer.residual:
             # The residual add passes this layer's delta straight through.
-            back = back + delta
+            back += delta
         delta = back
     return grads, float(losses.mean())
 
@@ -262,6 +272,27 @@ def lr_multiplier(weight: str, arch: ArchGraph, parametrization: str | None = No
         if gamma.role == "hidden":
             mult *= gamma.width
     return mult
+
+
+# Elements of eff * g formed at a time by the SGD update (256 KiB of float64).
+_UPDATE_BLOCK = 1 << 15
+
+
+def _sgd_update(w: np.ndarray, eff: float, g: np.ndarray) -> None:
+    """``w -= eff * g`` with the same rounding, without a full-size temporary.
+
+    A matrix is updated in blocks of whole rows through one reused buffer.
+    Row slices are views on any layout of ``w``; ``g`` is only read.
+    """
+    if w.ndim != 2 or w.size <= _UPDATE_BLOCK:
+        w -= eff * g
+        return
+    rows = max(1, _UPDATE_BLOCK // w.shape[1])
+    buf = np.empty((rows, w.shape[1]), dtype=np.result_type(g, eff))
+    for start in range(0, w.shape[0], rows):
+        stop = min(start + rows, w.shape[0])
+        step = np.multiply(g[start:stop], eff, out=buf[: stop - start])
+        w[start:stop] -= step
 
 
 @dataclass
@@ -302,7 +333,7 @@ class OptimizerState:
             eff = self.lr * self.width_scale * self.multipliers[name]
             w = net.store[name]
             if self.kind == "sgd":
-                w -= eff * g
+                _sgd_update(w, eff, g)
                 continue
             m = self.m.setdefault(name, np.zeros_like(w))
             v = self.v.setdefault(name, np.zeros_like(w))

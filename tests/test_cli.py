@@ -212,3 +212,48 @@ class TestReproduceCli:
         assert ckpt.exists()
         net = load_checkpoint(ckpt)
         assert net.meta["seed"] == 4
+
+
+def _init_config(tmp_path, **init):
+    """A depth-3 config whose init section is a valid rc spec with ``init``
+    entries replaced."""
+    dist = {"kind": "gaussian", "a": 0.0, "b": 1.0}
+    section = {"mode": "rc", "distributions": {"u": dist, "v": dist},
+               "rc_pairs": {"w1": [dist, dist]}, "phi": "sum"}
+    section.update(init)
+    return synth_config(tmp_path, init=section,
+                        arch={"builder": "mlp", "depth": 3, "widths": 32, "with_bias": False})
+
+
+class TestInitConfig:
+    def test_valid_rc_config_writes_checkpoint(self, tmp_path):
+        assert main(["init", "--config", str(_init_config(tmp_path)), "--seed", "1"]) == 0
+        assert (tmp_path / "out" / "init_seed1.ckpt").exists()
+
+    def test_unknown_mode_exits_2(self, tmp_path, capsys):
+        cfg = _init_config(tmp_path, mode="iid-typo")
+        assert main(["init", "--config", str(cfg), "--seed", "1"]) == 2
+        assert "init mode" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "init_seed1.ckpt").exists()
+
+    def test_init_not_an_object_exits_2(self, tmp_path, capsys):
+        cfg = synth_config(tmp_path, init=["rc"])
+        assert main(["init", "--config", str(cfg), "--seed", "1"]) == 2
+        assert "'init'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [
+        {"distributions": {"u": {"a": 0.0, "b": 1.0}, "v": {"kind": "constant", "a": 1.0}}},
+        {"distributions": {"u": {"kind": "uniform", "a": "low", "b": 1.0},
+                           "v": {"kind": "constant", "a": 1.0}}},
+        {"distributions": {"u": {"kind": "gaussian", "a": 0.0, "b": [1.0]},
+                           "v": {"kind": "constant", "a": 1.0}}},
+        {"rc_pairs": {"w1": [{"kind": "constant", "a": 1.0}]}},
+        {"rc_pairs": {"w1": {"kind": "constant", "a": 1.0}}},
+        {"phi": ["sum"]},
+        {"distributions": ["u", "v"]},
+    ], ids=["no-kind", "string-a", "list-b", "one-element-pair", "pair-not-list",
+            "phi-list", "distributions-list"])
+    def test_malformed_entry_exits_2(self, tmp_path, capsys, entry):
+        cfg = _init_config(tmp_path, **entry)
+        assert main(["init", "--config", str(cfg), "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: init")

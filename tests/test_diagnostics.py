@@ -150,6 +150,18 @@ class TestHeatmap:
         write_gnuplot_script(grid_path, script)
         assert "matrix with image" in script.read_text()
 
+    def test_file_matches_per_value_formatting(self, tmp_path):
+        # A non-square zscore grid has negative values; every one is written
+        # exactly as f"{v:.6f}" would write it.
+        net = make_net(3, 7, seed=13, input_dim=5)
+        grid_path = tmp_path / "u.grid"
+        grid = heatmap_export(net, "u", "zscore", path=grid_path)
+        assert grid.shape == (7, 5) and (grid < 0).any()
+        expected = "".join(" ".join(f"{v:.6f}" for v in row) + "\n" for row in grid)
+        lines = grid_path.read_text(encoding="utf-8").split("\n", 1)
+        assert lines[0] == "# weight=u rows=7 cols=5 normalize=zscore sorted=True"
+        assert lines[1] == expected
+
     def test_vector_rejected(self):
         net = make_net(3, 6)
         with pytest.raises(ParameterError):

@@ -6,6 +6,7 @@ from mfgrow.data import synth_regression
 from mfgrow.errors import DivergenceError, ParameterError, ShapeError
 from mfgrow.init import initialize, nonzero_mean_default
 from mfgrow.net import (
+    _UPDATE_BLOCK,
     Network,
     OptimizerState,
     backward,
@@ -29,19 +30,18 @@ def make_net(depth, width, parametrization="MFP", with_bias=False, with_skip=Fal
     return initialize(zeros_network(arch), nonzero_mean_default(parametrization, arch), Rng(seed))
 
 
-def loss_at(net, x, y, loss):
-    """Single-example loss in the store's dtype (no float64 round-off cast)."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = forward_batch(net, x[None, :])[0]
+def loss_at(net, X, Y, loss):
+    """Mean loss over a batch in the store's dtype (no float64 round-off cast)."""
+    out = forward_batch(net, X)
     if loss == "square":
-        diff = out - np.asarray(y, dtype=out.dtype).reshape(-1)
-        return 0.5 * np.sum(diff * diff)
-    shifted = out - out.max()
-    logz = np.log(np.sum(np.exp(shifted)))
-    return logz - shifted[int(y)]
+        diff = out - np.asarray(Y, dtype=out.dtype).reshape(out.shape)
+        return np.mean(0.5 * np.sum(diff * diff, axis=1))
+    shifted = out - out.max(axis=1, keepdims=True)
+    logz = np.log(np.sum(np.exp(shifted), axis=1))
+    return np.mean(logz - shifted[np.arange(out.shape[0]), np.asarray(Y, dtype=int)])
 
 
-def fd_grads(net, x, y, loss, h=1e-5):
+def fd_grads(net, X, Y, loss, h=1e-5):
     """Central differences at step h. The perturbed losses are evaluated in
     extended precision so the difference quotient is limited by truncation,
     not by float64 cancellation."""
@@ -54,24 +54,30 @@ def fd_grads(net, x, y, loss, h=1e-5):
         for k in range(flat.size):
             orig = flat[k].copy()
             flat[k] = orig + h
-            lp = loss_at(work, x, y, loss)
+            lp = loss_at(work, X, Y, loss)
             flat[k] = orig - h
-            lm = loss_at(work, x, y, loss)
+            lm = loss_at(work, X, Y, loss)
             flat[k] = orig
             gflat[k] = float((lp - lm) / (2.0 * h))
         grads[name] = g
     return grads
 
 
-def assert_gradcheck(net, x, y, loss, rtol=1e-6):
-    analytic = backward(net, x, y, loss)
-    numeric = fd_grads(net, x, y, loss)
+def assert_matches_fd(analytic, net, X, Y, loss, rtol):
+    numeric = fd_grads(net, X, Y, loss)
     for name in net.store:
         a, n = analytic[name], numeric[name]
         mask = np.abs(a) > 1e-8
         if mask.any():
             rel = np.abs(a[mask] - n[mask]) / np.abs(a[mask])
             assert rel.max() < rtol, f"{name}: max rel err {rel.max():.2e}"
+
+
+def assert_gradcheck(net, x, y, loss, rtol=1e-6):
+    """Single-example gradients from ``backward`` against central differences."""
+    X = np.atleast_1d(np.asarray(x, dtype=np.float64))[None, :]
+    Y = np.asarray(y).reshape(1, -1) if loss == "square" else np.asarray(y).reshape(1)
+    assert_matches_fd(backward(net, x, y, loss), net, X, Y, loss, rtol)
 
 
 class TestForward:
@@ -159,6 +165,20 @@ class TestBackward:
         net = make_net(3, 8, "muP", with_bias=True, input_dim=5, output_dim=3, seed=6)
         gen = Rng(7).generator()
         assert_gradcheck(net, gen.normal(size=5), gen.normal(size=3), "square")
+
+    @pytest.mark.parametrize("parametrization", ["SP", "muP", "MFP"])
+    @pytest.mark.parametrize("loss", ["square", "cross_entropy"])
+    @pytest.mark.parametrize("depth,with_skip", [(3, False), (4, True)])
+    def test_gradcheck_batch(self, parametrization, loss, depth, with_skip):
+        # Batch mean gradients of a matrix-input net: pins the scalar / B
+        # folded into each weight gradient.
+        net = make_net(depth, 8, parametrization, with_bias=True, with_skip=with_skip,
+                       input_dim=6, output_dim=4, seed=depth)
+        gen = Rng(8).generator()
+        X = gen.normal(size=(8, 6))
+        Y = gen.normal(size=(8, 4)) if loss == "square" else gen.integers(0, 4, size=8)
+        grads, _ = backward_batch(net, X, Y, loss)
+        assert_matches_fd(grads, net, X, Y, loss, rtol=1e-6)
 
     def test_unknown_loss(self):
         net = make_net(2, 4)
@@ -248,6 +268,30 @@ class TestLrMultiplier:
         assert lr_multiplier("w1", arch) == 300 * 300
         assert lr_multiplier("v", arch) == 300
         assert lr_multiplier("bv", arch) == 1.0
+
+
+class TestSgdUpdate:
+    def test_bit_equal_to_plain_update_on_any_layout(self):
+        # u is a C-order matrix whose rows are not a whole number of update
+        # blocks, w1 is made Fortran-order, v and the biases are vectors.
+        net = make_net(3, 301, with_bias=True, input_dim=1000, seed=4)
+        net.store["w1"] = np.asfortranarray(net.store["w1"])
+        for name in ("u", "w1"):
+            w = net.store[name]
+            assert w.size > _UPDATE_BLOCK and w.shape[0] % (_UPDATE_BLOCK // w.shape[1])
+        gen = Rng(5).generator()
+        grads = {k: gen.normal(size=v.shape) for k, v in net.store.items()}
+        grads_before = {k: g.copy() for k, g in grads.items()}
+        before = {k: v.copy() for k, v in net.store.items()}
+        arrays = dict(net.store)
+        opt = OptimizerState.create(net, lr=0.3)
+        opt.apply(net, grads)
+        for name, g in grads.items():
+            eff = opt.lr * opt.width_scale * opt.multipliers[name]
+            assert net.store[name] is arrays[name]
+            assert np.array_equal(net.store[name], before[name] - eff * g)
+            assert np.array_equal(g, grads_before[name])
+        assert net.store["w1"].flags.f_contiguous
 
 
 class TestTrain:
