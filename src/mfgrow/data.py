@@ -12,6 +12,7 @@ A float64 round trip is bit-exact.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,7 +66,7 @@ def _parse_cifar_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
     if labels.max(initial=0) >= CIFAR_CLASSES:
         bad = int(np.argmax(labels >= CIFAR_CLASSES))
         raise DataError(f"{path}: record {bad} has label {labels[bad]} >= {CIFAR_CLASSES}")
-    pixels = records[:, 1:].astype(np.float64) / 255.0
+    pixels = records[:, 1:] / 255.0  # one float64 array; the bytes convert exactly
     return pixels, labels
 
 
@@ -89,6 +90,9 @@ def load_cifar10(directory) -> tuple[Dataset, Dataset]:
         xs.append(px)
         ys.append(lb)
     train = Dataset(np.concatenate(xs), np.concatenate(ys), split="train")
+    # Free the per-file arrays before the test file is parsed, so the test
+    # set never sits beside both copies of the train set.
+    del xs, ys, px, lb
     px, lb = _parse_cifar_file(test_file)
     test = Dataset(px, lb, split="test")
     return train, test
@@ -123,46 +127,71 @@ def synth_regression(kind: str, n: int, noise_std: float, rng: Rng,
 
 
 def save_checkpoint(net: Network, path, seed: int = 0, dtype: str = "f64") -> None:
+    """Write ``net`` in the v1 layout above.
+
+    Every weight is checked before the file is opened. The payloads then
+    stream out one weight at a time: a C-contiguous float64 weight is written
+    straight from its buffer, and any other (or any weight under
+    ``dtype="f32"``) is converted alone, so no copy of the whole network is
+    ever held.
+    """
     if dtype not in _DTYPE_CODE:
         raise ParameterError(f"unknown checkpoint dtype {dtype!r}")
-    arch_json = arch_to_json(net.arch).encode("utf-8")
-    parts = [
-        _MAGIC,
-        struct.pack("<I", _VERSION),
-        struct.pack("<Q", int(seed) & (2**64 - 1)),
-        struct.pack("<B", _PARAM_CODE[net.parametrization]),
-        struct.pack("<I", len(arch_json)),
-        arch_json,
-        struct.pack("<I", len(net.arch.weights)),
-    ]
     for w in net.arch.weights:
-        arr = np.ascontiguousarray(net.store[w.name])
-        if any(d >= 2**32 for d in arr.shape):
+        if any(d >= 2**32 for d in np.shape(net.store[w.name])):
             raise CheckpointError(f"weight {w.name}: dimension overflow")
-        name = w.name.encode("utf-8")
-        parts.append(struct.pack("<H", len(name)))
-        parts.append(name)
-        parts.append(struct.pack("<B", _DTYPE_CODE[dtype]))
-        parts.append(struct.pack("<B", arr.ndim))
-        for d in arr.shape:
-            parts.append(struct.pack("<I", d))
-        np_dtype = "<f4" if dtype == "f32" else "<f8"
-        parts.append(arr.astype(np_dtype).tobytes(order="C"))
-    Path(path).write_bytes(b"".join(parts))
+    arch_json = arch_to_json(net.arch).encode("utf-8")
+    np_dtype = "<f4" if dtype == "f32" else "<f8"
+    with open(path, "wb") as f:
+        f.write(_MAGIC)
+        f.write(struct.pack("<I", _VERSION))
+        f.write(struct.pack("<Q", int(seed) & (2**64 - 1)))
+        f.write(struct.pack("<B", _PARAM_CODE[net.parametrization]))
+        f.write(struct.pack("<I", len(arch_json)))
+        f.write(arch_json)
+        f.write(struct.pack("<I", len(net.arch.weights)))
+        for w in net.arch.weights:
+            arr = np.ascontiguousarray(net.store[w.name], dtype=np_dtype)
+            name = w.name.encode("utf-8")
+            f.write(struct.pack("<H", len(name)))
+            f.write(name)
+            f.write(struct.pack("<BB", _DTYPE_CODE[dtype], arr.ndim))
+            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            f.write(memoryview(arr).cast("B"))
 
 
 class _Reader:
-    def __init__(self, raw: bytes, path):
-        self.raw = raw
+    """Reads a checkpoint field by field from an open file, checking every
+    length against the bytes left before reading or allocating."""
+
+    def __init__(self, f, size: int, path):
+        self.f = f
+        self.size = size
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
+    def _claim(self, n: int) -> None:
+        if self.pos + n > self.size:
             raise CheckpointError(f"{self.path}: truncated at byte {self.pos}")
-        out = self.raw[self.pos : self.pos + n]
+
+    def _advance(self, got: int, n: int) -> None:
+        if got != n:  # the file shrank after it was opened
+            raise CheckpointError(f"{self.path}: truncated at byte {self.pos}")
         self.pos += n
+
+    def take(self, n: int) -> bytes:
+        self._claim(n)
+        out = self.f.read(n)
+        self._advance(len(out), n)
         return out
+
+    def array(self, shape: tuple[int, ...], np_dtype: str) -> np.ndarray:
+        """A new array of ``shape`` filled straight from the file."""
+        nbytes = math.prod(shape) * np.dtype(np_dtype).itemsize
+        self._claim(nbytes)
+        arr = np.empty(shape, dtype=np_dtype)
+        self._advance(self.f.readinto(memoryview(arr).cast("B")), nbytes)
+        return arr
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
@@ -176,39 +205,38 @@ class _Reader:
 
 
 def load_checkpoint(path) -> Network:
-    raw = Path(path).read_bytes()
-    r = _Reader(raw, path)
-    if r.take(4) != _MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    version = r.unpack("<I")
-    if version != _VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    seed = r.unpack("<Q")
-    param_code = r.unpack("<B")
-    if param_code not in _PARAM_NAME:
-        raise CheckpointError(f"{path}: unknown parametrization code {param_code}")
-    arch_len = r.unpack("<I")
-    arch = arch_from_json(r.text(arch_len))
-    if arch.parametrization != _PARAM_NAME[param_code]:
-        raise CheckpointError(f"{path}: parametrization byte disagrees with arch JSON")
-    count = r.unpack("<I")
-    store: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name_len = r.unpack("<H")
-        name = r.text(name_len)
-        dtype_code = r.unpack("<B")
-        if dtype_code not in (0, 1):
-            raise CheckpointError(f"{path}: weight {name}: unknown dtype code {dtype_code}")
-        ndim = r.unpack("<B")
-        if ndim not in (1, 2):
-            raise CheckpointError(f"{path}: weight {name}: {ndim} dimensions, expected 1 or 2")
-        shape = tuple(r.unpack("<I") for _ in range(ndim))
-        np_dtype = "<f4" if dtype_code == 0 else "<f8"
-        nbytes = math.prod(shape) * (4 if dtype_code == 0 else 8)
-        arr = np.frombuffer(r.take(nbytes), dtype=np_dtype).reshape(shape)
-        store[name] = as_f64(arr)
-    if r.pos != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - r.pos} trailing bytes")
+    """Read a v1 checkpoint. Every weight comes back as its own writeable
+    float64 array, read from the file without an intermediate copy."""
+    with open(path, "rb") as f:
+        r = _Reader(f, os.fstat(f.fileno()).st_size, path)
+        if r.take(4) != _MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
+        version = r.unpack("<I")
+        if version != _VERSION:
+            raise CheckpointError(f"{path}: unsupported version {version}")
+        seed = r.unpack("<Q")
+        param_code = r.unpack("<B")
+        if param_code not in _PARAM_NAME:
+            raise CheckpointError(f"{path}: unknown parametrization code {param_code}")
+        arch_len = r.unpack("<I")
+        arch = arch_from_json(r.text(arch_len))
+        if arch.parametrization != _PARAM_NAME[param_code]:
+            raise CheckpointError(f"{path}: parametrization byte disagrees with arch JSON")
+        count = r.unpack("<I")
+        store: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            name_len = r.unpack("<H")
+            name = r.text(name_len)
+            dtype_code = r.unpack("<B")
+            if dtype_code not in (0, 1):
+                raise CheckpointError(f"{path}: weight {name}: unknown dtype code {dtype_code}")
+            ndim = r.unpack("<B")
+            if ndim not in (1, 2):
+                raise CheckpointError(f"{path}: weight {name}: {ndim} dimensions, expected 1 or 2")
+            shape = tuple(r.unpack("<I") for _ in range(ndim))
+            store[name] = as_f64(r.array(shape, "<f4" if dtype_code == 0 else "<f8"))
+        if r.pos != r.size:
+            raise CheckpointError(f"{path}: {r.size - r.pos} trailing bytes")
     net = Network(arch, store, meta={"seed": seed})
     net.arch.validate()
     for w in arch.weights:

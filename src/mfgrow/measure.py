@@ -38,9 +38,25 @@ class GroupMeasure:
         return {name: vals[idx] for name, vals in self.features.items()}
 
     def sample_norms(self) -> np.ndarray:
-        """Euclidean norm per sample over all concatenated full slices."""
-        stacked = np.concatenate(list(self.slices.values()), axis=1)
-        return np.sqrt(np.sum(stacked * stacked, axis=1))
+        """Euclidean norm per sample over all concatenated full slices.
+
+        The squares go side by side into one buffer, laid out as
+        ``np.concatenate`` lays out the slices: column-major when every slice
+        with two non-unit dimensions is column-major (a transposed matrix),
+        row-major otherwise. The row sums then round exactly as they do over
+        the concatenation; per-slice partial sums would not.
+        """
+        slices = list(self.slices.values())
+        strided = [v.strides for v in slices if 1 not in v.shape]
+        column_major = bool(strided) and all(abs(s1) > abs(s0) for s0, s1 in strided)
+        squares = np.empty((self.width, sum(v.shape[1] for v in slices)),
+                           order="F" if column_major else "C")
+        start = 0
+        for v in slices:
+            stop = start + v.shape[1]
+            np.multiply(v, v, out=squares[:, start:stop])
+            start = stop
+        return np.sqrt(squares.sum(axis=1))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -93,21 +109,39 @@ def extract_measures(net: Network, partition: GammaPartition) -> list[GroupMeasu
 # ---------------------------------------------------------------------------
 
 
+def _abs_moments(vals, p_max: int) -> list[float]:
+    """mean|v|^q for q = 1..p_max."""
+    a = np.abs(np.asarray(vals, dtype=np.float64))
+    if a.size == 0:
+        raise ParameterError("weighted_measure_loss needs non-empty features")
+    return [float((a**q).mean()) for q in range(1, p_max + 1)]
+
+
+class _Reference(dict):
+    """Features that carry their own mean|x_f|^q, q = 1..p_max, so that
+    many candidates are compared against them without recomputing those."""
+
+    def __init__(self, features: dict[str, np.ndarray], p_max: int):
+        super().__init__(features)
+        self.p_max = p_max
+        self.moments = {name: _abs_moments(v, p_max) for name, v in features.items()}
+
+
 def weighted_measure_loss(x: dict[str, np.ndarray], y: dict[str, np.ndarray],
                           p_max: int) -> float:
     """Sum over the features of ``x`` and over q = 1..p_max of
     |mean|x_f|^q - mean|y_f|^q|, accumulated features outer, q inner."""
+    if isinstance(x, _Reference) and x.p_max == p_max:
+        x_moments = x.moments
+    else:
+        x_moments = {name: _abs_moments(v, p_max) for name, v in x.items()}
     total = 0.0
-    for name, vals in x.items():
+    for name, x_q in x_moments.items():
         other = y.get(name)
         if other is None:
             raise ParameterError(f"unknown feature {name!r} in comparison measure")
-        a = np.abs(np.asarray(vals, dtype=np.float64))
-        b = np.abs(np.asarray(other, dtype=np.float64))
-        if a.size == 0 or b.size == 0:
-            raise ParameterError("weighted_measure_loss needs non-empty features")
-        for q in range(1, p_max + 1):
-            total += abs(float((a**q).mean()) - float((b**q).mean()))
+        for a, b in zip(x_q, _abs_moments(other, p_max)):
+            total += abs(a - b)
     return total
 
 
@@ -205,7 +239,7 @@ def draw_indices(m: GroupMeasure, target: int, strategy, r2: float, rng) -> np.n
             band = bands[b]
             idx[i] = band[gen.integers(0, band.size)]
     elif isinstance(strategy, FunctionBasedStrategy):
-        reference = m.restricted(pool)
+        reference = _Reference(m.restricted(pool), strategy.p_max)
         best = None
         best_loss = math.inf
         for _ in range(strategy.n_candidates):

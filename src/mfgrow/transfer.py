@@ -57,10 +57,12 @@ def uniform_plan(partition: GammaPartition, new_width: int, **kwargs) -> Transfe
 
 
 def apply_noise(w, r1: float, mode: str, rng) -> np.ndarray:
-    """Multiplicative noise on transferred values.
+    """Multiplicative noise on transferred values, as a new array.
 
     literal: w * u with u ~ uniform(-r1, r1) (r1=0 zeroes the input);
     perturb: w * (1 + u), the reading under which r1=0 is the identity.
+    The result is computed in place on the draw of u, so it is the only
+    full-size allocation; ``w`` is never written.
     """
     if r1 < 0:
         raise ParameterError(f"r1 must be >= 0, got {r1}")
@@ -69,7 +71,10 @@ def apply_noise(w, r1: float, mode: str, rng) -> np.ndarray:
     gen = rng.generator() if hasattr(rng, "generator") else rng
     w = np.asarray(w, dtype=np.float64)
     u = gen.uniform(-r1, r1, size=w.shape)
-    return w * u if mode == "literal" else w * (1.0 + u)
+    if mode == "perturb":
+        u += 1.0
+    u *= w
+    return u
 
 
 def _group_index_set(measures, partition, plan, gi, rng) -> np.ndarray:
@@ -109,23 +114,24 @@ def transfer(
     new_store: dict[str, np.ndarray] = {}
     new_weights: list[WeightSpec] = []
     for w in arch.weights:
-        arr = net.store[w.name]
+        # Gather only along resized axes: a data-tied axis keeps its full
+        # extent, so indexing it through its identity set would only copy.
+        # np.take returns row-major arrays, the layout a checkpoint load
+        # gives, so a transferred net rounds alike before and after a save.
+        arr = np.asarray(net.store[w.name], dtype=np.float64)
+        axes = (ROW,) if w.kind == "vector" else (ROW, COL)
         resampled = False
-        if w.kind == "vector":
-            gi = axis_to_group[(w.name, ROW)]
-            arr = arr[index_sets[gi]]
-            resampled = partition.resizable[gi]
-        else:
-            gi_r = axis_to_group[(w.name, ROW)]
-            gi_c = axis_to_group[(w.name, COL)]
-            arr = arr[index_sets[gi_r]][:, index_sets[gi_c]]
-            resampled = partition.resizable[gi_r] or partition.resizable[gi_c]
+        for axis, name in enumerate(axes):
+            gi = axis_to_group[(w.name, name)]
+            if partition.resizable[gi]:
+                arr = np.take(arr, index_sets[gi], axis=axis)
+                resampled = True
         if resampled and plan.r1 > 0.0:
             arr = apply_noise(arr, plan.r1, plan.noise_mode, rng.substream(f"transfer/noise/{w.name}"))
         elif resampled and plan.r1 == 0.0 and plan.noise_mode == "literal":
             arr = np.zeros_like(arr)
-        else:
-            arr = np.array(arr, dtype=np.float64)
+        elif not resampled:
+            arr = arr.copy()
         new_store[w.name] = arr
         new_weights.append(WeightSpec(w.name, w.kind, tuple(arr.shape)))
 

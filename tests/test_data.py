@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from mfgrow.data import (
 )
 from mfgrow.errors import CheckpointError, DataError, MissingDataError
 from mfgrow.init import initialize, nonzero_mean_default
-from mfgrow.net import forward_batch, zeros_network
+from mfgrow.net import Network, OptimizerState, forward_batch, train, zeros_network
 from mfgrow.tensor import Rng
 
 
@@ -159,6 +161,76 @@ class TestCheckpoint:
         path.write_bytes(raw[: len(raw) - 10])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+
+    # The dims of the first weight follow its ndim byte; 0xFFFFFFFF there
+    # declares a payload far larger than the file.
+    def test_oversized_dims_report_truncation(self, tmp_path):
+        net = example_net()
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(net, path)
+        raw = bytearray(path.read_bytes())
+        name_at = 21 + int.from_bytes(raw[17:21], "little") + 4 + 2
+        dims_at = name_at + len(net.arch.weights[0].name) + 2
+        raw[dims_at:dims_at + 4] = b"\xff" * 4
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_detected(self, tmp_path):
+        net = example_net()
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(net, path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 3)
+        with pytest.raises(CheckpointError, match="3 trailing bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    def test_loaded_weights_are_owned_and_trainable(self, tmp_path, dtype):
+        path = tmp_path / "w.ckpt"
+        save_checkpoint(example_net(), path, dtype=dtype)
+        loaded = load_checkpoint(path)
+        for arr in loaded.store.values():
+            assert arr.dtype == np.float64
+            assert arr.flags.writeable and arr.flags.owndata
+        data = synth_regression("sine", 16, 0.0, Rng(3))
+        before = {k: v.copy() for k, v in loaded.store.items()}
+        train(loaded, data, OptimizerState.create(loaded, lr=0.05), epochs=1,
+              batch_size=16, rng=Rng(4))
+        assert any(not np.array_equal(loaded.store[k], before[k]) for k in before)
+
+
+def chain_net(seed=0):
+    arch = build_mlp(3, 9, with_bias=True, input_dim=4, output_dim=3, parametrization="MFP")
+    return initialize(zeros_network(arch), nonzero_mean_default("MFP", arch), Rng(seed))
+
+
+# SHA-256 of the v1 bytes written before the checkpoint writer streamed its
+# payload: the format must not move.
+CHECKPOINT_PINS = {
+    ("chain", "f64"): "d6fade9ff6a2d4f35ebab4cc87355dbf9f1dbbd635e7e3351a6f2a5fd1b4bd58",
+    ("chain", "f32"): "38d54f334a4502dbb84eba244d8d8c3840fd864b2e445efdffc493eca0f7d8d6",
+    ("skip4", "f64"): "2e5a48a5697705f32235957dbc5b294cd34d9c84f257fe1551279c0266c30e01",
+    ("skip4", "f32"): "e853f043c3b1aee582bec840892e8d5f53b65eca11f56cf325338a7edd35519e",
+}
+
+
+@pytest.mark.parametrize("case", list(CHECKPOINT_PINS), ids="-".join)
+def test_checkpoint_bytes_pinned(tmp_path, case):
+    topology, dtype = case
+    net = chain_net(6) if topology == "chain" else example_net(6)
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(net, path, seed=2**64 - 3, dtype=dtype)
+    raw = path.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == CHECKPOINT_PINS[case]
+    # Column-major weights are written in the same row-major bytes.
+    fortran = Network(net.arch, {k: np.asfortranarray(v) for k, v in net.store.items()})
+    save_checkpoint(fortran, tmp_path / "f.ckpt", seed=2**64 - 3, dtype=dtype)
+    assert (tmp_path / "f.ckpt").read_bytes() == raw
+    loaded = load_checkpoint(path)
+    if dtype == "f64":
+        for k in net.store:
+            assert loaded.store[k].tobytes() == net.store[k].tobytes()
 
 
 class TestDataset:

@@ -62,6 +62,22 @@ class TestExtract:
         assert np.allclose(by_group[1].features["R(w1)"], w1.mean(axis=1))
         assert np.allclose(by_group[0].features["C(w1)"], w1.mean(axis=0))
 
+    @pytest.mark.parametrize("kw", [
+        dict(depth=4, with_bias=True, with_skip=True),
+        dict(depth=3),
+        dict(depth=3, with_bias=True, input_dim=40, output_dim=10),
+        dict(depth=2, input_dim=3),
+    ], ids=["skip4", "chain-1d", "chain-wide-input", "two-layer"])
+    def test_sample_norms_match_concatenated_reference(self, kw):
+        # Groups mixing vector entries, matrix rows and transposed matrix
+        # columns: the norms equal those over the concatenated slices bit for
+        # bit, whichever layout the concatenation takes.
+        net = small_net(width=16, **kw)
+        for m in extract_measures(net, compute_partition(net.arch)):
+            stacked = np.concatenate(list(m.slices.values()), axis=1)
+            ref = np.sqrt(np.sum(stacked * stacked, axis=1))
+            assert m.sample_norms().tobytes() == ref.tobytes()
+
     def test_csv_export(self):
         net = small_net(depth=2, width=4)
         m = extract_measures(net, compute_partition(net.arch))[0]

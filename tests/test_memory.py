@@ -1,0 +1,81 @@
+"""Traced-heap bounds on the transfer path and checkpoint I/O at the CIFAR
+shape (3072 -> N -> N -> 10). tracemalloc sees every NumPy data buffer, so
+each bound counts the full-size temporaries a call makes beyond its result.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from mfgrow.arch import build_mlp, compute_partition
+from mfgrow.data import CIFAR_RECORD, load_checkpoint, load_cifar10, save_checkpoint
+from mfgrow.init import initialize, nonzero_mean_default
+from mfgrow.net import zeros_network
+from mfgrow.tensor import Rng
+from mfgrow.transfer import transfer, uniform_plan
+
+MiB = 2**20
+
+
+def cifar_net(width, seed=0):
+    arch = build_mlp(3, width, with_bias=True, input_dim=3072, output_dim=10,
+                     parametrization="MFP")
+    return initialize(zeros_network(arch), nonzero_mean_default("MFP", arch), Rng(seed))
+
+
+def traced_peak(fn):
+    """(result, peak traced bytes above the heap at the call)."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - base
+
+
+def payload_bytes(net):
+    return sum(arr.nbytes for arr in net.store.values())
+
+
+@pytest.fixture(scope="module")
+def wide_net():
+    return cifar_net(1000)
+
+
+def test_save_checkpoint_streams_without_copies(wide_net, tmp_path):
+    _, extra = traced_peak(lambda: save_checkpoint(wide_net, tmp_path / "w.ckpt"))
+    assert extra < 1 * MiB
+
+
+def test_load_checkpoint_reads_each_payload_once(wide_net, tmp_path):
+    path = tmp_path / "w.ckpt"
+    save_checkpoint(wide_net, path)
+    loaded, extra = traced_peak(lambda: load_checkpoint(path))
+    payload = payload_bytes(loaded)
+    assert payload == payload_bytes(wide_net)
+    assert extra < 1.1 * payload
+
+
+def test_grow_with_noise_peak_bounded():
+    net = cifar_net(100, seed=1)
+    p = compute_partition(net.arch)
+    plan = uniform_plan(p, 1000, r1=1.0)
+    grown, extra = traced_peak(lambda: transfer(net, p, plan, Rng(2)))
+    assert extra < 1.75 * payload_bytes(grown)
+
+
+def test_cifar_loader_holds_one_copy_of_the_train_pixels(tmp_path):
+    # Two train files and a test file, as the loader meets them on disk: the
+    # peak is the concatenated train set beside its per-file parts, not that
+    # plus the test set's float temporaries.
+    gen = np.random.default_rng(0)
+    for name, n in (("data_batch_1.bin", 2048), ("data_batch_2.bin", 2048),
+                    ("test_batch.bin", 1024)):
+        records = gen.integers(0, 256, size=(n, CIFAR_RECORD), dtype=np.uint8)
+        records[:, 0] %= 10
+        (tmp_path / name).write_bytes(records.tobytes())
+    (train, test), extra = traced_peak(lambda: load_cifar10(tmp_path))
+    assert extra < 1.75 * (train.inputs.nbytes + test.inputs.nbytes)

@@ -1,11 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from mfgrow.arch import build_mlp, compute_partition
-from mfgrow.data import synth_regression
+from mfgrow.data import load_checkpoint, save_checkpoint, synth_regression
 from mfgrow.errors import ParameterError
 from mfgrow.init import initialize, nonzero_mean_default
-from mfgrow.measure import DuplicateStrategy, FunctionBasedStrategy, RandomStrategy
+from mfgrow.measure import (
+    DuplicateStrategy,
+    FunctionBasedStrategy,
+    GroupStrategy,
+    RandomStrategy,
+)
 from mfgrow.net import OptimizerState, evaluate, forward_batch, train, zeros_network
 from mfgrow.tensor import Rng
 from mfgrow.transfer import (
@@ -221,3 +228,84 @@ class TestGrowThenTrain:
         opt = OptimizerState.create(grown, lr=0.05)
         log = train(grown, train_data, opt, epochs=1, batch_size=32, rng=Rng(33))
         assert len(log.rows) == 2
+
+
+def store_digest(net):
+    """SHA-256 over every weight's name, shape and C-order float64 bytes."""
+    h = hashlib.sha256()
+    for w in net.arch.weights:
+        arr = net.store[w.name]
+        h.update(f"{w.name}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def _pin_net(skip):
+    if skip:
+        return make_net(4, 10, seed=41, with_skip=True, input_dim=5, output_dim=3)
+    return make_net(3, 12, seed=40, with_bias=True, input_dim=5, output_dim=3)
+
+
+_STRATEGIES = {
+    "random": RandomStrategy(),
+    "group": GroupStrategy(3),
+    "function_based": FunctionBasedStrategy(8, 3),
+    "duplicate": DuplicateStrategy(),
+}
+
+# (net, strategy, target width, r1, r2, noise mode) -> digest of the output.
+# The chain nets mix every gather shape: u resizes rows only (5 data-tied
+# columns), v columns only (3 data-tied rows), w1 both, bv neither.
+TRANSFER_PINS = {
+    ("chain", "random", 24, 0.0, 0.0, "perturb"): "14fca6c2b519bf9324b839b1fd6eab593389982c9c388fbf5beac3f8914e5ef8",
+    ("chain", "random", 24, 0.5, 0.0, "literal"): "2c981d148d6a6e47621087b586312854773ffe096917cdea8ba744ba85914fad",
+    ("chain", "random", 7, 0.5, 0.25, "perturb"): "5a2eceeef6c901d12d1f080c516815608361d030d2010ce5a7cdb908bcf517db",
+    ("chain", "group", 30, 0.5, 0.0, "perturb"): "72300684f0ec89e638187686d92f9883f34f22881159df654f6a9faa52d330ef",
+    ("chain", "group", 7, 0.0, 0.0, "literal"): "24408ccbabf173999894002124c00c39519bb9d1fd869efa673260758df98d15",
+    ("chain", "function_based", 24, 0.0, 0.25, "perturb"): "61033a8d52601e78fe16fdd9696328e009df549ddcd2976ae9332c51200c8890",
+    ("chain", "function_based", 7, 0.5, 0.0, "literal"): "469a2503b0c5a3eea3211fa9c8b2cf9c05f500328a4e3502c2ea19e3210ba08b",
+    ("chain", "duplicate", 24, 0.0, 0.0, "perturb"): "004289236a8687be98b3211b5b534683a24880499dca7aaa735b2ff51220a6f7",
+    ("chain", "duplicate", 36, 0.5, 0.0, "literal"): "14c324cf19ed3a4724f815b2c04ab5b7bcb256b437ea73bcc87ccac9d344503d",
+    ("chain", "duplicate", 12, 0.0, 0.0, "perturb"): "5efa46f15adee671044cf6b3cfd6f7c8ff97559439f7e510a4b3edff93048af5",
+    ("skip4", "random", 25, 0.5, 0.0, "perturb"): "2b50903c9100376cc1c4dd8eb01737adbbb559e7f79ea49372cb2c5df0b75211",
+    ("skip4", "function_based", 6, 0.0, 0.5, "perturb"): "64a444e9b94c21477a95ed7ae269721ccf2e2dd4e92997bedd5bc3fe81b52841",
+}
+
+
+class TestTransferPinned:
+    # Digests taken before the gather, noise and copy paths were reworked:
+    # every output stays bit-identical.
+    @pytest.mark.parametrize("case", list(TRANSFER_PINS), ids=lambda c: "-".join(map(str, c)))
+    def test_transfer_output_pinned(self, case):
+        topology, strategy, target, r1, r2, mode = case
+        net = _pin_net(topology == "skip4")
+        p = compute_partition(net.arch)
+        plan = uniform_plan(p, target, strategy=_STRATEGIES[strategy], r1=r1, r2=r2,
+                            noise_mode=mode)
+        out = transfer(net, p, plan, Rng(50))
+        assert store_digest(out) == TRANSFER_PINS[case]
+
+    def test_outputs_compute_like_their_checkpoint(self, tmp_path):
+        # Transfer returns C-contiguous weights, the layout a checkpoint load
+        # gives, so the in-memory net and its round trip round alike.
+        arch = build_mlp(3, 16, with_bias=True, input_dim=48, output_dim=10)
+        net = initialize(zeros_network(arch), nonzero_mean_default("MFP", arch), Rng(1))
+        p = compute_partition(arch)
+        for target in (48, 9):
+            out = transfer(net, p, uniform_plan(p, target), Rng(2))
+            assert all(a.flags.c_contiguous for a in out.store.values())
+            save_checkpoint(out, tmp_path / "t.ckpt")
+            back = load_checkpoint(tmp_path / "t.ckpt")
+            xs = Rng(3).generator().normal(size=(64, 48))
+            assert np.array_equal(forward_batch(out, xs), forward_batch(back, xs))
+
+    @pytest.mark.parametrize("mode", ["perturb", "literal"])
+    def test_apply_noise_matches_reference_and_spares_input(self, mode):
+        w = Rng(51).generator().normal(size=(37, 11))
+        before = w.copy()
+        out = apply_noise(w, 0.7, mode, Rng(52).substream("n"))
+        u = Rng(52).substream("n").uniform(-0.7, 0.7, size=w.shape)
+        ref = w * u if mode == "literal" else w * (1.0 + u)
+        assert out.tobytes() == ref.tobytes()
+        assert np.array_equal(w, before) and w.tobytes() == before.tobytes()
+        assert out is not w
