@@ -24,6 +24,6 @@ from .errors import (
     StructureError,
 )
 from .net import Network, OptimizerState, TrainingLog, backward, forward, lr_multiplier, train
-from .tensor import DistributionSpec, Rng, constant, gaussian, sample, uniform
+from .tensor import DistributionSpec, Rng, constant, gaussian, uniform
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -169,7 +169,8 @@ class GroupStrategy:
 @dataclass(frozen=True)
 class FunctionBasedStrategy:
     """Keep the best of ``n_candidates`` random draws under the moment loss
-    with moments 1..p_max."""
+    with moments 1..p_max. A draw of the whole surviving pool without
+    replacement keeps the first draw, as ``RandomStrategy()`` would."""
 
     n_candidates: int
     p_max: int
@@ -238,6 +239,10 @@ def draw_indices(m: GroupMeasure, target: int, strategy, r2: float, rng) -> np.n
         for i, b in enumerate(picks):
             band = bands[b]
             idx[i] = band[gen.integers(0, band.size)]
+    elif isinstance(strategy, FunctionBasedStrategy) and target == pool.size:
+        # Drawn without replacement, every candidate is a permutation of the
+        # pool with the pool's moments: the losses differ only by rounding.
+        idx = _draw_from_pool(pool, target, gen)
     elif isinstance(strategy, FunctionBasedStrategy):
         reference = _Reference(m.restricted(pool), strategy.p_max)
         best = None

@@ -71,9 +71,6 @@ class Network:
                     f"weight {w.name}: stored shape {tuple(arr.shape)} != declared {w.shape}"
                 )
 
-    def clone(self) -> "Network":
-        return Network(self.arch, {k: v.copy() for k, v in self.store.items()}, dict(self.meta))
-
     def input_dim(self) -> int:
         u = self.arch.weight(self.arch.layers[0][0])
         return 1 if u.kind == "vector" else u.shape[1]

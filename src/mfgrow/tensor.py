@@ -94,12 +94,6 @@ def constant(c: float) -> DistributionSpec:
     return DistributionSpec("constant", float(c))
 
 
-def sample(rng, dist: DistributionSpec, n: int) -> Vector:
-    """Draw ``n`` values from ``dist`` using an Rng or a Generator."""
-    gen = rng.generator() if isinstance(rng, Rng) else rng
-    return dist.draw(gen, n)
-
-
 def pearson_abs(a: Vector, b: Vector) -> float:
     """|Pearson r|, defined as 0.0 when either argument is constant."""
     a = np.asarray(a, dtype=np.float64)

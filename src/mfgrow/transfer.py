@@ -44,9 +44,6 @@ class TransferPlan:
         if self.noise_mode not in ("perturb", "literal"):
             raise ParameterError(f"unknown noise mode {self.noise_mode!r}")
 
-    def target_for(self, gi: int, width: int) -> int:
-        return int(self.targets.get(gi, width))
-
 
 def uniform_plan(partition: GammaPartition, new_width: int, **kwargs) -> TransferPlan:
     """Plan that sends every resizable group to ``new_width``."""
@@ -56,13 +53,19 @@ def uniform_plan(partition: GammaPartition, new_width: int, **kwargs) -> Transfe
     return TransferPlan(targets=targets, **kwargs)
 
 
-def apply_noise(w, r1: float, mode: str, rng) -> np.ndarray:
-    """Multiplicative noise on transferred values, as a new array.
+_NOISE_BLOCK = 1 << 15
+
+
+def apply_noise(w, r1: float, mode: str, rng, out=None) -> np.ndarray:
+    """Multiplicative noise on transferred values, as a new array or in
+    ``out``.
 
     literal: w * u with u ~ uniform(-r1, r1) (r1=0 zeroes the input);
     perturb: w * (1 + u), the reading under which r1=0 is the identity.
-    The result is computed in place on the draw of u, so it is the only
-    full-size allocation; ``w`` is never written.
+    u is drawn as ``gen.uniform(-r1, r1, size=w.shape)`` would draw it, in
+    blocks through one reused buffer, so the result is the only full-size
+    allocation. ``w`` is never written unless it is ``out``, which must be a
+    C-contiguous float64 array of w's shape.
     """
     if r1 < 0:
         raise ParameterError(f"r1 must be >= 0, got {r1}")
@@ -70,16 +73,31 @@ def apply_noise(w, r1: float, mode: str, rng) -> np.ndarray:
         raise ParameterError(f"unknown noise mode {mode!r}")
     gen = rng.generator() if hasattr(rng, "generator") else rng
     w = np.asarray(w, dtype=np.float64)
-    u = gen.uniform(-r1, r1, size=w.shape)
-    if mode == "perturb":
-        u += 1.0
-    u *= w
-    return u
+    if out is None:
+        out = np.array(w, order="C")
+    else:
+        if out.dtype != np.float64 or out.shape != w.shape or not out.flags.c_contiguous:
+            raise ParameterError("out must be a C-contiguous float64 array of w's shape")
+        if out is not w:
+            np.copyto(out, w)
+    flat = out.reshape(-1)
+    buf = np.empty(min(flat.size, _NOISE_BLOCK))
+    for start in range(0, flat.size, _NOISE_BLOCK):
+        block = flat[start:start + _NOISE_BLOCK]
+        u = buf[:block.size]
+        # Generator.uniform computes low + (high - low) * next_double.
+        gen.random(out=u)
+        u *= r1 - (-r1)
+        u += -r1
+        if mode == "perturb":
+            u += 1.0
+        block *= u
+    return out
 
 
 def _group_index_set(measures, partition, plan, gi, rng) -> np.ndarray:
     width = partition.widths[gi]
-    target = plan.target_for(gi, width)
+    target = int(plan.targets.get(gi, width))
     if not partition.resizable[gi]:
         if target != width:
             raise ParameterError(
@@ -116,8 +134,9 @@ def transfer(
     for w in arch.weights:
         # Gather only along resized axes: a data-tied axis keeps its full
         # extent, so indexing it through its identity set would only copy.
-        # np.take returns row-major arrays, the layout a checkpoint load
-        # gives, so a transferred net rounds alike before and after a save.
+        # np.take returns fresh row-major arrays, the layout a checkpoint load
+        # gives, so a transferred net rounds alike before and after a save,
+        # and the noise can be applied to them in place.
         arr = np.asarray(net.store[w.name], dtype=np.float64)
         axes = (ROW,) if w.kind == "vector" else (ROW, COL)
         resampled = False
@@ -127,7 +146,8 @@ def transfer(
                 arr = np.take(arr, index_sets[gi], axis=axis)
                 resampled = True
         if resampled and plan.r1 > 0.0:
-            arr = apply_noise(arr, plan.r1, plan.noise_mode, rng.substream(f"transfer/noise/{w.name}"))
+            apply_noise(arr, plan.r1, plan.noise_mode, rng.substream(f"transfer/noise/{w.name}"),
+                        out=arr)
         elif resampled and plan.r1 == 0.0 and plan.noise_mode == "literal":
             arr = np.zeros_like(arr)
         elif not resampled:

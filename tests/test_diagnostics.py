@@ -1,6 +1,14 @@
+import hashlib
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from mfgrow import diagnostics
 from mfgrow.arch import build_mlp
 from mfgrow.data import synth_regression
 from mfgrow.diagnostics import (
@@ -15,7 +23,7 @@ from mfgrow.diagnostics import (
 )
 from mfgrow.errors import ParameterError, ShapeError
 from mfgrow.init import initialize, nonzero_mean_default
-from mfgrow.net import OptimizerState, train, zeros_network
+from mfgrow.net import Network, OptimizerState, train, zeros_network
 from mfgrow.tensor import Rng, pearson_abs
 from mfgrow.transfer import duplicate_grow
 
@@ -23,6 +31,10 @@ from mfgrow.transfer import duplicate_grow
 def make_net(depth=3, width=8, seed=0, parametrization="MFP", **kw):
     arch = build_mlp(depth, width, parametrization=parametrization, **kw)
     return initialize(zeros_network(arch), nonzero_mean_default(parametrization, arch), Rng(seed))
+
+
+def copy_net(net):
+    return Network(net.arch, {k: v.copy() for k, v in net.store.items()}, dict(net.meta))
 
 
 class TestProfile:
@@ -168,6 +180,98 @@ class TestHeatmap:
             heatmap_export(net, "u", "minmax")
 
 
+def per_value_text(grid):
+    """The reference grid text: every value through Python's "%.6f"."""
+    return "".join(" ".join(f"{v:.6f}" for v in row) + "\n" for row in grid).encode("ascii")
+
+
+def written_text(grid):
+    fh = io.BytesIO()
+    diagnostics._write_grid(fh, np.asarray(grid, dtype=np.float64))
+    return fh.getvalue()
+
+
+# Values whose "%.6f" text NumPy's rounding alone would get wrong or that
+# stress the digit layout: an exact binary tie (0.0078125 -> 0.007812), near
+# ties, among them ones where |x| * 1e6 rounds onto a tie that rint breaks
+# the other way (2.5e-06 -> 0.000003), a carry into a new integer digit,
+# negative zero and tiny negatives, ten-digit integer parts, and the
+# smallest subnormal.
+EDGE_ROW = [0.0078125, 0.0000005, 0.9999995, 2.5e-06, 3.5e-06, -2.0000005,
+            9.9999996, -1e-9, -0.0, 999999999.9999995, 1e9, 5e-324]
+
+# Built so that |x| * 1e6 lies at least 0.1 from a tie: every value takes
+# the NumPy path.
+exact_values = st.builds(
+    lambda k, frac, neg: (-1.0 if neg else 1.0) * (k + frac) / 1e6,
+    st.integers(0, 10**14), st.floats(0.1, 0.4) | st.floats(0.6, 0.9), st.booleans(),
+)
+
+
+class TestGridWriter:
+    # SHA-256 of heatmap files of a 300-wide CIFAR-shaped net, taken from the
+    # per-value writer the block writer replaced. 300 rows are not a
+    # multiple of the writer's block.
+    GRID_PINS = {
+        "minmax": "4947033b8cf2b0b018ad60a52c6f5bdd8a7b08ab3600b159121080c83ac9aa0c",
+        "zscore": "3c935b3419fe010e304df96b2304ba976612c4134024bf8bd14d2d162fda32f7",
+    }
+
+    @pytest.mark.parametrize("normalize", list(GRID_PINS))
+    def test_cifar_grid_file_pinned(self, normalize, tmp_path):
+        arch = build_mlp(3, 300, with_bias=True, input_dim=3072, output_dim=10,
+                         parametrization="MFP")
+        net = initialize(zeros_network(arch), nonzero_mean_default("MFP", arch), Rng(3))
+        path = tmp_path / "w1.grid"
+        heatmap_export(net, "w1", normalize, path=path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GRID_PINS[normalize]
+
+    def test_edge_row(self):
+        # As one row (which its near ties send to Python) and value by value
+        # (each on the route its own test picks).
+        assert written_text([EDGE_ROW]) == per_value_text([EDGE_ROW])
+        assert [written_text([[v]]) for v in EDGE_ROW] == [per_value_text([[v]]) for v in EDGE_ROW]
+        assert written_text([EDGE_ROW]).split() == [
+            b"0.007812", b"0.000000", b"1.000000", b"0.000003", b"0.000003",
+            b"-2.000001", b"10.000000", b"-0.000000",
+            b"-0.000000", b"1000000000.000000", b"1000000000.000000", b"0.000000"]
+
+    def test_rows_across_blocks_mix_both_paths(self):
+        # Three blocks and a remainder row; rows with a tie or a non-finite
+        # value sit between and inside blocks of exact rows.
+        cols = 700
+        rows = 3 * (diagnostics._GRID_BLOCK_VALUES // cols) + 1
+        grid = Rng(4).generator().normal(size=(rows, cols)) * 30.0
+        grid[5, 3] = 0.0078125
+        grid[rows // 2, -1] = np.nan
+        grid[-1, 0] = -np.inf
+        assert written_text(grid) == per_value_text(grid)
+
+    def test_fixed_width_grid_takes_the_numpy_path(self):
+        grid = Rng(5).generator().uniform(0.0, 1.0, size=(40, 900))
+        with mock.patch.object(diagnostics, "_format_exact_rows",
+                               wraps=diagnostics._format_exact_rows) as fast:
+            text = written_text(grid)
+        assert text == per_value_text(grid)
+        assert sum(call.args[0].shape[0] for call in fast.call_args_list) == 40
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                      elements=st.floats(width=64) | st.sampled_from(EDGE_ROW + [1e300])))
+    def test_any_grid_matches_per_value_formatting(self, grid):
+        assert written_text(grid) == per_value_text(grid)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+                      elements=exact_values))
+    def test_exact_grid_matches_per_value_formatting(self, grid):
+        with mock.patch.object(diagnostics, "_format_exact_rows",
+                               wraps=diagnostics._format_exact_rows) as fast:
+            text = written_text(grid)
+        assert text == per_value_text(grid)
+        assert fast.call_count == 1 and fast.call_args.args[0].shape == grid.shape
+
+
 class TestHistograms:
     def test_initial_row_mean_distribution(self):
         # gaussian(1, 3) entries: row means over width N concentrate around 1
@@ -180,7 +284,7 @@ class TestHistograms:
 
     def test_identical_checkpoints_identical_histograms(self):
         net = make_net(3, 32, seed=13)
-        edges, counts = histogram_trajectory([net, net.clone()], "w1")
+        edges, counts = histogram_trajectory([net, copy_net(net)], "w1")
         assert np.array_equal(counts[0], counts[1])
 
     def test_shape_drift_rejected(self):
@@ -192,11 +296,11 @@ class TestHistograms:
     def test_training_drift_recorded(self):
         net = make_net(2, 64, seed=15)
         data = synth_regression("sine", 256, 0.0, Rng(16))
-        snaps = [net.clone()]
+        snaps = [copy_net(net)]
         opt = OptimizerState.create(net, lr=0.05)
         for _ in range(3):
             train(net, data, opt, epochs=2, batch_size=32, rng=Rng(17))
-            snaps.append(net.clone())
+            snaps.append(copy_net(net))
         edges, counts = histogram_trajectory(snaps, "u")
         csv = histograms_to_csv(edges, counts)
         assert csv.splitlines()[0] == "bin_left,bin_right,step_0,step_1,step_2,step_3"

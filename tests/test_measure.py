@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -198,25 +199,35 @@ class TestDrawIndices:
     def test_function_based_beats_median_candidate(self):
         gen = Rng(5).generator()
         m = self.measure_with_norms(gen.normal(size=64))
-        winner = draw_indices(m, 64, FunctionBasedStrategy(64, 4), 0.0, Rng(6))
+        winner = draw_indices(m, 48, FunctionBasedStrategy(64, 4), 0.0, Rng(6))
         ref = m.restricted(np.arange(64))
         win_loss = weighted_measure_loss(ref, m.restricted(winner), 4)
         # Brute-force the same candidate universe: winner must beat the median.
         gen2 = Rng(7).generator()
         losses = []
         for _ in range(64):
-            cand = gen2.choice(np.arange(64), size=64, replace=False)
+            cand = gen2.choice(np.arange(64), size=48, replace=False)
             losses.append(weighted_measure_loss(ref, m.restricted(cand), 4))
         assert win_loss <= float(np.median(losses))
 
     def test_function_based_draw_pinned(self):
-        # Digest of the winning index set; a change to the loss's summation
-        # order that flips the choice between candidates breaks it.
+        # Digest of the winning index set of a draw smaller than the pool; a
+        # change to the loss's summation order that flips the choice between
+        # candidates breaks it.
         m = self.measure_with_norms(Rng(5).generator().normal(size=64))
-        idx = draw_indices(m, 64, FunctionBasedStrategy(64, 4), 0.0, Rng(6))
+        idx = draw_indices(m, 48, FunctionBasedStrategy(64, 4), 0.0, Rng(6))
         assert hashlib.sha256(idx.tobytes()).hexdigest() == (
-            "c1b752e048c718995e5dd9d7328e140c70d0368b02bd43379df55adf6e04f930"
+            "0d11958e2b574c61ed72d0444d0b6c196ab5486db9d8b580d0d260fbf09fc962"
         )
+
+    @pytest.mark.parametrize("width, r2", [(64, 0.0), (64, 0.5), (10, 0.3)])
+    def test_function_based_whole_pool_draw_is_the_random_draw(self, width, r2):
+        # Without replacement, every draw of the whole surviving pool is a
+        # permutation with the pool's moments; the first draw is kept.
+        m = self.measure_with_norms(Rng(5).generator().normal(size=width))
+        pool = math.ceil((1.0 - r2) * width)
+        idx = draw_indices(m, pool, FunctionBasedStrategy(64, 4), r2, Rng(6))
+        assert idx.tobytes() == draw_indices(m, pool, RandomStrategy(), r2, Rng(6)).tobytes()
 
     def test_duplicate_tiles_and_ignores_r2(self):
         m = self.measure_with_norms(np.arange(1.0, 5.0))

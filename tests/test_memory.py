@@ -1,6 +1,7 @@
-"""Traced-heap bounds on the transfer path and checkpoint I/O at the CIFAR
-shape (3072 -> N -> N -> 10). tracemalloc sees every NumPy data buffer, so
-each bound counts the full-size temporaries a call makes beyond its result.
+"""Traced-heap bounds on the transfer path, checkpoint I/O and the heatmap
+writer at the CIFAR shape (3072 -> N -> N -> 10). tracemalloc sees every
+NumPy data buffer, so each bound counts the full-size temporaries a call
+makes beyond its result.
 """
 
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 
 from mfgrow.arch import build_mlp, compute_partition
 from mfgrow.data import CIFAR_RECORD, load_checkpoint, load_cifar10, save_checkpoint
+from mfgrow.diagnostics import heatmap_export
 from mfgrow.init import initialize, nonzero_mean_default
 from mfgrow.net import zeros_network
 from mfgrow.tensor import Rng
@@ -65,6 +67,26 @@ def test_grow_with_noise_peak_bounded():
     plan = uniform_plan(p, 1000, r1=1.0)
     grown, extra = traced_peak(lambda: transfer(net, p, plan, Rng(2)))
     assert extra < 1.75 * payload_bytes(grown)
+
+
+def test_grow_applies_noise_in_place():
+    # The noise goes onto each freshly gathered weight through one small
+    # buffer: no weight is ever held twice.
+    net = cifar_net(100, seed=1)
+    p = compute_partition(net.arch)
+    plan = uniform_plan(p, 1000, r1=1.0)
+    grown, extra = traced_peak(lambda: transfer(net, p, plan, Rng(2)))
+    assert extra < 1.1 * payload_bytes(grown)
+
+
+def test_heatmap_file_costs_no_full_size_text(wide_net, tmp_path):
+    # The 1000x1000 grid is written as ~9 MB of text in blocks of rows; the
+    # file adds only the blocks' temporaries to the grid's own peak.
+    _, without = traced_peak(lambda: heatmap_export(wide_net, "w1", "minmax"))
+    path = tmp_path / "w1.grid"
+    _, with_file = traced_peak(lambda: heatmap_export(wide_net, "w1", "minmax", path=path))
+    assert path.stat().st_size > 9_000_000
+    assert with_file - without <= 2 * MiB
 
 
 def test_cifar_loader_holds_one_copy_of_the_train_pixels(tmp_path):

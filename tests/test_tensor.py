@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfgrow.errors import ParameterError
-from mfgrow.tensor import Rng, constant, gaussian, pearson_abs, sample, uniform
+from mfgrow.tensor import Rng, constant, gaussian, pearson_abs, uniform
 
 
 class TestRng:
@@ -35,16 +35,16 @@ class TestRng:
 
 class TestSample:
     def test_constant(self):
-        out = sample(Rng(0), constant(1.0), 4)
+        out = constant(1.0).draw(Rng(0).generator(), 4)
         assert np.array_equal(out, np.ones(4))
 
     def test_gaussian_moments(self):
-        out = sample(Rng(1), gaussian(1.0, 3.0), 100_000)
+        out = gaussian(1.0, 3.0).draw(Rng(1).generator(), 100_000)
         assert abs(out.mean() - 1.0) < 0.05
         assert abs(out.std() - 3.0) < 0.05
 
     def test_uniform_mean(self):
-        out = sample(Rng(2), uniform(-1.0, 1.0), 100_000)
+        out = uniform(-1.0, 1.0).draw(Rng(2).generator(), 100_000)
         assert abs(out.mean()) < 0.02
 
     def test_parameter_errors(self):

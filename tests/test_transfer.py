@@ -309,3 +309,25 @@ class TestTransferPinned:
         assert out.tobytes() == ref.tobytes()
         assert np.array_equal(w, before) and w.tobytes() == before.tobytes()
         assert out is not w
+
+    @pytest.mark.parametrize("mode", ["perturb", "literal"])
+    @pytest.mark.parametrize("shape", [(5,), (32768,), (32769,), (300, 250), (7, 9363)])
+    def test_apply_noise_in_blocks_matches_one_uniform_draw(self, shape, mode):
+        # The noise is drawn and applied in blocks, into a new array or in
+        # place; either way it equals one full-size uniform draw, bit for bit,
+        # also where a block boundary cuts a row.
+        w = Rng(53).generator().normal(size=shape)
+        for r1 in (1.0, 4.0, 0.5, 1e-3, 0.1):
+            u = Rng(54).substream("n").uniform(-r1, r1, size=shape)
+            ref = (w * u if mode == "literal" else w * (1.0 + u)).tobytes()
+            assert apply_noise(w, r1, mode, Rng(54).substream("n")).tobytes() == ref
+            target = w.copy()
+            out = apply_noise(target, r1, mode, Rng(54).substream("n"), out=target)
+            assert out is target and target.tobytes() == ref
+
+    def test_apply_noise_rejects_an_unusable_out(self):
+        w = np.ones((4, 6))
+        with pytest.raises(ParameterError):
+            apply_noise(w, 0.5, "perturb", Rng(0), out=np.ones((6, 4)).T)
+        with pytest.raises(ParameterError):
+            apply_noise(w, 0.5, "perturb", Rng(0), out=np.ones((4, 5)))
