@@ -23,7 +23,7 @@ from .errors import (
     ShapeError,
     StructureError,
 )
-from .net import Network, OptimizerState, TrainingLog, backward, forward, lr_multiplier, train
+from .net import Network, OptimizerState, TrainingLog, lr_multiplier, train
 from .tensor import DistributionSpec, Rng, constant, gaussian, uniform
 
 __all__ = [name for name in dir() if not name.startswith("_")]

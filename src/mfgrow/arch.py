@@ -6,6 +6,10 @@ an AxisUsage carrying a gamma id. Two gammas that ever appear at the same
 (weight, axis) position must be resampled together, so the partition is the
 finest one closed under merging such gammas. Groups whose width is tied to a
 data dimension (input/output size, or 1) are marked non-resizable.
+
+``build_mlp`` is the one MLP builder. Its skip4 net is the depth-4 chain plus
+two usages, w1 and b1 rows on gamma 3, which merge gammas 2 and 3 into one
+group; its ``skip4`` topology declares the residual add to the executor.
 """
 
 from __future__ import annotations
@@ -269,9 +273,10 @@ def build_mlp(
     """Fully-connected chain of ``depth`` weight layers u -> w1 -> ... -> v.
 
     ``widths`` gives the depth-1 hidden sizes (or one int for all).
-    ``with_skip`` builds the 4-layer variant whose first square matrix feeds
-    both the second hidden layer and, reused row-wise, the output layer's
-    input; it requires depth=4 and implies biases.
+    ``with_skip`` builds skip4: the depth-4 chain with biases and one common
+    hidden width, plus two usages. w1's rows feed both w2 and, through a
+    residual add, the output layer's input, so w1 and b1 rows also carry
+    gamma 3. The ``skip4`` topology declares that residual to the executor.
     """
     if depth < 2:
         raise ParameterError(f"depth must be >= 2, got {depth}")
@@ -284,9 +289,11 @@ def build_mlp(
     if with_skip:
         if depth != 4:
             raise ParameterError("the skip variant is defined for depth=4 only")
-        return _build_skip4(widths, input_dim, output_dim, parametrization, activation)
+        with_bias = True
 
     hidden = _as_width_list(widths, depth - 1)
+    if with_skip and len(set(hidden)) != 1:
+        raise ParameterError("the skip variant needs one common hidden width")
     weights: list[WeightSpec] = []
     usages: list[AxisUsage] = []
     gammas: list[GammaVar] = [GammaVar(i + 1, hidden[i], "hidden") for i in range(depth - 1)]
@@ -345,78 +352,27 @@ def build_mlp(
         usages.append(AxisUsage(bv, ROW, g_out))
     layers.append(("v", bv))
 
+    if with_skip:
+        # w1's rows also feed the output layer's input through the residual
+        # add, so each w1/b1 row usage on gamma 2 gets a twin on gamma 3.
+        chain, usages = usages, []
+        for u in chain:
+            usages.append(u)
+            if u.weight in ("w1", "b1") and u.axis == ROW:
+                usages.append(replace(u, gamma=3))
+        # The skip4 arch JSON, pinned inside every skip4 checkpoint, lists
+        # the hidden layers first, then u/bu, then v/bv.
+        rank = {"u": 1, "bu": 1, "v": 2, "bv": 2}
+        usages.sort(key=lambda u: rank.get(u.weight, 0))
+
     graph = ArchGraph(
         weights=tuple(weights),
         usages=tuple(usages),
         gammas=tuple(gammas),
         parametrization=parametrization,
-        topology="chain",
+        topology="skip4" if with_skip else "chain",
         layers=tuple(layers),
         activations=(activation,) * (depth - 1),
-    )
-    graph.validate()
-    return graph
-
-
-def _build_skip4(widths, input_dim, output_dim, parametrization, activation) -> ArchGraph:
-    hidden = _as_width_list(widths, 3)
-    if len(set(hidden)) != 1:
-        raise ParameterError("the skip variant needs one common hidden width")
-    n = hidden[0]
-
-    weights = [
-        WeightSpec("w1", "matrix", (n, n)),
-        WeightSpec("b1", "vector", (n,)),
-        WeightSpec("w2", "matrix", (n, n)),
-        WeightSpec("b2", "vector", (n,)),
-    ]
-    usages = [
-        # w1 rows feed both the second hidden layer (gamma 2) and, through
-        # the skip, the output layer's input (gamma 3).
-        AxisUsage("w1", ROW, 2),
-        AxisUsage("w1", ROW, 3),
-        AxisUsage("w1", COL, 1),
-        AxisUsage("b1", ROW, 2),
-        AxisUsage("b1", ROW, 3),
-        AxisUsage("w2", ROW, 3),
-        AxisUsage("w2", COL, 2),
-        AxisUsage("b2", ROW, 3),
-    ]
-    gammas = [GammaVar(1, n, "hidden"), GammaVar(2, n, "hidden"), GammaVar(3, n, "hidden")]
-    next_id = 4
-
-    if input_dim > 1:
-        weights.insert(0, WeightSpec("u", "matrix", (n, input_dim)))
-        gammas.append(GammaVar(next_id, input_dim, "data"))
-        usages += [AxisUsage("u", ROW, 1), AxisUsage("u", COL, next_id)]
-        next_id += 1
-    else:
-        weights.insert(0, WeightSpec("u", "vector", (n,)))
-        usages.append(AxisUsage("u", ROW, 1))
-    weights.insert(1, WeightSpec("bu", "vector", (n,)))
-    usages.append(AxisUsage("bu", ROW, 1))
-
-    if output_dim > 1:
-        weights.append(WeightSpec("v", "matrix", (output_dim, n)))
-        g_out = next_id
-        gammas.append(GammaVar(g_out, output_dim, "data"))
-        usages += [AxisUsage("v", ROW, g_out), AxisUsage("v", COL, 3)]
-    else:
-        weights.append(WeightSpec("v", "vector", (n,)))
-        usages.append(AxisUsage("v", ROW, 3))
-        g_out = next_id
-        gammas.append(GammaVar(g_out, 1, "data"))
-    weights.append(WeightSpec("bv", "vector", (output_dim,)))
-    usages.append(AxisUsage("bv", ROW, g_out))
-
-    graph = ArchGraph(
-        weights=tuple(weights),
-        usages=tuple(usages),
-        gammas=tuple(gammas),
-        parametrization=parametrization,
-        topology="skip4",
-        layers=(("u", "bu"), ("w1", "b1"), ("w2", "b2"), ("v", "bv")),
-        activations=(activation,) * 3,
     )
     graph.validate()
     return graph

@@ -25,7 +25,7 @@ from .diagnostics import (
     profile,
     write_gnuplot_script,
 )
-from .errors import ConfigError, MfgrowError, MissingDataError
+from .errors import ConfigError, MfgrowError, MissingDataError, StructureError
 from .init import InitSpec, initialize, iid_spec, nonzero_mean_default, rc_spec
 from .measure import (
     DuplicateStrategy,
@@ -64,11 +64,40 @@ def _require_keys(doc: dict, allowed: set, what: str) -> None:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
 
 
+_JSON_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string"}
+
+
+def _checked(value, kind: type, what: str):
+    """``value`` if it is a JSON value of ``kind`` (int, float, bool or str),
+    converted to ``kind``; an integer also counts as a number. Anything else,
+    null and numeric strings included, raises ConfigError."""
+    if isinstance(value, bool):
+        ok = kind is bool
+    elif kind is float:
+        # Also rejects nan, inf and integers beyond the float range.
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{what} must be {_JSON_KINDS[kind]}, got {json.dumps(value)}")
+    return kind(value)
+
+
+def _read_text(path, error: type[MfgrowError], what: str) -> str:
+    """The UTF-8 text of ``path``; a file that is missing, unreadable or not
+    UTF-8 raises ``error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
+
+
 def load_config(path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        doc = json.loads(_read_text(path, ConfigError, "config file"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -90,19 +119,29 @@ def _build_arch(cfg: dict):
     if not arch_cfg:
         raise ConfigError("config needs an 'arch' section")
     if "file" in arch_cfg:
-        graph = arch_from_json(Path(arch_cfg["file"]).read_text(encoding="utf-8"))
+        path = _checked(arch_cfg["file"], str, "config arch 'file'")
+        graph = arch_from_json(_read_text(path, StructureError, "architecture file"))
         if "parametrization" in cfg:
             graph = graph.with_parametrization(cfg["parametrization"])
         return graph
     if arch_cfg.get("builder", "mlp") != "mlp":
         raise ConfigError(f"unknown arch builder {arch_cfg.get('builder')!r}")
+
+    def get(key: str, default, kind: type):
+        return _checked(arch_cfg.get(key, default), kind, f"config arch {key!r}")
+
+    widths = arch_cfg.get("widths", 300)
+    if isinstance(widths, list):
+        widths = [_checked(w, int, "config arch 'widths' entry") for w in widths]
+    else:
+        widths = get("widths", 300, int)
     return build_mlp(
-        int(arch_cfg.get("depth", 3)),
-        arch_cfg.get("widths", 300),
-        with_bias=bool(arch_cfg.get("with_bias", True)),
-        with_skip=bool(arch_cfg.get("with_skip", False)),
-        input_dim=int(arch_cfg.get("input_dim", 1)),
-        output_dim=int(arch_cfg.get("output_dim", 1)),
+        get("depth", 3, int),
+        widths,
+        with_bias=get("with_bias", True, bool),
+        with_skip=get("with_skip", False, bool),
+        input_dim=get("input_dim", 1, int),
+        output_dim=get("output_dim", 1, int),
         parametrization=cfg.get("parametrization", "MFP"),
         activation=arch_cfg.get("activation", "tanh"),
     )
@@ -111,10 +150,8 @@ def _build_arch(cfg: dict):
 def _parse_distribution(doc, where: str) -> DistributionSpec:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError(f"init {where}: a distribution is an object with a 'kind'")
-    try:
-        a, b = float(doc.get("a", 0.0)), float(doc.get("b", 0.0))
-    except (TypeError, ValueError):
-        raise ConfigError(f"init {where}: distribution 'a' and 'b' must be numbers") from None
+    a = _checked(doc.get("a", 0.0), float, f"init {where}: distribution 'a'")
+    b = _checked(doc.get("b", 0.0), float, f"init {where}: distribution 'b'")
     return DistributionSpec(doc["kind"], a, b)
 
 
@@ -166,20 +203,34 @@ def _load_dataset(cfg: dict, seed: int):
         raise ConfigError("config needs a 'dataset' section")
     kind = ds.get("kind")
     if kind == "cifar10":
-        return load_cifar10(cifar_dir(ds.get("dir")))
+        directory = ds.get("dir")
+        if directory is not None:
+            directory = _checked(directory, str, "config dataset 'dir'")
+        return load_cifar10(cifar_dir(directory))
     if kind in ("sine", "cubic"):
-        n = int(ds.get("n", 1024))
-        test_n = int(ds.get("test_n", max(1, n // 4)))
-        noise = float(ds.get("noise_std", 0.0))
+        n = _checked(ds.get("n", 1024), int, "config dataset 'n'")
+        test_n = _checked(ds.get("test_n", max(1, n // 4)), int, "config dataset 'test_n'")
+        noise = _checked(ds.get("noise_std", 0.0), float, "config dataset 'noise_std'")
         rng = Rng(seed)
         return (synth_regression(kind, n, noise, rng),
                 synth_regression(kind, test_n, noise, rng, split="test"))
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
+def _seeds(args, cfg: dict) -> list[int]:
+    """``--seed`` alone if given, else the config's non-empty ``seeds`` list."""
+    if args.seed is not None:
+        return [args.seed]
+    seeds = cfg.get("seeds", [0])
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError(
+            f"config 'seeds' must be a non-empty list of integers, got {json.dumps(seeds)}")
+    return [_checked(seed, int, "config 'seeds' entry") for seed in seeds]
+
+
 def _out_dir(args, cfg=None) -> Path:
     path = args.out or (cfg or {}).get("out_dir") or "out"
-    out = Path(path)
+    out = Path(_checked(path, str, "config 'out_dir'"))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -193,7 +244,7 @@ def cmd_gamma(args) -> int:
     if args.mlp is not None:
         graph = build_mlp(args.mlp, args.width, with_bias=args.bias, with_skip=args.skip)
     elif args.arch is not None:
-        graph = arch_from_json(Path(args.arch).read_text(encoding="utf-8"))
+        graph = arch_from_json(_read_text(args.arch, StructureError, "architecture file"))
     else:
         raise ConfigError("gamma needs an architecture file or --mlp DEPTH")
     print(format_partition(compute_partition(graph)))
@@ -203,7 +254,7 @@ def cmd_gamma(args) -> int:
 def cmd_init(args) -> int:
     cfg = load_config(args.config)
     arch = _build_arch(cfg)
-    seed = args.seed if args.seed is not None else (cfg.get("seeds") or [0])[0]
+    seed = _seeds(args, cfg)[0]
     net = initialize(zeros_network(arch), _build_init_spec(cfg, arch), Rng(seed))
     out = _out_dir(args, cfg)
     path = out / f"init_seed{seed}.ckpt"
@@ -215,20 +266,22 @@ def cmd_init(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     arch = _build_arch(cfg)
-    seeds = [args.seed] if args.seed is not None else cfg.get("seeds", [0])
+    seeds = _seeds(args, cfg)
     opt_cfg = cfg.get("optimizer", {})
-    epochs = int(cfg.get("epochs", 1))
+    epochs = _checked(cfg.get("epochs", 1), int, "config 'epochs'")
+    lr = _checked(opt_cfg.get("lr", 0.1), float, "config optimizer 'lr'")
+    lr_width_exponent = _checked(opt_cfg.get("lr_width_exponent", 0.0), float,
+                                 "config optimizer 'lr_width_exponent'")
+    batch_size = _checked(opt_cfg.get("batch_size", 64), int, "config optimizer 'batch_size'")
     out = _out_dir(args, cfg)
     for seed in seeds:
         net = initialize(zeros_network(arch), _build_init_spec(cfg, arch), Rng(seed))
         train_data, test_data = _load_dataset(cfg, seed)
         loss = "cross_entropy" if train_data.classification else "square"
-        opt = OptimizerState.create(
-            net, kind=opt_cfg.get("kind", "sgd"), lr=float(opt_cfg.get("lr", 0.1)),
-            lr_width_exponent=float(opt_cfg.get("lr_width_exponent", 0.0)),
-        )
-        log = train(net, train_data, opt, epochs, int(opt_cfg.get("batch_size", 64)),
-                    Rng(seed), test_data=test_data, loss=loss)
+        opt = OptimizerState.create(net, kind=opt_cfg.get("kind", "sgd"), lr=lr,
+                                    lr_width_exponent=lr_width_exponent)
+        log = train(net, train_data, opt, epochs, batch_size, Rng(seed),
+                    test_data=test_data, loss=loss)
         log.write(out / f"train_seed{seed}.csv")
         save_checkpoint(net, out / f"trained_seed{seed}.ckpt", seed=seed)
         print(f"seed {seed}: final train_loss={log.final('train_loss'):.6g} "

@@ -2,11 +2,13 @@
 backpropagation, per-weight learning-rate scaling, SGD and Adam, and the
 training loop.
 
-One layer executor runs every network. Each call builds a layer plan from
-the arch: per layer the weight, the bias, the forward scalar, the activation,
-and a flag that adds the previous layer's pre-activation before the
-activation. skip4 is a chain with that residual add declared on its third
-layer; w1's rows feed both paths, which is why they carry two gammas.
+One layer executor runs every network, entered through ``forward_batch``
+and ``backward_batch``; a single example is a one-row batch. Each call
+builds a layer plan from the arch: per layer the weight, the bias, the
+forward scalar, the activation, and a flag that adds the previous layer's
+pre-activation before the activation. skip4 is the depth-4 chain plus two
+usages (w1 and b1 rows on gamma 3, since w1's rows feed both paths), and
+its ``skip4`` topology sets that residual flag on the third layer.
 
 Forward scalars sit on every contraction and depend on the contracted axis:
 a contraction over a width-N hidden axis gets 1/N under MFP and 1/sqrt(N)
@@ -167,14 +169,6 @@ def forward_batch(net: Network, X: np.ndarray) -> np.ndarray:
     return _run(net, _plan(net), X, keep=False)[0]
 
 
-def forward(net: Network, x) -> np.ndarray:
-    """Evaluate a single input vector; returns the output vector."""
-    x = as_f64(x)
-    if x.ndim == 0:
-        x = x[None]
-    return forward_batch(net, x[None, :])[0]
-
-
 def _loss_and_delta(out: np.ndarray, Y: np.ndarray, loss: str):
     """Per-example losses and d(loss)/d(out)."""
     if loss == "square":
@@ -239,27 +233,11 @@ def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str = "squa
     return grads, float(losses.mean())
 
 
-def backward(net: Network, x, y, loss: str = "square") -> dict[str, np.ndarray]:
-    """Exact gradients of the loss at a single example."""
-    x = as_f64(x)
-    if x.ndim == 0:
-        x = x[None]
-    y_arr = np.asarray(y)
-    if loss == "square":
-        y_arr = as_f64(y_arr).reshape(1, -1)
-    else:
-        y_arr = y_arr.reshape(1)
-    grads, _ = backward_batch(net, x[None, :], y_arr, loss)
-    return grads
-
-
-def lr_multiplier(weight: str, arch: ArchGraph, parametrization: str | None = None) -> float:
+def lr_multiplier(weight: str, arch: ArchGraph) -> float:
     """Per-weight learning-rate scale: under MFP the product of the weight's
     resizable axis widths (N*N for a square hidden matrix, N for vectors and
     embedding/output matrices, 1 for data-only weights); 1 under SP/muP."""
-    if parametrization is None:
-        parametrization = arch.parametrization
-    if parametrization in ("SP", "muP"):
+    if arch.parametrization in ("SP", "muP"):
         return 1.0
     w = arch.weight(weight)
     mult = 1.0

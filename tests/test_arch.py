@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -213,3 +214,28 @@ class TestJson:
     def test_invalid_json_rejected(self):
         with pytest.raises(StructureError):
             arch_from_json("{not json")
+
+    # SHA-256 of the skip4 arch JSON: its usage order is written into every
+    # skip4 checkpoint, so any builder must reproduce it byte for byte.
+    SKIP4_JSON_PINS = {
+        (1, 1, "SP"): "173fdf2aa15d1b6f4a3b7eaece91e08e7af186bd024ce875efe7bf2ea13ef7dd",
+        (1, 1, "muP"): "0b462f5b85bbf553566ed32c8cbd99e36348f769da41fb4b27ab330eb0a177fd",
+        (1, 1, "MFP"): "514fd9601dfc4efd000ce4b2be061e3934d9ed2df35fa5065056551adea5c672",
+        (1, 3, "SP"): "fc52e65b21a866eb20ab5248e8384b4c9897645fa4eab227dd0bab30e0a05989",
+        (1, 3, "muP"): "2952b3a42f95b16fad5a03241f4a5e0fd6c34a8fb06662b38a09883640d970e8",
+        (1, 3, "MFP"): "03557d163e123721ed8b0ad787e0ceac2742967e61bfa2c93a190c9432f14d25",
+        (5, 1, "SP"): "682e894965b42a98f80d910d187f93ae6b69a727e4939526460fbafc849c6a56",
+        (5, 1, "muP"): "cc1c937dbbe800c2c09d74ad8507761ecdd89f985e41ae65082313fdd1e97340",
+        (5, 1, "MFP"): "acfba6929bb211fdff2b2288dfc0616b0b05610dceac3baf1fa7bbd66c544e96",
+        (5, 3, "SP"): "49a168a8d7392b850cf6c65578f58d132fc567e5e18dba2768b2646d048d8db4",
+        (5, 3, "muP"): "fceab1b5040eed94a0ede5b9be490eb9b74a47f1655d3c47952f32e46cc2d39a",
+        (5, 3, "MFP"): "4b9cc051685d3dc6c13eb57ea2a015b5d8c9d0713f2ae63a20f7f88d7d5f7131",
+    }
+
+    @pytest.mark.parametrize("case", list(SKIP4_JSON_PINS), ids=lambda c: "-".join(map(str, c)))
+    def test_skip4_json_pinned(self, case):
+        input_dim, output_dim, parametrization = case
+        g = build_mlp(4, 10, with_skip=True, input_dim=input_dim, output_dim=output_dim,
+                      parametrization=parametrization)
+        digest = hashlib.sha256(arch_to_json(g).encode()).hexdigest()
+        assert digest == self.SKIP4_JSON_PINS[case]

@@ -257,3 +257,61 @@ class TestInitConfig:
         cfg = _init_config(tmp_path, **entry)
         assert main(["init", "--config", str(cfg), "--seed", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: init")
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("command,section,entry", [
+        ("init", "arch", {"depth": "x"}),
+        ("init", "arch", {"widths": "abc"}),
+        ("init", "arch", {"widths": [32, "x"]}),
+        ("init", "arch", {"input_dim": None}),
+        ("init", "arch", {"depth": 4, "with_skip": "no"}),
+        ("init", "arch", {"with_bias": 1}),
+        ("init", "arch", {"depth": 3.0}),
+        ("init", "arch", {"depth": True}),
+        ("init", "arch", {"file": 5}),
+        ("train", None, {"epochs": "x"}),
+        ("train", "optimizer", {"lr": "fast"}),
+        ("train", "optimizer", {"lr": float("nan")}),
+        ("train", "optimizer", {"batch_size": None}),
+        ("train", None, {"seeds": 5}),
+        ("train", None, {"seeds": ["a"]}),
+        ("train", None, {"seeds": []}),
+        ("train", "dataset", {"n": "many"}),
+        ("train", None, {"out_dir": 5}),
+    ], ids=["depth-string", "widths-string", "widths-entry-string", "input-dim-null",
+            "with-skip-string", "with-bias-int", "depth-float", "depth-bool", "file-int",
+            "epochs-string", "lr-string", "lr-nan", "batch-size-null", "seeds-int",
+            "seeds-entry-string", "seeds-empty", "n-string", "out-dir-int"])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, command, section, entry):
+        cfg = json.loads(synth_config(tmp_path).read_text(encoding="utf-8"))
+        (cfg[section] if section else cfg).update(entry)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: config ")
+
+
+@pytest.fixture(params=["not-utf8", "directory"])
+def unreadable(request, tmp_path):
+    path = tmp_path / "unreadable.json"
+    if request.param == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"parametrization": "\xff"}')
+    return path
+
+
+class TestUnreadableFiles:
+    def test_config_exits_2(self, unreadable, capsys):
+        assert main(["init", "--config", str(unreadable), "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config file")
+
+    def test_arch_file_exits_2(self, unreadable, tmp_path, capsys):
+        cfg = synth_config(tmp_path, arch={"file": str(unreadable)})
+        assert main(["init", "--config", str(cfg), "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read architecture file")
+
+    def test_gamma_arch_exits_2(self, unreadable, capsys):
+        assert main(["gamma", str(unreadable)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read architecture file")

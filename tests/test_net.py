@@ -9,10 +9,8 @@ from mfgrow.net import (
     _UPDATE_BLOCK,
     Network,
     OptimizerState,
-    backward,
     backward_batch,
     evaluate,
-    forward,
     forward_batch,
     lr_multiplier,
     train,
@@ -74,10 +72,10 @@ def assert_matches_fd(analytic, net, X, Y, loss, rtol):
 
 
 def assert_gradcheck(net, x, y, loss, rtol=1e-6):
-    """Single-example gradients from ``backward`` against central differences."""
+    """One-row batch gradients from ``backward_batch`` against central differences."""
     X = np.atleast_1d(np.asarray(x, dtype=np.float64))[None, :]
     Y = np.asarray(y).reshape(1, -1) if loss == "square" else np.asarray(y).reshape(1)
-    assert_matches_fd(backward(net, x, y, loss), net, X, Y, loss, rtol)
+    assert_matches_fd(backward_batch(net, X, Y, loss)[0], net, X, Y, loss, rtol)
 
 
 class TestForward:
@@ -85,14 +83,14 @@ class TestForward:
         net = make_net(2, 8, activation="identity")
         net.store["u"][:] = 1.0
         net.store["v"][:] = 1.0
-        assert forward(net, [2.0])[0] == pytest.approx(2.0, abs=1e-12)
+        assert forward_batch(net, [[2.0]])[0, 0] == pytest.approx(2.0, abs=1e-12)
 
     def test_two_layer_mfp_loop_oracle(self):
         net = make_net(2, 16, activation="identity", seed=3)
         u, v = net.store["u"], net.store["v"]
         x = 1.7
         expected = np.mean(v * u) * x
-        assert forward(net, [x])[0] == pytest.approx(expected, rel=1e-12)
+        assert forward_batch(net, [[x]])[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_sp_vs_mfp_identity_ratio_is_exactly_n(self):
         # With identity activations and shared weights, each of the two
@@ -100,18 +98,19 @@ class TestForward:
         n = 16
         sp = make_net(3, n, "SP", activation="identity", seed=5)
         mf = Network(sp.arch.with_parametrization("MFP"), {k: v.copy() for k, v in sp.store.items()})
-        x = np.array([0.83])
-        f_sp = forward(sp, x)[0]
-        f_mf = forward(mf, x)[0]
+        x = np.array([[0.83]])
+        f_sp = forward_batch(sp, x)[0, 0]
+        f_mf = forward_batch(mf, x)[0, 0]
         assert f_sp == n * f_mf
 
     def test_mup_output_scalar(self):
         n = 16
         mup = make_net(3, n, "muP", activation="identity", seed=5)
         sp = Network(mup.arch.with_parametrization("SP"), {k: v.copy() for k, v in mup.store.items()})
-        x = np.array([0.5])
+        x = np.array([[0.5]])
         # muP differs from SP only in the output contraction: 1/N vs 1/sqrt(N).
-        assert forward(sp, x)[0] == pytest.approx(np.sqrt(n) * forward(mup, x)[0], rel=1e-12)
+        assert forward_batch(sp, x)[0, 0] == pytest.approx(
+            np.sqrt(n) * forward_batch(mup, x)[0, 0], rel=1e-12)
 
     def test_shape_mismatch(self):
         net = make_net(3, 8)
@@ -128,7 +127,7 @@ class TestBackward:
     def test_zero_weights_tanh_zero_gradient_on_v(self):
         arch = build_mlp(3, 8, parametrization="MFP")
         net = zeros_network(arch)
-        grads = backward(net, [0.7], [1.0], "square")
+        grads, _ = backward_batch(net, [[0.7]], [1.0], "square")
         # tanh(0) = 0 propagates: the output layer sees all-zero features.
         assert np.allclose(grads["v"], 0.0)
 
@@ -137,11 +136,11 @@ class TestBackward:
         net = make_net(2, n, seed=1)
         u, v = net.store["u"], net.store["v"]
         x, y = 0.9, 0.4
-        f = forward(net, [x])[0]
+        f = forward_batch(net, [[x]])[0, 0]
         zz = np.tanh(u * x)
         dv_closed = (f - y) * zz / n
         du_closed = (f - y) * v * (1.0 - zz**2) * x / n
-        grads = backward(net, [x], [y], "square")
+        grads, _ = backward_batch(net, [[x]], [y], "square")
         assert np.allclose(grads["v"], dv_closed, rtol=0, atol=1e-12)
         assert np.allclose(grads["u"], du_closed, rtol=0, atol=1e-12)
 
@@ -183,7 +182,7 @@ class TestBackward:
     def test_unknown_loss(self):
         net = make_net(2, 4)
         with pytest.raises(ParameterError):
-            backward(net, [0.1], [0.0], "hinge")
+            backward_batch(net, [[0.1]], [0.0], "hinge")
 
 
 class TestFiveLayerClosedForms:
@@ -216,7 +215,7 @@ class TestFiveLayerClosedForms:
         inner_u = (inner_w1 * dpsi(h2)) @ w1 / n2
         du = err * inner_u * dpsi(u * x) * x
 
-        grads = backward(net, [x], [y], "square")
+        grads, _ = backward_batch(net, [[x]], [y], "square")
         mults = {"v": n4, "w3": n4 * n3, "w2": n3 * n2, "w1": n2 * n1, "u": n1}
         closed = {"v": dv, "w3": dw3, "w2": dw2, "w1": dw1, "u": du}
         for name, delta in closed.items():
