@@ -197,7 +197,10 @@ def cifar_dir(explicit=None):
     return path
 
 
-def _load_dataset(cfg: dict, seed: int):
+def _dataset(cfg: dict):
+    """The config's dataset as a function of the seed giving (train, test).
+    The section is read and checked here; CIFAR-10 is loaded once for all
+    seeds, and a synthetic set is drawn from each seed."""
     ds = cfg.get("dataset")
     if not ds:
         raise ConfigError("config needs a 'dataset' section")
@@ -206,14 +209,18 @@ def _load_dataset(cfg: dict, seed: int):
         directory = ds.get("dir")
         if directory is not None:
             directory = _checked(directory, str, "config dataset 'dir'")
-        return load_cifar10(cifar_dir(directory))
+        splits = load_cifar10(cifar_dir(directory))
+        return lambda seed: splits
     if kind in ("sine", "cubic"):
         n = _checked(ds.get("n", 1024), int, "config dataset 'n'")
         test_n = _checked(ds.get("test_n", max(1, n // 4)), int, "config dataset 'test_n'")
         noise = _checked(ds.get("noise_std", 0.0), float, "config dataset 'noise_std'")
-        rng = Rng(seed)
-        return (synth_regression(kind, n, noise, rng),
-                synth_regression(kind, test_n, noise, rng, split="test"))
+
+        def draw(seed):
+            rng = Rng(seed)
+            return (synth_regression(kind, n, noise, rng),
+                    synth_regression(kind, test_n, noise, rng, split="test"))
+        return draw
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
@@ -273,10 +280,12 @@ def cmd_train(args) -> int:
     lr_width_exponent = _checked(opt_cfg.get("lr_width_exponent", 0.0), float,
                                  "config optimizer 'lr_width_exponent'")
     batch_size = _checked(opt_cfg.get("batch_size", 64), int, "config optimizer 'batch_size'")
+    init_spec = _build_init_spec(cfg, arch)
+    dataset = _dataset(cfg)
     out = _out_dir(args, cfg)
     for seed in seeds:
-        net = initialize(zeros_network(arch), _build_init_spec(cfg, arch), Rng(seed))
-        train_data, test_data = _load_dataset(cfg, seed)
+        net = initialize(zeros_network(arch), init_spec, Rng(seed))
+        train_data, test_data = dataset(seed)
         loss = "cross_entropy" if train_data.classification else "square"
         opt = OptimizerState.create(net, kind=opt_cfg.get("kind", "sgd"), lr=lr,
                                     lr_width_exponent=lr_width_exponent)

@@ -207,7 +207,13 @@ class _Reader:
 def load_checkpoint(path) -> Network:
     """Read a v1 checkpoint. Every weight comes back as its own writeable
     float64 array, read from the file without an intermediate copy."""
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except FileNotFoundError:
+        raise CheckpointError(f"checkpoint not found: {path}") from None
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
+    with f:
         r = _Reader(f, os.fstat(f.fileno()).st_size, path)
         if r.take(4) != _MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint (bad magic)")

@@ -216,19 +216,33 @@ def heatmap_export(net: Network, weight: str, normalize: str = "minmax",
     w = net.arch.weight(weight)
     if w.kind != "matrix":
         raise ParameterError(f"heatmap needs a matrix weight, got {weight!r}")
+    if normalize not in ("minmax", "zscore"):
+        raise ParameterError(f"unknown normalization {normalize!r}")
+    # The grid is the one full-size array: a gathered or copied grid is
+    # normalized in place, and the net's own weight is only read. The sorted
+    # grid is gathered in one step, column-major as arr[rows][:, cols] lays it
+    # out, so its mean and std sum in the same order.
     arr = net.store[weight]
     if sort:
         row_order = np.argsort(arr.mean(axis=1), kind="stable")
         col_order = np.argsort(arr.mean(axis=0), kind="stable")
-        arr = arr[row_order][:, col_order]
-    if normalize == "minmax":
-        lo, hi = float(arr.min()), float(arr.max())
-        grid = np.full_like(arr, 0.5) if hi == lo else (arr - lo) / (hi - lo)
-    elif normalize == "zscore":
-        std = float(arr.std())
-        grid = np.zeros_like(arr) if std == 0 else (arr - arr.mean()) / std
+        grid = arr.T[np.ix_(col_order, row_order)].T
     else:
-        raise ParameterError(f"unknown normalization {normalize!r}")
+        grid = arr.copy(order="K")
+    if normalize == "minmax":
+        lo, hi = float(grid.min()), float(grid.max())
+        if hi == lo:
+            grid.fill(0.5)
+        else:
+            grid -= lo
+            grid /= hi - lo
+    else:
+        std = float(grid.std())
+        if std == 0:
+            grid.fill(0.0)
+        else:
+            grid -= grid.mean()
+            grid /= std
     if path is not None:
         with open(path, "wb") as fh:
             fh.write(f"# weight={weight} rows={grid.shape[0]} cols={grid.shape[1]} "

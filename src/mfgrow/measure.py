@@ -19,6 +19,19 @@ from .arch import COL, ROW, GammaPartition
 from .errors import ParameterError
 from .net import Network
 
+# Squares formed at a time by the r2 norm filter (512 KiB of float64).
+_NORM_BLOCK = 1 << 16
+
+
+def _squares(parts, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with the squares of ``parts`` side by side."""
+    start = 0
+    for v in parts:
+        stop = start + v.shape[1]
+        np.multiply(v, v, out=out[:, start:stop])
+        start = stop
+    return out
+
 
 @dataclass
 class GroupMeasure:
@@ -40,23 +53,39 @@ class GroupMeasure:
     def sample_norms(self) -> np.ndarray:
         """Euclidean norm per sample over all concatenated full slices.
 
-        The squares go side by side into one buffer, laid out as
-        ``np.concatenate`` lays out the slices: column-major when every slice
-        with two non-unit dimensions is column-major (a transposed matrix),
-        row-major otherwise. The row sums then round exactly as they do over
-        the concatenation; per-slice partial sums would not.
+        Each row's sum rounds exactly as it does over ``np.concatenate`` of
+        the slices, which lays them out column-major when every slice with
+        two non-unit dimensions is column-major (a transposed matrix), and
+        row-major otherwise. A row-major row sums pairwise along itself, so
+        the squares go through a buffer of whole rows, a block of rows at a
+        time. A column-major row sums its squares one after another, so the
+        buffer holds a block of columns after the running sums, which read
+        contiguous source rows of the transposed matrices.
         """
         slices = list(self.slices.values())
+        total = sum(v.shape[1] for v in slices)
         strided = [v.strides for v in slices if 1 not in v.shape]
-        column_major = bool(strided) and all(abs(s1) > abs(s0) for s0, s1 in strided)
-        squares = np.empty((self.width, sum(v.shape[1] for v in slices)),
-                           order="F" if column_major else "C")
-        start = 0
-        for v in slices:
-            stop = start + v.shape[1]
-            np.multiply(v, v, out=squares[:, start:stop])
-            start = stop
-        return np.sqrt(squares.sum(axis=1))
+        if strided and all(abs(s1) > abs(s0) for s0, s1 in strided):
+            cols = max(1, _NORM_BLOCK // self.width)
+            buf = np.zeros((self.width, 1 + min(cols, total)), order="F")
+            sums = buf[:, 0]
+            for v in slices:
+                for start in range(0, v.shape[1], cols):
+                    part = v[:, start:start + cols]
+                    stop = 1 + part.shape[1]
+                    np.multiply(part, part, out=buf[:, 1:stop])
+                    sums[:] = np.add.reduce(buf[:, :stop], axis=1)
+            return np.sqrt(sums)
+        rows = max(1, _NORM_BLOCK // total)
+        if rows >= self.width:
+            sums = np.add.reduce(_squares(slices, np.empty((self.width, total))), axis=1)
+            return np.sqrt(sums, out=sums)
+        buf = np.empty((rows, total))
+        sums = np.empty(self.width)
+        for first in range(0, self.width, rows):
+            block = _squares([v[first:first + rows] for v in slices], buf[:self.width - first])
+            np.add.reduce(block, axis=1, out=sums[first:first + rows])
+        return np.sqrt(sums, out=sums)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -418,4 +418,13 @@ def train(
             step += 1
         te, acc = test_metrics()
         log.add(epoch, step, running / batches, te, acc)
+    if step:
+        # Each batch loss is checked before its update; the last update is
+        # checked here, by its weights and by the last batch's new loss.
+        if not all(np.isfinite(w).all() for w in net.store.values()):
+            raise DivergenceError("training left non-finite weights", step)
+        last_loss, _ = evaluate(net, data.inputs[idx], data.targets[idx], loss)
+        if not np.isfinite(last_loss) or abs(last_loss) > DIVERGENCE_LIMIT:
+            raise DivergenceError(f"training loss diverged in the last update ({last_loss})",
+                                  step)
     return log

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from mfgrow import cli
 from mfgrow.arch import arch_to_json, build_mlp, build_skip_block
 from mfgrow.cli import main
-from mfgrow.data import load_checkpoint, save_checkpoint
+from mfgrow.data import CIFAR_RECORD, load_checkpoint, load_cifar10, save_checkpoint
 from mfgrow.init import initialize, nonzero_mean_default
 from mfgrow.net import forward_batch, zeros_network
 from mfgrow.tensor import Rng
@@ -87,6 +88,36 @@ class TestTrainCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"parametrization": "MFP", "bogus": 1}), encoding="utf-8")
         assert main(["train", "--config", str(path)]) == 2
+
+    def test_last_update_divergence_exits_2(self, tmp_path, capsys):
+        # One batch a run: the only batch loss is finite, and the update that
+        # follows it sends the weights to about 1e301, where the loss
+        # overflows.
+        cfg = synth_config(tmp_path, epochs=1, dataset={"kind": "sine", "n": 8},
+                           optimizer={"kind": "sgd", "lr": 1e300, "batch_size": 32})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "diverged in the last update" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trained_seed0.ckpt").exists()
+
+    def test_cifar_loaded_once_for_all_seeds(self, tmp_path, monkeypatch):
+        # A tiny CIFAR-format set on disk: both seeds train on one load.
+        gen = np.random.default_rng(0)
+        data_dir = tmp_path / "cifar"
+        data_dir.mkdir()
+        for name in ("data_batch_1.bin", "test_batch.bin"):
+            records = gen.integers(0, 256, size=(16, CIFAR_RECORD), dtype=np.uint8)
+            records[:, 0] %= 10
+            (data_dir / name).write_bytes(records.tobytes())
+        loads = []
+        monkeypatch.setattr(cli, "load_cifar10", lambda d: loads.append(d) or load_cifar10(d))
+        cfg = synth_config(tmp_path, epochs=1, seeds=[0, 1],
+                           dataset={"kind": "cifar10", "dir": str(data_dir)},
+                           arch={"builder": "mlp", "depth": 2, "widths": 4,
+                                 "input_dim": 3072, "output_dim": 10})
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert len(loads) == 1
+        assert {p.name for p in (tmp_path / "out").glob("*.ckpt")} == {
+            "trained_seed0.ckpt", "trained_seed1.ckpt"}
 
     def test_cifar_without_data_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("MFGROW_CIFAR10_DIR", raising=False)
@@ -290,6 +321,7 @@ class TestConfigValues:
         path.write_text(json.dumps(cfg), encoding="utf-8")
         assert main([command, "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: config ")
+        assert not (tmp_path / "out").exists()  # checked before out_dir is made
 
 
 @pytest.fixture(params=["not-utf8", "directory"])
@@ -315,3 +347,20 @@ class TestUnreadableFiles:
     def test_gamma_arch_exits_2(self, unreadable, capsys):
         assert main(["gamma", str(unreadable)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read architecture file")
+
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "--ckpt", "{ckpt}", "--report", "corr", "--out", "{out}"],
+        ["transfer", "--from", "{ckpt}", "--widths", "30", "--out", "{out}/t.ckpt"],
+        ["sample", "--ckpt", "{ckpt}", "--target", "5", "--out", "{out}"],
+    ], ids=["diagnose", "transfer", "sample"])
+    def test_checkpoint_directory_exits_2(self, argv, tmp_path, capsys):
+        ckpt = tmp_path / "dir.ckpt"
+        ckpt.mkdir()
+        args = [a.format(ckpt=ckpt, out=tmp_path / "out") for a in argv]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read checkpoint")
+
+    def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
+        assert main(["diagnose", "--ckpt", str(tmp_path / "none.ckpt"), "--report", "corr",
+                     "--out", str(tmp_path / "diag")]) == 2
+        assert capsys.readouterr().err.startswith("error: checkpoint not found")

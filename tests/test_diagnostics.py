@@ -151,6 +151,27 @@ class TestHeatmap:
         grid = heatmap_export(net, "w1", "minmax")
         assert np.array_equal(grid, np.full((4, 4), 0.5))
 
+    @pytest.mark.parametrize("sort", [True, False])
+    @pytest.mark.parametrize("normalize", ["minmax", "zscore"])
+    def test_grid_matches_out_of_place_formula(self, normalize, sort):
+        # Normalized in place, the grid holds the same bits as the
+        # out-of-place expressions on the ordered copy; the weight is only
+        # read.
+        net = make_net(3, 9, seed=12, input_dim=4)
+        w = net.store["w1"]
+        before = w.copy()
+        ref = w
+        if sort:
+            ref = w[np.argsort(w.mean(axis=1), kind="stable")]
+            ref = ref[:, np.argsort(w.mean(axis=0), kind="stable")]
+        if normalize == "minmax":
+            ref = (ref - ref.min()) / (ref.max() - ref.min())
+        else:
+            ref = (ref - ref.mean()) / ref.std()
+        grid = heatmap_export(net, "w1", normalize, sort=sort)
+        assert grid.tobytes() == ref.tobytes()
+        assert net.store["w1"] is w and w.tobytes() == before.tobytes()
+
     def test_file_output_and_gnuplot(self, tmp_path):
         net = make_net(3, 6, seed=11)
         grid_path = tmp_path / "w1.grid"

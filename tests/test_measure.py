@@ -63,17 +63,27 @@ class TestExtract:
         assert np.allclose(by_group[1].features["R(w1)"], w1.mean(axis=1))
         assert np.allclose(by_group[0].features["C(w1)"], w1.mean(axis=0))
 
-    @pytest.mark.parametrize("kw", [
-        dict(depth=4, with_bias=True, with_skip=True),
-        dict(depth=3),
-        dict(depth=3, with_bias=True, input_dim=40, output_dim=10),
-        dict(depth=2, input_dim=3),
-    ], ids=["skip4", "chain-1d", "chain-wide-input", "two-layer"])
-    def test_sample_norms_match_concatenated_reference(self, kw):
+    @pytest.mark.parametrize("width, kw", [
+        (16, dict(depth=4, with_bias=True, with_skip=True)),
+        (16, dict(depth=3)),
+        (16, dict(depth=3, with_bias=True, input_dim=40, output_dim=10)),
+        (16, dict(depth=2, input_dim=3)),
+        # Several blocks of 2**16 squares, the last one partial. Row-major:
+        # the hidden group's rows of 3000 + 1 + 37 squares go 21 to a block.
+        # Column-major: the 3000-wide input group's 37 columns go 21 to a
+        # block.
+        (37, dict(depth=3, with_bias=True, input_dim=3000, output_dim=10)),
+        # Column-major input groups of 300 samples, 218 columns to a block;
+        # row-major hidden groups of 217 (chain) or 72 (skip4) rows a block.
+        (300, dict(depth=3)),
+        (300, dict(depth=4, with_bias=True, with_skip=True)),
+    ], ids=["skip4", "chain-1d", "chain-wide-input", "two-layer",
+            "blocks-chain-3000-input", "blocks-chain-1d", "blocks-skip4"])
+    def test_sample_norms_match_concatenated_reference(self, width, kw):
         # Groups mixing vector entries, matrix rows and transposed matrix
         # columns: the norms equal those over the concatenated slices bit for
         # bit, whichever layout the concatenation takes.
-        net = small_net(width=16, **kw)
+        net = small_net(width=width, **kw)
         for m in extract_measures(net, compute_partition(net.arch)):
             stacked = np.concatenate(list(m.slices.values()), axis=1)
             ref = np.sqrt(np.sum(stacked * stacked, axis=1))

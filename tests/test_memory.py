@@ -13,6 +13,7 @@ from mfgrow.arch import build_mlp, compute_partition
 from mfgrow.data import CIFAR_RECORD, load_checkpoint, load_cifar10, save_checkpoint
 from mfgrow.diagnostics import heatmap_export
 from mfgrow.init import initialize, nonzero_mean_default
+from mfgrow.measure import extract_measures
 from mfgrow.net import zeros_network
 from mfgrow.tensor import Rng
 from mfgrow.transfer import transfer, uniform_plan
@@ -79,6 +80,22 @@ def test_grow_applies_noise_in_place():
     assert extra < 1.1 * payload_bytes(grown)
 
 
+def test_prune_holds_no_copy_of_its_source(wide_net):
+    # The r2 norm filter squares its slices a block at a time: a 1000 -> 100
+    # prune adds little to its output beyond the one-axis gather of w1.
+    p = compute_partition(wide_net.arch)
+    pruned, extra = traced_peak(lambda: transfer(wide_net, p, uniform_plan(p, 100), Rng(2)))
+    assert extra < payload_bytes(pruned) + 1 * MiB
+
+
+def test_sample_norms_use_one_small_buffer(wide_net):
+    # Every group of the 1000-wide net, the 1000 x (3072 + 1 + 1000) hidden
+    # group and the 3072-wide input group included.
+    for m in extract_measures(wide_net, compute_partition(wide_net.arch)):
+        _, extra = traced_peak(m.sample_norms)
+        assert extra < 1 * MiB, m.group_index
+
+
 def test_heatmap_file_costs_no_full_size_text(wide_net, tmp_path):
     # The 1000x1000 grid is written as ~9 MB of text in blocks of rows; the
     # file adds only the blocks' temporaries to the grid's own peak.
@@ -87,6 +104,12 @@ def test_heatmap_file_costs_no_full_size_text(wide_net, tmp_path):
     _, with_file = traced_peak(lambda: heatmap_export(wide_net, "w1", "minmax", path=path))
     assert path.stat().st_size > 9_000_000
     assert with_file - without <= 2 * MiB
+
+
+def test_heatmap_grid_is_its_only_full_size_array(wide_net):
+    # The sorted copy is normalized in place: one 8 MB grid, not two.
+    grid, extra = traced_peak(lambda: heatmap_export(wide_net, "w1", "minmax"))
+    assert extra < grid.nbytes + 1 * MiB
 
 
 def test_cifar_loader_holds_one_copy_of_the_train_pixels(tmp_path):

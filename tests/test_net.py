@@ -321,6 +321,19 @@ class TestTrain:
         with pytest.raises(DivergenceError):
             train(net, data, opt, epochs=5, batch_size=8, rng=Rng(2))
 
+    @pytest.mark.parametrize("lr, message", [
+        (1e300, "diverged in the last update"),  # finite weights, inf loss
+        (1e308, "non-finite weights"),
+    ])
+    def test_last_update_divergence_raises(self, lr, message):
+        # One batch: its loss is checked before the update that blows up.
+        net = make_net(2, 8, seed=0)
+        data = synth_regression("sine", 8, 0.0, Rng(1))
+        opt = OptimizerState.create(net, lr=lr)
+        with pytest.raises(DivergenceError, match=message) as info:
+            train(net, data, opt, epochs=1, batch_size=8, rng=Rng(2))
+        assert info.value.step == 1
+
     def test_sine_regression_baseline(self):
         # Frozen regression baseline: 2-layer mean-field net fits sin(x).
         net = make_net(2, 200, seed=0)
