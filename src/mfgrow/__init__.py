@@ -20,7 +20,6 @@ from .errors import (
     MfgrowError,
     MissingDataError,
     ParameterError,
-    ShapeError,
     StructureError,
 )
 from .net import Network, OptimizerState, TrainingLog, lr_multiplier, train

@@ -238,7 +238,10 @@ def _seeds(args, cfg: dict) -> list[int]:
 def _out_dir(args, cfg=None) -> Path:
     path = args.out or (cfg or {}).get("out_dir") or "out"
     out = Path(_checked(path, str, "config 'out_dir'"))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
     return out
 
 
@@ -299,15 +302,13 @@ def cmd_train(args) -> int:
 
 
 def _parse_strategy(name: str, n_groups: int, n_candidates: int, p_max: int):
-    if name == "random":
-        return RandomStrategy()
     if name == "duplicate":
         return DuplicateStrategy()
     if name == "group":
         return GroupStrategy(n_groups)
     if name == "function_based":
         return FunctionBasedStrategy(n_candidates, p_max)
-    raise ConfigError(f"unknown strategy {name!r}")
+    return RandomStrategy()
 
 
 def cmd_transfer(args) -> int:
@@ -328,7 +329,8 @@ def cmd_transfer(args) -> int:
 def cmd_diagnose(args) -> int:
     nets = [load_checkpoint(p) for p in args.ckpt]
     net = nets[0]
-    out = _out_dir(args)
+    # Each report is computed and its weight checked before the output
+    # directory is made.
     if args.report == "corr":
         profiles, names = [], []
         for w in net.arch.weights:
@@ -339,27 +341,25 @@ def cmd_diagnose(args) -> int:
                 profiles.append(profile(net, w.name, "row"))
                 names.append(w.name)
         report = correlation_matrix(profiles, names)
-        path = out / "correlations.csv"
+        path = _out_dir(args) / "correlations.csv"
         path.write_text(report.to_csv(), encoding="utf-8")
         print(f"wrote {path}")
-    elif args.report == "heatmap":
-        weight = args.weight or next(
-            w.name for w in net.arch.weights if w.kind == "matrix"
-        )
-        grid_path = out / f"{weight}.grid"
-        heatmap_export(net, weight, args.normalize, path=grid_path)
-        write_gnuplot_script(grid_path, out / f"{weight}.gp")
-        print(f"wrote {grid_path}")
-    elif args.report == "hist":
-        weight = args.weight or next(
-            w.name for w in net.arch.weights if w.kind == "matrix"
-        )
+        return EXIT_OK
+    weight = args.weight or next((w.name for w in net.arch.weights if w.kind == "matrix"), None)
+    if weight is None:
+        raise ConfigError("the checkpoint has no matrix weight; pass --weight")
+    if args.report == "hist":
         edges, counts = histogram_trajectory(nets, weight)
-        path = out / f"{weight}_hist.csv"
+        path = _out_dir(args) / f"{weight}_hist.csv"
         path.write_text(histograms_to_csv(edges, counts), encoding="utf-8")
-        print(f"wrote {path}")
     else:
-        raise ConfigError(f"unknown report {args.report!r}")
+        if net.arch.weight(weight).kind != "matrix":
+            raise ConfigError(f"heatmap needs a matrix weight, got {weight!r}")
+        out = _out_dir(args)
+        path = out / f"{weight}.grid"
+        heatmap_export(net, weight, args.normalize, path=path)
+        write_gnuplot_script(path, out / f"{weight}.gp")
+    print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -370,54 +370,45 @@ def cmd_sample(args) -> int:
     if not 0 <= args.group < len(measures):
         raise ConfigError(f"group must be in [0, {len(measures)}), got {args.group}")
     m = measures[args.group]
+    if args.target is not None:
+        strategy = _parse_strategy(args.strategy, args.n_groups, args.n_candidates, args.p_max)
+        idx = draw_indices(m, args.target, strategy, args.r2, Rng(args.seed or 0).generator())
     out = _out_dir(args)
     measure_path = out / f"group{args.group}_measure.csv"
     measure_path.write_text(m.to_csv(), encoding="utf-8")
-    if args.target is not None:
-        strategy = _parse_strategy(args.strategy, args.n_groups, args.n_candidates, args.p_max)
-        idx = draw_indices(m, args.target, strategy, args.r2, Rng(args.seed or 0))
-        idx_path = out / f"group{args.group}_indices.csv"
-        idx_path.write_text(
-            "position,source_index\n"
-            + "\n".join(f"{i},{v}" for i, v in enumerate(idx)) + "\n",
-            encoding="utf-8",
-        )
-        print(f"wrote {measure_path} and {idx_path}")
-    else:
+    if args.target is None:
         print(f"wrote {measure_path}")
+        return EXIT_OK
+    idx_path = out / f"group{args.group}_indices.csv"
+    idx_path.write_text(
+        "position,source_index\n"
+        + "\n".join(f"{i},{v}" for i, v in enumerate(idx)) + "\n",
+        encoding="utf-8",
+    )
+    print(f"wrote {measure_path} and {idx_path}")
     return EXIT_OK
 
 
 def cmd_reproduce(args) -> int:
     name = args.name
+    directory = None if name in ("twolayer_regen", "update_probe") else cifar_dir(args.cifar)
     out = _out_dir(args)
+    seeds = tuple(range(args.seeds))
+    rates = {"rates": ((args.r1, args.r2),)} if args.r1 is not None else {}
     if name == "twolayer_regen":
         result = experiments.twolayer_regen(seed=args.seed or 0, out_dir=out)
     elif name == "update_probe":
         result = experiments.update_probe(out_dir=out)
-    elif name in ("table1", "fig1", "fig2_grow", "fig2_prune", "accuracy"):
-        directory = cifar_dir(args.cifar)
-        seeds = tuple(range(args.seeds))
-        if name == "table1":
-            result = experiments.table1(directory, seeds=seeds, out_dir=out)
-        elif name == "fig1":
-            result = experiments.fig1_heatmaps(directory, seed=args.seed or 0, out_dir=out)
-        elif name == "fig2_grow":
-            rates = ((args.r1, args.r2),) if args.r1 is not None else None
-            result = experiments.fig2_grow(
-                directory, seeds=seeds, out_dir=out,
-                **({"rates": rates} if rates else {}),
-            )
-        elif name == "fig2_prune":
-            rates = ((args.r1, args.r2),) if args.r1 is not None else None
-            result = experiments.fig2_prune(
-                directory, seeds=seeds, out_dir=out,
-                **({"rates": rates} if rates else {}),
-            )
-        else:
-            result = experiments.accuracy_experiment(directory, seeds=seeds, out_dir=out)
+    elif name == "table1":
+        result = experiments.table1(directory, seeds=seeds, out_dir=out)
+    elif name == "fig1":
+        result = experiments.fig1_heatmaps(directory, seed=args.seed or 0, out_dir=out)
+    elif name == "fig2_grow":
+        result = experiments.fig2_grow(directory, seeds=seeds, out_dir=out, **rates)
+    elif name == "fig2_prune":
+        result = experiments.fig2_prune(directory, seeds=seeds, out_dir=out, **rates)
     else:
-        raise ConfigError(f"unknown experiment {name!r}")
+        result = experiments.accuracy_experiment(directory, seeds=seeds, out_dir=out)
     print(result["summary"])
     return EXIT_OK if result["passed"] else EXIT_ACCEPTANCE
 
@@ -516,9 +507,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_DATA
     except MfgrowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -142,7 +142,11 @@ def save_checkpoint(net: Network, path, seed: int = 0, dtype: str = "f64") -> No
             raise CheckpointError(f"weight {w.name}: dimension overflow")
     arch_json = arch_to_json(net.arch).encode("utf-8")
     np_dtype = "<f4" if dtype == "f32" else "<f8"
-    with open(path, "wb") as f:
+    try:
+        f = open(path, "wb")
+    except OSError as exc:
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from None
+    with f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", _VERSION))
         f.write(struct.pack("<Q", int(seed) & (2**64 - 1)))

@@ -1,5 +1,5 @@
 """Diagnostics that make row/column structure visible: axis profiles,
-pairwise and four-pair (Table 1) correlation reports, sortable heatmap grids,
+pairwise and four-pair (Table 1) correlation reports, sorted heatmap grids,
 row-mean histogram trajectories, and the first-step update-scaling probe.
 Apart from the probe, nothing here trains: the scripted experiments train
 the nets and pass them in.
@@ -14,50 +14,26 @@ import numpy as np
 
 from .arch import build_mlp
 from .data import synth_regression
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 from .init import initialize, nonzero_mean_default
 from .net import Network, OptimizerState, backward_batch, zeros_network
 from .tensor import Rng, pearson_abs
 
 
-@dataclass(frozen=True)
-class Profile:
-    """A per-index summary of one weight along one axis."""
-
-    weight: str
-    axis: str
-    reducer: str  # "mean" or "partial_sum(k)"
-    values: np.ndarray
-
-
-def profile(net: Network, weight: str, axis: str, reducer="mean") -> Profile:
-    """Mean (or first-k partial sum) over the opposing axis.
-
-    For a vector weight the profile is the vector itself.
-    """
-    w = net.arch.weight(weight)
+def profile(net: Network, weight: str, axis: str, k: int | None = None) -> np.ndarray:
+    """Mean over the opposing axis, or with ``k`` the sum over its first k
+    entries. A vector weight's profile is a copy of the vector, whatever
+    ``axis`` and ``k``."""
+    vector = net.arch.weight(weight).kind == "vector"
     arr = net.store[weight]
-    if isinstance(reducer, tuple):
-        kind, k = reducer
-    else:
-        kind, k = reducer, None
-    if kind not in ("mean", "partial_sum"):
-        raise ParameterError(f"unknown reducer {reducer!r}")
-
-    if w.kind == "vector":
-        values = arr.copy()
-    else:
-        opposing = arr.shape[1] if axis == "row" else arr.shape[0]
-        if kind == "partial_sum":
-            if k is None or k < 1 or k > opposing:
-                raise ParameterError(
-                    f"partial_sum needs 1 <= k <= {opposing}, got {k}"
-                )
-            values = arr[:, :k].sum(axis=1) if axis == "row" else arr[:k, :].sum(axis=0)
-        else:
-            values = arr.mean(axis=1) if axis == "row" else arr.mean(axis=0)
-    label = "mean" if kind == "mean" else f"partial_sum({k})"
-    return Profile(weight, axis, label, values)
+    if vector:
+        return arr.copy()
+    if k is None:
+        return arr.mean(axis=1) if axis == "row" else arr.mean(axis=0)
+    opposing = arr.shape[1] if axis == "row" else arr.shape[0]
+    if not 1 <= k <= opposing:
+        raise ParameterError(f"partial sum needs 1 <= k <= {opposing}, got {k}")
+    return arr[:, :k].sum(axis=1) if axis == "row" else arr[:k, :].sum(axis=0)
 
 
 @dataclass
@@ -74,20 +50,18 @@ class CorrelationReport:
         return buf.getvalue()
 
 
-def correlation_matrix(profiles: list[Profile], names: list[str] | None = None) -> CorrelationReport:
+def correlation_matrix(profiles: list[np.ndarray], names: list[str]) -> CorrelationReport:
     """Pairwise |Pearson r| over equal-length profiles. Profiles whose
     lengths differ index different gamma groups and are skipped."""
-    if names is None:
-        names = [f"{p.weight}.{p.axis}.{p.reducer}" for p in profiles]
     if len(names) != len(profiles):
         raise ParameterError("one name per profile required")
     report = CorrelationReport()
     for i in range(len(profiles)):
         for j in range(i + 1, len(profiles)):
             a, b = profiles[i], profiles[j]
-            if a.values.shape != b.values.shape:
+            if a.shape != b.shape:
                 continue
-            report.pairs.append((names[i], names[j], pearson_abs(a.values, b.values)))
+            report.pairs.append((names[i], names[j], pearson_abs(a, b)))
     return report
 
 
@@ -97,15 +71,11 @@ def four_pair_report(net: Network) -> CorrelationReport:
     middle layer w1's row and column means, and the last layer v's column
     sums over its first 4 output rows (v itself when it is a vector)."""
     v = net.arch.weight("v")
-    if v.kind == "matrix":
-        last = profile(net, "v", "col", ("partial_sum", min(4, v.shape[0])))
-    else:
-        last = profile(net, "v", "row", "mean")
     p = {
-        "first_layer": profile(net, "u", "row", "mean"),
-        "M.column": profile(net, "w1", "col", "mean"),
-        "M.row": profile(net, "w1", "row", "mean"),
-        "last_layer": last,
+        "first_layer": profile(net, "u", "row"),
+        "M.column": profile(net, "w1", "col"),
+        "M.row": profile(net, "w1", "row"),
+        "last_layer": profile(net, "v", "col", min(4, v.shape[0])),
     }
     report = CorrelationReport()
     for a, b in (
@@ -114,7 +84,7 @@ def four_pair_report(net: Network) -> CorrelationReport:
         ("last_layer", "M.row"),
         ("last_layer", "M.column"),
     ):
-        report.pairs.append((a, b, pearson_abs(p[a].values, p[b].values)))
+        report.pairs.append((a, b, pearson_abs(p[a], p[b])))
     return report
 
 
@@ -201,8 +171,8 @@ def _format_exact_rows(block: np.ndarray, k: np.ndarray) -> bytes:
 
 
 def heatmap_export(net: Network, weight: str, normalize: str = "minmax",
-                   path=None, sort: bool = True) -> np.ndarray:
-    """Normalized grid of a matrix weight, rows/cols ordered by their own
+                   path=None) -> np.ndarray:
+    """Normalized grid of a matrix weight, rows/cols sorted by their own
     profile means so row-column banding is visible. minmax maps to [0, 1]
     (constant matrices map to 0.5).
 
@@ -218,17 +188,14 @@ def heatmap_export(net: Network, weight: str, normalize: str = "minmax",
         raise ParameterError(f"heatmap needs a matrix weight, got {weight!r}")
     if normalize not in ("minmax", "zscore"):
         raise ParameterError(f"unknown normalization {normalize!r}")
-    # The grid is the one full-size array: a gathered or copied grid is
-    # normalized in place, and the net's own weight is only read. The sorted
-    # grid is gathered in one step, column-major as arr[rows][:, cols] lays it
-    # out, so its mean and std sum in the same order.
+    # The grid is the one full-size array: the sorted grid is normalized in
+    # place, and the net's own weight is only read. It is gathered in one
+    # step, column-major as arr[rows][:, cols] lays it out, so its mean and
+    # std sum in the same order.
     arr = net.store[weight]
-    if sort:
-        row_order = np.argsort(arr.mean(axis=1), kind="stable")
-        col_order = np.argsort(arr.mean(axis=0), kind="stable")
-        grid = arr.T[np.ix_(col_order, row_order)].T
-    else:
-        grid = arr.copy(order="K")
+    row_order = np.argsort(arr.mean(axis=1), kind="stable")
+    col_order = np.argsort(arr.mean(axis=0), kind="stable")
+    grid = arr.T[np.ix_(col_order, row_order)].T
     if normalize == "minmax":
         lo, hi = float(grid.min()), float(grid.max())
         if hi == lo:
@@ -246,7 +213,7 @@ def heatmap_export(net: Network, weight: str, normalize: str = "minmax",
     if path is not None:
         with open(path, "wb") as fh:
             fh.write(f"# weight={weight} rows={grid.shape[0]} cols={grid.shape[1]} "
-                     f"normalize={normalize} sorted={sort}\n".encode("utf-8"))
+                     f"normalize={normalize} sorted=True\n".encode("utf-8"))
             _write_grid(fh, grid)
     return grid
 
@@ -260,33 +227,28 @@ def write_gnuplot_script(grid_path, script_path) -> None:
         )
 
 
-def histogram_trajectory(snapshots, weight: str, axis: str = "row", bins: int = 40):
-    """Fixed-bin histograms of a weight's row-mean (or col-mean) profile at
-    each snapshot; bins are shared across snapshots so shapes compare."""
-    nets = []
-    for s in snapshots:
-        if isinstance(s, Network):
-            nets.append(s)
-        else:
-            from .data import load_checkpoint
+_HIST_BINS = 40
 
-            nets.append(load_checkpoint(s))
+
+def histogram_trajectory(nets: list[Network], weight: str):
+    """Fixed-bin histograms of a weight's row-mean profile at each snapshot
+    net; the bins are shared across snapshots so shapes compare."""
     if not nets:
         raise ParameterError("histogram_trajectory needs at least one snapshot")
     shape0 = nets[0].arch.weight(weight).shape
     values = []
     for n in nets:
         if n.arch.weight(weight).shape != shape0:
-            raise ShapeError(
+            raise ParameterError(
                 f"weight {weight}: snapshot shape {n.arch.weight(weight).shape} "
                 f"drifted from {shape0}"
             )
-        values.append(profile(n, weight, axis, "mean").values)
+        values.append(profile(n, weight, "row"))
     lo = min(float(v.min()) for v in values)
     hi = max(float(v.max()) for v in values)
     if hi == lo:
         hi = lo + 1e-12
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, _HIST_BINS + 1)
     counts = [np.histogram(v, bins=edges)[0] for v in values]
     return edges, counts
 

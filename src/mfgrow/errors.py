@@ -6,11 +6,7 @@ class MfgrowError(Exception):
 
 
 class ParameterError(MfgrowError):
-    """An argument value violates its contract."""
-
-
-class ShapeError(MfgrowError):
-    """Operand dimensions are incompatible."""
+    """An argument (its value or its shape) violates its contract."""
 
 
 class StructureError(MfgrowError):

@@ -181,9 +181,8 @@ def weighted_measure_loss(x: dict[str, np.ndarray], y: dict[str, np.ndarray],
 
 @dataclass(frozen=True)
 class RandomStrategy:
-    # None: with replacement only when growing past the pool (a same-size
-    # draw is then a pure permutation). True forces a bootstrap redraw.
-    replace: bool | None = None
+    """Draw uniformly from the pool, with replacement only when growing past
+    it (a same-size draw is then a pure permutation)."""
 
 
 @dataclass(frozen=True)
@@ -230,20 +229,13 @@ def _surviving_pool(m: GroupMeasure, r2: float) -> np.ndarray:
     return order[:keep]
 
 
-def _draw_from_pool(pool: np.ndarray, target: int, gen: np.random.Generator,
-                    replace: bool | None = None) -> np.ndarray:
-    # Default: with replacement when growing past the pool, without when
-    # subsetting.
-    if replace is None:
-        replace = target > pool.size
-    elif not replace and target > pool.size:
-        raise ParameterError(
-            f"cannot draw {target} distinct samples from a pool of {pool.size}"
-        )
-    return gen.choice(pool, size=target, replace=replace)
+def _draw_from_pool(pool: np.ndarray, target: int, gen: np.random.Generator) -> np.ndarray:
+    """With replacement when growing past the pool, without when subsetting."""
+    return gen.choice(pool, size=target, replace=target > pool.size)
 
 
-def draw_indices(m: GroupMeasure, target: int, strategy, r2: float, rng) -> np.ndarray:
+def draw_indices(m: GroupMeasure, target: int, strategy, r2: float,
+                 gen: np.random.Generator) -> np.ndarray:
     """Pick ``target`` source positions (int64) per the strategy, after the
     r2 norm filter (which duplication ignores)."""
     if target < 1:
@@ -254,11 +246,10 @@ def draw_indices(m: GroupMeasure, target: int, strategy, r2: float, rng) -> np.n
                 f"duplication needs an integer multiple of {m.width}, got target {target}"
             )
         return np.tile(np.arange(m.width, dtype=np.int64), target // m.width)
-    gen = rng.generator() if hasattr(rng, "generator") else rng
     pool = _surviving_pool(m, r2)
 
     if isinstance(strategy, RandomStrategy):
-        idx = _draw_from_pool(pool, target, gen, strategy.replace)
+        idx = _draw_from_pool(pool, target, gen)
     elif isinstance(strategy, GroupStrategy):
         # Pool is already norm-sorted; split into contiguous norm bands,
         # pick a band uniformly, then a member uniformly within it.

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arch import ArchGraph, ROW, COL
-from .errors import DivergenceError, ParameterError, ShapeError, StructureError
+from .errors import DivergenceError, ParameterError, StructureError
 from .tensor import Rng, as_f64
 
 LOSSES = ("square", "cross_entropy")
@@ -132,7 +132,7 @@ def _check_input(net: Network, X: np.ndarray) -> np.ndarray:
     if X.ndim == 1:
         X = X[None, :]
     if X.ndim != 2 or X.shape[1] != net.input_dim():
-        raise ShapeError(f"input has shape {X.shape}, expected (batch, {net.input_dim()})")
+        raise ParameterError(f"input has shape {X.shape}, expected (batch, {net.input_dim()})")
     return X
 
 
@@ -350,17 +350,20 @@ class TrainingLog:
         return self.rows[-1][idx]
 
 
-def evaluate(net: Network, inputs: np.ndarray, targets: np.ndarray, loss: str = "square",
-             chunk: int = 1024):
+# Examples per forward pass of evaluate.
+_EVAL_CHUNK = 1024
+
+
+def evaluate(net: Network, inputs: np.ndarray, targets: np.ndarray, loss: str = "square"):
     """Mean loss (and accuracy for classification) over a dataset."""
     n = inputs.shape[0]
     if n == 0:
         raise ParameterError("evaluation data is empty")
     total = 0.0
     correct = 0
-    for start in range(0, n, chunk):
-        X = inputs[start : start + chunk]
-        Y = targets[start : start + chunk]
+    for start in range(0, n, _EVAL_CHUNK):
+        X = inputs[start : start + _EVAL_CHUNK]
+        Y = targets[start : start + _EVAL_CHUNK]
         out = forward_batch(net, X)
         losses, _ = _loss_and_delta(out, as_f64(Y) if loss == "square" else Y, loss)
         total += float(losses.sum())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 
 # Type alias: a Vector is a 1-d float64 ndarray.
 Vector = np.ndarray
@@ -99,7 +99,7 @@ def pearson_abs(a: Vector, b: Vector) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
-        raise ShapeError(f"pearson_abs: shapes {a.shape} and {b.shape} do not match")
+        raise ParameterError(f"pearson_abs: shapes {a.shape} and {b.shape} do not match")
     da = a - a.mean()
     db = b - b.mean()
     na = math.sqrt(float(da @ da))

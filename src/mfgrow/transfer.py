@@ -56,7 +56,7 @@ def uniform_plan(partition: GammaPartition, new_width: int, **kwargs) -> Transfe
 _NOISE_BLOCK = 1 << 15
 
 
-def apply_noise(w, r1: float, mode: str, rng, out=None) -> np.ndarray:
+def apply_noise(w, r1: float, mode: str, gen: np.random.Generator, out=None) -> np.ndarray:
     """Multiplicative noise on transferred values, as a new array or in
     ``out``.
 
@@ -71,7 +71,6 @@ def apply_noise(w, r1: float, mode: str, rng, out=None) -> np.ndarray:
         raise ParameterError(f"r1 must be >= 0, got {r1}")
     if mode not in ("perturb", "literal"):
         raise ParameterError(f"unknown noise mode {mode!r}")
-    gen = rng.generator() if hasattr(rng, "generator") else rng
     w = np.asarray(w, dtype=np.float64)
     if out is None:
         out = np.array(w, order="C")

@@ -89,6 +89,7 @@ class TestTrainCli:
         path.write_text(json.dumps({"parametrization": "MFP", "bogus": 1}), encoding="utf-8")
         assert main(["train", "--config", str(path)]) == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_last_update_divergence_exits_2(self, tmp_path, capsys):
         # One batch a run: the only batch loss is finite, and the update that
         # follows it sends the weights to about 1e301, where the loss
@@ -322,6 +323,38 @@ class TestConfigValues:
         assert main([command, "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: config ")
         assert not (tmp_path / "out").exists()  # checked before out_dir is made
+
+
+def _tree(root):
+    """Every path under ``root``, with the bytes of each file."""
+    return {p: (p.read_bytes() if p.is_file() else None) for p in root.rglob("*")}
+
+
+class TestFailedCommandsWriteNothing:
+    @pytest.mark.parametrize("argv,code", [
+        (["sample", "--ckpt", "{ckpt}", "--group", "1", "--target", "0", "--out", "{tmp}/samp"], 2),
+        (["reproduce", "table1", "--out", "{tmp}/rep"], 3),
+        (["diagnose", "--ckpt", "{ckpt}", "--report", "heatmap", "--weight", "u",
+          "--out", "{tmp}/diag"], 2),
+        (["diagnose", "--ckpt", "{ckpt}", "--report", "hist", "--weight", "nope",
+          "--out", "{tmp}/diag"], 2),
+        (["transfer", "--from", "{ckpt}", "--widths", "40", "--out", "{tmp}/taken"], 2),
+        (["train", "--config", "{cfg}", "--out", "{tmp}/file"], 2),
+        (["diagnose", "--ckpt", "{tmp}/vectors.ckpt", "--report", "hist", "--out", "{tmp}/diag"], 2),
+    ], ids=["sample-zero-target", "reproduce-no-cifar", "heatmap-vector-weight",
+            "hist-unknown-weight", "transfer-out-is-directory", "train-out-is-file",
+            "hist-no-matrix-weight"])
+    def test_exits_with_error_and_leaves_outputs_alone(self, argv, code, small_ckpt, tmp_path,
+                                                        monkeypatch, capsys):
+        monkeypatch.delenv("MFGROW_CIFAR10_DIR", raising=False)
+        cfg = synth_config(tmp_path)
+        (tmp_path / "taken").mkdir()
+        (tmp_path / "file").write_text("not a directory", encoding="utf-8")
+        save_checkpoint(zeros_network(build_mlp(2, 8)), tmp_path / "vectors.ckpt")
+        before = _tree(tmp_path)
+        assert main([a.format(ckpt=small_ckpt, cfg=cfg, tmp=tmp_path) for a in argv]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert _tree(tmp_path) == before
 
 
 @pytest.fixture(params=["not-utf8", "directory"])

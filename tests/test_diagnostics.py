@@ -21,7 +21,7 @@ from mfgrow.diagnostics import (
     update_scaling_probe,
     write_gnuplot_script,
 )
-from mfgrow.errors import ParameterError, ShapeError
+from mfgrow.errors import ParameterError
 from mfgrow.init import initialize, nonzero_mean_default
 from mfgrow.net import Network, OptimizerState, train, zeros_network
 from mfgrow.tensor import Rng, pearson_abs
@@ -41,42 +41,41 @@ class TestProfile:
     def test_row_mean(self):
         net = make_net()
         net.store["w1"][:2, :2] = [[1.0, 2.0], [3.0, 4.0]]
-        p = profile(net, "w1", "row", "mean")
+        p = profile(net, "w1", "row")
         w = net.store["w1"]
-        assert np.allclose(p.values, w.mean(axis=1))
+        assert np.allclose(p, w.mean(axis=1))
 
     def test_2x2_examples(self):
         net = make_net(3, 2)
         net.store["w1"] = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(profile(net, "w1", "row", "mean").values, [1.5, 3.5])
-        assert np.array_equal(profile(net, "w1", "col", "mean").values, [2.0, 3.0])
+        assert np.array_equal(profile(net, "w1", "row"), [1.5, 3.5])
+        assert np.array_equal(profile(net, "w1", "col"), [2.0, 3.0])
 
     def test_partial_sum_matches_loop(self):
         net = make_net(3, 12, with_bias=True, input_dim=5, output_dim=10, seed=4)
-        p = profile(net, "v", "col", ("partial_sum", 4))
+        p = profile(net, "v", "col", 4)
         v = net.store["v"]
         expected = np.zeros(12)
         for j in range(12):
             for i in range(4):
                 expected[j] += v[i, j]
-        assert np.allclose(p.values, expected)
+        assert np.allclose(p, expected)
 
     def test_partial_sum_bounds(self):
         net = make_net(3, 8, input_dim=5, output_dim=10)
         with pytest.raises(ParameterError):
-            profile(net, "v", "col", ("partial_sum", 11))
+            profile(net, "v", "col", 11)
 
     def test_vector_profile_is_itself(self):
         net = make_net(2, 6)
-        assert np.array_equal(profile(net, "v", "row").values, net.store["v"])
+        assert np.array_equal(profile(net, "v", "row"), net.store["v"])
 
 
 class TestCorrelationMatrix:
     def test_self_and_negation(self):
         net = make_net(seed=5)
         p = profile(net, "w1", "row")
-        q = type(p)(p.weight, p.axis, p.reducer, -p.values)
-        report = correlation_matrix([p, q], names=["a", "b"])
+        report = correlation_matrix([p, -p], names=["a", "b"])
         assert report.pairs == [("a", "b", pytest.approx(1.0))]
 
     def test_independent_profiles_decorrelated(self):
@@ -93,7 +92,7 @@ class TestCorrelationMatrix:
         net = make_net(3, 8, input_dim=5)
         a = profile(net, "w1", "row")
         b = profile(net, "u", "col")  # length 5, different gamma
-        report = correlation_matrix([a, b])
+        report = correlation_matrix([a, b], names=["w1.R", "u.C"])
         assert report.pairs == []
 
     def test_affine_invariance(self):
@@ -140,9 +139,9 @@ class TestHeatmap:
 
     def test_iid_matrix_has_no_banding(self):
         net = make_net(3, 60, seed=10)
-        grid = heatmap_export(net, "w1", "minmax", sort=False)
+        w = net.store["w1"]
         ii, jj = np.meshgrid(np.arange(60), np.arange(60), indexing="ij")
-        r = pearson_abs(grid.reshape(-1), (ii + jj).reshape(-1).astype(float))
+        r = pearson_abs(w.reshape(-1), (ii + jj).reshape(-1).astype(float))
         assert r < 0.05
 
     def test_constant_matrix_maps_to_half(self):
@@ -151,24 +150,21 @@ class TestHeatmap:
         grid = heatmap_export(net, "w1", "minmax")
         assert np.array_equal(grid, np.full((4, 4), 0.5))
 
-    @pytest.mark.parametrize("sort", [True, False])
     @pytest.mark.parametrize("normalize", ["minmax", "zscore"])
-    def test_grid_matches_out_of_place_formula(self, normalize, sort):
+    def test_grid_matches_out_of_place_formula(self, normalize):
         # Normalized in place, the grid holds the same bits as the
-        # out-of-place expressions on the ordered copy; the weight is only
+        # out-of-place expressions on the sorted copy; the weight is only
         # read.
         net = make_net(3, 9, seed=12, input_dim=4)
         w = net.store["w1"]
         before = w.copy()
-        ref = w
-        if sort:
-            ref = w[np.argsort(w.mean(axis=1), kind="stable")]
-            ref = ref[:, np.argsort(w.mean(axis=0), kind="stable")]
+        ref = w[np.argsort(w.mean(axis=1), kind="stable")]
+        ref = ref[:, np.argsort(w.mean(axis=0), kind="stable")]
         if normalize == "minmax":
             ref = (ref - ref.min()) / (ref.max() - ref.min())
         else:
             ref = (ref - ref.mean()) / ref.std()
-        grid = heatmap_export(net, "w1", normalize, sort=sort)
+        grid = heatmap_export(net, "w1", normalize)
         assert grid.tobytes() == ref.tobytes()
         assert net.store["w1"] is w and w.tobytes() == before.tobytes()
 
@@ -299,7 +295,7 @@ class TestHistograms:
         # with spread close to 3/sqrt(N).
         n = 400
         net = make_net(3, n, seed=12)
-        vals = profile(net, "w1", "row").values
+        vals = profile(net, "w1", "row")
         assert abs(vals.mean() - 1.0) < 3 * 3 / np.sqrt(n * n)
         assert abs(vals.std() - 3.0 / np.sqrt(n)) < 0.3 / np.sqrt(n) * 3
 
@@ -311,7 +307,7 @@ class TestHistograms:
     def test_shape_drift_rejected(self):
         a = make_net(3, 16, seed=14)
         b = duplicate_grow(a, 2)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ParameterError):
             histogram_trajectory([a, b], "w1")
 
     def test_training_drift_recorded(self):
@@ -332,11 +328,11 @@ class TestDuplicationPreservesProfiles:
     def test_profiles_repeat_and_correlations_match(self):
         net = make_net(3, 24, seed=18)
         grown = duplicate_grow(net, 2)
-        src = profile(net, "w1", "row").values
-        rep = profile(grown, "w1", "row").values
+        src = profile(net, "w1", "row")
+        rep = profile(grown, "w1", "row")
         assert np.allclose(rep, np.tile(src, 2))
-        a = pearson_abs(profile(net, "w1", "row").values, profile(net, "v", "row").values)
-        b = pearson_abs(profile(grown, "w1", "row").values, profile(grown, "v", "row").values)
+        a = pearson_abs(profile(net, "w1", "row"), profile(net, "v", "row"))
+        b = pearson_abs(profile(grown, "w1", "row"), profile(grown, "v", "row"))
         assert a == pytest.approx(b, abs=1e-12)
 
 

@@ -184,23 +184,23 @@ class TestDrawIndices:
 
     def test_random_indices_in_range(self):
         m = self.measure_with_norms(np.arange(1.0, 11.0))
-        idx = draw_indices(m, 10, RandomStrategy(), 0.0, Rng(0))
+        idx = draw_indices(m, 10, RandomStrategy(), 0.0, Rng(0).generator())
         assert idx.shape == (10,) and idx.dtype == np.int64
         assert ((0 <= idx) & (idx < 10)).all()
 
     def test_r2_keeps_top_half_by_norm(self):
         m = self.measure_with_norms(np.arange(1.0, 11.0))
-        idx = draw_indices(m, 200, RandomStrategy(), 0.5, Rng(1))
+        idx = draw_indices(m, 200, RandomStrategy(), 0.5, Rng(1).generator())
         assert set(idx) == {5, 6, 7, 8, 9}  # norms 6..10
 
     def test_pruning_without_replacement(self):
         m = self.measure_with_norms(np.arange(1.0, 11.0))
-        idx = draw_indices(m, 8, RandomStrategy(), 0.0, Rng(2))
+        idx = draw_indices(m, 8, RandomStrategy(), 0.0, Rng(2).generator())
         assert len(set(idx.tolist())) == 8
 
     def test_group_strategy_draws_from_bands(self):
         m = self.measure_with_norms(np.arange(1.0, 101.0))
-        idx = draw_indices(m, 500, GroupStrategy(4), 0.0, Rng(3))
+        idx = draw_indices(m, 500, GroupStrategy(4), 0.0, Rng(3).generator())
         assert ((0 <= idx) & (idx < 100)).all()
         # Each quartile band receives draws.
         bands = set(idx // 25)
@@ -209,7 +209,7 @@ class TestDrawIndices:
     def test_function_based_beats_median_candidate(self):
         gen = Rng(5).generator()
         m = self.measure_with_norms(gen.normal(size=64))
-        winner = draw_indices(m, 48, FunctionBasedStrategy(64, 4), 0.0, Rng(6))
+        winner = draw_indices(m, 48, FunctionBasedStrategy(64, 4), 0.0, Rng(6).generator())
         ref = m.restricted(np.arange(64))
         win_loss = weighted_measure_loss(ref, m.restricted(winner), 4)
         # Brute-force the same candidate universe: winner must beat the median.
@@ -225,7 +225,7 @@ class TestDrawIndices:
         # change to the loss's summation order that flips the choice between
         # candidates breaks it.
         m = self.measure_with_norms(Rng(5).generator().normal(size=64))
-        idx = draw_indices(m, 48, FunctionBasedStrategy(64, 4), 0.0, Rng(6))
+        idx = draw_indices(m, 48, FunctionBasedStrategy(64, 4), 0.0, Rng(6).generator())
         assert hashlib.sha256(idx.tobytes()).hexdigest() == (
             "0d11958e2b574c61ed72d0444d0b6c196ab5486db9d8b580d0d260fbf09fc962"
         )
@@ -236,21 +236,22 @@ class TestDrawIndices:
         # permutation with the pool's moments; the first draw is kept.
         m = self.measure_with_norms(Rng(5).generator().normal(size=width))
         pool = math.ceil((1.0 - r2) * width)
-        idx = draw_indices(m, pool, FunctionBasedStrategy(64, 4), r2, Rng(6))
-        assert idx.tobytes() == draw_indices(m, pool, RandomStrategy(), r2, Rng(6)).tobytes()
+        idx = draw_indices(m, pool, FunctionBasedStrategy(64, 4), r2, Rng(6).generator())
+        first = draw_indices(m, pool, RandomStrategy(), r2, Rng(6).generator())
+        assert idx.tobytes() == first.tobytes()
 
     def test_duplicate_tiles_and_ignores_r2(self):
         m = self.measure_with_norms(np.arange(1.0, 5.0))
-        idx = draw_indices(m, 12, DuplicateStrategy(), 0.5, Rng(0))
+        idx = draw_indices(m, 12, DuplicateStrategy(), 0.5, Rng(0).generator())
         assert idx.dtype == np.int64
         assert idx.tolist() == [0, 1, 2, 3] * 3
         with pytest.raises(ParameterError, match="integer multiple"):
-            draw_indices(m, 6, DuplicateStrategy(), 0.0, Rng(0))
+            draw_indices(m, 6, DuplicateStrategy(), 0.0, Rng(0).generator())
 
     def test_bad_r2(self):
         m = self.measure_with_norms(np.arange(1.0, 5.0))
         with pytest.raises(ParameterError):
-            draw_indices(m, 4, RandomStrategy(), 1.0, Rng(0))
+            draw_indices(m, 4, RandomStrategy(), 1.0, Rng(0).generator())
 
 
 class TestCouplingContrast:
