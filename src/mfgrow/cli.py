@@ -16,7 +16,8 @@ from pathlib import Path
 
 from . import experiments
 from .arch import arch_from_json, build_mlp, compute_partition, format_partition
-from .data import load_checkpoint, load_cifar10, save_checkpoint, synth_regression
+from .data import (cifar10_files, load_checkpoint, load_cifar10, save_checkpoint,
+                   synth_regression)
 from .diagnostics import (
     correlation_matrix,
     heatmap_export,
@@ -187,6 +188,7 @@ def _build_init_spec(cfg: dict, arch) -> InitSpec:
 
 
 def cifar_dir(explicit=None):
+    """The configured CIFAR-10 directory, checked to hold the batch files."""
     path = explicit or os.environ.get("MFGROW_CIFAR10_DIR")
     if path is None:
         raise MissingDataError(
@@ -194,6 +196,7 @@ def cifar_dir(explicit=None):
             "MFGROW_CIFAR10_DIR to a folder holding the cifar-10-batches-bin "
             "files. No download is attempted."
         )
+    cifar10_files(path)
     return path
 
 

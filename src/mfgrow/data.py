@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,10 +71,10 @@ def _parse_cifar_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return pixels, labels
 
 
-def load_cifar10(directory) -> tuple[Dataset, Dataset]:
-    """Load the standard binary batches from a directory: train files
-    data_batch_*.bin concatenated in sorted name order, plus test_batch.bin.
-    Pixels are scaled to [0, 1]."""
+def cifar10_files(directory) -> tuple[list[Path], Path]:
+    """The train batches data_batch_*.bin in sorted name order and
+    test_batch.bin under ``directory``; ``MissingDataError`` if either is
+    absent."""
     directory = Path(directory)
     train_files = sorted(directory.glob("data_batch_*.bin"))
     test_file = directory / "test_batch.bin"
@@ -84,6 +85,14 @@ def load_cifar10(directory) -> tuple[Dataset, Dataset]:
             "test_batch.bin) there, or point MFGROW_CIFAR10_DIR at them. "
             "No download is attempted."
         )
+    return train_files, test_file
+
+
+def load_cifar10(directory) -> tuple[Dataset, Dataset]:
+    """Load the standard binary batches from a directory: train files
+    data_batch_*.bin concatenated in sorted name order, plus test_batch.bin.
+    Pixels are scaled to [0, 1]."""
+    train_files, test_file = cifar10_files(directory)
     xs, ys = [], []
     for f in train_files:
         px, lb = _parse_cifar_file(f)
@@ -134,6 +143,12 @@ def save_checkpoint(net: Network, path, seed: int = 0, dtype: str = "f64") -> No
     straight from its buffer, and any other (or any weight under
     ``dtype="f32"``) is converted alone, so no copy of the whole network is
     ever held.
+
+    An existing regular file is overwritten in place, not truncated first:
+    truncating a file to zero and rewriting it makes ext4 flush it on close.
+    The magic goes in last, after the file is cut to the written length, so
+    a save that stops partway leaves a file that ``load_checkpoint`` rejects.
+    Other targets (``/dev/null``, a pipe) get the bytes in order.
     """
     if dtype not in _DTYPE_CODE:
         raise ParameterError(f"unknown checkpoint dtype {dtype!r}")
@@ -143,25 +158,30 @@ def save_checkpoint(net: Network, path, seed: int = 0, dtype: str = "f64") -> No
     arch_json = arch_to_json(net.arch).encode("utf-8")
     np_dtype = "<f4" if dtype == "f32" else "<f8"
     try:
-        f = open(path, "wb")
+        # No O_TRUNC; the mode and umask rules are those of open(path, "wb").
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+            regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode)
+            f.write(b"\0" * len(_MAGIC) if regular else _MAGIC)
+            f.write(struct.pack("<I", _VERSION))
+            f.write(struct.pack("<Q", int(seed) & (2**64 - 1)))
+            f.write(struct.pack("<B", _PARAM_CODE[net.parametrization]))
+            f.write(struct.pack("<I", len(arch_json)))
+            f.write(arch_json)
+            f.write(struct.pack("<I", len(net.arch.weights)))
+            for w in net.arch.weights:
+                arr = np.ascontiguousarray(net.store[w.name], dtype=np_dtype)
+                name = w.name.encode("utf-8")
+                f.write(struct.pack("<H", len(name)))
+                f.write(name)
+                f.write(struct.pack("<BB", _DTYPE_CODE[dtype], arr.ndim))
+                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                f.write(memoryview(arr).cast("B"))
+            if regular:
+                f.truncate()  # flushes, then cuts at the written length
+                f.seek(0)
+                f.write(_MAGIC)
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from None
-    with f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", _VERSION))
-        f.write(struct.pack("<Q", int(seed) & (2**64 - 1)))
-        f.write(struct.pack("<B", _PARAM_CODE[net.parametrization]))
-        f.write(struct.pack("<I", len(arch_json)))
-        f.write(arch_json)
-        f.write(struct.pack("<I", len(net.arch.weights)))
-        for w in net.arch.weights:
-            arr = np.ascontiguousarray(net.store[w.name], dtype=np_dtype)
-            name = w.name.encode("utf-8")
-            f.write(struct.pack("<H", len(name)))
-            f.write(name)
-            f.write(struct.pack("<BB", _DTYPE_CODE[dtype], arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(memoryview(arr).cast("B"))
 
 
 class _Reader:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -169,6 +170,16 @@ class TestTransferCli:
         assert "p_max" in capsys.readouterr().err
         assert not out_ckpt.exists()
 
+    def test_out_dev_null_exits_0(self, small_ckpt):
+        assert main(["transfer", "--from", str(small_ckpt), "--widths", "40",
+                     "--out", os.devnull]) == 0
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_failure_exits_2(self, small_ckpt, capsys):
+        assert main(["transfer", "--from", str(small_ckpt), "--widths", "40",
+                     "--out", "/dev/full"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write checkpoint /dev/full")
+
 
 class TestDiagnoseCli:
     def test_corr_report(self, small_ckpt, tmp_path):
@@ -334,6 +345,7 @@ class TestFailedCommandsWriteNothing:
     @pytest.mark.parametrize("argv,code", [
         (["sample", "--ckpt", "{ckpt}", "--group", "1", "--target", "0", "--out", "{tmp}/samp"], 2),
         (["reproduce", "table1", "--out", "{tmp}/rep"], 3),
+        (["reproduce", "table1", "--cifar", "{tmp}/nonexistent", "--out", "{tmp}/rep"], 3),
         (["diagnose", "--ckpt", "{ckpt}", "--report", "heatmap", "--weight", "u",
           "--out", "{tmp}/diag"], 2),
         (["diagnose", "--ckpt", "{ckpt}", "--report", "hist", "--weight", "nope",
@@ -341,9 +353,9 @@ class TestFailedCommandsWriteNothing:
         (["transfer", "--from", "{ckpt}", "--widths", "40", "--out", "{tmp}/taken"], 2),
         (["train", "--config", "{cfg}", "--out", "{tmp}/file"], 2),
         (["diagnose", "--ckpt", "{tmp}/vectors.ckpt", "--report", "hist", "--out", "{tmp}/diag"], 2),
-    ], ids=["sample-zero-target", "reproduce-no-cifar", "heatmap-vector-weight",
-            "hist-unknown-weight", "transfer-out-is-directory", "train-out-is-file",
-            "hist-no-matrix-weight"])
+    ], ids=["sample-zero-target", "reproduce-no-cifar", "reproduce-cifar-dir-missing",
+            "heatmap-vector-weight", "hist-unknown-weight", "transfer-out-is-directory",
+            "train-out-is-file", "hist-no-matrix-weight"])
     def test_exits_with_error_and_leaves_outputs_alone(self, argv, code, small_ckpt, tmp_path,
                                                         monkeypatch, capsys):
         monkeypatch.delenv("MFGROW_CIFAR10_DIR", raising=False)

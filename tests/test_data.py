@@ -1,8 +1,12 @@
 import hashlib
+import io
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from mfgrow import data
 from mfgrow.arch import build_mlp
 from mfgrow.data import (
     CIFAR_RECORD,
@@ -200,8 +204,8 @@ class TestCheckpoint:
         assert any(not np.array_equal(loaded.store[k], before[k]) for k in before)
 
 
-def chain_net(seed=0):
-    arch = build_mlp(3, 9, with_bias=True, input_dim=4, output_dim=3, parametrization="MFP")
+def chain_net(seed=0, width=9):
+    arch = build_mlp(3, width, with_bias=True, input_dim=4, output_dim=3, parametrization="MFP")
     return initialize(zeros_network(arch), nonzero_mean_default("MFP", arch), Rng(seed))
 
 
@@ -231,6 +235,68 @@ def test_checkpoint_bytes_pinned(tmp_path, case):
     if dtype == "f64":
         for k in net.store:
             assert loaded.store[k].tobytes() == net.store[k].tobytes()
+
+
+class TestOverwrite:
+    """A save over an existing file rewrites it in place and puts the magic
+    in last."""
+
+    @pytest.mark.parametrize("old_width, new_width", [(8, 40), (40, 8)],
+                             ids=["big-over-small", "small-over-big"])
+    def test_same_bytes_as_a_fresh_file(self, tmp_path, old_width, new_width):
+        fresh, over = tmp_path / "fresh.ckpt", tmp_path / "over.ckpt"
+        save_checkpoint(chain_net(1, old_width), over, seed=5)
+        save_checkpoint(chain_net(0, new_width), over, seed=9)
+        save_checkpoint(chain_net(0, new_width), fresh, seed=9)
+        assert over.stat().st_size == fresh.stat().st_size
+        assert over.read_bytes() == fresh.read_bytes()
+
+    def test_interrupted_save_does_not_load(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(chain_net(1, 20), path)
+        old = path.read_bytes()
+        net = chain_net(2, 20)
+        payload = memoryview(net.store[net.arch.weights[0].name]).cast("B").tobytes()
+
+        class FailsAfterFirstPayload(io.BufferedWriter):
+            def write(self, b):
+                n = super().write(b)
+                if bytes(b) == payload:
+                    raise OSError("stopped after the first payload")
+                return n
+
+        with monkeypatch.context() as m:
+            m.setattr(data, "open", lambda fd, mode: FailsAfterFirstPayload(io.FileIO(fd, "w")),
+                      raising=False)
+            with pytest.raises(CheckpointError, match="cannot write checkpoint.*first payload"):
+                save_checkpoint(net, path)
+        raw = path.read_bytes()
+        assert len(raw) == len(old) and raw[4:] != old[4:]
+        with pytest.raises(CheckpointError, match="magic"):
+            load_checkpoint(path)
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        save_checkpoint(example_net(), tmp_path / "new.ckpt")
+        with open(tmp_path / "plain", "wb"):
+            pass
+        mode = (tmp_path / "new.ckpt").stat().st_mode
+        assert mode == (tmp_path / "plain").stat().st_mode
+        assert mode & 0o777 == 0o666 & ~umask
+
+    def test_pipe_gets_the_file_bytes_in_order(self, tmp_path):
+        net = example_net()
+        save_checkpoint(net, tmp_path / "file.ckpt")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+        reader.start()
+        save_checkpoint(net, fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [(tmp_path / "file.ckpt").read_bytes()]
 
 
 class TestDataset:
