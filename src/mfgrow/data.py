@@ -1,6 +1,10 @@
 """Dataset ingestion (CIFAR-10 binary batches, synthetic 1-d regression) and
 checkpoint serialization.
 
+A CIFAR-10 split is read one batch file at a time straight into its one
+float64 pixel array and int64 label array: loading holds one copy of each
+split plus one file's raw bytes.
+
 Checkpoint layout (all little-endian, fixed regardless of host):
   magic "MFW1" | version u32=1 | seed u64 | parametrization u8 (0=SP, 1=muP,
   2=MFP) | arch-JSON length u32 + UTF-8 bytes | weight count u32 | per
@@ -54,27 +58,30 @@ class Dataset:
         return np.issubdtype(self.targets.dtype, np.integer)
 
 
-def _parse_cifar_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    raw = path.read_bytes()
-    if len(raw) == 0 or len(raw) % CIFAR_RECORD != 0:
-        offset = (len(raw) // CIFAR_RECORD) * CIFAR_RECORD
+def _batch_records(path: Path) -> int:
+    """The record count of one batch file: a regular file whose size is a
+    positive multiple of CIFAR_RECORD, else ``DataError``."""
+    try:
+        st = path.stat()
+    except OSError as exc:
+        raise DataError(f"cannot read CIFAR-10 batch {path}: {exc}") from None
+    if not stat.S_ISREG(st.st_mode):
+        raise DataError(f"{path}: not a regular file")
+    size = st.st_size
+    if size == 0 or size % CIFAR_RECORD != 0:
+        offset = (size // CIFAR_RECORD) * CIFAR_RECORD
         raise DataError(
-            f"{path}: size {len(raw)} is not a positive multiple of {CIFAR_RECORD} "
+            f"{path}: size {size} is not a positive multiple of {CIFAR_RECORD} "
             f"(truncated after byte {offset})"
         )
-    records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
-    labels = records[:, 0].astype(np.int64)
-    if labels.max(initial=0) >= CIFAR_CLASSES:
-        bad = int(np.argmax(labels >= CIFAR_CLASSES))
-        raise DataError(f"{path}: record {bad} has label {labels[bad]} >= {CIFAR_CLASSES}")
-    pixels = records[:, 1:] / 255.0  # one float64 array; the bytes convert exactly
-    return pixels, labels
+    return size // CIFAR_RECORD
 
 
-def cifar10_files(directory) -> tuple[list[Path], Path]:
+def cifar10_files(directory) -> tuple[list[tuple[Path, int]], list[tuple[Path, int]]]:
     """The train batches data_batch_*.bin in sorted name order and
-    test_batch.bin under ``directory``; ``MissingDataError`` if either is
-    absent."""
+    test_batch.bin under ``directory``, each paired with its record count.
+    ``MissingDataError`` if either is absent; ``DataError`` for a batch that
+    is not a regular file or whose size is not a whole number of records."""
     directory = Path(directory)
     train_files = sorted(directory.glob("data_batch_*.bin"))
     test_file = directory / "test_batch.bin"
@@ -85,26 +92,45 @@ def cifar10_files(directory) -> tuple[list[Path], Path]:
             "test_batch.bin) there, or point MFGROW_CIFAR10_DIR at them. "
             "No download is attempted."
         )
-    return train_files, test_file
+    return ([(f, _batch_records(f)) for f in train_files],
+            [(test_file, _batch_records(test_file))])
+
+
+def _load_split(files: list[tuple[Path, int]], split: str) -> Dataset:
+    """Read ``files`` one at a time into one float64 pixel array and one
+    int64 label array, both sized from the record counts."""
+    n = sum(count for _, count in files)
+    inputs = np.empty((n, CIFAR_INPUT_DIM))
+    targets = np.empty(n, dtype=np.int64)
+    start = 0
+    for path, count in files:
+        records = np.empty((count, CIFAR_RECORD), dtype=np.uint8)
+        try:
+            with open(path, "rb") as f:
+                got = f.readinto(memoryview(records).cast("B"))
+        except OSError as exc:
+            raise DataError(f"cannot read CIFAR-10 batch {path}: {exc}") from None
+        if got < records.nbytes:
+            raise DataError(f"{path}: read {got} of its {records.nbytes} bytes")
+        labels = records[:, 0]
+        if labels.max() >= CIFAR_CLASSES:
+            bad = int(np.argmax(labels >= CIFAR_CLASSES))
+            raise DataError(f"{path}: record {bad} has label {labels[bad]} >= {CIFAR_CLASSES}")
+        stop = start + count
+        targets[start:stop] = labels
+        # The bytes convert exactly, to the floats of records[:, 1:] / 255.0.
+        np.divide(records[:, 1:], 255.0, out=inputs[start:stop])
+        start = stop
+    return Dataset(inputs, targets, split=split)
 
 
 def load_cifar10(directory) -> tuple[Dataset, Dataset]:
-    """Load the standard binary batches from a directory: train files
-    data_batch_*.bin concatenated in sorted name order, plus test_batch.bin.
-    Pixels are scaled to [0, 1]."""
-    train_files, test_file = cifar10_files(directory)
-    xs, ys = [], []
-    for f in train_files:
-        px, lb = _parse_cifar_file(f)
-        xs.append(px)
-        ys.append(lb)
-    train = Dataset(np.concatenate(xs), np.concatenate(ys), split="train")
-    # Free the per-file arrays before the test file is parsed, so the test
-    # set never sits beside both copies of the train set.
-    del xs, ys, px, lb
-    px, lb = _parse_cifar_file(test_file)
-    test = Dataset(px, lb, split="test")
-    return train, test
+    """Load the standard binary batches from a directory: the train files
+    data_batch_*.bin in sorted name order, then test_batch.bin. Pixels are
+    scaled to [0, 1]. Each split is one float64 array filled file by file,
+    so loading holds the result plus one file's bytes."""
+    train_files, test_files = cifar10_files(directory)
+    return _load_split(train_files, "train"), _load_split(test_files, "test")
 
 
 _SYNTH_FUNCS = {

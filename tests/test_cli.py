@@ -353,9 +353,12 @@ class TestFailedCommandsWriteNothing:
         (["transfer", "--from", "{ckpt}", "--widths", "40", "--out", "{tmp}/taken"], 2),
         (["train", "--config", "{cfg}", "--out", "{tmp}/file"], 2),
         (["diagnose", "--ckpt", "{tmp}/vectors.ckpt", "--report", "hist", "--out", "{tmp}/diag"], 2),
+        (["reproduce", "accuracy", "--cifar", "{tmp}/truncated", "--out", "{tmp}/rep"], 2),
+        (["reproduce", "accuracy", "--cifar", "{tmp}/dir-batch", "--out", "{tmp}/rep"], 2),
     ], ids=["sample-zero-target", "reproduce-no-cifar", "reproduce-cifar-dir-missing",
             "heatmap-vector-weight", "hist-unknown-weight", "transfer-out-is-directory",
-            "train-out-is-file", "hist-no-matrix-weight"])
+            "train-out-is-file", "hist-no-matrix-weight", "reproduce-truncated-batch",
+            "reproduce-directory-batch"])
     def test_exits_with_error_and_leaves_outputs_alone(self, argv, code, small_ckpt, tmp_path,
                                                         monkeypatch, capsys):
         monkeypatch.delenv("MFGROW_CIFAR10_DIR", raising=False)
@@ -363,6 +366,11 @@ class TestFailedCommandsWriteNothing:
         (tmp_path / "taken").mkdir()
         (tmp_path / "file").write_text("not a directory", encoding="utf-8")
         save_checkpoint(zeros_network(build_mlp(2, 8)), tmp_path / "vectors.ckpt")
+        for cifar in ("truncated", "dir-batch"):
+            (tmp_path / cifar).mkdir()
+            (tmp_path / cifar / "test_batch.bin").write_bytes(bytes(CIFAR_RECORD))
+        (tmp_path / "truncated" / "data_batch_1.bin").write_bytes(bytes(CIFAR_RECORD + 5))
+        (tmp_path / "dir-batch" / "data_batch_1.bin").mkdir()
         before = _tree(tmp_path)
         assert main([a.format(ckpt=small_ckpt, cfg=cfg, tmp=tmp_path) for a in argv]) == code
         assert capsys.readouterr().err.startswith("error: ")

@@ -66,6 +66,94 @@ class TestCifarLoader:
             load_cifar10(tmp_path)
 
 
+def write_pinned_batches(directory):
+    """Two train files of 7 and 5 records (every label 0-9 between them)
+    and a one-record test file. Pixels are SHAKE-256 bytes, the same on
+    every platform."""
+    files = {"data_batch_1.bin": [3, 0, 9, 5, 1, 7, 2],
+             "data_batch_2.bin": [8, 4, 6, 0, 9],
+             "test_batch.bin": [6]}
+    for name, labels in files.items():
+        pixels = hashlib.shake_256(name.encode()).digest(len(labels) * (CIFAR_RECORD - 1))
+        blob = bytearray()
+        for i, label in enumerate(labels):
+            blob.append(label)
+            blob += pixels[i * (CIFAR_RECORD - 1):(i + 1) * (CIFAR_RECORD - 1)]
+        (directory / name).write_bytes(bytes(blob))
+
+
+# SHA-256 of the little-endian inputs and targets that the loader returned
+# for write_pinned_batches before it filled one array per split.
+CIFAR_PINS = {
+    ("train", "inputs"): "e2b255287524f54b949d8c1cb3da4b131798fe8a13cba772de7a744438ebe624",
+    ("train", "targets"): "7d03758d45a0fe1e545c8b6de70796ecf439f6cb837ce925804e9563ec7755d5",
+    ("test", "inputs"): "fc891e510b31917c3e1c36c333ccea716731be2175f385e5b2dc3ec8a3c95128",
+    ("test", "targets"): "23d7f42b1cdc1f0d492ebd756ed0fe8003995dda554d99418d47a81813650207",
+}
+
+
+def test_cifar_arrays_pinned(tmp_path):
+    write_pinned_batches(tmp_path)
+    splits = dict(zip(("train", "test"), load_cifar10(tmp_path)))
+    assert (splits["train"].n, splits["test"].n) == (12, 1)
+    for (split, field), digest in CIFAR_PINS.items():
+        ds = splits[split]
+        arr = getattr(ds, field)
+        assert ds.split == split
+        assert arr.dtype == (np.float64 if field == "inputs" else np.int64)
+        assert arr.flags.c_contiguous and arr.shape[1:] == ((3072,) if field == "inputs" else ())
+        got = hashlib.sha256(arr.astype(arr.dtype.newbyteorder("<")).tobytes()).hexdigest()
+        assert got == digest, (split, field)
+
+
+class TestCifarFiles:
+    def test_record_counts_in_load_order(self, tmp_path):
+        write_pinned_batches(tmp_path)
+        train_files, test_files = data.cifar10_files(tmp_path)
+        assert [(p.name, n) for p, n in train_files] == [("data_batch_1.bin", 7),
+                                                         ("data_batch_2.bin", 5)]
+        assert [(p.name, n) for p, n in test_files] == [("test_batch.bin", 1)]
+
+    @pytest.mark.parametrize("name", ["data_batch_1.bin", "test_batch.bin"])
+    def test_directory_batch_rejected(self, tmp_path, name):
+        write_pinned_batches(tmp_path)
+        (tmp_path / name).unlink()
+        (tmp_path / name).mkdir()
+        with pytest.raises(DataError, match="not a regular file"):
+            data.cifar10_files(tmp_path)
+
+    def test_truncated_batch_rejected_before_reading(self, tmp_path):
+        write_pinned_batches(tmp_path)
+        os.truncate(tmp_path / "data_batch_2.bin", 2 * CIFAR_RECORD + 7)
+        with pytest.raises(DataError, match=f"truncated after byte {2 * CIFAR_RECORD}"):
+            data.cifar10_files(tmp_path)
+
+    def _after_stat(self, monkeypatch, change):
+        """Make ``load_cifar10`` meet ``change`` between the size check and
+        the read."""
+        checked = data.cifar10_files
+
+        def check_then_change(directory):
+            files = checked(directory)
+            change()
+            return files
+        monkeypatch.setattr(data, "cifar10_files", check_then_change)
+
+    def test_batch_shrunk_after_stat(self, tmp_path, monkeypatch):
+        write_pinned_batches(tmp_path)
+        self._after_stat(monkeypatch, lambda: os.truncate(tmp_path / "data_batch_2.bin",
+                                                          CIFAR_RECORD))
+        with pytest.raises(DataError, match=f"read {CIFAR_RECORD} of its {5 * CIFAR_RECORD}"):
+            load_cifar10(tmp_path)
+
+    def test_unreadable_batch_raises_data_error(self, tmp_path, monkeypatch):
+        write_pinned_batches(tmp_path)
+        batch = tmp_path / "test_batch.bin"
+        self._after_stat(monkeypatch, lambda: (batch.unlink(), batch.mkdir()))
+        with pytest.raises(DataError, match="cannot read CIFAR-10 batch"):
+            load_cifar10(tmp_path)
+
+
 class TestSynth:
     def test_sine_exact_when_noiseless(self):
         data = synth_regression("sine", 1000, 0.0, Rng(0))

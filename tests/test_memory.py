@@ -112,15 +112,29 @@ def test_heatmap_grid_is_its_only_full_size_array(wide_net):
     assert extra < grid.nbytes + 1 * MiB
 
 
-def test_cifar_loader_holds_one_copy_of_the_train_pixels(tmp_path):
-    # Two train files and a test file, as the loader meets them on disk: the
-    # peak is the concatenated train set beside its per-file parts, not that
-    # plus the test set's float temporaries.
+def write_two_train_files(directory):
     gen = np.random.default_rng(0)
     for name, n in (("data_batch_1.bin", 2048), ("data_batch_2.bin", 2048),
                     ("test_batch.bin", 1024)):
         records = gen.integers(0, 256, size=(n, CIFAR_RECORD), dtype=np.uint8)
         records[:, 0] %= 10
-        (tmp_path / name).write_bytes(records.tobytes())
+        (directory / name).write_bytes(records.tobytes())
+
+
+def test_cifar_loader_holds_one_copy_of_the_train_pixels(tmp_path):
+    # Two train files and a test file, as the loader meets them on disk: the
+    # peak is the concatenated train set beside its per-file parts, not that
+    # plus the test set's float temporaries.
+    write_two_train_files(tmp_path)
     (train, test), extra = traced_peak(lambda: load_cifar10(tmp_path))
     assert extra < 1.75 * (train.inputs.nbytes + test.inputs.nbytes)
+
+
+def test_cifar_loader_holds_one_file_beside_its_result(tmp_path):
+    # Each split is filled in place, one file at a time: beyond the returned
+    # arrays only the raw bytes of the file being read are held.
+    write_two_train_files(tmp_path)
+    (train, test), extra = traced_peak(lambda: load_cifar10(tmp_path))
+    result = sum(ds.inputs.nbytes + ds.targets.nbytes for ds in (train, test))
+    largest_file = max(p.stat().st_size for p in tmp_path.iterdir())
+    assert extra < result + largest_file + 1 * MiB
