@@ -16,8 +16,7 @@ from pathlib import Path
 
 from . import experiments
 from .arch import arch_from_json, build_mlp, compute_partition, format_partition
-from .data import (cifar10_files, load_checkpoint, load_cifar10, save_checkpoint,
-                   synth_regression)
+from .data import load_checkpoint, load_cifar10, save_checkpoint, synth_regression
 from .diagnostics import (
     correlation_matrix,
     heatmap_export,
@@ -38,7 +37,7 @@ from .measure import (
 )
 from .net import OptimizerState, train, zeros_network
 from .tensor import DistributionSpec, Rng
-from .transfer import transfer, uniform_plan
+from .transfer import TransferPlan, transfer, uniform_plan
 
 EXIT_OK = 0
 EXIT_ACCEPTANCE = 1
@@ -184,20 +183,20 @@ def _build_init_spec(cfg: dict, arch) -> InitSpec:
     phi = init_cfg.get("phi", "sum")
     if not isinstance(phi, (str, dict)):
         raise ConfigError("init 'phi' must be a form name or an object of them per weight")
-    return rc_spec(arch, pairs, dists, phi)
+    return rc_spec(pairs, dists, phi)
 
 
-def cifar_dir(explicit=None):
-    """The configured CIFAR-10 directory, checked to hold the batch files."""
-    path = explicit or os.environ.get("MFGROW_CIFAR10_DIR")
+def _cifar10(directory=None):
+    """The (train, test) splits loaded from ``directory``, else from
+    MFGROW_CIFAR10_DIR."""
+    path = directory or os.environ.get("MFGROW_CIFAR10_DIR")
     if path is None:
         raise MissingDataError(
             "No CIFAR-10 directory configured. Pass --cifar / dataset.dir or set "
             "MFGROW_CIFAR10_DIR to a folder holding the cifar-10-batches-bin "
             "files. No download is attempted."
         )
-    cifar10_files(path)
-    return path
+    return load_cifar10(path)
 
 
 def _dataset(cfg: dict):
@@ -212,7 +211,7 @@ def _dataset(cfg: dict):
         directory = ds.get("dir")
         if directory is not None:
             directory = _checked(directory, str, "config dataset 'dir'")
-        splits = load_cifar10(cifar_dir(directory))
+        splits = _cifar10(directory)
         return lambda seed: splits
     if kind in ("sine", "cubic"):
         n = _checked(ds.get("n", 1024), int, "config dataset 'n'")
@@ -394,24 +393,34 @@ def cmd_sample(args) -> int:
 
 def cmd_reproduce(args) -> int:
     name = args.name
-    directory = None if name in ("twolayer_regen", "update_probe") else cifar_dir(args.cifar)
+    # Every flag and the CIFAR-10 contents are checked before _out_dir.
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    seed = args.seed or 0
+    Rng(seed)
+    rates = {}
+    if args.r1 is not None:
+        plan = TransferPlan(r1=args.r1, r2=args.r2 or 0.0)
+        rates = {"rates": ((plan.r1, plan.r2),)}
+    elif args.r2 is not None:
+        raise ConfigError("--r2 needs --r1")
+    splits = () if name in ("twolayer_regen", "update_probe") else _cifar10(args.cifar)
     out = _out_dir(args)
     seeds = tuple(range(args.seeds))
-    rates = {"rates": ((args.r1, args.r2),)} if args.r1 is not None else {}
     if name == "twolayer_regen":
-        result = experiments.twolayer_regen(seed=args.seed or 0, out_dir=out)
+        result = experiments.twolayer_regen(seed=seed, out_dir=out)
     elif name == "update_probe":
         result = experiments.update_probe(out_dir=out)
     elif name == "table1":
-        result = experiments.table1(directory, seeds=seeds, out_dir=out)
+        result = experiments.table1(*splits, seeds=seeds, out_dir=out)
     elif name == "fig1":
-        result = experiments.fig1_heatmaps(directory, seed=args.seed or 0, out_dir=out)
+        result = experiments.fig1_heatmaps(*splits, seed=seed, out_dir=out)
     elif name == "fig2_grow":
-        result = experiments.fig2_grow(directory, seeds=seeds, out_dir=out, **rates)
+        result = experiments.fig2_grow(*splits, seeds=seeds, out_dir=out, **rates)
     elif name == "fig2_prune":
-        result = experiments.fig2_prune(directory, seeds=seeds, out_dir=out, **rates)
+        result = experiments.fig2_prune(*splits, seeds=seeds, out_dir=out, **rates)
     else:
-        result = experiments.accuracy_experiment(directory, seeds=seeds, out_dir=out)
+        result = experiments.accuracy_experiment(*splits, seeds=seeds, out_dir=out)
     print(result["summary"])
     return EXIT_OK if result["passed"] else EXIT_ACCEPTANCE
 
@@ -490,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--seed", type=int)
     p.add_argument("--r1", type=float)
-    p.add_argument("--r2", type=float, default=0.0)
+    p.add_argument("--r2", type=float, help="needs --r1 (default 0)")
     p.add_argument("--cifar", help="CIFAR-10 directory (else MFGROW_CIFAR10_DIR)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_reproduce)

@@ -2,8 +2,7 @@
 
 Each function returns a result dict with a ``passed`` flag so the CLI can
 map outcomes to exit codes; CSV/grid artifacts land in ``out_dir`` when one
-is given. The CIFAR-10 runs raise MissingDataError when the binaries are
-absent; nothing is ever downloaded.
+is given. The CIFAR-10 runs take the loaded train and test splits.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import statistics
 from pathlib import Path
 
 from .arch import build_mlp, compute_partition
-from .data import load_cifar10, synth_regression
+from .data import synth_regression
 from .diagnostics import four_pair_report, heatmap_export, update_scaling_probe
 from .init import initialize, nonzero_mean_default
 from .measure import FunctionBasedStrategy, RandomStrategy
@@ -53,10 +52,9 @@ def _fit(net, epochs, seed, train_data, test_data):
                  test_data=test_data, loss="cross_entropy")
 
 
-def accuracy_experiment(cifar_dir, width=300, epochs=10, seeds=(0, 1, 2), out_dir=None,
-                        threshold=0.43) -> dict:
+def accuracy_experiment(train_data, test_data, width=300, epochs=10, seeds=(0, 1, 2),
+                        out_dir=None, threshold=0.43) -> dict:
     """Test accuracy of the 3-layer net under all three parametrizations."""
-    train_data, test_data = load_cifar10(cifar_dir)
     rows = ["parametrization,seed,test_acc"]
     medians = {}
     for param in PARAMS:
@@ -77,10 +75,10 @@ def accuracy_experiment(cifar_dir, width=300, epochs=10, seeds=(0, 1, 2), out_di
     return {"medians": medians, "passed": passed, "summary": summary}
 
 
-def table1(cifar_dir, width=1000, epochs=10, seeds=(0, 1, 2), out_dir=None) -> dict:
+def table1(train_data, test_data, width=1000, epochs=10, seeds=(0, 1, 2),
+           out_dir=None) -> dict:
     """Cross-layer correlation table at init and after training for the
     three parametrizations; thresholds are the qualitative acceptance bands."""
-    train_data, test_data = load_cifar10(cifar_dir)
     per_param: dict[str, dict] = {}
     rows = ["parametrization,seed,stage,pair,abs_pearson"]
     for param in PARAMS:
@@ -133,9 +131,8 @@ def table1(cifar_dir, width=1000, epochs=10, seeds=(0, 1, 2), out_dir=None) -> d
     return {"medians": per_param, "checks": checks, "passed": passed, "summary": summary}
 
 
-def fig1_heatmaps(cifar_dir, width=300, epochs=10, seed=0, out_dir=None) -> dict:
+def fig1_heatmaps(train_data, test_data, width=300, epochs=10, seed=0, out_dir=None) -> dict:
     """Middle-layer heatmap grids at init and after training."""
-    train_data, test_data = load_cifar10(cifar_dir)
     written = []
     for param in PARAMS:
         net = _cifar_net(param, width, seed, train_data)
@@ -152,11 +149,10 @@ def fig1_heatmaps(cifar_dir, width=300, epochs=10, seed=0, out_dir=None) -> dict
     return {"files": written, "passed": True, "summary": f"wrote {len(written)} grids"}
 
 
-def _transfer_experiment(cifar_dir, source_width, target_width, rates, seeds,
+def _transfer_experiment(train_data, test_data, source_width, target_width, rates, seeds,
                          transfer_epoch, post_epochs, out_dir, tag) -> dict:
     """Grow or prune at a given epoch and compare against the from-scratch
     benchmark at the target width."""
-    train_data, test_data = load_cifar10(cifar_dir)
     # Neither the source nor the from-scratch benchmark depends on the rates,
     # and transfer leaves its source untouched, so each is trained once per seed.
     sources, benchmarks = {}, {}
@@ -188,16 +184,16 @@ def _transfer_experiment(cifar_dir, source_width, target_width, rates, seeds,
     return {"checks": checks, "passed": passed, "summary": summary}
 
 
-def fig2_grow(cifar_dir, seeds=(0,), rates=((0.0, 0.0), (1.0, 0.4), (4.0, 0.8)),
-              out_dir=None) -> dict:
-    return _transfer_experiment(cifar_dir, 100, 1000, rates, seeds,
+def fig2_grow(train_data, test_data, seeds=(0,),
+              rates=((0.0, 0.0), (1.0, 0.4), (4.0, 0.8)), out_dir=None) -> dict:
+    return _transfer_experiment(train_data, test_data, 100, 1000, rates, seeds,
                                 transfer_epoch=4, post_epochs=3, out_dir=out_dir,
                                 tag="fig2_grow")
 
 
-def fig2_prune(cifar_dir, seeds=(0,), rates=((0.0, 0.0), (0.5, 0.9)),
+def fig2_prune(train_data, test_data, seeds=(0,), rates=((0.0, 0.0), (0.5, 0.9)),
                out_dir=None) -> dict:
-    return _transfer_experiment(cifar_dir, 1000, 100, rates, seeds,
+    return _transfer_experiment(train_data, test_data, 1000, 100, rates, seeds,
                                 transfer_epoch=4, post_epochs=3, out_dir=out_dir,
                                 tag="fig2_prune")
 

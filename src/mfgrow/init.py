@@ -64,7 +64,6 @@ def iid_spec(distributions: dict[str, DistributionSpec]) -> InitSpec:
 
 
 def rc_spec(
-    arch: ArchGraph,
     rc_pairs: dict[str, tuple[DistributionSpec, DistributionSpec]],
     other: dict[str, DistributionSpec],
     phi="sum",

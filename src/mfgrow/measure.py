@@ -146,24 +146,10 @@ def _abs_moments(vals, p_max: int) -> list[float]:
     return [float((a**q).mean()) for q in range(1, p_max + 1)]
 
 
-class _Reference(dict):
-    """Features that carry their own mean|x_f|^q, q = 1..p_max, so that
-    many candidates are compared against them without recomputing those."""
-
-    def __init__(self, features: dict[str, np.ndarray], p_max: int):
-        super().__init__(features)
-        self.p_max = p_max
-        self.moments = {name: _abs_moments(v, p_max) for name, v in features.items()}
-
-
-def weighted_measure_loss(x: dict[str, np.ndarray], y: dict[str, np.ndarray],
-                          p_max: int) -> float:
-    """Sum over the features of ``x`` and over q = 1..p_max of
-    |mean|x_f|^q - mean|y_f|^q|, accumulated features outer, q inner."""
-    if isinstance(x, _Reference) and x.p_max == p_max:
-        x_moments = x.moments
-    else:
-        x_moments = {name: _abs_moments(v, p_max) for name, v in x.items()}
+def _moment_gap(x_moments: dict[str, list[float]], y: dict[str, np.ndarray],
+                p_max: int) -> float:
+    """The loss of ``weighted_measure_loss`` against ``x``'s precomputed
+    moments, so that many ``y`` are compared without recomputing those."""
     total = 0.0
     for name, x_q in x_moments.items():
         other = y.get(name)
@@ -172,6 +158,13 @@ def weighted_measure_loss(x: dict[str, np.ndarray], y: dict[str, np.ndarray],
         for a, b in zip(x_q, _abs_moments(other, p_max)):
             total += abs(a - b)
     return total
+
+
+def weighted_measure_loss(x: dict[str, np.ndarray], y: dict[str, np.ndarray],
+                          p_max: int) -> float:
+    """Sum over the features of ``x`` and over q = 1..p_max of
+    |mean|x_f|^q - mean|y_f|^q|, accumulated features outer, q inner."""
+    return _moment_gap({name: _abs_moments(v, p_max) for name, v in x.items()}, y, p_max)
 
 
 # ---------------------------------------------------------------------------
@@ -253,23 +246,22 @@ def draw_indices(m: GroupMeasure, target: int, strategy, r2: float,
     elif isinstance(strategy, GroupStrategy):
         # Pool is already norm-sorted; split into contiguous norm bands,
         # pick a band uniformly, then a member uniformly within it.
-        bands = [b for b in np.array_split(pool, strategy.n_groups) if b.size > 0]
-        picks = gen.integers(0, len(bands), size=target)
-        idx = np.empty(target, dtype=np.int64)
-        for i, b in enumerate(picks):
-            band = bands[b]
-            idx[i] = band[gen.integers(0, band.size)]
+        sizes = np.array([b.size for b in np.array_split(pool, strategy.n_groups) if b.size])
+        starts = np.cumsum(sizes) - sizes
+        picks = gen.integers(0, sizes.size, size=target)
+        idx = pool[starts[picks] + gen.integers(0, sizes[picks])]
     elif isinstance(strategy, FunctionBasedStrategy) and target == pool.size:
         # Drawn without replacement, every candidate is a permutation of the
         # pool with the pool's moments: the losses differ only by rounding.
         idx = _draw_from_pool(pool, target, gen)
     elif isinstance(strategy, FunctionBasedStrategy):
-        reference = _Reference(m.restricted(pool), strategy.p_max)
+        pool_moments = {name: _abs_moments(v, strategy.p_max)
+                        for name, v in m.restricted(pool).items()}
         best = None
         best_loss = math.inf
         for _ in range(strategy.n_candidates):
             cand = _draw_from_pool(pool, target, gen)
-            loss = weighted_measure_loss(reference, m.restricted(cand), strategy.p_max)
+            loss = _moment_gap(pool_moments, m.restricted(cand), strategy.p_max)
             if loss < best_loss:
                 best, best_loss = cand, loss
         idx = best

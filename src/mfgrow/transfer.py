@@ -9,6 +9,7 @@ training the transferred net is left to the caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,8 +38,8 @@ class TransferPlan:
     noise_mode: str = "perturb"  # "perturb": w*(1+u); "literal": w*u
 
     def __post_init__(self):
-        if self.r1 < 0:
-            raise ParameterError(f"r1 must be >= 0, got {self.r1}")
+        if not 0.0 <= self.r1 < math.inf:
+            raise ParameterError(f"r1 must be a finite number >= 0, got {self.r1}")
         if not 0.0 <= self.r2 < 1.0:
             raise ParameterError(f"r2 must lie in [0, 1), got {self.r2}")
         if self.noise_mode not in ("perturb", "literal"):
@@ -56,30 +57,23 @@ def uniform_plan(partition: GammaPartition, new_width: int, **kwargs) -> Transfe
 _NOISE_BLOCK = 1 << 15
 
 
-def apply_noise(w, r1: float, mode: str, gen: np.random.Generator, out=None) -> np.ndarray:
-    """Multiplicative noise on transferred values, as a new array or in
-    ``out``.
+def apply_noise(w: np.ndarray, r1: float, mode: str, gen: np.random.Generator) -> None:
+    """Multiplicative noise on transferred values, in place.
 
     literal: w * u with u ~ uniform(-r1, r1) (r1=0 zeroes the input);
     perturb: w * (1 + u), the reading under which r1=0 is the identity.
     u is drawn as ``gen.uniform(-r1, r1, size=w.shape)`` would draw it, in
-    blocks through one reused buffer, so the result is the only full-size
-    allocation. ``w`` is never written unless it is ``out``, which must be a
-    C-contiguous float64 array of w's shape.
+    blocks through one reused buffer, so no full-size array is allocated.
+    ``w`` must be a writeable C-contiguous float64 array.
     """
-    if r1 < 0:
-        raise ParameterError(f"r1 must be >= 0, got {r1}")
+    if not 0.0 <= r1 < math.inf:
+        raise ParameterError(f"r1 must be a finite number >= 0, got {r1}")
     if mode not in ("perturb", "literal"):
         raise ParameterError(f"unknown noise mode {mode!r}")
-    w = np.asarray(w, dtype=np.float64)
-    if out is None:
-        out = np.array(w, order="C")
-    else:
-        if out.dtype != np.float64 or out.shape != w.shape or not out.flags.c_contiguous:
-            raise ParameterError("out must be a C-contiguous float64 array of w's shape")
-        if out is not w:
-            np.copyto(out, w)
-    flat = out.reshape(-1)
+    if (not isinstance(w, np.ndarray) or w.dtype != np.float64
+            or not w.flags.c_contiguous or not w.flags.writeable):
+        raise ParameterError("w must be a writeable C-contiguous float64 array")
+    flat = w.reshape(-1)
     buf = np.empty(min(flat.size, _NOISE_BLOCK))
     for start in range(0, flat.size, _NOISE_BLOCK):
         block = flat[start:start + _NOISE_BLOCK]
@@ -91,7 +85,6 @@ def apply_noise(w, r1: float, mode: str, gen: np.random.Generator, out=None) -> 
         if mode == "perturb":
             u += 1.0
         block *= u
-    return out
 
 
 def _group_index_set(measures, partition, plan, gi, rng) -> np.ndarray:
@@ -145,8 +138,7 @@ def transfer(
                 arr = np.take(arr, index_sets[gi], axis=axis)
                 resampled = True
         if resampled and plan.r1 > 0.0:
-            apply_noise(arr, plan.r1, plan.noise_mode, rng.substream(f"transfer/noise/{w.name}"),
-                        out=arr)
+            apply_noise(arr, plan.r1, plan.noise_mode, rng.substream(f"transfer/noise/{w.name}"))
         elif resampled and plan.r1 == 0.0 and plan.noise_mode == "literal":
             arr = np.zeros_like(arr)
         elif not resampled:

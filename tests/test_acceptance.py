@@ -13,7 +13,7 @@ import pytest
 
 from conftest import record_acceptance
 from mfgrow.arch import build_attention_block, build_mlp, build_skip_block, compute_partition
-from mfgrow.data import load_checkpoint, save_checkpoint, synth_regression
+from mfgrow.data import load_checkpoint, load_cifar10, save_checkpoint, synth_regression
 from mfgrow.experiments import (
     accuracy_experiment,
     fig2_grow,
@@ -131,23 +131,23 @@ def test_criterion_3_function_preservation():
 
 
 def test_criterion_4_cifar_accuracy():
-    directory = _cifar_dir_or_skip()
-    result = accuracy_experiment(directory, width=300, epochs=10, seeds=(0, 1, 2))
+    train_data, test_data = load_cifar10(_cifar_dir_or_skip())
+    result = accuracy_experiment(train_data, test_data, width=300, epochs=10, seeds=(0, 1, 2))
     meds = ", ".join(f"{k}={v:.3f}" for k, v in result["medians"].items())
     _report("4 (CIFAR-10 accuracy)", result["passed"], f"medians {meds}, threshold 0.43")
 
 
 def test_criterion_5_table1_qualitative():
-    directory = _cifar_dir_or_skip()
-    result = table1(directory, width=1000, epochs=10, seeds=(0, 1, 2))
+    train_data, test_data = load_cifar10(_cifar_dir_or_skip())
+    result = table1(train_data, test_data, width=1000, epochs=10, seeds=(0, 1, 2))
     _report("5 (correlation table)", result["passed"],
             "; ".join(f"{k}={v}" for k, v in result["checks"].items()))
 
 
 def test_criterion_6_transfer_convergence():
-    directory = _cifar_dir_or_skip()
-    grow = fig2_grow(directory, seeds=(0,))
-    prune = fig2_prune(directory, seeds=(0,))
+    train_data, test_data = load_cifar10(_cifar_dir_or_skip())
+    grow = fig2_grow(train_data, test_data, seeds=(0,))
+    prune = fig2_prune(train_data, test_data, seeds=(0,))
     _report("6 (transfer convergence)", grow["passed"] and prune["passed"],
             f"grow checks {grow['checks']}; prune checks {prune['checks']}")
 
@@ -167,8 +167,8 @@ def test_criterion_8_rc_init_structure():
 
     prod = initialize(
         base,
-        rc_spec(arch, {"w1": (gaussian(1, 1), uniform(-1, 1)),
-                       "w2": (gaussian(1, 1), uniform(-1, 1))}, other, phi="product"),
+        rc_spec({"w1": (gaussian(1, 1), uniform(-1, 1)),
+                 "w2": (gaussian(1, 1), uniform(-1, 1))}, other, phi="product"),
         Rng(5),
     )
     rank1_ok = True
@@ -178,8 +178,8 @@ def test_criterion_8_rc_init_structure():
 
     summ = initialize(
         base,
-        rc_spec(arch, {"w1": (gaussian(0, 1), gaussian(0, 1)),
-                       "w2": (gaussian(0, 1), gaussian(0, 1))}, other, phi="sum"),
+        rc_spec({"w1": (gaussian(0, 1), gaussian(0, 1)),
+                 "w2": (gaussian(0, 1), gaussian(0, 1))}, other, phi="sum"),
         Rng(6),
     )
     rank2_ok = True

@@ -248,6 +248,17 @@ class TestReproduceCli:
         for name in ("table1", "fig1", "fig2_grow", "fig2_prune", "accuracy"):
             assert main(["reproduce", name, "--out", str(tmp_path / name)]) == 3
 
+    def test_r1_alone_transfers_at_r2_zero(self, tmp_path, capsys):
+        data_dir = tmp_path / "cifar"
+        data_dir.mkdir()
+        for name in ("data_batch_1.bin", "test_batch.bin"):
+            (data_dir / name).write_bytes(bytes(CIFAR_RECORD))
+        assert main(["reproduce", "fig2_grow", "--r1", "1.0", "--seeds", "1",
+                     "--cifar", str(data_dir), "--out", str(tmp_path / "rep")]) in (0, 1)
+        assert capsys.readouterr().out.startswith("r1=1.0,r2=0.0: ")
+        rows = (tmp_path / "rep" / "fig2_grow.csv").read_text().splitlines()
+        assert [row.split(",")[:3] for row in rows[1:]] == [["1.0", "0.0", "0"]]
+
     def test_init_writes_checkpoint(self, tmp_path):
         cfg = synth_config(tmp_path)
         assert main(["init", "--config", str(cfg), "--seed", "4"]) == 0
@@ -355,10 +366,24 @@ class TestFailedCommandsWriteNothing:
         (["diagnose", "--ckpt", "{tmp}/vectors.ckpt", "--report", "hist", "--out", "{tmp}/diag"], 2),
         (["reproduce", "accuracy", "--cifar", "{tmp}/truncated", "--out", "{tmp}/rep"], 2),
         (["reproduce", "accuracy", "--cifar", "{tmp}/dir-batch", "--out", "{tmp}/rep"], 2),
+        (["reproduce", "accuracy", "--cifar", "{tmp}/bad-label", "--out", "{tmp}/rep"], 2),
+        (["reproduce", "accuracy", "--seeds", "0", "--cifar", "{tmp}/good", "--out", "{tmp}/rep"],
+         2),
+        (["reproduce", "table1", "--seeds", "-2", "--cifar", "{tmp}/good", "--out", "{tmp}/rep"],
+         2),
+        (["reproduce", "fig2_grow", "--r1", "1.0", "--r2", "1.5", "--cifar", "{tmp}/good",
+          "--out", "{tmp}/rep"], 2),
+        (["reproduce", "fig2_grow", "--r2", "0.99", "--cifar", "{tmp}/good", "--out", "{tmp}/rep"],
+         2),
+        (["reproduce", "twolayer_regen", "--seed", "-1", "--out", "{tmp}/rep"], 2),
+        (["transfer", "--from", "{ckpt}", "--widths", "40", "--r1", "nan", "--out", "{tmp}/t.ckpt"],
+         2),
     ], ids=["sample-zero-target", "reproduce-no-cifar", "reproduce-cifar-dir-missing",
             "heatmap-vector-weight", "hist-unknown-weight", "transfer-out-is-directory",
             "train-out-is-file", "hist-no-matrix-weight", "reproduce-truncated-batch",
-            "reproduce-directory-batch"])
+            "reproduce-directory-batch", "reproduce-bad-label", "reproduce-zero-seeds",
+            "reproduce-negative-seeds", "reproduce-r2-out-of-range", "reproduce-r2-without-r1",
+            "reproduce-negative-seed", "transfer-r1-nan"])
     def test_exits_with_error_and_leaves_outputs_alone(self, argv, code, small_ckpt, tmp_path,
                                                         monkeypatch, capsys):
         monkeypatch.delenv("MFGROW_CIFAR10_DIR", raising=False)
@@ -366,11 +391,14 @@ class TestFailedCommandsWriteNothing:
         (tmp_path / "taken").mkdir()
         (tmp_path / "file").write_text("not a directory", encoding="utf-8")
         save_checkpoint(zeros_network(build_mlp(2, 8)), tmp_path / "vectors.ckpt")
-        for cifar in ("truncated", "dir-batch"):
+        for cifar in ("truncated", "dir-batch", "bad-label", "good"):
             (tmp_path / cifar).mkdir()
             (tmp_path / cifar / "test_batch.bin").write_bytes(bytes(CIFAR_RECORD))
         (tmp_path / "truncated" / "data_batch_1.bin").write_bytes(bytes(CIFAR_RECORD + 5))
         (tmp_path / "dir-batch" / "data_batch_1.bin").mkdir()
+        (tmp_path / "bad-label" / "data_batch_1.bin").write_bytes(
+            bytes([12]) + bytes(CIFAR_RECORD - 1))
+        (tmp_path / "good" / "data_batch_1.bin").write_bytes(bytes(CIFAR_RECORD))
         before = _tree(tmp_path)
         assert main([a.format(ckpt=small_ckpt, cfg=cfg, tmp=tmp_path) for a in argv]) == code
         assert capsys.readouterr().err.startswith("error: ")

@@ -20,7 +20,9 @@ from mfgrow.tensor import Rng
 
 
 @pytest.fixture(scope="module")
-def fixture_dir(tmp_path_factory):
+def splits(tmp_path_factory):
+    """The (train, test) splits of a fixture written in the CIFAR binary
+    format, loaded once for the module."""
     root = tmp_path_factory.mktemp("cifar_fixture")
     gen = Rng(77).generator()
 
@@ -35,19 +37,19 @@ def fixture_dir(tmp_path_factory):
     write(root / "data_batch_1.bin", 768)
     write(root / "data_batch_2.bin", 768)
     write(root / "test_batch.bin", 384)
-    return root
+    return load_cifar10(root)
 
 
 class TestCifarPipeline:
-    def test_loss_decreases_first_epoch_all_parametrizations(self, fixture_dir):
-        train_data, test_data = load_cifar10(fixture_dir)
+    def test_loss_decreases_first_epoch_all_parametrizations(self, splits):
+        train_data, test_data = splits
         for param in ("SP", "muP", "MFP"):
             log = _fit(_cifar_net(param, 24, 0, train_data), 1, 0, train_data, test_data)
             first, last = log.rows[0][2], log.rows[-1][2]
             assert last < first, f"{param}: loss did not decrease ({first} -> {last})"
 
-    def test_accuracy_pipeline_beats_chance(self, fixture_dir, tmp_path):
-        result = accuracy_experiment(fixture_dir, width=24, epochs=3, seeds=(0,),
+    def test_accuracy_pipeline_beats_chance(self, splits, tmp_path):
+        result = accuracy_experiment(*splits, width=24, epochs=3, seeds=(0,),
                                      threshold=0.0, out_dir=tmp_path)
         assert result["passed"]
         assert result["medians"]["MFP"] > 0.15  # chance is 0.1
@@ -60,24 +62,24 @@ class TestCifarPipeline:
             "MFP,0,0.3750\n"
         )
 
-    def test_table1_pipeline_structure(self, fixture_dir, tmp_path):
-        result = table1(fixture_dir, width=24, epochs=1, seeds=(0,), out_dir=tmp_path)
+    def test_table1_pipeline_structure(self, splits, tmp_path):
+        result = table1(*splits, width=24, epochs=1, seeds=(0,), out_dir=tmp_path)
         assert set(result["medians"]) == {"SP", "muP", "MFP"}
         for stage in ("init", "trained"):
             assert len(result["medians"]["MFP"][stage]) == 4
         assert (tmp_path / "table1.csv").exists()
         assert (tmp_path / "table1_summary.txt").exists()
 
-    def test_fig1_pipeline_writes_grids(self, fixture_dir, tmp_path):
-        result = fig1_heatmaps(fixture_dir, width=16, epochs=1, seed=0, out_dir=tmp_path)
+    def test_fig1_pipeline_writes_grids(self, splits, tmp_path):
+        result = fig1_heatmaps(*splits, width=16, epochs=1, seed=0, out_dir=tmp_path)
         assert result["passed"]
         assert len(result["files"]) == 6
         for name in result["files"]:
             assert (tmp_path / name).exists()
 
-    def test_transfer_pipeline_grow_and_prune(self, fixture_dir, tmp_path):
+    def test_transfer_pipeline_grow_and_prune(self, splits, tmp_path):
         grow = _transfer_experiment(
-            fixture_dir, source_width=16, target_width=48,
+            *splits, source_width=16, target_width=48,
             rates=((0.0, 0.0), (1.0, 0.4)), seeds=(0,), transfer_epoch=1, post_epochs=1,
             out_dir=tmp_path, tag="smoke_grow",
         )
@@ -92,7 +94,7 @@ class TestCifarPipeline:
                        "0.0,0.0,0,1,0.4036,0.4036\n"
                        "1.0,0.4,0,1,0.4010,0.4036\n")
         prune = _transfer_experiment(
-            fixture_dir, source_width=48, target_width=16,
+            *splits, source_width=48, target_width=16,
             rates=((0.5, 0.5),), seeds=(0,), transfer_epoch=1, post_epochs=1,
             out_dir=tmp_path, tag="smoke_prune",
         )

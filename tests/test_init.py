@@ -48,7 +48,6 @@ class TestRcForms:
     def test_product_is_rank_one(self):
         arch = build_mlp(4, 8, parametrization="MFP")
         spec = rc_spec(
-            arch,
             {"w1": (gaussian(1, 1), gaussian(0, 1)), "w2": (gaussian(1, 1), gaussian(0, 1))},
             {"u": gaussian(1, 3), "v": gaussian(1, 3)},
             phi="product",
@@ -63,7 +62,6 @@ class TestRcForms:
     def test_sum_is_rank_at_most_two(self):
         arch = build_mlp(3, 6, parametrization="MFP")
         spec = rc_spec(
-            arch,
             {"w1": (gaussian(0, 1), gaussian(0, 1))},
             {"u": gaussian(1, 3), "v": gaussian(1, 3)},
             phi="sum",
@@ -75,7 +73,6 @@ class TestRcForms:
         # 2N stored values fully determine the matrix.
         arch = build_mlp(3, 16, parametrization="MFP")
         spec = rc_spec(
-            arch,
             {"w1": (gaussian(1, 2), uniform(-1, 1))},
             {"u": gaussian(1, 3), "v": gaussian(1, 3)},
             phi="sum",

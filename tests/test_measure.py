@@ -206,6 +206,23 @@ class TestDrawIndices:
         bands = set(idx // 25)
         assert bands == {0, 1, 2, 3}
 
+    def test_group_draw_matches_per_index_reference(self):
+        # One band pick per target, then one member pick per target from its
+        # band, as scalar draws in that order: same indices, and the
+        # generator ends in the same state.
+        meta = Rng(9).generator()
+        for case in range(40):
+            m = self.measure_with_norms(meta.normal(size=int(meta.integers(1, 300))))
+            n_groups, target = int(meta.integers(1, 12)), int(meta.integers(1, 500))
+            gen, ref_gen = Rng(case).generator(), Rng(case).generator()
+            idx = draw_indices(m, target, GroupStrategy(n_groups), 0.0, gen)
+            pool = np.argsort(-m.sample_norms(), kind="stable")
+            bands = [b for b in np.array_split(pool, n_groups) if b.size > 0]
+            picks = ref_gen.integers(0, len(bands), size=target)
+            ref = [bands[b][ref_gen.integers(0, bands[b].size)] for b in picks]
+            assert idx.tolist() == ref
+            assert gen.random() == ref_gen.random()
+
     def test_function_based_beats_median_candidate(self):
         gen = Rng(5).generator()
         m = self.measure_with_norms(gen.normal(size=64))

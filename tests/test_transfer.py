@@ -33,29 +33,43 @@ def max_rel_dev(a, b):
     return float(np.max(np.abs(a - b) / (1.0 + np.abs(b))))
 
 
+def noised(w, r1, mode, gen):
+    """A noised copy of ``w``; apply_noise itself works in place."""
+    out = np.array(w, dtype=np.float64, order="C")
+    apply_noise(out, r1, mode, gen)
+    return out
+
+
 class TestApplyNoise:
     def test_perturb_r1_zero_is_identity(self):
         w = np.array([1.5, -2.0])
-        assert np.array_equal(apply_noise(w, 0.0, "perturb", Rng(0).generator()), w)
+        assert np.array_equal(noised(w, 0.0, "perturb", Rng(0).generator()), w)
 
     def test_literal_r1_zero_annihilates(self):
         w = np.array([1.5, -2.0])
-        assert np.array_equal(apply_noise(w, 0.0, "literal", Rng(0).generator()), [0.0, 0.0])
+        assert np.array_equal(noised(w, 0.0, "literal", Rng(0).generator()), [0.0, 0.0])
 
     def test_perturb_mean_ratio(self):
         w = np.ones(100_000)
-        out = apply_noise(w, 0.1, "perturb", Rng(1).generator())
+        out = noised(w, 0.1, "perturb", Rng(1).generator())
         assert abs(np.mean(out / w) - 1.0) < 0.002
 
     def test_literal_spread(self):
         w = np.ones(100_000)
-        out = apply_noise(w, 2.0, "literal", Rng(2).generator())
+        out = noised(w, 2.0, "literal", Rng(2).generator())
         assert abs(out.mean()) < 0.02
         assert abs(out.std() - 2.0 / np.sqrt(3.0)) < 0.01
 
     def test_negative_r1_rejected(self):
         with pytest.raises(ParameterError):
             apply_noise(np.ones(3), -0.1, "perturb", Rng(0).generator())
+
+    @pytest.mark.parametrize("r1", [np.nan, np.inf])
+    def test_non_finite_r1_rejected(self, r1):
+        with pytest.raises(ParameterError, match="finite"):
+            apply_noise(np.ones(3), r1, "perturb", Rng(0).generator())
+        with pytest.raises(ParameterError, match="finite"):
+            TransferPlan(r1=r1)
 
 
 class TestIdentityTransfer:
@@ -302,34 +316,28 @@ class TestTransferPinned:
             assert np.array_equal(forward_batch(out, xs), forward_batch(back, xs))
 
     @pytest.mark.parametrize("mode", ["perturb", "literal"])
-    def test_apply_noise_matches_reference_and_spares_input(self, mode):
+    def test_apply_noise_matches_reference_in_place(self, mode):
         w = Rng(51).generator().normal(size=(37, 11))
-        before = w.copy()
-        out = apply_noise(w, 0.7, mode, Rng(52).substream("n"))
         u = Rng(52).substream("n").uniform(-0.7, 0.7, size=w.shape)
         ref = w * u if mode == "literal" else w * (1.0 + u)
-        assert out.tobytes() == ref.tobytes()
-        assert np.array_equal(w, before) and w.tobytes() == before.tobytes()
-        assert out is not w
+        assert apply_noise(w, 0.7, mode, Rng(52).substream("n")) is None
+        assert w.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("mode", ["perturb", "literal"])
     @pytest.mark.parametrize("shape", [(5,), (32768,), (32769,), (300, 250), (7, 9363)])
     def test_apply_noise_in_blocks_matches_one_uniform_draw(self, shape, mode):
-        # The noise is drawn and applied in blocks, into a new array or in
-        # place; either way it equals one full-size uniform draw, bit for bit,
-        # also where a block boundary cuts a row.
+        # The noise is drawn and applied in blocks, in place; it equals one
+        # full-size uniform draw, bit for bit, also where a block boundary
+        # cuts a row.
         w = Rng(53).generator().normal(size=shape)
         for r1 in (1.0, 4.0, 0.5, 1e-3, 0.1):
             u = Rng(54).substream("n").uniform(-r1, r1, size=shape)
             ref = (w * u if mode == "literal" else w * (1.0 + u)).tobytes()
-            assert apply_noise(w, r1, mode, Rng(54).substream("n")).tobytes() == ref
-            target = w.copy()
-            out = apply_noise(target, r1, mode, Rng(54).substream("n"), out=target)
-            assert out is target and target.tobytes() == ref
+            assert noised(w, r1, mode, Rng(54).substream("n")).tobytes() == ref
 
-    def test_apply_noise_rejects_an_unusable_out(self):
-        w = np.ones((4, 6))
-        with pytest.raises(ParameterError):
-            apply_noise(w, 0.5, "perturb", Rng(0).generator(), out=np.ones((6, 4)).T)
-        with pytest.raises(ParameterError):
-            apply_noise(w, 0.5, "perturb", Rng(0).generator(), out=np.ones((4, 5)))
+    def test_apply_noise_rejects_an_unusable_w(self):
+        # Transposed, float32, a list, read-only.
+        for w in (np.ones((6, 4)).T, np.ones((4, 6), dtype=np.float32), [[1.0, 2.0]],
+                  np.broadcast_to(np.ones(6), (4, 6))):
+            with pytest.raises(ParameterError):
+                apply_noise(w, 0.5, "perturb", Rng(0).generator())
