@@ -169,12 +169,14 @@ class GammaPartition:
     """Disjoint gamma groups, each with one shared width and a resizable flag.
 
     Groups are sorted by smallest member id, members ascending, so file and
-    CLI output is stable.
+    CLI output is stable. ``axis_groups`` maps every (weight, axis) with a
+    recorded usage to the index of its group.
     """
 
     groups: tuple[tuple[int, ...], ...]
     widths: tuple[int, ...]
     resizable: tuple[bool, ...]
+    axis_groups: dict[tuple[str, str], int]
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -189,7 +191,7 @@ class GammaPartition:
 def compute_partition(g: ArchGraph) -> GammaPartition:
     """Union-find over gamma ids: merge all gammas appearing at the same
     (weight, axis) position. Returns the finest partition closed under that
-    rule."""
+    rule, with the group of each such position."""
     g.validate()
     parent = {gm.id: gm.id for gm in g.gammas}
 
@@ -232,7 +234,9 @@ def compute_partition(g: ArchGraph) -> GammaPartition:
             raise StructureError(f"group {grp} mixes widths {sorted(ws)}")
         widths.append(ws.pop())
         resizable.append(all(g.gamma(i).role == "hidden" for i in grp))
-    return GammaPartition(tuple(groups), tuple(widths), tuple(resizable))
+    group_index = {gid: i for i, grp in enumerate(groups) for gid in grp}
+    axis_groups = {key: group_index[gids[0]] for key, gids in sorted(per_axis.items())}
+    return GammaPartition(tuple(groups), tuple(widths), tuple(resizable), axis_groups)
 
 
 def format_partition(p: GammaPartition) -> str:

@@ -315,14 +315,13 @@ def _parse_strategy(name: str, n_groups: int, n_candidates: int, p_max: int):
 
 def cmd_transfer(args) -> int:
     net = load_checkpoint(getattr(args, "from"))
-    partition = compute_partition(net.arch)
     strategy = _parse_strategy(args.strategy, args.n_groups, args.n_candidates, args.p_max)
     plan = uniform_plan(
-        partition, args.widths, strategy=strategy, r1=args.r1, r2=args.r2,
+        net.arch, args.widths, strategy=strategy, r1=args.r1, r2=args.r2,
         noise_mode=args.noise,
     )
     seed = args.seed if args.seed is not None else 0
-    grown = transfer(net, partition, plan, Rng(seed))
+    grown = transfer(net, plan, Rng(seed))
     save_checkpoint(grown, args.out_ckpt, seed=seed)
     print(f"wrote {args.out_ckpt} (widths -> {args.widths})")
     return EXIT_OK
@@ -367,8 +366,7 @@ def cmd_diagnose(args) -> int:
 
 def cmd_sample(args) -> int:
     net = load_checkpoint(args.ckpt)
-    partition = compute_partition(net.arch)
-    measures = extract_measures(net, partition)
+    measures = extract_measures(net)
     if not 0 <= args.group < len(measures):
         raise ConfigError(f"group must be in [0, {len(measures)}), got {args.group}")
     m = measures[args.group]
@@ -398,6 +396,9 @@ def cmd_reproduce(args) -> int:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     seed = args.seed or 0
     Rng(seed)
+    if name == "twolayer_regen" and seed + 2 >= 2**64:
+        raise ConfigError(f"twolayer_regen also seeds with --seed + 1 and + 2, so --seed "
+                          f"must be below 2**64 - 2, got {seed}")
     rates = {}
     if args.r1 is not None:
         plan = TransferPlan(r1=args.r1, r2=args.r2 or 0.0)

@@ -8,9 +8,9 @@ split plus one file's raw bytes.
 Checkpoint layout (all little-endian, fixed regardless of host):
   magic "MFW1" | version u32=1 | seed u64 | parametrization u8 (0=SP, 1=muP,
   2=MFP) | arch-JSON length u32 + UTF-8 bytes | weight count u32 | per
-  weight: name length u16 + UTF-8 name, dtype u8 (0=f32, 1=f64), ndim u8,
-  dims u32 each, raw values row-major.
-A float64 round trip is bit-exact.
+  weight: name length u16 + UTF-8 name, dtype u8 (always 1: float64), ndim
+  u8, dims u32 each, raw float64 values row-major.
+A round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ _MAGIC = b"MFW1"
 _VERSION = 1
 _PARAM_CODE = {"SP": 0, "muP": 1, "MFP": 2}
 _PARAM_NAME = {v: k for k, v in _PARAM_CODE.items()}
-_DTYPE_CODE = {"f32": 0, "f64": 1}
+_F64_CODE = 1  # the dtype byte of every weight
 
 
 @dataclass
@@ -161,14 +161,13 @@ def synth_regression(kind: str, n: int, noise_std: float, rng: Rng,
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(net: Network, path, seed: int = 0, dtype: str = "f64") -> None:
+def save_checkpoint(net: Network, path, seed: int = 0) -> None:
     """Write ``net`` in the v1 layout above.
 
     Every weight is checked before the file is opened. The payloads then
     stream out one weight at a time: a C-contiguous float64 weight is written
-    straight from its buffer, and any other (or any weight under
-    ``dtype="f32"``) is converted alone, so no copy of the whole network is
-    ever held.
+    straight from its buffer, and any other is converted alone, so no copy
+    of the whole network is ever held.
 
     An existing regular file is overwritten in place, not truncated first:
     truncating a file to zero and rewriting it makes ext4 flush it on close.
@@ -176,13 +175,10 @@ def save_checkpoint(net: Network, path, seed: int = 0, dtype: str = "f64") -> No
     a save that stops partway leaves a file that ``load_checkpoint`` rejects.
     Other targets (``/dev/null``, a pipe) get the bytes in order.
     """
-    if dtype not in _DTYPE_CODE:
-        raise ParameterError(f"unknown checkpoint dtype {dtype!r}")
     for w in net.arch.weights:
         if any(d >= 2**32 for d in np.shape(net.store[w.name])):
             raise CheckpointError(f"weight {w.name}: dimension overflow")
     arch_json = arch_to_json(net.arch).encode("utf-8")
-    np_dtype = "<f4" if dtype == "f32" else "<f8"
     try:
         # No O_TRUNC; the mode and umask rules are those of open(path, "wb").
         with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
@@ -195,11 +191,11 @@ def save_checkpoint(net: Network, path, seed: int = 0, dtype: str = "f64") -> No
             f.write(arch_json)
             f.write(struct.pack("<I", len(net.arch.weights)))
             for w in net.arch.weights:
-                arr = np.ascontiguousarray(net.store[w.name], dtype=np_dtype)
+                arr = np.ascontiguousarray(net.store[w.name], dtype="<f8")
                 name = w.name.encode("utf-8")
                 f.write(struct.pack("<H", len(name)))
                 f.write(name)
-                f.write(struct.pack("<BB", _DTYPE_CODE[dtype], arr.ndim))
+                f.write(struct.pack("<BB", _F64_CODE, arr.ndim))
                 f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
                 f.write(memoryview(arr).cast("B"))
             if regular:
@@ -235,11 +231,12 @@ class _Reader:
         self._advance(len(out), n)
         return out
 
-    def array(self, shape: tuple[int, ...], np_dtype: str) -> np.ndarray:
-        """A new array of ``shape`` filled straight from the file."""
-        nbytes = math.prod(shape) * np.dtype(np_dtype).itemsize
+    def array(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A new little-endian float64 array of ``shape`` filled straight
+        from the file."""
+        nbytes = math.prod(shape) * 8
         self._claim(nbytes)
-        arr = np.empty(shape, dtype=np_dtype)
+        arr = np.empty(shape, dtype="<f8")
         self._advance(self.f.readinto(memoryview(arr).cast("B")), nbytes)
         return arr
 
@@ -284,13 +281,14 @@ def load_checkpoint(path) -> Network:
             name_len = r.unpack("<H")
             name = r.text(name_len)
             dtype_code = r.unpack("<B")
-            if dtype_code not in (0, 1):
-                raise CheckpointError(f"{path}: weight {name}: unknown dtype code {dtype_code}")
+            if dtype_code != _F64_CODE:
+                raise CheckpointError(f"{path}: weight {name}: dtype code {dtype_code}, "
+                                      f"expected {_F64_CODE} (float64)")
             ndim = r.unpack("<B")
             if ndim not in (1, 2):
                 raise CheckpointError(f"{path}: weight {name}: {ndim} dimensions, expected 1 or 2")
             shape = tuple(r.unpack("<I") for _ in range(ndim))
-            store[name] = as_f64(r.array(shape, "<f4" if dtype_code == 0 else "<f8"))
+            store[name] = as_f64(r.array(shape))
         if r.pos != r.size:
             raise CheckpointError(f"{path}: {r.size - r.pos} trailing bytes")
     net = Network(arch, store, meta={"seed": seed})

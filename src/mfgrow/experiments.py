@@ -10,7 +10,7 @@ from __future__ import annotations
 import statistics
 from pathlib import Path
 
-from .arch import build_mlp, compute_partition
+from .arch import build_mlp
 from .data import synth_regression
 from .diagnostics import four_pair_report, heatmap_export, update_scaling_probe
 from .init import initialize, nonzero_mean_default
@@ -168,9 +168,8 @@ def _transfer_experiment(train_data, test_data, source_width, target_width, rate
         gaps = []
         for seed in seeds:
             source = sources[seed]
-            partition = compute_partition(source.arch)
-            plan = uniform_plan(partition, target_width, strategy=RandomStrategy(), r1=r1, r2=r2)
-            grown = transfer(source, partition, plan, Rng(seed))
+            plan = uniform_plan(source.arch, target_width, strategy=RandomStrategy(), r1=r1, r2=r2)
+            grown = transfer(source, plan, Rng(seed))
             log = _fit(grown, post_epochs, seed, train_data, test_data)
             acc = log.final("test_acc")
             bench = benchmarks[seed]
@@ -212,9 +211,8 @@ def twolayer_regen(seed=0, source_width=500, target_width=2000, out_dir=None,
     train(net, train_data, opt, epochs=40, batch_size=32, rng=Rng(seed + 1))
     src_mse, _ = evaluate(net, test_data.inputs, test_data.targets, "square")
 
-    partition = compute_partition(net.arch)
-    plan = uniform_plan(partition, target_width, strategy=FunctionBasedStrategy(64, 4))
-    regen = transfer(net, partition, plan, Rng(seed + 2))
+    plan = uniform_plan(net.arch, target_width, strategy=FunctionBasedStrategy(64, 4))
+    regen = transfer(net, plan, Rng(seed + 2))
     regen_mse, _ = evaluate(regen, test_data.inputs, test_data.targets, "square")
     ratio = regen_mse / src_mse
     passed = ratio <= ratio_bound

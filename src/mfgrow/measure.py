@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arch import COL, ROW, GammaPartition
+from .arch import COL, ROW, compute_partition
 from .errors import ParameterError
 from .net import Network
 
@@ -42,7 +42,6 @@ class GroupMeasure:
     """
 
     group_index: int
-    gamma_ids: tuple[int, ...]
     width: int
     features: dict[str, np.ndarray] = field(default_factory=dict)
     slices: dict[str, np.ndarray] = field(default_factory=dict)  # name -> (width, k)
@@ -97,21 +96,15 @@ class GroupMeasure:
         return buf.getvalue()
 
 
-def extract_measures(net: Network, partition: GammaPartition) -> list[GroupMeasure]:
-    """One GroupMeasure per group, in partition order."""
+def extract_measures(net: Network) -> list[GroupMeasure]:
+    """One GroupMeasure per group of the net's partition, in partition order."""
     arch = net.arch
-    axis_to_group: dict[tuple[str, str], int] = {}
-    for u in arch.usages:
-        axis_to_group[(u.weight, u.axis)] = partition.group_of(u.gamma)
-
-    measures = [
-        GroupMeasure(i, grp, partition.widths[i])
-        for i, grp in enumerate(partition.groups)
-    ]
+    partition = compute_partition(arch)
+    measures = [GroupMeasure(i, width) for i, width in enumerate(partition.widths)]
     for w in arch.weights:
         axes = ((ROW,) if w.kind == "vector" else (ROW, COL))
         for ax in axes:
-            gi = axis_to_group.get((w.name, ax))
+            gi = partition.axis_groups.get((w.name, ax))
             if gi is None:
                 continue
             m = measures[gi]

@@ -38,6 +38,10 @@ from .tensor import Rng, as_f64
 
 LOSSES = ("square", "cross_entropy")
 DIVERGENCE_LIMIT = 1e6
+# Adam's moment decay rates and denominator guard.
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 # Activation and its derivative, the latter written in terms of the
 # activation's output so the backward pass needs only the layer inputs.
@@ -283,9 +287,6 @@ class OptimizerState:
     lr: float
     multipliers: dict[str, float]
     width_scale: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -312,13 +313,13 @@ class OptimizerState:
                 continue
             m = self.m.setdefault(name, np.zeros_like(w))
             v = self.v.setdefault(name, np.zeros_like(w))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            mhat = m / (1.0 - self.beta1**self.step_count)
-            vhat = v / (1.0 - self.beta2**self.step_count)
-            w -= eff * mhat / (np.sqrt(vhat) + self.eps)
+            m *= _ADAM_BETA1
+            m += (1.0 - _ADAM_BETA1) * g
+            v *= _ADAM_BETA2
+            v += (1.0 - _ADAM_BETA2) * g * g
+            mhat = m / (1.0 - _ADAM_BETA1**self.step_count)
+            vhat = v / (1.0 - _ADAM_BETA2**self.step_count)
+            w -= eff * mhat / (np.sqrt(vhat) + _ADAM_EPS)
 
 
 @dataclass

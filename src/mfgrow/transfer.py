@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .arch import COL, GammaPartition, GammaVar, ROW, WeightSpec, compute_partition
+from .arch import COL, ArchGraph, GammaVar, ROW, WeightSpec, compute_partition
 from .errors import ParameterError
 from .measure import DuplicateStrategy, RandomStrategy, draw_indices, extract_measures
 from .net import Network
@@ -27,8 +27,9 @@ __all__ = ["TransferPlan", "apply_noise", "duplicate_grow", "transfer", "uniform
 class TransferPlan:
     """Target widths and sampling choices for one transfer.
 
-    ``targets`` maps group index -> new width; groups left out keep their
-    width. Non-resizable groups (data dimensions) must keep theirs.
+    ``targets`` maps group index (in ``compute_partition`` order) -> new
+    width; groups left out keep their width. Non-resizable groups (data
+    dimensions) must keep theirs.
     """
 
     targets: dict[int, int] = field(default_factory=dict)
@@ -46,8 +47,9 @@ class TransferPlan:
             raise ParameterError(f"unknown noise mode {self.noise_mode!r}")
 
 
-def uniform_plan(partition: GammaPartition, new_width: int, **kwargs) -> TransferPlan:
-    """Plan that sends every resizable group to ``new_width``."""
+def uniform_plan(arch: ArchGraph, new_width: int, **kwargs) -> TransferPlan:
+    """Plan that sends every resizable group of ``arch`` to ``new_width``."""
+    partition = compute_partition(arch)
     targets = {
         gi: new_width for gi in range(len(partition)) if partition.resizable[gi]
     }
@@ -101,24 +103,21 @@ def _group_index_set(measures, partition, plan, gi, rng) -> np.ndarray:
     )
 
 
-def transfer(
-    net: Network,
-    partition: GammaPartition,
-    plan: TransferPlan,
-    rng: Rng,
-) -> Network:
-    """Resample every group per the plan and rebuild all weights. The source
-    network is left untouched."""
+def transfer(net: Network, plan: TransferPlan, rng: Rng) -> Network:
+    """Resample every group of the net's partition per the plan and rebuild
+    all weights. The source network is left untouched."""
     net.validate()
     arch = net.arch
-    measures = extract_measures(net, partition)
+    partition = compute_partition(arch)
+    for gi in plan.targets:
+        if gi not in range(len(partition)):
+            raise ParameterError(
+                f"plan target {gi!r} names no group: the net has {len(partition)} groups"
+            )
+    measures = extract_measures(net)
     index_sets = {
         gi: _group_index_set(measures, partition, plan, gi, rng)
         for gi in range(len(partition))
-    }
-
-    axis_to_group = {
-        (u.weight, u.axis): partition.group_of(u.gamma) for u in arch.usages
     }
 
     new_store: dict[str, np.ndarray] = {}
@@ -133,7 +132,7 @@ def transfer(
         axes = (ROW,) if w.kind == "vector" else (ROW, COL)
         resampled = False
         for axis, name in enumerate(axes):
-            gi = axis_to_group[(w.name, name)]
+            gi = partition.axis_groups[(w.name, name)]
             if partition.resizable[gi]:
                 arr = np.take(arr, index_sets[gi], axis=axis)
                 resampled = True
@@ -157,9 +156,10 @@ def transfer(
     return out
 
 
-def duplicate_grow(net: Network, k: int, rng: Rng | None = None) -> Network:
+def duplicate_grow(net: Network, k: int) -> Network:
     """Naive k-fold duplication of every resizable group (function-preserving
-    under MFP, where the 1/width scalars absorb the copies exactly)."""
+    under MFP, where the 1/width scalars absorb the copies exactly). It draws
+    nothing and applies no noise."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     partition = compute_partition(net.arch)
@@ -169,4 +169,4 @@ def duplicate_grow(net: Network, k: int, rng: Rng | None = None) -> Network:
         if partition.resizable[gi]
     }
     plan = TransferPlan(targets=targets, strategy=DuplicateStrategy())
-    return transfer(net, partition, plan, rng or Rng(0))
+    return transfer(net, plan, Rng(0))

@@ -61,6 +61,46 @@ class TestReferencePartitions:
         assert len(g.weights) == 5
 
 
+# (weight, axis) -> group index, with the groups in partition order.
+AXIS_GROUP_PINS = {
+    "chain": (build_mlp(3, 8), {
+        ("u", "row"): 0, ("w1", "col"): 0, ("w1", "row"): 1, ("v", "row"): 1,
+    }),
+    "skip4": (build_mlp(4, 8, with_skip=True), {
+        ("u", "row"): 0, ("bu", "row"): 0, ("w1", "col"): 0,
+        ("w1", "row"): 1, ("b1", "row"): 1, ("w2", "col"): 1, ("w2", "row"): 1,
+        ("b2", "row"): 1, ("v", "row"): 1,
+        ("bv", "row"): 2,
+    }),
+    "cifar": (build_mlp(3, 100, with_bias=True, input_dim=3072, output_dim=10), {
+        ("u", "row"): 0, ("bu", "row"): 0, ("w1", "col"): 0,
+        ("w1", "row"): 1, ("b1", "row"): 1, ("v", "col"): 1,
+        ("u", "col"): 2,
+        ("v", "row"): 3, ("bv", "row"): 3,
+    }),
+}
+
+
+class TestAxisGroups:
+    @pytest.mark.parametrize("name", list(AXIS_GROUP_PINS))
+    def test_axis_group_map_pinned(self, name):
+        arch, expected = AXIS_GROUP_PINS[name]
+        assert compute_partition(arch).axis_groups == expected
+
+    @pytest.mark.parametrize("arch", [
+        build_mlp(5, [3, 4, 5, 6], with_bias=True, input_dim=2, output_dim=3),
+        build_mlp(4, 6, with_skip=True, input_dim=4),
+        build_skip_block(5),
+        build_attention_block(4, 3),
+    ], ids=["chain-5", "skip4-wide-input", "skip-block", "attention-block"])
+    def test_every_usage_maps_to_its_gammas_group(self, arch):
+        # Fragments leave boundary axes (the skip block's w4 rows) unmapped.
+        p = compute_partition(arch)
+        assert set(p.axis_groups) == {(u.weight, u.axis) for u in arch.usages}
+        for u in arch.usages:
+            assert p.axis_groups[(u.weight, u.axis)] == p.group_of(u.gamma)
+
+
 class TestPartitionProperties:
     def test_idempotent(self):
         g = build_mlp(4, 8, with_bias=True, with_skip=True)

@@ -376,6 +376,8 @@ class TestFailedCommandsWriteNothing:
         (["reproduce", "fig2_grow", "--r2", "0.99", "--cifar", "{tmp}/good", "--out", "{tmp}/rep"],
          2),
         (["reproduce", "twolayer_regen", "--seed", "-1", "--out", "{tmp}/rep"], 2),
+        (["reproduce", "twolayer_regen", "--seed", str(2**64 - 1), "--out", "{tmp}/rep"], 2),
+        (["reproduce", "twolayer_regen", "--seed", str(2**64 - 2), "--out", "{tmp}/rep"], 2),
         (["transfer", "--from", "{ckpt}", "--widths", "40", "--r1", "nan", "--out", "{tmp}/t.ckpt"],
          2),
     ], ids=["sample-zero-target", "reproduce-no-cifar", "reproduce-cifar-dir-missing",
@@ -383,7 +385,8 @@ class TestFailedCommandsWriteNothing:
             "train-out-is-file", "hist-no-matrix-weight", "reproduce-truncated-batch",
             "reproduce-directory-batch", "reproduce-bad-label", "reproduce-zero-seeds",
             "reproduce-negative-seeds", "reproduce-r2-out-of-range", "reproduce-r2-without-r1",
-            "reproduce-negative-seed", "transfer-r1-nan"])
+            "reproduce-negative-seed", "reproduce-regen-top-seed",
+            "reproduce-regen-top-seed-minus-1", "transfer-r1-nan"])
     def test_exits_with_error_and_leaves_outputs_alone(self, argv, code, small_ckpt, tmp_path,
                                                         monkeypatch, capsys):
         monkeypatch.delenv("MFGROW_CIFAR10_DIR", raising=False)

@@ -206,17 +206,6 @@ class TestCheckpoint:
         xs = Rng(9).generator().normal(size=(100, 1))
         assert np.array_equal(forward_batch(loaded, xs), forward_batch(net, xs))
 
-    def test_f32_round_trip_error_bound(self, tmp_path):
-        net = example_net(5)
-        path = tmp_path / "d.ckpt"
-        save_checkpoint(net, path, dtype="f32")
-        loaded = load_checkpoint(path)
-        for k in net.store:
-            w = net.store[k]
-            err = np.max(np.abs(loaded.store[k] - w))
-            bound = 2.0**-23 * max(np.max(np.abs(w)), 1e-30)
-            assert err <= bound * 1.0001
-
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
@@ -226,11 +215,13 @@ class TestCheckpoint:
     # The arch JSON starts after the 21-byte header (magic, version, seed,
     # param code, JSON length), so byte 30 lies inside it. The first weight's
     # name follows the JSON, the weight count and the name length; its ndim
-    # byte follows the name and the dtype byte.
+    # byte follows the name and the dtype byte, which is always 1 (float64).
     @pytest.mark.parametrize("where, value, match", [
         ("arch_json", 0xFF, "not UTF-8"),
         ("weight_name", 0xFF, "not UTF-8"),
         ("ndim", 0x50, "dimensions"),
+        ("dtype", 0, "dtype code 0"),
+        ("dtype", 7, "dtype code 7"),
     ])
     def test_hostile_bytes_raise_checkpoint_error(self, tmp_path, where, value, match):
         net = example_net()
@@ -238,8 +229,9 @@ class TestCheckpoint:
         save_checkpoint(net, path)
         raw = bytearray(path.read_bytes())
         name_at = 21 + int.from_bytes(raw[17:21], "little") + 4 + 2
-        offset = {"arch_json": 30, "weight_name": name_at,
-                  "ndim": name_at + len(net.arch.weights[0].name) + 1}[where]
+        dtype_at = name_at + len(net.arch.weights[0].name)
+        offset = {"arch_json": 30, "weight_name": name_at, "dtype": dtype_at,
+                  "ndim": dtype_at + 1}[where]
         raw[offset] = value
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match=match):
@@ -277,10 +269,9 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="3 trailing bytes"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("dtype", ["f64", "f32"])
-    def test_loaded_weights_are_owned_and_trainable(self, tmp_path, dtype):
+    def test_loaded_weights_are_owned_and_trainable(self, tmp_path):
         path = tmp_path / "w.ckpt"
-        save_checkpoint(example_net(), path, dtype=dtype)
+        save_checkpoint(example_net(), path)
         loaded = load_checkpoint(path)
         for arr in loaded.store.values():
             assert arr.dtype == np.float64
@@ -301,28 +292,25 @@ def chain_net(seed=0, width=9):
 # payload: the format must not move.
 CHECKPOINT_PINS = {
     ("chain", "f64"): "d6fade9ff6a2d4f35ebab4cc87355dbf9f1dbbd635e7e3351a6f2a5fd1b4bd58",
-    ("chain", "f32"): "38d54f334a4502dbb84eba244d8d8c3840fd864b2e445efdffc493eca0f7d8d6",
     ("skip4", "f64"): "2e5a48a5697705f32235957dbc5b294cd34d9c84f257fe1551279c0266c30e01",
-    ("skip4", "f32"): "e853f043c3b1aee582bec840892e8d5f53b65eca11f56cf325338a7edd35519e",
 }
 
 
 @pytest.mark.parametrize("case", list(CHECKPOINT_PINS), ids="-".join)
 def test_checkpoint_bytes_pinned(tmp_path, case):
-    topology, dtype = case
+    topology, _ = case
     net = chain_net(6) if topology == "chain" else example_net(6)
     path = tmp_path / "p.ckpt"
-    save_checkpoint(net, path, seed=2**64 - 3, dtype=dtype)
+    save_checkpoint(net, path, seed=2**64 - 3)
     raw = path.read_bytes()
     assert hashlib.sha256(raw).hexdigest() == CHECKPOINT_PINS[case]
     # Column-major weights are written in the same row-major bytes.
     fortran = Network(net.arch, {k: np.asfortranarray(v) for k, v in net.store.items()})
-    save_checkpoint(fortran, tmp_path / "f.ckpt", seed=2**64 - 3, dtype=dtype)
+    save_checkpoint(fortran, tmp_path / "f.ckpt", seed=2**64 - 3)
     assert (tmp_path / "f.ckpt").read_bytes() == raw
     loaded = load_checkpoint(path)
-    if dtype == "f64":
-        for k in net.store:
-            assert loaded.store[k].tobytes() == net.store[k].tobytes()
+    for k in net.store:
+        assert loaded.store[k].tobytes() == net.store[k].tobytes()
 
 
 class TestOverwrite:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfgrow.arch import build_mlp, compute_partition
+from mfgrow.arch import build_mlp
 from mfgrow.errors import ParameterError
 from mfgrow.init import initialize, nonzero_mean_default
 from mfgrow.measure import (
@@ -32,8 +32,7 @@ def small_net(depth=3, width=8, seed=0, **kw):
 class TestExtract:
     def test_two_layer_single_joint_measure(self):
         net = small_net(depth=2, width=16)
-        p = compute_partition(net.arch)
-        ms = extract_measures(net, p)
+        ms = extract_measures(net)
         assert len(ms) == 1
         m = ms[0]
         assert m.width == 16  # N joint samples, never N x N
@@ -42,8 +41,7 @@ class TestExtract:
 
     def test_skip_net_group_features(self):
         net = small_net(depth=4, width=8, with_bias=True, with_skip=True)
-        p = compute_partition(net.arch)
-        ms = extract_measures(net, p)
+        ms = extract_measures(net)
         assert len(ms) == 3
         merged = ms[1]  # the {2, 3} group
         assert set(merged.features) == {"v", "R(w2)", "C(w2)", "R(w1)", "b1", "b2"}
@@ -51,13 +49,13 @@ class TestExtract:
 
     def test_width_one_group(self):
         net = small_net(depth=4, width=8, with_bias=True, with_skip=True)
-        ms = extract_measures(net, compute_partition(net.arch))
+        ms = extract_measures(net)
         assert ms[2].width == 1
         assert set(ms[2].features) == {"bv"}
 
     def test_profiles_are_means(self):
         net = small_net(depth=3, width=8)
-        ms = extract_measures(net, compute_partition(net.arch))
+        ms = extract_measures(net)
         w1 = net.store["w1"]
         by_group = {m.group_index: m for m in ms}
         assert np.allclose(by_group[1].features["R(w1)"], w1.mean(axis=1))
@@ -84,14 +82,14 @@ class TestExtract:
         # columns: the norms equal those over the concatenated slices bit for
         # bit, whichever layout the concatenation takes.
         net = small_net(width=width, **kw)
-        for m in extract_measures(net, compute_partition(net.arch)):
+        for m in extract_measures(net):
             stacked = np.concatenate(list(m.slices.values()), axis=1)
             ref = np.sqrt(np.sum(stacked * stacked, axis=1))
             assert m.sample_norms().tobytes() == ref.tobytes()
 
     def test_csv_export(self):
         net = small_net(depth=2, width=4)
-        m = extract_measures(net, compute_partition(net.arch))[0]
+        m = extract_measures(net)[0]
         text = m.to_csv()
         assert text.splitlines()[0] == "sample,u,v"
         assert len(text.splitlines()) == 5
@@ -157,7 +155,7 @@ class TestWeightedLoss:
         # resamples. Summing the moments in another order (q outer, or q
         # descending) moves some of them by an ulp and breaks it.
         net = small_net(depth=4, width=64, with_bias=True, with_skip=True)
-        g = extract_measures(net, compute_partition(net.arch))[1]
+        g = extract_measures(net)[1]
         gen = Rng(8).generator()
         losses = [weighted_measure_loss(g.features, g.restricted(gen.choice(64, size=64)), 4)
                   for _ in range(16)]
@@ -176,7 +174,7 @@ class TestWeightedLoss:
 class TestDrawIndices:
     def measure_with_norms(self, norms):
         width = len(norms)
-        m = GroupMeasure(0, (1,), width)
+        m = GroupMeasure(0, width)
         vals = np.asarray(norms, dtype=np.float64)
         m.features["a"] = vals
         m.slices["a"] = vals[:, None]
@@ -296,6 +294,6 @@ class TestCouplingContrast:
 class TestMeasureWidthInvariant:
     def test_group_width_not_product(self):
         net = small_net(depth=3, width=8, with_bias=True, input_dim=5, output_dim=4)
-        ms = extract_measures(net, compute_partition(net.arch))
+        ms = extract_measures(net)
         widths = sorted(m.width for m in ms)
         assert widths == [4, 5, 8, 8]

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mfgrow.arch import build_mlp, compute_partition
+from mfgrow.arch import build_mlp
 from mfgrow.data import CIFAR_RECORD, load_checkpoint, load_cifar10, save_checkpoint
 from mfgrow.diagnostics import heatmap_export
 from mfgrow.init import initialize, nonzero_mean_default
@@ -64,9 +64,8 @@ def test_load_checkpoint_reads_each_payload_once(wide_net, tmp_path):
 
 def test_grow_with_noise_peak_bounded():
     net = cifar_net(100, seed=1)
-    p = compute_partition(net.arch)
-    plan = uniform_plan(p, 1000, r1=1.0)
-    grown, extra = traced_peak(lambda: transfer(net, p, plan, Rng(2)))
+    plan = uniform_plan(net.arch, 1000, r1=1.0)
+    grown, extra = traced_peak(lambda: transfer(net, plan, Rng(2)))
     assert extra < 1.75 * payload_bytes(grown)
 
 
@@ -74,24 +73,23 @@ def test_grow_applies_noise_in_place():
     # The noise goes onto each freshly gathered weight through one small
     # buffer: no weight is ever held twice.
     net = cifar_net(100, seed=1)
-    p = compute_partition(net.arch)
-    plan = uniform_plan(p, 1000, r1=1.0)
-    grown, extra = traced_peak(lambda: transfer(net, p, plan, Rng(2)))
+    plan = uniform_plan(net.arch, 1000, r1=1.0)
+    grown, extra = traced_peak(lambda: transfer(net, plan, Rng(2)))
     assert extra < 1.1 * payload_bytes(grown)
 
 
 def test_prune_holds_no_copy_of_its_source(wide_net):
     # The r2 norm filter squares its slices a block at a time: a 1000 -> 100
     # prune adds little to its output beyond the one-axis gather of w1.
-    p = compute_partition(wide_net.arch)
-    pruned, extra = traced_peak(lambda: transfer(wide_net, p, uniform_plan(p, 100), Rng(2)))
+    plan = uniform_plan(wide_net.arch, 100)
+    pruned, extra = traced_peak(lambda: transfer(wide_net, plan, Rng(2)))
     assert extra < payload_bytes(pruned) + 1 * MiB
 
 
 def test_sample_norms_use_one_small_buffer(wide_net):
     # Every group of the 1000-wide net, the 1000 x (3072 + 1 + 1000) hidden
     # group and the 3072-wide input group included.
-    for m in extract_measures(wide_net, compute_partition(wide_net.arch)):
+    for m in extract_measures(wide_net):
         _, extra = traced_peak(m.sample_norms)
         assert extra < 1 * MiB, m.group_index
 

@@ -75,9 +75,8 @@ class TestApplyNoise:
 class TestIdentityTransfer:
     def test_bit_identical(self):
         net = make_net(3, 12, with_bias=True)
-        p = compute_partition(net.arch)
         # No targets: every group keeps its width and is tiled once.
-        out = transfer(net, p, TransferPlan(strategy=DuplicateStrategy()), Rng(0))
+        out = transfer(net, TransferPlan(strategy=DuplicateStrategy()), Rng(0))
         for k in net.store:
             assert np.array_equal(out.store[k], net.store[k])
 
@@ -113,10 +112,9 @@ class TestDuplication:
 
     def test_non_integer_multiple_rejected(self):
         net = make_net(3, 10)
-        p = compute_partition(net.arch)
-        plan = uniform_plan(p, 15, strategy=DuplicateStrategy())
+        plan = uniform_plan(net.arch, 15, strategy=DuplicateStrategy())
         with pytest.raises(ParameterError):
-            transfer(net, p, plan, Rng(0))
+            transfer(net, plan, Rng(0))
 
 
 class TestRandomGrowth:
@@ -127,23 +125,26 @@ class TestRandomGrowth:
         # function. (A same-size draw is without replacement: a pure
         # permutation, which leaves the function exactly invariant.)
         net = make_net(3, 100, seed=2)
-        p = compute_partition(net.arch)
         xs = Rng(97).generator().uniform(-2, 2, size=(100, 1))
         f_src = forward_batch(net, xs)
 
         def mean_deviation(width):
             return np.mean([
-                np.mean(np.abs(forward_batch(transfer(net, p, uniform_plan(p, width), Rng(s)), xs)
+                np.mean(np.abs(forward_batch(transfer(net, uniform_plan(net.arch, width), Rng(s)), xs)
                                - f_src))
                 for s in range(3, 23)
             ])
 
         assert mean_deviation(1000) < mean_deviation(101)  # more samples, less Monte Carlo error
 
-    def test_same_size_draw_is_permutation(self):
-        net = make_net(3, 64, seed=12)
-        p = compute_partition(net.arch)
-        shuffled = transfer(net, p, uniform_plan(p, 64), Rng(13))
+    @pytest.mark.parametrize("depth, width, kw", [
+        (3, 64, {}),
+        # skip4's merged group moves w1, b1, w2 and b2 rows together.
+        (4, 8, dict(with_skip=True)),
+    ], ids=["chain", "skip4"])
+    def test_same_size_draw_is_permutation(self, depth, width, kw):
+        net = make_net(depth, width, seed=12, **kw)
+        shuffled = transfer(net, uniform_plan(net.arch, width), Rng(13))
         xs = Rng(96).generator().uniform(-2, 2, size=(50, 1))
         assert np.allclose(forward_batch(shuffled, xs), forward_batch(net, xs), atol=1e-12)
         assert not np.array_equal(shuffled.store["v"], net.store["v"])
@@ -153,8 +154,7 @@ class TestRandomGrowth:
         # so do u entries and w1 columns: transferred slices must originate
         # from the same source index.
         net = make_net(3, 30, seed=5)
-        p = compute_partition(net.arch)
-        grown = transfer(net, p, uniform_plan(p, 90), Rng(6))
+        grown = transfer(net, uniform_plan(net.arch, 90), Rng(6))
         # Recover the index choices by matching entries (distinct w.p. 1).
         idx_rows = _recover(net.store["v"], grown.store["v"])
         idx_cols = _recover(net.store["u"], grown.store["u"])
@@ -162,8 +162,7 @@ class TestRandomGrowth:
 
     def test_shapes_and_scalars_follow_targets(self):
         net = make_net(3, 16, with_bias=True, input_dim=7, output_dim=4)
-        p = compute_partition(net.arch)
-        grown = transfer(net, p, uniform_plan(p, 48), Rng(7))
+        grown = transfer(net, uniform_plan(net.arch, 48), Rng(7))
         assert grown.store["w1"].shape == (48, 48)
         assert grown.store["u"].shape == (48, 7)
         assert grown.store["v"].shape == (4, 48)
@@ -175,15 +174,21 @@ class TestRandomGrowth:
         data_groups = [i for i in range(len(p)) if not p.resizable[i]]
         plan = TransferPlan(targets={data_groups[0]: 99})
         with pytest.raises(ParameterError, match="data-tied"):
-            transfer(net, p, plan, Rng(0))
+            transfer(net, plan, Rng(0))
+
+    @pytest.mark.parametrize("key", [3, 7, -1, "1"])
+    def test_target_naming_no_group_rejected(self, key):
+        net = make_net(3, 16, with_bias=True)  # groups 0, 1 and the width-1 output group 2
+        with pytest.raises(ParameterError, match=f"plan target {key!r} names no group: "
+                                                 "the net has 3 groups"):
+            transfer(net, TransferPlan(targets={key: 100}), Rng(0))
 
     def test_deterministic_given_plan_and_seed(self):
         net = make_net(3, 20, seed=8)
-        p = compute_partition(net.arch)
-        plan = uniform_plan(p, 60, r1=0.3)
-        a = transfer(net, p, plan, Rng(123))
-        b = transfer(net, p, plan, Rng(123))
-        c = transfer(net, p, plan, Rng(124))
+        plan = uniform_plan(net.arch, 60, r1=0.3)
+        a = transfer(net, plan, Rng(123))
+        b = transfer(net, plan, Rng(123))
+        c = transfer(net, plan, Rng(124))
         for k in a.store:
             assert np.array_equal(a.store[k], b.store[k])
         assert not np.array_equal(a.store["w1"], c.store["w1"])
@@ -191,8 +196,7 @@ class TestRandomGrowth:
     def test_source_untouched(self):
         net = make_net(3, 20, seed=14, with_bias=True)
         before = {k: v.copy() for k, v in net.store.items()}
-        p = compute_partition(net.arch)
-        transfer(net, p, uniform_plan(p, 40, r1=0.5, r2=0.3), Rng(15))
+        transfer(net, uniform_plan(net.arch, 40, r1=0.5, r2=0.3), Rng(15))
         for k in before:
             assert np.array_equal(net.store[k], before[k])
 
@@ -204,8 +208,7 @@ def _recover(src, new):
 class TestPruning:
     def test_prune_shapes(self):
         net = make_net(3, 50, seed=9)
-        p = compute_partition(net.arch)
-        pruned = transfer(net, p, uniform_plan(p, 10, r2=0.5), Rng(10))
+        pruned = transfer(net, uniform_plan(net.arch, 10, r2=0.5), Rng(10))
         assert pruned.store["w1"].shape == (10, 10)
 
     def test_r2_filter_drops_small_norms(self):
@@ -213,8 +216,7 @@ class TestPruning:
         # Make sample norms strictly increasing so survivors are known.
         net.store["u"] = np.arange(1.0, 11.0)
         net.store["v"] = np.zeros(10)
-        p = compute_partition(net.arch)
-        pruned = transfer(net, p, uniform_plan(p, 5, r2=0.5), Rng(12))
+        pruned = transfer(net, uniform_plan(net.arch, 5, r2=0.5), Rng(12))
         assert set(pruned.store["u"].tolist()) <= {6.0, 7.0, 8.0, 9.0, 10.0}
 
 
@@ -227,8 +229,8 @@ class TestGrowThenTrain:
         train(small, train_data, opt, epochs=4, batch_size=32, rng=Rng(22))
         pre_loss, _ = evaluate(small, test_data.inputs, test_data.targets, "square")
 
-        p = compute_partition(small.arch)
-        grown = transfer(small, p, uniform_plan(p, 80, strategy=DuplicateStrategy()), Rng(23))
+        plan = uniform_plan(small.arch, 80, strategy=DuplicateStrategy())
+        grown = transfer(small, plan, Rng(23))
         opt = OptimizerState.create(grown, lr=0.05)
         log = train(grown, train_data, opt, epochs=1, batch_size=32, rng=Rng(24),
                     test_data=test_data)
@@ -238,9 +240,8 @@ class TestGrowThenTrain:
     def test_function_based_strategy_accepted(self):
         train_data = synth_regression("sine", 128, 0.0, Rng(30))
         small = make_net(2, 30, seed=31)
-        p = compute_partition(small.arch)
         strategy = FunctionBasedStrategy(8, 2)
-        grown = transfer(small, p, uniform_plan(p, 60, strategy=strategy), Rng(32))
+        grown = transfer(small, uniform_plan(small.arch, 60, strategy=strategy), Rng(32))
         opt = OptimizerState.create(grown, lr=0.05)
         log = train(grown, train_data, opt, epochs=1, batch_size=32, rng=Rng(33))
         assert len(log.rows) == 2
@@ -295,10 +296,9 @@ class TestTransferPinned:
     def test_transfer_output_pinned(self, case):
         topology, strategy, target, r1, r2, mode = case
         net = _pin_net(topology == "skip4")
-        p = compute_partition(net.arch)
-        plan = uniform_plan(p, target, strategy=_STRATEGIES[strategy], r1=r1, r2=r2,
+        plan = uniform_plan(net.arch, target, strategy=_STRATEGIES[strategy], r1=r1, r2=r2,
                             noise_mode=mode)
-        out = transfer(net, p, plan, Rng(50))
+        out = transfer(net, plan, Rng(50))
         assert store_digest(out) == TRANSFER_PINS[case]
 
     def test_outputs_compute_like_their_checkpoint(self, tmp_path):
@@ -306,9 +306,8 @@ class TestTransferPinned:
         # gives, so the in-memory net and its round trip round alike.
         arch = build_mlp(3, 16, with_bias=True, input_dim=48, output_dim=10)
         net = initialize(zeros_network(arch), nonzero_mean_default("MFP", arch), Rng(1))
-        p = compute_partition(arch)
         for target in (48, 9):
-            out = transfer(net, p, uniform_plan(p, target), Rng(2))
+            out = transfer(net, uniform_plan(arch, target), Rng(2))
             assert all(a.flags.c_contiguous for a in out.store.values())
             save_checkpoint(out, tmp_path / "t.ckpt")
             back = load_checkpoint(tmp_path / "t.ckpt")
