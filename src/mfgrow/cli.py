@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import get_origin
 
 from . import experiments
 from .arch import arch_from_json, build_mlp, compute_partition, format_partition
@@ -25,7 +26,7 @@ from .diagnostics import (
     profile,
     write_gnuplot_script,
 )
-from .errors import ConfigError, MfgrowError, MissingDataError, StructureError
+from .errors import ConfigError, MfgrowError, MissingDataError, ParameterError, StructureError
 from .init import InitSpec, initialize, iid_spec, nonzero_mean_default, rc_spec
 from .measure import (
     DuplicateStrategy,
@@ -35,7 +36,7 @@ from .measure import (
     draw_indices,
     extract_measures,
 )
-from .net import OptimizerState, train, zeros_network
+from .net import OptimizerState, check_schedule, train, zeros_network
 from .tensor import DistributionSpec, Rng
 from .transfer import TransferPlan, transfer, uniform_plan
 
@@ -49,39 +50,93 @@ EXIT_MISSING_DATA = 3
 # Experiment config
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"parametrization", "arch", "init", "optimizer", "epochs", "seeds",
-             "dataset", "transfer", "out_dir"}
-_ARCH_KEYS = {"file", "builder", "depth", "widths", "with_bias", "with_skip",
-              "input_dim", "output_dim", "activation"}
-_OPT_KEYS = {"kind", "lr", "batch_size", "lr_width_exponent"}
-_DATASET_KEYS = {"kind", "dir", "n", "test_n", "noise_std"}
-_INIT_KEYS = {"mode", "phi", "distributions", "rc_pairs"}
+class _Choice(dict):
+    """A key's type: its value names one of these sections, whose keys join it."""
 
 
-def _require_keys(doc: dict, allowed: set, what: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+_REQUIRED = object()  # the default of a key that has none
 
+_MLP = {"depth": (int, 3), "widths": ((int, list[int]), 300), "with_bias": (bool, True),
+        "with_skip": (bool, False), "input_dim": (int, 1), "output_dim": (int, 1),
+        "activation": (str, "tanh")}
+_SYNTHETIC = {"n": (int, 1024), "test_n": (int, lambda ds: max(1, ds["n"] // 4)),
+              "noise_std": (float, 0.0)}
+
+# Every config key: its JSON type and its default. A dict in place of the type
+# is a section, checked the same way. A callable default is computed from the
+# section's values. Ranges are left to the library code each value reaches.
+_SCHEMA = {
+    # null keeps the architecture's own: the file's, else build_mlp's MFP.
+    "parametrization": (str, None),
+    # An architecture file, or build_mlp's arguments.
+    "arch": ({"builder": (_Choice(file={"file": (str, _REQUIRED)}, mlp=_MLP),
+                          lambda arch: "file" if "file" in arch else "mlp")}, _REQUIRED),
+    "init": ((str, dict), "default"),  # "default", or an _INIT section
+    "optimizer": ({"kind": (str, "sgd"), "lr": (float, 0.1), "batch_size": (int, 64),
+                   "lr_width_exponent": (float, 0.0)}, {}),
+    "epochs": (int, 1),
+    "seeds": (list[int], [0]),
+    "dataset": ({"kind": (_Choice(cifar10={"dir": (str, None)}, sine=_SYNTHETIC,
+                                  cubic=_SYNTHETIC), _REQUIRED)}, _REQUIRED),
+    "out_dir": (str, "out"),
+}
+# "distributions" and "rc_pairs" map weight names to _DISTRIBUTION objects
+# and to [row, col] pairs of them; "phi" is a form name or a map to them.
+_RC = {"rc_pairs": (dict, {}), "phi": ((str, dict), "sum")}
+_INIT = {"mode": (_Choice(iid={}, rc=_RC), "iid"), "distributions": (dict, {})}
+_DISTRIBUTION = {"kind": (str, _REQUIRED), "a": (float, 0.0), "b": (float, 0.0)}
 
 _JSON_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
-               str: "a string"}
+               str: "a string", list[int]: "a list of integers", dict: "an object"}
 
 
-def _checked(value, kind: type, what: str):
-    """``value`` if it is a JSON value of ``kind`` (int, float, bool or str),
-    converted to ``kind``; an integer also counts as a number. Anything else,
-    null and numeric strings included, raises ConfigError."""
+def _checked(value, kind, what: str):
+    """``value`` if it is a JSON value of ``kind`` (a key of _JSON_KINDS, or a
+    tuple of them); a float kind converts an integer. Anything else, null and
+    numeric strings included, raises ConfigError."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
     if isinstance(value, bool):
-        ok = kind is bool
+        ok = bool in kinds
     elif kind is float:
         # Also rejects nan, inf and integers beyond the float range.
         ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     else:
-        ok = isinstance(value, kind)
+        ok = isinstance(value, tuple(get_origin(k) or k for k in kinds))
     if not ok:
-        raise ConfigError(f"{what} must be {_JSON_KINDS[kind]}, got {json.dumps(value)}")
-    return kind(value)
+        expected = " or ".join(_JSON_KINDS[k] for k in kinds)
+        raise ConfigError(f"{what} must be {expected}, got {json.dumps(value)}")
+    if isinstance(value, list):
+        return [_checked(entry, int, f"{what} entry") for entry in value]
+    return float(value) if kind is float else value
+
+
+def _section(doc, schema: dict, where: str) -> dict:
+    """``doc`` checked against ``schema`` with defaults filled in. A missing key
+    with no default, an unknown key or choice and a wrong JSON type raise ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object, got {json.dumps(doc)}")
+    out, items = {}, list(schema.items())
+    for key, (kind, default) in items:  # a _Choice appends its section's items
+        what = f"{where} {key!r}"
+        value = doc.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{where} needs {key!r}")
+        if callable(value):
+            value = value({**doc, **out})
+        if isinstance(kind, _Choice):
+            value = _checked(value, str, what)
+            if value not in kind:
+                raise ConfigError(f"{where} {key} must be one of {sorted(kind)}, got {value!r}")
+            items += kind[value].items()
+        elif isinstance(kind, dict):
+            value = _section(value, kind, f"{where} {key}")
+        elif key in doc:
+            value = _checked(value, kind, what)
+        out[key] = value
+    unknown = sorted(set(doc) - set(out))
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys {unknown}")
+    return out
 
 
 def _read_text(path, error: type[MfgrowError], what: str) -> str:
@@ -96,94 +151,43 @@ def _read_text(path, error: type[MfgrowError], what: str) -> str:
 
 
 def load_config(path) -> dict:
+    """The config at ``path``, checked against _SCHEMA with defaults filled in."""
     try:
         doc = json.loads(_read_text(path, ConfigError, "config file"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("config must hold a JSON object")
-    _require_keys(doc, _TOP_KEYS, "config")
-    for key, allowed in (("arch", _ARCH_KEYS), ("optimizer", _OPT_KEYS),
-                         ("dataset", _DATASET_KEYS)):
-        if key in doc:
-            if not isinstance(doc[key], dict):
-                raise ConfigError(f"config key {key!r} must be an object")
-            _require_keys(doc[key], allowed, key)
-    if isinstance(doc.get("init"), dict):
-        _require_keys(doc["init"], _INIT_KEYS, "init")
-    return doc
+    cfg = _section(doc, _SCHEMA, "config")
+    if cfg["init"] != "default":
+        cfg["init"] = _section(cfg["init"], _INIT, "init")
+    return cfg
 
 
 def _build_arch(cfg: dict):
-    arch_cfg = cfg.get("arch")
-    if not arch_cfg:
-        raise ConfigError("config needs an 'arch' section")
-    if "file" in arch_cfg:
-        path = _checked(arch_cfg["file"], str, "config arch 'file'")
-        graph = arch_from_json(_read_text(path, StructureError, "architecture file"))
-        if "parametrization" in cfg:
-            graph = graph.with_parametrization(cfg["parametrization"])
-        return graph
-    if arch_cfg.get("builder", "mlp") != "mlp":
-        raise ConfigError(f"unknown arch builder {arch_cfg.get('builder')!r}")
-
-    def get(key: str, default, kind: type):
-        return _checked(arch_cfg.get(key, default), kind, f"config arch {key!r}")
-
-    widths = arch_cfg.get("widths", 300)
-    if isinstance(widths, list):
-        widths = [_checked(w, int, "config arch 'widths' entry") for w in widths]
+    arch = cfg["arch"]
+    if arch["builder"] == "file":
+        graph = arch_from_json(_read_text(arch["file"], StructureError, "architecture file"))
     else:
-        widths = get("widths", 300, int)
-    return build_mlp(
-        get("depth", 3, int),
-        widths,
-        with_bias=get("with_bias", True, bool),
-        with_skip=get("with_skip", False, bool),
-        input_dim=get("input_dim", 1, int),
-        output_dim=get("output_dim", 1, int),
-        parametrization=cfg.get("parametrization", "MFP"),
-        activation=arch_cfg.get("activation", "tanh"),
-    )
+        graph = build_mlp(**{key: arch[key] for key in _MLP})
+    if cfg["parametrization"] is not None:
+        graph = graph.with_parametrization(cfg["parametrization"])
+    return graph
 
 
-def _parse_distribution(doc, where: str) -> DistributionSpec:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ConfigError(f"init {where}: a distribution is an object with a 'kind'")
-    a = _checked(doc.get("a", 0.0), float, f"init {where}: distribution 'a'")
-    b = _checked(doc.get("b", 0.0), float, f"init {where}: distribution 'b'")
-    return DistributionSpec(doc["kind"], a, b)
+def _build_init_spec(init, arch) -> InitSpec:
+    def distribution(doc, where: str) -> DistributionSpec:
+        return DistributionSpec(**_section(doc, _DISTRIBUTION, f"init {where}"))
 
-
-def _init_section(init_cfg: dict, key: str) -> dict:
-    section = init_cfg.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"init {key!r} must be an object")
-    return section
-
-
-def _build_init_spec(cfg: dict, arch) -> InitSpec:
-    init_cfg = cfg.get("init", "default")
-    if init_cfg == "default":
-        return nonzero_mean_default(cfg.get("parametrization", arch.parametrization), arch)
-    if not isinstance(init_cfg, dict):
-        raise ConfigError('config key \'init\' must be "default" or an object')
-    mode = init_cfg.get("mode", "iid")
-    if mode not in ("iid", "rc"):
-        raise ConfigError(f"unknown init mode {mode!r} (expected 'iid' or 'rc')")
-    dists = {k: _parse_distribution(v, k)
-             for k, v in _init_section(init_cfg, "distributions").items()}
-    if mode == "iid":
+    if init == "default":
+        return nonzero_mean_default(arch.parametrization, arch)
+    dists = {k: distribution(v, k) for k, v in init["distributions"].items()}
+    if init["mode"] == "iid":
         return iid_spec(dists)
     pairs = {}
-    for k, v in _init_section(init_cfg, "rc_pairs").items():
+    for k, v in init["rc_pairs"].items():
         if not isinstance(v, list) or len(v) != 2:
             raise ConfigError(f"init rc_pairs {k!r} must be a [row, col] pair of distributions")
-        pairs[k] = (_parse_distribution(v[0], f"{k} row"), _parse_distribution(v[1], f"{k} col"))
-    phi = init_cfg.get("phi", "sum")
-    if not isinstance(phi, (str, dict)):
-        raise ConfigError("init 'phi' must be a form name or an object of them per weight")
-    return rc_spec(pairs, dists, phi)
+        pairs[k] = (distribution(v[0], f"{k} row"), distribution(v[1], f"{k} col"))
+    return rc_spec(pairs, dists, init["phi"])
 
 
 def _cifar10(directory=None):
@@ -199,47 +203,32 @@ def _cifar10(directory=None):
     return load_cifar10(path)
 
 
-def _dataset(cfg: dict):
-    """The config's dataset as a function of the seed giving (train, test).
-    The section is read and checked here; CIFAR-10 is loaded once for all
-    seeds, and a synthetic set is drawn from each seed."""
-    ds = cfg.get("dataset")
-    if not ds:
-        raise ConfigError("config needs a 'dataset' section")
-    kind = ds.get("kind")
-    if kind == "cifar10":
-        directory = ds.get("dir")
-        if directory is not None:
-            directory = _checked(directory, str, "config dataset 'dir'")
-        splits = _cifar10(directory)
+def _dataset(ds: dict):
+    """The dataset section as a function of the seed giving (train, test):
+    CIFAR-10 is loaded here, once for all seeds, a synthetic set drawn per seed."""
+    if ds["kind"] == "cifar10":
+        splits = _cifar10(ds["dir"])
         return lambda seed: splits
-    if kind in ("sine", "cubic"):
-        n = _checked(ds.get("n", 1024), int, "config dataset 'n'")
-        test_n = _checked(ds.get("test_n", max(1, n // 4)), int, "config dataset 'test_n'")
-        noise = _checked(ds.get("noise_std", 0.0), float, "config dataset 'noise_std'")
 
-        def draw(seed):
-            rng = Rng(seed)
-            return (synth_regression(kind, n, noise, rng),
-                    synth_regression(kind, test_n, noise, rng, split="test"))
-        return draw
-    raise ConfigError(f"unknown dataset kind {kind!r}")
+    def draw(seed):
+        rng = Rng(seed)
+        return (synth_regression(ds["kind"], ds["n"], ds["noise_std"], rng),
+                synth_regression(ds["kind"], ds["test_n"], ds["noise_std"], rng, split="test"))
+    return draw
 
 
 def _seeds(args, cfg: dict) -> list[int]:
-    """``--seed`` alone if given, else the config's non-empty ``seeds`` list."""
-    if args.seed is not None:
-        return [args.seed]
-    seeds = cfg.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError(
-            f"config 'seeds' must be a non-empty list of integers, got {json.dumps(seeds)}")
-    return [_checked(seed, int, "config 'seeds' entry") for seed in seeds]
+    """``--seed`` alone if given, else the config's non-empty ``seeds`` list;
+    Rng checks the range of each."""
+    seeds = [args.seed] if args.seed is not None else cfg["seeds"]
+    if not seeds:
+        raise ConfigError("config 'seeds' must be a non-empty list of integers, got []")
+    return [Rng(seed).seed for seed in seeds]
 
 
-def _out_dir(args, cfg=None) -> Path:
-    path = args.out or (cfg or {}).get("out_dir") or "out"
-    out = Path(_checked(path, str, "config 'out_dir'"))
+def _out_dir(args, path=_SCHEMA["out_dir"][1]) -> Path:
+    """``--out`` if given, else ``path``, made if missing."""
+    out = Path(args.out or path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -265,10 +254,13 @@ def cmd_gamma(args) -> int:
 
 def cmd_init(args) -> int:
     cfg = load_config(args.config)
-    arch = _build_arch(cfg)
-    seed = _seeds(args, cfg)[0]
-    net = initialize(zeros_network(arch), _build_init_spec(cfg, arch), Rng(seed))
-    out = _out_dir(args, cfg)
+    try:
+        seed = _seeds(args, cfg)[0]
+        arch = _build_arch(cfg)
+        net = initialize(zeros_network(arch), _build_init_spec(cfg["init"], arch), Rng(seed))
+    except ParameterError as exc:  # a config value that library code rejects
+        raise ConfigError(f"config value rejected: {exc}") from None
+    out = _out_dir(args, cfg["out_dir"])
     path = out / f"init_seed{seed}.ckpt"
     save_checkpoint(net, path, seed=seed)
     print(f"wrote {path}")
@@ -277,24 +269,30 @@ def cmd_init(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    arch = _build_arch(cfg)
-    seeds = _seeds(args, cfg)
-    opt_cfg = cfg.get("optimizer", {})
-    epochs = _checked(cfg.get("epochs", 1), int, "config 'epochs'")
-    lr = _checked(opt_cfg.get("lr", 0.1), float, "config optimizer 'lr'")
-    lr_width_exponent = _checked(opt_cfg.get("lr_width_exponent", 0.0), float,
-                                 "config optimizer 'lr_width_exponent'")
-    batch_size = _checked(opt_cfg.get("batch_size", 64), int, "config optimizer 'batch_size'")
-    init_spec = _build_init_spec(cfg, arch)
-    dataset = _dataset(cfg)
-    out = _out_dir(args, cfg)
-    for seed in seeds:
+    opt_cfg = cfg["optimizer"]
+
+    def start(seed):
+        """The seed's network, its optimizer and its (train, test) data."""
         net = initialize(zeros_network(arch), init_spec, Rng(seed))
-        train_data, test_data = dataset(seed)
+        opt = OptimizerState.create(net, kind=opt_cfg["kind"], lr=opt_cfg["lr"],
+                                    lr_width_exponent=opt_cfg["lr_width_exponent"])
+        return net, opt, dataset(seed)
+
+    # Every value is checked, by library code where it can be, before _out_dir.
+    try:
+        seeds = _seeds(args, cfg)
+        arch = _build_arch(cfg)
+        init_spec = _build_init_spec(cfg["init"], arch)
+        dataset = _dataset(cfg["dataset"])
+        check_schedule(cfg["epochs"], opt_cfg["batch_size"])
+        ready = [start(seeds[0])]
+    except ParameterError as exc:
+        raise ConfigError(f"config value rejected: {exc}") from None
+    out = _out_dir(args, cfg["out_dir"])
+    for seed in seeds:
+        net, opt, (train_data, test_data) = ready.pop() if ready else start(seed)
         loss = "cross_entropy" if train_data.classification else "square"
-        opt = OptimizerState.create(net, kind=opt_cfg.get("kind", "sgd"), lr=lr,
-                                    lr_width_exponent=lr_width_exponent)
-        log = train(net, train_data, opt, epochs, batch_size, Rng(seed),
+        log = train(net, train_data, opt, cfg["epochs"], opt_cfg["batch_size"], Rng(seed),
                     test_data=test_data, loss=loss)
         log.write(out / f"train_seed{seed}.csv")
         save_checkpoint(net, out / f"trained_seed{seed}.ckpt", seed=seed)

@@ -374,6 +374,14 @@ def evaluate(net: Network, inputs: np.ndarray, targets: np.ndarray, loss: str = 
     return total / n, acc
 
 
+def check_schedule(epochs: int, batch_size: int) -> None:
+    """Raise ParameterError unless ``epochs >= 0`` and ``batch_size >= 1``."""
+    if epochs < 0:
+        raise ParameterError(f"epochs must be >= 0, got {epochs}")
+    if batch_size < 1:
+        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
+
+
 def train(
     net: Network,
     data,
@@ -391,8 +399,7 @@ def train(
     """
     if data.inputs.shape[0] == 0:
         raise ParameterError("training data is empty")
-    if batch_size < 1:
-        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
+    check_schedule(epochs, batch_size)
     order_gen = rng.substream("train/order")
     log = TrainingLog(seed=rng.seed)
 

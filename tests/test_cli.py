@@ -1,14 +1,21 @@
+import copy
 import json
 import os
+import shutil
+import tempfile
+from pathlib import Path
+from typing import get_origin
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfgrow import cli
 from mfgrow.arch import arch_to_json, build_mlp, build_skip_block
 from mfgrow.cli import main
 from mfgrow.data import CIFAR_RECORD, load_checkpoint, load_cifar10, save_checkpoint
-from mfgrow.init import initialize, nonzero_mean_default
+from mfgrow.init import initialize, nonzero_mean_default, rc_eligible
 from mfgrow.net import forward_batch, zeros_network
 from mfgrow.tensor import Rng
 
@@ -305,8 +312,14 @@ class TestInitConfig:
         {"rc_pairs": {"w1": {"kind": "constant", "a": 1.0}}},
         {"phi": ["sum"]},
         {"distributions": ["u", "v"]},
+        {"distributions": {"u": {"kind": "gaussian", "mean": 1, "std": 3},
+                           "v": {"kind": "constant", "a": 1.0}}},
+        {"mode": "iid", "distributions": {k: {"kind": "constant", "a": 1.0}
+                                          for k in ("u", "w1", "v")}},
+        {"seed": 3},
     ], ids=["no-kind", "string-a", "list-b", "one-element-pair", "pair-not-list",
-            "phi-list", "distributions-list"])
+            "phi-list", "distributions-list", "mean-std-typo", "iid-with-rc-keys",
+            "unknown-init-key"])
     def test_malformed_entry_exits_2(self, tmp_path, capsys, entry):
         cfg = _init_config(tmp_path, **entry)
         assert main(["init", "--config", str(cfg), "--seed", "1"]) == 2
@@ -314,6 +327,19 @@ class TestInitConfig:
 
 
 class TestConfigValues:
+    @pytest.mark.parametrize("arch,code", [
+        ({"file": "{arch}"}, 0),
+        ({"builder": "file", "file": "{arch}"}, 0),
+        ({"file": "{arch}", "depth": 3}, 2),
+        ({"file": "{arch}", "widths": 8}, 2),
+    ], ids=["file", "builder-file", "file-with-depth", "file-with-widths"])
+    def test_arch_file_takes_no_builder_keys(self, example3_arch_file, tmp_path, arch, code):
+        arch = {k: v.format(arch=example3_arch_file) if isinstance(v, str) else v
+                for k, v in arch.items()}
+        cfg = synth_config(tmp_path, arch=arch)
+        assert main(["init", "--config", str(cfg), "--seed", "1"]) == code
+        assert (tmp_path / "out").exists() == (code == 0)
+
     @pytest.mark.parametrize("command,section,entry", [
         ("init", "arch", {"depth": "x"}),
         ("init", "arch", {"widths": "abc"}),
@@ -333,10 +359,34 @@ class TestConfigValues:
         ("train", None, {"seeds": []}),
         ("train", "dataset", {"n": "many"}),
         ("train", None, {"out_dir": 5}),
+        ("train", "optimizer", {"batch_size": 0}),
+        ("train", "optimizer", {"lr": -1}),
+        ("train", "optimizer", {"kind": "sgdx"}),
+        ("train", "dataset", {"n": 0}),
+        ("train", "dataset", {"test_n": 0}),
+        ("train", "dataset", {"noise_std": -1}),
+        ("train", None, {"seeds": [-1]}),
+        ("train", None, {"seeds": [0, -1]}),
+        ("init", None, {"seeds": [0, 2**64]}),
+        ("train", None, {"epochs": -1}),
+        ("train", None, {"transfer": {"anything": [1, 2]}}),
+        ("init", None, {"transfer": {}}),
+        ("train", "dataset", {"kind": "cifar10"}),
+        ("train", "dataset", {"dir": "cifar"}),
+        ("init", "dataset", {"kind": "cubic", "dir": "cifar"}),
+        ("init", "arch", {"file": "arch.json"}),
+        ("init", "arch", {"builder": "file"}),
+        ("init", "arch", {"builder": "resnet"}),
+        ("train", "optimizer", {"momentum": 0.9}),
     ], ids=["depth-string", "widths-string", "widths-entry-string", "input-dim-null",
             "with-skip-string", "with-bias-int", "depth-float", "depth-bool", "file-int",
             "epochs-string", "lr-string", "lr-nan", "batch-size-null", "seeds-int",
-            "seeds-entry-string", "seeds-empty", "n-string", "out-dir-int"])
+            "seeds-entry-string", "seeds-empty", "n-string", "out-dir-int", "batch-size-zero",
+            "lr-negative", "optimizer-kind-unknown", "n-zero", "test-n-zero",
+            "noise-std-negative", "seed-negative", "second-seed-negative", "seed-too-big",
+            "epochs-negative", "transfer-key", "transfer-key-init", "cifar-with-synthetic-keys",
+            "synthetic-with-dir", "synthetic-with-dir-init", "file-with-builder-keys",
+            "builder-file-without-file", "builder-unknown", "optimizer-unknown-key"])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command, section, entry):
         cfg = json.loads(synth_config(tmp_path).read_text(encoding="utf-8"))
         (cfg[section] if section else cfg).update(entry)
@@ -380,13 +430,16 @@ class TestFailedCommandsWriteNothing:
         (["reproduce", "twolayer_regen", "--seed", str(2**64 - 2), "--out", "{tmp}/rep"], 2),
         (["transfer", "--from", "{ckpt}", "--widths", "40", "--r1", "nan", "--out", "{tmp}/t.ckpt"],
          2),
+        (["train", "--config", "{cfg}", "--seed", "-1"], 2),
+        (["init", "--config", "{cfg}", "--seed", str(2**64)], 2),
     ], ids=["sample-zero-target", "reproduce-no-cifar", "reproduce-cifar-dir-missing",
             "heatmap-vector-weight", "hist-unknown-weight", "transfer-out-is-directory",
             "train-out-is-file", "hist-no-matrix-weight", "reproduce-truncated-batch",
             "reproduce-directory-batch", "reproduce-bad-label", "reproduce-zero-seeds",
             "reproduce-negative-seeds", "reproduce-r2-out-of-range", "reproduce-r2-without-r1",
             "reproduce-negative-seed", "reproduce-regen-top-seed",
-            "reproduce-regen-top-seed-minus-1", "transfer-r1-nan"])
+            "reproduce-regen-top-seed-minus-1", "transfer-r1-nan", "train-negative-seed-flag",
+            "init-seed-flag-too-big"])
     def test_exits_with_error_and_leaves_outputs_alone(self, argv, code, small_ckpt, tmp_path,
                                                         monkeypatch, capsys):
         monkeypatch.delenv("MFGROW_CIFAR10_DIR", raising=False)
@@ -448,3 +501,251 @@ class TestUnreadableFiles:
         assert main(["diagnose", "--ckpt", str(tmp_path / "none.ckpt"), "--report", "corr",
                      "--out", str(tmp_path / "diag")]) == 2
         assert capsys.readouterr().err.startswith("error: checkpoint not found")
+
+
+# ---------------------------------------------------------------------------
+# Configs generated from cli._SCHEMA, one value mutated
+# ---------------------------------------------------------------------------
+
+# Values of each JSON type that a mutation swaps in: small, so that no
+# mutation can ask for a large net.
+_SWAPS = {
+    str: st.text(max_size=4),
+    type(None): st.none(),
+    bool: st.booleans(),
+    float: st.floats(),
+    list: st.lists(st.integers(0, 8), max_size=3),
+    dict: st.dictionaries(st.text(max_size=3), st.integers(0, 8), max_size=2),
+}
+
+
+def _declared(schema):
+    """Each key of ``schema``, and of the sections its choices name, with the
+    JSON types it accepts."""
+    kinds = {}
+    for key, (kind, _) in schema.items():
+        if isinstance(kind, cli._Choice):
+            kinds[key] = (str,)
+            for section in kind.values():
+                kinds.update(_declared(section))
+        else:
+            kinds[key] = tuple(dict if isinstance(k, dict) else get_origin(k) or k
+                               for k in (kind if isinstance(kind, tuple) else (kind,)))
+    return kinds
+
+
+def _schema_keys(schema, prefix=""):
+    """Every key path of ``schema``, choices expanded."""
+    for key, (kind, _) in schema.items():
+        yield prefix + key
+        sections = (kind.values() if isinstance(kind, cli._Choice)
+                    else [kind] if isinstance(kind, dict) else [])
+        for section in sections:
+            nested = prefix if isinstance(kind, cli._Choice) else f"{prefix}{key}."
+            yield from _schema_keys(section, nested)
+
+
+def _every_schema_key() -> set:
+    return {*_schema_keys(cli._SCHEMA), *_schema_keys(cli._INIT, "init."),
+            *_schema_keys(cli._DISTRIBUTION, "distribution.")}
+
+
+def _maybe(draw, cfg, key, strategy):
+    """Set ``cfg[key]`` from ``strategy``, or leave the key to its default."""
+    if draw(st.booleans()):
+        cfg[key] = draw(strategy)
+
+
+@st.composite
+def _distributions(draw):
+    """A valid distribution object: a <= 0 <= b, whether written or not."""
+    dist = {"kind": draw(st.sampled_from(["uniform", "gaussian", "constant"]))}
+    _maybe(draw, dist, "a", st.floats(-1.0, 0.0))
+    _maybe(draw, dist, "b", st.floats(0.0, 1.0))
+    return dist
+
+
+@st.composite
+def _tiny_configs(draw, root):
+    """A valid config for a small net (widths <= 8, depth 2-4, n <= 64,
+    epochs <= 1). Keys with a small default are written or left to it; an
+    architecture file goes under ``root``."""
+    depth = draw(st.integers(2, 4))
+    with_skip = depth == 4 and draw(st.booleans())
+    widths = draw(st.integers(1, 8))
+    if not with_skip and draw(st.booleans()):
+        widths = draw(st.lists(st.integers(1, 8), min_size=depth - 1, max_size=depth - 1))
+    mlp = {"depth": depth, "widths": widths}
+    if with_skip or draw(st.booleans()):
+        mlp["with_skip"] = with_skip
+    _maybe(draw, mlp, "with_bias", st.booleans())
+    _maybe(draw, mlp, "input_dim", st.just(1))  # the synthetic sets are 1-d
+    _maybe(draw, mlp, "output_dim", st.just(1))
+    _maybe(draw, mlp, "activation", st.sampled_from(["tanh", "relu", "identity"]))
+    graph = build_mlp(**{"with_bias": True, **mlp})
+    cfg = {"out_dir": str(root / "out")}
+    _maybe(draw, cfg, "parametrization", st.sampled_from(["SP", "muP", "MFP"]))
+    if draw(st.booleans()):
+        path = root / "arch.json"
+        path.write_text(arch_to_json(graph), encoding="utf-8")
+        cfg["arch"] = {"file": str(path)}
+        _maybe(draw, cfg["arch"], "builder", st.just("file"))
+    else:
+        cfg["arch"] = mlp
+        _maybe(draw, cfg["arch"], "builder", st.just("mlp"))
+    mode = draw(st.sampled_from([None, "default", "iid", "rc"]))
+    if mode == "default":
+        cfg["init"] = mode
+    elif mode is not None:
+        eligible = [w.name for w in graph.weights if mode == "rc" and rc_eligible(graph, w.name)]
+        init = {"distributions": {w.name: draw(_distributions())
+                                  for w in graph.weights if w.name not in eligible}}
+        if mode == "rc" or draw(st.booleans()):
+            init["mode"] = mode
+        if mode == "rc":
+            init["rc_pairs"] = {name: [draw(_distributions()), draw(_distributions())]
+                                for name in eligible}
+            form = st.sampled_from(["sum", "product"])
+            _maybe(draw, init, "phi", form | st.fixed_dictionaries({n: form for n in eligible}))
+        cfg["init"] = init
+    # Deep identity nets diverge on the cubic at lr 0.01 (and at the default
+    # 0.1), so a tiny lr is always written.
+    cfg["optimizer"] = {"lr": draw(st.floats(0.0, 1e-4))}
+    _maybe(draw, cfg["optimizer"], "kind", st.sampled_from(["sgd", "adam"]))
+    _maybe(draw, cfg["optimizer"], "batch_size", st.integers(1, 64))
+    _maybe(draw, cfg["optimizer"], "lr_width_exponent", st.floats(0.0, 1.0))
+    _maybe(draw, cfg, "epochs", st.integers(0, 1))
+    _maybe(draw, cfg, "seeds", st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    if draw(st.integers(0, 3)) == 0:
+        cfg["dataset"] = {"kind": "cifar10", "dir": str(root / "no-cifar")}
+    else:
+        cfg["dataset"] = {"kind": draw(st.sampled_from(["sine", "cubic"])),
+                          "n": draw(st.integers(1, 64))}
+        _maybe(draw, cfg["dataset"], "test_n", st.integers(1, 16))
+        _maybe(draw, cfg["dataset"], "noise_std", st.floats(0.0, 0.1))
+    return cfg
+
+
+def _containers(cfg):
+    """Each object and list in ``cfg``. A schema section comes with the prefix
+    that _schema_keys puts on its keys and the JSON types they accept; a
+    list or a map of weight names comes with (None, None)."""
+    yield cfg, "", _declared(cli._SCHEMA)
+    for key in ("arch", "optimizer", "dataset"):
+        if key in cfg:
+            yield cfg[key], f"{key}.", _declared(cli._SCHEMA[key][0])
+    for values in (cfg["arch"].get("widths"), cfg.get("seeds")):
+        if isinstance(values, list):
+            yield values, None, None
+    init = cfg.get("init")
+    if isinstance(init, dict):
+        yield init, "init.", _declared(cli._INIT)
+        pairs = list(init.get("rc_pairs", {}).values())
+        for values in [init["distributions"], init.get("rc_pairs"), init.get("phi"), *pairs]:
+            if isinstance(values, (dict, list)):
+                yield values, None, None
+        for dist in [*init["distributions"].values(), *(d for pair in pairs for d in pair)]:
+            yield dist, "distribution.", _declared(cli._DISTRIBUTION)
+
+
+def _written(cfg) -> set:
+    """The key paths that ``cfg`` writes, named as _schema_keys names them."""
+    return {prefix + key for container, prefix, _ in _containers(cfg) if prefix is not None
+            for key in container}
+
+
+@st.composite
+def _mutated(draw, cfg):
+    """``cfg`` with one value swapped for one of another JSON type, or with
+    one unknown key added; and whether the change is to a schema section,
+    which must then exit 2."""
+    container, _, declared = draw(st.sampled_from(list(_containers(cfg))))
+    if isinstance(container, dict) and (not container or draw(st.booleans())):
+        key = draw(st.text(min_size=1, max_size=5).filter(
+            lambda k: k not in container and k not in (declared or {})))
+        container[key] = draw(st.one_of(*_SWAPS.values()))
+        return cfg, declared is not None
+    key = draw(st.sampled_from(list(container) if isinstance(container, dict)
+                               else range(len(container))))
+    kinds = declared[key] if declared else (type(container[key]),)
+    container[key] = draw(st.one_of(*(s for t, s in _SWAPS.items() if t not in kinds)))
+    return cfg, declared is not None
+
+
+def _full_configs(root):
+    """Two valid configs that write every key of the schema between them."""
+    dist = {"kind": "uniform", "a": -1.0, "b": 1.0}
+    mlp = synth_config(root, seeds=[0, 1], init={
+        "mode": "rc", "distributions": {"u": dist, "v": dict(dist)},
+        "rc_pairs": {"w1": [dict(dist), dict(dist)]}, "phi": "product"},
+        arch={"builder": "mlp", "depth": 3, "widths": [4, 4], "with_bias": False,
+              "with_skip": False, "input_dim": 1, "output_dim": 1, "activation": "relu"},
+        optimizer={"kind": "adam", "lr": 0.01, "batch_size": 8, "lr_width_exponent": 0.5},
+        dataset={"kind": "cubic", "n": 16, "test_n": 4, "noise_std": 0.1})
+    mlp = json.loads(mlp.read_text(encoding="utf-8"))
+    arch_file = root / "arch.json"
+    arch_file.write_text(arch_to_json(build_mlp(2, 4)), encoding="utf-8")
+    from_file = {"parametrization": "SP", "arch": {"builder": "file", "file": str(arch_file)},
+                 "init": "default", "dataset": {"kind": "cifar10", "dir": str(root / "none")},
+                 "out_dir": str(root / "out")}
+    return [mlp, from_file]
+
+
+class TestConfigFuzz:
+    def test_every_key_rejects_every_other_json_type(self, tmp_path):
+        configs = _full_configs(tmp_path)
+        assert set().union(*map(_written, configs)) == _every_schema_key()
+        examples = {str: "x", type(None): None, bool: True, float: 0.5, list: [1],
+                    dict: {"k": 1}}
+        path = tmp_path / "cfg.json"
+        accepted = []
+        for base in configs:
+            path.write_text(json.dumps(base), encoding="utf-8")
+            assert main(["init", "--config", str(path)]) == 0
+            shutil.rmtree(tmp_path / "out")
+            for i, (container, _, declared) in enumerate(_containers(base)):
+                if declared is None:
+                    continue
+                changes = [("unknown-key", None)] + [
+                    (key, value) for key in container
+                    for t, value in examples.items() if t not in declared[key]]
+                for key, value in changes:
+                    cfg = copy.deepcopy(base)
+                    list(_containers(cfg))[i][0][key] = value
+                    path.write_text(json.dumps(cfg), encoding="utf-8")
+                    if main(["init", "--config", str(path)]) != 2 or (tmp_path / "out").exists():
+                        accepted.append((key, value))
+        assert accepted == []
+
+    def test_tiny_configs_run_and_write_every_schema_key(self):
+        written = set()
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(st.data(), st.sampled_from(["init", "train"]))
+        def run(data, command):
+            with tempfile.TemporaryDirectory() as tmp:
+                cfg = data.draw(_tiny_configs(Path(tmp)))
+                path = Path(tmp) / "cfg.json"
+                path.write_text(json.dumps(cfg), encoding="utf-8")
+                cifar = command == "train" and cfg["dataset"]["kind"] == "cifar10"
+                assert main([command, "--config", str(path)]) == (3 if cifar else 0)
+                written.update(_written(cfg))
+
+        run()
+        assert written == _every_schema_key()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from(["init", "train"]))
+    def test_one_mutation_exits_cleanly_and_writes_nothing(self, data, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            cfg, in_section = data.draw(_mutated(data.draw(_tiny_configs(root))))
+            path = root / "cfg.json"
+            path.write_text(json.dumps(cfg), encoding="utf-8")
+            before = _tree(root)
+            code = main([command, "--config", str(path)])
+            assert code in (0, 2, 3)
+            if in_section:  # a wrong JSON type or an unknown key
+                assert code == 2
+            if code != 0:
+                assert _tree(root) == before

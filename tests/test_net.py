@@ -358,6 +358,28 @@ class TestTrain:
         with pytest.raises(ParameterError):
             evaluate(net, np.zeros((0, 1)), np.zeros(0))
 
+    @pytest.mark.parametrize("epochs, batch_size, message", [
+        (-1, 16, "epochs must be >= 0, got -1"),
+        (2, 0, "batch_size must be >= 1, got 0"),
+    ])
+    def test_bad_schedule_rejected_before_any_step(self, epochs, batch_size, message):
+        net = make_net(2, 8)
+        before = {k: v.copy() for k, v in net.store.items()}
+        data = synth_regression("sine", 32, 0.0, Rng(1))
+        opt = OptimizerState.create(net, lr=0.05)
+        with pytest.raises(ParameterError, match=message):
+            train(net, data, opt, epochs=epochs, batch_size=batch_size, rng=Rng(2))
+        assert opt.step_count == 0
+        assert all(np.array_equal(net.store[k], before[k]) for k in before)
+
+    def test_zero_epochs_logs_only_the_initial_loss(self):
+        net = make_net(2, 8)
+        data = synth_regression("sine", 32, 0.0, Rng(1))
+        opt = OptimizerState.create(net, lr=0.05)
+        log = train(net, data, opt, epochs=0, batch_size=16, rng=Rng(2))
+        assert [row[:2] for row in log.rows] == [(0, 0)]
+        assert opt.step_count == 0
+
     def test_negative_lr_rejected(self):
         net = make_net(2, 8)
         with pytest.raises(ParameterError):
