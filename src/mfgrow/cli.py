@@ -36,7 +36,7 @@ from .measure import (
     draw_indices,
     extract_measures,
 )
-from .net import OptimizerState, check_schedule, train, zeros_network
+from .net import OptimizerState, check_data, check_schedule, train, zeros_network
 from .tensor import DistributionSpec, Rng
 from .transfer import TransferPlan, transfer, uniform_plan
 
@@ -286,12 +286,15 @@ def cmd_train(args) -> int:
         dataset = _dataset(cfg["dataset"])
         check_schedule(cfg["epochs"], opt_cfg["batch_size"])
         ready = [start(seeds[0])]
+        net, _, splits = ready[0]
+        loss = "cross_entropy" if splits[0].classification else "square"
+        for split in splits:  # every seed's splits have the same shapes
+            check_data(net, split, loss)
     except ParameterError as exc:
         raise ConfigError(f"config value rejected: {exc}") from None
     out = _out_dir(args, cfg["out_dir"])
     for seed in seeds:
         net, opt, (train_data, test_data) = ready.pop() if ready else start(seed)
-        loss = "cross_entropy" if train_data.classification else "square"
         log = train(net, train_data, opt, cfg["epochs"], opt_cfg["batch_size"], Rng(seed),
                     test_data=test_data, loss=loss)
         log.write(out / f"train_seed{seed}.csv")

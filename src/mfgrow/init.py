@@ -109,29 +109,35 @@ def nonzero_mean_default(parametrization: str, arch: ArchGraph) -> InitSpec:
     return iid_spec(dists)
 
 
+def _match_names(spec: InitSpec, what: str, given, wanted: set, required=True) -> None:
+    """Raise ParameterError unless the weights ``given`` entries are all in
+    ``wanted`` and, when ``required``, cover it."""
+    missing = wanted - set(given) if required else set()
+    if missing:
+        raise ParameterError(f"{spec.mode} init needs {what} for {sorted(missing)}")
+    unread = set(given) - wanted
+    if unread:
+        raise ParameterError(f"{spec.mode} init does not read the {what} for {sorted(unread)}: "
+                             f"it reads them for {sorted(wanted)}")
+
+
 def initialize(net: Network, spec: InitSpec, rng: Rng) -> Network:
-    """Fill a network's store from the given init spec. Returns a new Network."""
+    """Fill a network's store from the given init spec. Returns a new Network.
+
+    Every weight needs exactly the entries its mode reads: a (row, col) pair,
+    and optionally a phi form, for each rc-eligible matrix in rc mode, and a
+    distribution for every other weight. An entry for any other name is a
+    ParameterError."""
     arch = net.arch
     store: dict[str, np.ndarray] = {}
-    eligible = {w.name for w in arch.weights if rc_eligible(arch, w.name)}
-
-    if spec.mode == "rc":
-        missing = eligible - set(spec.rc_pairs)
-        if missing:
-            raise ParameterError(f"rc init needs (row, col) distributions for {sorted(missing)}")
-        extra = set(spec.rc_pairs) - eligible
-        if extra:
-            raise ParameterError(f"weights not eligible for rc init: {sorted(extra)}")
-        plain = {w.name for w in arch.weights} - eligible
-    else:
-        plain = {w.name for w in arch.weights}
-
-    missing = plain - set(spec.distributions)
-    if missing:
-        raise ParameterError(f"init spec is missing distributions for {sorted(missing)}")
+    names = {w.name for w in arch.weights}
+    paired = {n for n in names if rc_eligible(arch, n)} if spec.mode == "rc" else set()
+    _match_names(spec, "(row, col) distributions", spec.rc_pairs, paired)
+    _match_names(spec, "phi forms", spec.phi, paired, required=False)
+    _match_names(spec, "distributions", spec.distributions, names - paired)
 
     for w in arch.weights:
-        if spec.mode == "rc" and w.name in eligible:
+        if w.name in paired:
             mu_r, mu_c = spec.rc_pairs[w.name]
             r = mu_r.draw(rng.substream(f"init/{w.name}/R"), w.shape[0])
             c = mu_c.draw(rng.substream(f"init/{w.name}/C"), w.shape[1])

@@ -167,8 +167,10 @@ def weighted_measure_loss(x: dict[str, np.ndarray], y: dict[str, np.ndarray],
 
 @dataclass(frozen=True)
 class RandomStrategy:
-    """Draw uniformly from the pool, with replacement only when growing past
-    it (a same-size draw is then a pure permutation)."""
+    """Draw from the surviving pool. A draw of at most the pool's size is
+    uniform without replacement (a same-size draw is a permutation). A
+    growth draw is residual: each pool index ``target // pool`` times in
+    pool order, then ``target % pool`` more without replacement."""
 
 
 @dataclass(frozen=True)
@@ -182,9 +184,11 @@ class GroupStrategy:
 
 @dataclass(frozen=True)
 class FunctionBasedStrategy:
-    """Keep the best of ``n_candidates`` random draws under the moment loss
-    with moments 1..p_max. A draw of the whole surviving pool without
-    replacement keeps the first draw, as ``RandomStrategy()`` would."""
+    """Keep the best of ``n_candidates`` draws of ``RandomStrategy()``'s kind
+    under the moment loss with moments 1..p_max. When the target is a
+    multiple of the surviving pool every candidate has the pool's moments
+    (a permutation, or the residual draw's fixed tiling), so the one draw
+    ``RandomStrategy()`` would make is kept without a search."""
 
     n_candidates: int
     p_max: int
@@ -199,7 +203,8 @@ class FunctionBasedStrategy:
 @dataclass(frozen=True)
 class DuplicateStrategy:
     """Tile the identity index set k times: growth to k*N where the new
-    square matrices consist of k*k blocks equal to the original."""
+    square matrices consist of k*k blocks equal to the original. This is
+    the residual draw over the unfiltered pool at an integer ratio."""
 
 
 def _surviving_pool(m: GroupMeasure, r2: float) -> np.ndarray:
@@ -215,9 +220,24 @@ def _surviving_pool(m: GroupMeasure, r2: float) -> np.ndarray:
     return order[:keep]
 
 
+def _residual_draw(pool: np.ndarray, target: int, gen: np.random.Generator) -> np.ndarray:
+    """Each pool index ``target // pool.size`` times in pool order, then
+    ``target % pool.size`` more drawn without replacement: residual
+    resampling, which has lower variance than i.i.d. draws (Douc, Cappe &
+    Moulines, arXiv cs/0507025)."""
+    reps, rest = divmod(target, pool.size)
+    idx = np.tile(pool, reps)
+    if rest:
+        idx = np.concatenate([idx, gen.choice(pool, size=rest, replace=False)])
+    return idx
+
+
 def _draw_from_pool(pool: np.ndarray, target: int, gen: np.random.Generator) -> np.ndarray:
-    """With replacement when growing past the pool, without when subsetting."""
-    return gen.choice(pool, size=target, replace=target > pool.size)
+    """Without replacement when subsetting (a same-size draw is a
+    permutation), the residual draw when growing past the pool."""
+    if target <= pool.size:
+        return gen.choice(pool, size=target, replace=False)
+    return _residual_draw(pool, target, gen)
 
 
 def draw_indices(m: GroupMeasure, target: int, strategy, r2: float,
@@ -231,21 +251,25 @@ def draw_indices(m: GroupMeasure, target: int, strategy, r2: float,
             raise ParameterError(
                 f"duplication needs an integer multiple of {m.width}, got target {target}"
             )
-        return np.tile(np.arange(m.width, dtype=np.int64), target // m.width)
+        return _residual_draw(np.arange(m.width, dtype=np.int64), target, gen)
     pool = _surviving_pool(m, r2)
 
     if isinstance(strategy, RandomStrategy):
         idx = _draw_from_pool(pool, target, gen)
     elif isinstance(strategy, GroupStrategy):
         # Pool is already norm-sorted; split into contiguous norm bands,
-        # pick a band uniformly, then a member uniformly within it.
+        # pick a band uniformly, then a member uniformly within it. This
+        # stays i.i.d. when growing: within its bands the residual rule
+        # would give every member target // pool copies, as the residual
+        # draw over the whole pool does, and the strategy would differ from
+        # random only in its remainder.
         sizes = np.array([b.size for b in np.array_split(pool, strategy.n_groups) if b.size])
         starts = np.cumsum(sizes) - sizes
         picks = gen.integers(0, sizes.size, size=target)
         idx = pool[starts[picks] + gen.integers(0, sizes[picks])]
-    elif isinstance(strategy, FunctionBasedStrategy) and target == pool.size:
-        # Drawn without replacement, every candidate is a permutation of the
-        # pool with the pool's moments: the losses differ only by rounding.
+    elif isinstance(strategy, FunctionBasedStrategy) and target % pool.size == 0:
+        # Every candidate is a permutation of the pool, or the tiled pool, so
+        # all have the pool's moments: the losses differ only by rounding.
         idx = _draw_from_pool(pool, target, gen)
     elif isinstance(strategy, FunctionBasedStrategy):
         pool_moments = {name: _abs_moments(v, strategy.p_max)

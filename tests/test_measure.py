@@ -151,16 +151,16 @@ class TestWeightedLoss:
             weighted_measure_loss({"a": np.array([1.0])}, {"b": np.array([1.0])}, 1)
 
     def test_summation_order_pinned(self):
-        # Digest of 16 loss values of a six-feature group against bootstrap
+        # Digest of 64 loss values of a six-feature group against bootstrap
         # resamples. Summing the moments in another order (q outer, or q
         # descending) moves some of them by an ulp and breaks it.
         net = small_net(depth=4, width=64, with_bias=True, with_skip=True)
         g = extract_measures(net)[1]
         gen = Rng(8).generator()
         losses = [weighted_measure_loss(g.features, g.restricted(gen.choice(64, size=64)), 4)
-                  for _ in range(16)]
+                  for _ in range(64)]
         assert hashlib.sha256(np.array(losses).tobytes()).hexdigest() == (
-            "338027cab38d09259bc9ecf2f8b3a64b6aad49d1d4c8bc4600a4b9abee687eab"
+            "2ef70bb1fea2b6b8e03b13d23d0207d026b1d67d168ea668a146d62486636253"
         )
 
     def test_spec_validation(self):
@@ -242,7 +242,7 @@ class TestDrawIndices:
         m = self.measure_with_norms(Rng(5).generator().normal(size=64))
         idx = draw_indices(m, 48, FunctionBasedStrategy(64, 4), 0.0, Rng(6).generator())
         assert hashlib.sha256(idx.tobytes()).hexdigest() == (
-            "0d11958e2b574c61ed72d0444d0b6c196ab5486db9d8b580d0d260fbf09fc962"
+            "38a35e32595bc2ad3a28d494af3f6fef9a56a62dcf2413ca4d3e2ff5a52057b9"
         )
 
     @pytest.mark.parametrize("width, r2", [(64, 0.0), (64, 0.5), (10, 0.3)])
@@ -254,6 +254,27 @@ class TestDrawIndices:
         idx = draw_indices(m, pool, FunctionBasedStrategy(64, 4), r2, Rng(6).generator())
         first = draw_indices(m, pool, RandomStrategy(), r2, Rng(6).generator())
         assert idx.tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("target, r2", [(30, 0.0), (37, 0.0), (37, 0.5), (203, 0.5)])
+    def test_growth_is_a_residual_draw(self, target, r2):
+        # Each pool index target // pool times in pool order, then
+        # target % pool distinct pool indices.
+        m = self.measure_with_norms(Rng(5).generator().normal(size=10))
+        pool = np.argsort(-m.sample_norms(), kind="stable")[:math.ceil((1.0 - r2) * 10)]
+        reps, rest = divmod(target, pool.size)
+        for strategy in (RandomStrategy(), FunctionBasedStrategy(8, 2)):
+            idx = draw_indices(m, target, strategy, r2, Rng(4).generator())
+            assert idx[:reps * pool.size].tolist() == np.tile(pool, reps).tolist()
+            tail = idx[reps * pool.size:].tolist()
+            assert len(tail) == len(set(tail)) == rest and set(tail) <= set(pool.tolist())
+
+    def test_function_based_exact_multiple_draws_nothing(self):
+        # Every candidate would be the same tiling: no search, no draw.
+        m = self.measure_with_norms(Rng(5).generator().normal(size=10))
+        gen = Rng(6).generator()
+        idx = draw_indices(m, 30, FunctionBasedStrategy(64, 4), 0.5, gen)
+        assert idx.tolist() == np.tile(np.argsort(-m.sample_norms(), kind="stable")[:5], 6).tolist()
+        assert gen.random() == Rng(6).generator().random()
 
     def test_duplicate_tiles_and_ignores_r2(self):
         m = self.measure_with_norms(np.arange(1.0, 5.0))

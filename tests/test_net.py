@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfgrow.arch import build_mlp
-from mfgrow.data import synth_regression
+from mfgrow.data import Dataset, synth_regression
 from mfgrow.errors import DivergenceError, ParameterError
 from mfgrow.init import initialize, nonzero_mean_default
 from mfgrow.net import (
@@ -10,6 +10,7 @@ from mfgrow.net import (
     Network,
     OptimizerState,
     backward_batch,
+    check_data,
     evaluate,
     forward_batch,
     lr_multiplier,
@@ -371,6 +372,34 @@ class TestTrain:
             train(net, data, opt, epochs=epochs, batch_size=batch_size, rng=Rng(2))
         assert opt.step_count == 0
         assert all(np.array_equal(net.store[k], before[k]) for k in before)
+
+    @pytest.mark.parametrize("dims, data, loss, message", [
+        ({"output_dim": 3}, Dataset(np.zeros((8, 1)), np.zeros((8, 1))), "square",
+         r"targets have shape \(8, 1\)"),
+        ({"input_dim": 2}, Dataset(np.zeros((8, 1)), np.zeros((8, 1))), "square",
+         r"inputs have shape \(8, 1\)"),
+        ({"output_dim": 3}, Dataset(np.zeros((8, 1)), np.full(8, 3)), "cross_entropy",
+         r"labels must lie in \[0, 3\)"),
+        ({"output_dim": 3}, Dataset(np.zeros((8, 1)), np.zeros((8, 1), dtype=int)),
+         "cross_entropy", r"targets have shape \(8, 1\), but cross-entropy"),
+    ], ids=["targets-too-narrow", "inputs-too-narrow", "label-out-of-range", "labels-2d"])
+    def test_data_that_does_not_fit_rejected_before_any_step(self, dims, data, loss, message):
+        net = make_net(2, 8, **dims)
+        width = net.output_dim()
+        targets = np.zeros(8, dtype=int) if loss == "cross_entropy" else np.zeros((8, width))
+        fits = Dataset(np.zeros((8, net.input_dim())), targets)
+        opt = OptimizerState.create(net, lr=0.05)
+        for train_data, test_data in ((data, None), (fits, data)):
+            with pytest.raises(ParameterError, match=message):
+                train(net, train_data, opt, epochs=1, batch_size=4, rng=Rng(2),
+                      test_data=test_data, loss=loss)
+        assert opt.step_count == 0
+
+    def test_fitting_shapes_accepted(self):
+        net = make_net(2, 8, output_dim=3)
+        check_data(net, Dataset(np.zeros((4, 1)), np.array([0, 2, 1, 2])), "cross_entropy")
+        check_data(net, Dataset(np.zeros((4, 1)), np.zeros((4, 3))), "square")
+        check_data(make_net(2, 8), Dataset(np.zeros((4, 1)), np.zeros(4)), "square")
 
     def test_zero_epochs_logs_only_the_initial_loss(self):
         net = make_net(2, 8)

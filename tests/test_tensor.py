@@ -26,6 +26,18 @@ class TestRng:
         assert np.array_equal(a1, a2)
         assert np.array_equal(b1, b2)
 
+    def test_streams_keyed_exactly(self):
+        # Seeds and label ids at or above 2**53 that a float64 key would
+        # round together: every (seed, label) pair has its own stream.
+        seeds = [0, 2**60 + 1, 2**60 + 2, 2**63 + 1, 2**63 + 2, 2**64 - 1]
+        labels = [0, 1, "u", "v", "w1"]
+        draws = {Rng(s).substream(label).random(4).tobytes() for s in seeds for label in labels}
+        assert len(draws) == len(seeds) * len(labels)
+
+    def test_top_seed_draws_without_warning(self):
+        # The suite turns warnings into errors, a key cast warning among them.
+        assert 0.0 <= Rng(2**64 - 1).generator().random() < 1.0
+
     def test_bad_seed(self):
         with pytest.raises(ParameterError):
             Rng(-1)
