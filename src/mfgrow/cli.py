@@ -28,14 +28,7 @@ from .diagnostics import (
 )
 from .errors import ConfigError, MfgrowError, MissingDataError, ParameterError, StructureError
 from .init import InitSpec, initialize, iid_spec, nonzero_mean_default, rc_spec
-from .measure import (
-    DuplicateStrategy,
-    FunctionBasedStrategy,
-    GroupStrategy,
-    RandomStrategy,
-    draw_indices,
-    extract_measures,
-)
+from .measure import STRATEGIES, draw_indices, extract_measures
 from .net import OptimizerState, check_data, check_schedule, train, zeros_network
 from .tensor import DistributionSpec, Rng
 from .transfer import TransferPlan, transfer, uniform_plan
@@ -304,23 +297,9 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _parse_strategy(name: str, n_groups: int, n_candidates: int, p_max: int):
-    if name == "duplicate":
-        return DuplicateStrategy()
-    if name == "group":
-        return GroupStrategy(n_groups)
-    if name == "function_based":
-        return FunctionBasedStrategy(n_candidates, p_max)
-    return RandomStrategy()
-
-
 def cmd_transfer(args) -> int:
     net = load_checkpoint(getattr(args, "from"))
-    strategy = _parse_strategy(args.strategy, args.n_groups, args.n_candidates, args.p_max)
-    plan = uniform_plan(
-        net.arch, args.widths, strategy=strategy, r1=args.r1, r2=args.r2,
-        noise_mode=args.noise,
-    )
+    plan = uniform_plan(net.arch, args.widths, strategy=args.strategy, r1=args.r1, r2=args.r2)
     seed = args.seed if args.seed is not None else 0
     grown = transfer(net, plan, Rng(seed))
     save_checkpoint(grown, args.out_ckpt, seed=seed)
@@ -372,8 +351,7 @@ def cmd_sample(args) -> int:
         raise ConfigError(f"group must be in [0, {len(measures)}), got {args.group}")
     m = measures[args.group]
     if args.target is not None:
-        strategy = _parse_strategy(args.strategy, args.n_groups, args.n_candidates, args.p_max)
-        idx = draw_indices(m, args.target, strategy, args.r2, Rng(args.seed or 0).generator())
+        idx = draw_indices(m, args.target, args.strategy, args.r2, Rng(args.seed or 0).generator())
     out = _out_dir(args)
     measure_path = out / f"group{args.group}_measure.csv"
     measure_path.write_text(m.to_csv(), encoding="utf-8")
@@ -462,14 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transfer", help="zero-shot transfer a checkpoint to new widths")
     p.add_argument("--from", required=True)
     p.add_argument("--widths", type=int, required=True)
-    p.add_argument("--strategy", default="random",
-                   choices=["random", "duplicate", "group", "function_based"])
+    p.add_argument("--strategy", default="random", choices=STRATEGIES)
     p.add_argument("--r1", type=float, default=0.0)
     p.add_argument("--r2", type=float, default=0.0)
-    p.add_argument("--noise", default="perturb", choices=["perturb", "literal"])
-    p.add_argument("--n-groups", type=int, default=4)
-    p.add_argument("--n-candidates", type=int, default=64)
-    p.add_argument("--p-max", type=int, default=4)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", dest="out_ckpt", required=True)
     p.set_defaults(func=cmd_transfer)
@@ -486,12 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--group", type=int, default=0)
     p.add_argument("--target", type=int)
+    # The strategies that draw; duplicate's indices are a fixed tiling.
     p.add_argument("--strategy", default="random",
-                   choices=["random", "group", "function_based"])
+                   choices=[s for s in STRATEGIES if s != "duplicate"])
     p.add_argument("--r2", type=float, default=0.0)
-    p.add_argument("--n-groups", type=int, default=4)
-    p.add_argument("--n-candidates", type=int, default=64)
-    p.add_argument("--p-max", type=int, default=4)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sample)

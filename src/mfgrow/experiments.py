@@ -14,7 +14,6 @@ from .arch import build_mlp
 from .data import synth_regression
 from .diagnostics import four_pair_report, heatmap_export, update_scaling_probe
 from .init import initialize, nonzero_mean_default
-from .measure import FunctionBasedStrategy, RandomStrategy
 from .net import OptimizerState, evaluate, train, zeros_network
 from .tensor import Rng
 from .transfer import transfer, uniform_plan
@@ -168,7 +167,7 @@ def _transfer_experiment(train_data, test_data, source_width, target_width, rate
         gaps = []
         for seed in seeds:
             source = sources[seed]
-            plan = uniform_plan(source.arch, target_width, strategy=RandomStrategy(), r1=r1, r2=r2)
+            plan = uniform_plan(source.arch, target_width, r1=r1, r2=r2)
             grown = transfer(source, plan, Rng(seed))
             log = _fit(grown, post_epochs, seed, train_data, test_data)
             acc = log.final("test_acc")
@@ -211,7 +210,7 @@ def twolayer_regen(seed=0, source_width=500, target_width=2000, out_dir=None,
     train(net, train_data, opt, epochs=40, batch_size=32, rng=Rng(seed + 1))
     src_mse, _ = evaluate(net, test_data.inputs, test_data.targets, "square")
 
-    plan = uniform_plan(net.arch, target_width, strategy=FunctionBasedStrategy(64, 4))
+    plan = uniform_plan(net.arch, target_width, strategy="function_based")
     regen = transfer(net, plan, Rng(seed + 2))
     regen_mse, _ = evaluate(regen, test_data.inputs, test_data.targets, "square")
     ratio = regen_mse / src_mse

@@ -3,8 +3,8 @@ index-sampling strategies used for weight transfer.
 
 One GroupMeasure per partition group: sample i bundles everything indexed by
 that group at position i (vector entries, matrix rows, matrix columns). The
-per-sample scalar features are the slice profiles (mean over the opposing
-axis); the full slices are kept alongside for the r2 norm filter.
+full slices feed the r2 norm filter; the per-sample scalar features are the
+slice profiles (mean over the opposing axis), computed from them on demand.
 """
 
 from __future__ import annotations
@@ -43,11 +43,14 @@ class GroupMeasure:
 
     group_index: int
     width: int
-    features: dict[str, np.ndarray] = field(default_factory=dict)
     slices: dict[str, np.ndarray] = field(default_factory=dict)  # name -> (width, k)
 
-    def restricted(self, idx: np.ndarray) -> dict[str, np.ndarray]:
-        return {name: vals[idx] for name, vals in self.features.items()}
+    @property
+    def features(self) -> dict[str, np.ndarray]:
+        """The profile of each slice: its mean over the opposing axis, which
+        rounds as ``arr.mean(axis=1)``, ``arr.mean(axis=0)`` or the vector
+        itself does for a row, a column or a vector slice."""
+        return {name: s.mean(axis=1) for name, s in self.slices.items()}
 
     def sample_norms(self) -> np.ndarray:
         """Euclidean norm per sample over all concatenated full slices.
@@ -88,10 +91,10 @@ class GroupMeasure:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        names = list(self.features)
-        buf.write("sample," + ",".join(names) + "\n")
+        features = self.features
+        buf.write("sample," + ",".join(features) + "\n")
         for i in range(self.width):
-            vals = ",".join(f"{self.features[n][i]:.12g}" for n in names)
+            vals = ",".join(f"{v[i]:.12g}" for v in features.values())
             buf.write(f"{i},{vals}\n")
         return buf.getvalue()
 
@@ -107,22 +110,13 @@ def extract_measures(net: Network) -> list[GroupMeasure]:
             gi = partition.axis_groups.get((w.name, ax))
             if gi is None:
                 continue
-            m = measures[gi]
             arr = net.store[w.name]
             if w.kind == "vector":
-                name = w.name
-                values = arr[:, None]
-                profile = arr.copy()
+                measures[gi].slices[w.name] = arr[:, None]
             elif ax == ROW:
-                name = f"R({w.name})"
-                values = arr
-                profile = arr.mean(axis=1)
+                measures[gi].slices[f"R({w.name})"] = arr
             else:
-                name = f"C({w.name})"
-                values = arr.T
-                profile = arr.mean(axis=0)
-            m.features[name] = profile
-            m.slices[name] = values
+                measures[gi].slices[f"C({w.name})"] = arr.T
     return measures
 
 
@@ -165,46 +159,16 @@ def weighted_measure_loss(x: dict[str, np.ndarray], y: dict[str, np.ndarray],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RandomStrategy:
-    """Draw from the surviving pool. A draw of at most the pool's size is
-    uniform without replacement (a same-size draw is a permutation). A
-    growth draw is residual: each pool index ``target // pool`` times in
-    pool order, then ``target % pool`` more without replacement."""
-
-
-@dataclass(frozen=True)
-class GroupStrategy:
-    n_groups: int
-
-    def __post_init__(self):
-        if self.n_groups < 1:
-            raise ParameterError(f"n_groups must be >= 1, got {self.n_groups}")
-
-
-@dataclass(frozen=True)
-class FunctionBasedStrategy:
-    """Keep the best of ``n_candidates`` draws of ``RandomStrategy()``'s kind
-    under the moment loss with moments 1..p_max. When the target is a
-    multiple of the surviving pool every candidate has the pool's moments
-    (a permutation, or the residual draw's fixed tiling), so the one draw
-    ``RandomStrategy()`` would make is kept without a search."""
-
-    n_candidates: int
-    p_max: int
-
-    def __post_init__(self):
-        if self.n_candidates < 1:
-            raise ParameterError(f"n_candidates must be >= 1, got {self.n_candidates}")
-        if self.p_max < 1:
-            raise ParameterError(f"p_max must be >= 1, got {self.p_max}")
-
-
-@dataclass(frozen=True)
-class DuplicateStrategy:
-    """Tile the identity index set k times: growth to k*N where the new
-    square matrices consist of k*k blocks equal to the original. This is
-    the residual draw over the unfiltered pool at an integer ratio."""
+# The sampling strategies. duplicate tiles the identity index set k times, so
+# each square matrix grows into k*k equal blocks; the others draw from the
+# pool that survives the r2 norm filter. random draws without replacement up
+# to the pool's size and by the residual rule past it. group draws i.i.d.
+# from _BANDS norm bands. function_based keeps the best of _CANDIDATES random
+# draws under the moment loss with moments 1.._P_MAX.
+STRATEGIES = ("random", "group", "function_based", "duplicate")
+_BANDS = 4
+_CANDIDATES = 64
+_P_MAX = 4
 
 
 def _surviving_pool(m: GroupMeasure, r2: float) -> np.ndarray:
@@ -240,13 +204,16 @@ def _draw_from_pool(pool: np.ndarray, target: int, gen: np.random.Generator) -> 
     return _residual_draw(pool, target, gen)
 
 
-def draw_indices(m: GroupMeasure, target: int, strategy, r2: float,
+def draw_indices(m: GroupMeasure, target: int, strategy: str, r2: float,
                  gen: np.random.Generator) -> np.ndarray:
-    """Pick ``target`` source positions (int64) per the strategy, after the
-    r2 norm filter (which duplication ignores)."""
+    """Pick ``target`` source positions (int64) per the named strategy, after
+    the r2 norm filter (which duplication ignores)."""
+    if strategy not in STRATEGIES:
+        raise ParameterError(
+            f"unknown sampling strategy {strategy!r}; expected one of {STRATEGIES}")
     if target < 1:
         raise ParameterError(f"target must be >= 1, got {target}")
-    if isinstance(strategy, DuplicateStrategy):
+    if strategy == "duplicate":
         if target % m.width != 0:
             raise ParameterError(
                 f"duplication needs an integer multiple of {m.width}, got target {target}"
@@ -254,36 +221,34 @@ def draw_indices(m: GroupMeasure, target: int, strategy, r2: float,
         return _residual_draw(np.arange(m.width, dtype=np.int64), target, gen)
     pool = _surviving_pool(m, r2)
 
-    if isinstance(strategy, RandomStrategy):
-        idx = _draw_from_pool(pool, target, gen)
-    elif isinstance(strategy, GroupStrategy):
+    if strategy == "group":
         # Pool is already norm-sorted; split into contiguous norm bands,
         # pick a band uniformly, then a member uniformly within it. This
         # stays i.i.d. when growing: within its bands the residual rule
         # would give every member target // pool copies, as the residual
         # draw over the whole pool does, and the strategy would differ from
         # random only in its remainder.
-        sizes = np.array([b.size for b in np.array_split(pool, strategy.n_groups) if b.size])
+        sizes = np.array([b.size for b in np.array_split(pool, _BANDS) if b.size])
         starts = np.cumsum(sizes) - sizes
         picks = gen.integers(0, sizes.size, size=target)
         idx = pool[starts[picks] + gen.integers(0, sizes[picks])]
-    elif isinstance(strategy, FunctionBasedStrategy) and target % pool.size == 0:
-        # Every candidate is a permutation of the pool, or the tiled pool, so
-        # all have the pool's moments: the losses differ only by rounding.
+    elif strategy == "random" or target % pool.size == 0:
+        # A function_based draw to a multiple of the pool: every candidate is
+        # a permutation of the pool, or the tiled pool, so all have the
+        # pool's moments and the losses differ only by rounding.
         idx = _draw_from_pool(pool, target, gen)
-    elif isinstance(strategy, FunctionBasedStrategy):
-        pool_moments = {name: _abs_moments(v, strategy.p_max)
-                        for name, v in m.restricted(pool).items()}
+    else:
+        features = m.features
+        pool_moments = {name: _abs_moments(v[pool], _P_MAX) for name, v in features.items()}
         best = None
         best_loss = math.inf
-        for _ in range(strategy.n_candidates):
+        for _ in range(_CANDIDATES):
             cand = _draw_from_pool(pool, target, gen)
-            loss = _moment_gap(pool_moments, m.restricted(cand), strategy.p_max)
+            loss = _moment_gap(pool_moments, {name: v[cand] for name, v in features.items()},
+                               _P_MAX)
             if loss < best_loss:
                 best, best_loss = cand, loss
         idx = best
-    else:
-        raise ParameterError(f"unknown sampling strategy {strategy!r}")
     return np.asarray(idx, dtype=np.int64)
 
 

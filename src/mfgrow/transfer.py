@@ -16,7 +16,7 @@ import numpy as np
 
 from .arch import COL, ArchGraph, GammaVar, ROW, WeightSpec, compute_partition
 from .errors import ParameterError
-from .measure import DuplicateStrategy, RandomStrategy, draw_indices, extract_measures
+from .measure import STRATEGIES, draw_indices, extract_measures
 from .net import Network
 from .tensor import Rng
 
@@ -33,18 +33,18 @@ class TransferPlan:
     """
 
     targets: dict[int, int] = field(default_factory=dict)
-    strategy: object = field(default_factory=RandomStrategy)
+    strategy: str = "random"  # one of measure.STRATEGIES
     r1: float = 0.0
     r2: float = 0.0
-    noise_mode: str = "perturb"  # "perturb": w*(1+u); "literal": w*u
 
     def __post_init__(self):
         if not 0.0 <= self.r1 < math.inf:
             raise ParameterError(f"r1 must be a finite number >= 0, got {self.r1}")
         if not 0.0 <= self.r2 < 1.0:
             raise ParameterError(f"r2 must lie in [0, 1), got {self.r2}")
-        if self.noise_mode not in ("perturb", "literal"):
-            raise ParameterError(f"unknown noise mode {self.noise_mode!r}")
+        if self.strategy not in STRATEGIES:
+            raise ParameterError(
+                f"unknown sampling strategy {self.strategy!r}; expected one of {STRATEGIES}")
 
 
 def uniform_plan(arch: ArchGraph, new_width: int, **kwargs) -> TransferPlan:
@@ -59,19 +59,16 @@ def uniform_plan(arch: ArchGraph, new_width: int, **kwargs) -> TransferPlan:
 _NOISE_BLOCK = 1 << 15
 
 
-def apply_noise(w: np.ndarray, r1: float, mode: str, gen: np.random.Generator) -> None:
-    """Multiplicative noise on transferred values, in place.
+def apply_noise(w: np.ndarray, r1: float, gen: np.random.Generator) -> None:
+    """Multiplicative noise on transferred values, in place: w * (1 + u) with
+    u ~ uniform(-r1, r1), so r1=0 is the identity.
 
-    literal: w * u with u ~ uniform(-r1, r1) (r1=0 zeroes the input);
-    perturb: w * (1 + u), the reading under which r1=0 is the identity.
     u is drawn as ``gen.uniform(-r1, r1, size=w.shape)`` would draw it, in
     blocks through one reused buffer, so no full-size array is allocated.
     ``w`` must be a writeable C-contiguous float64 array.
     """
     if not 0.0 <= r1 < math.inf:
         raise ParameterError(f"r1 must be a finite number >= 0, got {r1}")
-    if mode not in ("perturb", "literal"):
-        raise ParameterError(f"unknown noise mode {mode!r}")
     if (not isinstance(w, np.ndarray) or w.dtype != np.float64
             or not w.flags.c_contiguous or not w.flags.writeable):
         raise ParameterError("w must be a writeable C-contiguous float64 array")
@@ -84,8 +81,7 @@ def apply_noise(w: np.ndarray, r1: float, mode: str, gen: np.random.Generator) -
         gen.random(out=u)
         u *= r1 - (-r1)
         u += -r1
-        if mode == "perturb":
-            u += 1.0
+        u += 1.0
         block *= u
 
 
@@ -137,9 +133,7 @@ def transfer(net: Network, plan: TransferPlan, rng: Rng) -> Network:
                 arr = np.take(arr, index_sets[gi], axis=axis)
                 resampled = True
         if resampled and plan.r1 > 0.0:
-            apply_noise(arr, plan.r1, plan.noise_mode, rng.substream(f"transfer/noise/{w.name}"))
-        elif resampled and plan.r1 == 0.0 and plan.noise_mode == "literal":
-            arr = np.zeros_like(arr)
+            apply_noise(arr, plan.r1, rng.substream(f"transfer/noise/{w.name}"))
         elif not resampled:
             arr = arr.copy()
         new_store[w.name] = arr
@@ -168,5 +162,5 @@ def duplicate_grow(net: Network, k: int) -> Network:
         for gi in range(len(partition))
         if partition.resizable[gi]
     }
-    plan = TransferPlan(targets=targets, strategy=DuplicateStrategy())
+    plan = TransferPlan(targets=targets, strategy="duplicate")
     return transfer(net, plan, Rng(0))

@@ -141,7 +141,7 @@ class TestTransferCli:
         rc = main([
             "transfer", "--from", str(small_ckpt), "--widths", "60",
             "--strategy", "random", "--r1", "0.1", "--r2", "0.0",
-            "--noise", "perturb", "--seed", "7", "--out", str(out_ckpt),
+            "--seed", "7", "--out", str(out_ckpt),
         ])
         assert rc == 0
         grown = load_checkpoint(out_ckpt)
@@ -167,15 +167,25 @@ class TestTransferCli:
         assert rc == 2
         assert "runnable topology" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("p_max", ["0", "-3"])
-    def test_nonpositive_p_max_exits_2(self, small_ckpt, tmp_path, capsys, p_max):
-        out_ckpt = tmp_path / "big.ckpt"
-        rc = main(["transfer", "--from", str(small_ckpt), "--widths", "40",
-                   "--strategy", "function_based", "--p-max", p_max,
-                   "--out", str(out_ckpt)])
-        assert rc == 2
-        assert "p_max" in capsys.readouterr().err
-        assert not out_ckpt.exists()
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag)
+        for command, flags in (
+            ("transfer", [["--noise", "literal"], ["--n-groups", "3"], ["--n-candidates", "8"],
+                          ["--p-max", "2"]]),
+            ("sample", [["--n-groups", "3"], ["--n-candidates", "8"], ["--p-max", "2"]]))
+        for flag in flags
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_removed_flag_exits_2_and_writes_nothing(self, command, flag, small_ckpt, tmp_path,
+                                                     capsys):
+        # Noise is always w * (1 + u), and the strategies' knobs are constants.
+        argv = {"transfer": ["transfer", "--from", str(small_ckpt), "--widths", "40",
+                             "--out", str(tmp_path / "big.ckpt")],
+                "sample": ["sample", "--ckpt", str(small_ckpt), "--group", "1",
+                           "--target", "50", "--out", str(tmp_path / "samp")]}[command]
+        before = _tree(tmp_path)
+        assert main(argv + ["--strategy", "function_based", *flag]) == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert _tree(tmp_path) == before
 
     def test_out_dev_null_exits_0(self, small_ckpt):
         assert main(["transfer", "--from", str(small_ckpt), "--widths", "40",

@@ -7,12 +7,6 @@ from mfgrow.arch import build_mlp, compute_partition
 from mfgrow.data import load_checkpoint, save_checkpoint, synth_regression
 from mfgrow.errors import ParameterError
 from mfgrow.init import initialize, nonzero_mean_default
-from mfgrow.measure import (
-    DuplicateStrategy,
-    FunctionBasedStrategy,
-    GroupStrategy,
-    RandomStrategy,
-)
 from mfgrow.net import OptimizerState, evaluate, forward_batch, train, zeros_network
 from mfgrow.tensor import Rng
 from mfgrow.transfer import (
@@ -33,50 +27,45 @@ def max_rel_dev(a, b):
     return float(np.max(np.abs(a - b) / (1.0 + np.abs(b))))
 
 
-def noised(w, r1, mode, gen):
+def noised(w, r1, gen):
     """A noised copy of ``w``; apply_noise itself works in place."""
     out = np.array(w, dtype=np.float64, order="C")
-    apply_noise(out, r1, mode, gen)
+    apply_noise(out, r1, gen)
     return out
 
 
 class TestApplyNoise:
     def test_perturb_r1_zero_is_identity(self):
         w = np.array([1.5, -2.0])
-        assert np.array_equal(noised(w, 0.0, "perturb", Rng(0).generator()), w)
-
-    def test_literal_r1_zero_annihilates(self):
-        w = np.array([1.5, -2.0])
-        assert np.array_equal(noised(w, 0.0, "literal", Rng(0).generator()), [0.0, 0.0])
+        assert np.array_equal(noised(w, 0.0, Rng(0).generator()), w)
 
     def test_perturb_mean_ratio(self):
         w = np.ones(100_000)
-        out = noised(w, 0.1, "perturb", Rng(1).generator())
+        out = noised(w, 0.1, Rng(1).generator())
         assert abs(np.mean(out / w) - 1.0) < 0.002
-
-    def test_literal_spread(self):
-        w = np.ones(100_000)
-        out = noised(w, 2.0, "literal", Rng(2).generator())
-        assert abs(out.mean()) < 0.02
-        assert abs(out.std() - 2.0 / np.sqrt(3.0)) < 0.01
 
     def test_negative_r1_rejected(self):
         with pytest.raises(ParameterError):
-            apply_noise(np.ones(3), -0.1, "perturb", Rng(0).generator())
+            apply_noise(np.ones(3), -0.1, Rng(0).generator())
 
     @pytest.mark.parametrize("r1", [np.nan, np.inf])
     def test_non_finite_r1_rejected(self, r1):
         with pytest.raises(ParameterError, match="finite"):
-            apply_noise(np.ones(3), r1, "perturb", Rng(0).generator())
+            apply_noise(np.ones(3), r1, Rng(0).generator())
         with pytest.raises(ParameterError, match="finite"):
             TransferPlan(r1=r1)
+
+
+def test_unknown_strategy_rejected():
+    with pytest.raises(ParameterError, match="unknown sampling strategy 'bogus'"):
+        TransferPlan(strategy="bogus")
 
 
 class TestIdentityTransfer:
     def test_bit_identical(self):
         net = make_net(3, 12, with_bias=True)
         # No targets: every group keeps its width and is tiled once.
-        out = transfer(net, TransferPlan(strategy=DuplicateStrategy()), Rng(0))
+        out = transfer(net, TransferPlan(strategy="duplicate"), Rng(0))
         for k in net.store:
             assert np.array_equal(out.store[k], net.store[k])
 
@@ -112,7 +101,7 @@ class TestDuplication:
 
     def test_non_integer_multiple_rejected(self):
         net = make_net(3, 10)
-        plan = uniform_plan(net.arch, 15, strategy=DuplicateStrategy())
+        plan = uniform_plan(net.arch, 15, strategy="duplicate")
         with pytest.raises(ParameterError):
             transfer(net, plan, Rng(0))
 
@@ -229,7 +218,7 @@ class TestGrowThenTrain:
         train(small, train_data, opt, epochs=4, batch_size=32, rng=Rng(22))
         pre_loss, _ = evaluate(small, test_data.inputs, test_data.targets, "square")
 
-        plan = uniform_plan(small.arch, 80, strategy=DuplicateStrategy())
+        plan = uniform_plan(small.arch, 80, strategy="duplicate")
         grown = transfer(small, plan, Rng(23))
         opt = OptimizerState.create(grown, lr=0.05)
         log = train(grown, train_data, opt, epochs=1, batch_size=32, rng=Rng(24),
@@ -240,8 +229,7 @@ class TestGrowThenTrain:
     def test_function_based_strategy_accepted(self):
         train_data = synth_regression("sine", 128, 0.0, Rng(30))
         small = make_net(2, 30, seed=31)
-        strategy = FunctionBasedStrategy(8, 2)
-        grown = transfer(small, uniform_plan(small.arch, 60, strategy=strategy), Rng(32))
+        grown = transfer(small, uniform_plan(small.arch, 60, strategy="function_based"), Rng(32))
         opt = OptimizerState.create(grown, lr=0.05)
         log = train(grown, train_data, opt, epochs=1, batch_size=32, rng=Rng(33))
         assert len(log.rows) == 2
@@ -263,29 +251,22 @@ def _pin_net(skip):
     return make_net(3, 12, seed=40, with_bias=True, input_dim=5, output_dim=3)
 
 
-_STRATEGIES = {
-    "random": RandomStrategy(),
-    "group": GroupStrategy(3),
-    "function_based": FunctionBasedStrategy(8, 3),
-    "duplicate": DuplicateStrategy(),
-}
-
-# (net, strategy, target width, r1, r2, noise mode) -> digest of the output.
+# (net, strategy, target width, r1, r2) -> digest of the output.
 # The chain nets mix every gather shape: u resizes rows only (5 data-tied
 # columns), v columns only (3 data-tied rows), w1 both, bv neither.
 TRANSFER_PINS = {
-    ("chain", "random", 24, 0.0, 0.0, "perturb"): "f25ef30d61fbe3354851f0ca71774d70e72133c975bd7e2bcbd32f512078d4bc",
-    ("chain", "random", 24, 0.5, 0.0, "literal"): "3f8ddce0f01ec231c2bd6679d53766e5768166e55e7ecab985a98ee79ba65074",
-    ("chain", "random", 7, 0.5, 0.25, "perturb"): "a5fbff67e5d298e22707e8bd78a3326839ca95e34f2fd7de66ec825b319a872f",
-    ("chain", "group", 30, 0.5, 0.0, "perturb"): "e8ca8b4d2d24e25b579c45f3845a47224d430d63be3f6f719e4fa0304c2040a7",
-    ("chain", "group", 7, 0.0, 0.0, "literal"): "24408ccbabf173999894002124c00c39519bb9d1fd869efa673260758df98d15",
-    ("chain", "function_based", 24, 0.0, 0.25, "perturb"): "7d8cfe992eb2765c2688cb4f7f2d76a0d3e4f6a511c815024113185a071d95a9",
-    ("chain", "function_based", 7, 0.5, 0.0, "literal"): "90dc646593009d45445ba7062b71ffff939616cdb70d3b4588a371a87feadec8",
-    ("chain", "duplicate", 24, 0.0, 0.0, "perturb"): "c1fd999e5d697b06f55dd661aa9e6053bd5c9c0f030967ee59fbaf34c3b21420",
-    ("chain", "duplicate", 36, 0.5, 0.0, "literal"): "baa285db3b9d2799ee39b69b15424e80916808274ca32149ced843fddb247562",
-    ("chain", "duplicate", 12, 0.0, 0.0, "perturb"): "8dc56ffacbe894c4060cbcad41aedf0e7138fed41f50693510fee6cd64fd4758",
-    ("skip4", "random", 25, 0.5, 0.0, "perturb"): "771542e9582897f26083874e352ec6040917361c78b62a0629975272612fe952",
-    ("skip4", "function_based", 6, 0.0, 0.5, "perturb"): "3d6803a77998e9a2759df8c3aec456b61b163dc4e77836017e4c6e0ec20d4df4",
+    ("chain", "random", 24, 0.0, 0.0): "f25ef30d61fbe3354851f0ca71774d70e72133c975bd7e2bcbd32f512078d4bc",
+    ("chain", "random", 24, 0.5, 0.0): "2cb39bb15a378a06e3dceb1887a7e7c9c2e19b337591bf9f0217e552cb5e483f",
+    ("chain", "random", 7, 0.5, 0.25): "a5fbff67e5d298e22707e8bd78a3326839ca95e34f2fd7de66ec825b319a872f",
+    ("chain", "group", 30, 0.5, 0.0): "8f4abb1f951c63070e31d74c923eeb8adff2811bd8d41546814c6a3e9127b0cd",
+    ("chain", "group", 7, 0.0, 0.0): "a4bdacff45f687b459b73df35927335be03b5b85c17c1eaf55153c07d5b0fc1b",
+    ("chain", "function_based", 24, 0.0, 0.25): "6e3131c7ac6bc494639ebce7c5fd8010da7b4f66ff699b4644fb3f1ccd531323",
+    ("chain", "function_based", 7, 0.5, 0.0): "40b14b66d3236b9c9dd114d67a47dedad500983aceefc2801932950d0c5618fc",
+    ("chain", "duplicate", 24, 0.0, 0.0): "c1fd999e5d697b06f55dd661aa9e6053bd5c9c0f030967ee59fbaf34c3b21420",
+    ("chain", "duplicate", 36, 0.5, 0.0): "2eafe6c6ca94a2be613ccee28ab4ebf5e7a095a09a9c2ea4714b01fad6b27ed2",
+    ("chain", "duplicate", 12, 0.0, 0.0): "8dc56ffacbe894c4060cbcad41aedf0e7138fed41f50693510fee6cd64fd4758",
+    ("skip4", "random", 25, 0.5, 0.0): "771542e9582897f26083874e352ec6040917361c78b62a0629975272612fe952",
+    ("skip4", "function_based", 6, 0.0, 0.5): "3d6803a77998e9a2759df8c3aec456b61b163dc4e77836017e4c6e0ec20d4df4",
 }
 
 
@@ -295,10 +276,9 @@ class TestTransferPinned:
     # value breaks one.
     @pytest.mark.parametrize("case", list(TRANSFER_PINS), ids=lambda c: "-".join(map(str, c)))
     def test_transfer_output_pinned(self, case):
-        topology, strategy, target, r1, r2, mode = case
+        topology, strategy, target, r1, r2 = case
         net = _pin_net(topology == "skip4")
-        plan = uniform_plan(net.arch, target, strategy=_STRATEGIES[strategy], r1=r1, r2=r2,
-                            noise_mode=mode)
+        plan = uniform_plan(net.arch, target, strategy=strategy, r1=r1, r2=r2)
         out = transfer(net, plan, Rng(50))
         assert store_digest(out) == TRANSFER_PINS[case]
 
@@ -315,29 +295,27 @@ class TestTransferPinned:
             xs = Rng(3).generator().normal(size=(64, 48))
             assert np.array_equal(forward_batch(out, xs), forward_batch(back, xs))
 
-    @pytest.mark.parametrize("mode", ["perturb", "literal"])
-    def test_apply_noise_matches_reference_in_place(self, mode):
+    def test_apply_noise_matches_reference_in_place(self):
         w = Rng(51).generator().normal(size=(37, 11))
         u = Rng(52).substream("n").uniform(-0.7, 0.7, size=w.shape)
-        ref = w * u if mode == "literal" else w * (1.0 + u)
-        assert apply_noise(w, 0.7, mode, Rng(52).substream("n")) is None
+        ref = w * (1.0 + u)
+        assert apply_noise(w, 0.7, Rng(52).substream("n")) is None
         assert w.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("mode", ["perturb", "literal"])
     @pytest.mark.parametrize("shape", [(5,), (32768,), (32769,), (300, 250), (7, 9363)])
-    def test_apply_noise_in_blocks_matches_one_uniform_draw(self, shape, mode):
+    def test_apply_noise_in_blocks_matches_one_uniform_draw(self, shape):
         # The noise is drawn and applied in blocks, in place; it equals one
         # full-size uniform draw, bit for bit, also where a block boundary
         # cuts a row.
         w = Rng(53).generator().normal(size=shape)
         for r1 in (1.0, 4.0, 0.5, 1e-3, 0.1):
             u = Rng(54).substream("n").uniform(-r1, r1, size=shape)
-            ref = (w * u if mode == "literal" else w * (1.0 + u)).tobytes()
-            assert noised(w, r1, mode, Rng(54).substream("n")).tobytes() == ref
+            ref = (w * (1.0 + u)).tobytes()
+            assert noised(w, r1, Rng(54).substream("n")).tobytes() == ref
 
     def test_apply_noise_rejects_an_unusable_w(self):
         # Transposed, float32, a list, read-only.
         for w in (np.ones((6, 4)).T, np.ones((4, 6), dtype=np.float32), [[1.0, 2.0]],
                   np.broadcast_to(np.ones(6), (4, 6))):
             with pytest.raises(ParameterError):
-                apply_noise(w, 0.5, "perturb", Rng(0).generator())
+                apply_noise(w, 0.5, Rng(0).generator())
