@@ -249,6 +249,41 @@ class TestDrawIndices:
             "38a35e32595bc2ad3a28d494af3f6fef9a56a62dcf2413ca4d3e2ff5a52057b9"
         )
 
+    def test_function_based_draw_matches_candidate_reference(self):
+        # Replay the 64 candidate draws, score each on moments 1..4 against
+        # the pool and keep the first best: same indices, and the generator
+        # ends in the same state, so the draw spent exactly 64 candidates.
+        meta = Rng(11).generator()
+        for case in range(40):
+            width = int(meta.integers(4, 80))
+            m = self.measure_with_norms(meta.normal(size=width))
+            r2 = float(meta.choice([0.0, 0.25, 0.5]))
+            pool = np.argsort(-m.sample_norms(), kind="stable")[:math.ceil((1.0 - r2) * width)]
+            target = int(meta.integers(1, 3 * pool.size))
+            if target % pool.size == 0:
+                target += 1
+            gen, ref_gen = Rng(case).generator(), Rng(case).generator()
+            idx = draw_indices(m, target, "function_based", r2, gen)
+            reps, rest = divmod(target, pool.size)
+            ref = at(m.features, pool)
+            cands, losses = [], []
+            for _ in range(64):
+                cand = np.concatenate([np.tile(pool, reps),
+                                       ref_gen.choice(pool, size=rest, replace=False)])
+                cands.append(cand)
+                losses.append(weighted_measure_loss(ref, at(m.features, cand), 4))
+            assert idx.tolist() == cands[int(np.argmin(losses))].tolist()
+            assert gen.random() == ref_gen.random()
+
+    @pytest.mark.parametrize("target", [5, 17])
+    def test_function_based_ties_keep_first_candidate(self, target):
+        # Every |feature| is 1, so every candidate scores exactly 0 and the
+        # first one drawn is kept: the random draw from the same stream.
+        m = self.measure_with_norms(np.where(np.arange(12) % 3, 1.0, -1.0))
+        idx = draw_indices(m, target, "function_based", 0.0, Rng(6).generator())
+        first = draw_indices(m, target, "random", 0.0, Rng(6).generator())
+        assert idx.tobytes() == first.tobytes()
+
     @pytest.mark.parametrize("width, r2", [(64, 0.0), (64, 0.5), (10, 0.3)])
     def test_function_based_whole_pool_draw_is_the_random_draw(self, width, r2):
         # Without replacement, every draw of the whole surviving pool is a
