@@ -296,8 +296,8 @@ def update_scaling_probe(
             )
             opt = OptimizerState.create(net, kind="sgd", lr=lr, lr_width_exponent=exponent)
             before = net.store["w1"].copy()
-            grads, _ = backward_batch(net, batch.inputs, batch.targets, "square")
-            opt.apply(net, grads)
+            steps, _ = backward_batch(net, batch.inputs, batch.targets, "square", opt.rates())
+            opt.apply(net, steps)
             deltas[width] = float(np.mean(np.abs(net.store["w1"] - before)))
         ratios.append(deltas[small] / deltas[large])
     return {

@@ -20,7 +20,10 @@ three-parametrization forms.
 
 Each scalar is applied to the smaller side of its product: in place on the
 (batch, out) forward output, and folded with the batch mean's 1/B into the
-(batch, out) delta before a weight gradient is formed.
+(batch, out) delta before a weight gradient is formed. Under SGD each matrix
+weight's rate (lr x width scale x multiplier) is folded into that delta too,
+so the product is the SGD step itself and the update is one in-place
+subtract.
 """
 
 from __future__ import annotations
@@ -194,8 +197,14 @@ def _loss_and_delta(out: np.ndarray, Y: np.ndarray, loss: str):
     raise ParameterError(f"unknown loss {loss!r}")
 
 
-def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str = "square"):
-    """Mean gradients of the loss over a batch. Returns (grads, mean_loss)."""
+def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str = "square",
+                   rates: dict[str, float] | None = None):
+    """Mean gradients of the loss over a batch. Returns (grads, mean_loss).
+
+    With ``rates`` (per-weight SGD rates, ``OptimizerState.rates``) each
+    entry is the SGD step instead: a matrix's rate is folded into its delta
+    before the product, a vector's or bias's multiplies its mean gradient.
+    """
     X = _check_input(net, X)
     Y = as_f64(Y) if loss == "square" else np.asarray(Y)
     if loss == "square" and Y.ndim == 1 and net.output_dim() == 1:
@@ -207,19 +216,24 @@ def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str = "squa
     losses, delta = _loss_and_delta(out, Y, loss)
     B = X.shape[0]
     grads: dict[str, np.ndarray] = {}
+
+    def rate(name):
+        return 1.0 if rates is None else rates[name]
+
     for i in range(len(plan) - 1, -1, -1):
         layer = plan[i]
         w = net.store[layer.weight]
         z = inputs[i]
         if w.ndim == 2:
             # Scale the (batch, out) delta, not the (out, in) product.
-            grads[layer.weight] = (delta * (layer.scalar / B)).T @ z
+            grads[layer.weight] = (delta * (rate(layer.weight) * (layer.scalar / B))).T @ z
         elif i == 0:
-            grads[layer.weight] = (delta * z[:, 0:1]).mean(axis=0)
+            grads[layer.weight] = rate(layer.weight) * (delta * z[:, 0:1]).mean(axis=0)
         else:
-            grads[layer.weight] = layer.scalar * (delta[:, 0:1] * z).mean(axis=0)
+            grads[layer.weight] = rate(layer.weight) * (
+                layer.scalar * (delta[:, 0:1] * z).mean(axis=0))
         if layer.bias is not None:
-            grads[layer.bias] = delta.mean(axis=0)
+            grads[layer.bias] = rate(layer.bias) * delta.mean(axis=0)
         if i == 0:
             break
         if w.ndim == 2:
@@ -253,27 +267,6 @@ def lr_multiplier(weight: str, arch: ArchGraph) -> float:
     return mult
 
 
-# Elements of eff * g formed at a time by the SGD update (256 KiB of float64).
-_UPDATE_BLOCK = 1 << 15
-
-
-def _sgd_update(w: np.ndarray, eff: float, g: np.ndarray) -> None:
-    """``w -= eff * g`` with the same rounding, without a full-size temporary.
-
-    A matrix is updated in blocks of whole rows through one reused buffer.
-    Row slices are views on any layout of ``w``; ``g`` is only read.
-    """
-    if w.ndim != 2 or w.size <= _UPDATE_BLOCK:
-        w -= eff * g
-        return
-    rows = max(1, _UPDATE_BLOCK // w.shape[1])
-    buf = np.empty((rows, w.shape[1]), dtype=np.result_type(g, eff))
-    for start in range(0, w.shape[0], rows):
-        stop = min(start + rows, w.shape[0])
-        step = np.multiply(g[start:stop], eff, out=buf[: stop - start])
-        w[start:stop] -= step
-
-
 @dataclass
 class OptimizerState:
     """SGD or Adam with fixed per-weight multipliers.
@@ -300,17 +293,34 @@ class OptimizerState:
             raise ParameterError(f"learning rate must be >= 0, got {lr}")
         mults = {w.name: lr_multiplier(w.name, net.arch) for w in net.arch.weights}
         max_width = max(net.arch.hidden_widths, default=1)
-        return cls(kind=kind, lr=lr, multipliers=mults,
-                   width_scale=float(max_width) ** lr_width_exponent)
+        try:
+            width_scale = float(max_width) ** lr_width_exponent
+        except OverflowError:
+            width_scale = math.inf
+        opt = cls(kind=kind, lr=lr, multipliers=mults, width_scale=width_scale)
+        for name, value in (("learning rate", lr),
+                            (f"width scale {max_width}**{lr_width_exponent}", width_scale),
+                            *((f"rate of {w}", r) for w, r in opt.rates().items())):
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
+        return opt
+
+    def rates(self) -> dict[str, float]:
+        """Per-weight rates: lr * width_scale * multiplier."""
+        return {name: self.lr * self.width_scale * mult for name, mult in self.multipliers.items()}
 
     def apply(self, net: Network, grads: dict[str, np.ndarray]) -> None:
+        """One update. SGD subtracts the steps of ``backward_batch(...,
+        rates=self.rates())`` in place; Adam takes plain mean gradients."""
         self.step_count += 1
+        if self.kind == "sgd":
+            for name, step in grads.items():
+                net.store[name] -= step
+            return
+        rates = self.rates()
         for name, g in grads.items():
-            eff = self.lr * self.width_scale * self.multipliers[name]
+            eff = rates[name]
             w = net.store[name]
-            if self.kind == "sgd":
-                _sgd_update(w, eff, g)
-                continue
             m = self.m.setdefault(name, np.zeros_like(w))
             v = self.v.setdefault(name, np.zeros_like(w))
             m *= _ADAM_BETA1
@@ -435,6 +445,7 @@ def train(
     log.add(0, 0, tr0, te0, acc0)
 
     n = data.inputs.shape[0]
+    rates = opt.rates() if opt.kind == "sgd" else None
     step = 0
     for epoch in range(1, epochs + 1):
         perm = order_gen.permutation(n)
@@ -442,7 +453,8 @@ def train(
         batches = 0
         for start in range(0, n, batch_size):
             idx = perm[start : start + batch_size]
-            grads, batch_loss = backward_batch(net, data.inputs[idx], data.targets[idx], loss)
+            grads, batch_loss = backward_batch(net, data.inputs[idx], data.targets[idx], loss,
+                                               rates)
             if not np.isfinite(batch_loss) or abs(batch_loss) > DIVERGENCE_LIMIT:
                 raise DivergenceError(f"training loss diverged ({batch_loss})", step)
             opt.apply(net, grads)

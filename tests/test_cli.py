@@ -463,6 +463,8 @@ class TestFailedCommandsWriteNothing:
         (["init", "--config", "{cfg}", "--seed", str(2**64)], 2),
         (["train", "--config", "{tmp}/output-dim-3.json"], 2),
         (["train", "--config", "{tmp}/input-dim-2.json"], 2),
+        (["train", "--config", "{tmp}/width-scale-overflow.json"], 2),
+        (["train", "--config", "{tmp}/rate-overflow.json"], 2),
     ], ids=["sample-zero-target", "reproduce-no-cifar", "reproduce-cifar-dir-missing",
             "heatmap-vector-weight", "hist-unknown-weight", "transfer-out-is-directory",
             "train-out-is-file", "hist-no-matrix-weight", "reproduce-truncated-batch",
@@ -471,15 +473,23 @@ class TestFailedCommandsWriteNothing:
             "reproduce-negative-seed", "reproduce-regen-top-seed",
             "reproduce-regen-top-seed-minus-1", "transfer-r1-nan", "train-negative-seed-flag",
             "init-seed-flag-too-big", "train-targets-narrower-than-output",
-            "train-inputs-narrower-than-input-dim"])
+            "train-inputs-narrower-than-input-dim", "train-width-scale-overflows",
+            "train-rate-overflows"])
     def test_exits_with_error_and_leaves_outputs_alone(self, argv, code, small_ckpt, tmp_path,
                                                         monkeypatch, capsys):
         monkeypatch.delenv("MFGROW_CIFAR10_DIR", raising=False)
         cfg = synth_config(tmp_path)
+        doc = json.loads(cfg.read_text(encoding="utf-8"))
         for name, dims in (("output-dim-3", {"output_dim": 3}), ("input-dim-2", {"input_dim": 2})):
             arch = {"builder": "mlp", "depth": 2, "widths": 4, **dims}
-            doc = {**json.loads(cfg.read_text(encoding="utf-8")), "arch": arch}
-            (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+            (tmp_path / f"{name}.json").write_text(json.dumps({**doc, "arch": arch}),
+                                                   encoding="utf-8")
+        for name, opt in (("width-scale-overflow", {"lr_width_exponent": 1000.0}),
+                          ("rate-overflow", {"lr": 1e308, "lr_width_exponent": 2.0})):
+            arch = {"builder": "mlp", "depth": 2, "widths": 8}
+            optimizer = {**doc["optimizer"], **opt}
+            (tmp_path / f"{name}.json").write_text(
+                json.dumps({**doc, "arch": arch, "optimizer": optimizer}), encoding="utf-8")
         (tmp_path / "taken").mkdir()
         (tmp_path / "file").write_text("not a directory", encoding="utf-8")
         save_checkpoint(zeros_network(build_mlp(2, 8)), tmp_path / "vectors.ckpt")

@@ -1,7 +1,7 @@
-"""Traced-heap bounds on the transfer path, checkpoint I/O and the heatmap
-writer at the CIFAR shape (3072 -> N -> N -> 10). tracemalloc sees every
-NumPy data buffer, so each bound counts the full-size temporaries a call
-makes beyond its result.
+"""Traced-heap bounds on the SGD update, the transfer path, checkpoint I/O
+and the heatmap writer at the CIFAR shape (3072 -> N -> N -> 10).
+tracemalloc sees every NumPy data buffer, so each bound counts the
+full-size temporaries a call makes beyond its result.
 """
 
 import tracemalloc
@@ -14,7 +14,7 @@ from mfgrow.data import CIFAR_RECORD, load_checkpoint, load_cifar10, save_checkp
 from mfgrow.diagnostics import heatmap_export
 from mfgrow.init import initialize, nonzero_mean_default
 from mfgrow.measure import extract_measures
-from mfgrow.net import zeros_network
+from mfgrow.net import OptimizerState, backward_batch, zeros_network
 from mfgrow.tensor import Rng
 from mfgrow.transfer import transfer, uniform_plan
 
@@ -46,6 +46,18 @@ def payload_bytes(net):
 @pytest.fixture(scope="module")
 def wide_net():
     return cifar_net(1000)
+
+
+def test_sgd_apply_updates_in_place():
+    # Each step arrives rate-scaled from backward_batch; apply only
+    # subtracts it, so no weight-sized temporary is made.
+    net = cifar_net(300)
+    opt = OptimizerState.create(net, lr=0.1)
+    gen = Rng(3).generator()
+    X, Y = gen.uniform(0.0, 1.0, size=(64, 3072)), gen.integers(0, 10, size=64)
+    steps, _ = backward_batch(net, X, Y, "cross_entropy", opt.rates())
+    _, extra = traced_peak(lambda: opt.apply(net, steps))
+    assert extra < 0.01 * net.store["u"].nbytes
 
 
 def test_save_checkpoint_streams_without_copies(wide_net, tmp_path):

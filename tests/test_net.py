@@ -6,7 +6,6 @@ from mfgrow.data import Dataset, synth_regression
 from mfgrow.errors import DivergenceError, ParameterError
 from mfgrow.init import initialize, nonzero_mean_default
 from mfgrow.net import (
-    _UPDATE_BLOCK,
     Network,
     OptimizerState,
     backward_batch,
@@ -19,6 +18,8 @@ from mfgrow.net import (
 )
 from mfgrow.tensor import Rng
 from mfgrow.transfer import duplicate_grow
+
+from test_transfer import store_digest
 
 
 def make_net(depth, width, parametrization="MFP", with_bias=False, with_skip=False,
@@ -241,8 +242,8 @@ class TestDuplicationTrajectory:
         for _ in range(20):
             X = gen.uniform(-2, 2, size=(16, 1))
             Y = np.sin(2.0 * X)
-            opt_small.apply(small, backward_batch(small, X, Y)[0])
-            opt_big.apply(big, backward_batch(big, X, Y)[0])
+            opt_small.apply(small, backward_batch(small, X, Y, rates=opt_small.rates())[0])
+            opt_big.apply(big, backward_batch(big, X, Y, rates=opt_big.rates())[0])
             dev = np.abs(forward_batch(small, probe) - forward_batch(big, probe)).max()
             assert dev <= 1e-12
 
@@ -272,26 +273,93 @@ class TestLrMultiplier:
 
 class TestSgdUpdate:
     def test_bit_equal_to_plain_update_on_any_layout(self):
-        # u is a C-order matrix whose rows are not a whole number of update
-        # blocks, w1 is made Fortran-order, v and the biases are vectors.
+        # u is a C-order matrix, w1 is made Fortran-order, v and the biases
+        # are vectors.
         net = make_net(3, 301, with_bias=True, input_dim=1000, seed=4)
         net.store["w1"] = np.asfortranarray(net.store["w1"])
-        for name in ("u", "w1"):
-            w = net.store[name]
-            assert w.size > _UPDATE_BLOCK and w.shape[0] % (_UPDATE_BLOCK // w.shape[1])
         gen = Rng(5).generator()
-        grads = {k: gen.normal(size=v.shape) for k, v in net.store.items()}
-        grads_before = {k: g.copy() for k, g in grads.items()}
+        steps = {k: gen.normal(size=v.shape) for k, v in net.store.items()}
+        steps_before = {k: g.copy() for k, g in steps.items()}
         before = {k: v.copy() for k, v in net.store.items()}
         arrays = dict(net.store)
-        opt = OptimizerState.create(net, lr=0.3)
-        opt.apply(net, grads)
-        for name, g in grads.items():
-            eff = opt.lr * opt.width_scale * opt.multipliers[name]
+        OptimizerState.create(net, lr=0.3).apply(net, steps)
+        for name, step in steps.items():
             assert net.store[name] is arrays[name]
-            assert np.array_equal(net.store[name], before[name] - eff * g)
-            assert np.array_equal(g, grads_before[name])
+            assert np.array_equal(net.store[name], before[name] - step)
+            assert np.array_equal(step, steps_before[name])
         assert net.store["w1"].flags.f_contiguous
+
+    @pytest.mark.parametrize("parametrization", ["SP", "muP", "MFP"])
+    @pytest.mark.parametrize("dims", [(1, 1), (6, 3)], ids=["vector-ends", "matrix-ends"])
+    def test_steps_are_rate_times_gradient(self, parametrization, dims):
+        # Vectors and biases keep the rounding of rate * gradient; a matrix's
+        # rate is folded into its delta, so it agrees to round-off of the
+        # matrix's largest entry.
+        net = make_net(4, 12, parametrization, with_bias=True, with_skip=True, input_dim=dims[0],
+                       output_dim=dims[1], seed=3)
+        gen = Rng(6).generator()
+        X, Y = gen.normal(size=(16, dims[0])), gen.normal(size=(16, dims[1]))
+        opt = OptimizerState.create(net, lr=0.3, lr_width_exponent=0.5)
+        grads, loss = backward_batch(net, X, Y)
+        steps, step_loss = backward_batch(net, X, Y, rates=opt.rates())
+        assert step_loss == loss and steps.keys() == grads.keys()
+        for name, rate in opt.rates().items():
+            ref = rate * grads[name]
+            if net.store[name].ndim == 2:
+                assert np.abs(steps[name] - ref).max() <= 1e-14 * np.abs(ref).max()
+            else:
+                assert np.array_equal(steps[name], ref)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"lr": float("nan")}, "learning rate must be finite"),
+        ({"lr_width_exponent": 1000.0}, "width scale 8\\*\\*1000.0 must be finite, got inf"),
+        ({"lr_width_exponent": float("nan")}, "width scale .* must be finite, got nan"),
+        ({"lr": 1e308, "lr_width_exponent": 2.0}, "rate of u must be finite, got inf"),
+    ], ids=["lr-nan", "width-scale-overflows", "width-scale-nan", "rate-overflows"])
+    def test_non_finite_rates_rejected(self, kwargs, message):
+        with pytest.raises(ParameterError, match=message):
+            OptimizerState.create(make_net(2, 8), **kwargs)
+
+
+def trained_case(case):
+    """(net, optimizer, data, loss) of one trained-weight pin, untrained."""
+    kind, param = case
+    if kind == "cifar":
+        arch = build_mlp(3, 24, with_bias=True, input_dim=3072, output_dim=10,
+                         parametrization=param)
+        net = initialize(zeros_network(arch), nonzero_mean_default(param, arch), Rng(60))
+        gen = Rng(61).generator()
+        data = Dataset(gen.uniform(0.0, 1.0, size=(128, 3072)), gen.integers(0, 10, size=128))
+        opt = OptimizerState.create(net, lr=0.1, lr_width_exponent=0.0 if param == "MFP" else 1.0)
+        return net, opt, data, "cross_entropy"
+    depth, kw = {"chain4": (4, {"with_bias": True}), "skip4": (4, {"with_skip": True}),
+                 "twolayer": (2, {})}[kind]
+    net = make_net(depth, 12, parametrization=param, seed=62, **kw)
+    data = synth_regression("sine", 64, 0.1, Rng(63))
+    return net, OptimizerState.create(net, lr=0.05), data, "square"
+
+
+# (net, parametrization) -> digest of the store after 2 SGD epochs, with each
+# matrix's rate folded into its delta. The two-layer net has vector weights
+# only; its SGD steps round as rate * gradient.
+TRAINED_PINS = {
+    ("cifar", "SP"): "647646e4e5726bec5981c4ab65259f2d45587b7812727c502258ec854872980f",
+    ("cifar", "muP"): "3e980afcc1b5ccbc193c022ea1fec31a9876f2a7374294f0b2f78c3156e76a4c",
+    ("cifar", "MFP"): "7fa539c41d53741ecdf8a245552f21887afb621daf6185fd02619f101aa20c8a",
+    ("chain4", "MFP"): "be6b30aa316319c4fca1ddf5e4f5f87eccbca502bc8aba816766de7db1a3380f",
+    ("skip4", "MFP"): "4050a15a981caf9bebd94cd8e0ab69dbbef74e19b5c2b4005773560e28c1e060",
+    ("twolayer", "MFP"): "88b2c1d90a2a048ac46c6bfe1f69b45df20b0717130174f6b3bee5334373b880",
+}
+
+
+class TestTrainedWeightsPinned:
+    # Logged losses can stay bit-identical when the weights move by
+    # round-off; the weight bytes cannot.
+    @pytest.mark.parametrize("case", list(TRAINED_PINS), ids="-".join)
+    def test_trained_store_pinned(self, case):
+        net, opt, data, loss = trained_case(case)
+        train(net, data, opt, epochs=2, batch_size=32, rng=Rng(64), loss=loss)
+        assert store_digest(net) == TRAINED_PINS[case]
 
 
 class TestTrain:
@@ -305,6 +373,29 @@ class TestTrain:
             assert np.array_equal(net.store[k], before[k])
         losses = [row[2] for row in log.rows]
         assert max(losses) == pytest.approx(min(losses), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_equals_hand_loop_of_the_public_step(self, kind):
+        # train's step is backward_batch (with the SGD rates) then apply.
+        def run(by_hand):
+            net = make_net(4, 8, with_bias=True, input_dim=3, output_dim=2, seed=7)
+            gen = Rng(8).generator()
+            data = Dataset(gen.normal(size=(40, 3)), gen.normal(size=(40, 2)))
+            opt = OptimizerState.create(net, kind=kind, lr=0.05)
+            if not by_hand:
+                train(net, data, opt, epochs=2, batch_size=16, rng=Rng(9))
+                return net
+            order = Rng(9).substream("train/order")
+            rates = opt.rates() if kind == "sgd" else None
+            for _ in range(2):
+                perm = order.permutation(40)
+                for start in range(0, 40, 16):
+                    idx = perm[start : start + 16]
+                    opt.apply(net, backward_batch(net, data.inputs[idx], data.targets[idx],
+                                                  rates=rates)[0])
+            return net
+
+        assert store_digest(run(by_hand=False)) == store_digest(run(by_hand=True))
 
     def test_deterministic_log_bytes(self):
         def run():
@@ -323,15 +414,17 @@ class TestTrain:
             train(net, data, opt, epochs=5, batch_size=8, rng=Rng(2))
 
     @pytest.mark.parametrize("lr, message", [
-        pytest.param(1e300, "diverged in the last update",  # finite weights, inf loss
-                     marks=pytest.mark.filterwarnings(
-                         "ignore:overflow encountered:RuntimeWarning")),
-        (1e308, "non-finite weights"),
+        (1e300, "diverged in the last update"),  # finite weights, inf loss
+        (2e307, "non-finite weights"),  # finite rates, an overflowing step
     ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_last_update_divergence_raises(self, lr, message):
         # One batch: its loss is checked before the update that blows up.
+        # Targets of 100 sin(x) give gradients above 1, so the largest
+        # finite rates overflow the step.
         net = make_net(2, 8, seed=0)
         data = synth_regression("sine", 8, 0.0, Rng(1))
+        data = Dataset(data.inputs, 100.0 * data.targets)
         opt = OptimizerState.create(net, lr=lr)
         with pytest.raises(DivergenceError, match=message) as info:
             train(net, data, opt, epochs=1, batch_size=8, rng=Rng(2))
