@@ -15,7 +15,7 @@ group; its ``skip4`` topology declares the residual add to the executor.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .errors import ParameterError, StructureError
 
@@ -71,6 +71,11 @@ class AxisUsage:
 
 @dataclass(frozen=True)
 class ArchGraph:
+    """A checked and indexed architecture: construction raises StructureError
+    on any inconsistency, so a graph that exists is valid. It also builds the
+    name/id/axis lookups and the gamma partition once; those derived fields
+    take no part in equality or hashing."""
+
     weights: tuple[WeightSpec, ...]
     usages: tuple[AxisUsage, ...]
     gammas: tuple[GammaVar, ...]
@@ -79,33 +84,82 @@ class ArchGraph:
     # Forward order as (weight, bias-or-None) pairs; empty for fragments.
     layers: tuple[tuple[str, str | None], ...] = ()
     activations: tuple[str, ...] = ()
+    partition: GammaPartition = field(init=False, repr=False, compare=False)
+    _by_name: dict[str, WeightSpec] = field(init=False, repr=False, compare=False)
+    _by_id: dict[int, GammaVar] = field(init=False, repr=False, compare=False)
+    _axis_gammas: dict[tuple[str, str], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.parametrization not in PARAMETRIZATIONS:
+            raise StructureError(f"unknown parametrization {self.parametrization!r}")
+        if self.topology not in ("chain", "skip4", "fragment"):
+            raise StructureError(f"unknown topology {self.topology!r}")
+        by_name = {w.name: w for w in self.weights}
+        if len(by_name) != len(self.weights):
+            raise StructureError("weight names must be unique")
+        by_id = {g.id: g for g in self.gammas}
+        if len(by_id) != len(self.gammas):
+            raise StructureError("gamma ids must be unique")
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_by_id", by_id)
+        axis_gammas: dict[tuple[str, str], list[int]] = {}
+        for u in self.usages:
+            w = self.weight(u.weight)
+            if w.kind == "vector" and u.axis != ROW:
+                raise StructureError(f"weight {w.name}: vector usages must be on the row axis")
+            if u.axis not in (ROW, COL):
+                raise StructureError(f"weight {w.name}: unknown axis {u.axis!r}")
+            if u.gamma not in by_id:
+                raise StructureError(f"usage of {w.name} references unknown gamma {u.gamma}")
+            size = w.shape[0] if u.axis == ROW else w.shape[1]
+            if by_id[u.gamma].width != size:
+                raise StructureError(
+                    f"weight {w.name} axis {u.axis}: size {size} != gamma {u.gamma} width "
+                    f"{by_id[u.gamma].width}"
+                )
+            axis_gammas.setdefault((u.weight, u.axis), []).append(u.gamma)
+        missing = set(by_id) - {u.gamma for u in self.usages}
+        if missing:
+            raise StructureError(f"gammas never used: {sorted(missing)}")
+        if self.topology != "fragment":
+            for w in self.weights:
+                for ax in (ROW,) if w.kind == "vector" else (ROW, COL):
+                    if (w.name, ax) not in axis_gammas:
+                        raise StructureError(f"weight {w.name}: axis {ax} has no usage")
+        for wname, bname in self.layers:
+            self.weight(wname)
+            if bname is not None:
+                self.weight(bname)
+        for act in self.activations:
+            if act not in ACTIVATION_NAMES:
+                raise StructureError(f"unknown activation {act!r}")
+        if len(self.activations) != max(len(self.layers) - 1, 0):
+            raise StructureError(
+                f"{len(self.layers)} layers need {max(len(self.layers) - 1, 0)} activations, "
+                f"got {len(self.activations)}")
+        object.__setattr__(
+            self, "_axis_gammas", {key: tuple(ids) for key, ids in axis_gammas.items()})
+        object.__setattr__(self, "partition", compute_partition(self))
 
     def weight(self, name: str) -> WeightSpec:
-        for w in self.weights:
-            if w.name == name:
-                return w
-        raise StructureError(f"unknown weight {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise StructureError(f"unknown weight {name!r}") from None
 
     def gamma(self, gid: int) -> GammaVar:
-        for g in self.gammas:
-            if g.id == gid:
-                return g
-        raise StructureError(f"unknown gamma id {gid}")
-
-    def axis_size(self, name: str, axis: str) -> int:
-        w = self.weight(name)
-        if w.kind == "vector":
-            if axis != ROW:
-                raise StructureError(f"weight {name}: vectors only have a row axis")
-            return w.shape[0]
-        return w.shape[0] if axis == ROW else w.shape[1]
+        try:
+            return self._by_id[gid]
+        except KeyError:
+            raise StructureError(f"unknown gamma id {gid}") from None
 
     def axis_gamma(self, name: str, axis: str) -> GammaVar:
         """Any gamma used at (name, axis); all such gammas share width and group."""
-        for u in self.usages:
-            if u.weight == name and u.axis == axis:
-                return self.gamma(u.gamma)
-        raise StructureError(f"weight {name}: no usage recorded for axis {axis!r}")
+        try:
+            return self._by_id[self._axis_gammas[(name, axis)][0]]
+        except KeyError:
+            raise StructureError(f"weight {name}: no usage recorded for axis {axis!r}") from None
 
     @property
     def hidden_widths(self) -> set[int]:
@@ -115,53 +169,6 @@ class ArchGraph:
         if parametrization not in PARAMETRIZATIONS:
             raise ParameterError(f"unknown parametrization {parametrization!r}")
         return replace(self, parametrization=parametrization)
-
-    def validate(self) -> None:
-        if self.parametrization not in PARAMETRIZATIONS:
-            raise StructureError(f"unknown parametrization {self.parametrization!r}")
-        if self.topology not in ("chain", "skip4", "fragment"):
-            raise StructureError(f"unknown topology {self.topology!r}")
-        names = [w.name for w in self.weights]
-        if len(set(names)) != len(names):
-            raise StructureError("weight names must be unique")
-        gids = [g.id for g in self.gammas]
-        if len(set(gids)) != len(gids):
-            raise StructureError("gamma ids must be unique")
-        by_gamma = {g.id: g for g in self.gammas}
-        used_gammas = set()
-        covered_axes: set[tuple[str, str]] = set()
-        for u in self.usages:
-            w = self.weight(u.weight)
-            if w.kind == "vector" and u.axis != ROW:
-                raise StructureError(f"weight {w.name}: vector usages must be on the row axis")
-            if u.axis not in (ROW, COL):
-                raise StructureError(f"weight {w.name}: unknown axis {u.axis!r}")
-            if u.gamma not in by_gamma:
-                raise StructureError(f"usage of {w.name} references unknown gamma {u.gamma}")
-            size = self.axis_size(u.weight, u.axis)
-            if by_gamma[u.gamma].width != size:
-                raise StructureError(
-                    f"weight {w.name} axis {u.axis}: size {size} != gamma {u.gamma} width "
-                    f"{by_gamma[u.gamma].width}"
-                )
-            used_gammas.add(u.gamma)
-            covered_axes.add((u.weight, u.axis))
-        missing = set(by_gamma) - used_gammas
-        if missing:
-            raise StructureError(f"gammas never used: {sorted(missing)}")
-        if self.topology != "fragment":
-            for w in self.weights:
-                axes = (ROW,) if w.kind == "vector" else (ROW, COL)
-                for ax in axes:
-                    if (w.name, ax) not in covered_axes:
-                        raise StructureError(f"weight {w.name}: axis {ax} has no usage")
-        for wname, bname in self.layers:
-            self.weight(wname)
-            if bname is not None:
-                self.weight(bname)
-        for act in self.activations:
-            if act not in ACTIVATION_NAMES:
-                raise StructureError(f"unknown activation {act!r}")
 
 
 @dataclass(frozen=True)
@@ -191,8 +198,9 @@ class GammaPartition:
 def compute_partition(g: ArchGraph) -> GammaPartition:
     """Union-find over gamma ids: merge all gammas appearing at the same
     (weight, axis) position. Returns the finest partition closed under that
-    rule, with the group of each such position."""
-    g.validate()
+    rule, with the group of each such position. Construction ties every gamma
+    to its axis size, so merged gammas always share one width. Every graph
+    holds its own as ``g.partition``."""
     parent = {gm.id: gm.id for gm in g.gammas}
 
     def find(i: int) -> int:
@@ -201,42 +209,21 @@ def compute_partition(g: ArchGraph) -> GammaPartition:
             i = parent[i]
         return i
 
-    def union(i: int, j: int, weight: str, axis: str) -> None:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            return
-        wi, wj = g.gamma(i).width, g.gamma(j).width
-        if wi != wj:
-            raise StructureError(
-                f"weight {weight} axis {axis}: cannot merge gamma {i} (width {wi}) "
-                f"with gamma {j} (width {wj})"
-            )
-        parent[max(ri, rj)] = min(ri, rj)
-
-    per_axis: dict[tuple[str, str], list[int]] = {}
-    for u in g.usages:
-        per_axis.setdefault((u.weight, u.axis), []).append(u.gamma)
-    for (wname, axis), gids in sorted(per_axis.items()):
-        first = gids[0]
-        for other in gids[1:]:
-            union(first, other, wname, axis)
+    per_axis = sorted(g._axis_gammas.items())
+    for _, (first, *others) in per_axis:
+        for other in others:
+            ri, rj = find(first), find(other)
+            parent[max(ri, rj)] = min(ri, rj)
 
     members: dict[int, list[int]] = {}
     for gm in g.gammas:
         members.setdefault(find(gm.id), []).append(gm.id)
     groups = sorted(tuple(sorted(v)) for v in members.values())
-
-    widths = []
-    resizable = []
-    for grp in groups:
-        ws = {g.gamma(i).width for i in grp}
-        if len(ws) != 1:
-            raise StructureError(f"group {grp} mixes widths {sorted(ws)}")
-        widths.append(ws.pop())
-        resizable.append(all(g.gamma(i).role == "hidden" for i in grp))
+    widths = tuple(g.gamma(grp[0]).width for grp in groups)
+    resizable = tuple(all(g.gamma(i).role == "hidden" for i in grp) for grp in groups)
     group_index = {gid: i for i, grp in enumerate(groups) for gid in grp}
-    axis_groups = {key: group_index[gids[0]] for key, gids in sorted(per_axis.items())}
-    return GammaPartition(tuple(groups), tuple(widths), tuple(resizable), axis_groups)
+    axis_groups = {key: group_index[gids[0]] for key, gids in per_axis}
+    return GammaPartition(tuple(groups), widths, resizable, axis_groups)
 
 
 def format_partition(p: GammaPartition) -> str:
@@ -369,7 +356,7 @@ def build_mlp(
         rank = {"u": 1, "bu": 1, "v": 2, "bv": 2}
         usages.sort(key=lambda u: rank.get(u.weight, 0))
 
-    graph = ArchGraph(
+    return ArchGraph(
         weights=tuple(weights),
         usages=tuple(usages),
         gammas=tuple(gammas),
@@ -378,8 +365,6 @@ def build_mlp(
         layers=tuple(layers),
         activations=(activation,) * (depth - 1),
     )
-    graph.validate()
-    return graph
 
 
 def build_skip_block(n: int, parametrization: str = "MFP") -> ArchGraph:
@@ -409,9 +394,7 @@ def build_skip_block(n: int, parametrization: str = "MFP") -> ArchGraph:
         AxisUsage("w4", COL, 5),
     )
     gammas = tuple(GammaVar(i, n, "hidden") for i in range(1, 6))
-    graph = ArchGraph(weights, usages, gammas, parametrization, topology="fragment")
-    graph.validate()
-    return graph
+    return ArchGraph(weights, usages, gammas, parametrization, topology="fragment")
 
 
 def build_attention_block(n: int, d_x: int, parametrization: str = "MFP") -> ArchGraph:
@@ -450,26 +433,12 @@ def build_attention_block(n: int, d_x: int, parametrization: str = "MFP") -> Arc
         AxisUsage("b2", ROW, 7),
     )
     gammas = tuple(GammaVar(i, n, "hidden") for i in range(1, 8))
-    graph = ArchGraph(weights, usages, gammas, parametrization, topology="fragment")
-    graph.validate()
-    return graph
+    return ArchGraph(weights, usages, gammas, parametrization, topology="fragment")
 
 
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
-
-_ARCH_KEYS = {
-    "weights",
-    "usages",
-    "parametrization",
-    "gammas",
-    "topology",
-    "layers",
-    "activations",
-    "hidden_widths",
-}
-
 
 def arch_to_json(g: ArchGraph) -> str:
     doc = {
@@ -484,70 +453,77 @@ def arch_to_json(g: ArchGraph) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+# The one arch file form, the one arch_to_json writes: its seven keys, and
+# the keys of each entry of the three entry lists, with their JSON types.
+_ARCH_KEYS = {"parametrization": str, "topology": str, "weights": list, "usages": list,
+              "gammas": list, "layers": list, "activations": list}
+_ENTRY_KEYS = {
+    "weights": {"name": str, "kind": str, "shape": list},
+    "usages": {"weight": str, "axis": str, "gamma": int},
+    "gammas": {"id": int, "width": int, "role": str},
+}
+_JSON_TYPES = {str: "a string", int: "an integer", list: "an array", dict: "an object"}
+
+
+def _malformed(what: str) -> StructureError:
+    return StructureError(f"malformed architecture file: {what}")
+
+
+def _typed(value, kind: type, where: str) -> None:
+    """Raise unless ``value`` has the JSON type ``kind``; a bool or any
+    non-integral number (1.7, 1e400) is not an integer."""
+    if type(value) is not kind:
+        raise _malformed(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
+
+
+def _items(values: list, kind: type, where: str) -> tuple:
+    for i, value in enumerate(values):
+        _typed(value, kind, f"{where}[{i}]")
+    return tuple(values)
+
+
+def _fields(obj, keys: dict[str, type], where: str) -> list:
+    """The values of a JSON object that has exactly ``keys``, in their order."""
+    _typed(obj, dict, where)
+    if obj.keys() != keys.keys():
+        unknown = sorted(set(obj) - set(keys))
+        if unknown:
+            raise _malformed(f"{where} has unknown keys {unknown}")
+        raise _malformed(f"{where} is missing {[key for key in keys if key not in obj]}")
+    for key, kind in keys.items():
+        _typed(obj[key], kind, f"{where}.{key}")
+    return [obj[key] for key in keys]
+
+
 def arch_from_json(text: str) -> ArchGraph:
+    """Read an architecture in the form ``arch_to_json`` writes, and only
+    that form: every key present, no other key, and every number a JSON
+    integer. Anything else raises StructureError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StructureError(f"architecture file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise StructureError("architecture file must hold a JSON object")
-    unknown = set(doc) - _ARCH_KEYS
-    if unknown:
-        raise StructureError(f"unknown architecture keys: {sorted(unknown)}")
-    for key in ("weights", "usages", "parametrization"):
-        if key not in doc:
-            raise StructureError(f"architecture file is missing {key!r}")
-    try:
-        graph = _graph_from_doc(doc)
-        graph.validate()
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructureError(
-            f"malformed architecture entry: {type(exc).__name__}: {exc}"
-        ) from exc
-    return graph
-
-
-def _graph_from_doc(doc: dict) -> ArchGraph:
-    """Build the graph from a parsed arch document. Wrong value types and
-    missing entry keys surface as the builtin errors they raise."""
-    weights = tuple(
-        WeightSpec(w["name"], w["kind"], tuple(int(d) for d in w["shape"]))
-        for w in doc["weights"]
-    )
-    usages = tuple(
-        AxisUsage(u["weight"], u["axis"], int(u["gamma"])) for u in doc["usages"]
-    )
-    if "gammas" in doc:
-        gammas = tuple(
-            GammaVar(int(gm["id"]), int(gm["width"]), gm.get("role", "hidden"))
-            for gm in doc["gammas"]
-        )
-    else:
-        # Infer widths from the axes each gamma indexes; roles from an
-        # optional hidden_widths list (default: width > 1 is hidden).
-        by_name = {w.name: w for w in weights}
-        seen: dict[int, int] = {}
-        for u in usages:
-            w = by_name.get(u.weight)
-            if w is None:
-                raise StructureError(f"usage references unknown weight {u.weight!r}")
-            size = w.shape[0] if (u.axis == ROW or w.kind == "vector") else w.shape[1]
-            if seen.setdefault(u.gamma, size) != size:
-                raise StructureError(f"gamma {u.gamma} used with conflicting widths")
-        hidden_widths = doc.get("hidden_widths")
-        def role(width: int) -> str:
-            if hidden_widths is not None:
-                return "hidden" if width in hidden_widths else "data"
-            return "hidden" if width > 1 else "data"
-        gammas = tuple(GammaVar(gid, w, role(w)) for gid, w in sorted(seen.items()))
-
-    layers = tuple((w, b) for w, b in doc.get("layers", []))
+    except (ValueError, RecursionError) as exc:
+        raise StructureError(f"architecture file is not valid JSON: {exc}") from None
+    parametrization, topology, *_, layers, activations = _fields(
+        doc, _ARCH_KEYS, "the top-level object")
+    entries = {
+        key: [_fields(entry, keys, f"{key}[{i}]") for i, entry in enumerate(doc[key])]
+        for key, keys in _ENTRY_KEYS.items()
+    }
+    pairs = []
+    for i, pair in enumerate(layers):
+        if type(pair) is not list or len(pair) != 2:
+            raise _malformed(f"layers[{i}] must be a [weight, bias] pair, got {pair!r}")
+        _typed(pair[0], str, f"layers[{i}][0]")
+        if pair[1] is not None:
+            _typed(pair[1], str, f"layers[{i}][1]")
+        pairs.append(tuple(pair))
     return ArchGraph(
-        weights=weights,
-        usages=usages,
-        gammas=gammas,
-        parametrization=doc["parametrization"],
-        topology=doc.get("topology", "chain" if layers else "fragment"),
-        layers=layers,
-        activations=tuple(doc.get("activations", [])),
+        weights=tuple(WeightSpec(name, kind, _items(shape, int, f"weights[{i}].shape"))
+                      for i, (name, kind, shape) in enumerate(entries["weights"])),
+        usages=tuple(AxisUsage(*fields) for fields in entries["usages"]),
+        gammas=tuple(GammaVar(*fields) for fields in entries["gammas"]),
+        parametrization=parametrization,
+        topology=topology,
+        layers=tuple(pairs),
+        activations=_items(activations, str, "activations"),
     )

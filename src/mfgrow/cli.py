@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import get_origin
 
 from . import experiments
-from .arch import arch_from_json, build_mlp, compute_partition, format_partition
+from .arch import arch_from_json, build_mlp, format_partition
 from .data import load_checkpoint, load_cifar10, save_checkpoint, synth_regression
 from .diagnostics import (
     correlation_matrix,
@@ -147,7 +147,7 @@ def load_config(path) -> dict:
     """The config at ``path``, checked against _SCHEMA with defaults filled in."""
     try:
         doc = json.loads(_read_text(path, ConfigError, "config file"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, or past the parser's limits
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     cfg = _section(doc, _SCHEMA, "config")
     if cfg["init"] != "default":
@@ -241,7 +241,7 @@ def cmd_gamma(args) -> int:
         graph = arch_from_json(_read_text(args.arch, StructureError, "architecture file"))
     else:
         raise ConfigError("gamma needs an architecture file or --mlp DEPTH")
-    print(format_partition(compute_partition(graph)))
+    print(format_partition(graph.partition))
     return EXIT_OK
 
 

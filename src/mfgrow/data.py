@@ -9,7 +9,8 @@ Checkpoint layout (all little-endian, fixed regardless of host):
   magic "MFW1" | version u32=1 | seed u64 | parametrization u8 (0=SP, 1=muP,
   2=MFP) | arch-JSON length u32 + UTF-8 bytes | weight count u32 | per
   weight: name length u16 + UTF-8 name, dtype u8 (always 1: float64), ndim
-  u8, dims u32 each, raw float64 values row-major.
+  u8, dims u32 each, raw float64 values row-major. The weights are the
+  arch's, in its order, each once.
 A round trip is bit-exact.
 """
 
@@ -252,8 +253,10 @@ class _Reader:
 
 
 def load_checkpoint(path) -> Network:
-    """Read a v1 checkpoint. Every weight comes back as its own writeable
-    float64 array, read from the file without an intermediate copy."""
+    """Read a v1 checkpoint. The payload must hold the arch's weights in the
+    arch's order, each once and of its declared shape. Every weight comes back
+    as its own writeable float64 array, read from the file without an
+    intermediate copy."""
     try:
         f = open(path, "rb")
     except FileNotFoundError:
@@ -276,10 +279,15 @@ def load_checkpoint(path) -> Network:
         if arch.parametrization != _PARAM_NAME[param_code]:
             raise CheckpointError(f"{path}: parametrization byte disagrees with arch JSON")
         count = r.unpack("<I")
+        if count != len(arch.weights):
+            raise CheckpointError(
+                f"{path}: payload holds {count} weights, arch declares {len(arch.weights)}")
         store: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            name_len = r.unpack("<H")
-            name = r.text(name_len)
+        for w in arch.weights:
+            name = r.text(r.unpack("<H"))
+            if name != w.name:
+                raise CheckpointError(f"{path}: payload weight {name!r} where the arch "
+                                      f"declares {w.name!r}")
             dtype_code = r.unpack("<B")
             if dtype_code != _F64_CODE:
                 raise CheckpointError(f"{path}: weight {name}: dtype code {dtype_code}, "
@@ -289,15 +297,9 @@ def load_checkpoint(path) -> Network:
                 raise CheckpointError(f"{path}: weight {name}: {ndim} dimensions, expected 1 or 2")
             shape = tuple(r.unpack("<I") for _ in range(ndim))
             store[name] = as_f64(r.array(shape))
+            if shape != w.shape:
+                raise CheckpointError(
+                    f"{path}: weight {name} has shape {shape}, arch says {w.shape}")
         if r.pos != r.size:
             raise CheckpointError(f"{path}: {r.size - r.pos} trailing bytes")
-    net = Network(arch, store, meta={"seed": seed})
-    net.arch.validate()
-    for w in arch.weights:
-        if w.name not in store:
-            raise CheckpointError(f"{path}: arch declares weight {w.name} but data is missing")
-        if tuple(store[w.name].shape) != w.shape:
-            raise CheckpointError(
-                f"{path}: weight {w.name} has shape {store[w.name].shape}, arch says {w.shape}"
-            )
-    return net
+    return Network(arch, store, meta={"seed": seed})

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arch import COL, ROW, compute_partition
+from .arch import COL, ROW
 from .errors import ParameterError
 from .net import Network
 
@@ -102,7 +102,7 @@ class GroupMeasure:
 def extract_measures(net: Network) -> list[GroupMeasure]:
     """One GroupMeasure per group of the net's partition, in partition order."""
     arch = net.arch
-    partition = compute_partition(arch)
+    partition = arch.partition
     measures = [GroupMeasure(i, width) for i, width in enumerate(partition.widths)]
     for w in arch.weights:
         axes = ((ROW,) if w.kind == "vector" else (ROW, COL))

@@ -68,7 +68,7 @@ class Network:
         return self.arch.parametrization
 
     def validate(self) -> None:
-        self.arch.validate()
+        """Check that the arch is runnable and the store holds its weights."""
         if not self.arch.layers:
             raise StructureError("network needs a runnable topology (chain or skip4)")
         for w in self.arch.weights:
@@ -124,12 +124,7 @@ def _plan(net: Network) -> list[_Layer]:
         else:
             gamma = arch.axis_gamma(wname, ROW if vector else COL)
             scalar = _contraction_scalar(arch.parametrization, gamma.width, gamma.role, i == last)
-        act = None
-        if i < last:
-            try:
-                act = _ACTIVATIONS[arch.activations[i]]
-            except KeyError:
-                raise ParameterError(f"unknown activation {arch.activations[i]!r}") from None
+        act = _ACTIVATIONS[arch.activations[i]] if i < last else None
         plan.append(_Layer(wname, bname, scalar, act, arch.topology == "skip4" and i == 2))
     return plan
 
@@ -298,11 +293,17 @@ class OptimizerState:
         except OverflowError:
             width_scale = math.inf
         opt = cls(kind=kind, lr=lr, multipliers=mults, width_scale=width_scale)
+        rates = opt.rates()
         for name, value in (("learning rate", lr),
                             (f"width scale {max_width}**{lr_width_exponent}", width_scale),
-                            *((f"rate of {w}", r) for w, r in opt.rates().items())):
+                            *((f"rate of {w}", r) for w, r in rates.items())):
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
+        for w, r in rates.items():
+            if lr > 0 and r == 0.0:
+                raise ParameterError(
+                    f"rate of {w} rounds to 0: lr {lr} x width scale {max_width}**"
+                    f"{lr_width_exponent} = {width_scale} x multiplier {mults[w]}")
         return opt
 
     def rates(self) -> dict[str, float]:

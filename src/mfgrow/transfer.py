@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .arch import COL, ArchGraph, GammaVar, ROW, WeightSpec, compute_partition
+from .arch import COL, ArchGraph, GammaVar, ROW, WeightSpec
 from .errors import ParameterError
 from .measure import STRATEGIES, draw_indices, extract_measures
 from .net import Network
@@ -27,7 +27,7 @@ __all__ = ["TransferPlan", "apply_noise", "duplicate_grow", "transfer", "uniform
 class TransferPlan:
     """Target widths and sampling choices for one transfer.
 
-    ``targets`` maps group index (in ``compute_partition`` order) -> new
+    ``targets`` maps group index (in ``ArchGraph.partition`` order) -> new
     width; groups left out keep their width. Non-resizable groups (data
     dimensions) must keep theirs.
     """
@@ -49,7 +49,7 @@ class TransferPlan:
 
 def uniform_plan(arch: ArchGraph, new_width: int, **kwargs) -> TransferPlan:
     """Plan that sends every resizable group of ``arch`` to ``new_width``."""
-    partition = compute_partition(arch)
+    partition = arch.partition
     targets = {
         gi: new_width for gi in range(len(partition)) if partition.resizable[gi]
     }
@@ -104,7 +104,7 @@ def transfer(net: Network, plan: TransferPlan, rng: Rng) -> Network:
     all weights. The source network is left untouched."""
     net.validate()
     arch = net.arch
-    partition = compute_partition(arch)
+    partition = arch.partition
     for gi in plan.targets:
         if gi not in range(len(partition)):
             raise ParameterError(
@@ -144,10 +144,7 @@ def transfer(net: Network, plan: TransferPlan, rng: Rng) -> Network:
         gi = partition.group_of(gm.id)
         new_gammas.append(GammaVar(gm.id, len(index_sets[gi]), gm.role))
     new_arch = replace(arch, weights=tuple(new_weights), gammas=tuple(new_gammas))
-    new_arch.validate()
-    out = Network(new_arch, new_store, dict(net.meta))
-    out.validate()
-    return out
+    return Network(new_arch, new_store, dict(net.meta))
 
 
 def duplicate_grow(net: Network, k: int) -> Network:
@@ -156,7 +153,7 @@ def duplicate_grow(net: Network, k: int) -> Network:
     nothing and applies no noise."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    partition = compute_partition(net.arch)
+    partition = net.arch.partition
     targets = {
         gi: partition.widths[gi] * k
         for gi in range(len(partition))

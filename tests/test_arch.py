@@ -1,9 +1,14 @@
+import contextlib
+import copy
 import dataclasses
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfgrow.arch import (
@@ -19,6 +24,7 @@ from mfgrow.arch import (
     compute_partition,
     format_partition,
 )
+from mfgrow.cli import main
 from mfgrow.errors import ParameterError, StructureError
 
 
@@ -150,11 +156,10 @@ class TestPartitionProperties:
             AxisUsage("a", "col", 2),
             AxisUsage("a", "col", 3),
         )
-        # Gamma 3 declared with the wrong width: validation names the axis.
+        # Gamma 3 declared with the wrong width: construction names the axis.
         gammas = (GammaVar(1, 4), GammaVar(2, 8), GammaVar(3, 4))
-        g = ArchGraph(weights, usages, gammas, "MFP", topology="fragment")
         with pytest.raises(StructureError, match="a"):
-            compute_partition(g)
+            ArchGraph(weights, usages, gammas, "MFP", topology="fragment")
 
 
 class TestBuilders:
@@ -193,23 +198,29 @@ class TestValidation:
         weights = (WeightSpec("a", "matrix", (4, 4)),)
         usages = (AxisUsage("a", "row", 1),)
         gammas = (GammaVar(1, 4),)
-        g = ArchGraph(weights, usages, gammas, "MFP", topology="chain")
         with pytest.raises(StructureError, match="col"):
-            g.validate()
+            ArchGraph(weights, usages, gammas, "MFP", topology="chain")
 
     def test_vector_col_usage_rejected(self):
         weights = (WeightSpec("b", "vector", (4,)),)
         usages = (AxisUsage("b", "col", 1),)
         gammas = (GammaVar(1, 4),)
         with pytest.raises(StructureError):
-            ArchGraph(weights, usages, gammas, "MFP", topology="fragment").validate()
+            ArchGraph(weights, usages, gammas, "MFP", topology="fragment")
 
     def test_unused_gamma_rejected(self):
         weights = (WeightSpec("b", "vector", (4,)),)
         usages = (AxisUsage("b", "row", 1),)
         gammas = (GammaVar(1, 4), GammaVar(2, 4))
         with pytest.raises(StructureError, match="never used"):
-            ArchGraph(weights, usages, gammas, "MFP", topology="fragment").validate()
+            ArchGraph(weights, usages, gammas, "MFP", topology="fragment")
+
+    def test_one_activation_per_hidden_layer(self):
+        # A chain short of an activation once failed with an IndexError at
+        # its first forward pass.
+        g = build_mlp(3, 4)
+        with pytest.raises(StructureError, match="3 layers need 2 activations, got 1"):
+            dataclasses.replace(g, activations=g.activations[:1])
 
 
 class TestJson:
@@ -217,20 +228,19 @@ class TestJson:
         g = build_mlp(4, 8, with_bias=True, with_skip=True)
         assert arch_from_json(arch_to_json(g)) == g
 
-    def test_minimal_keys_accepted(self):
-        doc = {
-            "parametrization": "MFP",
-            "weights": [
-                {"name": "u", "kind": "vector", "shape": [8]},
-                {"name": "v", "kind": "vector", "shape": [8]},
-            ],
-            "usages": [
-                {"weight": "u", "axis": "row", "gamma": 1},
-                {"weight": "v", "axis": "row", "gamma": 1},
-            ],
-        }
-        g = arch_from_json(json.dumps(doc))
-        assert compute_partition(g).groups == ((1,),)
+    # Each of these once loaded with a guess: gammas inferred from the axes
+    # (the 3072 input and 10 outputs then became hidden), a missing role read
+    # as hidden, and a missing topology read as a chain.
+    @pytest.mark.parametrize("strip", [
+        lambda d: d.pop("gammas"),
+        lambda d: d["gammas"][0].pop("role"),
+        lambda d: d.pop("topology"),
+    ], ids=["gamma-less", "role-less", "topology-less"])
+    def test_incomplete_documents_rejected(self, strip):
+        doc = json.loads(arch_to_json(build_mlp(4, 8, with_skip=True)))
+        strip(doc)
+        with pytest.raises(StructureError, match="is missing"):
+            arch_from_json(json.dumps(doc))
 
     def test_unknown_key_rejected(self):
         doc = {"parametrization": "MFP", "weights": [], "usages": [], "bogus": 1}
@@ -279,3 +289,100 @@ class TestJson:
                       parametrization=parametrization)
         digest = hashlib.sha256(arch_to_json(g).encode()).hexdigest()
         assert digest == self.SKIP4_JSON_PINS[case]
+
+
+# Hostile arch files: one part of a file that arch_to_json wrote is dropped,
+# retyped or added. Python's json cannot write 1e400, so a marker string
+# stands for it and is replaced by the literal in the file text.
+_HUGE = "<1e400>"
+_FUZZ_BASES = [
+    build_mlp(3, 4, with_bias=True),
+    build_mlp(4, 4, with_skip=True),
+    build_mlp(3, 6, with_bias=True, input_dim=3072, output_dim=10),
+    build_skip_block(3),
+    build_attention_block(2, 5),
+]
+_JSON_VALUES = st.one_of(
+    st.sampled_from([_HUGE, 1.7, True, False, None, 0, -1, 2**70, "", "row", [], {}, [1],
+                     {"k": 1}]),
+    st.integers(), st.floats(), st.text(max_size=4), st.lists(st.integers(), max_size=2),
+)
+
+
+def _json_type(value):
+    return float if value == _HUGE else type(value)
+
+
+def _text(doc) -> str:
+    return json.dumps(doc).replace(json.dumps(_HUGE), "1e400")
+
+
+def _edited(edit) -> str:
+    doc = json.loads(arch_to_json(_FUZZ_BASES[0]))
+    edit(doc)
+    return _text(doc)
+
+
+def _containers(doc):
+    """Every object and array in ``doc``, the document itself first."""
+    yield doc
+    for value in (doc.values() if isinstance(doc, dict) else doc):
+        if isinstance(value, (dict, list)):
+            yield from _containers(value)
+
+
+@st.composite
+def _hostile_arch_texts(draw):
+    doc = json.loads(arch_to_json(draw(st.sampled_from(_FUZZ_BASES))))
+    container = draw(st.sampled_from(list(_containers(doc))))
+    keys = list(container) if isinstance(container, dict) else list(range(len(container)))
+    action = draw(st.sampled_from(["drop", "retype", "add"] if keys else ["add"]))
+    if action == "add" and isinstance(container, dict):
+        key = draw(st.text(min_size=1, max_size=5).filter(lambda k: k not in container))
+        container[key] = draw(_JSON_VALUES)
+    elif action == "add":
+        # A copy of an entry (a second usage of an axis, say) or a new value.
+        copies = st.sampled_from(container).map(copy.deepcopy) if keys else st.nothing()
+        container.append(draw(copies | _JSON_VALUES))
+    else:
+        key = draw(st.sampled_from(keys))
+        if action == "drop":
+            del container[key]
+        else:
+            old = _json_type(container[key])
+            container[key] = draw(_JSON_VALUES.filter(lambda v: _json_type(v) != old))
+    return _text(doc)
+
+
+class TestArchJsonFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_hostile_arch_texts())
+    @example(_edited(lambda d: d["usages"].append(d["usages"][0])))  # accepted
+    @example(_edited(lambda d: d["layers"][0].__setitem__(1, None)))  # accepted
+    @example(_edited(lambda d: d["gammas"][0].__setitem__("width", _HUGE)))
+    def test_one_mutation_is_rejected_or_round_trips(self, text):
+        try:
+            g = arch_from_json(text)
+        except StructureError:
+            expected = 2
+        else:
+            expected = 0
+            assert arch_from_json(arch_to_json(g)) == g
+            assert arch_to_json(g) == json.dumps(json.loads(text), sort_keys=True,
+                                                 separators=(",", ":"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "arch.json"
+            path.write_text(text, encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(["gamma", str(path)]) == expected
+        assert err.getvalue().startswith("error: ") if expected else out.getvalue()
+
+    @pytest.mark.parametrize("entries, key, literal", [
+        ("usages", "gamma", "1.7"), ("usages", "gamma", "1e400"), ("gammas", "width", "1e400"),
+        ("gammas", "width", "true"), ("gammas", "id", "null"), ("gammas", "width", "4.0"),
+    ])
+    def test_non_integer_numbers_rejected(self, entries, key, literal):
+        text = _edited(lambda d: d[entries][0].__setitem__(key, _HUGE)).replace("1e400", literal)
+        with pytest.raises(StructureError, match=rf"{entries}\[0\]\.{key} must be an integer"):
+            arch_from_json(text)

@@ -465,6 +465,7 @@ class TestFailedCommandsWriteNothing:
         (["train", "--config", "{tmp}/input-dim-2.json"], 2),
         (["train", "--config", "{tmp}/width-scale-overflow.json"], 2),
         (["train", "--config", "{tmp}/rate-overflow.json"], 2),
+        (["train", "--config", "{tmp}/rate-underflow.json"], 2),
     ], ids=["sample-zero-target", "reproduce-no-cifar", "reproduce-cifar-dir-missing",
             "heatmap-vector-weight", "hist-unknown-weight", "transfer-out-is-directory",
             "train-out-is-file", "hist-no-matrix-weight", "reproduce-truncated-batch",
@@ -474,7 +475,7 @@ class TestFailedCommandsWriteNothing:
             "reproduce-regen-top-seed-minus-1", "transfer-r1-nan", "train-negative-seed-flag",
             "init-seed-flag-too-big", "train-targets-narrower-than-output",
             "train-inputs-narrower-than-input-dim", "train-width-scale-overflows",
-            "train-rate-overflows"])
+            "train-rate-overflows", "train-rate-underflows"])
     def test_exits_with_error_and_leaves_outputs_alone(self, argv, code, small_ckpt, tmp_path,
                                                         monkeypatch, capsys):
         monkeypatch.delenv("MFGROW_CIFAR10_DIR", raising=False)
@@ -485,7 +486,8 @@ class TestFailedCommandsWriteNothing:
             (tmp_path / f"{name}.json").write_text(json.dumps({**doc, "arch": arch}),
                                                    encoding="utf-8")
         for name, opt in (("width-scale-overflow", {"lr_width_exponent": 1000.0}),
-                          ("rate-overflow", {"lr": 1e308, "lr_width_exponent": 2.0})):
+                          ("rate-overflow", {"lr": 1e308, "lr_width_exponent": 2.0}),
+                          ("rate-underflow", {"lr_width_exponent": -1000.0})):
             arch = {"builder": "mlp", "depth": 2, "widths": 8}
             optimizer = {**doc["optimizer"], **opt}
             (tmp_path / f"{name}.json").write_text(
@@ -505,6 +507,44 @@ class TestFailedCommandsWriteNothing:
         assert main([a.format(ckpt=small_ckpt, cfg=cfg, tmp=tmp_path) for a in argv]) == code
         assert capsys.readouterr().err.startswith("error: ")
         assert _tree(tmp_path) == before
+
+
+# Each of these once loaded with a guess, or as a gamma of 1, or ended in a
+# traceback: an OverflowError (1e400), or an IndexError when training.
+@pytest.mark.parametrize("command", ["gamma", "train"])
+@pytest.mark.parametrize("edit, literal", [
+    (lambda d: d.pop("gammas"), None),
+    (lambda d: d["gammas"][0].pop("role"), None),
+    (lambda d: d.pop("topology"), None),
+    (lambda d: d["gammas"][0].update(width="N"), "1e400"),
+    (lambda d: d["usages"][0].update(gamma="N"), "1.7"),
+    (lambda d: d["activations"].pop(), None),
+], ids=["gamma-less", "role-less", "topology-less", "width-1e400", "gamma-1.7",
+        "activation-short"])
+def test_hostile_arch_file_exits_2_and_writes_nothing(command, edit, literal, tmp_path, capsys):
+    doc = json.loads(arch_to_json(build_mlp(4, 8, with_skip=True)))
+    edit(doc)
+    arch = tmp_path / "arch.json"
+    arch.write_text(json.dumps(doc).replace('"N"', literal or '"N"'), encoding="utf-8")
+    cfg = synth_config(tmp_path, arch={"file": str(arch)})
+    argv = ["gamma", str(arch)] if command == "gamma" else ["train", "--config", str(cfg)]
+    before = _tree(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert _tree(tmp_path) == before
+
+
+# Python's json raises ValueError past 4,300 digits and RecursionError on
+# deep nesting; both once ended a command in a traceback.
+@pytest.mark.parametrize("command", ["gamma", "train"])
+@pytest.mark.parametrize("value", ["9" * 5000, "[" * 100_000 + "]" * 100_000],
+                         ids=["5000-digit-integer", "deep-nesting"])
+def test_json_past_parser_limits_exits_2(command, value, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(f'{{"epochs": {value}}}', encoding="utf-8")
+    argv = ["gamma", str(path)] if command == "gamma" else ["train", "--config", str(path)]
+    assert main(argv) == 2
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 @pytest.fixture(params=["not-utf8", "directory"])

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import os
+import struct
 import threading
 
 import numpy as np
@@ -267,6 +268,34 @@ class TestCheckpoint:
         save_checkpoint(net, path)
         path.write_bytes(path.read_bytes() + b"\x00" * 3)
         with pytest.raises(CheckpointError, match="3 trailing bytes"):
+            load_checkpoint(path)
+
+    # The payload is read against the arch: its weights, in its order, each
+    # once. The header and arch JSON end at byte 21 + JSON length; the
+    # weight count follows them. A second u once replaced the first.
+    @pytest.mark.parametrize("edit, match", [
+        (lambda ws: ws + [("extra", np.zeros(3))], "payload holds 9 weights, arch declares 8"),
+        (lambda ws: ws + [("u", ws[0][1] + 1.0)], "payload holds 9 weights, arch declares 8"),
+        (lambda ws: [ws[1], ws[0], *ws[2:]], "'bu' where the arch declares 'u'"),
+    ], ids=["undeclared-weight", "repeated-u", "reordered"])
+    def test_payload_must_match_the_arch(self, tmp_path, edit, match):
+        net = example_net()
+        path = tmp_path / "p.ckpt"
+        save_checkpoint(net, path)
+        raw = path.read_bytes()
+        head = raw[:21 + int.from_bytes(raw[17:21], "little")]
+
+        def payload(weights):
+            out = [struct.pack("<I", len(weights))]
+            for name, arr in weights:
+                out += [struct.pack("<H", len(name)), name.encode(),
+                        struct.pack(f"<BB{arr.ndim}I", 1, arr.ndim, *arr.shape), arr.tobytes()]
+            return b"".join(out)
+
+        weights = [(w.name, net.store[w.name]) for w in net.arch.weights]
+        assert head + payload(weights) == raw
+        path.write_bytes(head + payload(edit(weights)))
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
     def test_loaded_weights_are_owned_and_trainable(self, tmp_path):

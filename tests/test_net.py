@@ -320,6 +320,14 @@ class TestSgdUpdate:
         with pytest.raises(ParameterError, match=message):
             OptimizerState.create(make_net(2, 8), **kwargs)
 
+    def test_rates_rounding_to_zero_rejected(self):
+        # 8.0 ** -1000 underflows to 0, so a positive lr would train nothing.
+        net = make_net(2, 8)
+        with pytest.raises(ParameterError, match="rate of u rounds to 0"):
+            OptimizerState.create(net, lr=0.05, lr_width_exponent=-1000.0)
+        assert set(OptimizerState.create(net, lr=0.0, lr_width_exponent=-1000.0)
+                   .rates().values()) == {0.0}
+
 
 def trained_case(case):
     """(net, optimizer, data, loss) of one trained-weight pin, untrained."""
