@@ -1,11 +1,21 @@
 """Symbolic architectures: named weights, per-axis index variables (gammas),
-and the partition of gammas into joint-resampling groups.
+the partition of gammas into joint-resampling groups, and the layer plan the
+executor runs.
 
 Every place a weight axis shows up in the forward computation is recorded as
 an AxisUsage carrying a gamma id. Two gammas that ever appear at the same
 (weight, axis) position must be resampled together, so the partition is the
-finest one closed under merging such gammas. Groups whose width is tied to a
-data dimension (input/output size, or 1) are marked non-resizable.
+finest one closed under merging such gammas. A group holds only data gammas
+(tied to an input/output size, or 1), which are not resizable, or only
+hidden ones.
+
+A transfer resamples each group with one index set, which is correct only if
+the groups follow the wiring. So a ``chain`` or ``skip4`` arch is checked
+when it is built: each weight sits in exactly one layer slot; a vector is
+only the embedding or the readout; each layer contracts the group its
+predecessor outputs; the input and output axes lie in data groups; a bias
+lies on its layer's output axis; and skip4's residual operands share a
+group. A ``fragment`` declares no layers and is never run.
 
 ``build_mlp`` is the one MLP builder. Its skip4 net is the depth-4 chain plus
 two usages, w1 and b1 rows on gamma 3, which merge gammas 2 and 3 into one
@@ -15,7 +25,9 @@ group; its ``skip4`` topology declares the residual add to the executor.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .errors import ParameterError, StructureError
 
@@ -69,12 +81,30 @@ class AxisUsage:
     gamma: int
 
 
+class Layer(NamedTuple):
+    """One layer of the plan the executor runs."""
+
+    weight: str
+    bias: str | None
+    vector: bool  # a 1-d weight: the elementwise embedding at layer 0, else the readout
+    scalar: float  # the forward scalar on the layer's contraction
+    activation: str | None  # None on the output layer
+    residual: bool  # add the previous layer's pre-activation before the activation
+
+
+class LayerPlan(NamedTuple):
+    layers: tuple[Layer, ...]
+    input_dim: int
+    output_dim: int
+
+
 @dataclass(frozen=True)
 class ArchGraph:
     """A checked and indexed architecture: construction raises StructureError
     on any inconsistency, so a graph that exists is valid. It also builds the
-    name/id/axis lookups and the gamma partition once; those derived fields
-    take no part in equality or hashing."""
+    name/id lookups, the gamma partition and, unless it is a fragment, the
+    layer plan once; those derived fields take no part in equality or
+    hashing."""
 
     weights: tuple[WeightSpec, ...]
     usages: tuple[AxisUsage, ...]
@@ -85,10 +115,9 @@ class ArchGraph:
     layers: tuple[tuple[str, str | None], ...] = ()
     activations: tuple[str, ...] = ()
     partition: GammaPartition = field(init=False, repr=False, compare=False)
+    plan: LayerPlan | None = field(init=False, repr=False, compare=False)  # None for fragments
     _by_name: dict[str, WeightSpec] = field(init=False, repr=False, compare=False)
     _by_id: dict[int, GammaVar] = field(init=False, repr=False, compare=False)
-    _axis_gammas: dict[tuple[str, str], tuple[int, ...]] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.parametrization not in PARAMETRIZATIONS:
@@ -138,9 +167,8 @@ class ArchGraph:
             raise StructureError(
                 f"{len(self.layers)} layers need {max(len(self.layers) - 1, 0)} activations, "
                 f"got {len(self.activations)}")
-        object.__setattr__(
-            self, "_axis_gammas", {key: tuple(ids) for key, ids in axis_gammas.items()})
-        object.__setattr__(self, "partition", compute_partition(self))
+        object.__setattr__(self, "partition", compute_partition(self.gammas, axis_gammas))
+        object.__setattr__(self, "plan", _layer_plan(self))
 
     def weight(self, name: str) -> WeightSpec:
         try:
@@ -153,13 +181,6 @@ class ArchGraph:
             return self._by_id[gid]
         except KeyError:
             raise StructureError(f"unknown gamma id {gid}") from None
-
-    def axis_gamma(self, name: str, axis: str) -> GammaVar:
-        """Any gamma used at (name, axis); all such gammas share width and group."""
-        try:
-            return self._by_id[self._axis_gammas[(name, axis)][0]]
-        except KeyError:
-            raise StructureError(f"weight {name}: no usage recorded for axis {axis!r}") from None
 
     @property
     def hidden_widths(self) -> set[int]:
@@ -194,14 +215,23 @@ class GammaPartition:
                 return i
         raise StructureError(f"gamma {gamma_id} not in partition")
 
+    def axis_group(self, weight: str, axis: str) -> int:
+        """The group of a (weight, axis); a fragment's boundary axis has none."""
+        try:
+            return self.axis_groups[(weight, axis)]
+        except KeyError:
+            raise StructureError(f"weight {weight}: no usage recorded for axis {axis!r}") from None
 
-def compute_partition(g: ArchGraph) -> GammaPartition:
-    """Union-find over gamma ids: merge all gammas appearing at the same
-    (weight, axis) position. Returns the finest partition closed under that
-    rule, with the group of each such position. Construction ties every gamma
-    to its axis size, so merged gammas always share one width. Every graph
+
+def compute_partition(gammas: tuple[GammaVar, ...],
+                      axis_gammas: dict[tuple[str, str], list[int]]) -> GammaPartition:
+    """Union-find over gamma ids: merge all gammas that ``axis_gammas`` lists
+    at the same (weight, axis) position. Returns the finest partition closed
+    under that rule, with the group of each such position. Construction ties
+    every gamma to its axis size, so merged gammas always share one width; a
+    group that mixes data and hidden gammas is a StructureError. Every graph
     holds its own as ``g.partition``."""
-    parent = {gm.id: gm.id for gm in g.gammas}
+    parent = {gm.id: gm.id for gm in gammas}
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -209,21 +239,98 @@ def compute_partition(g: ArchGraph) -> GammaPartition:
             i = parent[i]
         return i
 
-    per_axis = sorted(g._axis_gammas.items())
+    per_axis = sorted(axis_gammas.items())
     for _, (first, *others) in per_axis:
         for other in others:
             ri, rj = find(first), find(other)
             parent[max(ri, rj)] = min(ri, rj)
 
-    members: dict[int, list[int]] = {}
-    for gm in g.gammas:
-        members.setdefault(find(gm.id), []).append(gm.id)
-    groups = sorted(tuple(sorted(v)) for v in members.values())
-    widths = tuple(g.gamma(grp[0]).width for grp in groups)
-    resizable = tuple(all(g.gamma(i).role == "hidden" for i in grp) for grp in groups)
-    group_index = {gid: i for i, grp in enumerate(groups) for gid in grp}
-    axis_groups = {key: group_index[gids[0]] for key, gids in per_axis}
-    return GammaPartition(tuple(groups), widths, resizable, axis_groups)
+    members: dict[int, list[GammaVar]] = {}
+    for gm in sorted(gammas, key=lambda gm: gm.id):
+        members.setdefault(find(gm.id), []).append(gm)
+    groups = sorted(members.values(), key=lambda grp: grp[0].id)
+    for grp in groups:
+        if len({gm.role for gm in grp}) > 1:
+            raise StructureError(
+                f"gammas {[gm.id for gm in grp]} share a group but mix data and hidden roles")
+    ids = tuple(tuple(gm.id for gm in grp) for grp in groups)
+    group_index = {gid: i for i, grp in enumerate(ids) for gid in grp}
+    return GammaPartition(
+        ids, tuple(grp[0].width for grp in groups),
+        tuple(grp[0].role == "hidden" for grp in groups),
+        {key: group_index[gids[0]] for key, gids in per_axis})
+
+
+def _forward_scalar(parametrization: str, width: int, resizable: bool, final: bool) -> float:
+    """Forward scalars sit on every contraction and depend on the contracted
+    group: a contraction over a width-N hidden group gets 1/N under MFP and
+    1/sqrt(N) under SP and muP, except the final output contraction which
+    gets 1/N under muP as well. Contractions over data groups (the input
+    dimension) get 1/fan under MFP and no scalar under SP/muP, where
+    fan-scaled initialization keeps pre-activations O(1). For 1-d input these
+    rules collapse to the plain three-parametrization forms."""
+    if parametrization == "MFP" or (parametrization == "muP" and final and resizable):
+        return 1.0 / width
+    return 1.0 / math.sqrt(width) if resizable else 1.0
+
+
+def _layer_plan(g: ArchGraph) -> LayerPlan | None:
+    """Check how a chain's or skip4's layers are wired, and return the plan
+    the executor runs. A fragment declares no layers and has no plan."""
+    if g.topology == "fragment":
+        if g.layers:
+            raise StructureError("a fragment has no layers and no activations")
+        return None
+    n = len(g.layers)
+    last = n - 1
+    if n < 2 or (g.topology == "skip4" and n != 4):
+        raise StructureError(f"a {g.topology} net needs "
+                             f"{'4' if g.topology == 'skip4' else 'at least 2'} layers, got {n}")
+    for w in g.weights:
+        at = [i for i, pair in enumerate(g.layers) for name in pair if name == w.name]
+        if len(at) != 1:
+            raise StructureError(f"weight {w.name} sits in {f'layers {at}' if at else 'no layer'}; "
+                                 f"every weight sits in exactly one layer slot")
+    p = g.partition
+    layers: list[Layer] = []
+    out = None
+    for i, (wname, bname) in enumerate(g.layers):
+        where = f"layer {i} ({wname})"
+        vector = g.weight(wname).kind == "vector"
+        prev, into = out, None
+        if vector and 0 < i < last:
+            raise StructureError(f"{where}: a vector weight is only the embedding or the readout")
+        if vector and i == 0:
+            scalar = 1.0  # the elementwise embedding of a 1-d input contracts nothing
+        else:
+            into = p.axis_groups[(wname, ROW if vector else COL)]
+            scalar = _forward_scalar(g.parametrization, p.widths[into], p.resizable[into],
+                                     i == last)
+        if i == 0 and into is not None and p.resizable[into]:
+            raise StructureError(f"{where}: the input axis lies in a hidden group")
+        if i > 0 and into != prev:
+            raise StructureError(f"{where}: contracts gammas {p.groups[into]}, but layer {i - 1} "
+                                 f"outputs gammas {p.groups[prev]}")
+        # A vector readout has one output value, which its bias (if any) carries.
+        out = None if vector and i == last else p.axis_groups[(wname, ROW)]
+        if bname is not None:
+            b = g.weight(bname)
+            if out is None and b.shape == (1,):
+                out = p.axis_groups[(bname, ROW)]
+            if b.kind != "vector" or p.axis_groups[(bname, ROW)] != out:
+                raise StructureError(f"{where}: bias {bname} is not a vector on the layer's "
+                                     f"output axis")
+        residual = g.topology == "skip4" and i == 2
+        if residual and out != prev:
+            raise StructureError(f"{where}: the residual adds layer 1's output, on gammas "
+                                 f"{p.groups[prev]}, to this layer's, on gammas {p.groups[out]}")
+        if i == last and out is not None and p.resizable[out]:
+            raise StructureError(f"{where}: the output axis lies in a hidden group")
+        activation = g.activations[i] if i < last else None
+        layers.append(Layer(wname, bname, vector, scalar, activation, residual))
+    first, readout = g.weight(g.layers[0][0]), g.weight(g.layers[-1][0])
+    return LayerPlan(tuple(layers), 1 if first.kind == "vector" else first.shape[1],
+                     1 if readout.kind == "vector" else readout.shape[0])
 
 
 def format_partition(p: GammaPartition) -> str:

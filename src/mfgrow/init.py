@@ -32,13 +32,10 @@ def _phi_apply(phi: str, r: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def rc_eligible(arch: ArchGraph, name: str) -> bool:
     """True for matrices whose two axes are both resizable hidden axes."""
-    w = arch.weight(name)
-    if w.kind != "matrix":
+    if arch.weight(name).kind != "matrix":
         return False
-    return (
-        arch.axis_gamma(name, ROW).role == "hidden"
-        and arch.axis_gamma(name, COL).role == "hidden"
-    )
+    p = arch.partition
+    return all(p.resizable[p.axis_group(name, ax)] for ax in (ROW, COL))
 
 
 @dataclass(frozen=True)
@@ -76,12 +73,10 @@ def rc_spec(
 def _fan_in(arch: ArchGraph, name: str) -> int:
     """Size of the axis the weight contracts against: the column for
     matrices, the vector length for the output vector, 1 for the elementwise
-    embedding vector."""
+    embedding vector (a vector is only ever one of the two)."""
     w = arch.weight(name)
     if w.kind == "matrix":
         return w.shape[1]
-    if arch.layers and name == arch.layers[0][0]:
-        return 1
     if arch.layers and name == arch.layers[-1][0]:
         return w.shape[0]
     return 1

@@ -3,20 +3,14 @@ backpropagation, per-weight learning-rate scaling, SGD and Adam, and the
 training loop.
 
 One layer executor runs every network, entered through ``forward_batch``
-and ``backward_batch``; a single example is a one-row batch. Each call
-builds a layer plan from the arch: per layer the weight, the bias, the
-forward scalar, the activation, and a flag that adds the previous layer's
-pre-activation before the activation. skip4 is the depth-4 chain plus two
-usages (w1 and b1 rows on gamma 3, since w1's rows feed both paths), and
-its ``skip4`` topology sets that residual flag on the third layer.
-
-Forward scalars sit on every contraction and depend on the contracted axis:
-a contraction over a width-N hidden axis gets 1/N under MFP and 1/sqrt(N)
-under SP and muP, except the final output contraction which gets 1/N under
-muP as well. Contractions over data axes (the input dimension) get 1/fan
-under MFP and no scalar under SP/muP, where fan-scaled initialization keeps
-pre-activations O(1). For 1-d input these rules collapse to the plain
-three-parametrization forms.
+and ``backward_batch``; a single example is a one-row batch. It only
+executes the layer plan that the arch checked and built once (``arch.plan``):
+per layer the weight, the bias, the forward scalar, the activation, and a
+flag that adds the previous layer's pre-activation before the activation.
+skip4 is the depth-4 chain plus two usages (w1 and b1 rows on gamma 3, since
+w1's rows feed both paths), and its ``skip4`` topology sets that residual
+flag on the third layer. A fragment has no plan and cannot run. The forward
+scalars follow ``arch._forward_scalar``.
 
 Each scalar is applied to the smaller side of its product: in place on the
 (batch, out) forward output, and folded with the batch mean's 1/B into the
@@ -31,11 +25,10 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .arch import ArchGraph, ROW, COL
+from .arch import ArchGraph, LayerPlan, ROW, COL
 from .errors import DivergenceError, ParameterError, StructureError
 from .tensor import Rng, as_f64
 
@@ -67,10 +60,15 @@ class Network:
     def parametrization(self) -> str:
         return self.arch.parametrization
 
-    def validate(self) -> None:
-        """Check that the arch is runnable and the store holds its weights."""
-        if not self.arch.layers:
+    @property
+    def plan(self) -> LayerPlan:
+        """The arch's layer plan; a fragment has none and cannot run."""
+        if self.arch.plan is None:
             raise StructureError("network needs a runnable topology (chain or skip4)")
+        return self.arch.plan
+
+    def validate(self) -> None:
+        """Check that the store holds the arch's weights at their declared shapes."""
         for w in self.arch.weights:
             arr = self.store.get(w.name)
             if arr is None:
@@ -81,52 +79,15 @@ class Network:
                 )
 
     def input_dim(self) -> int:
-        u = self.arch.weight(self.arch.layers[0][0])
-        return 1 if u.kind == "vector" else u.shape[1]
+        return self.plan.input_dim
 
     def output_dim(self) -> int:
-        v = self.arch.weight(self.arch.layers[-1][0])
-        return 1 if v.kind == "vector" else v.shape[0]
+        return self.plan.output_dim
 
 
 def zeros_network(arch: ArchGraph) -> Network:
     store = {w.name: np.zeros(w.shape, dtype=np.float64) for w in arch.weights}
     return Network(arch, store)
-
-
-def _contraction_scalar(parametrization: str, fan: int, role: str, final: bool) -> float:
-    if role == "data":
-        return 1.0 / fan if parametrization == "MFP" else 1.0
-    if parametrization == "MFP":
-        return 1.0 / fan
-    if parametrization == "muP" and final:
-        return 1.0 / fan
-    return 1.0 / math.sqrt(fan)
-
-
-class _Layer(NamedTuple):
-    weight: str
-    bias: str | None
-    scalar: float
-    act: tuple | None  # (activation, derivative from output); None on the output layer
-    residual: bool  # add the previous layer's pre-activation before the activation
-
-
-def _plan(net: Network) -> list[_Layer]:
-    """The layer plan the executor runs; the only place that reads the topology."""
-    arch = net.arch
-    last = len(arch.layers) - 1
-    plan = []
-    for i, (wname, bname) in enumerate(arch.layers):
-        vector = net.store[wname].ndim == 1
-        if vector and i == 0:
-            scalar = 1.0  # elementwise embedding contracts nothing
-        else:
-            gamma = arch.axis_gamma(wname, ROW if vector else COL)
-            scalar = _contraction_scalar(arch.parametrization, gamma.width, gamma.role, i == last)
-        act = _ACTIVATIONS[arch.activations[i]] if i < last else None
-        plan.append(_Layer(wname, bname, scalar, act, arch.topology == "skip4" and i == 2))
-    return plan
 
 
 def _check_input(net: Network, X: np.ndarray) -> np.ndarray:
@@ -138,17 +99,17 @@ def _check_input(net: Network, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _run(net: Network, plan: list[_Layer], X: np.ndarray, keep: bool):
+def _run(net: Network, X: np.ndarray, keep: bool):
     """Forward pass; returns the output and, with ``keep``, each layer's input."""
     inputs = []
     z = X
     prev = None
-    for i, layer in enumerate(plan):
+    for i, layer in enumerate(net.plan.layers):
         w = net.store[layer.weight]
         if keep:
             inputs.append(z)
         # Every branch makes a fresh array, so the scale and adds work in place.
-        if w.ndim == 2:
+        if not layer.vector:
             a = z @ w.T
         elif i == 0:
             a = X[:, 0:1] * w[None, :]
@@ -161,14 +122,14 @@ def _run(net: Network, plan: list[_Layer], X: np.ndarray, keep: bool):
         if layer.residual:
             a += prev
         prev = a
-        z = a if layer.act is None else layer.act[0](a)
+        z = a if layer.activation is None else _ACTIVATIONS[layer.activation][0](a)
     return z, inputs
 
 
 def forward_batch(net: Network, X: np.ndarray) -> np.ndarray:
     """Evaluate the network on a (batch, input_dim) array."""
     X = _check_input(net, X)
-    return _run(net, _plan(net), X, keep=False)[0]
+    return _run(net, X, keep=False)[0]
 
 
 def _loss_and_delta(out: np.ndarray, Y: np.ndarray, loss: str):
@@ -206,8 +167,8 @@ def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str = "squa
         Y = Y[:, None]
     if loss not in LOSSES:
         raise ParameterError(f"unknown loss {loss!r}")
-    plan = _plan(net)
-    out, inputs = _run(net, plan, X, keep=True)
+    plan = net.plan.layers
+    out, inputs = _run(net, X, keep=True)
     losses, delta = _loss_and_delta(out, Y, loss)
     B = X.shape[0]
     grads: dict[str, np.ndarray] = {}
@@ -219,26 +180,29 @@ def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str = "squa
         layer = plan[i]
         w = net.store[layer.weight]
         z = inputs[i]
-        if w.ndim == 2:
+        # np.add.reduce(x, axis=0) / B is x.mean(axis=0) bit for bit, without
+        # the mean's wrapper.
+        if not layer.vector:
             # Scale the (batch, out) delta, not the (out, in) product.
             grads[layer.weight] = (delta * (rate(layer.weight) * (layer.scalar / B))).T @ z
         elif i == 0:
-            grads[layer.weight] = rate(layer.weight) * (delta * z[:, 0:1]).mean(axis=0)
+            grads[layer.weight] = rate(layer.weight) * (
+                np.add.reduce(delta * z[:, 0:1], axis=0) / B)
         else:
             grads[layer.weight] = rate(layer.weight) * (
-                layer.scalar * (delta[:, 0:1] * z).mean(axis=0))
+                layer.scalar * (np.add.reduce(delta[:, 0:1] * z, axis=0) / B))
         if layer.bias is not None:
-            grads[layer.bias] = rate(layer.bias) * delta.mean(axis=0)
+            grads[layer.bias] = rate(layer.bias) * (np.add.reduce(delta, axis=0) / B)
         if i == 0:
             break
-        if w.ndim == 2:
+        if not layer.vector:
             back = delta @ w
             if layer.scalar != 1.0:
                 back *= layer.scalar
         else:
             back = layer.scalar * delta[:, 0:1] * w[None, :]
         # z is the previous layer's activation output.
-        back *= plan[i - 1].act[1](z)
+        back *= _ACTIVATIONS[plan[i - 1].activation][1](z)
         if layer.residual:
             # The residual add passes this layer's delta straight through.
             back += delta
@@ -252,13 +216,12 @@ def lr_multiplier(weight: str, arch: ArchGraph) -> float:
     embedding/output matrices, 1 for data-only weights); 1 under SP/muP."""
     if arch.parametrization in ("SP", "muP"):
         return 1.0
-    w = arch.weight(weight)
+    p = arch.partition
     mult = 1.0
-    axes = (ROW,) if w.kind == "vector" else (ROW, COL)
-    for ax in axes:
-        gamma = arch.axis_gamma(weight, ax)
-        if gamma.role == "hidden":
-            mult *= gamma.width
+    for ax in (ROW,) if arch.weight(weight).kind == "vector" else (ROW, COL):
+        gi = p.axis_group(weight, ax)
+        if p.resizable[gi]:
+            mult *= p.widths[gi]
     return mult
 
 

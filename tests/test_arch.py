@@ -21,45 +21,46 @@ from mfgrow.arch import (
     build_attention_block,
     build_mlp,
     build_skip_block,
-    compute_partition,
     format_partition,
 )
 from mfgrow.cli import main
 from mfgrow.errors import ParameterError, StructureError
+from mfgrow.init import rc_eligible
+from mfgrow.net import lr_multiplier
 
 
 class TestReferencePartitions:
     def test_four_layer_skip_net(self):
         g = build_mlp(4, 16, with_bias=True, with_skip=True)
-        p = compute_partition(g)
+        p = g.partition
         assert p.groups == ((1,), (2, 3), (4,))
         assert p.widths == (16, 16, 1)
         assert p.resizable == (True, True, False)
 
     def test_skip_block(self):
-        p = compute_partition(build_skip_block(8))
+        p = build_skip_block(8).partition
         assert p.groups == ((1,), (2, 5), (3,), (4,))
         assert p.widths == (8, 8, 8, 8)
 
     def test_attention_block(self):
         g = build_attention_block(8, 6)
         assert len(g.gammas) == 7
-        p = compute_partition(g)
+        p = g.partition
         assert p.groups == ((1,), (2, 3, 4), (5,), (6,), (7,))
 
     def test_attention_width_one(self):
-        p = compute_partition(build_attention_block(1, 1))
+        p = build_attention_block(1, 1).partition
         assert p.groups == ((1,), (2, 3, 4), (5,), (6,), (7,))
         assert p.widths == (1, 1, 1, 1, 1)
 
     def test_plain_chain_all_singletons(self):
-        p = compute_partition(build_mlp(5, 8))
+        p = build_mlp(5, 8).partition
         assert p.groups == ((1,), (2,), (3,), (4,))
 
     def test_two_layer(self):
         g = build_mlp(2, 8)
         assert {w.name for w in g.weights} == {"u", "v"}
-        p = compute_partition(g)
+        p = g.partition
         assert p.groups == ((1,),)
 
     def test_five_layer_weight_count(self):
@@ -91,7 +92,7 @@ class TestAxisGroups:
     @pytest.mark.parametrize("name", list(AXIS_GROUP_PINS))
     def test_axis_group_map_pinned(self, name):
         arch, expected = AXIS_GROUP_PINS[name]
-        assert compute_partition(arch).axis_groups == expected
+        assert arch.partition.axis_groups == expected
 
     @pytest.mark.parametrize("arch", [
         build_mlp(5, [3, 4, 5, 6], with_bias=True, input_dim=2, output_dim=3),
@@ -101,16 +102,22 @@ class TestAxisGroups:
     ], ids=["chain-5", "skip4-wide-input", "skip-block", "attention-block"])
     def test_every_usage_maps_to_its_gammas_group(self, arch):
         # Fragments leave boundary axes (the skip block's w4 rows) unmapped.
-        p = compute_partition(arch)
+        p = arch.partition
         assert set(p.axis_groups) == {(u.weight, u.axis) for u in arch.usages}
         for u in arch.usages:
             assert p.axis_groups[(u.weight, u.axis)] == p.group_of(u.gamma)
+
+    def test_unmapped_axis_lookup_raises_structure_error(self):
+        block = build_skip_block(3)
+        for lookup in (lambda: lr_multiplier("w4", block), lambda: rc_eligible(block, "w4")):
+            with pytest.raises(StructureError, match="w4: no usage recorded for axis 'row'"):
+                lookup()
 
 
 class TestPartitionProperties:
     def test_idempotent(self):
         g = build_mlp(4, 8, with_bias=True, with_skip=True)
-        assert compute_partition(g) == compute_partition(g)
+        assert dataclasses.replace(g).partition == g.partition
 
     @settings(max_examples=25, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -119,14 +126,14 @@ class TestPartitionProperties:
         usages = list(g.usages)
         rnd.shuffle(usages)
         shuffled = dataclasses.replace(g, usages=tuple(usages))
-        assert compute_partition(shuffled) == compute_partition(g)
+        assert shuffled.partition == g.partition
 
     def test_adding_usage_only_coarsens(self):
         g = build_mlp(5, 8)
-        base = compute_partition(g)
+        base = g.partition
         # Reuse gamma 2 on w2's row axis (currently gamma 3): forces a merge.
         extra = dataclasses.replace(g, usages=g.usages + (AxisUsage("w2", "row", 2),))
-        merged = compute_partition(extra)
+        merged = extra.partition
         base_groups = [set(grp) for grp in base.groups]
         for grp in merged.groups:
             covered = [bg for bg in base_groups if bg & set(grp)]
@@ -146,7 +153,7 @@ class TestPartitionProperties:
         )
         gammas = (GammaVar(1, 4), GammaVar(2, 8), GammaVar(3, 4))
         g = ArchGraph(weights, usages, gammas, "MFP", topology="fragment")
-        p = compute_partition(g)
+        p = g.partition
         assert p.group_of(1) == p.group_of(3)
 
     def test_forced_merge_width_conflict_raises(self):
@@ -176,7 +183,7 @@ class TestBuilders:
         assert g.weight("u").shape == (300, 3072)
         assert g.weight("w1").shape == (300, 300)
         assert g.weight("v").shape == (10, 300)
-        p = compute_partition(g)
+        p = g.partition
         assert sorted(p.widths) == [10, 300, 300, 3072]
         assert sum(p.resizable) == 2
 
@@ -186,7 +193,7 @@ class TestBuilders:
 
     def test_format_partition(self):
         g = build_mlp(4, 16, with_bias=True, with_skip=True)
-        text = format_partition(compute_partition(g))
+        text = format_partition(g.partition)
         lines = text.splitlines()
         assert lines[0] == "Γ_1: {γ_1} width=16"
         assert lines[1] == "Γ_2: {γ_2, γ_3} width=16"
@@ -221,6 +228,47 @@ class TestValidation:
         g = build_mlp(3, 4)
         with pytest.raises(StructureError, match="3 layers need 2 activations, got 1"):
             dataclasses.replace(g, activations=g.activations[:1])
+
+
+def _matrix_bias(doc):
+    doc["weights"][3] = {"name": "b1", "kind": "matrix", "shape": [4, 4]}
+    doc["usages"].append({"weight": "b1", "axis": "col", "gamma": 1})
+
+
+_WIDE = build_mlp(3, 4, with_bias=True, input_dim=2, output_dim=3)
+
+
+class TestWiring:
+    # Each of these once built, though its groups do not follow its layers.
+    # The skip4, slot, layer-count and mixed-role rules are covered by
+    # test_cli.py's hostile arch files.
+    @pytest.mark.parametrize("base, edit, match", [
+        (build_mlp(2, 4), lambda d: d.update(layers=d["layers"][:1], activations=[]),
+         "a chain net needs at least 2 layers, got 1"),
+        (build_mlp(3, 4), lambda d: d.update(layers=[["u", None], ["v", None], ["w1", None]]),
+         r"layer 1 \(v\): a vector weight is only the embedding or the readout"),
+        (_WIDE, lambda d: d["gammas"][2].update(role="hidden"),
+         r"layer 0 \(u\): the input axis lies in a hidden group"),
+        (_WIDE, lambda d: d["gammas"][3].update(role="hidden"),
+         r"layer 2 \(v\): the output axis lies in a hidden group"),
+        (_WIDE, lambda d: d["usages"][5].update(gamma=1),
+         r"layer 1 \(w1\): bias b1 is not a vector on the layer's output axis"),
+        (_WIDE, _matrix_bias, r"layer 1 \(w1\): bias b1 is not a vector"),
+    ], ids=["one-layer", "vector-in-the-middle", "hidden-input", "hidden-output",
+            "bias-off-output", "matrix-bias"])
+    def test_miswired_layer_named(self, base, edit, match):
+        doc = json.loads(arch_to_json(base))
+        edit(doc)
+        with pytest.raises(StructureError, match=match):
+            arch_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("parametrization", ["SP", "muP", "MFP"])
+    def test_plan_scalars(self, parametrization):
+        plan = _WIDE.with_parametrization(parametrization).plan
+        assert (plan.input_dim, plan.output_dim) == (2, 3)
+        assert [layer.scalar for layer in plan.layers] == {
+            "SP": [1.0, 0.5, 0.5], "muP": [1.0, 0.5, 0.25], "MFP": [0.5, 0.25, 0.25]
+        }[parametrization]
 
 
 class TestJson:
@@ -358,7 +406,7 @@ class TestArchJsonFuzz:
     @settings(max_examples=300, deadline=None)
     @given(_hostile_arch_texts())
     @example(_edited(lambda d: d["usages"].append(d["usages"][0])))  # accepted
-    @example(_edited(lambda d: d["layers"][0].__setitem__(1, None)))  # accepted
+    @example(_edited(lambda d: d["layers"][0].__setitem__(1, None)))  # rejected
     @example(_edited(lambda d: d["gammas"][0].__setitem__("width", _HUGE)))
     def test_one_mutation_is_rejected_or_round_trips(self, text):
         try:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfgrow import cli
-from mfgrow.arch import arch_to_json, build_mlp, build_skip_block
+from mfgrow.arch import arch_to_json, build_attention_block, build_mlp, build_skip_block
 from mfgrow.cli import main
 from mfgrow.data import CIFAR_RECORD, load_checkpoint, load_cifar10, save_checkpoint
 from mfgrow.init import initialize, nonzero_mean_default, rc_eligible
@@ -466,6 +466,7 @@ class TestFailedCommandsWriteNothing:
         (["train", "--config", "{tmp}/width-scale-overflow.json"], 2),
         (["train", "--config", "{tmp}/rate-overflow.json"], 2),
         (["train", "--config", "{tmp}/rate-underflow.json"], 2),
+        (["train", "--config", "{tmp}/fragment.json"], 2),
     ], ids=["sample-zero-target", "reproduce-no-cifar", "reproduce-cifar-dir-missing",
             "heatmap-vector-weight", "hist-unknown-weight", "transfer-out-is-directory",
             "train-out-is-file", "hist-no-matrix-weight", "reproduce-truncated-batch",
@@ -475,7 +476,7 @@ class TestFailedCommandsWriteNothing:
             "reproduce-regen-top-seed-minus-1", "transfer-r1-nan", "train-negative-seed-flag",
             "init-seed-flag-too-big", "train-targets-narrower-than-output",
             "train-inputs-narrower-than-input-dim", "train-width-scale-overflows",
-            "train-rate-overflows", "train-rate-underflows"])
+            "train-rate-overflows", "train-rate-underflows", "train-fragment"])
     def test_exits_with_error_and_leaves_outputs_alone(self, argv, code, small_ckpt, tmp_path,
                                                         monkeypatch, capsys):
         monkeypatch.delenv("MFGROW_CIFAR10_DIR", raising=False)
@@ -492,6 +493,10 @@ class TestFailedCommandsWriteNothing:
             optimizer = {**doc["optimizer"], **opt}
             (tmp_path / f"{name}.json").write_text(
                 json.dumps({**doc, "arch": arch, "optimizer": optimizer}), encoding="utf-8")
+        fragment = tmp_path / "attention.json"
+        fragment.write_text(arch_to_json(build_attention_block(4, 3)), encoding="utf-8")
+        (tmp_path / "fragment.json").write_text(
+            json.dumps({**doc, "arch": {"file": str(fragment)}}), encoding="utf-8")
         (tmp_path / "taken").mkdir()
         (tmp_path / "file").write_text("not a directory", encoding="utf-8")
         save_checkpoint(zeros_network(build_mlp(2, 8)), tmp_path / "vectors.ckpt")
@@ -509,8 +514,28 @@ class TestFailedCommandsWriteNothing:
         assert _tree(tmp_path) == before
 
 
+def _untie_residual(doc):
+    doc["usages"] = [u for u in doc["usages"]
+                     if not (u["weight"] in ("w1", "b1") and u["gamma"] == 3)]
+
+
+def _fresh_w2_columns(doc):
+    doc["gammas"].append({"id": 9, "width": 8, "role": "hidden"})
+    next(u for u in doc["usages"] if u["weight"] == "w2" and u["axis"] == "col")["gamma"] = 9
+
+
+def _mixed_roles(doc):
+    doc["gammas"].append({"id": 9, "width": 8, "role": "data"})
+    doc["usages"].append({"weight": "u", "axis": "row", "gamma": 9})
+
+
 # Each of these once loaded with a guess, or as a gamma of 1, or ended in a
-# traceback: an OverflowError (1e400), or an IndexError when training.
+# traceback: an OverflowError (1e400), or an IndexError when training. The
+# miswired ones (from "untied-residual" on) once built and trained a net that
+# a transfer does not resample as one: a residual whose operands lie in two
+# groups, a layer contracting a group its predecessor does not output, a
+# weight in no layer or in two, a runnable topology without layers or a
+# fragment with them, and a group whose width is both hidden and data.
 @pytest.mark.parametrize("command", ["gamma", "train"])
 @pytest.mark.parametrize("edit, literal", [
     (lambda d: d.pop("gammas"), None),
@@ -519,8 +544,16 @@ class TestFailedCommandsWriteNothing:
     (lambda d: d["gammas"][0].update(width="N"), "1e400"),
     (lambda d: d["usages"][0].update(gamma="N"), "1.7"),
     (lambda d: d["activations"].pop(), None),
+    (_untie_residual, None),
+    (_fresh_w2_columns, None),
+    (lambda d: d["layers"][0].__setitem__(1, None), None),
+    (lambda d: d["layers"][2].__setitem__(1, "b1"), None),
+    (lambda d: d.update(layers=[], activations=[]), None),
+    (lambda d: d.update(topology="fragment"), None),
+    (_mixed_roles, None),
 ], ids=["gamma-less", "role-less", "topology-less", "width-1e400", "gamma-1.7",
-        "activation-short"])
+        "activation-short", "untied-residual", "fresh-w2-columns", "bu-in-no-slot",
+        "b1-in-two-slots", "no-layers", "fragment-with-layers", "mixed-role-group"])
 def test_hostile_arch_file_exits_2_and_writes_nothing(command, edit, literal, tmp_path, capsys):
     doc = json.loads(arch_to_json(build_mlp(4, 8, with_skip=True)))
     edit(doc)

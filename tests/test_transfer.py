@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from mfgrow.arch import build_mlp, compute_partition
+from mfgrow.arch import build_mlp
 from mfgrow.data import load_checkpoint, save_checkpoint, synth_regression
 from mfgrow.errors import ParameterError
 from mfgrow.init import initialize, nonzero_mean_default
@@ -159,7 +159,7 @@ class TestRandomGrowth:
 
     def test_data_group_resize_rejected(self):
         net = make_net(3, 16, with_bias=True, input_dim=7, output_dim=4)
-        p = compute_partition(net.arch)
+        p = net.arch.partition
         data_groups = [i for i in range(len(p)) if not p.resizable[i]]
         plan = TransferPlan(targets={data_groups[0]: 99})
         with pytest.raises(ParameterError, match="data-tied"):
