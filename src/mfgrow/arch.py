@@ -102,7 +102,7 @@ class LayerPlan(NamedTuple):
 class ArchGraph:
     """A checked and indexed architecture: construction raises StructureError
     on any inconsistency, so a graph that exists is valid. It also builds the
-    name/id lookups, the gamma partition and, unless it is a fragment, the
+    name lookup, the gamma partition and, unless it is a fragment, the
     layer plan once; those derived fields take no part in equality or
     hashing."""
 
@@ -117,7 +117,6 @@ class ArchGraph:
     partition: GammaPartition = field(init=False, repr=False, compare=False)
     plan: LayerPlan | None = field(init=False, repr=False, compare=False)  # None for fragments
     _by_name: dict[str, WeightSpec] = field(init=False, repr=False, compare=False)
-    _by_id: dict[int, GammaVar] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.parametrization not in PARAMETRIZATIONS:
@@ -131,7 +130,6 @@ class ArchGraph:
         if len(by_id) != len(self.gammas):
             raise StructureError("gamma ids must be unique")
         object.__setattr__(self, "_by_name", by_name)
-        object.__setattr__(self, "_by_id", by_id)
         axis_gammas: dict[tuple[str, str], list[int]] = {}
         for u in self.usages:
             w = self.weight(u.weight)
@@ -175,12 +173,6 @@ class ArchGraph:
             return self._by_name[name]
         except KeyError:
             raise StructureError(f"unknown weight {name!r}") from None
-
-    def gamma(self, gid: int) -> GammaVar:
-        try:
-            return self._by_id[gid]
-        except KeyError:
-            raise StructureError(f"unknown gamma id {gid}") from None
 
     @property
     def hidden_widths(self) -> set[int]:

@@ -51,10 +51,6 @@ class Dataset:
     split: str = ""
 
     @property
-    def n(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
     def classification(self) -> bool:
         return np.issubdtype(self.targets.dtype, np.integer)
 

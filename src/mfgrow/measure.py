@@ -3,8 +3,10 @@ index-sampling strategies used for weight transfer.
 
 One GroupMeasure per partition group: sample i bundles everything indexed by
 that group at position i (vector entries, matrix rows, matrix columns). The
-full slices feed the r2 norm filter; the per-sample scalar features are the
-slice profiles (mean over the opposing axis), computed from them on demand.
+full slices feed the r2 norm filter, which sums each slice's per-sample
+squares with one einsum and adds those sums in slice order; the per-sample
+scalar features are the slice profiles (mean over the opposing axis),
+computed from them on demand.
 """
 
 from __future__ import annotations
@@ -18,19 +20,6 @@ import numpy as np
 from .arch import COL, ROW
 from .errors import ParameterError
 from .net import Network
-
-# Squares formed at a time by the r2 norm filter (512 KiB of float64).
-_NORM_BLOCK = 1 << 16
-
-
-def _squares(parts, out: np.ndarray) -> np.ndarray:
-    """``out`` filled with the squares of ``parts`` side by side."""
-    start = 0
-    for v in parts:
-        stop = start + v.shape[1]
-        np.multiply(v, v, out=out[:, start:stop])
-        start = stop
-    return out
 
 
 @dataclass
@@ -53,41 +42,13 @@ class GroupMeasure:
         return {name: s.mean(axis=1) for name, s in self.slices.items()}
 
     def sample_norms(self) -> np.ndarray:
-        """Euclidean norm per sample over all concatenated full slices.
-
-        Each row's sum rounds exactly as it does over ``np.concatenate`` of
-        the slices, which lays them out column-major when every slice with
-        two non-unit dimensions is column-major (a transposed matrix), and
-        row-major otherwise. A row-major row sums pairwise along itself, so
-        the squares go through a buffer of whole rows, a block of rows at a
-        time. A column-major row sums its squares one after another, so the
-        buffer holds a block of columns after the running sums, which read
-        contiguous source rows of the transposed matrices.
-        """
-        slices = list(self.slices.values())
-        total = sum(v.shape[1] for v in slices)
-        strided = [v.strides for v in slices if 1 not in v.shape]
-        if strided and all(abs(s1) > abs(s0) for s0, s1 in strided):
-            cols = max(1, _NORM_BLOCK // self.width)
-            buf = np.zeros((self.width, 1 + min(cols, total)), order="F")
-            sums = buf[:, 0]
-            for v in slices:
-                for start in range(0, v.shape[1], cols):
-                    part = v[:, start:start + cols]
-                    stop = 1 + part.shape[1]
-                    np.multiply(part, part, out=buf[:, 1:stop])
-                    sums[:] = np.add.reduce(buf[:, :stop], axis=1)
-            return np.sqrt(sums)
-        rows = max(1, _NORM_BLOCK // total)
-        if rows >= self.width:
-            sums = np.add.reduce(_squares(slices, np.empty((self.width, total))), axis=1)
-            return np.sqrt(sums, out=sums)
-        buf = np.empty((rows, total))
-        sums = np.empty(self.width)
-        for first in range(0, self.width, rows):
-            block = _squares([v[first:first + rows] for v in slices], buf[:self.width - first])
-            np.add.reduce(block, axis=1, out=sums[first:first + rows])
-        return np.sqrt(sums, out=sums)
+        """Euclidean norm per sample over all full slices: the square root
+        of the sum, in ``slices`` order, of each slice's row sums of squares
+        ``np.einsum("ij,ij->i", v, v)``. The einsum makes no BLAS call, so
+        the norms do not depend on the thread count, and a slice may have any
+        layout."""
+        sums = sum(np.einsum("ij,ij->i", v, v) for v in self.slices.values())
+        return np.sqrt(sums)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -177,8 +138,6 @@ def _surviving_pool(m: GroupMeasure, r2: float) -> np.ndarray:
     if not 0.0 <= r2 < 1.0:
         raise ParameterError(f"r2 must lie in [0, 1), got {r2}")
     keep = math.ceil((1.0 - r2) * m.width)
-    if keep < 1:
-        raise ParameterError(f"r2={r2} leaves zero samples in group {m.group_index}")
     norms = m.sample_norms()
     order = np.argsort(-norms, kind="stable")
     return order[:keep]

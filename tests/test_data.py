@@ -37,7 +37,7 @@ class TestCifarLoader:
         write_fixture_batch(tmp_path / "data_batch_1.bin", [(3, 10), (7, 100)])
         write_fixture_batch(tmp_path / "test_batch.bin", [(1, 0)])
         train, test = load_cifar10(tmp_path)
-        assert train.n == 2 and test.n == 1
+        assert train.inputs.shape[0] == 2 and test.inputs.shape[0] == 1
         assert train.inputs.shape == (2, 3072)
         assert train.targets.tolist() == [3, 7]
         expected = np.array([(10 + i) % 256 for i in range(3072)]) / 255.0
@@ -96,7 +96,7 @@ CIFAR_PINS = {
 def test_cifar_arrays_pinned(tmp_path):
     write_pinned_batches(tmp_path)
     splits = dict(zip(("train", "test"), load_cifar10(tmp_path)))
-    assert (splits["train"].n, splits["test"].n) == (12, 1)
+    assert (splits["train"].inputs.shape[0], splits["test"].inputs.shape[0]) == (12, 1)
     for (split, field), digest in CIFAR_PINS.items():
         ds = splits[split]
         arr = getattr(ds, field)

@@ -18,11 +18,27 @@ from mfgrow.measure import (
 )
 from mfgrow.net import zeros_network
 from mfgrow.tensor import Rng
+from mfgrow.transfer import duplicate_grow
 
 
 def small_net(depth=3, width=8, seed=0, **kw):
     arch = build_mlp(depth, width, parametrization="MFP", **kw)
     return initialize(zeros_network(arch), nonzero_mean_default("MFP", arch), Rng(seed))
+
+
+# Groups mixing vector entries, matrix rows and transposed matrix columns, at
+# widths up to a 3000-wide input group and 300-sample hidden groups.
+NORM_NETS = [
+    (16, dict(depth=4, with_bias=True, with_skip=True)),
+    (16, dict(depth=3)),
+    (16, dict(depth=3, with_bias=True, input_dim=40, output_dim=10)),
+    (16, dict(depth=2, input_dim=3)),
+    (37, dict(depth=3, with_bias=True, input_dim=3000, output_dim=10)),
+    (300, dict(depth=3)),
+    (300, dict(depth=4, with_bias=True, with_skip=True)),
+]
+NORM_IDS = ["skip4", "chain-1d", "chain-wide-input", "two-layer",
+            "blocks-chain-3000-input", "blocks-chain-1d", "blocks-skip4"]
 
 
 class TestExtract:
@@ -67,31 +83,43 @@ class TestExtract:
                     ref = net.store[name]
                 assert profile.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("width, kw", [
-        (16, dict(depth=4, with_bias=True, with_skip=True)),
-        (16, dict(depth=3)),
-        (16, dict(depth=3, with_bias=True, input_dim=40, output_dim=10)),
-        (16, dict(depth=2, input_dim=3)),
-        # Several blocks of 2**16 squares, the last one partial. Row-major:
-        # the hidden group's rows of 3000 + 1 + 37 squares go 21 to a block.
-        # Column-major: the 3000-wide input group's 37 columns go 21 to a
-        # block.
-        (37, dict(depth=3, with_bias=True, input_dim=3000, output_dim=10)),
-        # Column-major input groups of 300 samples, 218 columns to a block;
-        # row-major hidden groups of 217 (chain) or 72 (skip4) rows a block.
-        (300, dict(depth=3)),
-        (300, dict(depth=4, with_bias=True, with_skip=True)),
-    ], ids=["skip4", "chain-1d", "chain-wide-input", "two-layer",
-            "blocks-chain-3000-input", "blocks-chain-1d", "blocks-skip4"])
-    def test_sample_norms_match_concatenated_reference(self, width, kw):
+    @pytest.mark.parametrize("width, kw", NORM_NETS, ids=NORM_IDS)
+    def test_sample_norms_exact_on_integer_weights(self, width, kw):
+        # Integer entries in [-1000, 1000]: every sum of squares is an integer
+        # below 2**53, so each norm is np.sqrt of the exact sum bit for bit,
+        # in any summation order.
+        net = small_net(width=width, **kw)
+        gen = np.random.default_rng(width)
+        for arr in net.store.values():
+            arr[...] = gen.integers(-1000, 1001, size=arr.shape)
+        for m in extract_measures(net):
+            exact = sum((v.astype(np.int64) ** 2).sum(axis=1) for v in m.slices.values())
+            assert m.sample_norms().tobytes() == np.sqrt(exact.astype(np.float64)).tobytes()
+
+    @pytest.mark.parametrize("width, kw", NORM_NETS, ids=NORM_IDS)
+    def test_sample_norms_order_matches_fsum_reference(self, width, kw):
         # Groups mixing vector entries, matrix rows and transposed matrix
-        # columns: the norms equal those over the concatenated slices bit for
-        # bit, whichever layout the concatenation takes.
+        # columns: against the correctly rounded sum of squares, each norm is
+        # within a few ulps and the r2 filter's stable order is the same.
         net = small_net(width=width, **kw)
         for m in extract_measures(net):
-            stacked = np.concatenate(list(m.slices.values()), axis=1)
-            ref = np.sqrt(np.sum(stacked * stacked, axis=1))
-            assert m.sample_norms().tobytes() == ref.tobytes()
+            squares = np.concatenate([v * v for v in m.slices.values()], axis=1)
+            ref = np.sqrt([math.fsum(row) for row in squares])
+            norms = m.sample_norms()
+            np.testing.assert_allclose(norms, ref, rtol=1e-14, atol=0)
+            assert np.array_equal(np.argsort(-norms, kind="stable"),
+                                  np.argsort(-ref, kind="stable"))
+
+    def test_duplicated_samples_have_equal_norms(self):
+        # The copies duplicate_grow tiles tie bit for bit, so the stable
+        # sort keeps them in index order.
+        net = small_net(depth=4, width=16, with_bias=True, with_skip=True)
+        grown = duplicate_grow(net, 3)
+        for m in extract_measures(grown):
+            if not grown.arch.partition.resizable[m.group_index]:
+                continue
+            copies = m.sample_norms().reshape(3, -1)
+            assert copies.tobytes() == np.tile(copies[0], (3, 1)).tobytes()
 
     def test_csv_export(self):
         net = small_net(depth=2, width=4)
