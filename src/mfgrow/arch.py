@@ -11,15 +11,17 @@ hidden ones.
 
 A transfer resamples each group with one index set, which is correct only if
 the groups follow the wiring. So a ``chain`` or ``skip4`` arch is checked
-when it is built: each weight sits in exactly one layer slot; a vector is
-only the embedding or the readout; each layer contracts the group its
-predecessor outputs; the input and output axes lie in data groups; a bias
-lies on its layer's output axis; and skip4's residual operands share a
-group. A ``fragment`` declares no layers and is never run.
+when it is built: it has at least 2 layers (skip4 exactly 4); each weight
+sits in exactly one layer slot; a vector is only the embedding or the
+readout; each layer contracts the group its predecessor outputs; the input
+and output axes lie in data groups; a bias lies on its layer's output axis;
+and skip4's residual operands share a group. A ``fragment`` declares no
+layers and is never run.
 
-``build_mlp`` is the one MLP builder. Its skip4 net is the depth-4 chain plus
-two usages, w1 and b1 rows on gamma 3, which merge gammas 2 and 3 into one
-group; its ``skip4`` topology declares the residual add to the executor.
+``build_mlp`` is the one MLP builder: its layer l maps axis l of
+[input, *hidden, output] to axis l + 1. Its skip4 net is the depth-4 chain
+plus two usages, w1 and b1 rows on gamma 3, which merge gammas 2 and 3 into
+one group; its ``skip4`` topology declares the residual add to the executor.
 """
 
 from __future__ import annotations
@@ -70,6 +72,11 @@ class WeightSpec:
             raise StructureError(f"weight {self.name}: unknown kind {self.kind!r}")
         if any(d < 1 for d in self.shape):
             raise StructureError(f"weight {self.name}: dimensions must be >= 1, got {self.shape}")
+
+    @property
+    def axes(self) -> tuple[str, ...]:
+        """The axes a usage can name: rows and columns, or a vector's rows."""
+        return (ROW, COL)[: len(self.shape)]
 
 
 @dataclass(frozen=True)
@@ -151,7 +158,7 @@ class ArchGraph:
             raise StructureError(f"gammas never used: {sorted(missing)}")
         if self.topology != "fragment":
             for w in self.weights:
-                for ax in (ROW,) if w.kind == "vector" else (ROW, COL):
+                for ax in w.axes:
                     if (w.name, ax) not in axis_gammas:
                         raise StructureError(f"weight {w.name}: axis {ax} has no usage")
         for wname, bname in self.layers:
@@ -384,63 +391,38 @@ def build_mlp(
     hidden = _as_width_list(widths, depth - 1)
     if with_skip and len(set(hidden)) != 1:
         raise ParameterError("the skip variant needs one common hidden width")
+    # Layer l maps axis l of dims to axis l + 1. Hidden axis k carries gamma
+    # k; the input axis, then the output axis, take the next ids when they
+    # have a usage.
+    dims = [input_dim, *hidden, output_dim]
+    gamma_of = list(range(depth + 1))
+    gammas = [GammaVar(k, hidden[k - 1], "hidden") for k in range(1, depth)]
+    for axis, used in ((0, input_dim > 1), (depth, output_dim > 1 or with_bias)):
+        if used:
+            gamma_of[axis] = len(gammas) + 1
+            gammas.append(GammaVar(gamma_of[axis], dims[axis], "data"))
     weights: list[WeightSpec] = []
     usages: list[AxisUsage] = []
-    gammas: list[GammaVar] = [GammaVar(i + 1, hidden[i], "hidden") for i in range(depth - 1)]
-    next_id = depth
-
-    def new_gamma(width: int, role: str) -> int:
-        nonlocal next_id
-        gammas.append(GammaVar(next_id, width, role))
-        next_id += 1
-        return next_id - 1
-
     layers: list[tuple[str, str | None]] = []
-
-    # Embedding layer.
-    if input_dim > 1:
-        g_in = new_gamma(input_dim, "data")
-        weights.append(WeightSpec("u", "matrix", (hidden[0], input_dim)))
-        usages += [AxisUsage("u", ROW, 1), AxisUsage("u", COL, g_in)]
-    else:
-        weights.append(WeightSpec("u", "vector", (hidden[0],)))
-        usages.append(AxisUsage("u", ROW, 1))
-    bu = None
-    if with_bias:
-        bu = "bu"
-        weights.append(WeightSpec(bu, "vector", (hidden[0],)))
-        usages.append(AxisUsage(bu, ROW, 1))
-    layers.append(("u", bu))
-
-    # Middle square layers.
-    for ell in range(1, depth - 1):
-        name = f"w{ell}"
-        weights.append(WeightSpec(name, "matrix", (hidden[ell], hidden[ell - 1])))
-        usages += [AxisUsage(name, ROW, ell + 1), AxisUsage(name, COL, ell)]
-        bname = None
+    last = depth - 1
+    for ell in range(depth):
+        name, bname = (("u", "bu") if ell == 0 else ("v", "bv") if ell == last
+                       else (f"w{ell}", f"b{ell}"))
+        # A 1-d input or output leaves the embedding or readout a vector on
+        # its hidden axis.
+        if ell == 0 and input_dim == 1:
+            axes = ((ROW, 1),)
+        elif ell == last and output_dim == 1:
+            axes = ((ROW, ell),)
+        else:
+            axes = ((ROW, ell + 1), (COL, ell))
+        weights.append(WeightSpec(name, "vector" if len(axes) == 1 else "matrix",
+                                  tuple(dims[a] for _, a in axes)))
+        usages += [AxisUsage(name, ax, gamma_of[a]) for ax, a in axes]
         if with_bias:
-            bname = f"b{ell}"
-            weights.append(WeightSpec(bname, "vector", (hidden[ell],)))
-            usages.append(AxisUsage(bname, ROW, ell + 1))
-        layers.append((name, bname))
-
-    # Output layer.
-    g_out = None
-    if output_dim > 1:
-        g_out = new_gamma(output_dim, "data")
-        weights.append(WeightSpec("v", "matrix", (output_dim, hidden[-1])))
-        usages += [AxisUsage("v", ROW, g_out), AxisUsage("v", COL, depth - 1)]
-    else:
-        weights.append(WeightSpec("v", "vector", (hidden[-1],)))
-        usages.append(AxisUsage("v", ROW, depth - 1))
-    bv = None
-    if with_bias:
-        if g_out is None:
-            g_out = new_gamma(1, "data")
-        bv = "bv"
-        weights.append(WeightSpec(bv, "vector", (output_dim,)))
-        usages.append(AxisUsage(bv, ROW, g_out))
-    layers.append(("v", bv))
+            weights.append(WeightSpec(bname, "vector", (dims[ell + 1],)))
+            usages.append(AxisUsage(bname, ROW, gamma_of[ell + 1]))
+        layers.append((name, bname if with_bias else None))
 
     if with_skip:
         # w1's rows also feed the output layer's input through the residual

@@ -10,15 +10,13 @@ from __future__ import annotations
 import statistics
 from pathlib import Path
 
-from .arch import build_mlp
+from .arch import PARAMETRIZATIONS, build_mlp
 from .data import synth_regression
 from .diagnostics import four_pair_report, heatmap_export, update_scaling_probe
 from .init import initialize, nonzero_mean_default
 from .net import OptimizerState, evaluate, train, zeros_network
 from .tensor import Rng
 from .transfer import transfer, uniform_plan
-
-PARAMS = ("SP", "muP", "MFP")
 
 # One base rate. SP/muP rescale it with width (their explicit forward scalars
 # would otherwise freeze the hidden layers at large width); MFP's per-weight
@@ -56,7 +54,7 @@ def accuracy_experiment(train_data, test_data, width=300, epochs=10, seeds=(0, 1
     """Test accuracy of the 3-layer net under all three parametrizations."""
     rows = ["parametrization,seed,test_acc"]
     medians = {}
-    for param in PARAMS:
+    for param in PARAMETRIZATIONS:
         accs = []
         for seed in seeds:
             net = _cifar_net(param, width, seed, train_data)
@@ -67,7 +65,7 @@ def accuracy_experiment(train_data, test_data, width=300, epochs=10, seeds=(0, 1
     passed = all(m >= threshold for m in medians.values())
     summary = "\n".join(
         [f"{p}: median_acc={medians[p]:.4f} threshold={threshold} "
-         f"{'PASS' if medians[p] >= threshold else 'FAIL'}" for p in PARAMS]
+         f"{'PASS' if medians[p] >= threshold else 'FAIL'}" for p in PARAMETRIZATIONS]
     )
     _write(out_dir, "accuracy.csv", "\n".join(rows) + "\n")
     _write(out_dir, "accuracy_summary.txt", summary + "\n")
@@ -80,7 +78,7 @@ def table1(train_data, test_data, width=1000, epochs=10, seeds=(0, 1, 2),
     three parametrizations; thresholds are the qualitative acceptance bands."""
     per_param: dict[str, dict] = {}
     rows = ["parametrization,seed,stage,pair,abs_pearson"]
-    for param in PARAMS:
+    for param in PARAMETRIZATIONS:
         per_seed_init, per_seed_trained = [], []
         for seed in seeds:
             net = _cifar_net(param, width, seed, train_data)
@@ -100,7 +98,7 @@ def table1(train_data, test_data, width=1000, epochs=10, seeds=(0, 1, 2),
         }
 
     init_ok = all(
-        v <= 0.1 for param in PARAMS for v in per_param[param]["init"].values()
+        v <= 0.1 for param in PARAMETRIZATIONS for v in per_param[param]["init"].values()
     )
     mfp_first = per_param["MFP"]["trained"]["first_layer~M.column"]
     sp_first = per_param["SP"]["trained"]["first_layer~M.column"]
@@ -113,7 +111,7 @@ def table1(train_data, test_data, width=1000, epochs=10, seeds=(0, 1, 2),
     }
     passed = all(checks.values())
     lines = []
-    for param in PARAMS:
+    for param in PARAMETRIZATIONS:
         t = per_param[param]["trained"]
         i = per_param[param]["init"]
         init_ok_p = all(v <= 0.1 for v in i.values())
@@ -133,7 +131,7 @@ def table1(train_data, test_data, width=1000, epochs=10, seeds=(0, 1, 2),
 def fig1_heatmaps(train_data, test_data, width=300, epochs=10, seed=0, out_dir=None) -> dict:
     """Middle-layer heatmap grids at init and after training."""
     written = []
-    for param in PARAMS:
+    for param in PARAMETRIZATIONS:
         net = _cifar_net(param, width, seed, train_data)
         name = f"fig1_{param}_init.grid"
         if out_dir is not None:

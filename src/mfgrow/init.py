@@ -19,15 +19,8 @@ from .errors import ParameterError
 from .net import Network
 from .tensor import DistributionSpec, Rng, constant, gaussian, uniform
 
-PHI_FORMS = ("product", "sum")
-
-
-def _phi_apply(phi: str, r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    if phi == "product":
-        return r[:, None] * c[None, :]
-    if phi == "sum":
-        return r[:, None] + c[None, :]
-    raise ParameterError(f"unknown phi form {phi!r}")
+_PHI = {"product": np.multiply.outer, "sum": np.add.outer}
+PHI_FORMS = tuple(_PHI)
 
 
 def rc_eligible(arch: ArchGraph, name: str) -> bool:
@@ -136,7 +129,7 @@ def initialize(net: Network, spec: InitSpec, rng: Rng) -> Network:
             mu_r, mu_c = spec.rc_pairs[w.name]
             r = mu_r.draw(rng.substream(f"init/{w.name}/R"), w.shape[0])
             c = mu_c.draw(rng.substream(f"init/{w.name}/C"), w.shape[1])
-            store[w.name] = _phi_apply(spec.phi.get(w.name, "sum"), r, c)
+            store[w.name] = _PHI[spec.phi.get(w.name, "sum")](r, c)
         else:
             gen = rng.substream(f"init/{w.name}")
             flat = spec.distributions[w.name].draw(gen, int(np.prod(w.shape)))

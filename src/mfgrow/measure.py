@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arch import COL, ROW
+from .arch import ROW
 from .errors import ParameterError
 from .net import Network
 
@@ -30,7 +30,6 @@ class GroupMeasure:
     a product of weight dimensions.
     """
 
-    group_index: int
     width: int
     slices: dict[str, np.ndarray] = field(default_factory=dict)  # name -> (width, k)
 
@@ -64,10 +63,9 @@ def extract_measures(net: Network) -> list[GroupMeasure]:
     """One GroupMeasure per group of the net's partition, in partition order."""
     arch = net.arch
     partition = arch.partition
-    measures = [GroupMeasure(i, width) for i, width in enumerate(partition.widths)]
+    measures = [GroupMeasure(width) for width in partition.widths]
     for w in arch.weights:
-        axes = ((ROW,) if w.kind == "vector" else (ROW, COL))
-        for ax in axes:
+        for ax in w.axes:
             gi = partition.axis_groups.get((w.name, ax))
             if gi is None:
                 continue

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arch import ArchGraph, LayerPlan, ROW, COL
+from .arch import ArchGraph, LayerPlan
 from .errors import DivergenceError, ParameterError, StructureError
 from .tensor import Rng, as_f64
 
@@ -218,7 +218,7 @@ def lr_multiplier(weight: str, arch: ArchGraph) -> float:
         return 1.0
     p = arch.partition
     mult = 1.0
-    for ax in (ROW,) if arch.weight(weight).kind == "vector" else (ROW, COL):
+    for ax in arch.weight(weight).axes:
         gi = p.axis_group(weight, ax)
         if p.resizable[gi]:
             mult *= p.widths[gi]
@@ -227,7 +227,8 @@ def lr_multiplier(weight: str, arch: ArchGraph) -> float:
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam with fixed per-weight multipliers.
+    """SGD or Adam with fixed per-weight rates, ``lr * width_scale *
+    lr_multiplier``, computed once by ``create``.
 
     ``lr_width_exponent`` rescales the base rate by max_hidden_width**alpha.
     It defaults to 0 (a plain constant rate); the scripted SP/muP experiments
@@ -235,9 +236,7 @@ class OptimizerState:
     """
 
     kind: str
-    lr: float
-    multipliers: dict[str, float]
-    width_scale: float = 1.0
+    rates: dict[str, float]
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -255,8 +254,7 @@ class OptimizerState:
             width_scale = float(max_width) ** lr_width_exponent
         except OverflowError:
             width_scale = math.inf
-        opt = cls(kind=kind, lr=lr, multipliers=mults, width_scale=width_scale)
-        rates = opt.rates()
+        rates = {name: lr * width_scale * mult for name, mult in mults.items()}
         for name, value in (("learning rate", lr),
                             (f"width scale {max_width}**{lr_width_exponent}", width_scale),
                             *((f"rate of {w}", r) for w, r in rates.items())):
@@ -267,23 +265,18 @@ class OptimizerState:
                 raise ParameterError(
                     f"rate of {w} rounds to 0: lr {lr} x width scale {max_width}**"
                     f"{lr_width_exponent} = {width_scale} x multiplier {mults[w]}")
-        return opt
-
-    def rates(self) -> dict[str, float]:
-        """Per-weight rates: lr * width_scale * multiplier."""
-        return {name: self.lr * self.width_scale * mult for name, mult in self.multipliers.items()}
+        return cls(kind=kind, rates=rates)
 
     def apply(self, net: Network, grads: dict[str, np.ndarray]) -> None:
         """One update. SGD subtracts the steps of ``backward_batch(...,
-        rates=self.rates())`` in place; Adam takes plain mean gradients."""
+        rates=self.rates)`` in place; Adam takes plain mean gradients."""
         self.step_count += 1
         if self.kind == "sgd":
             for name, step in grads.items():
                 net.store[name] -= step
             return
-        rates = self.rates()
         for name, g in grads.items():
-            eff = rates[name]
+            eff = self.rates[name]
             w = net.store[name]
             m = self.m.setdefault(name, np.zeros_like(w))
             v = self.v.setdefault(name, np.zeros_like(w))
@@ -409,7 +402,7 @@ def train(
     log.add(0, 0, tr0, te0, acc0)
 
     n = data.inputs.shape[0]
-    rates = opt.rates() if opt.kind == "sgd" else None
+    rates = opt.rates if opt.kind == "sgd" else None
     step = 0
     for epoch in range(1, epochs + 1):
         perm = order_gen.permutation(n)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .arch import COL, ArchGraph, GammaVar, ROW, WeightSpec
+from .arch import ArchGraph, GammaVar, WeightSpec
 from .errors import ParameterError, StructureError
 from .measure import STRATEGIES, draw_indices, extract_measures
 from .net import Network
@@ -127,9 +127,8 @@ def transfer(net: Network, plan: TransferPlan, rng: Rng) -> Network:
         # gives, so a transferred net rounds alike before and after a save,
         # and the noise can be applied to them in place.
         arr = np.asarray(net.store[w.name], dtype=np.float64)
-        axes = (ROW,) if w.kind == "vector" else (ROW, COL)
         resampled = False
-        for axis, name in enumerate(axes):
+        for axis, name in enumerate(w.axes):
             gi = partition.axis_groups[(w.name, name)]
             if partition.resizable[gi]:
                 arr = np.take(arr, index_sets[gi], axis=axis)

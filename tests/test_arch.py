@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mfgrow.arch import (
+    PARAMETRIZATIONS,
     ArchGraph,
     AxisUsage,
     GammaVar,
@@ -198,6 +200,26 @@ class TestBuilders:
         assert lines[0] == "Γ_1: {γ_1} width=16"
         assert lines[1] == "Γ_2: {γ_2, γ_3} width=16"
         assert lines[2] == "Γ_3: {γ_4} width=1"
+
+    # sha256 over every outcome of build_mlp on the grid below: the arch
+    # JSON and the layer plan's repr, or the error's type and message.
+    BUILD_GRID_DIGEST = "613586237da3a94b67f9275bcc02f6071eef95f20932460b378a46f002cb1318"
+
+    def test_build_grid_pinned(self):
+        digest = hashlib.sha256()
+        for depth, spread, bias, skip, d_in, d_out, parametrization, act in itertools.product(
+                range(2, 7), ("one", "three", "per-layer"), (False, True), (False, True),
+                (1, 2, 5), (1, 2, 3), PARAMETRIZATIONS, ("tanh", "relu")):
+            widths = {"one": 1, "three": 3, "per-layer": list(range(2, depth + 1))}[spread]
+            try:
+                g = build_mlp(depth, widths, with_bias=bias, with_skip=skip, input_dim=d_in,
+                              output_dim=d_out, parametrization=parametrization,
+                              activation=act)
+                out = arch_to_json(g) + repr(g.plan)
+            except (ParameterError, StructureError) as exc:
+                out = f"{type(exc).__name__}: {exc}"
+            digest.update(out.encode() + b"\n")
+        assert digest.hexdigest() == self.BUILD_GRID_DIGEST
 
 
 class TestValidation:

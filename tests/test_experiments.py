@@ -8,9 +8,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from mfgrow.arch import PARAMETRIZATIONS
 from mfgrow.data import CIFAR_RECORD, load_cifar10
 from mfgrow.experiments import (
-    PARAMS,
     _cifar_net,
     _fit,
     _transfer_experiment,
@@ -71,7 +71,7 @@ class TestCifarPipeline:
         # or seed can leave them unchanged. The logged float64 losses cannot.
         train_data, test_data = splits
         h = hashlib.sha256()
-        for param in PARAMS:
+        for param in PARAMETRIZATIONS:
             log = _fit(_cifar_net(param, 24, 0, train_data), 1, 0, train_data, test_data)
             h.update(np.array([row[2:5] for row in log.rows]).tobytes())
         assert h.hexdigest() == (

@@ -115,8 +115,8 @@ class TestExtract:
         # sort keeps them in index order.
         net = small_net(depth=4, width=16, with_bias=True, with_skip=True)
         grown = duplicate_grow(net, 3)
-        for m in extract_measures(grown):
-            if not grown.arch.partition.resizable[m.group_index]:
+        for gi, m in enumerate(extract_measures(grown)):
+            if not grown.arch.partition.resizable[gi]:
                 continue
             copies = m.sample_norms().reshape(3, -1)
             assert copies.tobytes() == np.tile(copies[0], (3, 1)).tobytes()
@@ -206,7 +206,7 @@ class TestWeightedLoss:
 
 class TestDrawIndices:
     def measure_with_norms(self, norms):
-        return GroupMeasure(0, len(norms), {"a": np.asarray(norms, dtype=np.float64)[:, None]})
+        return GroupMeasure(len(norms), {"a": np.asarray(norms, dtype=np.float64)[:, None]})
 
     def test_random_indices_in_range(self):
         m = self.measure_with_norms(np.arange(1.0, 11.0))

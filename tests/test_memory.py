@@ -55,7 +55,7 @@ def test_sgd_apply_updates_in_place():
     opt = OptimizerState.create(net, lr=0.1)
     gen = Rng(3).generator()
     X, Y = gen.uniform(0.0, 1.0, size=(64, 3072)), gen.integers(0, 10, size=64)
-    steps, _ = backward_batch(net, X, Y, "cross_entropy", opt.rates())
+    steps, _ = backward_batch(net, X, Y, "cross_entropy", opt.rates)
     _, extra = traced_peak(lambda: opt.apply(net, steps))
     assert extra < 0.01 * net.store["u"].nbytes
 
@@ -91,8 +91,9 @@ def test_grow_applies_noise_in_place():
 
 
 def test_prune_holds_no_copy_of_its_source(wide_net):
-    # The r2 norm filter squares its slices a block at a time: a 1000 -> 100
-    # prune adds little to its output beyond the one-axis gather of w1.
+    # The r2 norm filter forms one einsum row-sum vector per slice: a
+    # 1000 -> 100 prune adds little to its output beyond the one-axis gather
+    # of w1.
     plan = uniform_plan(wide_net.arch, 100)
     pruned, extra = traced_peak(lambda: transfer(wide_net, plan, Rng(2)))
     assert extra < payload_bytes(pruned) + 1 * MiB
@@ -101,9 +102,9 @@ def test_prune_holds_no_copy_of_its_source(wide_net):
 def test_sample_norms_use_one_small_buffer(wide_net):
     # Every group of the 1000-wide net, the 1000 x (3072 + 1 + 1000) hidden
     # group and the 3072-wide input group included.
-    for m in extract_measures(wide_net):
+    for gi, m in enumerate(extract_measures(wide_net)):
         _, extra = traced_peak(m.sample_norms)
-        assert extra < 1 * MiB, m.group_index
+        assert extra < 1 * MiB, gi
 
 
 def test_heatmap_file_costs_no_full_size_text(wide_net, tmp_path):

@@ -242,8 +242,8 @@ class TestDuplicationTrajectory:
         for _ in range(20):
             X = gen.uniform(-2, 2, size=(16, 1))
             Y = np.sin(2.0 * X)
-            opt_small.apply(small, backward_batch(small, X, Y, rates=opt_small.rates())[0])
-            opt_big.apply(big, backward_batch(big, X, Y, rates=opt_big.rates())[0])
+            opt_small.apply(small, backward_batch(small, X, Y, rates=opt_small.rates)[0])
+            opt_big.apply(big, backward_batch(big, X, Y, rates=opt_big.rates)[0])
             dev = np.abs(forward_batch(small, probe) - forward_batch(big, probe)).max()
             assert dev <= 1e-12
 
@@ -301,9 +301,9 @@ class TestSgdUpdate:
         X, Y = gen.normal(size=(16, dims[0])), gen.normal(size=(16, dims[1]))
         opt = OptimizerState.create(net, lr=0.3, lr_width_exponent=0.5)
         grads, loss = backward_batch(net, X, Y)
-        steps, step_loss = backward_batch(net, X, Y, rates=opt.rates())
+        steps, step_loss = backward_batch(net, X, Y, rates=opt.rates)
         assert step_loss == loss and steps.keys() == grads.keys()
-        for name, rate in opt.rates().items():
+        for name, rate in opt.rates.items():
             ref = rate * grads[name]
             if net.store[name].ndim == 2:
                 assert np.abs(steps[name] - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -326,7 +326,7 @@ class TestSgdUpdate:
         with pytest.raises(ParameterError, match="rate of u rounds to 0"):
             OptimizerState.create(net, lr=0.05, lr_width_exponent=-1000.0)
         assert set(OptimizerState.create(net, lr=0.0, lr_width_exponent=-1000.0)
-                   .rates().values()) == {0.0}
+                   .rates.values()) == {0.0}
 
 
 def trained_case(case):
@@ -394,7 +394,7 @@ class TestTrain:
                 train(net, data, opt, epochs=2, batch_size=16, rng=Rng(9))
                 return net
             order = Rng(9).substream("train/order")
-            rates = opt.rates() if kind == "sgd" else None
+            rates = opt.rates if kind == "sgd" else None
             for _ in range(2):
                 perm = order.permutation(40)
                 for start in range(0, 40, 16):
