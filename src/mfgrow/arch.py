@@ -28,10 +28,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from types import GenericAlias
+from typing import NamedTuple, get_origin
 
-from .errors import ParameterError, StructureError
+from .errors import MfgrowError, ParameterError, StructureError
 
 ROW = "row"
 COL = "col"
@@ -518,7 +520,7 @@ def build_attention_block(n: int, d_x: int, parametrization: str = "MFP") -> Arc
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
+# Arch JSON, and the one strict JSON check of arch files and configs
 # ---------------------------------------------------------------------------
 
 def arch_to_json(g: ArchGraph) -> str:
@@ -534,77 +536,111 @@ def arch_to_json(g: ArchGraph) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-# The one arch file form, the one arch_to_json writes: its seven keys, and
-# the keys of each entry of the three entry lists, with their JSON types.
-_ARCH_KEYS = {"parametrization": str, "topology": str, "weights": list, "usages": list,
-              "gammas": list, "layers": list, "activations": list}
-_ENTRY_KEYS = {
-    "weights": {"name": str, "kind": str, "shape": list},
-    "usages": {"weight": str, "axis": str, "gamma": int},
-    "gammas": {"id": int, "width": int, "role": str},
-}
-_JSON_TYPES = {str: "a string", int: "an integer", list: "an array", dict: "an object"}
+class Choice(dict):
+    """A key's type: its value names one of these sections, whose keys join it."""
 
 
-def _malformed(what: str) -> StructureError:
-    return StructureError(f"malformed architecture file: {what}")
+REQUIRED = object()  # the default of a key that has none
+
+_JSON_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string", list: "a list", list[int]: "a list of integers",
+               list[str]: "a list of strings", dict: "an object"}
 
 
-def _typed(value, kind: type, where: str) -> None:
-    """Raise unless ``value`` has the JSON type ``kind``; a bool or any
-    non-integral number (1.7, 1e400) is not an integer."""
-    if type(value) is not kind:
-        raise _malformed(f"{where} must be {_JSON_TYPES[kind]}, got {value!r}")
+def checked_value(value, kind, what: str, error: type[MfgrowError]):
+    """``value`` if it is a JSON value of ``kind`` (a key of _JSON_KINDS, or a
+    tuple of them), a float kind converting an integer. Anything else raises
+    ``error``: null, "4", a bool as a number, and 4.0 or 1e400 as an integer."""
+    if type(value) is kind and kind is not float:
+        return value
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if type(value) is list:
+        for k in kinds:
+            if isinstance(k, GenericAlias):  # list[int] or list[str]
+                return [checked_value(entry, *k.__args__, f"{what} entry", error)
+                        for entry in value]
+    if isinstance(value, bool):
+        ok = bool in kinds
+    elif kind is float:
+        # Also rejects nan, inf and integers beyond the float range.
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, tuple(get_origin(k) or k for k in kinds))
+    if not ok:
+        expected = " or ".join(_JSON_KINDS[k] for k in kinds)
+        raise error(f"{what} must be {expected}, got {json.dumps(value)}")
+    return float(value) if kind is float else value
 
 
-def _items(values: list, kind: type, where: str) -> tuple:
-    for i, value in enumerate(values):
-        _typed(value, kind, f"{where}[{i}]")
-    return tuple(values)
+def checked_object(doc, schema: dict, where: str, error: type[MfgrowError]) -> dict:
+    """``doc`` checked against ``schema`` (each key's kind and default), with
+    defaults filled in. A dict kind is a section, checked alike; a callable
+    default is computed from the section's values. A missing key with no
+    default, an unknown key or choice and a wrong JSON type raise ``error``."""
+    if type(doc) is not dict:
+        raise error(f"{where} must be an object, got {json.dumps(doc)}")
+    out, items = {}, list(schema.items())
+    for key, (kind, default) in items:  # a Choice appends its section's items
+        value = doc.get(key, default)
+        if type(value) is kind and kind is not float:  # the common case, checked fast
+            out[key] = value
+            continue
+        if value is REQUIRED:
+            raise error(f"{where} needs {key!r}")
+        if callable(value):
+            value = value({**doc, **out})
+        if isinstance(kind, Choice):
+            value = checked_value(value, str, f"{where} {key!r}", error)
+            if value not in kind:
+                raise error(f"{where} {key} must be one of {sorted(kind)}, got {value!r}")
+            items += kind[value].items()
+        elif isinstance(kind, dict):
+            value = checked_object(value, kind, f"{where} {key}", error)
+        elif key in doc:
+            value = checked_value(value, kind, f"{where} {key!r}", error)
+        out[key] = value
+    if not doc.keys() <= out.keys():
+        raise error(f"{where} has unknown keys {sorted(set(doc) - set(out))}")
+    return out
 
 
-def _fields(obj, keys: dict[str, type], where: str) -> list:
-    """The values of a JSON object that has exactly ``keys``, in their order."""
-    _typed(obj, dict, where)
-    if obj.keys() != keys.keys():
-        unknown = sorted(set(obj) - set(keys))
-        if unknown:
-            raise _malformed(f"{where} has unknown keys {unknown}")
-        raise _malformed(f"{where} is missing {[key for key in keys if key not in obj]}")
-    for key, kind in keys.items():
-        _typed(obj[key], kind, f"{where}.{key}")
-    return [obj[key] for key in keys]
+def _required(**kinds) -> dict:
+    return {key: (kind, REQUIRED) for key, kind in kinds.items()}
+
+
+# The one arch file form, the one arch_to_json writes, in schema tables where
+# every key is required: the document's, and those of its three entry lists.
+_ARCH = _required(parametrization=str, topology=str, weights=list, usages=list, gammas=list,
+                  layers=list, activations=list[str])
+_ENTRIES = {"weights": _required(name=str, kind=str, shape=list[int]),
+            "usages": _required(weight=str, axis=str, gamma=int),
+            "gammas": _required(id=int, width=int, role=str)}
 
 
 def arch_from_json(text: str) -> ArchGraph:
     """Read an architecture in the form ``arch_to_json`` writes, and only
-    that form: every key present, no other key, and every number a JSON
-    integer. Anything else raises StructureError."""
+    that form. Anything else raises StructureError."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise StructureError(f"architecture file is not valid JSON: {exc}") from None
-    parametrization, topology, *_, layers, activations = _fields(
-        doc, _ARCH_KEYS, "the top-level object")
-    entries = {
-        key: [_fields(entry, keys, f"{key}[{i}]") for i, entry in enumerate(doc[key])]
-        for key, keys in _ENTRY_KEYS.items()
-    }
-    pairs = []
-    for i, pair in enumerate(layers):
-        if type(pair) is not list or len(pair) != 2:
-            raise _malformed(f"layers[{i}] must be a [weight, bias] pair, got {pair!r}")
-        _typed(pair[0], str, f"layers[{i}][0]")
-        if pair[1] is not None:
-            _typed(pair[1], str, f"layers[{i}][1]")
-        pairs.append(tuple(pair))
+    where = "malformed architecture file"
+    doc = checked_object(doc, _ARCH, where, StructureError)
+    weights, usages, gammas = (
+        [checked_object(entry, schema, f"{where} {key}[{i}]", StructureError)
+         for i, entry in enumerate(doc[key])]
+        for key, schema in _ENTRIES.items())
+    for i, pair in enumerate(doc["layers"]):
+        if (type(pair) is not list or len(pair) != 2 or type(pair[0]) is not str
+                or not (pair[1] is None or type(pair[1]) is str)):
+            raise StructureError(f"{where} layers[{i}] must be a [weight, bias-or-null] pair, "
+                                 f"got {json.dumps(pair)}")
     return ArchGraph(
-        weights=tuple(WeightSpec(name, kind, _items(shape, int, f"weights[{i}].shape"))
-                      for i, (name, kind, shape) in enumerate(entries["weights"])),
-        usages=tuple(AxisUsage(*fields) for fields in entries["usages"]),
-        gammas=tuple(GammaVar(*fields) for fields in entries["gammas"]),
-        parametrization=parametrization,
-        topology=topology,
-        layers=tuple(pairs),
-        activations=_items(activations, str, "activations"),
+        weights=tuple(WeightSpec(w["name"], w["kind"], tuple(w["shape"])) for w in weights),
+        usages=tuple(AxisUsage(**u) for u in usages),
+        gammas=tuple(GammaVar(**gm) for gm in gammas),
+        parametrization=doc["parametrization"],
+        topology=doc["topology"],
+        layers=tuple(map(tuple, doc["layers"])),
+        activations=tuple(doc["activations"]),
     )

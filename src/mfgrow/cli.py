@@ -13,10 +13,10 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import get_origin
 
 from . import experiments
-from .arch import arch_from_json, build_mlp, format_partition
+from .arch import REQUIRED as _REQUIRED, Choice as _Choice
+from .arch import arch_from_json, build_mlp, checked_object, format_partition
 from .data import load_checkpoint, load_cifar10, save_checkpoint, synth_regression
 from .diagnostics import (
     correlation_matrix,
@@ -43,21 +43,15 @@ EXIT_MISSING_DATA = 3
 # Experiment config
 # ---------------------------------------------------------------------------
 
-class _Choice(dict):
-    """A key's type: its value names one of these sections, whose keys join it."""
-
-
-_REQUIRED = object()  # the default of a key that has none
-
 _MLP = {"depth": (int, 3), "widths": ((int, list[int]), 300), "with_bias": (bool, True),
         "with_skip": (bool, False), "input_dim": (int, 1), "output_dim": (int, 1),
         "activation": (str, "tanh")}
 _SYNTHETIC = {"n": (int, 1024), "test_n": (int, lambda ds: max(1, ds["n"] // 4)),
               "noise_std": (float, 0.0)}
 
-# Every config key: its JSON type and its default. A dict in place of the type
-# is a section, checked the same way. A callable default is computed from the
-# section's values. Ranges are left to the library code each value reaches.
+# Every config key: its JSON type and its default, in the form that
+# arch.checked_object reads. Ranges are left to the library code each value
+# reaches.
 _SCHEMA = {
     # null keeps the architecture's own: the file's, else build_mlp's MFP.
     "parametrization": (str, None),
@@ -79,58 +73,6 @@ _RC = {"rc_pairs": (dict, {}), "phi": ((str, dict), "sum")}
 _INIT = {"mode": (_Choice(iid={}, rc=_RC), "iid"), "distributions": (dict, {})}
 _DISTRIBUTION = {"kind": (str, _REQUIRED), "a": (float, 0.0), "b": (float, 0.0)}
 
-_JSON_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
-               str: "a string", list[int]: "a list of integers", dict: "an object"}
-
-
-def _checked(value, kind, what: str):
-    """``value`` if it is a JSON value of ``kind`` (a key of _JSON_KINDS, or a
-    tuple of them); a float kind converts an integer. Anything else, null and
-    numeric strings included, raises ConfigError."""
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    if isinstance(value, bool):
-        ok = bool in kinds
-    elif kind is float:
-        # Also rejects nan, inf and integers beyond the float range.
-        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    else:
-        ok = isinstance(value, tuple(get_origin(k) or k for k in kinds))
-    if not ok:
-        expected = " or ".join(_JSON_KINDS[k] for k in kinds)
-        raise ConfigError(f"{what} must be {expected}, got {json.dumps(value)}")
-    if isinstance(value, list):
-        return [_checked(entry, int, f"{what} entry") for entry in value]
-    return float(value) if kind is float else value
-
-
-def _section(doc, schema: dict, where: str) -> dict:
-    """``doc`` checked against ``schema`` with defaults filled in. A missing key
-    with no default, an unknown key or choice and a wrong JSON type raise ConfigError."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be an object, got {json.dumps(doc)}")
-    out, items = {}, list(schema.items())
-    for key, (kind, default) in items:  # a _Choice appends its section's items
-        what = f"{where} {key!r}"
-        value = doc.get(key, default)
-        if value is _REQUIRED:
-            raise ConfigError(f"{where} needs {key!r}")
-        if callable(value):
-            value = value({**doc, **out})
-        if isinstance(kind, _Choice):
-            value = _checked(value, str, what)
-            if value not in kind:
-                raise ConfigError(f"{where} {key} must be one of {sorted(kind)}, got {value!r}")
-            items += kind[value].items()
-        elif isinstance(kind, dict):
-            value = _section(value, kind, f"{where} {key}")
-        elif key in doc:
-            value = _checked(value, kind, what)
-        out[key] = value
-    unknown = sorted(set(doc) - set(out))
-    if unknown:
-        raise ConfigError(f"{where} has unknown keys {unknown}")
-    return out
-
 
 def _read_text(path, error: type[MfgrowError], what: str) -> str:
     """The UTF-8 text of ``path``; a file that is missing, unreadable or not
@@ -149,9 +91,9 @@ def load_config(path) -> dict:
         doc = json.loads(_read_text(path, ConfigError, "config file"))
     except (ValueError, RecursionError) as exc:  # bad JSON, or past the parser's limits
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    cfg = _section(doc, _SCHEMA, "config")
+    cfg = checked_object(doc, _SCHEMA, "config", ConfigError)
     if cfg["init"] != "default":
-        cfg["init"] = _section(cfg["init"], _INIT, "init")
+        cfg["init"] = checked_object(cfg["init"], _INIT, "init", ConfigError)
     return cfg
 
 
@@ -168,7 +110,7 @@ def _build_arch(cfg: dict):
 
 def _build_init_spec(init, arch) -> InitSpec:
     def distribution(doc, where: str) -> DistributionSpec:
-        return DistributionSpec(**_section(doc, _DISTRIBUTION, f"init {where}"))
+        return DistributionSpec(**checked_object(doc, _DISTRIBUTION, f"init {where}", ConfigError))
 
     if init == "default":
         return nonzero_mean_default(arch.parametrization, arch)

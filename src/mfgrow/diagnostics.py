@@ -16,7 +16,7 @@ from .arch import build_mlp
 from .data import synth_regression
 from .errors import ParameterError
 from .init import initialize, nonzero_mean_default
-from .net import Network, OptimizerState, backward_batch, zeros_network
+from .net import DEFAULT_LR_EXPONENT, Network, OptimizerState, backward_batch, zeros_network
 from .tensor import Rng, pearson_abs
 
 
@@ -267,13 +267,12 @@ def histograms_to_csv(edges: np.ndarray, counts) -> str:
 # ---------------------------------------------------------------------------
 
 
-def update_scaling_probe(
-    parametrization: str,
-    widths: tuple[int, int] = (256, 1024),
-    n_seeds: int = 5,
-    lr: float = 0.05,
-    batch_size: int = 64,
-) -> dict:
+_PROBE_LR = 0.05
+_PROBE_BATCH = 64
+
+
+def update_scaling_probe(parametrization: str, widths: tuple[int, int] = (256, 1024),
+                         n_seeds: int = 5) -> dict:
     """First-step middle-layer update size of a 3-layer net at two widths.
 
     Returns per-seed ratios mean|dW|_small / mean|dW|_large and their median.
@@ -283,18 +282,18 @@ def update_scaling_probe(
     sqrt(widths[1]/widths[0]).
     """
     small, large = widths
-    exponent = 0.0 if parametrization == "MFP" else 1.0
+    exponent = DEFAULT_LR_EXPONENT[parametrization]
     ratios = []
     for seed in range(n_seeds):
         deltas = {}
-        batch = synth_regression("sine", batch_size, 0.0, Rng(9000 + seed))
+        batch = synth_regression("sine", _PROBE_BATCH, 0.0, Rng(9000 + seed))
         for width in (small, large):
             arch = build_mlp(3, width, parametrization=parametrization)
             net = initialize(
                 zeros_network(arch), nonzero_mean_default(parametrization, arch),
                 Rng(seed),
             )
-            opt = OptimizerState.create(net, kind="sgd", lr=lr, lr_width_exponent=exponent)
+            opt = OptimizerState.create(net, kind="sgd", lr=_PROBE_LR, lr_width_exponent=exponent)
             before = net.store["w1"].copy()
             steps, _ = backward_batch(net, batch.inputs, batch.targets, "square", opt.rates)
             opt.apply(net, steps)

@@ -14,15 +14,12 @@ from .arch import PARAMETRIZATIONS, build_mlp
 from .data import synth_regression
 from .diagnostics import four_pair_report, heatmap_export, update_scaling_probe
 from .init import initialize, nonzero_mean_default
-from .net import OptimizerState, evaluate, train, zeros_network
+from .net import DEFAULT_LR_EXPONENT, OptimizerState, evaluate, train, zeros_network
 from .tensor import Rng
 from .transfer import transfer, uniform_plan
 
-# One base rate. SP/muP rescale it with width (their explicit forward scalars
-# would otherwise freeze the hidden layers at large width); MFP's per-weight
-# multipliers already carry its width scaling.
+# One base rate, rescaled with width by net.DEFAULT_LR_EXPONENT.
 DEFAULT_LR = 0.1
-DEFAULT_LR_EXPONENT = {"SP": 1.0, "muP": 1.0, "MFP": 0.0}
 
 
 def _write(out_dir, name: str, text: str) -> None:

@@ -66,9 +66,7 @@ def extract_measures(net: Network) -> list[GroupMeasure]:
     measures = [GroupMeasure(width) for width in partition.widths]
     for w in arch.weights:
         for ax in w.axes:
-            gi = partition.axis_groups.get((w.name, ax))
-            if gi is None:
-                continue
+            gi = partition.axis_groups[(w.name, ax)]
             arr = net.store[w.name]
             if w.kind == "vector":
                 measures[gi].slices[w.name] = arr[:, None]

@@ -9,8 +9,8 @@ per layer the weight, the bias, the forward scalar, the activation, and a
 flag that adds the previous layer's pre-activation before the activation.
 skip4 is the depth-4 chain plus two usages (w1 and b1 rows on gamma 3, since
 w1's rows feed both paths), and its ``skip4`` topology sets that residual
-flag on the third layer. A fragment has no plan and cannot run. The forward
-scalars follow ``arch._forward_scalar``.
+flag on the third layer. A Network holds only a chain or skip4 arch. The
+forward scalars follow ``arch._forward_scalar``.
 
 Each scalar is applied to the smaller side of its product: in place on the
 (batch, out) forward output, and folded with the batch mean's 1/B into the
@@ -50,11 +50,24 @@ _ACTIVATIONS = {
 
 @dataclass
 class Network:
-    """Architecture plus concrete weight arrays."""
+    """A runnable (chain or skip4) architecture plus concrete weight arrays:
+    construction raises StructureError unless the arch has a layer plan and
+    the store holds each of its weights at the declared shape."""
 
     arch: ArchGraph
     store: dict[str, np.ndarray]
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.arch.plan is None:
+            raise StructureError("network needs a runnable topology (chain or skip4)")
+        for w in self.arch.weights:
+            arr = self.store.get(w.name)
+            if arr is None:
+                raise StructureError(f"store is missing weight {w.name}")
+            if tuple(arr.shape) != w.shape:
+                raise StructureError(f"weight {w.name}: stored shape {tuple(arr.shape)} "
+                                     f"!= declared {w.shape}")
 
     @property
     def parametrization(self) -> str:
@@ -62,21 +75,7 @@ class Network:
 
     @property
     def plan(self) -> LayerPlan:
-        """The arch's layer plan; a fragment has none and cannot run."""
-        if self.arch.plan is None:
-            raise StructureError("network needs a runnable topology (chain or skip4)")
         return self.arch.plan
-
-    def validate(self) -> None:
-        """Check that the store holds the arch's weights at their declared shapes."""
-        for w in self.arch.weights:
-            arr = self.store.get(w.name)
-            if arr is None:
-                raise StructureError(f"store is missing weight {w.name}")
-            if tuple(arr.shape) != w.shape:
-                raise StructureError(
-                    f"weight {w.name}: stored shape {tuple(arr.shape)} != declared {w.shape}"
-                )
 
     def input_dim(self) -> int:
         return self.plan.input_dim
@@ -223,6 +222,11 @@ def lr_multiplier(weight: str, arch: ArchGraph) -> float:
         if p.resizable[gi]:
             mult *= p.widths[gi]
     return mult
+
+
+# The scripted runs' lr_width_exponent: SP/muP's forward scalars would freeze
+# the hidden layers at large width, and MFP's multipliers carry its scaling.
+DEFAULT_LR_EXPONENT = {"SP": 1.0, "muP": 1.0, "MFP": 0.0}
 
 
 @dataclass

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .arch import ArchGraph, GammaVar, WeightSpec
-from .errors import ParameterError, StructureError
+from .errors import ParameterError
 from .measure import STRATEGIES, draw_indices, extract_measures
 from .net import Network
 from .tensor import Rng
@@ -103,9 +103,6 @@ def transfer(net: Network, plan: TransferPlan, rng: Rng) -> Network:
     """Resample every group of the net's partition per the plan and rebuild
     all weights. The source network is left untouched."""
     arch = net.arch
-    if arch.plan is None:
-        raise StructureError("network needs a runnable topology (chain or skip4)")
-    net.validate()
     partition = arch.partition
     for gi in plan.targets:
         if gi not in range(len(partition)):

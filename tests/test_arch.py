@@ -216,6 +216,7 @@ class TestBuilders:
                               output_dim=d_out, parametrization=parametrization,
                               activation=act)
                 out = arch_to_json(g) + repr(g.plan)
+                assert arch_from_json(arch_to_json(g)) == g
             except (ParameterError, StructureError) as exc:
                 out = f"{type(exc).__name__}: {exc}"
             digest.update(out.encode() + b"\n")
@@ -301,19 +302,19 @@ class TestJson:
     # Each of these once loaded with a guess: gammas inferred from the axes
     # (the 3072 input and 10 outputs then became hidden), a missing role read
     # as hidden, and a missing topology read as a chain.
-    @pytest.mark.parametrize("strip", [
-        lambda d: d.pop("gammas"),
-        lambda d: d["gammas"][0].pop("role"),
-        lambda d: d.pop("topology"),
+    @pytest.mark.parametrize("strip, match", [
+        (lambda d: d.pop("gammas"), "file needs 'gammas'"),
+        (lambda d: d["gammas"][0].pop("role"), r"gammas\[0\] needs 'role'"),
+        (lambda d: d.pop("topology"), "file needs 'topology'"),
     ], ids=["gamma-less", "role-less", "topology-less"])
-    def test_incomplete_documents_rejected(self, strip):
+    def test_incomplete_documents_rejected(self, strip, match):
         doc = json.loads(arch_to_json(build_mlp(4, 8, with_skip=True)))
         strip(doc)
-        with pytest.raises(StructureError, match="is missing"):
+        with pytest.raises(StructureError, match=match):
             arch_from_json(json.dumps(doc))
 
     def test_unknown_key_rejected(self):
-        doc = {"parametrization": "MFP", "weights": [], "usages": [], "bogus": 1}
+        doc = {**json.loads(arch_to_json(build_mlp(2, 4))), "bogus": 1}
         with pytest.raises(StructureError, match="bogus"):
             arch_from_json(json.dumps(doc))
 
@@ -454,5 +455,5 @@ class TestArchJsonFuzz:
     ])
     def test_non_integer_numbers_rejected(self, entries, key, literal):
         text = _edited(lambda d: d[entries][0].__setitem__(key, _HUGE)).replace("1e400", literal)
-        with pytest.raises(StructureError, match=rf"{entries}\[0\]\.{key} must be an integer"):
+        with pytest.raises(StructureError, match=rf"{entries}\[0\] '{key}' must be an integer"):
             arch_from_json(text)

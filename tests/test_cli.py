@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import shutil
+import struct
 import tempfile
 from pathlib import Path
 from typing import get_origin
@@ -35,6 +36,21 @@ def small_ckpt(tmp_path):
     path = tmp_path / "small.ckpt"
     save_checkpoint(net, path, seed=0)
     return path
+
+
+def write_fragment_checkpoint(path):
+    """A v1 checkpoint of build_skip_block(8) and zero weights. No Network
+    holds a fragment, so save_checkpoint cannot write it: the bytes are
+    written here in its layout."""
+    arch = build_skip_block(8)
+    text = arch_to_json(arch).encode()
+    parts = [b"MFW1", struct.pack("<IQBI", 1, 0, 2, len(text)), text,
+             struct.pack("<I", len(arch.weights))]
+    for w in arch.weights:
+        parts += [struct.pack("<H", len(w.name)), w.name.encode(),
+                  struct.pack(f"<BB{len(w.shape)}I", 1, len(w.shape), *w.shape),
+                  np.zeros(w.shape).tobytes()]
+    path.write_bytes(b"".join(parts))
 
 
 def synth_config(tmp_path, **overrides):
@@ -161,7 +177,7 @@ class TestTransferCli:
 
     def test_fragment_without_layers_exits_2(self, tmp_path, capsys):
         src = tmp_path / "fragment.ckpt"
-        save_checkpoint(zeros_network(build_skip_block(8)), src)
+        write_fragment_checkpoint(src)
         rc = main(["transfer", "--from", str(src), "--widths", "16",
                    "--out", str(tmp_path / "big.ckpt")])
         assert rc == 2
@@ -467,6 +483,12 @@ class TestFailedCommandsWriteNothing:
         (["train", "--config", "{tmp}/rate-overflow.json"], 2),
         (["train", "--config", "{tmp}/rate-underflow.json"], 2),
         (["train", "--config", "{tmp}/fragment.json"], 2),
+        (["init", "--config", "{tmp}/fragment.json"], 2),
+        (["sample", "--ckpt", "{tmp}/fragment.ckpt", "--out", "{tmp}/samp"], 2),
+        (["diagnose", "--ckpt", "{tmp}/fragment.ckpt", "--report", "corr", "--out", "{tmp}/diag"],
+         2),
+        (["transfer", "--from", "{tmp}/fragment.ckpt", "--widths", "16", "--out",
+          "{tmp}/big.ckpt"], 2),
     ], ids=["sample-zero-target", "reproduce-no-cifar", "reproduce-cifar-dir-missing",
             "heatmap-vector-weight", "hist-unknown-weight", "transfer-out-is-directory",
             "train-out-is-file", "hist-no-matrix-weight", "reproduce-truncated-batch",
@@ -476,7 +498,8 @@ class TestFailedCommandsWriteNothing:
             "reproduce-regen-top-seed-minus-1", "transfer-r1-nan", "train-negative-seed-flag",
             "init-seed-flag-too-big", "train-targets-narrower-than-output",
             "train-inputs-narrower-than-input-dim", "train-width-scale-overflows",
-            "train-rate-overflows", "train-rate-underflows", "train-fragment"])
+            "train-rate-overflows", "train-rate-underflows", "train-fragment",
+            "init-fragment", "sample-fragment", "diagnose-fragment", "transfer-fragment"])
     def test_exits_with_error_and_leaves_outputs_alone(self, argv, code, small_ckpt, tmp_path,
                                                         monkeypatch, capsys):
         monkeypatch.delenv("MFGROW_CIFAR10_DIR", raising=False)
@@ -497,6 +520,7 @@ class TestFailedCommandsWriteNothing:
         fragment.write_text(arch_to_json(build_attention_block(4, 3)), encoding="utf-8")
         (tmp_path / "fragment.json").write_text(
             json.dumps({**doc, "arch": {"file": str(fragment)}}), encoding="utf-8")
+        write_fragment_checkpoint(tmp_path / "fragment.ckpt")
         (tmp_path / "taken").mkdir()
         (tmp_path / "file").write_text("not a directory", encoding="utf-8")
         save_checkpoint(zeros_network(build_mlp(2, 8)), tmp_path / "vectors.ckpt")
@@ -565,6 +589,28 @@ def test_hostile_arch_file_exits_2_and_writes_nothing(command, edit, literal, tm
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert _tree(tmp_path) == before
+
+
+# Config files and arch files share one check, so a non-integer in an integer
+# key of either gets one message. Python's json reads 1e400 as inf, and the
+# message writes it back as Infinity.
+@pytest.mark.parametrize("literal, shown", [
+    ("true", "true"), ("4.0", "4.0"), ("1e400", "Infinity"), ("null", "null"), ('"4"', '"4"'),
+], ids=["true", "4.0", "1e400", "null", "string"])
+@pytest.mark.parametrize("file", ["config", "arch"])
+def test_integer_key_message(file, literal, shown, tmp_path, capsys):
+    if file == "config":
+        path = synth_config(tmp_path, epochs="N")
+        argv = ["init", "--config", str(path)]
+    else:
+        doc = json.loads(arch_to_json(build_mlp(2, 4)))
+        doc["gammas"][0]["width"] = "N"
+        path = tmp_path / "arch.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["gamma", str(path)]
+    path.write_text(path.read_text(encoding="utf-8").replace('"N"', literal), encoding="utf-8")
+    assert main(argv) == 2
+    assert capsys.readouterr().err.endswith(f"must be an integer, got {shown}\n")
 
 
 # Python's json raises ValueError past 4,300 digits and RecursionError on

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mfgrow.arch import build_mlp
+from mfgrow.arch import build_mlp, build_skip_block
 from mfgrow.data import Dataset, synth_regression
-from mfgrow.errors import DivergenceError, ParameterError
+from mfgrow.errors import DivergenceError, ParameterError, StructureError
 from mfgrow.init import initialize, nonzero_mean_default
 from mfgrow.net import (
     Network,
@@ -78,6 +78,25 @@ def assert_gradcheck(net, x, y, loss, rtol=1e-6):
     X = np.atleast_1d(np.asarray(x, dtype=np.float64))[None, :]
     Y = np.asarray(y).reshape(1, -1) if loss == "square" else np.asarray(y).reshape(1)
     assert_matches_fd(backward_batch(net, X, Y, loss)[0], net, X, Y, loss, rtol)
+
+
+class TestConstruction:
+    # A Network holds only a runnable arch and a store of its weights.
+    @pytest.mark.parametrize("edit, match", [
+        (lambda store: store.pop("w1"), "store is missing weight w1"),
+        (lambda store: store.update(w1=np.zeros((8, 7))),
+         r"weight w1: stored shape \(8, 7\) != declared \(8, 8\)"),
+    ], ids=["missing-weight", "wrong-shape"])
+    def test_store_checked(self, edit, match):
+        net = make_net(3, 8)
+        store = dict(net.store)
+        edit(store)
+        with pytest.raises(StructureError, match=match):
+            Network(net.arch, store)
+
+    def test_fragment_rejected(self):
+        with pytest.raises(StructureError, match="runnable topology"):
+            zeros_network(build_skip_block(4))
 
 
 class TestForward:
