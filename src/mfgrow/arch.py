@@ -210,12 +210,6 @@ class GammaPartition:
     def __len__(self) -> int:
         return len(self.groups)
 
-    def group_of(self, gamma_id: int) -> int:
-        for i, grp in enumerate(self.groups):
-            if gamma_id in grp:
-                return i
-        raise StructureError(f"gamma {gamma_id} not in partition")
-
     def axis_group(self, weight: str, axis: str) -> int:
         """The group of a (weight, axis); a fragment's boundary axis has none."""
         try:
@@ -542,6 +536,32 @@ class Choice(dict):
 
 REQUIRED = object()  # the default of a key that has none
 
+
+class _Written(float):
+    """How JSON floats parse: a finite one as a plain float, one beyond the
+    float range as inf that keeps its ``text`` for messages."""
+
+    def __new__(cls, text: str):
+        value = float(text)
+        if math.isfinite(value):
+            return value
+        value = super().__new__(cls, value)
+        value.text = text
+        return value
+
+
+def _shown(value) -> str:
+    return value.text if isinstance(value, _Written) else json.dumps(value)
+
+
+def read_json(text: str, what: str, error: type[MfgrowError]):
+    """The JSON document ``text``; bad JSON, or JSON past the parser's
+    limits, raises ``error``."""
+    try:
+        return json.loads(text, parse_float=_Written)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
+
 _JSON_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
                str: "a string", list: "a list", list[int]: "a list of integers",
                list[str]: "a list of strings", dict: "an object"}
@@ -568,7 +588,7 @@ def checked_value(value, kind, what: str, error: type[MfgrowError]):
         ok = isinstance(value, tuple(get_origin(k) or k for k in kinds))
     if not ok:
         expected = " or ".join(_JSON_KINDS[k] for k in kinds)
-        raise error(f"{what} must be {expected}, got {json.dumps(value)}")
+        raise error(f"{what} must be {expected}, got {_shown(value)}")
     return float(value) if kind is float else value
 
 
@@ -578,7 +598,7 @@ def checked_object(doc, schema: dict, where: str, error: type[MfgrowError]) -> d
     default is computed from the section's values. A missing key with no
     default, an unknown key or choice and a wrong JSON type raise ``error``."""
     if type(doc) is not dict:
-        raise error(f"{where} must be an object, got {json.dumps(doc)}")
+        raise error(f"{where} must be an object, got {_shown(doc)}")
     out, items = {}, list(schema.items())
     for key, (kind, default) in items:  # a Choice appends its section's items
         value = doc.get(key, default)
@@ -620,12 +640,9 @@ _ENTRIES = {"weights": _required(name=str, kind=str, shape=list[int]),
 def arch_from_json(text: str) -> ArchGraph:
     """Read an architecture in the form ``arch_to_json`` writes, and only
     that form. Anything else raises StructureError."""
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise StructureError(f"architecture file is not valid JSON: {exc}") from None
     where = "malformed architecture file"
-    doc = checked_object(doc, _ARCH, where, StructureError)
+    doc = checked_object(read_json(text, "architecture file", StructureError), _ARCH, where,
+                         StructureError)
     weights, usages, gammas = (
         [checked_object(entry, schema, f"{where} {key}[{i}]", StructureError)
          for i, entry in enumerate(doc[key])]
@@ -634,7 +651,7 @@ def arch_from_json(text: str) -> ArchGraph:
         if (type(pair) is not list or len(pair) != 2 or type(pair[0]) is not str
                 or not (pair[1] is None or type(pair[1]) is str)):
             raise StructureError(f"{where} layers[{i}] must be a [weight, bias-or-null] pair, "
-                                 f"got {json.dumps(pair)}")
+                                 f"got {_shown(pair)}")
     return ArchGraph(
         weights=tuple(WeightSpec(w["name"], w["kind"], tuple(w["shape"])) for w in weights),
         usages=tuple(AxisUsage(**u) for u in usages),

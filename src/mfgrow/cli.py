@@ -1,6 +1,8 @@
 """Command-line harness.
 
 Subcommands: gamma, init, train, transfer, diagnose, sample, reproduce.
+``sample --seed S --group G --target T`` writes the indices that
+``transfer --seed S`` draws for group G at width T (``transfer.index_sets``).
 Exit codes: 0 success, 1 acceptance failure, 2 input error, 3 missing data.
 The CIFAR-10 directory comes from configs/flags or MFGROW_CIFAR10_DIR;
 nothing is ever fetched from the network.
@@ -9,14 +11,13 @@ nothing is ever fetched from the network.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from . import experiments
-from .arch import REQUIRED as _REQUIRED, Choice as _Choice
-from .arch import arch_from_json, build_mlp, checked_object, format_partition
+from .arch import (REQUIRED, Choice, arch_from_json, build_mlp, checked_object, format_partition,
+                   read_json)
 from .data import load_checkpoint, load_cifar10, save_checkpoint, synth_regression
 from .diagnostics import (
     correlation_matrix,
@@ -28,10 +29,10 @@ from .diagnostics import (
 )
 from .errors import ConfigError, MfgrowError, MissingDataError, ParameterError, StructureError
 from .init import InitSpec, initialize, iid_spec, nonzero_mean_default, rc_spec
-from .measure import STRATEGIES, draw_indices, extract_measures
+from .measure import STRATEGIES, extract_measures
 from .net import OptimizerState, check_data, check_schedule, train, zeros_network
 from .tensor import DistributionSpec, Rng
-from .transfer import TransferPlan, transfer, uniform_plan
+from .transfer import TransferPlan, index_sets, transfer, uniform_plan
 
 EXIT_OK = 0
 EXIT_ACCEPTANCE = 1
@@ -56,22 +57,22 @@ _SCHEMA = {
     # null keeps the architecture's own: the file's, else build_mlp's MFP.
     "parametrization": (str, None),
     # An architecture file, or build_mlp's arguments.
-    "arch": ({"builder": (_Choice(file={"file": (str, _REQUIRED)}, mlp=_MLP),
-                          lambda arch: "file" if "file" in arch else "mlp")}, _REQUIRED),
+    "arch": ({"builder": (Choice(file={"file": (str, REQUIRED)}, mlp=_MLP),
+                          lambda arch: "file" if "file" in arch else "mlp")}, REQUIRED),
     "init": ((str, dict), "default"),  # "default", or an _INIT section
     "optimizer": ({"kind": (str, "sgd"), "lr": (float, 0.1), "batch_size": (int, 64),
                    "lr_width_exponent": (float, 0.0)}, {}),
     "epochs": (int, 1),
     "seeds": (list[int], [0]),
-    "dataset": ({"kind": (_Choice(cifar10={"dir": (str, None)}, sine=_SYNTHETIC,
-                                  cubic=_SYNTHETIC), _REQUIRED)}, _REQUIRED),
+    "dataset": ({"kind": (Choice(cifar10={"dir": (str, None)}, sine=_SYNTHETIC,
+                                 cubic=_SYNTHETIC), REQUIRED)}, REQUIRED),
     "out_dir": (str, "out"),
 }
 # "distributions" and "rc_pairs" map weight names to _DISTRIBUTION objects
 # and to [row, col] pairs of them; "phi" is a form name or a map to them.
 _RC = {"rc_pairs": (dict, {}), "phi": ((str, dict), "sum")}
-_INIT = {"mode": (_Choice(iid={}, rc=_RC), "iid"), "distributions": (dict, {})}
-_DISTRIBUTION = {"kind": (str, _REQUIRED), "a": (float, 0.0), "b": (float, 0.0)}
+_INIT = {"mode": (Choice(iid={}, rc=_RC), "iid"), "distributions": (dict, {})}
+_DISTRIBUTION = {"kind": (str, REQUIRED), "a": (float, 0.0), "b": (float, 0.0)}
 
 
 def _read_text(path, error: type[MfgrowError], what: str) -> str:
@@ -87,10 +88,7 @@ def _read_text(path, error: type[MfgrowError], what: str) -> str:
 
 def load_config(path) -> dict:
     """The config at ``path``, checked against _SCHEMA with defaults filled in."""
-    try:
-        doc = json.loads(_read_text(path, ConfigError, "config file"))
-    except (ValueError, RecursionError) as exc:  # bad JSON, or past the parser's limits
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    doc = read_json(_read_text(path, ConfigError, "config file"), "config", ConfigError)
     cfg = checked_object(doc, _SCHEMA, "config", ConfigError)
     if cfg["init"] != "default":
         cfg["init"] = checked_object(cfg["init"], _INIT, "init", ConfigError)
@@ -291,22 +289,17 @@ def cmd_sample(args) -> int:
     measures = extract_measures(net)
     if not 0 <= args.group < len(measures):
         raise ConfigError(f"group must be in [0, {len(measures)}), got {args.group}")
-    m = measures[args.group]
+    files = {f"group{args.group}_measure.csv": measures[args.group].to_csv()}
     if args.target is not None:
-        idx = draw_indices(m, args.target, args.strategy, args.r2, Rng(args.seed or 0).generator())
+        # The draw `transfer --seed S` makes for this group at this target.
+        plan = TransferPlan({args.group: args.target}, args.strategy, r2=args.r2)
+        idx = index_sets(net, plan, Rng(args.seed or 0))[args.group]
+        files[f"group{args.group}_indices.csv"] = "position,source_index\n" + "".join(
+            f"{i},{v}\n" for i, v in enumerate(idx))
     out = _out_dir(args)
-    measure_path = out / f"group{args.group}_measure.csv"
-    measure_path.write_text(m.to_csv(), encoding="utf-8")
-    if args.target is None:
-        print(f"wrote {measure_path}")
-        return EXIT_OK
-    idx_path = out / f"group{args.group}_indices.csv"
-    idx_path.write_text(
-        "position,source_index\n"
-        + "\n".join(f"{i},{v}" for i, v in enumerate(idx)) + "\n",
-        encoding="utf-8",
-    )
-    print(f"wrote {measure_path} and {idx_path}")
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")
+    print("wrote " + " and ".join(str(out / name) for name in files))
     return EXIT_OK
 
 

@@ -210,7 +210,8 @@ def draw_indices(m: GroupMeasure, target: int, strategy: str, r2: float,
 def coupling_contrast(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     """(mean(u_i * v_i), mean(u) * mean(v)): the paired empirical pairing
     versus the decoupled product-of-marginals pairing. They differ by the
-    empirical covariance."""
+    empirical covariance. No package code calls it: it is criterion 10's
+    reference for the paper's paired-vs-decoupled coupling."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 1 or u.size < 2:

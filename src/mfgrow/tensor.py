@@ -41,10 +41,6 @@ class Rng:
             raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed = seed
 
-    def generator(self) -> np.random.Generator:
-        """Root stream (substream 0)."""
-        return self.substream(0)
-
     def substream(self, label) -> np.random.Generator:
         """Independent stream for an integer or string label."""
         if isinstance(label, str):

@@ -20,7 +20,8 @@ from .measure import STRATEGIES, draw_indices, extract_measures
 from .net import Network
 from .tensor import Rng
 
-__all__ = ["TransferPlan", "apply_noise", "duplicate_grow", "transfer", "uniform_plan"]
+__all__ = ["TransferPlan", "apply_noise", "duplicate_grow", "index_sets", "transfer",
+           "uniform_plan"]
 
 
 @dataclass(frozen=True)
@@ -49,11 +50,8 @@ class TransferPlan:
 
 def uniform_plan(arch: ArchGraph, new_width: int, **kwargs) -> TransferPlan:
     """Plan that sends every resizable group of ``arch`` to ``new_width``."""
-    partition = arch.partition
-    targets = {
-        gi: new_width for gi in range(len(partition)) if partition.resizable[gi]
-    }
-    return TransferPlan(targets=targets, **kwargs)
+    resizable = arch.partition.resizable
+    return TransferPlan({gi: new_width for gi in range(len(resizable)) if resizable[gi]}, **kwargs)
 
 
 _NOISE_BLOCK = 1 << 15
@@ -85,38 +83,39 @@ def apply_noise(w: np.ndarray, r1: float, gen: np.random.Generator) -> None:
         block *= u
 
 
-def _group_index_set(measures, partition, plan, gi, rng) -> np.ndarray:
-    width = partition.widths[gi]
-    target = int(plan.targets.get(gi, width))
-    if not partition.resizable[gi]:
-        if target != width:
-            raise ParameterError(
-                f"group {gi} has a data-tied width {width}; cannot resize to {target}"
-            )
-        return np.arange(width, dtype=np.int64)
-    return draw_indices(
-        measures[gi], target, plan.strategy, plan.r2, rng.substream(f"transfer/idx/{gi}")
-    )
+def index_sets(net: Network, plan: TransferPlan, rng: Rng) -> dict[int, np.ndarray]:
+    """The source units each group of the net's partition takes under
+    ``plan``, by group index: a data group keeps its identity set, and each
+    resizable group draws from its own substream ``transfer/idx/{gi}``.
+    ``transfer`` gathers by these sets, and ``mfgrow sample`` writes them."""
+    partition = net.arch.partition
+    for gi in plan.targets:
+        if gi not in range(len(partition)):
+            raise ParameterError(f"plan target {gi!r} names no group: "
+                                 f"the net has {len(partition)} groups")
+    measures = extract_measures(net)
+    sets = {}
+    for gi, width in enumerate(partition.widths):
+        target = int(plan.targets.get(gi, width))
+        if partition.resizable[gi]:
+            sets[gi] = draw_indices(measures[gi], target, plan.strategy, plan.r2,
+                                    rng.substream(f"transfer/idx/{gi}"))
+        elif target != width:
+            raise ParameterError(f"group {gi} has a data-tied width {width}; "
+                                 f"cannot resize to {target}")
+        else:
+            sets[gi] = np.arange(width, dtype=np.int64)
+    return sets
 
 
 def transfer(net: Network, plan: TransferPlan, rng: Rng) -> Network:
-    """Resample every group of the net's partition per the plan and rebuild
-    all weights. The source network is left untouched."""
+    """Rebuild every weight from ``index_sets(net, plan, rng)``: gather each
+    resized axis, then add the r1 noise. The source network is left untouched."""
     arch = net.arch
     partition = arch.partition
-    for gi in plan.targets:
-        if gi not in range(len(partition)):
-            raise ParameterError(
-                f"plan target {gi!r} names no group: the net has {len(partition)} groups"
-            )
-    measures = extract_measures(net)
-    index_sets = {
-        gi: _group_index_set(measures, partition, plan, gi, rng)
-        for gi in range(len(partition))
-    }
+    sets = index_sets(net, plan, rng)
 
     new_store: dict[str, np.ndarray] = {}
-    new_weights: list[WeightSpec] = []
     for w in arch.weights:
         # Gather only along resized axes: a data-tied axis keeps its full
         # extent, so indexing it through its identity set would only copy.
@@ -128,20 +127,18 @@ def transfer(net: Network, plan: TransferPlan, rng: Rng) -> Network:
         for axis, name in enumerate(w.axes):
             gi = partition.axis_groups[(w.name, name)]
             if partition.resizable[gi]:
-                arr = np.take(arr, index_sets[gi], axis=axis)
+                arr = np.take(arr, sets[gi], axis=axis)
                 resampled = True
         if resampled and plan.r1 > 0.0:
             apply_noise(arr, plan.r1, rng.substream(f"transfer/noise/{w.name}"))
         elif not resampled:
             arr = arr.copy()
         new_store[w.name] = arr
-        new_weights.append(WeightSpec(w.name, w.kind, tuple(arr.shape)))
 
-    new_gammas = []
-    for gm in arch.gammas:
-        gi = partition.group_of(gm.id)
-        new_gammas.append(GammaVar(gm.id, len(index_sets[gi]), gm.role))
-    new_arch = replace(arch, weights=tuple(new_weights), gammas=tuple(new_gammas))
+    new_weights = tuple(WeightSpec(w.name, w.kind, new_store[w.name].shape) for w in arch.weights)
+    new_width = {gid: len(sets[gi]) for gi, grp in enumerate(partition.groups) for gid in grp}
+    new_gammas = tuple(GammaVar(gm.id, new_width[gm.id], gm.role) for gm in arch.gammas)
+    new_arch = replace(arch, weights=new_weights, gammas=new_gammas)
     return Network(new_arch, new_store, dict(net.meta))
 
 
@@ -151,11 +148,6 @@ def duplicate_grow(net: Network, k: int) -> Network:
     nothing and applies no noise."""
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    partition = net.arch.partition
-    targets = {
-        gi: partition.widths[gi] * k
-        for gi in range(len(partition))
-        if partition.resizable[gi]
-    }
-    plan = TransferPlan(targets=targets, strategy="duplicate")
-    return transfer(net, plan, Rng(0))
+    p = net.arch.partition
+    targets = {gi: width * k for gi, width in enumerate(p.widths) if p.resizable[gi]}
+    return transfer(net, TransferPlan(targets, strategy="duplicate"), Rng(0))

@@ -110,7 +110,7 @@ def test_criterion_2_gradient_fidelity():
 
 def test_criterion_3_function_preservation():
     t0 = time.time()
-    xs = Rng(321).generator().uniform(-3, 3, size=(1000, 1))
+    xs = Rng(321).substream(0).uniform(-3, 3, size=(1000, 1))
     worst = 0.0
     for k in (2, 3):
         for depth in (2, 3, 4, 5):
@@ -207,7 +207,7 @@ def test_criterion_9_update_scaling():
 
 def test_criterion_10_coupling_contrast():
     n = 10_000
-    u = Rng(12).generator().normal(0.0, 1.0, size=n)
+    u = Rng(12).substream(0).normal(0.0, 1.0, size=n)
     paired, decoupled = coupling_contrast(u, u)
     gap = paired - decoupled
     ok = abs(gap - 1.0) <= 3.0 / np.sqrt(n)

@@ -107,7 +107,7 @@ class TestAxisGroups:
         p = arch.partition
         assert set(p.axis_groups) == {(u.weight, u.axis) for u in arch.usages}
         for u in arch.usages:
-            assert p.axis_groups[(u.weight, u.axis)] == p.group_of(u.gamma)
+            assert u.gamma in p.groups[p.axis_groups[(u.weight, u.axis)]]
 
     def test_unmapped_axis_lookup_raises_structure_error(self):
         block = build_skip_block(3)
@@ -155,8 +155,7 @@ class TestPartitionProperties:
         )
         gammas = (GammaVar(1, 4), GammaVar(2, 8), GammaVar(3, 4))
         g = ArchGraph(weights, usages, gammas, "MFP", topology="fragment")
-        p = g.partition
-        assert p.group_of(1) == p.group_of(3)
+        assert g.partition.groups == ((1, 3), (2,))
 
     def test_forced_merge_width_conflict_raises(self):
         weights = (WeightSpec("a", "matrix", (4, 8)),)

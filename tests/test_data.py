@@ -204,7 +204,7 @@ class TestCheckpoint:
         path = tmp_path / "c.ckpt"
         save_checkpoint(net, path)
         loaded = load_checkpoint(path)
-        xs = Rng(9).generator().normal(size=(100, 1))
+        xs = Rng(9).substream(0).normal(size=(100, 1))
         assert np.array_equal(forward_batch(loaded, xs), forward_batch(net, xs))
 
     def test_bad_magic(self, tmp_path):

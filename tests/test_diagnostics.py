@@ -79,7 +79,7 @@ class TestCorrelationMatrix:
         assert report.pairs == [("a", "b", pytest.approx(1.0))]
 
     def test_independent_profiles_decorrelated(self):
-        gen = Rng(1).generator()
+        gen = Rng(1).substream(0)
         hits = 0
         for _ in range(20):
             a = gen.normal(size=1000)
@@ -96,7 +96,7 @@ class TestCorrelationMatrix:
         assert report.pairs == []
 
     def test_affine_invariance(self):
-        gen = Rng(2).generator()
+        gen = Rng(2).substream(0)
         a, b = gen.normal(size=50), gen.normal(size=50)
         base = pearson_abs(a, b)
         assert pearson_abs(3.0 * a + 2.0, b) == pytest.approx(base, abs=1e-12)
@@ -130,8 +130,8 @@ class TestFourPairReport:
 class TestHeatmap:
     def test_rank_one_sorted_grid_is_monotone(self):
         net = make_net(3, 12, seed=7)
-        r = np.sort(Rng(8).generator().uniform(0.5, 2.0, 12))
-        c = np.sort(Rng(9).generator().uniform(0.5, 2.0, 12))
+        r = np.sort(Rng(8).substream(0).uniform(0.5, 2.0, 12))
+        c = np.sort(Rng(9).substream(0).uniform(0.5, 2.0, 12))
         net.store["w1"] = np.outer(r, c)
         grid = heatmap_export(net, "w1", "minmax")
         assert (np.diff(grid, axis=0) >= -1e-12).all()
@@ -258,14 +258,14 @@ class TestGridWriter:
         # value sit between and inside blocks of exact rows.
         cols = 700
         rows = 3 * (diagnostics._GRID_BLOCK_VALUES // cols) + 1
-        grid = Rng(4).generator().normal(size=(rows, cols)) * 30.0
+        grid = Rng(4).substream(0).normal(size=(rows, cols)) * 30.0
         grid[5, 3] = 0.0078125
         grid[rows // 2, -1] = np.nan
         grid[-1, 0] = -np.inf
         assert written_text(grid) == per_value_text(grid)
 
     def test_fixed_width_grid_takes_the_numpy_path(self):
-        grid = Rng(5).generator().uniform(0.0, 1.0, size=(40, 900))
+        grid = Rng(5).substream(0).uniform(0.0, 1.0, size=(40, 900))
         with mock.patch.object(diagnostics, "_format_exact_rows",
                                wraps=diagnostics._format_exact_rows) as fast:
             text = written_text(grid)

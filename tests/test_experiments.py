@@ -27,7 +27,7 @@ def splits(tmp_path_factory):
     """The (train, test) splits of a fixture written in the CIFAR binary
     format, loaded once for the module."""
     root = tmp_path_factory.mktemp("cifar_fixture")
-    gen = Rng(77).generator()
+    gen = Rng(77).substream(0)
 
     def write(path, n):
         pixels = gen.integers(0, 256, size=(n, CIFAR_RECORD - 1), dtype=np.uint8)

@@ -53,7 +53,7 @@ def test_sgd_apply_updates_in_place():
     # subtracts it, so no weight-sized temporary is made.
     net = cifar_net(300)
     opt = OptimizerState.create(net, lr=0.1)
-    gen = Rng(3).generator()
+    gen = Rng(3).substream(0)
     X, Y = gen.uniform(0.0, 1.0, size=(64, 3072)), gen.integers(0, 10, size=64)
     steps, _ = backward_batch(net, X, Y, "cross_entropy", opt.rates)
     _, extra = traced_peak(lambda: opt.apply(net, steps))

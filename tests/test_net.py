@@ -178,12 +178,12 @@ class TestBackward:
 
     def test_gradcheck_cross_entropy(self):
         net = make_net(3, 8, "MFP", with_bias=True, input_dim=6, output_dim=4, seed=2)
-        x = Rng(4).generator().normal(size=6)
+        x = Rng(4).substream(0).normal(size=6)
         assert_gradcheck(net, x, 2, "cross_entropy")
 
     def test_gradcheck_multi_output_square(self):
         net = make_net(3, 8, "muP", with_bias=True, input_dim=5, output_dim=3, seed=6)
-        gen = Rng(7).generator()
+        gen = Rng(7).substream(0)
         assert_gradcheck(net, gen.normal(size=5), gen.normal(size=3), "square")
 
     @pytest.mark.parametrize("parametrization", ["SP", "muP", "MFP"])
@@ -194,7 +194,7 @@ class TestBackward:
         # folded into each weight gradient.
         net = make_net(depth, 8, parametrization, with_bias=True, with_skip=with_skip,
                        input_dim=6, output_dim=4, seed=depth)
-        gen = Rng(8).generator()
+        gen = Rng(8).substream(0)
         X = gen.normal(size=(8, 6))
         Y = gen.normal(size=(8, 4)) if loss == "square" else gen.integers(0, 4, size=8)
         grads, _ = backward_batch(net, X, Y, loss)
@@ -256,7 +256,7 @@ class TestDuplicationTrajectory:
         big = duplicate_grow(small, k)
         opt_small = OptimizerState.create(small, lr=0.05)
         opt_big = OptimizerState.create(big, lr=0.05)
-        gen = Rng(12).generator()
+        gen = Rng(12).substream(0)
         probe = gen.uniform(-2, 2, size=(64, 1))
         for _ in range(20):
             X = gen.uniform(-2, 2, size=(16, 1))
@@ -296,7 +296,7 @@ class TestSgdUpdate:
         # are vectors.
         net = make_net(3, 301, with_bias=True, input_dim=1000, seed=4)
         net.store["w1"] = np.asfortranarray(net.store["w1"])
-        gen = Rng(5).generator()
+        gen = Rng(5).substream(0)
         steps = {k: gen.normal(size=v.shape) for k, v in net.store.items()}
         steps_before = {k: g.copy() for k, g in steps.items()}
         before = {k: v.copy() for k, v in net.store.items()}
@@ -316,7 +316,7 @@ class TestSgdUpdate:
         # matrix's largest entry.
         net = make_net(4, 12, parametrization, with_bias=True, with_skip=True, input_dim=dims[0],
                        output_dim=dims[1], seed=3)
-        gen = Rng(6).generator()
+        gen = Rng(6).substream(0)
         X, Y = gen.normal(size=(16, dims[0])), gen.normal(size=(16, dims[1]))
         opt = OptimizerState.create(net, lr=0.3, lr_width_exponent=0.5)
         grads, loss = backward_batch(net, X, Y)
@@ -355,7 +355,7 @@ def trained_case(case):
         arch = build_mlp(3, 24, with_bias=True, input_dim=3072, output_dim=10,
                          parametrization=param)
         net = initialize(zeros_network(arch), nonzero_mean_default(param, arch), Rng(60))
-        gen = Rng(61).generator()
+        gen = Rng(61).substream(0)
         data = Dataset(gen.uniform(0.0, 1.0, size=(128, 3072)), gen.integers(0, 10, size=128))
         opt = OptimizerState.create(net, lr=0.1, lr_width_exponent=0.0 if param == "MFP" else 1.0)
         return net, opt, data, "cross_entropy"
@@ -406,7 +406,7 @@ class TestTrain:
         # train's step is backward_batch (with the SGD rates) then apply.
         def run(by_hand):
             net = make_net(4, 8, with_bias=True, input_dim=3, output_dim=2, seed=7)
-            gen = Rng(8).generator()
+            gen = Rng(8).substream(0)
             data = Dataset(gen.normal(size=(40, 3)), gen.normal(size=(40, 2)))
             opt = OptimizerState.create(net, kind=kind, lr=0.05)
             if not by_hand:

@@ -7,13 +7,13 @@ from mfgrow.tensor import Rng, constant, gaussian, pearson_abs, uniform
 
 class TestRng:
     def test_same_seed_same_stream(self):
-        a = Rng(42).generator().normal(size=10)
-        b = Rng(42).generator().normal(size=10)
+        a = Rng(42).substream(0).normal(size=10)
+        b = Rng(42).substream(0).normal(size=10)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = Rng(1).generator().normal(size=10)
-        b = Rng(2).generator().normal(size=10)
+        a = Rng(1).substream(0).normal(size=10)
+        b = Rng(2).substream(0).normal(size=10)
         assert not np.array_equal(a, b)
 
     def test_substreams_independent_of_draw_order(self):
@@ -36,7 +36,7 @@ class TestRng:
 
     def test_top_seed_draws_without_warning(self):
         # The suite turns warnings into errors, a key cast warning among them.
-        assert 0.0 <= Rng(2**64 - 1).generator().random() < 1.0
+        assert 0.0 <= Rng(2**64 - 1).substream(0).random() < 1.0
 
     def test_bad_seed(self):
         with pytest.raises(ParameterError):
@@ -47,16 +47,16 @@ class TestRng:
 
 class TestSample:
     def test_constant(self):
-        out = constant(1.0).draw(Rng(0).generator(), 4)
+        out = constant(1.0).draw(Rng(0).substream(0), 4)
         assert np.array_equal(out, np.ones(4))
 
     def test_gaussian_moments(self):
-        out = gaussian(1.0, 3.0).draw(Rng(1).generator(), 100_000)
+        out = gaussian(1.0, 3.0).draw(Rng(1).substream(0), 100_000)
         assert abs(out.mean() - 1.0) < 0.05
         assert abs(out.std() - 3.0) < 0.05
 
     def test_uniform_mean(self):
-        out = uniform(-1.0, 1.0).draw(Rng(2).generator(), 100_000)
+        out = uniform(-1.0, 1.0).draw(Rng(2).substream(0), 100_000)
         assert abs(out.mean()) < 0.02
 
     def test_parameter_errors(self):
@@ -68,11 +68,11 @@ class TestSample:
 
 class TestPearson:
     def test_self_is_one(self):
-        x = Rng(0).generator().normal(size=100)
+        x = Rng(0).substream(0).normal(size=100)
         assert pearson_abs(x, x) == pytest.approx(1.0)
 
     def test_negation_is_one(self):
-        x = Rng(0).generator().normal(size=100)
+        x = Rng(0).substream(0).normal(size=100)
         assert pearson_abs(x, -x) == pytest.approx(1.0)
 
     def test_constant_is_zero(self):

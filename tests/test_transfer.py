@@ -7,12 +7,13 @@ from mfgrow.arch import build_mlp
 from mfgrow.data import load_checkpoint, save_checkpoint, synth_regression
 from mfgrow.errors import ParameterError
 from mfgrow.init import initialize, nonzero_mean_default
-from mfgrow.net import OptimizerState, evaluate, forward_batch, train, zeros_network
+from mfgrow.net import OptimizerState, _run, evaluate, forward_batch, train, zeros_network
 from mfgrow.tensor import Rng
 from mfgrow.transfer import (
     TransferPlan,
     apply_noise,
     duplicate_grow,
+    index_sets,
     transfer,
     uniform_plan,
 )
@@ -37,21 +38,21 @@ def noised(w, r1, gen):
 class TestApplyNoise:
     def test_perturb_r1_zero_is_identity(self):
         w = np.array([1.5, -2.0])
-        assert np.array_equal(noised(w, 0.0, Rng(0).generator()), w)
+        assert np.array_equal(noised(w, 0.0, Rng(0).substream(0)), w)
 
     def test_perturb_mean_ratio(self):
         w = np.ones(100_000)
-        out = noised(w, 0.1, Rng(1).generator())
+        out = noised(w, 0.1, Rng(1).substream(0))
         assert abs(np.mean(out / w) - 1.0) < 0.002
 
     def test_negative_r1_rejected(self):
         with pytest.raises(ParameterError):
-            apply_noise(np.ones(3), -0.1, Rng(0).generator())
+            apply_noise(np.ones(3), -0.1, Rng(0).substream(0))
 
     @pytest.mark.parametrize("r1", [np.nan, np.inf])
     def test_non_finite_r1_rejected(self, r1):
         with pytest.raises(ParameterError, match="finite"):
-            apply_noise(np.ones(3), r1, Rng(0).generator())
+            apply_noise(np.ones(3), r1, Rng(0).substream(0))
         with pytest.raises(ParameterError, match="finite"):
             TransferPlan(r1=r1)
 
@@ -76,7 +77,7 @@ class TestDuplication:
     def test_function_preservation_chain(self, depth, k):
         net = make_net(depth, 10, seed=depth, with_bias=(depth != 2))
         grown = duplicate_grow(net, k)
-        xs = Rng(99).generator().uniform(-2, 2, size=(200, 1))
+        xs = Rng(99).substream(0).uniform(-2, 2, size=(200, 1))
         f_old = forward_batch(net, xs)
         f_new = forward_batch(grown, xs)
         assert max_rel_dev(f_new, f_old) <= 1e-9
@@ -85,7 +86,7 @@ class TestDuplication:
     def test_function_preservation_skip(self, k):
         net = make_net(4, 8, seed=4, with_bias=True, with_skip=True)
         grown = duplicate_grow(net, k)
-        xs = Rng(98).generator().uniform(-2, 2, size=(200, 1))
+        xs = Rng(98).substream(0).uniform(-2, 2, size=(200, 1))
         assert max_rel_dev(forward_batch(grown, xs), forward_batch(net, xs)) <= 1e-9
 
     def test_doubling_makes_four_equal_blocks(self):
@@ -114,7 +115,7 @@ class TestRandomGrowth:
         # function. (A same-size draw is without replacement: a pure
         # permutation, which leaves the function exactly invariant.)
         net = make_net(3, 100, seed=2)
-        xs = Rng(97).generator().uniform(-2, 2, size=(100, 1))
+        xs = Rng(97).substream(0).uniform(-2, 2, size=(100, 1))
         f_src = forward_batch(net, xs)
 
         def mean_deviation(width):
@@ -134,7 +135,7 @@ class TestRandomGrowth:
     def test_same_size_draw_is_permutation(self, depth, width, kw):
         net = make_net(depth, width, seed=12, **kw)
         shuffled = transfer(net, uniform_plan(net.arch, width), Rng(13))
-        xs = Rng(96).generator().uniform(-2, 2, size=(50, 1))
+        xs = Rng(96).substream(0).uniform(-2, 2, size=(50, 1))
         assert np.allclose(forward_batch(shuffled, xs), forward_batch(net, xs), atol=1e-12)
         assert not np.array_equal(shuffled.store["v"], net.store["v"])
 
@@ -207,6 +208,64 @@ class TestPruning:
         net.store["v"] = np.zeros(10)
         pruned = transfer(net, uniform_plan(net.arch, 5, r2=0.5), Rng(12))
         assert set(pruned.store["u"].tolist()) <= {6.0, 7.0, 8.0, 9.0, 10.0}
+
+
+class TestFinitePopulationOracle:
+    """A ``random`` transfer at r1 = r2 = 0 that resizes only the group
+    feeding an MFP chain's readout samples the output's per-unit terms. Write
+    f_P(x) = (1/P) sum_j c_j(x) with c_j = P * s * v_j * phi_j(x), s the
+    readout scalar, and sigma^2(x) the population variance of c_j(x) over the
+    P units. Then exactly: subsetting to T < P without replacement gives
+    E (f_T - f_P)^2 = sigma^2 (P - T) / (T (P - 1)), and residual growth to
+    T = qP + r gives (r/T)^2 sigma^2 (P - r) / (r (P - 1)).
+
+    Each case compares the mean over draws of mean_x (f_T - f_P)^2 on fixed
+    probes with the formula's mean over the probes, and requires |z| < 4,
+    z being the gap in standard errors of that mean. A subsetting draw with
+    replacement has (P - 1)/(P - T) times the variance, 2.5x at 100 -> 60."""
+
+    DRAWS = 1000
+
+    @pytest.fixture(scope="class", params=[2, 3], ids=["depth2", "depth3"])
+    def source(self, request):
+        net = make_net(request.param, 100, seed=60 + request.param)
+        data = synth_regression("sine", 256, 0.0, Rng(70))
+        train(net, data, OptimizerState.create(net, lr=0.05), epochs=10, batch_size=32,
+              rng=Rng(71))
+        return net
+
+    @pytest.mark.parametrize("target", [60, 170], ids=["subset", "grow"])
+    def test_mean_squared_deviation_matches_exact_variance(self, source, target):
+        probes = np.linspace(-2.0, 2.0, 16)[:, None]
+        out, inputs = _run(source, probes, keep=True)
+        readout = source.plan.layers[-1]
+        v = source.store[readout.weight]
+        width = v.shape[-1]
+        contrib = width * readout.scalar * inputs[-1] * v  # c_j(x): (probes, P)
+        f_src = contrib.mean(axis=1)
+        sigma2 = contrib.var(axis=1)
+        if target < width:
+            expected = sigma2 * (width - target) / (target * (width - 1))
+        else:
+            r = target % width
+            expected = (r / target) ** 2 * sigma2 * (width - r) / (r * (width - 1))
+
+        partition = source.arch.partition
+        group = partition.axis_groups[(readout.weight, source.arch.weight(readout.weight).axes[-1])]
+        plan = TransferPlan(targets={group: target})
+        dev = np.empty(self.DRAWS)
+        for seed in range(self.DRAWS):
+            f_new = contrib[:, index_sets(source, plan, Rng(seed))[group]].mean(axis=1)
+            dev[seed] = np.mean((f_new - f_src) ** 2)
+        z = (dev.mean() - expected.mean()) / (dev.std(ddof=1) / np.sqrt(self.DRAWS))
+        assert abs(z) < 4.0
+
+        # The transferred net outputs exactly the resampled terms' mean, plus
+        # the readout bias and rounding.
+        f_new = contrib[:, index_sets(source, plan, Rng(0))[group]].mean(axis=1)
+        grown = transfer(source, plan, Rng(0))
+        assert np.allclose(forward_batch(grown, probes)[:, 0], f_new + out[:, 0] - f_src,
+                           rtol=0.0, atol=1e-12)
 
 
 class TestGrowThenTrain:
@@ -292,11 +351,11 @@ class TestTransferPinned:
             assert all(a.flags.c_contiguous for a in out.store.values())
             save_checkpoint(out, tmp_path / "t.ckpt")
             back = load_checkpoint(tmp_path / "t.ckpt")
-            xs = Rng(3).generator().normal(size=(64, 48))
+            xs = Rng(3).substream(0).normal(size=(64, 48))
             assert np.array_equal(forward_batch(out, xs), forward_batch(back, xs))
 
     def test_apply_noise_matches_reference_in_place(self):
-        w = Rng(51).generator().normal(size=(37, 11))
+        w = Rng(51).substream(0).normal(size=(37, 11))
         u = Rng(52).substream("n").uniform(-0.7, 0.7, size=w.shape)
         ref = w * (1.0 + u)
         assert apply_noise(w, 0.7, Rng(52).substream("n")) is None
@@ -307,7 +366,7 @@ class TestTransferPinned:
         # The noise is drawn and applied in blocks, in place; it equals one
         # full-size uniform draw, bit for bit, also where a block boundary
         # cuts a row.
-        w = Rng(53).generator().normal(size=shape)
+        w = Rng(53).substream(0).normal(size=shape)
         for r1 in (1.0, 4.0, 0.5, 1e-3, 0.1):
             u = Rng(54).substream("n").uniform(-r1, r1, size=shape)
             ref = (w * (1.0 + u)).tobytes()
@@ -318,4 +377,4 @@ class TestTransferPinned:
         for w in (np.ones((6, 4)).T, np.ones((4, 6), dtype=np.float32), [[1.0, 2.0]],
                   np.broadcast_to(np.ones(6), (4, 6))):
             with pytest.raises(ParameterError):
-                apply_noise(w, 0.5, Rng(0).generator())
+                apply_noise(w, 0.5, Rng(0).substream(0))
