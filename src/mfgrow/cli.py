@@ -289,10 +289,12 @@ def cmd_sample(args) -> int:
     measures = extract_measures(net)
     if not 0 <= args.group < len(measures):
         raise ConfigError(f"group must be in [0, {len(measures)}), got {args.group}")
+    # The plan checks --strategy and --r2 even when nothing is drawn.
+    plan = TransferPlan({} if args.target is None else {args.group: args.target},
+                        args.strategy, r2=args.r2)
     files = {f"group{args.group}_measure.csv": measures[args.group].to_csv()}
     if args.target is not None:
         # The draw `transfer --seed S` makes for this group at this target.
-        plan = TransferPlan({args.group: args.target}, args.strategy, r2=args.r2)
         idx = index_sets(net, plan, Rng(args.seed or 0))[args.group]
         files[f"group{args.group}_indices.csv"] = "position,source_index\n" + "".join(
             f"{i},{v}\n" for i, v in enumerate(idx))

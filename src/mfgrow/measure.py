@@ -1,12 +1,13 @@
-"""Empirical measures over gamma groups, the moment-matching loss, and the
-index-sampling strategies used for weight transfer.
+"""Empirical measures over gamma groups and the index-sampling strategies
+used for weight transfer.
 
 One GroupMeasure per partition group: sample i bundles everything indexed by
 that group at position i (vector entries, matrix rows, matrix columns). The
 full slices feed the r2 norm filter, which sums each slice's per-sample
 squares with one einsum and adds those sums in slice order; the per-sample
 scalar features are the slice profiles (mean over the opposing axis),
-computed from them on demand.
+computed from them on demand. function_based draws all its candidates
+first and scores them in one pass over the features.
 """
 
 from __future__ import annotations
@@ -78,40 +79,6 @@ def extract_measures(net: Network) -> list[GroupMeasure]:
 
 
 # ---------------------------------------------------------------------------
-# Losses over measures
-# ---------------------------------------------------------------------------
-
-
-def _abs_moments(vals, p_max: int) -> list[float]:
-    """mean|v|^q for q = 1..p_max."""
-    a = np.abs(np.asarray(vals, dtype=np.float64))
-    if a.size == 0:
-        raise ParameterError("weighted_measure_loss needs non-empty features")
-    return [float((a**q).mean()) for q in range(1, p_max + 1)]
-
-
-def _moment_gap(x_moments: dict[str, list[float]], y: dict[str, np.ndarray],
-                p_max: int) -> float:
-    """The loss of ``weighted_measure_loss`` against ``x``'s precomputed
-    moments, so that many ``y`` are compared without recomputing those."""
-    total = 0.0
-    for name, x_q in x_moments.items():
-        other = y.get(name)
-        if other is None:
-            raise ParameterError(f"unknown feature {name!r} in comparison measure")
-        for a, b in zip(x_q, _abs_moments(other, p_max)):
-            total += abs(a - b)
-    return total
-
-
-def weighted_measure_loss(x: dict[str, np.ndarray], y: dict[str, np.ndarray],
-                          p_max: int) -> float:
-    """Sum over the features of ``x`` and over q = 1..p_max of
-    |mean|x_f|^q - mean|y_f|^q|, accumulated features outer, q inner."""
-    return _moment_gap({name: _abs_moments(v, p_max) for name, v in x.items()}, y, p_max)
-
-
-# ---------------------------------------------------------------------------
 # Index sampling
 # ---------------------------------------------------------------------------
 
@@ -159,6 +126,22 @@ def _draw_from_pool(pool: np.ndarray, target: int, gen: np.random.Generator) -> 
     return _residual_draw(pool, target, gen)
 
 
+def _moment_losses(features: dict[str, np.ndarray], pool: np.ndarray,
+                   cands: np.ndarray) -> np.ndarray:
+    """The moment loss of each row of the (candidates x target) index matrix
+    ``cands`` against ``pool``: the sum, features outer and q = 1.._P_MAX
+    inner, of |mean|f[pool]|^q - mean|f[cand]|^q|. A NaN loss scores +inf,
+    so argmin keeps the first finite minimum, else the first candidate.
+    Beyond the result it holds O(candidates x target) floats per feature."""
+    losses = np.zeros(len(cands))
+    for v in features.values():
+        ref, drawn = np.abs(v[pool]), np.abs(v[cands])
+        for q in range(1, _P_MAX + 1):
+            losses += np.abs((ref**q).mean() - (drawn**q).mean(axis=1))
+    losses[np.isnan(losses)] = np.inf
+    return losses
+
+
 def draw_indices(m: GroupMeasure, target: int, strategy: str, r2: float,
                  gen: np.random.Generator) -> np.ndarray:
     """Pick ``target`` source positions (int64) per the named strategy, after
@@ -193,17 +176,11 @@ def draw_indices(m: GroupMeasure, target: int, strategy: str, r2: float,
         # pool's moments and the losses differ only by rounding.
         idx = _draw_from_pool(pool, target, gen)
     else:
-        features = m.features
-        pool_moments = {name: _abs_moments(v[pool], _P_MAX) for name, v in features.items()}
-        best = None
-        best_loss = math.inf
-        for _ in range(_CANDIDATES):
-            cand = _draw_from_pool(pool, target, gen)
-            loss = _moment_gap(pool_moments, {name: v[cand] for name, v in features.items()},
-                               _P_MAX)
-            if loss < best_loss:
-                best, best_loss = cand, loss
-        idx = best
+        # Scoring draws no random numbers, so the candidates are the first
+        # _CANDIDATES draws from gen. The winner is copied out of the
+        # candidate matrix, so the returned set does not keep it alive.
+        cands = np.stack([_draw_from_pool(pool, target, gen) for _ in range(_CANDIDATES)])
+        idx = cands[np.argmin(_moment_losses(m.features, pool, cands))].copy()
     return np.asarray(idx, dtype=np.int64)
 
 

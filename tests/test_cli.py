@@ -214,6 +214,19 @@ class TestTransferCli:
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert _tree(tmp_path) == before
 
+    def test_non_finite_checkpoint_transfers_like_random(self, tmp_path):
+        # Every candidate of an all-NaN w1 scores NaN, so function_based
+        # keeps its first candidate: the draw random makes.
+        arch = build_mlp(3, 20, with_bias=True, input_dim=5, output_dim=3, parametrization="MFP")
+        net = initialize(zeros_network(arch), nonzero_mean_default("MFP", arch), Rng(0))
+        net.store["w1"][...] = np.nan
+        save_checkpoint(net, tmp_path / "nan.ckpt")
+        for strategy in ("random", "function_based"):
+            assert main(["transfer", "--from", str(tmp_path / "nan.ckpt"), "--widths", "33",
+                         "--strategy", strategy, "--out", str(tmp_path / f"{strategy}.ckpt")]) == 0
+        assert (tmp_path / "function_based.ckpt").read_bytes() == \
+            (tmp_path / "random.ckpt").read_bytes()
+
     def test_out_dev_null_exits_0(self, small_ckpt):
         assert main(["transfer", "--from", str(small_ckpt), "--widths", "40",
                      "--out", os.devnull]) == 0
@@ -273,6 +286,15 @@ class TestSampleCli:
         assert rc == 2
         assert "target must be >= 1" in capsys.readouterr().err
         assert not (out / "group1_indices.csv").exists()
+
+    @pytest.mark.parametrize("r2", ["5", "nan"])
+    def test_bad_r2_without_target_exits_2(self, r2, small_ckpt, tmp_path, capsys):
+        # --r2 is checked whether or not a draw is made.
+        before = _tree(tmp_path)
+        assert main(["sample", "--ckpt", str(small_ckpt), "--group", "0", "--r2", r2,
+                     "--out", str(tmp_path / "samp")]) == 2
+        assert "r2 must lie in [0, 1)" in capsys.readouterr().err
+        assert _tree(tmp_path) == before
 
     def test_bad_group_exits_2(self, small_ckpt, tmp_path):
         assert main(["sample", "--ckpt", str(small_ckpt), "--group", "9",

@@ -11,10 +11,10 @@ from mfgrow.errors import ParameterError
 from mfgrow.init import initialize, nonzero_mean_default
 from mfgrow.measure import (
     GroupMeasure,
+    _moment_losses,
     coupling_contrast,
     draw_indices,
     extract_measures,
-    weighted_measure_loss,
 )
 from mfgrow.net import zeros_network
 from mfgrow.tensor import Rng
@@ -134,35 +134,51 @@ def at(features, idx):
     return {name: v[idx] for name, v in features.items()}
 
 
-def moment_loss(a, b, p_max):
-    """The moment loss of two single-feature measures."""
-    return weighted_measure_loss({"f": np.asarray(a, dtype=np.float64)},
-                                 {"f": np.asarray(b, dtype=np.float64)}, p_max)
+def reference_loss(x, y):
+    """One candidate's moment loss, summed as Python floats: over the
+    features of ``x`` (outer) and q = 1..4 (inner), |mean|x_f|^q - mean|y_f|^q|."""
+    total = 0.0
+    for name, v in x.items():
+        a, b = np.abs(v), np.abs(y[name])
+        for q in range(1, 5):
+            total += abs(float((a**q).mean()) - float((b**q).mean()))
+    return total
+
+
+def moment_loss(a, b):
+    """The scorer's loss of the single-feature measure ``b`` against ``a``."""
+    values = np.concatenate([np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)])
+    pool, cand = np.arange(len(a)), np.arange(len(a), len(values))
+    return float(_moment_losses({"f": values}, pool, cand[None])[0])
 
 
 class TestMomentLoss:
     def test_identical_is_zero(self):
         a = np.array([0.3, -1.2, 4.0])
-        assert moment_loss(a, a.copy(), 4) == 0.0
+        assert moment_loss(a, a.copy()) == 0.0
 
     def test_absolute_moments_mask_sign(self):
-        assert moment_loss([1.0, 1.0], [1.0, -1.0], 1) == 0.0
+        assert moment_loss([1.0, 1.0], [1.0, -1.0]) == 0.0
 
     def test_hand_computed(self):
-        # |mean|a| - mean|b|| + |mean a^2 - mean b^2| = |1 - 1| + |2 - 1|
-        assert moment_loss([0.0, 2.0], [1.0, 1.0], 2) == pytest.approx(1.0)
+        # Moments 1..4 of {0, 2} are 1, 2, 4, 8 and of {1, 1} all 1:
+        # 0 + 1 + 3 + 7.
+        assert moment_loss([0.0, 2.0], [1.0, 1.0]) == 11.0
 
-    def test_empty_rejected(self):
-        with pytest.raises(ParameterError):
-            moment_loss([], [1.0], 1)
+    def test_nan_scores_inf(self):
+        # Against the pool {1, 2}: itself 0, {2, 2} 0.5 + 1.5 + 3.5 + 7.5,
+        # and a candidate with the NaN sample +inf.
+        features = {"a": np.array([1.0, np.nan, 2.0]), "b": np.array([0.5, 0.5, 0.5])}
+        cands = np.array([[0, 2], [1, 2], [2, 2]])
+        assert _moment_losses(features, np.array([0, 2]), cands).tolist() == [0.0, np.inf, 13.0]
 
     def test_symmetry_and_triangle(self):
         gen = Rng(3).substream(0)
         for _ in range(25):
             a, b, c = (gen.normal(size=8) for _ in range(3))
-            ab = moment_loss(a, b, 3)
-            assert ab == pytest.approx(moment_loss(b, a, 3))
-            assert ab <= moment_loss(a, c, 3) + moment_loss(c, b, 3) + 1e-12
+            ab = moment_loss(a, b)
+            assert ab == pytest.approx(moment_loss(b, a))
+            assert ab <= moment_loss(a, c) + moment_loss(c, b) + 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -171,23 +187,22 @@ class TestMomentLoss:
         st.lists(st.floats(-5, 5), min_size=1, max_size=6),
     )
     def test_pseudometric_property(self, xs, ys, zs):
-        assert moment_loss(xs, ys, 2) <= moment_loss(xs, zs, 2) + moment_loss(zs, ys, 2) + 1e-9
+        assert moment_loss(xs, ys) <= moment_loss(xs, zs) + moment_loss(zs, ys) + 1e-9
 
 
 class TestWeightedLoss:
     def test_self_zero(self):
         x = {"a": np.array([1.0, 2.0]), "b": np.array([0.5, 0.5])}
-        assert weighted_measure_loss(x, x, 3) == 0.0
+        assert _moment_losses(x, np.arange(2), np.array([[0, 1]]))[0] == 0.0
 
-    def test_single_moment_weighted(self):
-        # p_max = 1 sums |mean|x_f| - mean|y_f|| over the features: 0.5 + 1.0.
-        x = {"a": np.array([1.0, 1.0]), "b": np.array([2.0, -2.0])}
-        y = {"a": np.array([1.5, 1.5]), "b": np.array([1.0, 1.0])}
-        assert weighted_measure_loss(x, y, 1) == 1.5
-
-    def test_unknown_feature(self):
-        with pytest.raises(ParameterError, match="unknown feature"):
-            weighted_measure_loss({"a": np.array([1.0])}, {"b": np.array([1.0])}, 1)
+    def test_matches_per_candidate_reference(self):
+        # Bit for bit the Python-float sum of one candidate at a time.
+        net = small_net(depth=4, width=16, with_bias=True, with_skip=True)
+        features = extract_measures(net)[1].features
+        pool = np.arange(3, 16)
+        cands = np.stack([Rng(4).substream(i).choice(16, size=21) for i in range(8)])
+        ref = [reference_loss(at(features, pool), at(features, cand)) for cand in cands]
+        assert _moment_losses(features, pool, cands).tolist() == ref
 
     def test_summation_order_pinned(self):
         # Digest of 64 loss values of a six-feature group against bootstrap
@@ -196,9 +211,8 @@ class TestWeightedLoss:
         net = small_net(depth=4, width=64, with_bias=True, with_skip=True)
         g = extract_measures(net)[1]
         gen = Rng(8).substream(0)
-        features = g.features
-        losses = [weighted_measure_loss(features, at(features, gen.choice(64, size=64)), 4)
-                  for _ in range(64)]
+        cands = np.stack([gen.choice(64, size=64) for _ in range(64)])
+        losses = _moment_losses(g.features, np.arange(64), cands)
         assert hashlib.sha256(np.array(losses).tobytes()).hexdigest() == (
             "2ef70bb1fea2b6b8e03b13d23d0207d026b1d67d168ea668a146d62486636253"
         )
@@ -255,13 +269,13 @@ class TestDrawIndices:
         m = self.measure_with_norms(gen.normal(size=64))
         winner = draw_indices(m, 48, "function_based", 0.0, Rng(6).substream(0))
         ref = m.features
-        win_loss = weighted_measure_loss(ref, at(ref, winner), 4)
+        win_loss = reference_loss(ref, at(ref, winner))
         # Brute-force the same candidate universe: winner must beat the median.
         gen2 = Rng(7).substream(0)
         losses = []
         for _ in range(64):
             cand = gen2.choice(np.arange(64), size=48, replace=False)
-            losses.append(weighted_measure_loss(ref, at(ref, cand), 4))
+            losses.append(reference_loss(ref, at(ref, cand)))
         assert win_loss <= float(np.median(losses))
 
     def test_function_based_draw_pinned(self):
@@ -299,7 +313,7 @@ class TestDrawIndices:
                 cand = np.concatenate([np.tile(pool, reps),
                                        ref_gen.choice(pool, size=rest, replace=False)])
                 cands.append(cand)
-                losses.append(weighted_measure_loss(ref, at(m.features, cand), 4))
+                losses.append(reference_loss(ref, at(m.features, cand)))
             assert idx.tolist() == cands[int(np.argmin(losses))].tolist()
             assert gen.random() == ref_gen.random()
 

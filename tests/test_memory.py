@@ -16,7 +16,7 @@ from mfgrow.init import initialize, nonzero_mean_default
 from mfgrow.measure import extract_measures
 from mfgrow.net import OptimizerState, backward_batch, zeros_network
 from mfgrow.tensor import Rng
-from mfgrow.transfer import transfer, uniform_plan
+from mfgrow.transfer import index_sets, transfer, uniform_plan
 
 MiB = 2**20
 
@@ -97,6 +97,15 @@ def test_prune_holds_no_copy_of_its_source(wide_net):
     plan = uniform_plan(wide_net.arch, 100)
     pruned, extra = traced_peak(lambda: transfer(wide_net, plan, Rng(2)))
     assert extra < payload_bytes(pruned) + 1 * MiB
+
+
+def test_function_based_candidates_stay_small():
+    # function_based scores its 64 candidates as one (64 x 1000) index matrix
+    # per group: a few such matrices at a time, never one per feature.
+    net = cifar_net(100, seed=1)
+    plan = uniform_plan(net.arch, 1000, strategy="function_based", r2=0.4)
+    _, extra = traced_peak(lambda: index_sets(net, plan, Rng(2)))
+    assert extra < 4 * MiB
 
 
 def test_sample_norms_use_one_small_buffer(wide_net):
