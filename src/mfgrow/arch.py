@@ -444,7 +444,7 @@ def build_mlp(
     )
 
 
-def build_skip_block(n: int, parametrization: str = "MFP") -> ArchGraph:
+def build_skip_block(n: int) -> ArchGraph:
     """Residual block fragment: two parallel paths from a shared input are
     re-merged by a fourth matrix, so the first matrix's rows carry two index
     variables. The block's outgoing axis is a boundary and carries no gamma,
@@ -471,17 +471,16 @@ def build_skip_block(n: int, parametrization: str = "MFP") -> ArchGraph:
         AxisUsage("w4", COL, 5),
     )
     gammas = tuple(GammaVar(i, n, "hidden") for i in range(1, 6))
-    return ArchGraph(weights, usages, gammas, parametrization, topology="fragment")
+    return ArchGraph(weights, usages, gammas, "MFP", topology="fragment")
 
 
-def build_attention_block(n: int, d_x: int, parametrization: str = "MFP") -> ArchGraph:
+def build_attention_block(n: int) -> ArchGraph:
     """Attention block fragment: the query/key/value matrices all consume the
     projected input, so their column gammas merge with the projection's row
-    gammas. ``d_x`` (the token/context dimension) never indexes a weight, so
-    it does not contribute a gamma; it only has to be a valid size.
-    """
-    if n < 1 or d_x < 1:
-        raise ParameterError(f"n and d_x must be >= 1, got n={n}, d_x={d_x}")
+    gammas. The token dimension indexes no weight, so it has no gamma. Both
+    fragments are "MFP", which no forward scalar reads: they have no plan."""
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
     weights = (
         WeightSpec("w1", "matrix", (n, n)),
         WeightSpec("b1", "vector", (n,)),
@@ -510,7 +509,7 @@ def build_attention_block(n: int, d_x: int, parametrization: str = "MFP") -> Arc
         AxisUsage("b2", ROW, 7),
     )
     gammas = tuple(GammaVar(i, n, "hidden") for i in range(1, 8))
-    return ArchGraph(weights, usages, gammas, parametrization, topology="fragment")
+    return ArchGraph(weights, usages, gammas, "MFP", topology="fragment")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Diagnostics that make row/column structure visible: axis profiles,
 pairwise and four-pair (Table 1) correlation reports, sorted heatmap grids,
-row-mean histogram trajectories, and the first-step update-scaling probe.
-Apart from the probe, nothing here trains: the scripted experiments train
-the nets and pass them in.
+row-mean histogram trajectories, and the first-step update-scaling probe at
+the fixed ``_PROBE_*`` sizes. Apart from the probe, nothing here trains: the
+scripted experiments train the nets and pass them in.
 """
 
 from __future__ import annotations
@@ -269,22 +269,23 @@ def histograms_to_csv(edges: np.ndarray, counts) -> str:
 
 _PROBE_LR = 0.05
 _PROBE_BATCH = 64
+_PROBE_WIDTHS = (256, 1024)
+_PROBE_SEEDS = 5
 
 
-def update_scaling_probe(parametrization: str, widths: tuple[int, int] = (256, 1024),
-                         n_seeds: int = 5) -> dict:
+def update_scaling_probe(parametrization: str) -> dict:
     """First-step middle-layer update size of a 3-layer net at two widths.
 
     Returns per-seed ratios mean|dW|_small / mean|dW|_large and their median.
     Under MFP the per-weight multipliers make the step width-independent
     (ratio near 1). SP runs with the width-compensated rate (exponent 1.0),
     under which its step scales as 1/sqrt(N) and the ratio lands near
-    sqrt(widths[1]/widths[0]).
+    sqrt(large/small).
     """
-    small, large = widths
+    small, large = _PROBE_WIDTHS
     exponent = DEFAULT_LR_EXPONENT[parametrization]
     ratios = []
-    for seed in range(n_seeds):
+    for seed in range(_PROBE_SEEDS):
         deltas = {}
         batch = synth_regression("sine", _PROBE_BATCH, 0.0, Rng(9000 + seed))
         for width in (small, large):
@@ -299,10 +300,4 @@ def update_scaling_probe(parametrization: str, widths: tuple[int, int] = (256, 1
             opt.apply(net, steps)
             deltas[width] = float(np.mean(np.abs(net.store["w1"] - before)))
         ratios.append(deltas[small] / deltas[large])
-    return {
-        "parametrization": parametrization,
-        "widths": widths,
-        "ratios": ratios,
-        "median": float(np.median(ratios)),
-        "lr_width_exponent": exponent,
-    }
+    return {"ratios": ratios, "median": float(np.median(ratios))}

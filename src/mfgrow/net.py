@@ -1,6 +1,7 @@
 """Concrete networks under SP / muP / MFP: forward evaluation, manual
-backpropagation, per-weight learning-rate scaling, SGD and Adam, and the
-training loop.
+backpropagation, one target rule (``_targets``, which ``check_data``,
+``backward_batch`` and ``evaluate`` share), per-weight learning-rate scaling,
+SGD and Adam, and the training loop.
 
 One layer executor runs every network, entered through ``forward_batch``
 and ``backward_batch``; a single example is a one-row batch. It only
@@ -32,7 +33,6 @@ from .arch import ArchGraph, LayerPlan
 from .errors import DivergenceError, ParameterError, StructureError
 from .tensor import Rng, as_f64
 
-LOSSES = ("square", "cross_entropy")
 DIVERGENCE_LIMIT = 1e6
 # Adam's moment decay rates and denominator guard.
 _ADAM_BETA1 = 0.9
@@ -131,25 +131,42 @@ def forward_batch(net: Network, X: np.ndarray) -> np.ndarray:
     return _run(net, X, keep=False)[0]
 
 
-def _loss_and_delta(out: np.ndarray, Y: np.ndarray, loss: str):
-    """Per-example losses and d(loss)/d(out)."""
+def _targets(net: Network, Y, n: int, loss: str) -> np.ndarray:
+    """``Y`` for ``n`` examples as ``loss`` reads it, else ParameterError:
+    float64 (n, output_dim), or (n,) at output_dim 1, for square loss, and n
+    int labels in [0, output_dim) for cross-entropy."""
+    d_out = net.output_dim()
     if loss == "square":
-        if Y.ndim == 1:
-            Y = Y[:, None]
+        Y = as_f64(Y)
+        if Y.shape == (n,) and d_out == 1:
+            return Y[:, None]
+        if Y.shape != (n, d_out):
+            raise ParameterError(f"targets have shape {Y.shape}, but the net gives (n, {d_out})")
+        return Y
+    if loss != "cross_entropy":
+        raise ParameterError(f"unknown loss {loss!r}")
+    Y = np.asarray(Y)
+    if Y.shape != (n,):
+        raise ParameterError(f"targets have shape {Y.shape}, but cross-entropy takes ({n},) labels")
+    if n and not (0 <= Y.min() and Y.max() < d_out):
+        raise ParameterError(f"labels must lie in [0, {d_out}) for the net's {d_out} outputs, "
+                             f"got {Y.min()} to {Y.max()}")
+    return Y.astype(int)
+
+
+def _loss_and_delta(out: np.ndarray, Y: np.ndarray, loss: str):
+    """Per-example losses and d(loss)/d(out), for targets from ``_targets``."""
+    if loss == "square":
         diff = out - Y
-        losses = 0.5 * np.sum(diff * diff, axis=1)
-        return losses, diff
-    if loss == "cross_entropy":
-        labels = Y.astype(int).reshape(-1)
-        shifted = out - out.max(axis=1, keepdims=True)
-        expv = np.exp(shifted)
-        probs = expv / expv.sum(axis=1, keepdims=True)
-        n = out.shape[0]
-        losses = -np.log(np.clip(probs[np.arange(n), labels], 1e-300, None))
-        delta = probs.copy()
-        delta[np.arange(n), labels] -= 1.0
-        return losses, delta
-    raise ParameterError(f"unknown loss {loss!r}")
+        return 0.5 * np.sum(diff * diff, axis=1), diff
+    shifted = out - out.max(axis=1, keepdims=True)
+    expv = np.exp(shifted)
+    probs = expv / expv.sum(axis=1, keepdims=True)
+    rows = np.arange(out.shape[0])
+    losses = -np.log(np.clip(probs[rows, Y], 1e-300, None))
+    delta = probs.copy()
+    delta[rows, Y] -= 1.0
+    return losses, delta
 
 
 def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str = "square",
@@ -161,15 +178,11 @@ def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str = "squa
     before the product, a vector's or bias's multiplies its mean gradient.
     """
     X = _check_input(net, X)
-    Y = as_f64(Y) if loss == "square" else np.asarray(Y)
-    if loss == "square" and Y.ndim == 1 and net.output_dim() == 1:
-        Y = Y[:, None]
-    if loss not in LOSSES:
-        raise ParameterError(f"unknown loss {loss!r}")
+    B = X.shape[0]
+    Y = _targets(net, Y, B, loss)
     plan = net.plan.layers
     out, inputs = _run(net, X, keep=True)
     losses, delta = _loss_and_delta(out, Y, loss)
-    B = X.shape[0]
     grads: dict[str, np.ndarray] = {}
 
     def rate(name):
@@ -331,16 +344,16 @@ def evaluate(net: Network, inputs: np.ndarray, targets: np.ndarray, loss: str = 
     n = inputs.shape[0]
     if n == 0:
         raise ParameterError("evaluation data is empty")
+    targets = _targets(net, targets, n, loss)
     total = 0.0
     correct = 0
     for start in range(0, n, _EVAL_CHUNK):
-        X = inputs[start : start + _EVAL_CHUNK]
         Y = targets[start : start + _EVAL_CHUNK]
-        out = forward_batch(net, X)
-        losses, _ = _loss_and_delta(out, as_f64(Y) if loss == "square" else Y, loss)
+        out = forward_batch(net, inputs[start : start + _EVAL_CHUNK])
+        losses, _ = _loss_and_delta(out, Y, loss)
         total += float(losses.sum())
         if loss == "cross_entropy":
-            correct += int((out.argmax(axis=1) == np.asarray(Y).astype(int)).sum())
+            correct += int((out.argmax(axis=1) == Y).sum())
     acc = correct / n if loss == "cross_entropy" else float("nan")
     return total / n, acc
 
@@ -355,21 +368,12 @@ def check_schedule(epochs: int, batch_size: int) -> None:
 
 def check_data(net: Network, data, loss: str) -> None:
     """Raise ParameterError unless ``data`` (a Dataset) fits the net: inputs
-    of shape (n, input_dim), and targets of n labels in [0, output_dim) for
-    cross-entropy, else of shape (n, output_dim), or (n,) at output_dim 1."""
-    X, Y = data.inputs, data.targets
-    n, d_in, d_out = X.shape[0], net.input_dim(), net.output_dim()
-    if X.shape != (n, d_in):
-        raise ParameterError(f"inputs have shape {X.shape}, but the net takes (n, {d_in})")
-    if loss == "cross_entropy":
-        if Y.shape != (n,):
-            raise ParameterError(f"targets have shape {Y.shape}, but cross-entropy takes "
-                                 f"({n},) labels")
-        if n and not (0 <= Y.min() and Y.max() < d_out):
-            raise ParameterError(f"labels must lie in [0, {d_out}) for the net's {d_out} "
-                                 f"outputs, got {Y.min()} to {Y.max()}")
-    elif Y.shape != (n, d_out) and (d_out != 1 or Y.shape != (n,)):
-        raise ParameterError(f"targets have shape {Y.shape}, but the net gives (n, {d_out})")
+    of shape (n, input_dim), and targets that pass the one target rule of
+    ``backward_batch`` and ``evaluate`` for ``loss``."""
+    shape, d_in = data.inputs.shape, net.input_dim()
+    if shape != (shape[0], d_in):
+        raise ParameterError(f"inputs have shape {shape}, but the net takes (n, {d_in})")
+    _targets(net, data.targets, shape[0], loss)
 
 
 def train(

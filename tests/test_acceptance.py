@@ -63,7 +63,7 @@ def test_criterion_1_partition_exactness():
     t0 = time.time()
     p_skipnet = build_mlp(4, 64, with_bias=True, with_skip=True).partition
     p_block = build_skip_block(32).partition
-    p_attn = build_attention_block(32, 16).partition
+    p_attn = build_attention_block(32).partition
     ok = (
         p_skipnet.groups == ((1,), (2, 3), (4,))
         and p_block.groups == ((1,), (2, 5), (3,), (4,))
@@ -197,7 +197,7 @@ def test_criterion_8_rc_init_structure():
 
 
 def test_criterion_9_update_scaling():
-    result = update_probe(widths=(256, 1024), n_seeds=5)
+    result = update_probe()
     detail = "; ".join(
         f"{p} median={result['results'][p]['median']:.3f}" for p in ("MFP", "SP")
     )

@@ -45,13 +45,13 @@ class TestReferencePartitions:
         assert p.widths == (8, 8, 8, 8)
 
     def test_attention_block(self):
-        g = build_attention_block(8, 6)
+        g = build_attention_block(8)
         assert len(g.gammas) == 7
         p = g.partition
         assert p.groups == ((1,), (2, 3, 4), (5,), (6,), (7,))
 
     def test_attention_width_one(self):
-        p = build_attention_block(1, 1).partition
+        p = build_attention_block(1).partition
         assert p.groups == ((1,), (2, 3, 4), (5,), (6,), (7,))
         assert p.widths == (1, 1, 1, 1, 1)
 
@@ -100,7 +100,7 @@ class TestAxisGroups:
         build_mlp(5, [3, 4, 5, 6], with_bias=True, input_dim=2, output_dim=3),
         build_mlp(4, 6, with_skip=True, input_dim=4),
         build_skip_block(5),
-        build_attention_block(4, 3),
+        build_attention_block(4),
     ], ids=["chain-5", "skip4-wide-input", "skip-block", "attention-block"])
     def test_every_usage_maps_to_its_gammas_group(self, arch):
         # Fragments leave boundary axes (the skip block's w4 rows) unmapped.
@@ -124,7 +124,7 @@ class TestPartitionProperties:
     @settings(max_examples=25, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_usage_permutation_invariance(self, rnd):
-        g = build_attention_block(4, 3)
+        g = build_attention_block(4)
         usages = list(g.usages)
         rnd.shuffle(usages)
         shuffled = dataclasses.replace(g, usages=tuple(usages))
@@ -370,7 +370,7 @@ _FUZZ_BASES = [
     build_mlp(4, 4, with_skip=True),
     build_mlp(3, 6, with_bias=True, input_dim=3072, output_dim=10),
     build_skip_block(3),
-    build_attention_block(2, 5),
+    build_attention_block(2),
 ]
 _JSON_VALUES = st.one_of(
     st.sampled_from([_HUGE, 1.7, True, False, None, 0, -1, 2**70, "", "row", [], {}, [1],

@@ -585,7 +585,7 @@ class TestFailedCommandsWriteNothing:
             (tmp_path / f"{name}.json").write_text(
                 json.dumps({**doc, "arch": arch, "optimizer": optimizer}), encoding="utf-8")
         fragment = tmp_path / "attention.json"
-        fragment.write_text(arch_to_json(build_attention_block(4, 3)), encoding="utf-8")
+        fragment.write_text(arch_to_json(build_attention_block(4)), encoding="utf-8")
         (tmp_path / "fragment.json").write_text(
             json.dumps({**doc, "arch": {"file": str(fragment)}}), encoding="utf-8")
         write_fragment_checkpoint(tmp_path / "fragment.ckpt")

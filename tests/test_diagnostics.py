@@ -18,7 +18,6 @@ from mfgrow.diagnostics import (
     histogram_trajectory,
     histograms_to_csv,
     profile,
-    update_scaling_probe,
     write_gnuplot_script,
 )
 from mfgrow.errors import ParameterError
@@ -334,13 +333,3 @@ class TestDuplicationPreservesProfiles:
         a = pearson_abs(profile(net, "w1", "row"), profile(net, "v", "row"))
         b = pearson_abs(profile(grown, "w1", "row"), profile(grown, "v", "row"))
         assert a == pytest.approx(b, abs=1e-12)
-
-
-class TestUpdateScalingProbe:
-    def test_mfp_ratio_near_one(self):
-        out = update_scaling_probe("MFP", widths=(64, 256), n_seeds=3)
-        assert 0.7 <= out["median"] <= 1.5
-
-    def test_sp_ratio_near_two(self):
-        out = update_scaling_probe("SP", widths=(64, 256), n_seeds=3)
-        assert 1.5 <= out["median"] <= 3.0

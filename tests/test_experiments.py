@@ -53,8 +53,9 @@ class TestCifarPipeline:
 
     def test_accuracy_pipeline_beats_chance(self, splits, tmp_path):
         result = accuracy_experiment(*splits, width=24, epochs=3, seeds=(0,),
-                                     threshold=0.0, out_dir=tmp_path)
-        assert result["passed"]
+                                     out_dir=tmp_path)
+        # The fixture's medians (0.4193) fall short of the 0.43 threshold.
+        assert not result["passed"]
         assert result["medians"]["MFP"] > 0.15  # chance is 0.1
         # Pinned bytes: any change to the scripted rates, batch size or seeding
         # of the shared training path shows up here.

@@ -206,6 +206,39 @@ class TestBackward:
             backward_batch(net, [[0.1]], [0.0], "hinge")
 
 
+class TestTargetRule:
+    """``backward_batch`` and ``evaluate`` hold targets to ``check_data``'s
+    rule: a target that does not fit its batch is a ParameterError, never a
+    broadcast, a wrapped-around label or a bare NumPy error."""
+
+    @pytest.mark.parametrize("loss, n, targets, message", [
+        ("square", 5, np.zeros(5), r"targets have shape \(5,\), but the net gives \(n, 3\)"),
+        ("square", 5, np.zeros((5, 1)), r"targets have shape \(5, 1\)"),
+        ("square", 5, np.zeros((1, 3)), r"targets have shape \(1, 3\)"),
+        ("square", 5, np.zeros((4, 3)), r"targets have shape \(4, 3\)"),
+        ("cross_entropy", 4, np.array([0, 2, -1, 1]), r"labels must lie in \[0, 3\).*-1 to 2"),
+        ("cross_entropy", 4, np.array([0, 2, 3, 1]), r"labels must lie in \[0, 3\).*0 to 3"),
+        ("cross_entropy", 4, np.zeros((4, 1), dtype=int),
+         r"targets have shape \(4, 1\), but cross-entropy takes \(4,\) labels"),
+        ("cross_entropy", 4, np.zeros(3, dtype=int), r"targets have shape \(3,\)"),
+    ], ids=["square-flat", "square-one-column", "square-one-row", "square-short",
+            "label-negative", "label-too-large", "labels-2d", "labels-short"])
+    def test_misfit_targets_rejected(self, loss, n, targets, message):
+        net = make_net(3, 8, input_dim=2, output_dim=3, seed=1)
+        X = Rng(3).substream(0).normal(size=(n, 2))
+        with pytest.raises(ParameterError, match=message):
+            backward_batch(net, X, targets, loss)
+        with pytest.raises(ParameterError, match=message):
+            evaluate(net, X, targets, loss)
+
+    def test_unknown_loss_rejected_everywhere(self):
+        net = make_net(2, 4)
+        with pytest.raises(ParameterError, match="unknown loss 'hinge'"):
+            evaluate(net, np.zeros((2, 1)), np.zeros(2), "hinge")
+        with pytest.raises(ParameterError, match="unknown loss 'hinge'"):
+            check_data(net, Dataset(np.zeros((2, 1)), np.zeros(2)), "hinge")
+
+
 class TestFiveLayerClosedForms:
     def test_gradients_match_update_formulas(self):
         # Independent transcription of the per-weight update expressions for

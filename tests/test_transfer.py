@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -211,13 +212,17 @@ class TestPruning:
 
 
 class TestFinitePopulationOracle:
-    """A ``random`` transfer at r1 = r2 = 0 that resizes only the group
-    feeding an MFP chain's readout samples the output's per-unit terms. Write
+    """A ``random`` transfer at r1 = 0 that resizes only the group feeding an
+    MFP chain's readout samples the output's per-unit terms. Write
     f_P(x) = (1/P) sum_j c_j(x) with c_j = P * s * v_j * phi_j(x), s the
-    readout scalar, and sigma^2(x) the population variance of c_j(x) over the
-    P units. Then exactly: subsetting to T < P without replacement gives
-    E (f_T - f_P)^2 = sigma^2 (P - T) / (T (P - 1)), and residual growth to
-    T = qP + r gives (r/T)^2 sigma^2 (P - r) / (r (P - 1)).
+    readout scalar. The r2 norm filter keeps a pool of P' units, the
+    ceil((1 - r2) P) largest by the norm of all the group's slices; f_pool(x)
+    is their mean term and sigma^2(x) their terms' population variance (at
+    r2 = 0 the pool is every unit and f_pool = f_P). Then exactly: subsetting
+    to T < P' without replacement gives
+    E (f_T - f_P)^2 = (f_pool - f_P)^2 + sigma^2 (P' - T) / (T (P' - 1)),
+    and residual growth to T = qP' + r replaces the variance term by
+    (r/T)^2 sigma^2 (P' - r) / (r (P' - 1)).
 
     Each case compares the mean over draws of mean_x (f_T - f_P)^2 on fixed
     probes with the formula's mean over the probes, and requires |z| < 4,
@@ -234,8 +239,9 @@ class TestFinitePopulationOracle:
               rng=Rng(71))
         return net
 
-    @pytest.mark.parametrize("target", [60, 170], ids=["subset", "grow"])
-    def test_mean_squared_deviation_matches_exact_variance(self, source, target):
+    @pytest.mark.parametrize("r2, target", [(0.0, 60), (0.0, 170), (0.5, 30), (0.5, 170)],
+                             ids=["subset", "grow", "r2-subset", "r2-grow"])
+    def test_mean_squared_deviation_matches_exact_variance(self, source, r2, target):
         probes = np.linspace(-2.0, 2.0, 16)[:, None]
         out, inputs = _run(source, probes, keep=True)
         readout = source.plan.layers[-1]
@@ -243,16 +249,26 @@ class TestFinitePopulationOracle:
         width = v.shape[-1]
         contrib = width * readout.scalar * inputs[-1] * v  # c_j(x): (probes, P)
         f_src = contrib.mean(axis=1)
-        sigma2 = contrib.var(axis=1)
-        if target < width:
-            expected = sigma2 * (width - target) / (target * (width - 1))
-        else:
-            r = target % width
-            expected = (r / target) ** 2 * sigma2 * (width - r) / (r * (width - 1))
 
-        partition = source.arch.partition
-        group = partition.axis_groups[(readout.weight, source.arch.weight(readout.weight).axes[-1])]
-        plan = TransferPlan(targets={group: target})
+        arch = source.arch
+        partition = arch.partition
+        group = partition.axis_groups[(readout.weight, arch.weight(readout.weight).axes[-1])]
+        # Each unit's squared norm over every slice its group indexes.
+        squares = sum(
+            np.sum(source.store[w.name] ** 2, axis=tuple(a for a in range(len(w.axes)) if a != k))
+            for w in arch.weights for k, ax in enumerate(w.axes)
+            if partition.axis_groups[(w.name, ax)] == group)
+        pool = np.argsort(-squares, kind="stable")[:math.ceil((1.0 - r2) * width)]
+        size = pool.size
+        sigma2 = contrib[:, pool].var(axis=1)
+        bias2 = (contrib[:, pool].mean(axis=1) - f_src) ** 2
+        if target < size:
+            expected = bias2 + sigma2 * (size - target) / (target * (size - 1))
+        else:
+            r = target % size
+            expected = bias2 + (r / target) ** 2 * sigma2 * (size - r) / (r * (size - 1))
+
+        plan = TransferPlan(targets={group: target}, r2=r2)
         dev = np.empty(self.DRAWS)
         for seed in range(self.DRAWS):
             f_new = contrib[:, index_sets(source, plan, Rng(seed))[group]].mean(axis=1)
@@ -261,7 +277,11 @@ class TestFinitePopulationOracle:
         assert abs(z) < 4.0
 
         # The transferred net outputs exactly the resampled terms' mean, plus
-        # the readout bias and rounding.
+        # the readout bias and rounding, unless another group is redrawn too:
+        # at r2 > 0 a group the plan leaves at its width still passes the
+        # filter, and depth 3 has a second hidden group.
+        if r2 > 0.0 and sum(partition.resizable) > 1:
+            return
         f_new = contrib[:, index_sets(source, plan, Rng(0))[group]].mean(axis=1)
         grown = transfer(source, plan, Rng(0))
         assert np.allclose(forward_batch(grown, probes)[:, 0], f_new + out[:, 0] - f_src,
