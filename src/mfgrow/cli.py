@@ -2,7 +2,8 @@
 
 Subcommands: gamma, init, train, transfer, diagnose, sample, reproduce.
 ``sample --seed S --group G --target T`` writes the indices that
-``transfer --seed S`` draws for group G at width T (``transfer.index_sets``).
+``transfer --seed S`` draws for hidden group G at width T
+(``transfer.index_sets``); a data group, at any T, exits 2.
 Exit codes: 0 success, 1 acceptance failure, 2 input error, 3 missing data.
 The CIFAR-10 directory comes from configs/flags or MFGROW_CIFAR10_DIR;
 nothing is ever fetched from the network.

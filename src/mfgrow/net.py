@@ -134,7 +134,7 @@ def forward_batch(net: Network, X: np.ndarray) -> np.ndarray:
 def _targets(net: Network, Y, n: int, loss: str) -> np.ndarray:
     """``Y`` for ``n`` examples as ``loss`` reads it, else ParameterError:
     float64 (n, output_dim), or (n,) at output_dim 1, for square loss, and n
-    int labels in [0, output_dim) for cross-entropy."""
+    labels of an integer dtype in [0, output_dim) for cross-entropy."""
     d_out = net.output_dim()
     if loss == "square":
         Y = as_f64(Y)
@@ -148,6 +148,8 @@ def _targets(net: Network, Y, n: int, loss: str) -> np.ndarray:
     Y = np.asarray(Y)
     if Y.shape != (n,):
         raise ParameterError(f"targets have shape {Y.shape}, but cross-entropy takes ({n},) labels")
+    if not np.issubdtype(Y.dtype, np.integer):
+        raise ParameterError(f"labels must have an integer dtype, got {Y.dtype}")
     if n and not (0 <= Y.min() and Y.max() < d_out):
         raise ParameterError(f"labels must lie in [0, {d_out}) for the net's {d_out} outputs, "
                              f"got {Y.min()} to {Y.max()}")

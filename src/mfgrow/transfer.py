@@ -28,9 +28,9 @@ __all__ = ["TransferPlan", "apply_noise", "duplicate_grow", "index_sets", "trans
 class TransferPlan:
     """Target widths and sampling choices for one transfer.
 
-    ``targets`` maps group index (in ``ArchGraph.partition`` order) -> new
-    width; groups left out keep their width. Non-resizable groups (data
-    dimensions) must keep theirs.
+    ``targets`` maps a hidden group's index (in ``ArchGraph.partition``
+    order) to its new width, an integer. Only the named groups are
+    resampled; the others keep their units. A data group cannot be named.
     """
 
     targets: dict[int, int] = field(default_factory=dict)
@@ -39,6 +39,9 @@ class TransferPlan:
     r2: float = 0.0
 
     def __post_init__(self):
+        for gi, t in self.targets.items():
+            if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+                raise ParameterError(f"plan target for group {gi!r} must be an integer, got {t!r}")
         if not 0.0 <= self.r1 < math.inf:
             raise ParameterError(f"r1 must be a finite number >= 0, got {self.r1}")
         if not 0.0 <= self.r2 < 1.0:
@@ -84,41 +87,35 @@ def apply_noise(w: np.ndarray, r1: float, gen: np.random.Generator) -> None:
 
 
 def index_sets(net: Network, plan: TransferPlan, rng: Rng) -> dict[int, np.ndarray]:
-    """The source units each group of the net's partition takes under
-    ``plan``, by group index: a data group keeps its identity set, and each
-    resizable group draws from its own substream ``transfer/idx/{gi}``.
-    ``transfer`` gathers by these sets, and ``mfgrow sample`` writes them."""
+    """The source units each group ``plan`` names takes, by group index:
+    group gi draws from its own substream ``transfer/idx/{gi}``. Groups the
+    plan leaves out get no set. ``transfer`` gathers by these sets, and
+    ``mfgrow sample`` writes them."""
     partition = net.arch.partition
-    for gi in plan.targets:
+    measures = extract_measures(net)
+    sets = {}
+    for gi, target in plan.targets.items():
         if gi not in range(len(partition)):
             raise ParameterError(f"plan target {gi!r} names no group: "
                                  f"the net has {len(partition)} groups")
-    measures = extract_measures(net)
-    sets = {}
-    for gi, width in enumerate(partition.widths):
-        target = int(plan.targets.get(gi, width))
-        if partition.resizable[gi]:
-            sets[gi] = draw_indices(measures[gi], target, plan.strategy, plan.r2,
-                                    rng.substream(f"transfer/idx/{gi}"))
-        elif target != width:
-            raise ParameterError(f"group {gi} has a data-tied width {width}; "
+        if not partition.resizable[gi]:
+            raise ParameterError(f"group {gi} has a data-tied width {partition.widths[gi]}; "
                                  f"cannot resize to {target}")
-        else:
-            sets[gi] = np.arange(width, dtype=np.int64)
+        sets[gi] = draw_indices(measures[gi], target, plan.strategy, plan.r2,
+                                rng.substream(f"transfer/idx/{gi}"))
     return sets
 
 
 def transfer(net: Network, plan: TransferPlan, rng: Rng) -> Network:
     """Rebuild every weight from ``index_sets(net, plan, rng)``: gather each
-    resized axis, then add the r1 noise. The source network is left untouched."""
+    axis of a named group, then add the r1 noise. A weight with no such axis
+    is copied. The source network is left untouched."""
     arch = net.arch
     partition = arch.partition
     sets = index_sets(net, plan, rng)
 
     new_store: dict[str, np.ndarray] = {}
     for w in arch.weights:
-        # Gather only along resized axes: a data-tied axis keeps its full
-        # extent, so indexing it through its identity set would only copy.
         # np.take returns fresh row-major arrays, the layout a checkpoint load
         # gives, so a transferred net rounds alike before and after a save,
         # and the noise can be applied to them in place.
@@ -126,7 +123,7 @@ def transfer(net: Network, plan: TransferPlan, rng: Rng) -> Network:
         resampled = False
         for axis, name in enumerate(w.axes):
             gi = partition.axis_groups[(w.name, name)]
-            if partition.resizable[gi]:
+            if gi in sets:
                 arr = np.take(arr, sets[gi], axis=axis)
                 resampled = True
         if resampled and plan.r1 > 0.0:
@@ -136,8 +133,8 @@ def transfer(net: Network, plan: TransferPlan, rng: Rng) -> Network:
         new_store[w.name] = arr
 
     new_weights = tuple(WeightSpec(w.name, w.kind, new_store[w.name].shape) for w in arch.weights)
-    new_width = {gid: len(sets[gi]) for gi, grp in enumerate(partition.groups) for gid in grp}
-    new_gammas = tuple(GammaVar(gm.id, new_width[gm.id], gm.role) for gm in arch.gammas)
+    new_width = {gid: len(idx) for gi, idx in sets.items() for gid in partition.groups[gi]}
+    new_gammas = tuple(GammaVar(g.id, new_width.get(g.id, g.width), g.role) for g in arch.gammas)
     new_arch = replace(arch, weights=new_weights, gammas=new_gammas)
     return Network(new_arch, new_store, dict(net.meta))
 

@@ -221,8 +221,10 @@ class TestTargetRule:
         ("cross_entropy", 4, np.zeros((4, 1), dtype=int),
          r"targets have shape \(4, 1\), but cross-entropy takes \(4,\) labels"),
         ("cross_entropy", 4, np.zeros(3, dtype=int), r"targets have shape \(3,\)"),
+        ("cross_entropy", 4, np.array([0.0, 2.5, 1.9, 1.0]),
+         r"labels must have an integer dtype, got float64"),
     ], ids=["square-flat", "square-one-column", "square-one-row", "square-short",
-            "label-negative", "label-too-large", "labels-2d", "labels-short"])
+            "label-negative", "label-too-large", "labels-2d", "labels-short", "labels-float"])
     def test_misfit_targets_rejected(self, loss, n, targets, message):
         net = make_net(3, 8, input_dim=2, output_dim=3, seed=1)
         X = Rng(3).substream(0).normal(size=(n, 2))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def test_unknown_strategy_rejected():
 class TestIdentityTransfer:
     def test_bit_identical(self):
         net = make_net(3, 12, with_bias=True)
-        # No targets: every group keeps its width and is tiled once.
+        # An empty plan names no group, so every weight is copied.
         out = transfer(net, TransferPlan(strategy="duplicate"), Rng(0))
         for k in net.store:
             assert np.array_equal(out.store[k], net.store[k])
@@ -166,6 +167,49 @@ class TestRandomGrowth:
         plan = TransferPlan(targets={data_groups[0]: 99})
         with pytest.raises(ParameterError, match="data-tied"):
             transfer(net, plan, Rng(0))
+
+    def test_data_group_at_its_own_width_rejected(self):
+        net = make_net(3, 16, with_bias=True, input_dim=7, output_dim=4)
+        p = net.arch.partition
+        for gi in (i for i in range(len(p)) if not p.resizable[i]):
+            width = p.widths[gi]
+            with pytest.raises(ParameterError, match=f"group {gi} has a data-tied width {width}; "
+                                                     f"cannot resize to {width}"):
+                transfer(net, TransferPlan(targets={gi: width}), Rng(0))
+
+    @pytest.mark.parametrize("target", [4.5, np.float64(6.0), "6", True, None])
+    def test_non_integer_target_rejected(self, target):
+        # A width is never rounded from a float or parsed from a string.
+        with pytest.raises(ParameterError, match=re.escape(
+                f"plan target for group 1 must be an integer, got {target!r}")):
+            TransferPlan(targets={1: target})
+
+    def test_numpy_integer_target_accepted(self):
+        grown = transfer(make_net(3, 16), TransferPlan(targets={1: np.int64(6)}), Rng(0))
+        assert grown.store["v"].shape == (6,)
+
+    @pytest.mark.parametrize("r2", [0.0, 0.5])
+    @pytest.mark.parametrize("strategy", ["random", "group", "function_based"])
+    @pytest.mark.parametrize("depth, kw", [(3, dict(with_bias=True)), (4, dict(with_skip=True))],
+                             ids=["depth3", "skip4"])
+    def test_plan_resamples_only_the_groups_it_names(self, depth, kw, strategy, r2):
+        # A plan naming one hidden group gathers that group's axes by its
+        # index set. Every other axis, and so every weight with no axis in the
+        # group, stays bit-identical: a group left out is neither permuted
+        # nor passed through the r2 filter.
+        net = make_net(depth, 12, seed=16, **kw)
+        p = net.arch.partition
+        for gi in (i for i in range(len(p)) if p.resizable[i]):
+            plan = TransferPlan(targets={gi: 17}, strategy=strategy, r2=r2)
+            idx = index_sets(net, plan, Rng(4))
+            out = transfer(net, plan, Rng(4))
+            for w in net.arch.weights:
+                expected = net.store[w.name]
+                for axis, ax in enumerate(w.axes):
+                    if p.axis_groups[(w.name, ax)] == gi:
+                        expected = np.take(expected, idx[gi], axis=axis)
+                assert np.array_equal(out.store[w.name], expected), (gi, w.name)
+            assert list(idx) == [gi]
 
     @pytest.mark.parametrize("key", [3, 7, -1, "1"])
     def test_target_naming_no_group_rejected(self, key):
@@ -277,11 +321,8 @@ class TestFinitePopulationOracle:
         assert abs(z) < 4.0
 
         # The transferred net outputs exactly the resampled terms' mean, plus
-        # the readout bias and rounding, unless another group is redrawn too:
-        # at r2 > 0 a group the plan leaves at its width still passes the
-        # filter, and depth 3 has a second hidden group.
-        if r2 > 0.0 and sum(partition.resizable) > 1:
-            return
+        # the readout bias and rounding: the plan names one group, and every
+        # other group keeps its units.
         f_new = contrib[:, index_sets(source, plan, Rng(0))[group]].mean(axis=1)
         grown = transfer(source, plan, Rng(0))
         assert np.allclose(forward_batch(grown, probes)[:, 0], f_new + out[:, 0] - f_src,
