@@ -249,6 +249,8 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    if args.report != "hist" and len(args.ckpt) > 1:
+        raise ConfigError(f"--report {args.report} takes one --ckpt, got {len(args.ckpt)}")
     nets = [load_checkpoint(p) for p in args.ckpt]
     net = nets[0]
     # Each report is computed and its weight checked before the output
@@ -279,7 +281,7 @@ def cmd_diagnose(args) -> int:
             raise ConfigError(f"heatmap needs a matrix weight, got {weight!r}")
         out = _out_dir(args)
         path = out / f"{weight}.grid"
-        heatmap_export(net, weight, args.normalize, path=path)
+        heatmap_export(net, weight, path=path)
         write_gnuplot_script(path, out / f"{weight}.gp")
     print(f"wrote {path}")
     return EXIT_OK
@@ -389,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", action="append", required=True)
     p.add_argument("--report", required=True, choices=["corr", "heatmap", "hist"])
     p.add_argument("--weight")
-    p.add_argument("--normalize", default="minmax", choices=["minmax", "zscore"])
     p.add_argument("--out")
     p.set_defaults(func=cmd_diagnose)
 

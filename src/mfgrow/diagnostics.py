@@ -97,123 +97,84 @@ _GRID_BLOCK_VALUES = 1 << 14  # values formatted per block: ~150 kB of text
 # Little-endian words of the six fraction digits: ".ddd" then "ddd ".
 _FRAC_HI = np.frombuffer(b"".join(b".%03d" % i for i in range(1000)), dtype="<u4")
 _FRAC_LO = np.frombuffer(b"".join(b"%03d " % i for i in range(1000)), dtype="<u4")
-_POW10 = 10 ** np.arange(1, 10, dtype=np.int64)
+# One formatted value: its integer digit, then the two fraction words.
+_VALUE = np.dtype([("digit", "u1"), ("hi", "<u4"), ("lo", "<u4")])
 
 
 def _write_grid(fh, grid: np.ndarray) -> None:
     """Write ``grid`` to the binary file ``fh`` as ``"%.6f"`` per value,
-    space-separated, one line per row, in blocks of whole rows."""
+    space-separated, one line per row, in blocks of whole rows. NumPy formats
+    the rows whose values all lie in [0, 1], with no -0.0 and no decimal tie
+    or near tie among them; Python formats every other row, nan included, so
+    the bytes never depend on the route taken."""
     cols = grid.shape[1]
     step = max(1, _GRID_BLOCK_VALUES // cols)
     template = " ".join(["%.6f"] * cols) + "\n"
     for start in range(0, grid.shape[0], step):
         block = grid[start:start + step]
         # CPython rounds the exact binary value of x half-to-even. rint(y)
-        # rounds y = fl(|x| * 1e6), which is within spacing(y) of that value,
-        # so the two agree when y lies further than that from a tie. From
-        # y = 2**51 on the spacing is at least 0.5, so no such y passes, nor
-        # does nan or inf.
+        # rounds y = fl(x * 1e6), which is within spacing(y) of that value,
+        # so the two agree when y lies further than that from a tie. nan
+        # fails every comparison, so it never passes.
         with np.errstate(over="ignore", invalid="ignore"):
-            y = np.abs(block)
-            y *= 1e6
+            y = block * 1e6
             k = np.rint(y)
             gap = np.subtract(y, k)
             np.abs(gap, out=gap)
             np.subtract(0.5, gap, out=gap)
             exact = gap > np.spacing(y)
-        del gap, y
+        exact &= (block <= 1.0) & ~np.signbit(block)
         exact_rows = exact.all(axis=1)
-        if exact_rows.all():
-            fh.write(_format_exact_rows(block, k))
-            continue
-        text = _format_exact_rows(block[exact_rows], k[exact_rows]) if exact_rows.any() else b""
-        lines = iter(text.splitlines(keepends=True))
-        for row, row_exact in zip(block, exact_rows):
-            if row_exact:
-                fh.write(next(lines))
-            else:
-                fh.write((template % tuple(row.tolist())).encode("ascii"))
+        text = _format_exact_rows(k[exact_rows])
+        if not exact_rows.all():
+            lines = iter(text.splitlines(keepends=True))
+            text = b"".join(next(lines) if ok else (template % tuple(row.tolist())).encode("ascii")
+                            for row, ok in zip(block, exact_rows))
+        fh.write(text)
 
 
-def _format_exact_rows(block: np.ndarray, k: np.ndarray) -> bytes:
-    """The ``"%.6f"`` text of ``block``, given k = rint(|block| * 1e6) below
-    2**51 and equal to CPython's rounding for every value."""
-    rows, cols = block.shape
-    k = k.reshape(-1).astype(np.int32 if k.max(initial=0.0) < 2**31 else np.int64)
-    ip, frac = np.divmod(k, 1_000_000)
-    frac = frac.astype(np.int32, copy=False)
+def _format_exact_rows(k: np.ndarray) -> bytes:
+    """The ``"%.6f"`` text of the rows whose values x in [0, 1] have
+    k = rint(x * 1e6) equal to CPython's rounding: 9 bytes per value."""
+    rows, cols = k.shape
+    ip, frac = np.divmod(k.reshape(-1).astype(np.int32), 1_000_000)
     hi, lo = np.divmod(frac, 1000)
-    neg = np.signbit(block).reshape(-1)
-    any_neg = bool(neg.any())
-    # Digits of the integer part, taken from the rounded k: 9.9999996 is 10.
-    top = len(str(int(ip.max())))
-    ndig = np.searchsorted(_POW10, ip, side="right") + 1 if top > 1 else 1
-    # Each value gets whole words: the sign and digits right-aligned after
-    # zero padding, then the fraction words. The zero bytes are dropped.
-    lead = 4 * ((top + 1 + 3) // 4)
-    buf = np.zeros((rows * cols, lead + 8), dtype=np.uint8)
-    words = buf.view("<u4")
-    words[:, -2] = _FRAC_HI[hi]
-    words[:, -1] = _FRAC_LO[lo]
-    rest, digit = np.divmod(ip, 10)
-    buf[:, lead - 1] = digit + 48
-    for j in range(1, top + 1):
-        sign = np.where(neg & (ndig == j), np.uint8(45), np.uint8(0)) if any_neg else 0
-        if j < top:
-            rest, digit = np.divmod(rest, 10)
-            sign = np.where(ndig > j, (digit + 48).astype(np.uint8), sign)
-        buf[:, lead - 1 - j] = sign
-    buf.reshape(rows, cols, -1)[:, -1, -1] = ord("\n")
-    if np.min(ndig) == top and (neg.all() or not any_neg):
-        return buf[:, lead - top - int(neg[0]):].tobytes()
-    flat = buf.reshape(-1)
-    return flat[flat != 0].tobytes()
+    buf = np.empty(rows * cols, dtype=_VALUE)
+    buf["digit"] = ip + 48
+    buf["hi"] = np.take(_FRAC_HI, hi)
+    buf["lo"] = np.take(_FRAC_LO, lo)
+    text = buf.view(np.uint8).reshape(rows, cols * _VALUE.itemsize)
+    text[:, -1] = ord("\n")
+    return text.tobytes()
 
 
-def heatmap_export(net: Network, weight: str, normalize: str = "minmax",
-                   path=None) -> np.ndarray:
-    """Normalized grid of a matrix weight, rows/cols sorted by their own
-    profile means so row-column banding is visible. minmax maps to [0, 1]
-    (constant matrices map to 0.5).
+def heatmap_export(net: Network, weight: str, *, path=None) -> np.ndarray:
+    """Min-max normalized grid of a matrix weight, rows/cols sorted by their
+    own profile means so row-column banding is visible. Values map to
+    [0, 1]; a constant matrix maps to 0.5.
 
     With ``path``, the grid is written after a header line as text, one line
     per row, every value exactly as ``"%.6f"`` formats it, separated by
-    single spaces. Rows are formatted in blocks with NumPy; a row holding a
-    value whose rounding NumPy cannot settle exactly (a decimal tie or near
-    tie, which includes every value of magnitude 2**51 / 1e6 or more, or a
-    non-finite value) is formatted by Python instead, so the bytes never
-    depend on the route taken."""
+    single spaces (see ``_write_grid``)."""
     w = net.arch.weight(weight)
     if w.kind != "matrix":
         raise ParameterError(f"heatmap needs a matrix weight, got {weight!r}")
-    if normalize not in ("minmax", "zscore"):
-        raise ParameterError(f"unknown normalization {normalize!r}")
     # The grid is the one full-size array: the sorted grid is normalized in
-    # place, and the net's own weight is only read. It is gathered in one
-    # step, column-major as arr[rows][:, cols] lays it out, so its mean and
-    # std sum in the same order.
+    # place, and the net's own weight is only read.
     arr = net.store[weight]
     row_order = np.argsort(arr.mean(axis=1), kind="stable")
     col_order = np.argsort(arr.mean(axis=0), kind="stable")
-    grid = arr.T[np.ix_(col_order, row_order)].T
-    if normalize == "minmax":
-        lo, hi = float(grid.min()), float(grid.max())
-        if hi == lo:
-            grid.fill(0.5)
-        else:
-            grid -= lo
-            grid /= hi - lo
+    grid = arr[np.ix_(row_order, col_order)]
+    lo, hi = float(grid.min()), float(grid.max())
+    if hi == lo:
+        grid.fill(0.5)
     else:
-        std = float(grid.std())
-        if std == 0:
-            grid.fill(0.0)
-        else:
-            grid -= grid.mean()
-            grid /= std
+        grid -= lo
+        grid /= hi - lo
     if path is not None:
         with open(path, "wb") as fh:
             fh.write(f"# weight={weight} rows={grid.shape[0]} cols={grid.shape[1]} "
-                     f"normalize={normalize} sorted=True\n".encode("utf-8"))
+                     f"normalize=minmax sorted=True\n".encode("utf-8"))
             _write_grid(fh, grid)
     return grid
 

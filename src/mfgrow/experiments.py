@@ -1,8 +1,9 @@
 """Scripted desk-scale experiment runs behind `mfgrow reproduce`.
 
 Each function returns a result dict with a ``passed`` flag so the CLI can
-map outcomes to exit codes; CSV/grid artifacts land in ``out_dir`` when one
-is given. The CIFAR-10 runs take the loaded train and test splits.
+map outcomes to exit codes; CSV artifacts land in ``out_dir`` when one is
+given, and fig1's grids, its only product, always do. The CIFAR-10 runs take
+the loaded train and test splits.
 """
 
 from __future__ import annotations
@@ -125,21 +126,18 @@ def table1(train_data, test_data, width=1000, epochs=10, seeds=(0, 1, 2),
     return {"medians": per_param, "checks": checks, "passed": passed, "summary": summary}
 
 
-def fig1_heatmaps(train_data, test_data, width=300, epochs=10, seed=0, out_dir=None) -> dict:
-    """Middle-layer heatmap grids at init and after training."""
+def fig1_heatmaps(train_data, test_data, out_dir, width=300, epochs=10, seed=0) -> dict:
+    """Middle-layer heatmap grids at init and after training, written to
+    ``out_dir``."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for param in PARAMETRIZATIONS:
         net = _cifar_net(param, width, seed, train_data)
-        name = f"fig1_{param}_init.grid"
-        if out_dir is not None:
-            Path(out_dir).mkdir(parents=True, exist_ok=True)
-            heatmap_export(net, "w1", "minmax", path=Path(out_dir) / name)
-            written.append(name)
+        heatmap_export(net, "w1", path=out_dir / f"fig1_{param}_init.grid")
         _fit(net, epochs, seed, train_data, test_data)
-        name = f"fig1_{param}_trained.grid"
-        if out_dir is not None:
-            heatmap_export(net, "w1", "minmax", path=Path(out_dir) / name)
-            written.append(name)
+        heatmap_export(net, "w1", path=out_dir / f"fig1_{param}_trained.grid")
+        written += [f"fig1_{param}_init.grid", f"fig1_{param}_trained.grid"]
     return {"files": written, "passed": True, "summary": f"wrote {len(written)} grids"}
 
 

@@ -199,18 +199,22 @@ class TestTransferCli:
         for command, flags in (
             ("transfer", [["--noise", "literal"], ["--n-groups", "3"], ["--n-candidates", "8"],
                           ["--p-max", "2"]]),
-            ("sample", [["--n-groups", "3"], ["--n-candidates", "8"], ["--p-max", "2"]]))
+            ("sample", [["--n-groups", "3"], ["--n-candidates", "8"], ["--p-max", "2"]]),
+            ("diagnose", [["--normalize", "zscore"]]))
         for flag in flags
     ], ids=lambda v: v if isinstance(v, str) else v[0])
     def test_removed_flag_exits_2_and_writes_nothing(self, command, flag, small_ckpt, tmp_path,
                                                      capsys):
-        # Noise is always w * (1 + u), and the strategies' knobs are constants.
+        # Noise is always w * (1 + u), the strategies' knobs are constants,
+        # and heatmaps are min-max only.
         argv = {"transfer": ["transfer", "--from", str(small_ckpt), "--widths", "40",
-                             "--out", str(tmp_path / "big.ckpt")],
-                "sample": ["sample", "--ckpt", str(small_ckpt), "--group", "1",
-                           "--target", "50", "--out", str(tmp_path / "samp")]}[command]
+                             "--strategy", "function_based", "--out", str(tmp_path / "big.ckpt")],
+                "sample": ["sample", "--ckpt", str(small_ckpt), "--group", "1", "--target", "50",
+                           "--strategy", "function_based", "--out", str(tmp_path / "samp")],
+                "diagnose": ["diagnose", "--ckpt", str(small_ckpt), "--report", "heatmap",
+                             "--out", str(tmp_path / "diag")]}[command]
         before = _tree(tmp_path)
-        assert main(argv + ["--strategy", "function_based", *flag]) == 2
+        assert main(argv + flag) == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert _tree(tmp_path) == before
 
@@ -524,6 +528,10 @@ class TestFailedCommandsWriteNothing:
           "--out", "{tmp}/diag"], 2),
         (["diagnose", "--ckpt", "{ckpt}", "--report", "hist", "--weight", "nope",
           "--out", "{tmp}/diag"], 2),
+        (["diagnose", "--ckpt", "{ckpt}", "--ckpt", "{ckpt}", "--report", "heatmap",
+          "--out", "{tmp}/diag"], 2),
+        (["diagnose", "--ckpt", "{ckpt}", "--ckpt", "{ckpt}", "--report", "corr",
+          "--out", "{tmp}/diag"], 2),
         (["transfer", "--from", "{ckpt}", "--widths", "40", "--out", "{tmp}/taken"], 2),
         (["train", "--config", "{cfg}", "--out", "{tmp}/file"], 2),
         (["diagnose", "--ckpt", "{tmp}/vectors.ckpt", "--report", "hist", "--out", "{tmp}/diag"], 2),
@@ -558,7 +566,8 @@ class TestFailedCommandsWriteNothing:
         (["transfer", "--from", "{tmp}/fragment.ckpt", "--widths", "16", "--out",
           "{tmp}/big.ckpt"], 2),
     ], ids=["sample-zero-target", "reproduce-no-cifar", "reproduce-cifar-dir-missing",
-            "heatmap-vector-weight", "hist-unknown-weight", "transfer-out-is-directory",
+            "heatmap-vector-weight", "hist-unknown-weight", "heatmap-two-ckpts", "corr-two-ckpts",
+            "transfer-out-is-directory",
             "train-out-is-file", "hist-no-matrix-weight", "reproduce-truncated-batch",
             "reproduce-directory-batch", "reproduce-bad-label", "reproduce-zero-seeds",
             "reproduce-negative-seeds", "reproduce-r2-out-of-range", "reproduce-r2-without-r1",

@@ -132,7 +132,7 @@ class TestHeatmap:
         r = np.sort(Rng(8).substream(0).uniform(0.5, 2.0, 12))
         c = np.sort(Rng(9).substream(0).uniform(0.5, 2.0, 12))
         net.store["w1"] = np.outer(r, c)
-        grid = heatmap_export(net, "w1", "minmax")
+        grid = heatmap_export(net, "w1")
         assert (np.diff(grid, axis=0) >= -1e-12).all()
         assert (np.diff(grid, axis=1) >= -1e-12).all()
 
@@ -146,31 +146,27 @@ class TestHeatmap:
     def test_constant_matrix_maps_to_half(self):
         net = make_net(3, 4)
         net.store["w1"] = np.ones((4, 4))
-        grid = heatmap_export(net, "w1", "minmax")
+        grid = heatmap_export(net, "w1")
         assert np.array_equal(grid, np.full((4, 4), 0.5))
 
-    @pytest.mark.parametrize("normalize", ["minmax", "zscore"])
-    def test_grid_matches_out_of_place_formula(self, normalize):
+    def test_grid_matches_out_of_place_formula(self):
         # Normalized in place, the grid holds the same bits as the
-        # out-of-place expressions on the sorted copy; the weight is only
+        # out-of-place expression on the sorted copy; the weight is only
         # read.
         net = make_net(3, 9, seed=12, input_dim=4)
         w = net.store["w1"]
         before = w.copy()
         ref = w[np.argsort(w.mean(axis=1), kind="stable")]
         ref = ref[:, np.argsort(w.mean(axis=0), kind="stable")]
-        if normalize == "minmax":
-            ref = (ref - ref.min()) / (ref.max() - ref.min())
-        else:
-            ref = (ref - ref.mean()) / ref.std()
-        grid = heatmap_export(net, "w1", normalize)
+        ref = (ref - ref.min()) / (ref.max() - ref.min())
+        grid = heatmap_export(net, "w1")
         assert grid.tobytes() == ref.tobytes()
         assert net.store["w1"] is w and w.tobytes() == before.tobytes()
 
     def test_file_output_and_gnuplot(self, tmp_path):
         net = make_net(3, 6, seed=11)
         grid_path = tmp_path / "w1.grid"
-        heatmap_export(net, "w1", "minmax", path=grid_path)
+        heatmap_export(net, "w1", path=grid_path)
         lines = grid_path.read_text().splitlines()
         assert lines[0].startswith("# weight=w1")
         assert len(lines) == 7
@@ -179,21 +175,28 @@ class TestHeatmap:
         assert "matrix with image" in script.read_text()
 
     def test_file_matches_per_value_formatting(self, tmp_path):
-        # A non-square zscore grid has negative values; every one is written
-        # exactly as f"{v:.6f}" would write it.
+        # Every value of a non-square grid is written exactly as f"{v:.6f}"
+        # would write it.
         net = make_net(3, 7, seed=13, input_dim=5)
         grid_path = tmp_path / "u.grid"
-        grid = heatmap_export(net, "u", "zscore", path=grid_path)
-        assert grid.shape == (7, 5) and (grid < 0).any()
+        grid = heatmap_export(net, "u", path=grid_path)
+        assert grid.shape == (7, 5)
         expected = "".join(" ".join(f"{v:.6f}" for v in row) + "\n" for row in grid)
         lines = grid_path.read_text(encoding="utf-8").split("\n", 1)
-        assert lines[0] == "# weight=u rows=7 cols=5 normalize=zscore sorted=True"
+        assert lines[0] == "# weight=u rows=7 cols=5 normalize=minmax sorted=True"
         assert lines[1] == expected
+
+    def test_path_is_keyword_only(self, tmp_path, monkeypatch):
+        # A call that still passes a normalization writes no file named after it.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(TypeError):
+            heatmap_export(make_net(3, 6), "w1", "minmax")
+        assert list(tmp_path.iterdir()) == []
 
     def test_vector_rejected(self):
         net = make_net(3, 6)
         with pytest.raises(ParameterError):
-            heatmap_export(net, "u", "minmax")
+            heatmap_export(net, "u")
 
 
 def per_value_text(grid):
@@ -208,19 +211,19 @@ def written_text(grid):
 
 
 # Values whose "%.6f" text NumPy's rounding alone would get wrong or that
-# stress the digit layout: an exact binary tie (0.0078125 -> 0.007812), near
-# ties, among them ones where |x| * 1e6 rounds onto a tie that rint breaks
-# the other way (2.5e-06 -> 0.000003), a carry into a new integer digit,
-# negative zero and tiny negatives, ten-digit integer parts, and the
-# smallest subnormal.
+# lie outside [0, 1], the NumPy path's domain: an exact binary tie
+# (0.0078125 -> 0.007812), near ties, among them ones where |x| * 1e6 rounds
+# onto a tie that rint breaks the other way (2.5e-06 -> 0.000003), a carry
+# into a new integer digit, negative zero and tiny negatives, ten-digit
+# integer parts, and the smallest subnormal.
 EDGE_ROW = [0.0078125, 0.0000005, 0.9999995, 2.5e-06, 3.5e-06, -2.0000005,
             9.9999996, -1e-9, -0.0, 999999999.9999995, 1e9, 5e-324]
 
-# Built so that |x| * 1e6 lies at least 0.1 from a tie: every value takes
-# the NumPy path.
+# Values in [0, 1), built so that x * 1e6 lies at least 0.1 from a tie:
+# every value takes the NumPy path.
 exact_values = st.builds(
-    lambda k, frac, neg: (-1.0 if neg else 1.0) * (k + frac) / 1e6,
-    st.integers(0, 10**14), st.floats(0.1, 0.4) | st.floats(0.6, 0.9), st.booleans(),
+    lambda k, frac: (k + frac) / 1e6,
+    st.integers(0, 10**6 - 1), st.floats(0.1, 0.4) | st.floats(0.6, 0.9),
 )
 
 
@@ -230,7 +233,6 @@ class TestGridWriter:
     # replaced. 300 rows are not a multiple of the writer's block.
     GRID_PINS = {
         "minmax": "194018197d3cb5dab76958f86ebf1cd2d02b1bee68f277395ee9bde6f3b956e1",
-        "zscore": "2ff77077491b2d91b00ea771ad0a1698ca22dcd0c41d8ee8c6c43f7498a99e19",
     }
 
     @pytest.mark.parametrize("normalize", list(GRID_PINS))
@@ -239,7 +241,7 @@ class TestGridWriter:
                          parametrization="MFP")
         net = initialize(zeros_network(arch), nonzero_mean_default("MFP", arch), Rng(3))
         path = tmp_path / "w1.grid"
-        heatmap_export(net, "w1", normalize, path=path)
+        heatmap_export(net, "w1", path=path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GRID_PINS[normalize]
 
     def test_edge_row(self):
@@ -253,15 +255,19 @@ class TestGridWriter:
             b"-0.000000", b"1000000000.000000", b"1000000000.000000", b"0.000000"]
 
     def test_rows_across_blocks_mix_both_paths(self):
-        # Three blocks and a remainder row; rows with a tie or a non-finite
-        # value sit between and inside blocks of exact rows.
+        # Three blocks and a remainder row of [0, 1] values; rows with a tie
+        # or a non-finite value sit between and inside blocks of exact rows,
+        # and only they go to Python.
         cols = 700
         rows = 3 * (diagnostics._GRID_BLOCK_VALUES // cols) + 1
-        grid = Rng(4).substream(0).normal(size=(rows, cols)) * 30.0
+        grid = Rng(4).substream(0).uniform(0.0, 1.0, size=(rows, cols))
         grid[5, 3] = 0.0078125
         grid[rows // 2, -1] = np.nan
         grid[-1, 0] = -np.inf
-        assert written_text(grid) == per_value_text(grid)
+        with mock.patch.object(diagnostics, "_format_exact_rows",
+                               wraps=diagnostics._format_exact_rows) as fast:
+            assert written_text(grid) == per_value_text(grid)
+        assert sum(call.args[0].shape[0] for call in fast.call_args_list) == rows - 3
 
     def test_fixed_width_grid_takes_the_numpy_path(self):
         grid = Rng(5).substream(0).uniform(0.0, 1.0, size=(40, 900))

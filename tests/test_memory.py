@@ -119,16 +119,16 @@ def test_sample_norms_use_one_small_buffer(wide_net):
 def test_heatmap_file_costs_no_full_size_text(wide_net, tmp_path):
     # The 1000x1000 grid is written as ~9 MB of text in blocks of rows; the
     # file adds only the blocks' temporaries to the grid's own peak.
-    _, without = traced_peak(lambda: heatmap_export(wide_net, "w1", "minmax"))
+    _, without = traced_peak(lambda: heatmap_export(wide_net, "w1"))
     path = tmp_path / "w1.grid"
-    _, with_file = traced_peak(lambda: heatmap_export(wide_net, "w1", "minmax", path=path))
+    _, with_file = traced_peak(lambda: heatmap_export(wide_net, "w1", path=path))
     assert path.stat().st_size > 9_000_000
     assert with_file - without <= 2 * MiB
 
 
 def test_heatmap_grid_is_its_only_full_size_array(wide_net):
     # The sorted copy is normalized in place: one 8 MB grid, not two.
-    grid, extra = traced_peak(lambda: heatmap_export(wide_net, "w1", "minmax"))
+    grid, extra = traced_peak(lambda: heatmap_export(wide_net, "w1"))
     assert extra < grid.nbytes + 1 * MiB
 
 
