@@ -1,9 +1,8 @@
 """Command-line harness.
 
-Subcommands: gamma, init, train, transfer, diagnose, sample, reproduce.
-``sample --seed S --group G --target T`` writes the indices that
-``transfer --seed S`` draws for hidden group G at width T
-(``transfer.index_sets``); a data group, at any T, exits 2.
+Subcommands: gamma, init, train, transfer, diagnose, reproduce.
+``transfer`` prints one JSON report of its draw: for each hidden group it
+resized, the source ``indices`` it gathered (``transfer.index_sets``).
 Exit codes: 0 success, 1 acceptance failure, 2 input error, 3 missing data.
 The CIFAR-10 directory comes from configs/flags or MFGROW_CIFAR10_DIR;
 nothing is ever fetched from the network.
@@ -12,9 +11,12 @@ nothing is ever fetched from the network.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import experiments
 from .arch import (REQUIRED, Choice, arch_from_json, build_mlp, checked_object, format_partition,
@@ -30,10 +32,10 @@ from .diagnostics import (
 )
 from .errors import ConfigError, MfgrowError, MissingDataError, ParameterError, StructureError
 from .init import InitSpec, initialize, iid_spec, nonzero_mean_default, rc_spec
-from .measure import STRATEGIES, extract_measures
+from .measure import STRATEGIES
 from .net import OptimizerState, check_data, check_schedule, train, zeros_network
 from .tensor import DistributionSpec, Rng
-from .transfer import TransferPlan, index_sets, transfer, uniform_plan
+from .transfer import TransferPlan, transfer, uniform_plan
 
 EXIT_OK = 0
 EXIT_ACCEPTANCE = 1
@@ -242,9 +244,16 @@ def cmd_transfer(args) -> int:
     net = load_checkpoint(getattr(args, "from"))
     plan = uniform_plan(net.arch, args.widths, strategy=args.strategy, r1=args.r1, r2=args.r2)
     seed = args.seed if args.seed is not None else 0
-    grown = transfer(net, plan, Rng(seed))
+    grown, sets = transfer(net, plan, Rng(seed))
     save_checkpoint(grown, args.out_ckpt, seed=seed)
-    print(f"wrote {args.out_ckpt} (widths -> {args.widths})")
+    groups = []
+    for gi, idx in sets.items():
+        counts = np.unique(idx, return_counts=True)[1]
+        groups.append({"group": gi, "width": net.arch.partition.widths[gi], "target": len(idx),
+                       "unique": len(counts), "max_multiplicity": int(counts.max()),
+                       "indices": idx.tolist()})
+    print(json.dumps({"checkpoint": str(args.out_ckpt), "seed": seed, "strategy": plan.strategy,
+                      "r1": plan.r1, "r2": plan.r2, "groups": groups}))
     return EXIT_OK
 
 
@@ -284,27 +293,6 @@ def cmd_diagnose(args) -> int:
         heatmap_export(net, weight, path=path)
         write_gnuplot_script(path, out / f"{weight}.gp")
     print(f"wrote {path}")
-    return EXIT_OK
-
-
-def cmd_sample(args) -> int:
-    net = load_checkpoint(args.ckpt)
-    measures = extract_measures(net)
-    if not 0 <= args.group < len(measures):
-        raise ConfigError(f"group must be in [0, {len(measures)}), got {args.group}")
-    # The plan checks --strategy and --r2 even when nothing is drawn.
-    plan = TransferPlan({} if args.target is None else {args.group: args.target},
-                        args.strategy, r2=args.r2)
-    files = {f"group{args.group}_measure.csv": measures[args.group].to_csv()}
-    if args.target is not None:
-        # The draw `transfer --seed S` makes for this group at this target.
-        idx = index_sets(net, plan, Rng(args.seed or 0))[args.group]
-        files[f"group{args.group}_indices.csv"] = "position,source_index\n" + "".join(
-            f"{i},{v}\n" for i, v in enumerate(idx))
-    out = _out_dir(args)
-    for name, text in files.items():
-        (out / name).write_text(text, encoding="utf-8")
-    print("wrote " + " and ".join(str(out / name) for name in files))
     return EXIT_OK
 
 
@@ -393,18 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight")
     p.add_argument("--out")
     p.set_defaults(func=cmd_diagnose)
-
-    p = sub.add_parser("sample", help="export a group measure and draw indices")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--group", type=int, default=0)
-    p.add_argument("--target", type=int)
-    # The strategies that draw; duplicate's indices are a fixed tiling.
-    p.add_argument("--strategy", default="random",
-                   choices=[s for s in STRATEGIES if s != "duplicate"])
-    p.add_argument("--r2", type=float, default=0.0)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("reproduce", help="run a scripted experiment with pass/fail summary")
     p.add_argument("name", choices=sorted(experiments.REPRODUCIBLE))

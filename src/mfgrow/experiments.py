@@ -161,7 +161,7 @@ def _transfer_experiment(train_data, test_data, source_width, target_width, rate
         for seed in seeds:
             source = sources[seed]
             plan = uniform_plan(source.arch, target_width, r1=r1, r2=r2)
-            grown = transfer(source, plan, Rng(seed))
+            grown, _ = transfer(source, plan, Rng(seed))
             log = _fit(grown, post_epochs, seed, train_data, test_data)
             acc = log.final("test_acc")
             bench = benchmarks[seed]
@@ -208,7 +208,7 @@ def twolayer_regen(seed=0, source_width=500, target_width=2000, out_dir=None) ->
     src_mse, _ = evaluate(net, test_data.inputs, test_data.targets, "square")
 
     plan = uniform_plan(net.arch, target_width, strategy="function_based")
-    regen = transfer(net, plan, Rng(seed + 2))
+    regen, _ = transfer(net, plan, Rng(seed + 2))
     regen_mse, _ = evaluate(regen, test_data.inputs, test_data.targets, "square")
     ratio = regen_mse / src_mse
     passed = ratio <= _REGEN_RATIO_BOUND

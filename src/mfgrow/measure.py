@@ -6,13 +6,12 @@ that group at position i (vector entries, matrix rows, matrix columns). The
 full slices feed the r2 norm filter, which sums each slice's per-sample
 squares with one einsum and adds those sums in slice order; the per-sample
 scalar features are the slice profiles (mean over the opposing axis),
-computed from them on demand. function_based draws all its candidates
-first and scores them in one pass over the features.
+computed from them on demand for function_based alone, which draws all its
+candidates first and scores them in one pass over the features.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -49,15 +48,6 @@ class GroupMeasure:
         layout."""
         sums = sum(np.einsum("ij,ij->i", v, v) for v in self.slices.values())
         return np.sqrt(sums)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        features = self.features
-        buf.write("sample," + ",".join(features) + "\n")
-        for i in range(self.width):
-            vals = ",".join(f"{v[i]:.12g}" for v in features.values())
-            buf.write(f"{i},{vals}\n")
-        return buf.getvalue()
 
 
 def extract_measures(net: Network) -> list[GroupMeasure]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,8 +90,8 @@ def apply_noise(w: np.ndarray, r1: float, gen: np.random.Generator) -> None:
 def index_sets(net: Network, plan: TransferPlan, rng: Rng) -> dict[int, np.ndarray]:
     """The source units each group ``plan`` names takes, by group index:
     group gi draws from its own substream ``transfer/idx/{gi}``. Groups the
-    plan leaves out get no set. ``transfer`` gathers by these sets, and
-    ``mfgrow sample`` writes them."""
+    plan leaves out get no set. ``transfer`` gathers by these sets and
+    returns them."""
     partition = net.arch.partition
     measures = extract_measures(net)
     sets = {}
@@ -106,10 +107,23 @@ def index_sets(net: Network, plan: TransferPlan, rng: Rng) -> dict[int, np.ndarr
     return sets
 
 
-def transfer(net: Network, plan: TransferPlan, rng: Rng) -> Network:
-    """Rebuild every weight from ``index_sets(net, plan, rng)``: gather each
-    axis of a named group, then add the r1 noise. A weight with no such axis
-    is copied. The source network is left untouched."""
+class _Transferred(NamedTuple):
+    """``transfer``'s (network, sets) pair. ``store`` is the network's:
+    bench/layers.py sizes a transfer's output as ``result.store``."""
+
+    network: Network
+    sets: dict[int, np.ndarray]
+
+    @property
+    def store(self) -> dict[str, np.ndarray]:
+        return self.network.store
+
+
+def transfer(net: Network, plan: TransferPlan, rng: Rng) -> _Transferred:
+    """Rebuild every weight from ``sets = index_sets(net, plan, rng)``:
+    gather each axis of a named group, then add the r1 noise. A weight with
+    no such axis is copied. Returns ``(network, sets)``: the new network and
+    the draw it was gathered by. The source network is left untouched."""
     arch = net.arch
     partition = arch.partition
     sets = index_sets(net, plan, rng)
@@ -136,7 +150,7 @@ def transfer(net: Network, plan: TransferPlan, rng: Rng) -> Network:
     new_width = {gid: len(idx) for gi, idx in sets.items() for gid in partition.groups[gi]}
     new_gammas = tuple(GammaVar(g.id, new_width.get(g.id, g.width), g.role) for g in arch.gammas)
     new_arch = replace(arch, weights=new_weights, gammas=new_gammas)
-    return Network(new_arch, new_store, dict(net.meta))
+    return _Transferred(Network(new_arch, new_store, dict(net.meta)), sets)
 
 
 def duplicate_grow(net: Network, k: int) -> Network:
@@ -147,4 +161,4 @@ def duplicate_grow(net: Network, k: int) -> Network:
         raise ParameterError(f"k must be >= 1, got {k}")
     p = net.arch.partition
     targets = {gi: width * k for gi, width in enumerate(p.widths) if p.resizable[gi]}
-    return transfer(net, TransferPlan(targets, strategy="duplicate"), Rng(0))
+    return transfer(net, TransferPlan(targets, strategy="duplicate"), Rng(0)).network

@@ -199,7 +199,6 @@ class TestTransferCli:
         for command, flags in (
             ("transfer", [["--noise", "literal"], ["--n-groups", "3"], ["--n-candidates", "8"],
                           ["--p-max", "2"]]),
-            ("sample", [["--n-groups", "3"], ["--n-candidates", "8"], ["--p-max", "2"]]),
             ("diagnose", [["--normalize", "zscore"]]))
         for flag in flags
     ], ids=lambda v: v if isinstance(v, str) else v[0])
@@ -209,13 +208,21 @@ class TestTransferCli:
         # and heatmaps are min-max only.
         argv = {"transfer": ["transfer", "--from", str(small_ckpt), "--widths", "40",
                              "--strategy", "function_based", "--out", str(tmp_path / "big.ckpt")],
-                "sample": ["sample", "--ckpt", str(small_ckpt), "--group", "1", "--target", "50",
-                           "--strategy", "function_based", "--out", str(tmp_path / "samp")],
                 "diagnose": ["diagnose", "--ckpt", str(small_ckpt), "--report", "heatmap",
                              "--out", str(tmp_path / "diag")]}[command]
         before = _tree(tmp_path)
         assert main(argv + flag) == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert _tree(tmp_path) == before
+
+    def test_removed_sample_command_exits_2_and_writes_nothing(self, small_ckpt, tmp_path,
+                                                               capsys):
+        # A transfer reports the indices it draws; there is no second command
+        # that redraws them.
+        before = _tree(tmp_path)
+        assert main(["sample", "--ckpt", str(small_ckpt), "--group", "1", "--target", "50",
+                     "--out", str(tmp_path / "samp")]) == 2
+        assert "invalid choice: 'sample'" in capsys.readouterr().err
         assert _tree(tmp_path) == before
 
     def test_non_finite_checkpoint_transfers_like_random(self, tmp_path):
@@ -239,7 +246,9 @@ class TestTransferCli:
     def test_write_failure_exits_2(self, small_ckpt, capsys):
         assert main(["transfer", "--from", str(small_ckpt), "--widths", "40",
                      "--out", "/dev/full"]) == 2
-        assert capsys.readouterr().err.startswith("error: cannot write checkpoint /dev/full")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write checkpoint /dev/full")
+        assert captured.out == ""  # the report follows the saved checkpoint
 
 
 class TestDiagnoseCli:
@@ -272,37 +281,51 @@ class TestDiagnoseCli:
         assert (out / "w1_hist.csv").exists()
 
 
-class TestSampleCli:
-    def test_measure_and_indices(self, small_ckpt, tmp_path):
-        out = tmp_path / "samp"
-        rc = main(["sample", "--ckpt", str(small_ckpt), "--group", "1",
-                   "--target", "50", "--strategy", "function_based",
-                   "--seed", "3", "--out", str(out)])
-        assert rc == 0
-        assert (out / "group1_measure.csv").exists()
-        idx = (out / "group1_indices.csv").read_text().splitlines()
-        assert len(idx) == 51
+def _transfer_report(capsys, ckpt, out, *flags):
+    """The JSON report ``mfgrow transfer`` prints, and its exact stdout."""
+    assert main(["transfer", "--from", str(ckpt), "--out", str(out), *flags]) == 0
+    text = capsys.readouterr().out
+    return json.loads(text), text
 
-    def test_zero_target_exits_2(self, small_ckpt, tmp_path, capsys):
-        out = tmp_path / "samp"
-        rc = main(["sample", "--ckpt", str(small_ckpt), "--group", "1",
-                   "--target", "0", "--out", str(out)])
-        assert rc == 2
-        assert "target must be >= 1" in capsys.readouterr().err
-        assert not (out / "group1_indices.csv").exists()
 
-    @pytest.mark.parametrize("r2", ["5", "nan"])
-    def test_bad_r2_without_target_exits_2(self, r2, small_ckpt, tmp_path, capsys):
-        # --r2 is checked whether or not a draw is made.
-        before = _tree(tmp_path)
-        assert main(["sample", "--ckpt", str(small_ckpt), "--group", "0", "--r2", r2,
-                     "--out", str(tmp_path / "samp")]) == 2
-        assert "r2 must lie in [0, 1)" in capsys.readouterr().err
-        assert _tree(tmp_path) == before
-
-    def test_bad_group_exits_2(self, small_ckpt, tmp_path):
-        assert main(["sample", "--ckpt", str(small_ckpt), "--group", "9",
-                     "--out", str(tmp_path / "x")]) == 2
+class TestTransferReport:
+    @pytest.mark.parametrize("skip, flags, unique, multiplicity", [
+        # A grow past the r2 = 0.5 pool of 16 takes each pool unit 3 or 4 times.
+        (False, ["--widths", "50", "--r1", "0.5", "--r2", "0.5"], 16, 4),
+        (False, ["--widths", "8", "--r2", "0.5"], 8, 1),
+        (False, ["--widths", "32"], 32, 1),  # a same-size draw permutes
+        (False, ["--widths", "64", "--strategy", "duplicate"], 32, 2),
+        # skip4's merged group: 40 = 2 * 16 + 8.
+        (True, ["--widths", "40"], 16, 3),
+    ], ids=["grow", "prune", "permute", "duplicate", "skip4"])
+    def test_report_layout(self, skip, flags, unique, multiplicity, mfp_ckpt, tmp_path,
+                           capsys):
+        ckpt = mfp_ckpt
+        if skip:
+            arch = build_mlp(4, 16, with_bias=True, with_skip=True, input_dim=5, output_dim=3,
+                             parametrization="MFP")
+            ckpt = tmp_path / "skip4.ckpt"
+            save_checkpoint(initialize(zeros_network(arch), nonzero_mean_default("MFP", arch),
+                                       Rng(0)), ckpt)
+        out = tmp_path / "t.ckpt"
+        report, text = _transfer_report(capsys, ckpt, out, *flags, "--seed", "3")
+        assert text.count("\n") == 1
+        assert list(report) == ["checkpoint", "seed", "strategy", "r1", "r2", "groups"]
+        args = cli.build_parser().parse_args(["transfer", "--from", "x", "--out", "y", *flags])
+        assert [report[k] for k in ("checkpoint", "seed", "strategy", "r1", "r2")] == \
+            [str(out), 3, args.strategy, args.r1, args.r2]
+        # Both nets have hidden groups 0 and 1 and data groups 2 and 3; only
+        # the hidden ones are resized.
+        partition = load_checkpoint(ckpt).arch.partition
+        assert [g["group"] for g in report["groups"]] == [0, 1]
+        for g in report["groups"]:
+            assert list(g) == ["group", "width", "target", "unique", "max_multiplicity",
+                               "indices"]
+            counts = np.bincount(g["indices"])
+            assert g["width"] == partition.widths[g["group"]]
+            assert g["target"] == len(g["indices"]) == args.widths
+            assert g["unique"] == np.count_nonzero(counts) == unique
+            assert g["max_multiplicity"] == counts.max() == multiplicity
 
     # The weight whose rows (axis 0) or columns (axis 1) a hidden group
     # indexes, its other axis data-tied: u's rows are group 0, v's columns
@@ -314,30 +337,31 @@ class TestSampleCli:
     @pytest.mark.parametrize("target", [50, 8], ids=["grow", "prune"])
     @pytest.mark.parametrize("strategy", ["random", "group", "function_based"])
     def test_indices_are_the_transfer_draw(self, strategy, target, r2, group, mfp_ckpt,
-                                           tmp_path):
-        flags = ["--strategy", strategy, "--r2", str(r2), "--seed", "3"]
-        assert main(["sample", "--ckpt", str(mfp_ckpt), "--group", str(group),
-                     "--target", str(target), "--out", str(tmp_path / "samp"), *flags]) == 0
-        lines = (tmp_path / "samp" / f"group{group}_indices.csv").read_text().splitlines()
-        sampled = [int(line.split(",")[1]) for line in lines[1:]]
-
+                                           tmp_path, capsys):
         out = tmp_path / "t.ckpt"
-        assert main(["transfer", "--from", str(mfp_ckpt), "--widths", str(target),
-                     "--out", str(out), *flags]) == 0
+        report, _ = _transfer_report(capsys, mfp_ckpt, out, "--widths", str(target),
+                                     "--strategy", strategy, "--r2", str(r2), "--seed", "3")
+        reported = report["groups"][group]
+        assert reported["group"] == group
         name, axis = self.GATHERED_BY[group]
         src = np.moveaxis(load_checkpoint(mfp_ckpt).store[name], axis, 0)
         dst = np.moveaxis(load_checkpoint(out).store[name], axis, 0)
         # Each source slice is distinct, so each gathered slice names its source.
         matches = (dst[:, None, :] == src[None, :, :]).all(axis=2)
         assert (matches.sum(axis=1) == 1).all()
-        assert sampled == matches.argmax(axis=1).tolist()
+        assert reported["indices"] == matches.argmax(axis=1).tolist()
 
-    def test_resizing_a_data_group_exits_2(self, mfp_ckpt, tmp_path, capsys):
-        before = _tree(tmp_path)
-        assert main(["sample", "--ckpt", str(mfp_ckpt), "--group", "2", "--target", "5",
-                     "--out", str(tmp_path / "samp")]) == 2
-        assert "group 2 has a data-tied width 20; cannot resize to 5" in capsys.readouterr().err
-        assert _tree(tmp_path) == before
+    @pytest.mark.parametrize("strategy", ["random", "group", "function_based"])
+    def test_same_seed_same_bytes(self, strategy, mfp_ckpt, tmp_path, capsys):
+        out = tmp_path / "t.ckpt"
+        flags = ["--widths", "50", "--strategy", strategy, "--r1", "0.5", "--r2", "0.5"]
+        runs = []
+        for seed in ("3", "3", "4"):
+            report, text = _transfer_report(capsys, mfp_ckpt, out, *flags, "--seed", seed)
+            runs.append((report, text, out.read_bytes()))
+        assert runs[0][1:] == runs[1][1:]
+        assert [g["indices"] for g in runs[0][0]["groups"]] != \
+            [g["indices"] for g in runs[2][0]["groups"]]
 
 
 class TestReproduceCli:
@@ -521,7 +545,9 @@ def _tree(root):
 
 class TestFailedCommandsWriteNothing:
     @pytest.mark.parametrize("argv,code", [
-        (["sample", "--ckpt", "{ckpt}", "--group", "1", "--target", "0", "--out", "{tmp}/samp"], 2),
+        (["transfer", "--from", "{ckpt}", "--widths", "0", "--out", "{tmp}/t.ckpt"], 2),
+        (["transfer", "--from", "{ckpt}", "--widths", "30", "--strategy", "duplicate",
+          "--out", "{tmp}/t.ckpt"], 2),
         (["reproduce", "table1", "--out", "{tmp}/rep"], 3),
         (["reproduce", "table1", "--cifar", "{tmp}/nonexistent", "--out", "{tmp}/rep"], 3),
         (["diagnose", "--ckpt", "{ckpt}", "--report", "heatmap", "--weight", "u",
@@ -551,6 +577,10 @@ class TestFailedCommandsWriteNothing:
         (["reproduce", "twolayer_regen", "--seed", str(2**64 - 2), "--out", "{tmp}/rep"], 2),
         (["transfer", "--from", "{ckpt}", "--widths", "40", "--r1", "nan", "--out", "{tmp}/t.ckpt"],
          2),
+        (["transfer", "--from", "{ckpt}", "--widths", "40", "--r2", "5", "--out", "{tmp}/t.ckpt"],
+         2),
+        (["transfer", "--from", "{ckpt}", "--widths", "40", "--r2", "nan", "--out", "{tmp}/t.ckpt"],
+         2),
         (["train", "--config", "{cfg}", "--seed", "-1"], 2),
         (["init", "--config", "{cfg}", "--seed", str(2**64)], 2),
         (["train", "--config", "{tmp}/output-dim-3.json"], 2),
@@ -560,23 +590,24 @@ class TestFailedCommandsWriteNothing:
         (["train", "--config", "{tmp}/rate-underflow.json"], 2),
         (["train", "--config", "{tmp}/fragment.json"], 2),
         (["init", "--config", "{tmp}/fragment.json"], 2),
-        (["sample", "--ckpt", "{tmp}/fragment.ckpt", "--out", "{tmp}/samp"], 2),
         (["diagnose", "--ckpt", "{tmp}/fragment.ckpt", "--report", "corr", "--out", "{tmp}/diag"],
          2),
         (["transfer", "--from", "{tmp}/fragment.ckpt", "--widths", "16", "--out",
           "{tmp}/big.ckpt"], 2),
-    ], ids=["sample-zero-target", "reproduce-no-cifar", "reproduce-cifar-dir-missing",
+    ], ids=["transfer-zero-width", "transfer-duplicate-not-a-multiple", "reproduce-no-cifar",
+            "reproduce-cifar-dir-missing",
             "heatmap-vector-weight", "hist-unknown-weight", "heatmap-two-ckpts", "corr-two-ckpts",
             "transfer-out-is-directory",
             "train-out-is-file", "hist-no-matrix-weight", "reproduce-truncated-batch",
             "reproduce-directory-batch", "reproduce-bad-label", "reproduce-zero-seeds",
             "reproduce-negative-seeds", "reproduce-r2-out-of-range", "reproduce-r2-without-r1",
             "reproduce-negative-seed", "reproduce-regen-top-seed",
-            "reproduce-regen-top-seed-minus-1", "transfer-r1-nan", "train-negative-seed-flag",
+            "reproduce-regen-top-seed-minus-1", "transfer-r1-nan", "transfer-r2-out-of-range",
+            "transfer-r2-nan", "train-negative-seed-flag",
             "init-seed-flag-too-big", "train-targets-narrower-than-output",
             "train-inputs-narrower-than-input-dim", "train-width-scale-overflows",
             "train-rate-overflows", "train-rate-underflows", "train-fragment",
-            "init-fragment", "sample-fragment", "diagnose-fragment", "transfer-fragment"])
+            "init-fragment", "diagnose-fragment", "transfer-fragment"])
     def test_exits_with_error_and_leaves_outputs_alone(self, argv, code, small_ckpt, tmp_path,
                                                         monkeypatch, capsys):
         monkeypatch.delenv("MFGROW_CIFAR10_DIR", raising=False)
@@ -611,7 +642,9 @@ class TestFailedCommandsWriteNothing:
         (tmp_path / "good" / "data_batch_1.bin").write_bytes(bytes(CIFAR_RECORD))
         before = _tree(tmp_path)
         assert main([a.format(ckpt=small_ckpt, cfg=cfg, tmp=tmp_path) for a in argv]) == code
-        assert capsys.readouterr().err.startswith("error: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
         assert _tree(tmp_path) == before
 
 
@@ -730,8 +763,7 @@ class TestUnreadableFiles:
     @pytest.mark.parametrize("argv", [
         ["diagnose", "--ckpt", "{ckpt}", "--report", "corr", "--out", "{out}"],
         ["transfer", "--from", "{ckpt}", "--widths", "30", "--out", "{out}/t.ckpt"],
-        ["sample", "--ckpt", "{ckpt}", "--target", "5", "--out", "{out}"],
-    ], ids=["diagnose", "transfer", "sample"])
+    ], ids=["diagnose", "transfer"])
     def test_checkpoint_directory_exits_2(self, argv, tmp_path, capsys):
         ckpt = tmp_path / "dir.ckpt"
         ckpt.mkdir()

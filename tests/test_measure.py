@@ -121,13 +121,6 @@ class TestExtract:
             copies = m.sample_norms().reshape(3, -1)
             assert copies.tobytes() == np.tile(copies[0], (3, 1)).tobytes()
 
-    def test_csv_export(self):
-        net = small_net(depth=2, width=4)
-        m = extract_measures(net)[0]
-        text = m.to_csv()
-        assert text.splitlines()[0] == "sample,u,v"
-        assert len(text.splitlines()) == 5
-
 
 def at(features, idx):
     """Each feature's values at the sample indices ``idx``."""

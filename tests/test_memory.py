@@ -77,7 +77,7 @@ def test_load_checkpoint_reads_each_payload_once(wide_net, tmp_path):
 def test_grow_with_noise_peak_bounded():
     net = cifar_net(100, seed=1)
     plan = uniform_plan(net.arch, 1000, r1=1.0)
-    grown, extra = traced_peak(lambda: transfer(net, plan, Rng(2)))
+    (grown, _), extra = traced_peak(lambda: transfer(net, plan, Rng(2)))
     assert extra < 1.75 * payload_bytes(grown)
 
 
@@ -86,7 +86,7 @@ def test_grow_applies_noise_in_place():
     # buffer: no weight is ever held twice.
     net = cifar_net(100, seed=1)
     plan = uniform_plan(net.arch, 1000, r1=1.0)
-    grown, extra = traced_peak(lambda: transfer(net, plan, Rng(2)))
+    (grown, _), extra = traced_peak(lambda: transfer(net, plan, Rng(2)))
     assert extra < 1.1 * payload_bytes(grown)
 
 
@@ -95,7 +95,7 @@ def test_prune_holds_no_copy_of_its_source(wide_net):
     # 1000 -> 100 prune adds little to its output beyond the one-axis gather
     # of w1.
     plan = uniform_plan(wide_net.arch, 100)
-    pruned, extra = traced_peak(lambda: transfer(wide_net, plan, Rng(2)))
+    (pruned, _), extra = traced_peak(lambda: transfer(wide_net, plan, Rng(2)))
     assert extra < payload_bytes(pruned) + 1 * MiB
 
 

@@ -68,7 +68,7 @@ class TestIdentityTransfer:
     def test_bit_identical(self):
         net = make_net(3, 12, with_bias=True)
         # An empty plan names no group, so every weight is copied.
-        out = transfer(net, TransferPlan(strategy="duplicate"), Rng(0))
+        out, _ = transfer(net, TransferPlan(strategy="duplicate"), Rng(0))
         for k in net.store:
             assert np.array_equal(out.store[k], net.store[k])
 
@@ -121,9 +121,9 @@ class TestRandomGrowth:
         f_src = forward_batch(net, xs)
 
         def mean_deviation(width):
+            plan = uniform_plan(net.arch, width)
             return np.mean([
-                np.mean(np.abs(forward_batch(transfer(net, uniform_plan(net.arch, width), Rng(s)), xs)
-                               - f_src))
+                np.mean(np.abs(forward_batch(transfer(net, plan, Rng(s))[0], xs) - f_src))
                 for s in range(3, 23)
             ])
 
@@ -136,7 +136,7 @@ class TestRandomGrowth:
     ], ids=["chain", "skip4"])
     def test_same_size_draw_is_permutation(self, depth, width, kw):
         net = make_net(depth, width, seed=12, **kw)
-        shuffled = transfer(net, uniform_plan(net.arch, width), Rng(13))
+        shuffled, _ = transfer(net, uniform_plan(net.arch, width), Rng(13))
         xs = Rng(96).substream(0).uniform(-2, 2, size=(50, 1))
         assert np.allclose(forward_batch(shuffled, xs), forward_batch(net, xs), atol=1e-12)
         assert not np.array_equal(shuffled.store["v"], net.store["v"])
@@ -146,7 +146,7 @@ class TestRandomGrowth:
         # so do u entries and w1 columns: transferred slices must originate
         # from the same source index.
         net = make_net(3, 30, seed=5)
-        grown = transfer(net, uniform_plan(net.arch, 90), Rng(6))
+        grown, _ = transfer(net, uniform_plan(net.arch, 90), Rng(6))
         # Recover the index choices by matching entries (distinct w.p. 1).
         idx_rows = _recover(net.store["v"], grown.store["v"])
         idx_cols = _recover(net.store["u"], grown.store["u"])
@@ -154,7 +154,7 @@ class TestRandomGrowth:
 
     def test_shapes_and_scalars_follow_targets(self):
         net = make_net(3, 16, with_bias=True, input_dim=7, output_dim=4)
-        grown = transfer(net, uniform_plan(net.arch, 48), Rng(7))
+        grown, _ = transfer(net, uniform_plan(net.arch, 48), Rng(7))
         assert grown.store["w1"].shape == (48, 48)
         assert grown.store["u"].shape == (48, 7)
         assert grown.store["v"].shape == (4, 48)
@@ -185,7 +185,7 @@ class TestRandomGrowth:
             TransferPlan(targets={1: target})
 
     def test_numpy_integer_target_accepted(self):
-        grown = transfer(make_net(3, 16), TransferPlan(targets={1: np.int64(6)}), Rng(0))
+        grown, _ = transfer(make_net(3, 16), TransferPlan(targets={1: np.int64(6)}), Rng(0))
         assert grown.store["v"].shape == (6,)
 
     @pytest.mark.parametrize("r2", [0.0, 0.5])
@@ -201,8 +201,7 @@ class TestRandomGrowth:
         p = net.arch.partition
         for gi in (i for i in range(len(p)) if p.resizable[i]):
             plan = TransferPlan(targets={gi: 17}, strategy=strategy, r2=r2)
-            idx = index_sets(net, plan, Rng(4))
-            out = transfer(net, plan, Rng(4))
+            out, idx = transfer(net, plan, Rng(4))
             for w in net.arch.weights:
                 expected = net.store[w.name]
                 for axis, ax in enumerate(w.axes):
@@ -221,9 +220,9 @@ class TestRandomGrowth:
     def test_deterministic_given_plan_and_seed(self):
         net = make_net(3, 20, seed=8)
         plan = uniform_plan(net.arch, 60, r1=0.3)
-        a = transfer(net, plan, Rng(123))
-        b = transfer(net, plan, Rng(123))
-        c = transfer(net, plan, Rng(124))
+        a, _ = transfer(net, plan, Rng(123))
+        b, _ = transfer(net, plan, Rng(123))
+        c, _ = transfer(net, plan, Rng(124))
         for k in a.store:
             assert np.array_equal(a.store[k], b.store[k])
         assert not np.array_equal(a.store["w1"], c.store["w1"])
@@ -243,7 +242,7 @@ def _recover(src, new):
 class TestPruning:
     def test_prune_shapes(self):
         net = make_net(3, 50, seed=9)
-        pruned = transfer(net, uniform_plan(net.arch, 10, r2=0.5), Rng(10))
+        pruned, _ = transfer(net, uniform_plan(net.arch, 10, r2=0.5), Rng(10))
         assert pruned.store["w1"].shape == (10, 10)
 
     def test_r2_filter_drops_small_norms(self):
@@ -251,7 +250,7 @@ class TestPruning:
         # Make sample norms strictly increasing so survivors are known.
         net.store["u"] = np.arange(1.0, 11.0)
         net.store["v"] = np.zeros(10)
-        pruned = transfer(net, uniform_plan(net.arch, 5, r2=0.5), Rng(12))
+        pruned, _ = transfer(net, uniform_plan(net.arch, 5, r2=0.5), Rng(12))
         assert set(pruned.store["u"].tolist()) <= {6.0, 7.0, 8.0, 9.0, 10.0}
 
 
@@ -322,9 +321,11 @@ class TestFinitePopulationOracle:
 
         # The transferred net outputs exactly the resampled terms' mean, plus
         # the readout bias and rounding: the plan names one group, and every
-        # other group keeps its units.
-        f_new = contrib[:, index_sets(source, plan, Rng(0))[group]].mean(axis=1)
-        grown = transfer(source, plan, Rng(0))
+        # other group keeps its units. The draws above are the ones transfer
+        # makes and returns.
+        grown, sets = transfer(source, plan, Rng(0))
+        assert np.array_equal(sets[group], index_sets(source, plan, Rng(0))[group])
+        f_new = contrib[:, sets[group]].mean(axis=1)
         assert np.allclose(forward_batch(grown, probes)[:, 0], f_new + out[:, 0] - f_src,
                            rtol=0.0, atol=1e-12)
 
@@ -339,7 +340,7 @@ class TestGrowThenTrain:
         pre_loss, _ = evaluate(small, test_data.inputs, test_data.targets, "square")
 
         plan = uniform_plan(small.arch, 80, strategy="duplicate")
-        grown = transfer(small, plan, Rng(23))
+        grown, _ = transfer(small, plan, Rng(23))
         opt = OptimizerState.create(grown, lr=0.05)
         log = train(grown, train_data, opt, epochs=1, batch_size=32, rng=Rng(24),
                     test_data=test_data)
@@ -349,7 +350,7 @@ class TestGrowThenTrain:
     def test_function_based_strategy_accepted(self):
         train_data = synth_regression("sine", 128, 0.0, Rng(30))
         small = make_net(2, 30, seed=31)
-        grown = transfer(small, uniform_plan(small.arch, 60, strategy="function_based"), Rng(32))
+        grown, _ = transfer(small, uniform_plan(small.arch, 60, strategy="function_based"), Rng(32))
         opt = OptimizerState.create(grown, lr=0.05)
         log = train(grown, train_data, opt, epochs=1, batch_size=32, rng=Rng(33))
         assert len(log.rows) == 2
@@ -399,7 +400,7 @@ class TestTransferPinned:
         topology, strategy, target, r1, r2 = case
         net = _pin_net(topology == "skip4")
         plan = uniform_plan(net.arch, target, strategy=strategy, r1=r1, r2=r2)
-        out = transfer(net, plan, Rng(50))
+        out, _ = transfer(net, plan, Rng(50))
         assert store_digest(out) == TRANSFER_PINS[case]
 
     def test_outputs_compute_like_their_checkpoint(self, tmp_path):
@@ -408,7 +409,7 @@ class TestTransferPinned:
         arch = build_mlp(3, 16, with_bias=True, input_dim=48, output_dim=10)
         net = initialize(zeros_network(arch), nonzero_mean_default("MFP", arch), Rng(1))
         for target in (48, 9):
-            out = transfer(net, uniform_plan(arch, target), Rng(2))
+            out, _ = transfer(net, uniform_plan(arch, target), Rng(2))
             assert all(a.flags.c_contiguous for a in out.store.values())
             save_checkpoint(out, tmp_path / "t.ckpt")
             back = load_checkpoint(tmp_path / "t.ckpt")
