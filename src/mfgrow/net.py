@@ -15,10 +15,10 @@ forward scalars follow ``arch._forward_scalar``.
 
 Each scalar is applied to the smaller side of its product: in place on the
 (batch, out) forward output, and folded with the batch mean's 1/B into the
-(batch, out) delta before a weight gradient is formed. Under SGD each matrix
-weight's rate (lr x width scale x multiplier) is folded into that delta too,
-so the product is the SGD step itself and the update is one in-place
-subtract.
+(batch, out) delta before a weight gradient is formed, with the weight's rate.
+SGD and Adam share one step, ``opt.apply(net, backward_batch(net, X, Y, loss,
+opt.rates)[0])``; ``OptimizerState`` states both rates, under which an MFP
+update depends only on the empirical measure (arXiv 2308.01814 for Adam).
 """
 
 from __future__ import annotations
@@ -171,13 +171,13 @@ def _loss_and_delta(out: np.ndarray, Y: np.ndarray, loss: str):
     return losses, delta
 
 
-def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str = "square",
-                   rates: dict[str, float] | None = None):
-    """Mean gradients of the loss over a batch. Returns (grads, mean_loss).
+def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str,
+                   rates: dict[str, float]):
+    """Rate-scaled mean gradients over a batch. Returns (grads, mean_loss).
 
-    With ``rates`` (per-weight SGD rates, ``OptimizerState.rates``) each
-    entry is the SGD step instead: a matrix's rate is folded into its delta
-    before the product, a vector's or bias's multiplies its mean gradient.
+    ``rates`` holds one rate per weight (``OptimizerState.rates``; all 1.0
+    gives plain gradients): a matrix's rate is folded into its delta before
+    the product, a vector's or bias's multiplies its mean gradient.
     """
     X = _check_input(net, X)
     B = X.shape[0]
@@ -186,10 +186,6 @@ def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str = "squa
     out, inputs = _run(net, X, keep=True)
     losses, delta = _loss_and_delta(out, Y, loss)
     grads: dict[str, np.ndarray] = {}
-
-    def rate(name):
-        return 1.0 if rates is None else rates[name]
-
     for i in range(len(plan) - 1, -1, -1):
         layer = plan[i]
         w = net.store[layer.weight]
@@ -198,15 +194,15 @@ def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str = "squa
         # the mean's wrapper.
         if not layer.vector:
             # Scale the (batch, out) delta, not the (out, in) product.
-            grads[layer.weight] = (delta * (rate(layer.weight) * (layer.scalar / B))).T @ z
+            grads[layer.weight] = (delta * (rates[layer.weight] * (layer.scalar / B))).T @ z
         elif i == 0:
-            grads[layer.weight] = rate(layer.weight) * (
+            grads[layer.weight] = rates[layer.weight] * (
                 np.add.reduce(delta * z[:, 0:1], axis=0) / B)
         else:
-            grads[layer.weight] = rate(layer.weight) * (
+            grads[layer.weight] = rates[layer.weight] * (
                 layer.scalar * (np.add.reduce(delta[:, 0:1] * z, axis=0) / B))
         if layer.bias is not None:
-            grads[layer.bias] = rate(layer.bias) * (np.add.reduce(delta, axis=0) / B)
+            grads[layer.bias] = rates[layer.bias] * (np.add.reduce(delta, axis=0) / B)
         if i == 0:
             break
         if not layer.vector:
@@ -246,16 +242,17 @@ DEFAULT_LR_EXPONENT = {"SP": 1.0, "muP": 1.0, "MFP": 0.0}
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam with fixed per-weight rates, ``lr * width_scale *
-    lr_multiplier``, computed once by ``create``.
-
-    ``lr_width_exponent`` rescales the base rate by max_hidden_width**alpha.
-    It defaults to 0 (a plain constant rate); the scripted SP/muP experiments
-    use 1.0 to compensate their width-dependent forward scalars.
-    """
+    """SGD or Adam with per-weight rates, computed once by ``create``, that
+    ``backward_batch`` folds into the gradients. The step size is ``lr *
+    max_hidden_width**lr_width_exponent`` (exponent 0 by default; the scripted
+    SP/muP runs use 1.0 against their width-dependent forward scalars). An SGD
+    rate is ``step_size * lr_multiplier``, the SGD step. An Adam rate is
+    ``lr_multiplier``: Adam normalizes the multiplier-scaled gradient and
+    takes a width-free step of ``step_size`` (Tensor Programs IVb)."""
 
     kind: str
     rates: dict[str, float]
+    step_size: float
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -273,29 +270,27 @@ class OptimizerState:
             width_scale = float(max_width) ** lr_width_exponent
         except OverflowError:
             width_scale = math.inf
-        rates = {name: lr * width_scale * mult for name, mult in mults.items()}
-        for name, value in (("learning rate", lr),
-                            (f"width scale {max_width}**{lr_width_exponent}", width_scale),
-                            *((f"rate of {w}", r) for w, r in rates.items())):
+        step_size = lr * width_scale
+        rates = {name: step_size * mult for name, mult in mults.items()} if kind == "sgd" else mults
+        scaled = (*((f"rate of {w}", r) for w, r in rates.items()), ("step size", step_size))
+        scale = f"width scale {max_width}**{lr_width_exponent}"
+        for name, value in (("learning rate", lr), (scale, width_scale), *scaled):
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
-        for w, r in rates.items():
-            if lr > 0 and r == 0.0:
-                raise ParameterError(
-                    f"rate of {w} rounds to 0: lr {lr} x width scale {max_width}**"
-                    f"{lr_width_exponent} = {width_scale} x multiplier {mults[w]}")
-        return cls(kind=kind, rates=rates)
+        for name, value in scaled:
+            if lr > 0 and value == 0.0:
+                raise ParameterError(f"{name} rounds to 0: lr {lr} x {scale} = {width_scale}")
+        return cls(kind=kind, rates=rates, step_size=step_size)
 
     def apply(self, net: Network, grads: dict[str, np.ndarray]) -> None:
-        """One update. SGD subtracts the steps of ``backward_batch(...,
-        rates=self.rates)`` in place; Adam takes plain mean gradients."""
+        """One update from ``backward_batch(..., self.rates)``: SGD subtracts it
+        in place; Adam subtracts ``step_size * mhat / (sqrt(vhat) + eps)``."""
         self.step_count += 1
         if self.kind == "sgd":
             for name, step in grads.items():
                 net.store[name] -= step
             return
         for name, g in grads.items():
-            eff = self.rates[name]
             w = net.store[name]
             m = self.m.setdefault(name, np.zeros_like(w))
             v = self.v.setdefault(name, np.zeros_like(w))
@@ -305,7 +300,7 @@ class OptimizerState:
             v += (1.0 - _ADAM_BETA2) * g * g
             mhat = m / (1.0 - _ADAM_BETA1**self.step_count)
             vhat = v / (1.0 - _ADAM_BETA2**self.step_count)
-            w -= eff * mhat / (np.sqrt(vhat) + _ADAM_EPS)
+            w -= self.step_size * mhat / (np.sqrt(vhat) + _ADAM_EPS)
 
 
 @dataclass
@@ -343,6 +338,7 @@ _EVAL_CHUNK = 1024
 
 def evaluate(net: Network, inputs: np.ndarray, targets: np.ndarray, loss: str = "square"):
     """Mean loss (and accuracy for classification) over a dataset."""
+    inputs = _check_input(net, inputs)
     n = inputs.shape[0]
     if n == 0:
         raise ParameterError("evaluation data is empty")
@@ -412,7 +408,6 @@ def train(
     log.add(0, 0, tr0, te0, acc0)
 
     n = data.inputs.shape[0]
-    rates = opt.rates if opt.kind == "sgd" else None
     step = 0
     for epoch in range(1, epochs + 1):
         perm = order_gen.permutation(n)
@@ -421,7 +416,7 @@ def train(
         for start in range(0, n, batch_size):
             idx = perm[start : start + batch_size]
             grads, batch_loss = backward_batch(net, data.inputs[idx], data.targets[idx], loss,
-                                               rates)
+                                               opt.rates)
             if not np.isfinite(batch_loss) or abs(batch_loss) > DIVERGENCE_LIMIT:
                 raise DivergenceError(f"training loss diverged ({batch_loss})", step)
             opt.apply(net, grads)

@@ -64,8 +64,8 @@ class DistributionSpec:
 
     def __post_init__(self):
         if self.kind == "uniform":
-            if self.b < self.a:
-                raise ParameterError(f"uniform upper bound {self.b} < lower bound {self.a}")
+            if not 0.0 <= self.b - self.a < math.inf:
+                raise ParameterError(f"uniform needs 0 <= b - a < inf, got a={self.a}, b={self.b}")
         elif self.kind == "gaussian":
             if self.b < 0:
                 raise ParameterError(f"gaussian std must be >= 0, got {self.b}")

@@ -26,7 +26,6 @@ from mfgrow.init import initialize, nonzero_mean_default, rc_spec
 from mfgrow.measure import coupling_contrast
 from mfgrow.net import (
     OptimizerState,
-    backward_batch,
     forward_batch,
     train,
     zeros_network,
@@ -34,7 +33,7 @@ from mfgrow.net import (
 from mfgrow.tensor import Rng, gaussian, uniform
 from mfgrow.transfer import duplicate_grow
 
-from test_net import fd_grads
+from test_net import fd_grads, plain_grads
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
@@ -83,7 +82,7 @@ def test_criterion_2_gradient_fidelity():
                 net = _fresh_net(depth, width, param, seed=100 * depth + seed,
                                  with_bias=(seed % 2 == 0))
                 x, y = [0.6], [0.2]
-                analytic, _ = backward_batch(net, [x], y, "square")
+                analytic, _ = plain_grads(net, [x], y)
                 numeric = fd_grads(net, x, y, "square")
                 for name in net.store:
                     a, n = analytic[name], numeric[name]
@@ -99,7 +98,7 @@ def test_criterion_2_gradient_fidelity():
     x, y = 0.9, 0.4
     f = forward_batch(net, np.array([[x]]))[0, 0]
     zz = np.tanh(u * x)
-    grads, _ = backward_batch(net, [[x]], [y], "square")
+    grads, _ = plain_grads(net, [[x]], [y])
     closed_ok = np.allclose(grads["v"], (f - y) * zz / 32, atol=1e-12, rtol=0) and np.allclose(
         grads["u"], (f - y) * v * (1 - zz**2) * x / 32, atol=1e-12, rtol=0
     )

@@ -590,6 +590,7 @@ class TestFailedCommandsWriteNothing:
         (["train", "--config", "{tmp}/rate-underflow.json"], 2),
         (["train", "--config", "{tmp}/fragment.json"], 2),
         (["init", "--config", "{tmp}/fragment.json"], 2),
+        (["init", "--config", "{tmp}/uniform-overflow.json"], 2),
         (["diagnose", "--ckpt", "{tmp}/fragment.ckpt", "--report", "corr", "--out", "{tmp}/diag"],
          2),
         (["transfer", "--from", "{tmp}/fragment.ckpt", "--widths", "16", "--out",
@@ -607,7 +608,8 @@ class TestFailedCommandsWriteNothing:
             "init-seed-flag-too-big", "train-targets-narrower-than-output",
             "train-inputs-narrower-than-input-dim", "train-width-scale-overflows",
             "train-rate-overflows", "train-rate-underflows", "train-fragment",
-            "init-fragment", "diagnose-fragment", "transfer-fragment"])
+            "init-fragment", "init-uniform-width-overflows", "diagnose-fragment",
+            "transfer-fragment"])
     def test_exits_with_error_and_leaves_outputs_alone(self, argv, code, small_ckpt, tmp_path,
                                                         monkeypatch, capsys):
         monkeypatch.delenv("MFGROW_CIFAR10_DIR", raising=False)
@@ -624,6 +626,12 @@ class TestFailedCommandsWriteNothing:
             optimizer = {**doc["optimizer"], **opt}
             (tmp_path / f"{name}.json").write_text(
                 json.dumps({**doc, "arch": arch, "optimizer": optimizer}), encoding="utf-8")
+        # b - a of u's uniform overflows to inf.
+        dists = {"u": {"kind": "uniform", "a": -1.7e308, "b": 1.7e308},
+                 "v": {"kind": "gaussian", "b": 1.0}}
+        (tmp_path / "uniform-overflow.json").write_text(
+            json.dumps({**doc, "init": {"mode": "iid", "distributions": dists}}),
+            encoding="utf-8")
         fragment = tmp_path / "attention.json"
         fragment.write_text(arch_to_json(build_attention_block(4)), encoding="utf-8")
         (tmp_path / "fragment.json").write_text(

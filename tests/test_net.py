@@ -73,11 +73,16 @@ def assert_matches_fd(analytic, net, X, Y, loss, rtol):
             assert rel.max() < rtol, f"{name}: max rel err {rel.max():.2e}"
 
 
+def plain_grads(net, X, Y, loss="square"):
+    """``backward_batch`` at unit rates: plain mean gradients and the mean loss."""
+    return backward_batch(net, X, Y, loss, dict.fromkeys(net.store, 1.0))
+
+
 def assert_gradcheck(net, x, y, loss, rtol=1e-6):
     """One-row batch gradients from ``backward_batch`` against central differences."""
     X = np.atleast_1d(np.asarray(x, dtype=np.float64))[None, :]
     Y = np.asarray(y).reshape(1, -1) if loss == "square" else np.asarray(y).reshape(1)
-    assert_matches_fd(backward_batch(net, X, Y, loss)[0], net, X, Y, loss, rtol)
+    assert_matches_fd(plain_grads(net, X, Y, loss)[0], net, X, Y, loss, rtol)
 
 
 class TestConstruction:
@@ -148,7 +153,7 @@ class TestBackward:
     def test_zero_weights_tanh_zero_gradient_on_v(self):
         arch = build_mlp(3, 8, parametrization="MFP")
         net = zeros_network(arch)
-        grads, _ = backward_batch(net, [[0.7]], [1.0], "square")
+        grads, _ = plain_grads(net, [[0.7]], [1.0])
         # tanh(0) = 0 propagates: the output layer sees all-zero features.
         assert np.allclose(grads["v"], 0.0)
 
@@ -161,7 +166,7 @@ class TestBackward:
         zz = np.tanh(u * x)
         dv_closed = (f - y) * zz / n
         du_closed = (f - y) * v * (1.0 - zz**2) * x / n
-        grads, _ = backward_batch(net, [[x]], [y], "square")
+        grads, _ = plain_grads(net, [[x]], [y])
         assert np.allclose(grads["v"], dv_closed, rtol=0, atol=1e-12)
         assert np.allclose(grads["u"], du_closed, rtol=0, atol=1e-12)
 
@@ -197,13 +202,13 @@ class TestBackward:
         gen = Rng(8).substream(0)
         X = gen.normal(size=(8, 6))
         Y = gen.normal(size=(8, 4)) if loss == "square" else gen.integers(0, 4, size=8)
-        grads, _ = backward_batch(net, X, Y, loss)
+        grads, _ = plain_grads(net, X, Y, loss)
         assert_matches_fd(grads, net, X, Y, loss, rtol=1e-6)
 
     def test_unknown_loss(self):
         net = make_net(2, 4)
         with pytest.raises(ParameterError):
-            backward_batch(net, [[0.1]], [0.0], "hinge")
+            plain_grads(net, [[0.1]], [0.0], "hinge")
 
 
 class TestTargetRule:
@@ -229,7 +234,7 @@ class TestTargetRule:
         net = make_net(3, 8, input_dim=2, output_dim=3, seed=1)
         X = Rng(3).substream(0).normal(size=(n, 2))
         with pytest.raises(ParameterError, match=message):
-            backward_batch(net, X, targets, loss)
+            plain_grads(net, X, targets, loss)
         with pytest.raises(ParameterError, match=message):
             evaluate(net, X, targets, loss)
 
@@ -271,7 +276,7 @@ class TestFiveLayerClosedForms:
         inner_u = (inner_w1 * dpsi(h2)) @ w1 / n2
         du = err * inner_u * dpsi(u * x) * x
 
-        grads, _ = backward_batch(net, [[x]], [y], "square")
+        grads, _ = plain_grads(net, [[x]], [y])
         mults = {"v": n4, "w3": n4 * n3, "w2": n3 * n2, "w1": n2 * n1, "u": n1}
         closed = {"v": dv, "w3": dw3, "w2": dw2, "w1": dw1, "u": du}
         for name, delta in closed.items():
@@ -279,25 +284,28 @@ class TestFiveLayerClosedForms:
 
 
 class TestDuplicationTrajectory:
-    """k-fold duplication commutes with MFP SGD: the duplicated net follows
-    the small net's trajectory exactly, so the outputs agree to round-off
-    after every step (Net2Net, arXiv 1511.05641; mean-field dynamics depend
-    only on the empirical measure, arXiv 1804.06561)."""
+    """k-fold duplication commutes with MFP SGD and Adam: the duplicated net
+    follows the small net's trajectory exactly, so the outputs agree to
+    round-off after every step (Net2Net, arXiv 1511.05641; mean-field
+    dynamics depend only on the empirical measure, arXiv 1804.06561). Adam
+    normalizes the multiplier-scaled gradient, which duplication leaves
+    unchanged (Tensor Programs IVb, arXiv 2308.01814)."""
 
+    @pytest.mark.parametrize("kind, lr", [("sgd", 0.05), ("adam", 1e-3)])
     @pytest.mark.parametrize("with_skip", [False, True])
     @pytest.mark.parametrize("k", [2, 3])
-    def test_sgd_trajectory_preserved(self, with_skip, k):
+    def test_trajectory_preserved(self, kind, lr, with_skip, k):
         small = make_net(4, 8, with_bias=True, with_skip=with_skip, seed=4)
         big = duplicate_grow(small, k)
-        opt_small = OptimizerState.create(small, lr=0.05)
-        opt_big = OptimizerState.create(big, lr=0.05)
+        opt_small = OptimizerState.create(small, kind=kind, lr=lr)
+        opt_big = OptimizerState.create(big, kind=kind, lr=lr)
         gen = Rng(12).substream(0)
         probe = gen.uniform(-2, 2, size=(64, 1))
         for _ in range(20):
             X = gen.uniform(-2, 2, size=(16, 1))
             Y = np.sin(2.0 * X)
-            opt_small.apply(small, backward_batch(small, X, Y, rates=opt_small.rates)[0])
-            opt_big.apply(big, backward_batch(big, X, Y, rates=opt_big.rates)[0])
+            opt_small.apply(small, backward_batch(small, X, Y, "square", opt_small.rates)[0])
+            opt_big.apply(big, backward_batch(big, X, Y, "square", opt_big.rates)[0])
             dev = np.abs(forward_batch(small, probe) - forward_batch(big, probe)).max()
             assert dev <= 1e-12
 
@@ -354,8 +362,8 @@ class TestSgdUpdate:
         gen = Rng(6).substream(0)
         X, Y = gen.normal(size=(16, dims[0])), gen.normal(size=(16, dims[1]))
         opt = OptimizerState.create(net, lr=0.3, lr_width_exponent=0.5)
-        grads, loss = backward_batch(net, X, Y)
-        steps, step_loss = backward_batch(net, X, Y, rates=opt.rates)
+        grads, loss = plain_grads(net, X, Y)
+        steps, step_loss = backward_batch(net, X, Y, "square", opt.rates)
         assert step_loss == loss and steps.keys() == grads.keys()
         for name, rate in opt.rates.items():
             ref = rate * grads[name]
@@ -381,11 +389,17 @@ class TestSgdUpdate:
             OptimizerState.create(net, lr=0.05, lr_width_exponent=-1000.0)
         assert set(OptimizerState.create(net, lr=0.0, lr_width_exponent=-1000.0)
                    .rates.values()) == {0.0}
+        # Adam's rates are the multipliers; its step size carries lr.
+        with pytest.raises(ParameterError, match="step size rounds to 0"):
+            OptimizerState.create(net, kind="adam", lr=0.05, lr_width_exponent=-1000.0)
+        assert OptimizerState.create(net, kind="adam", lr=0.0,
+                                     lr_width_exponent=-1000.0).step_size == 0.0
 
 
 def trained_case(case):
-    """(net, optimizer, data, loss) of one trained-weight pin, untrained."""
-    kind, param = case
+    """(net, optimizer, data, loss) of one trained-weight pin, untrained. A
+    third entry "adam" trains with Adam at lr 1e-3 instead of SGD."""
+    kind, param, *adam = case
     if kind == "cifar":
         arch = build_mlp(3, 24, with_bias=True, input_dim=3072, output_dim=10,
                          parametrization=param)
@@ -398,12 +412,16 @@ def trained_case(case):
                  "twolayer": (2, {})}[kind]
     net = make_net(depth, 12, parametrization=param, seed=62, **kw)
     data = synth_regression("sine", 64, 0.1, Rng(63))
-    return net, OptimizerState.create(net, lr=0.05), data, "square"
+    opt = (OptimizerState.create(net, kind="adam", lr=1e-3) if adam
+           else OptimizerState.create(net, lr=0.05))
+    return net, opt, data, "square"
 
 
-# (net, parametrization) -> digest of the store after 2 SGD epochs, with each
-# matrix's rate folded into its delta. The two-layer net has vector weights
-# only; its SGD steps round as rate * gradient.
+# (net, parametrization[, "adam"]) -> digest of the store after 2 epochs, with
+# each matrix's rate folded into its delta. The two-layer net has vector
+# weights only; its SGD steps round as rate * gradient. SP and muP Adam have
+# unit rates and keep the digests of plain-gradient Adam; MFP Adam normalizes
+# its multiplier-scaled gradients.
 TRAINED_PINS = {
     ("cifar", "SP"): "647646e4e5726bec5981c4ab65259f2d45587b7812727c502258ec854872980f",
     ("cifar", "muP"): "3e980afcc1b5ccbc193c022ea1fec31a9876f2a7374294f0b2f78c3156e76a4c",
@@ -411,6 +429,10 @@ TRAINED_PINS = {
     ("chain4", "MFP"): "be6b30aa316319c4fca1ddf5e4f5f87eccbca502bc8aba816766de7db1a3380f",
     ("skip4", "MFP"): "4050a15a981caf9bebd94cd8e0ab69dbbef74e19b5c2b4005773560e28c1e060",
     ("twolayer", "MFP"): "88b2c1d90a2a048ac46c6bfe1f69b45df20b0717130174f6b3bee5334373b880",
+    ("chain4", "SP", "adam"): "e47f1260f02a817b31ae121bbbc7a692de3c78b7e981dd59ef42d33fd18e78e4",
+    ("chain4", "muP", "adam"): "d9a4e5465a2e4cd379da601215b5e7e31da803c50a240693f99b89f3e6f64f81",
+    ("chain4", "MFP", "adam"): "fedca1847a8cbdc89e2837c195a0c040a4ed4f99da0a561539c81c1fe3efef15",
+    ("skip4", "MFP", "adam"): "9ae285f678a8d401e00b07ce62625b6379d3f5804bd57fb2d07c6a63cc01ae8f",
 }
 
 
@@ -438,7 +460,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     def test_equals_hand_loop_of_the_public_step(self, kind):
-        # train's step is backward_batch (with the SGD rates) then apply.
+        # train's step is backward_batch (with the optimizer's rates) then apply.
         def run(by_hand):
             net = make_net(4, 8, with_bias=True, input_dim=3, output_dim=2, seed=7)
             gen = Rng(8).substream(0)
@@ -448,13 +470,12 @@ class TestTrain:
                 train(net, data, opt, epochs=2, batch_size=16, rng=Rng(9))
                 return net
             order = Rng(9).substream("train/order")
-            rates = opt.rates if kind == "sgd" else None
             for _ in range(2):
                 perm = order.permutation(40)
                 for start in range(0, 40, 16):
                     idx = perm[start : start + 16]
                     opt.apply(net, backward_batch(net, data.inputs[idx], data.targets[idx],
-                                                  rates=rates)[0])
+                                                  "square", opt.rates)[0])
             return net
 
         assert store_digest(run(by_hand=False)) == store_digest(run(by_hand=True))
@@ -513,6 +534,16 @@ class TestTrain:
         net = make_net(2, 8)
         with pytest.raises(ParameterError):
             evaluate(net, np.zeros((0, 1)), np.zeros(0))
+
+    @pytest.mark.parametrize("loss, targets", [("square", [0.0, 1.0]),
+                                               ("cross_entropy", [2, 0])])
+    def test_evaluate_takes_lists_like_forward_batch(self, loss, targets):
+        net = make_net(3, 8, output_dim=3 if loss == "cross_entropy" else 1, seed=5)
+        inputs = [[0.1], [0.2]]
+        assert np.array_equal(forward_batch(net, inputs), forward_batch(net, np.array(inputs)))
+        got = evaluate(net, inputs, targets, loss)
+        want = evaluate(net, np.array(inputs), np.array(targets), loss)
+        assert np.array_equal(got, want, equal_nan=True)
 
     @pytest.mark.parametrize("epochs, batch_size, message", [
         (-1, 16, "epochs must be >= 0, got -1"),

@@ -65,6 +65,13 @@ class TestSample:
         with pytest.raises(ParameterError):
             gaussian(0.0, -0.5)
 
+    @pytest.mark.parametrize("a, b", [(-1.7e308, 1.7e308), (0.0, float("inf")),
+                                      (float("nan"), 1.0)])
+    def test_uniform_width_must_be_finite(self, a, b):
+        # Generator.uniform raises OverflowError unless b - a is finite.
+        with pytest.raises(ParameterError, match="uniform needs 0 <= b - a < inf"):
+            uniform(a, b)
+
 
 class TestPearson:
     def test_self_is_one(self):
