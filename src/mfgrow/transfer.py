@@ -25,13 +25,18 @@ __all__ = ["TransferPlan", "apply_noise", "duplicate_grow", "index_sets", "trans
            "uniform_plan"]
 
 
+def _integer(x) -> bool:
+    """An int or NumPy integer; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class TransferPlan:
     """Target widths and sampling choices for one transfer.
 
     ``targets`` maps a hidden group's index (in ``ArchGraph.partition``
-    order) to its new width, an integer. Only the named groups are
-    resampled; the others keep their units. A data group cannot be named.
+    order), an integer, to its new width, an integer. Only the named groups
+    are resampled; the others keep their units. A data group cannot be named.
     """
 
     targets: dict[int, int] = field(default_factory=dict)
@@ -41,7 +46,10 @@ class TransferPlan:
 
     def __post_init__(self):
         for gi, t in self.targets.items():
-            if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+            if not _integer(gi):
+                raise ParameterError(f"plan target {gi!r} names no group: "
+                                     "a group index is an integer")
+            if not _integer(t):
                 raise ParameterError(f"plan target for group {gi!r} must be an integer, got {t!r}")
         if not 0.0 <= self.r1 < math.inf:
             raise ParameterError(f"r1 must be a finite number >= 0, got {self.r1}")

@@ -3,6 +3,7 @@ import io
 import os
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -93,7 +94,17 @@ CIFAR_PINS = {
 }
 
 
-def test_cifar_arrays_pinned(tmp_path):
+def threads_dividing(monkeypatch, workers, min_rows=1):
+    """Make the loader divide each file's rows as if ``workers`` CPUs were
+    usable, in blocks of at least ``min_rows`` rows."""
+    monkeypatch.setattr(data, "_workers", lambda: workers)
+    monkeypatch.setattr(data, "_MIN_BLOCK_ROWS", min_rows)
+
+
+# 13 is one above the train split's record count: more threads than rows.
+@pytest.mark.parametrize("workers", [1, 2, 3, 13])
+def test_cifar_arrays_pinned(tmp_path, monkeypatch, workers):
+    threads_dividing(monkeypatch, workers)
     write_pinned_batches(tmp_path)
     splits = dict(zip(("train", "test"), load_cifar10(tmp_path)))
     assert (splits["train"].inputs.shape[0], splits["test"].inputs.shape[0]) == (12, 1)
@@ -105,6 +116,75 @@ def test_cifar_arrays_pinned(tmp_path):
         assert arr.flags.c_contiguous and arr.shape[1:] == ((3072,) if field == "inputs" else ())
         got = hashlib.sha256(arr.astype(arr.dtype.newbyteorder("<")).tobytes()).hexdigest()
         assert got == digest, (split, field)
+
+
+class TestParallelDivide:
+    @pytest.mark.parametrize("workers, blocks", [(1, [769]), (2, [384, 385]),
+                                                 (3, [256, 256, 257]), (4, [256, 256, 257])])
+    def test_blocks_of_at_least_256_rows_match_one_divide(self, tmp_path, monkeypatch,
+                                                          workers, blocks):
+        # 769 = 3 * 256 + 1 rows split evenly into no block count above one,
+        # and give no fourth block of 256 rows.
+        threads_dividing(monkeypatch, workers, min_rows=data._MIN_BLOCK_ROWS)
+        records = np.random.default_rng(5).integers(0, 256, size=(769, CIFAR_RECORD),
+                                                    dtype=np.uint8)
+        records[:, 0] %= 10
+        (tmp_path / "data_batch_1.bin").write_bytes(records.tobytes())
+        write_fixture_batch(tmp_path / "test_batch.bin", [(0, 0)])
+        sizes = []
+        divide = data._divide_block
+
+        def recording(rows, out):
+            sizes.append(len(rows))
+            divide(rows, out)
+        monkeypatch.setattr(data, "_divide_block", recording)
+        train, _ = load_cifar10(tmp_path)
+        assert train.inputs.tobytes() == (records[:, 1:] / 255.0).tobytes()
+        assert sorted(sizes) == [1] + blocks  # the test file's one row, then the train blocks
+
+    def test_threads_end_with_the_load(self, tmp_path, monkeypatch):
+        # Workers that finish late still finish before the load returns.
+        threads_dividing(monkeypatch, 3)
+        write_pinned_batches(tmp_path)
+        divide = data._divide_block
+
+        def late_off_the_caller(rows, out):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)
+            divide(rows, out)
+        monkeypatch.setattr(data, "_divide_block", late_off_the_caller)
+        before = threading.active_count()
+        load_cifar10(tmp_path)
+        assert threading.active_count() == before
+
+    def test_threads_end_on_a_bad_label_in_the_second_file(self, tmp_path, monkeypatch):
+        # The first train file is divided by three threads before the
+        # second file's label 12 is read.
+        threads_dividing(monkeypatch, 3)
+        write_pinned_batches(tmp_path)
+        write_fixture_batch(tmp_path / "data_batch_2.bin", [(4, 0), (12, 0)])
+        before = threading.active_count()
+        with pytest.raises(DataError, match="data_batch_2.bin: record 1 has label 12"):
+            load_cifar10(tmp_path)
+        assert threading.active_count() == before
+
+    def test_a_worker_block_failure_reaches_the_caller(self, tmp_path, monkeypatch):
+        threads_dividing(monkeypatch, 3)
+        write_pinned_batches(tmp_path)
+        divide = data._divide_block
+        done = []
+
+        def failing_off_the_caller(rows, out):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("worker block")
+            divide(rows, out)
+            done.append(len(rows))
+        monkeypatch.setattr(data, "_divide_block", failing_off_the_caller)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="worker block"):
+            load_cifar10(tmp_path)
+        assert threading.active_count() == before
+        assert done == [2]  # the caller's own block of data_batch_1.bin's 7 rows
 
 
 class TestCifarFiles:
