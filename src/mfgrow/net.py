@@ -16,6 +16,14 @@ forward scalars follow ``arch._forward_scalar``.
 Each scalar is applied to the smaller side of its product: in place on the
 (batch, out) forward output, and folded with the batch mean's 1/B into the
 (batch, out) delta before a weight gradient is formed, with the weight's rate.
+Vector layers (a 1-d input's embedding, a 1-d output's readout) contract
+with ``np.einsum``: the embedding's forward product, the readout's
+back-propagated delta and both vector gradients make no BLAS call and no
+(batch, width) broadcast product, so their bits do not depend on the BLAS
+thread count; each batch sum adds the exact products in row order, as
+``np.add.reduce(..., axis=0)`` does. The readout's forward product is the
+gemv ``z @ w``.
+
 SGD and Adam share one step, ``opt.apply(net, backward_batch(net, X, Y, loss,
 opt.rates)[0])``; ``OptimizerState`` states both rates, under which an MFP
 update depends only on the empirical measure (arXiv 2308.01814 for Adam).
@@ -39,10 +47,17 @@ _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 
+
+def _tanh_slope(z: np.ndarray) -> np.ndarray:
+    """tanh's derivative 1 - z * z from its output z, in one temporary."""
+    t = z * z
+    return np.subtract(1.0, t, out=t)
+
+
 # Activation and its derivative, the latter written in terms of the
 # activation's output so the backward pass needs only the layer inputs.
 _ACTIVATIONS = {
-    "tanh": (np.tanh, lambda z: 1.0 - z * z),
+    "tanh": (np.tanh, _tanh_slope),
     "relu": (lambda a: np.maximum(a, 0.0), lambda z: (z > 0.0).astype(np.float64)),
     "identity": (lambda a: a, lambda z: np.ones_like(z)),
 }
@@ -111,7 +126,7 @@ def _run(net: Network, X: np.ndarray, keep: bool):
         if not layer.vector:
             a = z @ w.T
         elif i == 0:
-            a = X[:, 0:1] * w[None, :]
+            a = np.einsum("b,n->bn", X[:, 0], w)
         else:
             a = (z @ w)[:, None]
         if layer.scalar != 1.0:
@@ -160,7 +175,7 @@ def _loss_and_delta(out: np.ndarray, Y: np.ndarray, loss: str):
     """Per-example losses and d(loss)/d(out), for targets from ``_targets``."""
     if loss == "square":
         diff = out - Y
-        return 0.5 * np.sum(diff * diff, axis=1), diff
+        return 0.5 * np.add.reduce(diff * diff, axis=1), diff
     shifted = out - out.max(axis=1, keepdims=True)
     expv = np.exp(shifted)
     probs = expv / expv.sum(axis=1, keepdims=True)
@@ -191,16 +206,18 @@ def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str,
         w = net.store[layer.weight]
         z = inputs[i]
         # np.add.reduce(x, axis=0) / B is x.mean(axis=0) bit for bit, without
-        # the mean's wrapper.
+        # the mean's wrapper. A vector's einsum adds the exact products in the
+        # row order np.add.reduce uses over their (batch, width) array,
+        # without making that array.
         if not layer.vector:
             # Scale the (batch, out) delta, not the (out, in) product.
             grads[layer.weight] = (delta * (rates[layer.weight] * (layer.scalar / B))).T @ z
         elif i == 0:
             grads[layer.weight] = rates[layer.weight] * (
-                np.add.reduce(delta * z[:, 0:1], axis=0) / B)
+                np.einsum("bn,b->n", delta, z[:, 0]) / B)
         else:
             grads[layer.weight] = rates[layer.weight] * (
-                layer.scalar * (np.add.reduce(delta[:, 0:1] * z, axis=0) / B))
+                layer.scalar * (np.einsum("bn,b->n", z, delta[:, 0]) / B))
         if layer.bias is not None:
             grads[layer.bias] = rates[layer.bias] * (np.add.reduce(delta, axis=0) / B)
         if i == 0:
@@ -210,14 +227,14 @@ def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str,
             if layer.scalar != 1.0:
                 back *= layer.scalar
         else:
-            back = layer.scalar * delta[:, 0:1] * w[None, :]
+            back = np.einsum("b,n->bn", layer.scalar * delta[:, 0], w)
         # z is the previous layer's activation output.
         back *= _ACTIVATIONS[plan[i - 1].activation][1](z)
         if layer.residual:
             # The residual add passes this layer's delta straight through.
             back += delta
         delta = back
-    return grads, float(losses.mean())
+    return grads, float(np.add.reduce(losses) / B)
 
 
 def lr_multiplier(weight: str, arch: ArchGraph) -> float:
@@ -417,7 +434,7 @@ def train(
             idx = perm[start : start + batch_size]
             grads, batch_loss = backward_batch(net, data.inputs[idx], data.targets[idx], loss,
                                                opt.rates)
-            if not np.isfinite(batch_loss) or abs(batch_loss) > DIVERGENCE_LIMIT:
+            if not math.isfinite(batch_loss) or abs(batch_loss) > DIVERGENCE_LIMIT:
                 raise DivergenceError(f"training loss diverged ({batch_loss})", step)
             opt.apply(net, grads)
             running += batch_loss

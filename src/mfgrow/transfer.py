@@ -10,7 +10,9 @@ training the transferred net is left to the caller.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -37,20 +39,24 @@ class TransferPlan:
     ``targets`` maps a hidden group's index (in ``ArchGraph.partition``
     order), an integer, to its new width, an integer. Only the named groups
     are resampled; the others keep their units. A data group cannot be named.
+    The plan keeps a read-only copy of the checked targets, so a later change
+    to the caller's mapping reaches no transfer.
     """
 
-    targets: dict[int, int] = field(default_factory=dict)
+    targets: Mapping[int, int] = field(default_factory=dict)
     strategy: str = "random"  # one of measure.STRATEGIES
     r1: float = 0.0
     r2: float = 0.0
 
     def __post_init__(self):
-        for gi, t in self.targets.items():
+        targets = dict(self.targets)
+        for gi, t in targets.items():
             if not _integer(gi):
                 raise ParameterError(f"plan target {gi!r} names no group: "
                                      "a group index is an integer")
             if not _integer(t):
                 raise ParameterError(f"plan target for group {gi!r} must be an integer, got {t!r}")
+        object.__setattr__(self, "targets", MappingProxyType(targets))
         if not 0.0 <= self.r1 < math.inf:
             raise ParameterError(f"r1 must be a finite number >= 0, got {self.r1}")
         if not 0.0 <= self.r2 < 1.0:

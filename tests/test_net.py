@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -394,6 +396,138 @@ class TestSgdUpdate:
             OptimizerState.create(net, kind="adam", lr=0.05, lr_width_exponent=-1000.0)
         assert OptimizerState.create(net, kind="adam", lr=0.0,
                                      lr_width_exponent=-1000.0).step_size == 0.0
+
+
+_REFERENCE_ACTIVATIONS = {
+    "tanh": (np.tanh, lambda z: 1.0 - z * z),
+    "relu": (lambda a: np.maximum(a, 0.0), lambda z: (z > 0.0).astype(np.float64)),
+    "identity": (lambda a: a, lambda z: np.ones_like(z)),
+}
+
+
+def broadcast_step(net, X, Y, rates, reduce=np.add.reduce):
+    """The square-loss step as it was written before vector layers contracted
+    with einsum: broadcast (batch, width) products, np.add.reduce over the
+    batch, np.sum and mean. The bit reference for ``backward_batch``.
+    ``reduce`` replaces the batch sums of the weight gradients."""
+    B = X.shape[0]
+    plan = net.plan.layers
+    inputs, z, prev = [], X, None
+    for i, layer in enumerate(plan):
+        w = net.store[layer.weight]
+        inputs.append(z)
+        if not layer.vector:
+            a = z @ w.T
+        elif i == 0:
+            a = X[:, 0:1] * w[None, :]
+        else:
+            a = (z @ w)[:, None]
+        if layer.scalar != 1.0:
+            a *= layer.scalar
+        if layer.bias is not None:
+            a += net.store[layer.bias]
+        if layer.residual:
+            a += prev
+        prev = a
+        z = a if layer.activation is None else _REFERENCE_ACTIVATIONS[layer.activation][0](a)
+    delta = z - Y
+    losses = 0.5 * np.sum(delta * delta, axis=1)
+    grads = {}
+    for i in range(len(plan) - 1, -1, -1):
+        layer = plan[i]
+        w = net.store[layer.weight]
+        z = inputs[i]
+        if not layer.vector:
+            grads[layer.weight] = (delta * (rates[layer.weight] * (layer.scalar / B))).T @ z
+        elif i == 0:
+            grads[layer.weight] = rates[layer.weight] * (
+                reduce(delta * z[:, 0:1], axis=0) / B)
+        else:
+            grads[layer.weight] = rates[layer.weight] * (
+                layer.scalar * (reduce(delta[:, 0:1] * z, axis=0) / B))
+        if layer.bias is not None:
+            grads[layer.bias] = rates[layer.bias] * (reduce(delta, axis=0) / B)
+        if i == 0:
+            break
+        if not layer.vector:
+            back = delta @ w
+            if layer.scalar != 1.0:
+                back *= layer.scalar
+        else:
+            back = layer.scalar * delta[:, 0:1] * w[None, :]
+        back *= _REFERENCE_ACTIVATIONS[plan[i - 1].activation][1](z)
+        if layer.residual:
+            back += delta
+        delta = back
+    return grads, float(losses.mean())
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestVectorStepBits:
+    # Vector layers contract with np.einsum: each entry of an outer product
+    # is one exact product, and each batch sum adds the exact products in
+    # row order, as np.add.reduce(..., axis=0) over the broadcast product
+    # does. Only signed zeros can part. einsum's outer product of a zero and
+    # a negative factor is +0.0 where the broadcast product gives -0.0; a
+    # zero input in every third batch reaches that case, and no sum sees
+    # the sign. An all-zero batch sum is +0.0 under einsum. Under an
+    # add.reduce that starts from the first row it is -0.0 (NumPy 2.4 starts
+    # from +0.0, so the two agree here), and w -= +-0 then differs only for
+    # a weight that is itself -0.0.
+    # Hidden width 1 is the one rounding change: the (batch, 1) operand is
+    # contiguous along the batch, and einsum sums it in SIMD lanes.
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+    @pytest.mark.parametrize("parametrization", ["SP", "muP", "MFP"])
+    @pytest.mark.parametrize("depth, kw", [
+        (2, {}), (2, {"with_bias": True}), (3, {}), (3, {"with_bias": True}),
+        (4, {"with_skip": True})], ids=["twolayer", "twolayer-bias", "chain3", "chain3-bias",
+                                        "skip4"])
+    def test_step_bit_identical_to_broadcast_products(self, depth, kw, parametrization,
+                                                      activation):
+        # Every batch size 1..65 runs once, at hidden width 2 + B % 9 (2..10).
+        gen = Rng(70).substream(0)
+        nets = {width: make_net(depth, width, parametrization, activation=activation,
+                                seed=width, **kw) for width in range(2, 11)}
+        for B in range(1, 66):
+            net = nets[2 + B % 9]
+            X, Y = gen.normal(size=(B, 1)), gen.normal(size=(B, 1))
+            if B % 3 == 0:
+                X[B // 2] = 0.0
+            opt = (OptimizerState.create(net, lr=0.05) if B % 2 else
+                   OptimizerState.create(net, kind="adam", lr=1e-3))
+            grads, loss = backward_batch(net, X, Y, "square", opt.rates)
+            ref_grads, ref_loss = broadcast_step(net, X, Y, opt.rates)
+            assert bits(loss) == bits(ref_loss), B
+            assert grads.keys() == ref_grads.keys()
+            for name, g in grads.items():
+                assert bits(g) == bits(ref_grads[name]), (B, name)
+            new, ref = (Network(net.arch, {k: v.copy() for k, v in net.store.items()})
+                        for _ in range(2))
+            copy.deepcopy(opt).apply(new, grads)
+            opt.apply(ref, ref_grads)
+            for name, w in new.store.items():
+                assert bits(w) == bits(ref.store[name]), (B, name)
+
+    def test_width_one_agrees_to_round_off(self):
+        # At width 1 einsum sums the batch in SIMD lanes, not in row order,
+        # so a gradient moves by round-off: within 1e-15 of the sum of its
+        # products' magnitudes (sums that cancel move more relative to
+        # themselves). The loss keeps its bits.
+        gen = Rng(71).substream(0)
+        for B in range(1, 66):
+            net = make_net(2, 1, seed=B)
+            X, Y = gen.normal(size=(B, 1)), gen.normal(size=(B, 1))
+            rates = OptimizerState.create(net, lr=0.05).rates
+            grads, loss = backward_batch(net, X, Y, "square", rates)
+            ref_grads, ref_loss = broadcast_step(net, X, Y, rates)
+            scale, _ = broadcast_step(net, X, Y, rates,
+                                      reduce=lambda p, axis: np.add.reduce(np.abs(p), axis=axis))
+            assert bits(loss) == bits(ref_loss), B
+            for name, g in grads.items():
+                assert np.all(np.abs(g - ref_grads[name]) <= 1e-15 * scale[name]), (B, name)
 
 
 def trained_case(case):

@@ -203,6 +203,28 @@ class TestRandomGrowth:
         for name, arr in ref.store.items():
             assert np.array_equal(grown.store[name], arr), name
 
+    def test_plan_holds_a_read_only_copy_of_its_targets(self):
+        # Keys the constructor would reject (True equals group 1, 1.0 hashes
+        # like it) cannot reach a plan through the caller's dict afterwards.
+        net = make_net(3, 16)
+        targets = {1: 6}
+        plan = TransferPlan(targets)
+        ref, ref_idx = transfer(net, TransferPlan({1: 6}), Rng(0))
+        targets[True] = 9
+        targets[1.0] = 9
+        targets[0] = 9
+        out, idx = transfer(net, plan, Rng(0))
+        assert dict(plan.targets) == {1: 6}
+        assert list(idx) == [1] and np.array_equal(idx[1], ref_idx[1])
+        for name, arr in ref.store.items():
+            assert np.array_equal(out.store[name], arr), name
+        with pytest.raises(TypeError):
+            plan.targets[1] = 5
+        empty = {}
+        plan = TransferPlan(empty)
+        empty[True] = 6
+        assert dict(transfer(net, plan, Rng(0)).sets) == {}
+
     @pytest.mark.parametrize("r2", [0.0, 0.5])
     @pytest.mark.parametrize("strategy", ["random", "group", "function_based"])
     @pytest.mark.parametrize("depth, kw", [(3, dict(with_bias=True)), (4, dict(with_skip=True))],
