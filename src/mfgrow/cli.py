@@ -11,6 +11,7 @@ nothing is ever fetched from the network.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -22,14 +23,8 @@ from . import experiments
 from .arch import (REQUIRED, Choice, arch_from_json, build_mlp, checked_object, format_partition,
                    read_json)
 from .data import load_checkpoint, load_cifar10, save_checkpoint, synth_regression
-from .diagnostics import (
-    correlation_matrix,
-    heatmap_export,
-    histogram_trajectory,
-    histograms_to_csv,
-    profile,
-    write_gnuplot_script,
-)
+from .diagnostics import (correlation_matrix, heatmap_export, histogram_trajectory,
+                          histograms_to_csv, profile, write_gnuplot_script)
 from .errors import ConfigError, MfgrowError, MissingDataError, ParameterError, StructureError
 from .init import InitSpec, initialize, iid_spec, nonzero_mean_default, rc_spec
 from .measure import STRATEGIES
@@ -162,6 +157,13 @@ def _seeds(args, cfg: dict) -> list[int]:
     return [Rng(seed).seed for seed in seeds]
 
 
+def _refuse(args, flags, command: str) -> None:
+    """ConfigError for the first of ``flags`` given: ``command`` does not read it."""
+    for flag in flags:
+        if getattr(args, flag) is not None and getattr(args, flag) is not False:
+            raise ConfigError(f"{command} takes no --{flag}")
+
+
 def _out_dir(args, path=_SCHEMA["out_dir"][1]) -> Path:
     """``--out`` if given, else ``path``, made if missing."""
     out = Path(args.out or path)
@@ -178,10 +180,12 @@ def _out_dir(args, path=_SCHEMA["out_dir"][1]) -> Path:
 
 
 def cmd_gamma(args) -> int:
-    if args.mlp is not None:
-        graph = build_mlp(args.mlp, args.width, with_bias=args.bias, with_skip=args.skip)
-    elif args.arch is not None:
+    if args.arch is not None:
+        _refuse(args, ("mlp", "width", "skip", "bias"), "gamma with an architecture file")
         graph = arch_from_json(_read_text(args.arch, StructureError, "architecture file"))
+    elif args.mlp is not None:
+        graph = build_mlp(args.mlp, 8 if args.width is None else args.width,
+                          with_bias=args.bias, with_skip=args.skip)
     else:
         raise ConfigError("gamma needs an architecture file or --mlp DEPTH")
     print(format_partition(graph.partition))
@@ -243,17 +247,16 @@ def cmd_train(args) -> int:
 def cmd_transfer(args) -> int:
     net = load_checkpoint(getattr(args, "from"))
     plan = uniform_plan(net.arch, args.widths, strategy=args.strategy, r1=args.r1, r2=args.r2)
-    seed = args.seed if args.seed is not None else 0
-    grown, sets = transfer(net, plan, Rng(seed))
-    save_checkpoint(grown, args.out_ckpt, seed=seed)
+    grown, sets = transfer(net, plan, Rng(args.seed))
+    save_checkpoint(grown, args.out_ckpt, seed=args.seed)
     groups = []
     for gi, idx in sets.items():
         counts = np.unique(idx, return_counts=True)[1]
         groups.append({"group": gi, "width": net.arch.partition.widths[gi], "target": len(idx),
                        "unique": len(counts), "max_multiplicity": int(counts.max()),
                        "indices": idx.tolist()})
-    print(json.dumps({"checkpoint": str(args.out_ckpt), "seed": seed, "strategy": plan.strategy,
-                      "r1": plan.r1, "r2": plan.r2, "groups": groups}))
+    print(json.dumps({"checkpoint": str(args.out_ckpt), "seed": args.seed,
+                      "strategy": plan.strategy, "r1": plan.r1, "r2": plan.r2, "groups": groups}))
     return EXIT_OK
 
 
@@ -265,6 +268,7 @@ def cmd_diagnose(args) -> int:
     # Each report is computed and its weight checked before the output
     # directory is made.
     if args.report == "corr":
+        _refuse(args, ("weight",), "diagnose --report corr")
         profiles, names = [], []
         for w in net.arch.weights:
             if w.kind == "matrix":
@@ -296,39 +300,32 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
+# Each reproduce flag and the experiment parameter it sets: a run reads the
+# flags whose parameter its function in experiments.REPRODUCIBLE names.
+_REPRODUCE_FLAGS = {"seed": "seed", "seeds": "seeds", "r1": "rates", "r2": "rates",
+                    "cifar": "train_data"}
+
+
 def cmd_reproduce(args) -> int:
-    name = args.name
+    run = experiments.REPRODUCIBLE[args.name]
+    takes = inspect.signature(run).parameters
     # Every flag and the CIFAR-10 contents are checked before _out_dir.
-    if args.seeds < 1:
-        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
-    seed = args.seed or 0
-    Rng(seed)
-    if name == "twolayer_regen" and seed + 2 >= 2**64:
-        raise ConfigError(f"twolayer_regen also seeds with --seed + 1 and + 2, so --seed "
-                          f"must be below 2**64 - 2, got {seed}")
-    rates = {}
+    _refuse(args, [f for f, param in _REPRODUCE_FLAGS.items() if param not in takes],
+            f"reproduce {args.name}")
+    kwargs = {} if args.seed is None else {"seed": Rng(args.seed).seed}
+    if "seeds" in takes:
+        count = 3 if args.seeds is None else args.seeds
+        if count < 1:
+            raise ConfigError(f"--seeds must be >= 1, got {count}")
+        kwargs["seeds"] = tuple(range(count))
     if args.r1 is not None:
         plan = TransferPlan(r1=args.r1, r2=args.r2 or 0.0)
-        rates = {"rates": ((plan.r1, plan.r2),)}
+        kwargs["rates"] = ((plan.r1, plan.r2),)
     elif args.r2 is not None:
         raise ConfigError("--r2 needs --r1")
-    splits = () if name in ("twolayer_regen", "update_probe") else _cifar10(args.cifar)
-    out = _out_dir(args)
-    seeds = tuple(range(args.seeds))
-    if name == "twolayer_regen":
-        result = experiments.twolayer_regen(seed=seed, out_dir=out)
-    elif name == "update_probe":
-        result = experiments.update_probe(out_dir=out)
-    elif name == "table1":
-        result = experiments.table1(*splits, seeds=seeds, out_dir=out)
-    elif name == "fig1":
-        result = experiments.fig1_heatmaps(*splits, seed=seed, out_dir=out)
-    elif name == "fig2_grow":
-        result = experiments.fig2_grow(*splits, seeds=seeds, out_dir=out, **rates)
-    elif name == "fig2_prune":
-        result = experiments.fig2_prune(*splits, seeds=seeds, out_dir=out, **rates)
-    else:
-        result = experiments.accuracy_experiment(*splits, seeds=seeds, out_dir=out)
+    if "train_data" in takes:
+        kwargs["train_data"], kwargs["test_data"] = _cifar10(args.cifar)
+    result = run(**kwargs, out_dir=_out_dir(args))
     print(result["summary"])
     return EXIT_OK if result["passed"] else EXIT_ACCEPTANCE
 
@@ -348,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", help="print the index-group partition of an architecture")
     p.add_argument("arch", nargs="?", help="architecture JSON file")
     p.add_argument("--mlp", type=int, help="build a depth-D chain instead of reading a file")
-    p.add_argument("--width", type=int, default=8)
+    p.add_argument("--width", type=int, help="with --mlp (default 8)")
     p.add_argument("--skip", action="store_true")
     p.add_argument("--bias", action="store_true")
     p.set_defaults(func=cmd_gamma)
@@ -371,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="random", choices=STRATEGIES)
     p.add_argument("--r1", type=float, default=0.0)
     p.add_argument("--r2", type=float, default=0.0)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", dest="out_ckpt", required=True)
     p.set_defaults(func=cmd_transfer)
 
@@ -384,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run a scripted experiment with pass/fail summary")
     p.add_argument("name", choices=sorted(experiments.REPRODUCIBLE))
-    p.add_argument("--seeds", type=int, default=3)
+    p.add_argument("--seeds", type=int, help="seeds 0 .. N-1 (default 3)")
     p.add_argument("--seed", type=int)
     p.add_argument("--r1", type=float)
     p.add_argument("--r2", type=float, help="needs --r1 (default 0)")
@@ -408,6 +405,9 @@ def main(argv=None) -> int:
         return EXIT_MISSING_DATA
     except MfgrowError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # an allocation too large for this host
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

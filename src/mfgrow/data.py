@@ -23,7 +23,7 @@ import math
 import os
 import stat
 import struct
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,31 +112,17 @@ def _divide_block(records: np.ndarray, out: np.ndarray) -> None:
 
 def _divide_rows(records: np.ndarray, out: np.ndarray) -> None:
     """``out[:] = records[:, 1:] / 255.0`` in contiguous row blocks: the
-    caller divides the first, one thread each the others. An exception from
-    any block is raised here once every started thread has been joined."""
+    caller divides the first, a pool thread each the others. An exception
+    from any block is raised here once every pool thread has ended."""
     count = len(records)
     blocks = max(1, min(_workers(), count // _MIN_BLOCK_ROWS))
     bounds = [count * i // blocks for i in range(blocks + 1)]
-    errors = []
-
-    def run(a: int, b: int) -> None:
-        try:
-            _divide_block(records[a:b], out[a:b])
-        except BaseException as exc:  # handed to the caller, which raises it
-            errors.append(exc)
-
-    threads = []
-    try:
-        for i in range(1, blocks):
-            t = threading.Thread(target=run, args=bounds[i:i + 2])
-            t.start()
-            threads.append(t)
+    with ThreadPoolExecutor(max(1, blocks - 1)) as pool:
+        rest = [pool.submit(_divide_block, records[a:b], out[a:b])
+                for a, b in zip(bounds[1:-1], bounds[2:])]
         _divide_block(records[:bounds[1]], out[:bounds[1]])
-    finally:
-        for t in threads:
-            t.join()
-    if errors:
-        raise errors[0]
+    for block in rest:
+        block.result()
 
 
 def _load_split(files: list[tuple[Path, int]], split: str) -> Dataset:
@@ -314,7 +300,7 @@ def load_checkpoint(path) -> Network:
         version = r.unpack("<I")
         if version != _VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
-        seed = r.unpack("<Q")
+        r.unpack("<Q")  # the seed, which nothing reads back
         param_code = r.unpack("<B")
         if param_code not in _PARAM_NAME:
             raise CheckpointError(f"{path}: unknown parametrization code {param_code}")
@@ -346,4 +332,4 @@ def load_checkpoint(path) -> Network:
                     f"{path}: weight {name} has shape {shape}, arch says {w.shape}")
         if r.pos != r.size:
             raise CheckpointError(f"{path}: {r.size - r.pos} trailing bytes")
-    return Network(arch, store, meta={"seed": seed})
+    return Network(arch, store)

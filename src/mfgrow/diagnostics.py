@@ -20,20 +20,12 @@ from .net import DEFAULT_LR_EXPONENT, Network, OptimizerState, backward_batch, z
 from .tensor import Rng, pearson_abs
 
 
-def profile(net: Network, weight: str, axis: str, k: int | None = None) -> np.ndarray:
-    """Mean over the opposing axis, or with ``k`` the sum over its first k
-    entries. A vector weight's profile is a copy of the vector, whatever
-    ``axis`` and ``k``."""
-    vector = net.arch.weight(weight).kind == "vector"
-    arr = net.store[weight]
-    if vector:
-        return arr.copy()
-    if k is None:
-        return arr.mean(axis=1) if axis == "row" else arr.mean(axis=0)
-    opposing = arr.shape[1] if axis == "row" else arr.shape[0]
-    if not 1 <= k <= opposing:
-        raise ParameterError(f"partial sum needs 1 <= k <= {opposing}, got {k}")
-    return arr[:, :k].sum(axis=1) if axis == "row" else arr[:k, :].sum(axis=0)
+def profile(net: Network, weight: str, axis: str) -> np.ndarray:
+    """Mean over the opposing axis. A vector weight's profile is a copy of
+    the vector, whatever ``axis``."""
+    if net.arch.weight(weight).kind == "vector":
+        return net.store[weight].copy()
+    return net.store[weight].mean(axis=1 if axis == "row" else 0)
 
 
 @dataclass
@@ -70,12 +62,12 @@ def four_pair_report(net: Network) -> CorrelationReport:
     3-layer net (the paper's Table 1). The first layer is u's row mean, the
     middle layer w1's row and column means, and the last layer v's column
     sums over its first 4 output rows (v itself when it is a vector)."""
-    v = net.arch.weight("v")
+    v = net.store["v"]
     p = {
         "first_layer": profile(net, "u", "row"),
         "M.column": profile(net, "w1", "col"),
         "M.row": profile(net, "w1", "row"),
-        "last_layer": profile(net, "v", "col", min(4, v.shape[0])),
+        "last_layer": v[:4].sum(axis=0) if v.ndim == 2 else v,
     }
     report = CorrelationReport()
     for a, b in (

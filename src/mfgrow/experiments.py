@@ -3,7 +3,9 @@
 Each function returns a result dict with a ``passed`` flag so the CLI can
 map outcomes to exit codes; CSV artifacts land in ``out_dir`` when one is
 given, and fig1's grids, its only product, always do. The CIFAR-10 runs take
-the loaded train and test splits.
+the loaded train and test splits. A run's parameters say which flags
+`mfgrow reproduce` reads for it: ``seed``, ``seeds``, ``rates`` and
+``train_data`` (with ``--cifar``).
 """
 
 from __future__ import annotations
@@ -197,18 +199,19 @@ _ACCURACY_THRESHOLD = 0.43
 def twolayer_regen(seed=0, source_width=500, target_width=2000, out_dir=None) -> dict:
     """Train a 2-layer mean-field net on sine regression, regenerate a wider
     net by moment-matched resampling, and compare test losses with no
-    retraining."""
+    retraining. Data, init, training order and transfer draw on labelled
+    streams of the one ``Rng(seed)``."""
     rng = Rng(seed)
     train_data = synth_regression("sine", 1024, 0.0, rng)
     test_data = synth_regression("sine", 512, 0.0, rng, split="test")
     arch = build_mlp(2, source_width, parametrization="MFP")
-    net = initialize(zeros_network(arch), nonzero_mean_default("MFP", arch), Rng(seed))
+    net = initialize(zeros_network(arch), nonzero_mean_default("MFP", arch), rng)
     opt = OptimizerState.create(net, lr=0.05)
-    train(net, train_data, opt, epochs=40, batch_size=32, rng=Rng(seed + 1))
+    train(net, train_data, opt, epochs=40, batch_size=32, rng=rng)
     src_mse, _ = evaluate(net, test_data.inputs, test_data.targets, "square")
 
     plan = uniform_plan(net.arch, target_width, strategy="function_based")
-    regen, _ = transfer(net, plan, Rng(seed + 2))
+    regen, _ = transfer(net, plan, rng)
     regen_mse, _ = evaluate(regen, test_data.inputs, test_data.targets, "square")
     ratio = regen_mse / src_mse
     passed = ratio <= _REGEN_RATIO_BOUND

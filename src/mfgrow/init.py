@@ -134,5 +134,5 @@ def initialize(net: Network, spec: InitSpec, rng: Rng) -> Network:
             gen = rng.substream(f"init/{w.name}")
             flat = spec.distributions[w.name].draw(gen, int(np.prod(w.shape)))
             store[w.name] = flat.reshape(w.shape)
-    return Network(arch, store, dict(net.meta))
+    return Network(arch, store)
 

@@ -71,7 +71,6 @@ class Network:
 
     arch: ArchGraph
     store: dict[str, np.ndarray]
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.arch.plan is None:

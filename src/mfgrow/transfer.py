@@ -164,7 +164,7 @@ def transfer(net: Network, plan: TransferPlan, rng: Rng) -> _Transferred:
     new_width = {gid: len(idx) for gi, idx in sets.items() for gid in partition.groups[gi]}
     new_gammas = tuple(GammaVar(g.id, new_width.get(g.id, g.width), g.role) for g in arch.gammas)
     new_arch = replace(arch, weights=new_weights, gammas=new_gammas)
-    return _Transferred(Network(new_arch, new_store, dict(net.meta)), sets)
+    return _Transferred(Network(new_arch, new_store), sets)
 
 
 def duplicate_grow(net: Network, k: int) -> Network:

@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import os
 import shutil
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfgrow import cli
+from mfgrow import cli, experiments
 from mfgrow.arch import arch_to_json, build_attention_block, build_mlp, build_skip_block
 from mfgrow.cli import main
 from mfgrow.data import CIFAR_RECORD, load_checkpoint, load_cifar10, save_checkpoint
@@ -98,6 +99,28 @@ class TestGamma:
 
     def test_missing_args_exits_2(self):
         assert main(["gamma"]) == 2
+
+    def test_mlp_width_defaults_to_8(self, capsys):
+        outputs = []
+        for flags in ([], ["--width", "8"], ["--width", "9"]):
+            assert main(["gamma", "--mlp", "3", *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != outputs[2]
+
+    @pytest.mark.parametrize("flags", [["--mlp", "3"], ["--width", "8"], ["--skip"], ["--bias"]])
+    def test_mlp_flag_beside_a_file_exits_2(self, example3_arch_file, flags, capsys):
+        assert main(["gamma", str(example3_arch_file), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: gamma with an architecture file takes no {flags[0]}\n"
+
+    @pytest.mark.parametrize("flags", [["--width", "8"], ["--skip"], ["--bias"]])
+    def test_mlp_flag_without_mlp_exits_2(self, flags, capsys):
+        assert main(["gamma", *flags]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_mlp_width_0_is_not_replaced_by_the_default(self):
+        assert main(["gamma", "--mlp", "3", "--width", "0"]) == 2
 
 
 class TestTrainCli:
@@ -364,6 +387,49 @@ class TestTransferReport:
             [g["indices"] for g in runs[2][0]["groups"]]
 
 
+# The flags each experiment of `mfgrow reproduce` reads; a value for each
+# flag (zero where it can be: a given zero is still given), and the parameter
+# and value it gives an experiment that reads it. --r2 comes with --r1 1.0.
+REPRODUCE_READS = {
+    "accuracy": {"--seeds", "--cifar"},
+    "fig1": {"--seed", "--cifar"},
+    "fig2_grow": {"--seeds", "--r1", "--r2", "--cifar"},
+    "fig2_prune": {"--seeds", "--r1", "--r2", "--cifar"},
+    "table1": {"--seeds", "--cifar"},
+    "twolayer_regen": {"--seed"},
+    "update_probe": set(),
+}
+REPRODUCE_FLAGS = {"--seed": "0", "--seeds": "2", "--r1": "0.0", "--r2": "0.5",
+                   "--cifar": "{tmp}/cifar7"}
+REPRODUCE_VALUES = {"--seed": ("seed", 0), "--seeds": ("seeds", (0, 1)),
+                    "--r1": ("rates", ((0.0, 0.0),)), "--r2": ("rates", ((1.0, 0.5),))}
+
+
+@pytest.fixture
+def one_record_cifar(tmp_path, monkeypatch):
+    """One-record CIFAR-10 directories: MFGROW_CIFAR10_DIR names cifar3,
+    whose records have label 3, and cifar7's have label 7."""
+    for label in (3, 7):
+        (tmp_path / f"cifar{label}").mkdir()
+        for file in ("data_batch_1.bin", "test_batch.bin"):
+            (tmp_path / f"cifar{label}" / file).write_bytes(bytes([label]) +
+                                                            bytes(CIFAR_RECORD - 1))
+    monkeypatch.setenv("MFGROW_CIFAR10_DIR", str(tmp_path / "cifar3"))
+
+
+def _recording(monkeypatch, name):
+    """Replace the experiment ``name`` with one of its signature that records
+    its arguments and passes."""
+    calls = []
+
+    @functools.wraps(experiments.REPRODUCIBLE[name])
+    def record(**kwargs):
+        calls.append(kwargs)
+        return {"passed": True, "summary": "ok"}
+    monkeypatch.setitem(experiments.REPRODUCIBLE, name, record)
+    return calls
+
+
 class TestReproduceCli:
     def test_twolayer_regen_passes(self, tmp_path, capsys):
         rc = main(["reproduce", "twolayer_regen", "--out", str(tmp_path / "r")])
@@ -388,13 +454,49 @@ class TestReproduceCli:
         rows = (tmp_path / "rep" / "fig2_grow.csv").read_text().splitlines()
         assert [row.split(",")[:3] for row in rows[1:]] == [["1.0", "0.0", "0"]]
 
+    def test_twolayer_regen_top_seed_runs(self, tmp_path, capsys):
+        assert main(["reproduce", "twolayer_regen", "--seed", str(2**64 - 1),
+                     "--out", str(tmp_path / "r")]) == 0
+        assert "ratio=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", sorted(REPRODUCE_READS))
+    def test_no_flags_take_the_defaults(self, name, tmp_path, monkeypatch, one_record_cifar):
+        calls = _recording(monkeypatch, name)
+        assert main(["reproduce", name, "--out", str(tmp_path / "rep")]) == 0
+        kwargs = calls[0]
+        assert kwargs.pop("out_dir") == tmp_path / "rep"
+        if "--cifar" in REPRODUCE_READS[name]:
+            assert kwargs.pop("train_data").targets.tolist() == [3]
+            assert kwargs.pop("test_data").targets.tolist() == [3]
+        assert kwargs == ({"seeds": (0, 1, 2)} if "--seeds" in REPRODUCE_READS[name] else {})
+
+    @pytest.mark.parametrize("flag", sorted(REPRODUCE_FLAGS))
+    @pytest.mark.parametrize("name", sorted(REPRODUCE_READS))
+    def test_each_flag_is_read_or_refused(self, name, flag, tmp_path, monkeypatch, capsys,
+                                          one_record_cifar):
+        calls = _recording(monkeypatch, name)
+        argv = ["reproduce", name, flag, REPRODUCE_FLAGS[flag].format(tmp=tmp_path),
+                "--out", str(tmp_path / "rep")]
+        if flag not in REPRODUCE_READS[name]:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: reproduce {name} takes no {flag}\n"
+            assert not calls and not (tmp_path / "rep").exists()
+        elif flag == "--cifar":
+            assert main(argv) == 0
+            assert calls[0]["train_data"].targets.tolist() == [7]
+            assert calls[0]["test_data"].targets.tolist() == [7]
+        else:
+            assert main(argv + ["--r1", "1.0"] * (flag == "--r2")) == 0
+            key, value = REPRODUCE_VALUES[flag]
+            assert calls[0][key] == value
+
     def test_init_writes_checkpoint(self, tmp_path):
         cfg = synth_config(tmp_path)
         assert main(["init", "--config", str(cfg), "--seed", "4"]) == 0
         ckpt = tmp_path / "out" / "init_seed4.ckpt"
         assert ckpt.exists()
-        net = load_checkpoint(ckpt)
-        assert net.meta["seed"] == 4
+        load_checkpoint(ckpt)
+        assert struct.unpack_from("<Q", ckpt.read_bytes(), 8) == (4,)
 
 
 def _init_config(tmp_path, **init):
@@ -558,6 +660,8 @@ class TestFailedCommandsWriteNothing:
           "--out", "{tmp}/diag"], 2),
         (["diagnose", "--ckpt", "{ckpt}", "--ckpt", "{ckpt}", "--report", "corr",
           "--out", "{tmp}/diag"], 2),
+        (["diagnose", "--ckpt", "{ckpt}", "--report", "corr", "--weight", "w1",
+          "--out", "{tmp}/diag"], 2),
         (["transfer", "--from", "{ckpt}", "--widths", "40", "--out", "{tmp}/taken"], 2),
         (["train", "--config", "{cfg}", "--out", "{tmp}/file"], 2),
         (["diagnose", "--ckpt", "{tmp}/vectors.ckpt", "--report", "hist", "--out", "{tmp}/diag"], 2),
@@ -573,8 +677,7 @@ class TestFailedCommandsWriteNothing:
         (["reproduce", "fig2_grow", "--r2", "0.99", "--cifar", "{tmp}/good", "--out", "{tmp}/rep"],
          2),
         (["reproduce", "twolayer_regen", "--seed", "-1", "--out", "{tmp}/rep"], 2),
-        (["reproduce", "twolayer_regen", "--seed", str(2**64 - 1), "--out", "{tmp}/rep"], 2),
-        (["reproduce", "twolayer_regen", "--seed", str(2**64 - 2), "--out", "{tmp}/rep"], 2),
+        (["reproduce", "twolayer_regen", "--seed", str(2**64), "--out", "{tmp}/rep"], 2),
         (["transfer", "--from", "{ckpt}", "--widths", "40", "--r1", "nan", "--out", "{tmp}/t.ckpt"],
          2),
         (["transfer", "--from", "{ckpt}", "--widths", "40", "--r2", "5", "--out", "{tmp}/t.ckpt"],
@@ -598,12 +701,13 @@ class TestFailedCommandsWriteNothing:
     ], ids=["transfer-zero-width", "transfer-duplicate-not-a-multiple", "reproduce-no-cifar",
             "reproduce-cifar-dir-missing",
             "heatmap-vector-weight", "hist-unknown-weight", "heatmap-two-ckpts", "corr-two-ckpts",
+            "corr-weight",
             "transfer-out-is-directory",
             "train-out-is-file", "hist-no-matrix-weight", "reproduce-truncated-batch",
             "reproduce-directory-batch", "reproduce-bad-label", "reproduce-zero-seeds",
             "reproduce-negative-seeds", "reproduce-r2-out-of-range", "reproduce-r2-without-r1",
-            "reproduce-negative-seed", "reproduce-regen-top-seed",
-            "reproduce-regen-top-seed-minus-1", "transfer-r1-nan", "transfer-r2-out-of-range",
+            "reproduce-negative-seed", "reproduce-regen-seed-past-64-bits", "transfer-r1-nan",
+            "transfer-r2-out-of-range",
             "transfer-r2-nan", "train-negative-seed-flag",
             "init-seed-flag-too-big", "train-targets-narrower-than-output",
             "train-inputs-narrower-than-input-dim", "train-width-scale-overflows",
@@ -652,6 +756,27 @@ class TestFailedCommandsWriteNothing:
         assert main([a.format(ckpt=small_ckpt, cfg=cfg, tmp=tmp_path) for a in argv]) == code
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert _tree(tmp_path) == before
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("command", ["init", "train", "transfer"])
+    def test_exits_2_and_writes_nothing(self, command, small_ckpt, tmp_path, monkeypatch,
+                                        capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+        monkeypatch.setattr(cli, "zeros_network", exhausted)
+        monkeypatch.setattr(cli, "transfer", exhausted)
+        cfg = synth_config(tmp_path)
+        argv = {"init": ["init", "--config", str(cfg)],
+                "train": ["train", "--config", str(cfg)],
+                "transfer": ["transfer", "--from", str(small_ckpt), "--widths", "40",
+                             "--out", str(tmp_path / "big.ckpt")]}[command]
+        before = _tree(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory: Unable to allocate 7.28 TiB\n"
         assert captured.out == ""
         assert _tree(tmp_path) == before
 

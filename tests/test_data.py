@@ -267,7 +267,7 @@ class TestCheckpoint:
         path = tmp_path / "a.ckpt"
         save_checkpoint(net, path, seed=42)
         loaded = load_checkpoint(path)
-        assert loaded.meta["seed"] == 42
+        assert struct.unpack_from("<Q", path.read_bytes(), 8) == (42,)
         assert loaded.arch == net.arch
         for k in net.store:
             assert np.array_equal(loaded.store[k], net.store[k])

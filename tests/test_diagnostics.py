@@ -33,7 +33,7 @@ def make_net(depth=3, width=8, seed=0, parametrization="MFP", **kw):
 
 
 def copy_net(net):
-    return Network(net.arch, {k: v.copy() for k, v in net.store.items()}, dict(net.meta))
+    return Network(net.arch, {k: v.copy() for k, v in net.store.items()})
 
 
 class TestProfile:
@@ -49,21 +49,6 @@ class TestProfile:
         net.store["w1"] = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(profile(net, "w1", "row"), [1.5, 3.5])
         assert np.array_equal(profile(net, "w1", "col"), [2.0, 3.0])
-
-    def test_partial_sum_matches_loop(self):
-        net = make_net(3, 12, with_bias=True, input_dim=5, output_dim=10, seed=4)
-        p = profile(net, "v", "col", 4)
-        v = net.store["v"]
-        expected = np.zeros(12)
-        for j in range(12):
-            for i in range(4):
-                expected[j] += v[i, j]
-        assert np.allclose(p, expected)
-
-    def test_partial_sum_bounds(self):
-        net = make_net(3, 8, input_dim=5, output_dim=10)
-        with pytest.raises(ParameterError):
-            profile(net, "v", "col", 11)
 
     def test_vector_profile_is_itself(self):
         net = make_net(2, 6)
@@ -115,6 +100,19 @@ class TestFourPairReport:
             assert [(a, b) for a, b, _ in report.pairs] == self.PAIRS
             for _, _, r in report.pairs:
                 assert 0.0 <= r <= 1.0
+
+    @pytest.mark.parametrize("output_dim", [2, 10])  # fewer and more than 4 rows of v
+    def test_last_layer_sums_v_over_its_first_4_rows(self, output_dim):
+        net = make_net(3, 12, with_bias=True, input_dim=5, output_dim=output_dim, seed=4)
+        v = net.store["v"]
+        last = np.zeros(12)
+        for j in range(12):
+            for i in range(min(4, output_dim)):
+                last[j] += v[i, j]
+        pairs = {(a, b): r for a, b, r in four_pair_report(net).pairs}
+        for middle, axis in (("M.row", "row"), ("M.column", "col")):
+            assert pairs["last_layer", middle] == pytest.approx(
+                pearson_abs(last, profile(net, "w1", axis)), abs=1e-12)
 
     def test_deterministic(self):
         data = synth_regression("sine", 128, 0.0, Rng(9))
