@@ -74,6 +74,11 @@ class WeightSpec:
             raise StructureError(f"weight {self.name}: unknown kind {self.kind!r}")
         if any(d < 1 for d in self.shape):
             raise StructureError(f"weight {self.name}: dimensions must be >= 1, got {self.shape}")
+        # A store holds each weight as one float64 array, whose byte size
+        # must fit the address space.
+        if 8 * math.prod(self.shape) > sys.maxsize:
+            raise ParameterError(f"weight {self.name}: shape {self.shape} needs "
+                                 f"{8 * math.prod(self.shape)} bytes, past the address space")
 
     @property
     def axes(self) -> tuple[str, ...]:

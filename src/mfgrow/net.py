@@ -14,8 +14,15 @@ flag on the third layer. A Network holds only a chain or skip4 arch. The
 forward scalars follow ``arch._forward_scalar``.
 
 Each scalar is applied to the smaller side of its product: in place on the
-(batch, out) forward output, and folded with the batch mean's 1/B into the
-(batch, out) delta before a weight gradient is formed, with the weight's rate.
+(batch, out) forward output, and folded with the batch mean's 1/B and the
+weight's rate into the (batch, out) delta. A matrix gradient is never formed
+in ``backward_batch``: it leaves as its rank-B factors, that scaled delta and
+the layer input the forward kept (``FactoredGradient``). SGD subtracts it
+with one accumulating OpenBLAS GEMM into the weight, bound through ctypes
+from the library NumPy's wheel loads (``_DGEMM``); it gives the bits of
+``w -= ds.T @ z`` while the batch fits one K block (384 rows in OpenBLAS
+0.3.31), and that expression is the fallback wherever the GEMM cannot take
+the operands.
 Vector layers (a 1-d input's embedding, a 1-d output's readout) contract
 with ``np.einsum``: the embedding's forward product, the readout's
 back-propagated delta and both vector gradients make no BLAS call and no
@@ -31,9 +38,11 @@ update depends only on the empirical measure (arXiv 2308.01814 for Adam).
 
 from __future__ import annotations
 
+import ctypes
 import io
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -46,6 +55,62 @@ DIVERGENCE_LIMIT = 1e6
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+
+
+def _find_dgemm():
+    """``cblas_dgemm`` of the ILP64 OpenBLAS that NumPy's wheel ships and
+    loads (64-bit sizes, C-int enums), or None under another NumPy build."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
+        try:
+            fn = ctypes.CDLL(str(path)).scipy_cblas_dgemm64_
+        except (OSError, AttributeError):
+            continue
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        fn.argtypes = (ctypes.c_int,) * 3 + (i64,) * 3 + (
+            ctypes.c_double, ptr, i64, ptr, i64, ctypes.c_double, ptr, i64)
+        fn.restype = None
+        return fn
+    return None
+
+
+_DGEMM = _find_dgemm()
+# CBLAS enum values.
+_ROW_MAJOR, _NO_TRANS, _TRANS = 101, 111, 112
+
+
+class FactoredGradient:
+    """A matrix gradient as its rank-B factors, ``ds.T @ z``: ``ds`` is the
+    (batch, out) delta, already scaled by the weight's rate, the forward
+    scalar and 1/B, and ``z`` is the (batch, in) layer input, the array the
+    forward read (the caller's inputs for the first layer), not a copy.
+    ``np.asarray`` gives the dense product."""
+
+    __slots__ = ("ds", "z")
+
+    def __init__(self, ds: np.ndarray, z: np.ndarray):
+        self.ds, self.z = ds, z
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.ds.T @ self.z, dtype=dtype)
+
+    def subtract_from(self, w: np.ndarray) -> None:
+        """``w -= ds.T @ z`` in place. One accumulating GEMM (alpha -1, beta
+        1) forms no (out, in) temporary and gives NumPy's bits while the
+        batch fits one OpenBLAS K block. A 1-row or 1-column weight, where
+        NumPy calls gemv, and any operand the GEMM cannot take as it is
+        (non-C-contiguous, not float64, read-only, shared with ``w``) take
+        the NumPy expression."""
+        ds, z = self.ds, self.z
+        (B, out), n = ds.shape, z.shape[1]
+        if (_DGEMM is not None and w.shape == (out, n) and z.shape[0] == B and min(w.shape) > 1
+                and w.flags.writeable
+                and all(a.dtype == np.float64 and a.flags.c_contiguous for a in (w, ds, z))
+                and not (np.may_share_memory(w, ds) or np.may_share_memory(w, z))):
+            _DGEMM(_ROW_MAJOR, _TRANS, _NO_TRANS, out, n, B, -1.0, ds.ctypes.data, out,
+                   z.ctypes.data, n, 1.0, w.ctypes.data, n)
+        else:
+            w -= ds.T @ z
 
 
 def _tanh_slope(z: np.ndarray) -> np.ndarray:
@@ -190,8 +255,9 @@ def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str,
     """Rate-scaled mean gradients over a batch. Returns (grads, mean_loss).
 
     ``rates`` holds one rate per weight (``OptimizerState.rates``; all 1.0
-    gives plain gradients): a matrix's rate is folded into its delta before
-    the product, a vector's or bias's multiplies its mean gradient.
+    gives plain gradients): a matrix's rate is folded into its delta, and
+    its gradient is a ``FactoredGradient`` (``np.asarray`` makes it dense);
+    a vector's or bias's rate multiplies its mean gradient array.
     """
     X = _check_input(net, X)
     B = X.shape[0]
@@ -199,7 +265,7 @@ def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str,
     plan = net.plan.layers
     out, inputs = _run(net, X, keep=True)
     losses, delta = _loss_and_delta(out, Y, loss)
-    grads: dict[str, np.ndarray] = {}
+    grads: dict[str, np.ndarray | FactoredGradient] = {}
     for i in range(len(plan) - 1, -1, -1):
         layer = plan[i]
         w = net.store[layer.weight]
@@ -209,8 +275,9 @@ def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str,
         # row order np.add.reduce uses over their (batch, width) array,
         # without making that array.
         if not layer.vector:
-            # Scale the (batch, out) delta, not the (out, in) product.
-            grads[layer.weight] = (delta * (rates[layer.weight] * (layer.scalar / B))).T @ z
+            # Scale the (batch, out) delta; the update forms the product.
+            grads[layer.weight] = FactoredGradient(
+                delta * (rates[layer.weight] * (layer.scalar / B)), z)
         elif i == 0:
             grads[layer.weight] = rates[layer.weight] * (
                 np.einsum("bn,b->n", delta, z[:, 0]) / B)
@@ -298,16 +365,22 @@ class OptimizerState:
                 raise ParameterError(f"{name} rounds to 0: lr {lr} x {scale} = {width_scale}")
         return cls(kind=kind, rates=rates, step_size=step_size)
 
-    def apply(self, net: Network, grads: dict[str, np.ndarray]) -> None:
+    def apply(self, net: Network, grads: dict[str, np.ndarray | FactoredGradient]) -> None:
         """One update from ``backward_batch(..., self.rates)``: SGD subtracts it
-        in place; Adam subtracts ``step_size * mhat / (sqrt(vhat) + eps)``."""
+        in place, a factored matrix step by one accumulating GEMM; Adam forms
+        the dense gradient and subtracts ``step_size * mhat / (sqrt(vhat) +
+        eps)``."""
         self.step_count += 1
         if self.kind == "sgd":
             for name, step in grads.items():
-                net.store[name] -= step
+                if isinstance(step, FactoredGradient):
+                    step.subtract_from(net.store[name])
+                else:
+                    net.store[name] -= step
             return
         for name, g in grads.items():
             w = net.store[name]
+            g = np.asarray(g)
             m = self.m.setdefault(name, np.zeros_like(w))
             v = self.v.setdefault(name, np.zeros_like(w))
             m *= _ADAM_BETA1

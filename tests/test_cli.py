@@ -780,6 +780,25 @@ class TestOutOfMemory:
         assert captured.out == ""
         assert _tree(tmp_path) == before
 
+    def test_width_past_the_address_space_exits_2_before_allocating(self, tmp_path,
+                                                                   monkeypatch, capsys):
+        # w1 would hold 2**63 float64 entries: the arch rejects its byte size
+        # when it builds the weight, so no store is ever allocated.
+        calls = []
+        monkeypatch.setattr(cli, "zeros_network", lambda *args: calls.append(args))
+        cfg = synth_config(tmp_path, arch={"builder": "mlp", "depth": 3,
+                                           "widths": [2, 4611686018427387904],
+                                           "with_bias": False})
+        before = _tree(tmp_path)
+        assert main(["init", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: config value rejected: weight w1: shape "
+                                "(4611686018427387904, 2) needs 73786976294838206464 bytes, "
+                                "past the address space\n")
+        assert captured.out == ""
+        assert not calls
+        assert _tree(tmp_path) == before
+
 
 def _untie_residual(doc):
     doc["usages"] = [u for u in doc["usages"]

@@ -1,4 +1,4 @@
-"""Traced-heap bounds on the SGD update, the transfer path, checkpoint I/O
+"""Traced-heap bounds on the SGD step, the transfer path, checkpoint I/O
 and the heatmap writer at the CIFAR shape (3072 -> N -> N -> 10).
 tracemalloc sees every NumPy data buffer, so each bound counts the
 full-size temporaries a call makes beyond its result.
@@ -48,9 +48,22 @@ def wide_net():
     return cifar_net(1000)
 
 
+def test_backward_forms_no_matrix_gradient():
+    # A matrix gradient leaves backward_batch as its factors: the (64, 300)
+    # rate-scaled delta and the layer input the forward already keeps, not
+    # the (300, 3072) product.
+    net = cifar_net(300)
+    opt = OptimizerState.create(net, lr=0.1)
+    gen = Rng(3).substream(0)
+    X, Y = gen.uniform(0.0, 1.0, size=(64, 3072)), gen.integers(0, 10, size=64)
+    _, extra = traced_peak(lambda: backward_batch(net, X, Y, "cross_entropy", opt.rates))
+    assert extra < 0.25 * net.store["u"].nbytes
+
+
 def test_sgd_apply_updates_in_place():
-    # Each step arrives rate-scaled from backward_batch; apply only
-    # subtracts it, so no weight-sized temporary is made.
+    # Each step arrives rate-scaled from backward_batch; apply subtracts a
+    # vector in place and a matrix's factors with one accumulating GEMM, so
+    # no weight-sized temporary is made.
     net = cifar_net(300)
     opt = OptimizerState.create(net, lr=0.1)
     gen = Rng(3).substream(0)

@@ -1,4 +1,5 @@
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from mfgrow.arch import build_mlp, build_skip_block
 from mfgrow.data import Dataset, synth_regression
 from mfgrow.errors import DivergenceError, ParameterError, StructureError
+from mfgrow import net as net_module
 from mfgrow.init import initialize, nonzero_mean_default
 from mfgrow.net import (
+    FactoredGradient,
     Network,
     OptimizerState,
     backward_batch,
@@ -75,9 +78,17 @@ def assert_matches_fd(analytic, net, X, Y, loss, rtol):
             assert rel.max() < rtol, f"{name}: max rel err {rel.max():.2e}"
 
 
+def dense(grads):
+    """Each gradient of ``backward_batch`` as an array: a matrix's factors
+    multiplied out."""
+    return {name: np.asarray(g) for name, g in grads.items()}
+
+
 def plain_grads(net, X, Y, loss="square"):
-    """``backward_batch`` at unit rates: plain mean gradients and the mean loss."""
-    return backward_batch(net, X, Y, loss, dict.fromkeys(net.store, 1.0))
+    """``backward_batch`` at unit rates: plain mean gradients, as arrays, and
+    the mean loss."""
+    grads, loss_value = backward_batch(net, X, Y, loss, dict.fromkeys(net.store, 1.0))
+    return dense(grads), loss_value
 
 
 def assert_gradcheck(net, x, y, loss, rtol=1e-6):
@@ -366,6 +377,7 @@ class TestSgdUpdate:
         opt = OptimizerState.create(net, lr=0.3, lr_width_exponent=0.5)
         grads, loss = plain_grads(net, X, Y)
         steps, step_loss = backward_batch(net, X, Y, "square", opt.rates)
+        steps = dense(steps)
         assert step_loss == loss and steps.keys() == grads.keys()
         for name, rate in opt.rates.items():
             ref = rate * grads[name]
@@ -373,6 +385,26 @@ class TestSgdUpdate:
                 assert np.abs(steps[name] - ref).max() <= 1e-14 * np.abs(ref).max()
             else:
                 assert np.array_equal(steps[name], ref)
+
+    @pytest.mark.parametrize("blas", [True, False], ids=["fused", "fallback"])
+    def test_factored_step_bit_equal_to_numpy(self, blas, monkeypatch):
+        # The fused GEMM (alpha -1, beta 1) gives the bits of w -= ds.T @ z.
+        # 1-row and 1-column weights, where NumPy calls gemv, and a
+        # non-contiguous z take the NumPy expression; so does every step
+        # without the BLAS binding.
+        if not blas:
+            monkeypatch.setattr(net_module, "_DGEMM", None)
+        gen = Rng(80).substream(0)
+        for rows, cols in itertools.product((1, 2, 3, 10, 300), repeat=2):
+            for B in range(1, 66):
+                w = gen.normal(size=(rows, cols))
+                ds = gen.normal(size=(B, rows))
+                z = gen.normal(size=(B, 2 * cols))[:, ::2] if B % 5 == 0 else gen.normal(
+                    size=(B, cols))
+                ref = w.copy()
+                ref -= ds.T @ z
+                FactoredGradient(ds, z).subtract_from(w)
+                assert bits(w) == bits(ref), (rows, cols, B)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"lr": float("nan")}, "learning rate must be finite"),
