@@ -22,7 +22,7 @@ from .errors import (
     ParameterError,
     StructureError,
 )
-from .net import Network, OptimizerState, TrainingLog, lr_multiplier, train
+from .net import Network, OptimizerState, TrainingLog, train
 from .tensor import DistributionSpec, Rng, constant, gaussian, uniform
 
 __all__ = [name for name in dir() if not name.startswith("_")]

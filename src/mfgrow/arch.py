@@ -116,9 +116,9 @@ class LayerPlan(NamedTuple):
 class ArchGraph:
     """A checked and indexed architecture: construction raises StructureError
     on any inconsistency, so a graph that exists is valid. It also builds the
-    name lookup, the gamma partition and, unless it is a fragment, the
-    layer plan once; those derived fields take no part in equality or
-    hashing."""
+    name lookup, the gamma partition and, unless it is a fragment, the layer
+    plan and each weight's (fan-in, rate multiplier) once; those derived
+    fields take no part in equality, hashing or repr."""
 
     weights: tuple[WeightSpec, ...]
     usages: tuple[AxisUsage, ...]
@@ -131,6 +131,7 @@ class ArchGraph:
     partition: GammaPartition = field(init=False, repr=False, compare=False)
     plan: LayerPlan | None = field(init=False, repr=False, compare=False)  # None for fragments
     _by_name: dict[str, WeightSpec] = field(init=False, repr=False, compare=False)
+    _scales: dict[str, tuple[int, float]] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.parametrization not in PARAMETRIZATIONS:
@@ -180,13 +181,28 @@ class ArchGraph:
                 f"{len(self.layers)} layers need {max(len(self.layers) - 1, 0)} activations, "
                 f"got {len(self.activations)}")
         object.__setattr__(self, "partition", compute_partition(self.gammas, axis_gammas))
-        object.__setattr__(self, "plan", _layer_plan(self))
+        for key, value in zip(("plan", "_scales"), _layer_plan(self)):
+            object.__setattr__(self, key, value)
 
     def weight(self, name: str) -> WeightSpec:
         try:
             return self._by_name[name]
         except KeyError:
             raise StructureError(f"unknown weight {name!r}") from None
+
+    def fan_in(self, name: str) -> int:
+        """The width the weight contracts over; 1 for the 1-d embedding and a bias."""
+        return self._scale(name)[0]
+
+    def rate_multiplier(self, name: str) -> float:
+        """Under MFP the product of the weight's resizable axis widths (N*N for
+        a hidden matrix, N for a vector, embedding or readout matrix); else 1."""
+        return self._scale(name)[1]
+
+    def _scale(self, name: str) -> tuple[int, float]:
+        if self._scales is None:
+            raise StructureError(f"weight {name}: a fragment has no fan-in or rate multiplier")
+        return self._scales[self.weight(name).name]
 
     @property
     def hidden_widths(self) -> set[int]:
@@ -274,13 +290,14 @@ def _forward_scalar(parametrization: str, width: int, resizable: bool, final: bo
     return 1.0 / math.sqrt(width) if resizable else 1.0
 
 
-def _layer_plan(g: ArchGraph) -> LayerPlan | None:
-    """Check how a chain's or skip4's layers are wired, and return the plan
-    the executor runs. A fragment declares no layers and has no plan."""
+def _layer_plan(g: ArchGraph) -> tuple[LayerPlan | None, dict[str, tuple[int, float]] | None]:
+    """Check how a chain's or skip4's layers are wired. Return the plan the
+    executor runs and each weight's (fan-in, rate multiplier), read off the
+    same groups; a fragment declares no layers and has neither."""
     if g.topology == "fragment":
         if g.layers:
             raise StructureError("a fragment has no layers and no activations")
-        return None
+        return None, None
     n = len(g.layers)
     last = n - 1
     if n < 2 or (g.topology == "skip4" and n != 4):
@@ -291,8 +308,14 @@ def _layer_plan(g: ArchGraph) -> LayerPlan | None:
         if len(at) != 1:
             raise StructureError(f"weight {w.name} sits in {f'layers {at}' if at else 'no layer'}; "
                                  f"every weight sits in exactly one layer slot")
-    p = g.partition
+    p, mfp = g.partition, g.parametrization == "MFP"
+
+    def multiplier(*groups: int | None) -> float:
+        return float(math.prod(p.widths[k] for k in groups
+                               if mfp and k is not None and p.resizable[k]))
+
     layers: list[Layer] = []
+    scales: dict[str, tuple[int, float]] = {}
     out = None
     for i, (wname, bname) in enumerate(g.layers):
         where = f"layer {i} ({wname})"
@@ -328,9 +351,13 @@ def _layer_plan(g: ArchGraph) -> LayerPlan | None:
             raise StructureError(f"{where}: the output axis lies in a hidden group")
         activation = g.activations[i] if i < last else None
         layers.append(Layer(wname, bname, vector, scalar, activation, residual))
-    first, readout = g.weight(g.layers[0][0]), g.weight(g.layers[-1][0])
-    return LayerPlan(tuple(layers), 1 if first.kind == "vector" else first.shape[1],
-                     1 if readout.kind == "vector" else readout.shape[0])
+        # The embedding vector contracts nothing; the readout's output is data.
+        scales[wname] = (1 if into is None else p.widths[into], multiplier(out, into))
+        if bname is not None:
+            scales[bname] = (1, multiplier(out))
+    # The input is what the first layer contracts; a vector readout gives one output.
+    plan = LayerPlan(tuple(layers), scales[g.layers[0][0]][0], 1 if out is None else p.widths[out])
+    return plan, scales
 
 
 def format_partition(p: GammaPartition) -> str:

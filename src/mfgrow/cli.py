@@ -11,6 +11,7 @@ nothing is ever fetched from the network.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -392,10 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process; each parse fills a fresh namespace.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:

@@ -63,22 +63,11 @@ def rc_spec(
     return InitSpec("rc", distributions=dict(other), rc_pairs=dict(rc_pairs), phi=dict(phi))
 
 
-def _fan_in(arch: ArchGraph, name: str) -> int:
-    """Size of the axis the weight contracts against: the column for
-    matrices, the vector length for the output vector, 1 for the elementwise
-    embedding vector (a vector is only ever one of the two)."""
-    w = arch.weight(name)
-    if w.kind == "matrix":
-        return w.shape[1]
-    if arch.layers and name == arch.layers[-1][0]:
-        return w.shape[0]
-    return 1
-
-
 def nonzero_mean_default(parametrization: str, arch: ArchGraph) -> InitSpec:
     """Per-parametrization i.i.d. defaults: MFP gets the non-zero-mean
-    gaussian(1, 3) on weights, SP a symmetric uniform with fan-based bounds,
-    muP a zero-mean gaussian with fan-based std. Biases start at zero."""
+    gaussian(1, 3) on weights, SP a symmetric uniform with bounds
+    ±sqrt(1/fan_in), muP a zero-mean gaussian with std sqrt(1/fan_in), the
+    fan-in read off the arch (``ArchGraph.fan_in``). Biases start at zero."""
     if parametrization not in ("SP", "muP", "MFP"):
         raise ParameterError(f"unknown parametrization {parametrization!r}")
     dists: dict[str, DistributionSpec] = {}
@@ -86,14 +75,13 @@ def nonzero_mean_default(parametrization: str, arch: ArchGraph) -> InitSpec:
     for w in arch.weights:
         if w.name in bias_names:
             dists[w.name] = constant(0.0)
-            continue
-        if parametrization == "MFP":
+        elif parametrization == "MFP":
             dists[w.name] = gaussian(1.0, 3.0)
         elif parametrization == "SP":
-            bound = sqrt(1.0 / _fan_in(arch, w.name))
+            bound = sqrt(1.0 / arch.fan_in(w.name))
             dists[w.name] = uniform(-bound, bound)
         else:
-            dists[w.name] = gaussian(0.0, sqrt(1.0 / _fan_in(arch, w.name)))
+            dists[w.name] = gaussian(0.0, sqrt(1.0 / arch.fan_in(w.name)))
     return iid_spec(dists)
 
 

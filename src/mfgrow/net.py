@@ -1,7 +1,7 @@
 """Concrete networks under SP / muP / MFP: forward evaluation, manual
 backpropagation, one target rule (``_targets``, which ``check_data``,
-``backward_batch`` and ``evaluate`` share), per-weight learning-rate scaling,
-SGD and Adam, and the training loop.
+``backward_batch`` and ``evaluate`` share), SGD and Adam at per-weight rates
+from the arch's rate multipliers, and the training loop.
 
 One layer executor runs every network, entered through ``forward_batch``
 and ``backward_batch``; a single example is a one-row batch. It only
@@ -156,12 +156,6 @@ class Network:
     def plan(self) -> LayerPlan:
         return self.arch.plan
 
-    def input_dim(self) -> int:
-        return self.plan.input_dim
-
-    def output_dim(self) -> int:
-        return self.plan.output_dim
-
 
 def zeros_network(arch: ArchGraph) -> Network:
     store = {w.name: np.zeros(w.shape, dtype=np.float64) for w in arch.weights}
@@ -172,8 +166,8 @@ def _check_input(net: Network, X: np.ndarray) -> np.ndarray:
     X = as_f64(X)
     if X.ndim == 1:
         X = X[None, :]
-    if X.ndim != 2 or X.shape[1] != net.input_dim():
-        raise ParameterError(f"input has shape {X.shape}, expected (batch, {net.input_dim()})")
+    if X.ndim != 2 or X.shape[1] != net.plan.input_dim:
+        raise ParameterError(f"input has shape {X.shape}, expected (batch, {net.plan.input_dim})")
     return X
 
 
@@ -214,7 +208,7 @@ def _targets(net: Network, Y, n: int, loss: str) -> np.ndarray:
     """``Y`` for ``n`` examples as ``loss`` reads it, else ParameterError:
     float64 (n, output_dim), or (n,) at output_dim 1, for square loss, and n
     labels of an integer dtype in [0, output_dim) for cross-entropy."""
-    d_out = net.output_dim()
+    d_out = net.plan.output_dim
     if loss == "square":
         Y = as_f64(Y)
         if Y.shape == (n,) and d_out == 1:
@@ -303,21 +297,6 @@ def backward_batch(net: Network, X: np.ndarray, Y: np.ndarray, loss: str,
     return grads, float(np.add.reduce(losses) / B)
 
 
-def lr_multiplier(weight: str, arch: ArchGraph) -> float:
-    """Per-weight learning-rate scale: under MFP the product of the weight's
-    resizable axis widths (N*N for a square hidden matrix, N for vectors and
-    embedding/output matrices, 1 for data-only weights); 1 under SP/muP."""
-    if arch.parametrization in ("SP", "muP"):
-        return 1.0
-    p = arch.partition
-    mult = 1.0
-    for ax in arch.weight(weight).axes:
-        gi = p.axis_group(weight, ax)
-        if p.resizable[gi]:
-            mult *= p.widths[gi]
-    return mult
-
-
 # The scripted runs' lr_width_exponent: SP/muP's forward scalars would freeze
 # the hidden layers at large width, and MFP's multipliers carry its scaling.
 DEFAULT_LR_EXPONENT = {"SP": 1.0, "muP": 1.0, "MFP": 0.0}
@@ -329,8 +308,8 @@ class OptimizerState:
     ``backward_batch`` folds into the gradients. The step size is ``lr *
     max_hidden_width**lr_width_exponent`` (exponent 0 by default; the scripted
     SP/muP runs use 1.0 against their width-dependent forward scalars). An SGD
-    rate is ``step_size * lr_multiplier``, the SGD step. An Adam rate is
-    ``lr_multiplier``: Adam normalizes the multiplier-scaled gradient and
+    rate, the SGD step, is ``step_size * arch.rate_multiplier``. An Adam rate
+    is the multiplier: Adam normalizes the multiplier-scaled gradient and
     takes a width-free step of ``step_size`` (Tensor Programs IVb)."""
 
     kind: str
@@ -347,7 +326,7 @@ class OptimizerState:
             raise ParameterError(f"unknown optimizer kind {kind!r}")
         if lr < 0:
             raise ParameterError(f"learning rate must be >= 0, got {lr}")
-        mults = {w.name: lr_multiplier(w.name, net.arch) for w in net.arch.weights}
+        mults = {w.name: net.arch.rate_multiplier(w.name) for w in net.arch.weights}
         max_width = max(net.arch.hidden_widths, default=1)
         try:
             width_scale = float(max_width) ** lr_width_exponent
@@ -457,7 +436,7 @@ def check_data(net: Network, data, loss: str) -> None:
     """Raise ParameterError unless ``data`` (a Dataset) fits the net: inputs
     of shape (n, input_dim), and targets that pass the one target rule of
     ``backward_batch`` and ``evaluate`` for ``loss``."""
-    shape, d_in = data.inputs.shape, net.input_dim()
+    shape, d_in = data.inputs.shape, net.plan.input_dim
     if shape != (shape[0], d_in):
         raise ParameterError(f"inputs have shape {shape}, but the net takes (n, {d_in})")
     _targets(net, data.targets, shape[0], loss)

@@ -28,7 +28,6 @@ from mfgrow.arch import (
 from mfgrow.cli import main
 from mfgrow.errors import ParameterError, StructureError
 from mfgrow.init import rc_eligible
-from mfgrow.net import lr_multiplier
 
 
 class TestReferencePartitions:
@@ -110,10 +109,17 @@ class TestAxisGroups:
             assert u.gamma in p.groups[p.axis_groups[(u.weight, u.axis)]]
 
     def test_unmapped_axis_lookup_raises_structure_error(self):
-        block = build_skip_block(3)
-        for lookup in (lambda: lr_multiplier("w4", block), lambda: rc_eligible(block, "w4")):
-            with pytest.raises(StructureError, match="w4: no usage recorded for axis 'row'"):
-                lookup()
+        with pytest.raises(StructureError, match="w4: no usage recorded for axis 'row'"):
+            rc_eligible(build_skip_block(3), "w4")
+
+    @pytest.mark.parametrize("block", [build_skip_block(3), build_attention_block(4)],
+                             ids=["skip-block", "attention-block"])
+    def test_fragment_has_no_fan_ins_or_multipliers(self, block):
+        for w in block.weights:
+            for lookup in (block.fan_in, block.rate_multiplier):
+                with pytest.raises(StructureError,
+                                   match=f"weight {w.name}: a fragment has no fan-in"):
+                    lookup(w.name)
 
 
 class TestPartitionProperties:
@@ -291,6 +297,54 @@ class TestWiring:
         assert [layer.scalar for layer in plan.layers] == {
             "SP": [1.0, 0.5, 0.5], "muP": [1.0, 0.5, 0.25], "MFP": [0.5, 0.25, 0.25]
         }[parametrization]
+
+
+class TestFanInsAndMultipliers:
+    """The arch's fan-ins and rate multipliers, against their definitions
+    read off each weight's shape and axes."""
+
+    @staticmethod
+    def expected(g, name):
+        w = g.weight(name)
+        biases = {b for _, b in g.layers if b is not None}
+        if w.kind == "matrix":
+            fan = w.shape[1]
+        else:
+            fan = w.shape[0] if name == g.layers[-1][0] else 1
+        mult = 1
+        if g.parametrization == "MFP":
+            p = g.partition
+            for ax in w.axes:
+                k = p.axis_group(name, ax)
+                mult *= p.widths[k] if p.resizable[k] else 1
+        return (1 if name in biases else fan), mult
+
+    def test_build_grid(self):
+        count = 0
+        for depth, bias, skip, d_in, d_out, parametrization in itertools.product(
+                range(2, 6), (False, True), (False, True), (1, 3), (1, 2), PARAMETRIZATIONS):
+            if skip and depth != 4:
+                continue
+            widths = 5 if skip else list(range(4, depth + 3))
+            g = build_mlp(depth, widths, with_bias=bias, with_skip=skip, input_dim=d_in,
+                          output_dim=d_out, parametrization=parametrization)
+            for w in g.weights:
+                fan, mult = self.expected(g, w.name)
+                assert g.fan_in(w.name) == fan
+                assert g.rate_multiplier(w.name) == mult
+                assert type(g.rate_multiplier(w.name)) is float
+                count += 1
+        assert count == 696
+
+    def test_unknown_weight(self):
+        with pytest.raises(StructureError, match="unknown weight 'w9'"):
+            build_mlp(3, 4).fan_in("w9")
+
+    def test_derived_like_the_partition(self):
+        # Outside repr and equality, as the build-grid digest of repr(plan) needs.
+        g = build_mlp(3, 4, input_dim=2)
+        assert "_scales" not in repr(g)
+        assert dataclasses.replace(g) == g
 
 
 class TestJson:

@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfgrow import cli, experiments
-from mfgrow.arch import arch_to_json, build_attention_block, build_mlp, build_skip_block
+from mfgrow import cli, data, experiments
+from mfgrow.arch import (arch_from_json, arch_to_json, build_attention_block, build_mlp,
+                         build_skip_block, format_partition)
 from mfgrow.cli import main
 from mfgrow.data import CIFAR_RECORD, load_checkpoint, load_cifar10, save_checkpoint
+from mfgrow.errors import CheckpointError, StructureError
 from mfgrow.init import initialize, nonzero_mean_default, rc_eligible
 from mfgrow.net import forward_batch, zeros_network
 from mfgrow.tensor import Rng
@@ -896,6 +898,152 @@ def unreadable(request, tmp_path):
     else:
         path.write_bytes(b'{"parametrization": "\xff"}')
     return path
+
+
+def _header_byte(at, value):
+    def edit(raw):
+        raw[at:at + len(value)] = value
+    return edit
+
+
+# A checkpoint is the 21-byte header (magic, version, seed, parametrization
+# code, arch JSON length), the arch JSON, the weight count, then per weight
+# its name length and name, dtype code, ndim, dims and float64 payload.
+def _ckpt_offsets(raw, net):
+    at = 21 + int.from_bytes(raw[17:21], "little") + 4
+    offsets = {}
+    for w in net.arch.weights:
+        head = at
+        at += 2 + len(w.name) + 2 + 4 * len(w.shape)
+        offsets[w.name] = (head, at)  # where its record and its payload start
+        at += 8 * net.store[w.name].size
+    return offsets
+
+
+class TestRejectedFiles:
+    """Each rejection branch of load_checkpoint and of the arch file, reached
+    from a file: the library raises its MfgrowError subclass, and
+    ``mfgrow transfer --from`` or ``mfgrow gamma`` exits 2 and writes
+    nothing."""
+
+    @pytest.mark.parametrize("edit, shrink, match", [
+        (_header_byte(4, struct.pack("<I", 2)), None, "unsupported version 2"),
+        (_header_byte(16, b"\x07"), None, "unknown parametrization code 7"),
+        (_header_byte(16, b"\x00"), None, "parametrization byte disagrees with arch JSON"),
+        # Cut after the header is read, past the reader's buffer: inside w1's
+        # payload, and inside bv's dims.
+        (None, lambda offsets, size: offsets["w1"][1] + 16000, "truncated at byte {w1}"),
+        (None, lambda offsets, size: size - 10, "truncated at byte {bv_dims}"),
+    ], ids=["version", "parametrization-code", "parametrization-disagrees",
+            "shrunk-in-a-payload", "shrunk-in-a-record"])
+    def test_checkpoint(self, edit, shrink, match, tmp_path, monkeypatch, capsys):
+        arch = build_mlp(3, 64, with_bias=True, parametrization="MFP")
+        net = initialize(zeros_network(arch), nonzero_mean_default("MFP", arch), Rng(0))
+        path = tmp_path / "src.ckpt"
+        save_checkpoint(net, path)
+        raw = bytearray(path.read_bytes())
+        offsets = _ckpt_offsets(raw, net)
+        assert offsets["bv"][1] + 8 == len(raw)
+        if edit is not None:
+            edit(raw)
+        if shrink is not None:
+            parse = data.arch_from_json
+
+            def shrink_after_open(text):
+                os.truncate(path, shrink(offsets, len(raw)))
+                return parse(text)
+            monkeypatch.setattr(data, "arch_from_json", shrink_after_open)
+        match = match.format(w1=offsets["w1"][1], bv_dims=offsets["bv"][1] - 4)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+        path.write_bytes(bytes(raw))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["transfer", "--from", str(path), "--widths", "32",
+                     "--out", str(out / "t.ckpt")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and match in captured.err
+        assert captured.out == ""
+        assert _tree(out) == {}
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda d: d["gammas"][0].update(width=0), "gamma 1: width must be >= 1, got 0"),
+        (lambda d: d["gammas"][0].update(role="visible"), "gamma 1: unknown role 'visible'"),
+        (lambda d: d["weights"][0].update(kind="tensor"), "weight u: unknown kind 'tensor'"),
+        (lambda d: d["weights"][0].update(shape=[4, 0]),
+         r"weight u: dimensions must be >= 1, got \(4, 0\)"),
+        (lambda d: d.update(parametrization="NTK"), "unknown parametrization 'NTK'"),
+        (lambda d: d.update(topology="tree"), "unknown topology 'tree'"),
+        (lambda d: d["weights"][1].update(name="u"), "weight names must be unique"),
+        (lambda d: d["gammas"][1].update(id=1), "gamma ids must be unique"),
+        (lambda d: next(u for u in d["usages"] if u["weight"] == "u").update(axis="diag"),
+         "weight u: unknown axis 'diag'"),
+    ], ids=["gamma-width-0", "unknown-role", "unknown-kind", "dimension-0",
+            "unknown-parametrization", "unknown-topology", "duplicate-weight-name",
+            "duplicate-gamma-id", "unknown-axis"])
+    def test_arch_file(self, edit, match, tmp_path, capsys):
+        doc = json.loads(arch_to_json(build_mlp(3, 4, with_bias=True, input_dim=2)))
+        assert doc["weights"][0]["shape"] == [4, 2] and doc["gammas"][0]["width"] == 4
+        edit(doc)
+        path = tmp_path / "arch.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(StructureError, match=match):
+            arch_from_json(path.read_text(encoding="utf-8"))
+        before = _tree(tmp_path)
+        assert main(["gamma", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert _tree(tmp_path) == before
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process. Each parse must still
+    start from the defaults: no value of one call reaches the next."""
+
+    ARGVS = [
+        ["gamma", "--mlp", "3", "--width", "5", "--bias", "--skip"],
+        ["transfer", "--from", "a", "--widths", "40", "--strategy", "function_based",
+         "--r1", "0.5", "--r2", "0.25", "--seed", "7", "--out", "b"],
+        ["diagnose", "--ckpt", "a", "--ckpt", "b", "--report", "hist", "--weight", "w1"],
+        ["reproduce", "twolayer_regen", "--seed", "3", "--r1", "0.1", "--out", "c"],
+        ["gamma", "--mlp", "2"],
+        ["transfer", "--from", "c", "--widths", "8", "--out", "d"],
+        ["diagnose", "--ckpt", "c", "--report", "corr"],
+        ["reproduce", "update_probe"],
+        ["train", "--config", "x", "--seed", "1"],
+        ["init", "--config", "y"],
+    ]
+
+    def test_shared_parser_matches_a_fresh_one(self):
+        for argv in self.ARGVS:
+            assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+    def test_consecutive_mains_parse_independently(self, small_ckpt, tmp_path, capsys,
+                                                    monkeypatch):
+        assert main(["gamma", "--mlp", "3", "--width", "5", "--bias"]) == 0
+        narrow = capsys.readouterr().out
+        monkeypatch.setattr(cli, "build_parser", None)  # a second parser would fail
+        argv = ["transfer", "--from", str(small_ckpt), "--widths", "30"]
+        assert main([*argv, "--strategy", "function_based", "--r1", "0.1", "--r2", "0.5",
+                     "--seed", "4", "--out", str(tmp_path / "a.ckpt")]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert (first["strategy"], first["r1"], first["r2"], first["seed"]) == (
+            "function_based", 0.1, 0.5, 4)
+        assert main([*argv, "--out", str(tmp_path / "b.ckpt")]) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert (second["strategy"], second["r1"], second["r2"], second["seed"]) == (
+            "random", 0.0, 0.0, 0)
+        ckpts = ["--ckpt", str(tmp_path / "a.ckpt"), "--ckpt", str(tmp_path / "b.ckpt")]
+        assert main(["diagnose", *ckpts, "--report", "hist", "--out", str(tmp_path / "h")]) == 0
+        # Had the appended --ckpt list carried over, a heatmap would get three.
+        assert main(["diagnose", "--ckpt", str(small_ckpt), "--report", "heatmap",
+                     "--out", str(tmp_path / "m")]) == 0
+        capsys.readouterr()
+        assert main(["gamma", "--mlp", "3"]) == 0
+        assert capsys.readouterr().out == format_partition(build_mlp(3, 8).partition) + "\n"
+        assert format_partition(build_mlp(3, 5, with_bias=True).partition) + "\n" == narrow
 
 
 class TestUnreadableFiles:

@@ -17,7 +17,6 @@ from mfgrow.net import (
     check_data,
     evaluate,
     forward_batch,
-    lr_multiplier,
     train,
     zeros_network,
 )
@@ -323,27 +322,72 @@ class TestDuplicationTrajectory:
             assert dev <= 1e-12
 
 
-class TestLrMultiplier:
+class TestRateMultiplier:
     def test_five_layer_mfp_scalars(self):
         arch = build_mlp(5, [5, 6, 7, 4], parametrization="MFP")
-        assert lr_multiplier("v", arch) == 4
-        assert lr_multiplier("w3", arch) == 4 * 7
-        assert lr_multiplier("w2", arch) == 7 * 6
-        assert lr_multiplier("w1", arch) == 6 * 5
-        assert lr_multiplier("u", arch) == 5
+        assert arch.rate_multiplier("v") == 4
+        assert arch.rate_multiplier("w3") == 4 * 7
+        assert arch.rate_multiplier("w2") == 7 * 6
+        assert arch.rate_multiplier("w1") == 6 * 5
+        assert arch.rate_multiplier("u") == 5
 
-    def test_sp_is_one(self):
-        arch = build_mlp(5, 8, parametrization="SP")
+    @pytest.mark.parametrize("parametrization", ["SP", "muP"])
+    def test_sp_and_mup_are_one(self, parametrization):
+        arch = build_mlp(5, 8, with_bias=True, input_dim=3, output_dim=2,
+                         parametrization=parametrization)
         for w in arch.weights:
-            assert lr_multiplier(w.name, arch) == 1.0
+            assert arch.rate_multiplier(w.name) == 1.0
 
     def test_embedding_and_output_matrices(self):
         arch = build_mlp(3, 300, with_bias=True, input_dim=3072, output_dim=10,
                          parametrization="MFP")
-        assert lr_multiplier("u", arch) == 300
-        assert lr_multiplier("w1", arch) == 300 * 300
-        assert lr_multiplier("v", arch) == 300
-        assert lr_multiplier("bv", arch) == 1.0
+        assert arch.rate_multiplier("u") == 300
+        assert arch.rate_multiplier("w1") == 300 * 300
+        assert arch.rate_multiplier("v") == 300
+        assert arch.rate_multiplier("b1") == 300
+        assert arch.rate_multiplier("bv") == 1.0
+
+    def test_rates_are_step_size_times_multiplier(self):
+        net = make_net(3, [6, 5], with_bias=True, input_dim=2, output_dim=3)
+        sgd = OptimizerState.create(net, lr=0.25)
+        adam = OptimizerState.create(net, kind="adam", lr=0.25)
+        for w in net.arch.weights:
+            assert sgd.rates[w.name] == 0.25 * net.arch.rate_multiplier(w.name)
+            assert adam.rates[w.name] == net.arch.rate_multiplier(w.name)
+
+
+class TestMupMfpSymmetry:
+    """Tensor Programs IV's abc symmetry (Yang & Hu, arXiv 2011.14522): SGD
+    runs the same when a layer's forward scalar is multiplied by theta, its
+    weights divided by theta and its rate divided by theta**2. muP at its
+    scripted rate exponent 1 and MFP form such a pair on a chain with a 1-d
+    input and no output bias: the hidden matrices have theta = 1/sqrt(N) and
+    rates lr*N and lr*N**2, the embedding and readout keep one scalar and
+    rate lr*N. So MFP started from ``W_muP * s_muP / s_MFP`` trains to the
+    same bits as muP. At N = 4**k and a batch of 2**j every ratio is a power
+    of 2, so every scaling is exact, whatever the BLAS thread count."""
+
+    @pytest.mark.parametrize("depth", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k, batch", [(1, 4), (2, 8), (3, 16), (4, 32)],
+                             ids=["N4", "N16", "N64", "N256"])
+    def test_mapped_mfp_run_is_byte_identical(self, depth, k, batch):
+        mup = make_net(depth, 4**k, parametrization="muP", seed=depth)
+        arch = mup.arch.with_parametrization("MFP")
+        ratios = {a.weight: a.scalar / b.scalar for a, b in zip(mup.plan.layers, arch.plan.layers)}
+        mfp = Network(arch, {name: w * ratios[name] for name, w in mup.store.items()})
+        train_data = synth_regression("sine", 6 * batch, 0.0, Rng(depth))
+        test_data = synth_regression("sine", 64, 0.0, Rng(depth), split="test")
+        logs = []
+        for net in (mup, mfp):
+            opt = OptimizerState.create(
+                net, lr=0.05, lr_width_exponent=net_module.DEFAULT_LR_EXPONENT[net.parametrization])
+            logs.append(train(net, train_data, opt, 3, batch, Rng(7), test_data=test_data).to_csv())
+        assert logs[0] == logs[1]
+        assert (forward_batch(mup, test_data.inputs).tobytes()
+                == forward_batch(mfp, test_data.inputs).tobytes())
+        for name, w in mup.store.items():
+            assert (w * ratios[name]).tobytes() == mfp.store[name].tobytes()
+        assert any(ratio != 1.0 for ratio in ratios.values()) == (depth > 2)
 
 
 class TestSgdUpdate:
@@ -737,9 +781,9 @@ class TestTrain:
     ], ids=["targets-too-narrow", "inputs-too-narrow", "label-out-of-range", "labels-2d"])
     def test_data_that_does_not_fit_rejected_before_any_step(self, dims, data, loss, message):
         net = make_net(2, 8, **dims)
-        width = net.output_dim()
+        width = net.plan.output_dim
         targets = np.zeros(8, dtype=int) if loss == "cross_entropy" else np.zeros((8, width))
-        fits = Dataset(np.zeros((8, net.input_dim())), targets)
+        fits = Dataset(np.zeros((8, net.plan.input_dim)), targets)
         opt = OptimizerState.create(net, lr=0.05)
         for train_data, test_data in ((data, None), (fits, data)):
             with pytest.raises(ParameterError, match=message):
