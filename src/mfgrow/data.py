@@ -195,10 +195,10 @@ def synth_regression(kind: str, n: int, noise_std: float, rng: Rng,
 def save_checkpoint(net: Network, path, seed: int = 0) -> None:
     """Write ``net`` in the v1 layout above.
 
-    Every weight is checked before the file is opened. The payloads then
-    stream out one weight at a time: a C-contiguous float64 weight is written
-    straight from its buffer, and any other is converted alone, so no copy
-    of the whole network is ever held.
+    The seed (by ``Rng``'s rule) and every weight are checked before the
+    file is opened. The payloads then stream out one weight at a time: a
+    C-contiguous float64 weight is written straight from its buffer, and any
+    other is converted alone, so no copy of the whole network is ever held.
 
     An existing regular file is overwritten in place, not truncated first:
     truncating a file to zero and rewriting it makes ext4 flush it on close.
@@ -206,6 +206,7 @@ def save_checkpoint(net: Network, path, seed: int = 0) -> None:
     a save that stops partway leaves a file that ``load_checkpoint`` rejects.
     Other targets (``/dev/null``, a pipe) get the bytes in order.
     """
+    seed = Rng(seed).seed
     for w in net.arch.weights:
         if any(d >= 2**32 for d in np.shape(net.store[w.name])):
             raise CheckpointError(f"weight {w.name}: dimension overflow")
@@ -216,7 +217,7 @@ def save_checkpoint(net: Network, path, seed: int = 0) -> None:
             regular = stat.S_ISREG(os.fstat(f.fileno()).st_mode)
             f.write(b"\0" * len(_MAGIC) if regular else _MAGIC)
             f.write(struct.pack("<I", _VERSION))
-            f.write(struct.pack("<Q", int(seed) & (2**64 - 1)))
+            f.write(struct.pack("<Q", seed))
             f.write(struct.pack("<B", _PARAM_CODE[net.parametrization]))
             f.write(struct.pack("<I", len(arch_json)))
             f.write(arch_json)

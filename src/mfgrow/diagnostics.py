@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arch import build_mlp
+from .arch import COL, ROW, build_mlp
 from .data import synth_regression
 from .errors import ParameterError
 from .init import initialize, nonzero_mean_default
@@ -21,11 +21,13 @@ from .tensor import Rng, pearson_abs
 
 
 def profile(net: Network, weight: str, axis: str) -> np.ndarray:
-    """Mean over the opposing axis. A vector weight's profile is a copy of
-    the vector, whatever ``axis``."""
+    """Mean over the opposing axis, ``arch.ROW`` or ``arch.COL``. A vector
+    weight's profile is a copy of the vector, whatever the axis."""
+    if axis not in (ROW, COL):
+        raise ParameterError(f"profile axis must be {ROW!r} or {COL!r}, got {axis!r}")
     if net.arch.weight(weight).kind == "vector":
         return net.store[weight].copy()
-    return net.store[weight].mean(axis=1 if axis == "row" else 0)
+    return net.store[weight].mean(axis=1 if axis == ROW else 0)
 
 
 @dataclass

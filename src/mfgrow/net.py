@@ -4,7 +4,7 @@ backpropagation, one target rule (``_targets``, which ``check_data``,
 from the arch's rate multipliers, and the training loop.
 
 One layer executor runs every network, entered through ``forward_batch``
-and ``backward_batch``; a single example is a one-row batch. It only
+and ``backward_batch``, which take (batch, input_dim) inputs. It only
 executes the layer plan that the arch checked and built once (``arch.plan``):
 per layer the weight, the bias, the forward scalar, the activation, and a
 flag that adds the previous layer's pre-activation before the activation.
@@ -164,8 +164,6 @@ def zeros_network(arch: ArchGraph) -> Network:
 
 def _check_input(net: Network, X: np.ndarray) -> np.ndarray:
     X = as_f64(X)
-    if X.ndim == 1:
-        X = X[None, :]
     if X.ndim != 2 or X.shape[1] != net.plan.input_dim:
         raise ParameterError(f"input has shape {X.shape}, expected (batch, {net.plan.input_dim})")
     return X
@@ -206,13 +204,11 @@ def forward_batch(net: Network, X: np.ndarray) -> np.ndarray:
 
 def _targets(net: Network, Y, n: int, loss: str) -> np.ndarray:
     """``Y`` for ``n`` examples as ``loss`` reads it, else ParameterError:
-    float64 (n, output_dim), or (n,) at output_dim 1, for square loss, and n
-    labels of an integer dtype in [0, output_dim) for cross-entropy."""
+    float64 (n, output_dim) for square loss, and n labels of an integer
+    dtype in [0, output_dim) for cross-entropy."""
     d_out = net.plan.output_dim
     if loss == "square":
         Y = as_f64(Y)
-        if Y.shape == (n,) and d_out == 1:
-            return Y[:, None]
         if Y.shape != (n, d_out):
             raise ParameterError(f"targets have shape {Y.shape}, but the net gives (n, {d_out})")
         return Y

@@ -19,6 +19,11 @@ from .errors import ParameterError
 Vector = np.ndarray
 
 
+def _integer(x) -> bool:
+    """An int or NumPy integer; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def as_f64(data) -> np.ndarray:
     """Coerce to a C-contiguous float64 array."""
     return np.ascontiguousarray(data, dtype=np.float64)
@@ -28,28 +33,24 @@ class Rng:
     """Deterministic random source of independent SFC64 substreams.
 
     Each substream is seeded by a ``SeedSequence`` over the exact 128-bit
-    key ``(seed, label)``: the 64-bit seed and the label's 64-bit id, kept
-    as unsigned integers so no key is rounded. Draws from one substream
-    never depend on how many values were taken from another, so per-weight
-    streams are independent of iteration order. SFC64 draws about twice as
+    key ``(seed, label)``: the 64-bit seed and the 64-bit BLAKE2b digest of
+    the string label, kept as unsigned integers so no key is rounded. Draws
+    from one substream never depend on how many values were taken from
+    another, so per-weight streams are independent of iteration order. SFC64 draws about twice as
     fast as Philox; nothing here uses Philox's ``advance`` or ``jumped``.
     """
 
     def __init__(self, seed: int):
-        seed = int(seed)
-        if not 0 <= seed < 2**64:
-            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self.seed = seed
+        if not (_integer(seed) and 0 <= seed < 2**64):
+            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        self.seed = int(seed)
 
-    def substream(self, label) -> np.random.Generator:
-        """Independent stream for an integer or string label."""
-        if isinstance(label, str):
-            digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
-            key = int.from_bytes(digest, "little")
-        else:
-            key = int(label)
-            if not 0 <= key < 2**64:
-                raise ParameterError(f"stream id must fit in 64 bits, got {key}")
+    def substream(self, label: str) -> np.random.Generator:
+        """Independent stream for a string label."""
+        if not isinstance(label, str):
+            raise ParameterError(f"stream label must be a string, got {label!r}")
+        digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
+        key = int.from_bytes(digest, "little")
         entropy = np.array([self.seed, key], dtype=np.uint64)
         return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
 

@@ -21,15 +21,10 @@ from .arch import ArchGraph, GammaVar, WeightSpec
 from .errors import ParameterError
 from .measure import STRATEGIES, draw_indices, extract_measures
 from .net import Network
-from .tensor import Rng
+from .tensor import Rng, _integer
 
 __all__ = ["TransferPlan", "apply_noise", "duplicate_grow", "index_sets", "transfer",
            "uniform_plan"]
-
-
-def _integer(x) -> bool:
-    """An int or NumPy integer; a bool is not one."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,16 @@ MFGROW_CIFAR10_DIR at them, otherwise those tests skip with a notice.
 """
 
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import record_acceptance
+from conftest import record_acceptance, stream
+import mfgrow
 from mfgrow.arch import build_attention_block, build_mlp, build_skip_block
 from mfgrow.data import load_checkpoint, load_cifar10, save_checkpoint, synth_regression
 from mfgrow.experiments import (
@@ -81,8 +85,8 @@ def test_criterion_2_gradient_fidelity():
             for seed in range(3):
                 net = _fresh_net(depth, width, param, seed=100 * depth + seed,
                                  with_bias=(seed % 2 == 0))
-                x, y = [0.6], [0.2]
-                analytic, _ = plain_grads(net, [x], y)
+                x, y = [[0.6]], [[0.2]]
+                analytic, _ = plain_grads(net, x, y)
                 numeric = fd_grads(net, x, y, "square")
                 for name in net.store:
                     a, n = analytic[name], numeric[name]
@@ -98,7 +102,7 @@ def test_criterion_2_gradient_fidelity():
     x, y = 0.9, 0.4
     f = forward_batch(net, np.array([[x]]))[0, 0]
     zz = np.tanh(u * x)
-    grads, _ = plain_grads(net, [[x]], [y])
+    grads, _ = plain_grads(net, [[x]], [[y]])
     closed_ok = np.allclose(grads["v"], (f - y) * zz / 32, atol=1e-12, rtol=0) and np.allclose(
         grads["u"], (f - y) * v * (1 - zz**2) * x / 32, atol=1e-12, rtol=0
     )
@@ -109,7 +113,7 @@ def test_criterion_2_gradient_fidelity():
 
 def test_criterion_3_function_preservation():
     t0 = time.time()
-    xs = Rng(321).substream(0).uniform(-3, 3, size=(1000, 1))
+    xs = stream(321).uniform(-3, 3, size=(1000, 1))
     worst = 0.0
     for k in (2, 3):
         for depth in (2, 3, 4, 5):
@@ -206,7 +210,7 @@ def test_criterion_9_update_scaling():
 
 def test_criterion_10_coupling_contrast():
     n = 10_000
-    u = Rng(12).substream(0).normal(0.0, 1.0, size=n)
+    u = stream(12).normal(0.0, 1.0, size=n)
     paired, decoupled = coupling_contrast(u, u)
     gap = paired - decoupled
     ok = abs(gap - 1.0) <= 3.0 / np.sqrt(n)
@@ -214,7 +218,40 @@ def test_criterion_10_coupling_contrast():
             f"paired-minus-decoupled gap {gap:.4f} within 1 ± {3.0 / np.sqrt(n):.3f}")
 
 
+# One MFP 3072 -> 300 -> 300 -> 10 training run, wide enough that OpenBLAS
+# splits its GEMMs over threads: 256 synthetic examples, batch 64, one epoch.
+# It writes the checkpoint to argv[1] + ".ckpt" and the CSV log beside it.
+_WIDE_RUN = """
+import sys
+from mfgrow.arch import build_mlp
+from mfgrow.data import Dataset, save_checkpoint
+from mfgrow.init import initialize, nonzero_mean_default
+from mfgrow.net import OptimizerState, train, zeros_network
+from mfgrow.tensor import Rng
+
+arch = build_mlp(3, 300, input_dim=3072, output_dim=10, parametrization="MFP")
+net = initialize(zeros_network(arch), nonzero_mean_default("MFP", arch), Rng(3))
+gen = Rng(4).substream("data")
+data = Dataset(gen.normal(size=(256, 3072)), gen.integers(0, 10, size=256))
+log = train(net, data, OptimizerState.create(net, lr=0.05), 1, 64, Rng(5), loss="cross_entropy")
+save_checkpoint(net, sys.argv[1] + ".ckpt", seed=5)
+log.write(sys.argv[1] + ".csv")
+"""
+
+
+def _wide_run(out: Path, threads: int) -> tuple[bytes, bytes]:
+    """The checkpoint and CSV log of ``_WIDE_RUN`` in a fresh interpreter
+    with ``threads`` OpenBLAS threads."""
+    src = str(Path(mfgrow.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", _WIDE_RUN, str(out)], env=env, check=True, timeout=300)
+    return out.with_suffix(".ckpt").read_bytes(), out.with_suffix(".csv").read_bytes()
+
+
 def test_criterion_11_determinism_and_serialization(tmp_path):
+    # Scope: byte-identical at a fixed BLAS thread count. Across thread
+    # counts a split GEMM may round differently, so that is reported only.
     def run():
         net = _fresh_net(3, 24, seed=3)
         data = synth_regression("sine", 256, 0.0, Rng(4))
@@ -235,5 +272,14 @@ def test_criterion_11_determinism_and_serialization(tmp_path):
     save_checkpoint(loaded, tmp_path / "net2.ckpt", seed=5)
     bytes_ok = (tmp_path / "net2.ckpt").read_bytes() == ckpt1
 
-    _report("11 (determinism & serialization)", rerun_ok and roundtrip_ok and bytes_ok,
-            "seed-identical reruns byte-identical; f64 checkpoint round trip bit-exact")
+    wide = {t: [_wide_run(tmp_path / f"wide{t}_{i}", t) for i in range(2)] for t in (1, 2)}
+    threads_ok = all(a == b for a, b in wide.values())
+    (ckpt_1, csv_1), (ckpt_2, csv_2) = wide[1][0], wide[2][0]
+    across = (f"checkpoints {'agree' if ckpt_1 == ckpt_2 else 'differ'} and CSV logs "
+              f"{'agree' if csv_1 == csv_2 else 'differ'} across 1 and 2 (not required)")
+
+    _report("11 (determinism & serialization)",
+            rerun_ok and roundtrip_ok and bytes_ok and threads_ok,
+            "seed-identical reruns byte-identical; f64 checkpoint round trip bit-exact; "
+            "MFP 3072-300-300-10 checkpoints and CSV logs byte-identical across fresh "
+            f"interpreters at 1 and at 2 OpenBLAS threads; {across}")

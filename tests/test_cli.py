@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import stream
 from mfgrow import cli, data, experiments
 from mfgrow.arch import (arch_from_json, arch_to_json, build_attention_block, build_mlp,
                          build_skip_block, format_partition)
@@ -208,7 +209,7 @@ class TestTransferCli:
         assert rc == 0
         src = load_checkpoint(small_ckpt)
         dup = load_checkpoint(out_ckpt)
-        xs = Rng(1).substream(0).normal(size=(50, 1))
+        xs = stream(1).normal(size=(50, 1))
         assert np.allclose(forward_batch(dup, xs), forward_batch(src, xs), atol=1e-12)
 
     def test_fragment_without_layers_exits_2(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import stream
 from mfgrow import data
 from mfgrow.arch import build_mlp
 from mfgrow.data import (
@@ -18,7 +19,7 @@ from mfgrow.data import (
     save_checkpoint,
     synth_regression,
 )
-from mfgrow.errors import CheckpointError, DataError, MissingDataError
+from mfgrow.errors import CheckpointError, DataError, MissingDataError, ParameterError
 from mfgrow.init import initialize, nonzero_mean_default
 from mfgrow.net import Network, OptimizerState, forward_batch, train, zeros_network
 from mfgrow.tensor import Rng
@@ -284,7 +285,7 @@ class TestCheckpoint:
         path = tmp_path / "c.ckpt"
         save_checkpoint(net, path)
         loaded = load_checkpoint(path)
-        xs = Rng(9).substream(0).normal(size=(100, 1))
+        xs = stream(9).normal(size=(100, 1))
         assert np.array_equal(forward_batch(loaded, xs), forward_batch(net, xs))
 
     def test_bad_magic(self, tmp_path):
@@ -377,6 +378,19 @@ class TestCheckpoint:
         path.write_bytes(head + payload(edit(weights)))
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2.5, "7", True])
+    def test_bad_seed_rejected_before_the_file_opens(self, tmp_path, seed):
+        # The header's seed field holds exactly Rng's seeds: a negative seed
+        # is not wrapped to 2**64 - 1, and a float or string is not cast.
+        path = tmp_path / "w.ckpt"
+        with pytest.raises(ParameterError, match="seed must be a 64-bit unsigned integer"):
+            save_checkpoint(example_net(), path, seed=seed)
+        assert not path.exists()
+        path.write_bytes(b"old")
+        with pytest.raises(ParameterError):
+            save_checkpoint(example_net(), path, seed=seed)
+        assert path.read_bytes() == b"old"
 
     def test_loaded_weights_are_owned_and_trainable(self, tmp_path):
         path = tmp_path / "w.ckpt"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import stream
 from mfgrow import diagnostics
 from mfgrow.arch import build_mlp
 from mfgrow.data import synth_regression
@@ -55,6 +56,13 @@ class TestProfile:
         assert np.array_equal(profile(net, "v", "row"), net.store["v"])
 
 
+    @pytest.mark.parametrize("weight", ["w1", "v"])
+    @pytest.mark.parametrize("axis", ["rows", "ROW", None])
+    def test_unknown_axis_rejected(self, weight, axis):
+        # An axis is arch.ROW or arch.COL: a misspelt one is not read as "col".
+        with pytest.raises(ParameterError, match="profile axis must be 'row' or 'col'"):
+            profile(make_net(3, 4), weight, axis)
+
 class TestCorrelationMatrix:
     def test_self_and_negation(self):
         net = make_net(seed=5)
@@ -63,7 +71,7 @@ class TestCorrelationMatrix:
         assert report.pairs == [("a", "b", pytest.approx(1.0))]
 
     def test_independent_profiles_decorrelated(self):
-        gen = Rng(1).substream(0)
+        gen = stream(1)
         hits = 0
         for _ in range(20):
             a = gen.normal(size=1000)
@@ -80,7 +88,7 @@ class TestCorrelationMatrix:
         assert report.pairs == []
 
     def test_affine_invariance(self):
-        gen = Rng(2).substream(0)
+        gen = stream(2)
         a, b = gen.normal(size=50), gen.normal(size=50)
         base = pearson_abs(a, b)
         assert pearson_abs(3.0 * a + 2.0, b) == pytest.approx(base, abs=1e-12)
@@ -127,8 +135,8 @@ class TestFourPairReport:
 class TestHeatmap:
     def test_rank_one_sorted_grid_is_monotone(self):
         net = make_net(3, 12, seed=7)
-        r = np.sort(Rng(8).substream(0).uniform(0.5, 2.0, 12))
-        c = np.sort(Rng(9).substream(0).uniform(0.5, 2.0, 12))
+        r = np.sort(stream(8).uniform(0.5, 2.0, 12))
+        c = np.sort(stream(9).uniform(0.5, 2.0, 12))
         net.store["w1"] = np.outer(r, c)
         grid = heatmap_export(net, "w1")
         assert (np.diff(grid, axis=0) >= -1e-12).all()
@@ -258,7 +266,7 @@ class TestGridWriter:
         # and only they go to Python.
         cols = 700
         rows = 3 * (diagnostics._GRID_BLOCK_VALUES // cols) + 1
-        grid = Rng(4).substream(0).uniform(0.0, 1.0, size=(rows, cols))
+        grid = stream(4).uniform(0.0, 1.0, size=(rows, cols))
         grid[5, 3] = 0.0078125
         grid[rows // 2, -1] = np.nan
         grid[-1, 0] = -np.inf
@@ -268,7 +276,7 @@ class TestGridWriter:
         assert sum(call.args[0].shape[0] for call in fast.call_args_list) == rows - 3
 
     def test_fixed_width_grid_takes_the_numpy_path(self):
-        grid = Rng(5).substream(0).uniform(0.0, 1.0, size=(40, 900))
+        grid = stream(5).uniform(0.0, 1.0, size=(40, 900))
         with mock.patch.object(diagnostics, "_format_exact_rows",
                                wraps=diagnostics._format_exact_rows) as fast:
             text = written_text(grid)

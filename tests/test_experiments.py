@@ -8,6 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import stream
 from mfgrow.arch import PARAMETRIZATIONS
 from mfgrow.data import CIFAR_RECORD, load_cifar10
 from mfgrow.experiments import (
@@ -19,7 +20,6 @@ from mfgrow.experiments import (
     twolayer_regen,
     accuracy_experiment,
 )
-from mfgrow.tensor import Rng
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +27,7 @@ def splits(tmp_path_factory):
     """The (train, test) splits of a fixture written in the CIFAR binary
     format, loaded once for the module."""
     root = tmp_path_factory.mktemp("cifar_fixture")
-    gen = Rng(77).substream(0)
+    gen = stream(77)
 
     def write(path, n):
         pixels = gen.integers(0, 256, size=(n, CIFAR_RECORD - 1), dtype=np.uint8)

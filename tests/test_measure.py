@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import stream
 from mfgrow.arch import build_mlp
 from mfgrow.errors import ParameterError
 from mfgrow.init import initialize, nonzero_mean_default
@@ -166,7 +167,7 @@ class TestMomentLoss:
         assert _moment_losses(features, np.array([0, 2]), cands).tolist() == [0.0, np.inf, 13.0]
 
     def test_symmetry_and_triangle(self):
-        gen = Rng(3).substream(0)
+        gen = stream(3)
         for _ in range(25):
             a, b, c = (gen.normal(size=8) for _ in range(3))
             ab = moment_loss(a, b)
@@ -193,7 +194,7 @@ class TestWeightedLoss:
         net = small_net(depth=4, width=16, with_bias=True, with_skip=True)
         features = extract_measures(net)[1].features
         pool = np.arange(3, 16)
-        cands = np.stack([Rng(4).substream(i).choice(16, size=21) for i in range(8)])
+        cands = np.stack([stream(4, i).choice(16, size=21) for i in range(8)])
         ref = [reference_loss(at(features, pool), at(features, cand)) for cand in cands]
         assert _moment_losses(features, pool, cands).tolist() == ref
 
@@ -203,7 +204,7 @@ class TestWeightedLoss:
         # descending) moves some of them by an ulp and breaks it.
         net = small_net(depth=4, width=64, with_bias=True, with_skip=True)
         g = extract_measures(net)[1]
-        gen = Rng(8).substream(0)
+        gen = stream(8)
         cands = np.stack([gen.choice(64, size=64) for _ in range(64)])
         losses = _moment_losses(g.features, np.arange(64), cands)
         assert hashlib.sha256(np.array(losses).tobytes()).hexdigest() == (
@@ -217,23 +218,23 @@ class TestDrawIndices:
 
     def test_random_indices_in_range(self):
         m = self.measure_with_norms(np.arange(1.0, 11.0))
-        idx = draw_indices(m, 10, "random", 0.0, Rng(0).substream(0))
+        idx = draw_indices(m, 10, "random", 0.0, stream(0))
         assert idx.shape == (10,) and idx.dtype == np.int64
         assert ((0 <= idx) & (idx < 10)).all()
 
     def test_r2_keeps_top_half_by_norm(self):
         m = self.measure_with_norms(np.arange(1.0, 11.0))
-        idx = draw_indices(m, 200, "random", 0.5, Rng(1).substream(0))
+        idx = draw_indices(m, 200, "random", 0.5, stream(1))
         assert set(idx) == {5, 6, 7, 8, 9}  # norms 6..10
 
     def test_pruning_without_replacement(self):
         m = self.measure_with_norms(np.arange(1.0, 11.0))
-        idx = draw_indices(m, 8, "random", 0.0, Rng(2).substream(0))
+        idx = draw_indices(m, 8, "random", 0.0, stream(2))
         assert len(set(idx.tolist())) == 8
 
     def test_group_strategy_draws_from_bands(self):
         m = self.measure_with_norms(np.arange(1.0, 101.0))
-        idx = draw_indices(m, 500, "group", 0.0, Rng(3).substream(0))
+        idx = draw_indices(m, 500, "group", 0.0, stream(3))
         assert ((0 <= idx) & (idx < 100)).all()
         # Each quartile band receives draws.
         bands = set(idx // 25)
@@ -244,11 +245,11 @@ class TestDrawIndices:
         # band, as scalar draws in that order: same indices, and the
         # generator ends in the same state. Pools of 1 to 3 samples have
         # fewer than four non-empty bands.
-        meta = Rng(9).substream(0)
+        meta = stream(9)
         for case in range(40):
             m = self.measure_with_norms(meta.normal(size=int(meta.integers(1, 300))))
             target = int(meta.integers(1, 500))
-            gen, ref_gen = Rng(case).substream(0), Rng(case).substream(0)
+            gen, ref_gen = stream(case), stream(case)
             idx = draw_indices(m, target, "group", 0.0, gen)
             pool = np.argsort(-m.sample_norms(), kind="stable")
             bands = [b for b in np.array_split(pool, 4) if b.size > 0]
@@ -258,13 +259,13 @@ class TestDrawIndices:
             assert gen.random() == ref_gen.random()
 
     def test_function_based_beats_median_candidate(self):
-        gen = Rng(5).substream(0)
+        gen = stream(5)
         m = self.measure_with_norms(gen.normal(size=64))
-        winner = draw_indices(m, 48, "function_based", 0.0, Rng(6).substream(0))
+        winner = draw_indices(m, 48, "function_based", 0.0, stream(6))
         ref = m.features
         win_loss = reference_loss(ref, at(ref, winner))
         # Brute-force the same candidate universe: winner must beat the median.
-        gen2 = Rng(7).substream(0)
+        gen2 = stream(7)
         losses = []
         for _ in range(64):
             cand = gen2.choice(np.arange(64), size=48, replace=False)
@@ -278,8 +279,8 @@ class TestDrawIndices:
         # first or the worst, or one scored on fewer moments). Summing the
         # loss in another order moves it by an ulp but keeps this winner;
         # test_summation_order_pinned covers that.
-        m = self.measure_with_norms(Rng(5).substream(0).normal(size=64))
-        idx = draw_indices(m, 48, "function_based", 0.0, Rng(6).substream(0))
+        m = self.measure_with_norms(stream(5).normal(size=64))
+        idx = draw_indices(m, 48, "function_based", 0.0, stream(6))
         assert hashlib.sha256(idx.tobytes()).hexdigest() == (
             "38a35e32595bc2ad3a28d494af3f6fef9a56a62dcf2413ca4d3e2ff5a52057b9"
         )
@@ -288,7 +289,7 @@ class TestDrawIndices:
         # Replay the 64 candidate draws, score each on moments 1..4 against
         # the pool and keep the first best: same indices, and the generator
         # ends in the same state, so the draw spent exactly 64 candidates.
-        meta = Rng(11).substream(0)
+        meta = stream(11)
         for case in range(40):
             width = int(meta.integers(4, 80))
             m = self.measure_with_norms(meta.normal(size=width))
@@ -297,7 +298,7 @@ class TestDrawIndices:
             target = int(meta.integers(1, 3 * pool.size))
             if target % pool.size == 0:
                 target += 1
-            gen, ref_gen = Rng(case).substream(0), Rng(case).substream(0)
+            gen, ref_gen = stream(case), stream(case)
             idx = draw_indices(m, target, "function_based", r2, gen)
             reps, rest = divmod(target, pool.size)
             ref = at(m.features, pool)
@@ -315,58 +316,58 @@ class TestDrawIndices:
         # Every |feature| is 1, so every candidate scores exactly 0 and the
         # first one drawn is kept: the random draw from the same stream.
         m = self.measure_with_norms(np.where(np.arange(12) % 3, 1.0, -1.0))
-        idx = draw_indices(m, target, "function_based", 0.0, Rng(6).substream(0))
-        first = draw_indices(m, target, "random", 0.0, Rng(6).substream(0))
+        idx = draw_indices(m, target, "function_based", 0.0, stream(6))
+        first = draw_indices(m, target, "random", 0.0, stream(6))
         assert idx.tobytes() == first.tobytes()
 
     @pytest.mark.parametrize("width, r2", [(64, 0.0), (64, 0.5), (10, 0.3)])
     def test_function_based_whole_pool_draw_is_the_random_draw(self, width, r2):
         # Without replacement, every draw of the whole surviving pool is a
         # permutation with the pool's moments; the first draw is kept.
-        m = self.measure_with_norms(Rng(5).substream(0).normal(size=width))
+        m = self.measure_with_norms(stream(5).normal(size=width))
         pool = math.ceil((1.0 - r2) * width)
-        idx = draw_indices(m, pool, "function_based", r2, Rng(6).substream(0))
-        first = draw_indices(m, pool, "random", r2, Rng(6).substream(0))
+        idx = draw_indices(m, pool, "function_based", r2, stream(6))
+        first = draw_indices(m, pool, "random", r2, stream(6))
         assert idx.tobytes() == first.tobytes()
 
     @pytest.mark.parametrize("target, r2", [(30, 0.0), (37, 0.0), (37, 0.5), (203, 0.5)])
     def test_growth_is_a_residual_draw(self, target, r2):
         # Each pool index target // pool times in pool order, then
         # target % pool distinct pool indices.
-        m = self.measure_with_norms(Rng(5).substream(0).normal(size=10))
+        m = self.measure_with_norms(stream(5).normal(size=10))
         pool = np.argsort(-m.sample_norms(), kind="stable")[:math.ceil((1.0 - r2) * 10)]
         reps, rest = divmod(target, pool.size)
         for strategy in ("random", "function_based"):
-            idx = draw_indices(m, target, strategy, r2, Rng(4).substream(0))
+            idx = draw_indices(m, target, strategy, r2, stream(4))
             assert idx[:reps * pool.size].tolist() == np.tile(pool, reps).tolist()
             tail = idx[reps * pool.size:].tolist()
             assert len(tail) == len(set(tail)) == rest and set(tail) <= set(pool.tolist())
 
     def test_function_based_exact_multiple_draws_nothing(self):
         # Every candidate would be the same tiling: no search, no draw.
-        m = self.measure_with_norms(Rng(5).substream(0).normal(size=10))
-        gen = Rng(6).substream(0)
+        m = self.measure_with_norms(stream(5).normal(size=10))
+        gen = stream(6)
         idx = draw_indices(m, 30, "function_based", 0.5, gen)
         assert idx.tolist() == np.tile(np.argsort(-m.sample_norms(), kind="stable")[:5], 6).tolist()
-        assert gen.random() == Rng(6).substream(0).random()
+        assert gen.random() == stream(6).random()
 
     def test_duplicate_tiles_and_ignores_r2(self):
         m = self.measure_with_norms(np.arange(1.0, 5.0))
-        idx = draw_indices(m, 12, "duplicate", 0.5, Rng(0).substream(0))
+        idx = draw_indices(m, 12, "duplicate", 0.5, stream(0))
         assert idx.dtype == np.int64
         assert idx.tolist() == [0, 1, 2, 3] * 3
         with pytest.raises(ParameterError, match="integer multiple"):
-            draw_indices(m, 6, "duplicate", 0.0, Rng(0).substream(0))
+            draw_indices(m, 6, "duplicate", 0.0, stream(0))
 
     def test_unknown_strategy_rejected(self):
         m = self.measure_with_norms(np.arange(1.0, 5.0))
         with pytest.raises(ParameterError, match="unknown sampling strategy 'bogus'"):
-            draw_indices(m, 4, "bogus", 0.0, Rng(0).substream(0))
+            draw_indices(m, 4, "bogus", 0.0, stream(0))
 
     def test_bad_r2(self):
         m = self.measure_with_norms(np.arange(1.0, 5.0))
         with pytest.raises(ParameterError):
-            draw_indices(m, 4, "random", 1.0, Rng(0).substream(0))
+            draw_indices(m, 4, "random", 1.0, stream(0))
 
 
 class TestCouplingContrast:
@@ -376,14 +377,14 @@ class TestCouplingContrast:
         assert decoupled == 0.0
 
     def test_independent_samples_agree(self):
-        gen = Rng(1).substream(0)
+        gen = stream(1)
         n = 40_000
         u, v = gen.normal(1.0, 1.0, n), gen.normal(1.0, 1.0, n)
         paired, decoupled = coupling_contrast(u, v)
         assert abs(paired - decoupled) < 3.0 / np.sqrt(n)
 
     def test_identical_samples_split_by_variance(self):
-        gen = Rng(2).substream(0)
+        gen = stream(2)
         n = 40_000
         u = gen.normal(0.0, 1.0, n)
         paired, decoupled = coupling_contrast(u, u)

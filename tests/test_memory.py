@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import stream
 from mfgrow.arch import build_mlp
 from mfgrow.data import CIFAR_RECORD, load_checkpoint, load_cifar10, save_checkpoint
 from mfgrow.diagnostics import heatmap_export
@@ -54,7 +55,7 @@ def test_backward_forms_no_matrix_gradient():
     # the (300, 3072) product.
     net = cifar_net(300)
     opt = OptimizerState.create(net, lr=0.1)
-    gen = Rng(3).substream(0)
+    gen = stream(3)
     X, Y = gen.uniform(0.0, 1.0, size=(64, 3072)), gen.integers(0, 10, size=64)
     _, extra = traced_peak(lambda: backward_batch(net, X, Y, "cross_entropy", opt.rates))
     assert extra < 0.25 * net.store["u"].nbytes
@@ -66,7 +67,7 @@ def test_sgd_apply_updates_in_place():
     # no weight-sized temporary is made.
     net = cifar_net(300)
     opt = OptimizerState.create(net, lr=0.1)
-    gen = Rng(3).substream(0)
+    gen = stream(3)
     X, Y = gen.uniform(0.0, 1.0, size=(64, 3072)), gen.integers(0, 10, size=64)
     steps, _ = backward_batch(net, X, Y, "cross_entropy", opt.rates)
     _, extra = traced_peak(lambda: opt.apply(net, steps))

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import stream
 from mfgrow.arch import build_mlp, build_skip_block
 from mfgrow.data import Dataset, synth_regression
 from mfgrow.errors import DivergenceError, ParameterError, StructureError
@@ -165,7 +166,7 @@ class TestBackward:
     def test_zero_weights_tanh_zero_gradient_on_v(self):
         arch = build_mlp(3, 8, parametrization="MFP")
         net = zeros_network(arch)
-        grads, _ = plain_grads(net, [[0.7]], [1.0])
+        grads, _ = plain_grads(net, [[0.7]], [[1.0]])
         # tanh(0) = 0 propagates: the output layer sees all-zero features.
         assert np.allclose(grads["v"], 0.0)
 
@@ -178,7 +179,7 @@ class TestBackward:
         zz = np.tanh(u * x)
         dv_closed = (f - y) * zz / n
         du_closed = (f - y) * v * (1.0 - zz**2) * x / n
-        grads, _ = plain_grads(net, [[x]], [y])
+        grads, _ = plain_grads(net, [[x]], [[y]])
         assert np.allclose(grads["v"], dv_closed, rtol=0, atol=1e-12)
         assert np.allclose(grads["u"], du_closed, rtol=0, atol=1e-12)
 
@@ -195,12 +196,12 @@ class TestBackward:
 
     def test_gradcheck_cross_entropy(self):
         net = make_net(3, 8, "MFP", with_bias=True, input_dim=6, output_dim=4, seed=2)
-        x = Rng(4).substream(0).normal(size=6)
+        x = stream(4).normal(size=6)
         assert_gradcheck(net, x, 2, "cross_entropy")
 
     def test_gradcheck_multi_output_square(self):
         net = make_net(3, 8, "muP", with_bias=True, input_dim=5, output_dim=3, seed=6)
-        gen = Rng(7).substream(0)
+        gen = stream(7)
         assert_gradcheck(net, gen.normal(size=5), gen.normal(size=3), "square")
 
     @pytest.mark.parametrize("parametrization", ["SP", "muP", "MFP"])
@@ -211,7 +212,7 @@ class TestBackward:
         # folded into each weight gradient.
         net = make_net(depth, 8, parametrization, with_bias=True, with_skip=with_skip,
                        input_dim=6, output_dim=4, seed=depth)
-        gen = Rng(8).substream(0)
+        gen = stream(8)
         X = gen.normal(size=(8, 6))
         Y = gen.normal(size=(8, 4)) if loss == "square" else gen.integers(0, 4, size=8)
         grads, _ = plain_grads(net, X, Y, loss)
@@ -244,7 +245,7 @@ class TestTargetRule:
             "label-negative", "label-too-large", "labels-2d", "labels-short", "labels-float"])
     def test_misfit_targets_rejected(self, loss, n, targets, message):
         net = make_net(3, 8, input_dim=2, output_dim=3, seed=1)
-        X = Rng(3).substream(0).normal(size=(n, 2))
+        X = stream(3).normal(size=(n, 2))
         with pytest.raises(ParameterError, match=message):
             plain_grads(net, X, targets, loss)
         with pytest.raises(ParameterError, match=message):
@@ -288,7 +289,7 @@ class TestFiveLayerClosedForms:
         inner_u = (inner_w1 * dpsi(h2)) @ w1 / n2
         du = err * inner_u * dpsi(u * x) * x
 
-        grads, _ = plain_grads(net, [[x]], [y])
+        grads, _ = plain_grads(net, [[x]], [[y]])
         mults = {"v": n4, "w3": n4 * n3, "w2": n3 * n2, "w1": n2 * n1, "u": n1}
         closed = {"v": dv, "w3": dw3, "w2": dw2, "w1": dw1, "u": du}
         for name, delta in closed.items():
@@ -311,7 +312,7 @@ class TestDuplicationTrajectory:
         big = duplicate_grow(small, k)
         opt_small = OptimizerState.create(small, kind=kind, lr=lr)
         opt_big = OptimizerState.create(big, kind=kind, lr=lr)
-        gen = Rng(12).substream(0)
+        gen = stream(12)
         probe = gen.uniform(-2, 2, size=(64, 1))
         for _ in range(20):
             X = gen.uniform(-2, 2, size=(16, 1))
@@ -396,7 +397,7 @@ class TestSgdUpdate:
         # are vectors.
         net = make_net(3, 301, with_bias=True, input_dim=1000, seed=4)
         net.store["w1"] = np.asfortranarray(net.store["w1"])
-        gen = Rng(5).substream(0)
+        gen = stream(5)
         steps = {k: gen.normal(size=v.shape) for k, v in net.store.items()}
         steps_before = {k: g.copy() for k, g in steps.items()}
         before = {k: v.copy() for k, v in net.store.items()}
@@ -416,7 +417,7 @@ class TestSgdUpdate:
         # matrix's largest entry.
         net = make_net(4, 12, parametrization, with_bias=True, with_skip=True, input_dim=dims[0],
                        output_dim=dims[1], seed=3)
-        gen = Rng(6).substream(0)
+        gen = stream(6)
         X, Y = gen.normal(size=(16, dims[0])), gen.normal(size=(16, dims[1]))
         opt = OptimizerState.create(net, lr=0.3, lr_width_exponent=0.5)
         grads, loss = plain_grads(net, X, Y)
@@ -438,7 +439,7 @@ class TestSgdUpdate:
         # without the BLAS binding.
         if not blas:
             monkeypatch.setattr(net_module, "_DGEMM", None)
-        gen = Rng(80).substream(0)
+        gen = stream(80)
         for rows, cols in itertools.product((1, 2, 3, 10, 300), repeat=2):
             for B in range(1, 66):
                 w = gen.normal(size=(rows, cols))
@@ -564,7 +565,7 @@ class TestVectorStepBits:
     def test_step_bit_identical_to_broadcast_products(self, depth, kw, parametrization,
                                                       activation):
         # Every batch size 1..65 runs once, at hidden width 2 + B % 9 (2..10).
-        gen = Rng(70).substream(0)
+        gen = stream(70)
         nets = {width: make_net(depth, width, parametrization, activation=activation,
                                 seed=width, **kw) for width in range(2, 11)}
         for B in range(1, 66):
@@ -592,7 +593,7 @@ class TestVectorStepBits:
         # so a gradient moves by round-off: within 1e-15 of the sum of its
         # products' magnitudes (sums that cancel move more relative to
         # themselves). The loss keeps its bits.
-        gen = Rng(71).substream(0)
+        gen = stream(71)
         for B in range(1, 66):
             net = make_net(2, 1, seed=B)
             X, Y = gen.normal(size=(B, 1)), gen.normal(size=(B, 1))
@@ -614,7 +615,7 @@ def trained_case(case):
         arch = build_mlp(3, 24, with_bias=True, input_dim=3072, output_dim=10,
                          parametrization=param)
         net = initialize(zeros_network(arch), nonzero_mean_default(param, arch), Rng(60))
-        gen = Rng(61).substream(0)
+        gen = stream(61)
         data = Dataset(gen.uniform(0.0, 1.0, size=(128, 3072)), gen.integers(0, 10, size=128))
         opt = OptimizerState.create(net, lr=0.1, lr_width_exponent=0.0 if param == "MFP" else 1.0)
         return net, opt, data, "cross_entropy"
@@ -673,7 +674,7 @@ class TestTrain:
         # train's step is backward_batch (with the optimizer's rates) then apply.
         def run(by_hand):
             net = make_net(4, 8, with_bias=True, input_dim=3, output_dim=2, seed=7)
-            gen = Rng(8).substream(0)
+            gen = stream(8)
             data = Dataset(gen.normal(size=(40, 3)), gen.normal(size=(40, 2)))
             opt = OptimizerState.create(net, kind=kind, lr=0.05)
             if not by_hand:
@@ -745,7 +746,7 @@ class TestTrain:
         with pytest.raises(ParameterError):
             evaluate(net, np.zeros((0, 1)), np.zeros(0))
 
-    @pytest.mark.parametrize("loss, targets", [("square", [0.0, 1.0]),
+    @pytest.mark.parametrize("loss, targets", [("square", [[0.0], [1.0]]),
                                                ("cross_entropy", [2, 0])])
     def test_evaluate_takes_lists_like_forward_batch(self, loss, targets):
         net = make_net(3, 8, output_dim=3 if loss == "cross_entropy" else 1, seed=5)
@@ -791,11 +792,29 @@ class TestTrain:
                       test_data=test_data, loss=loss)
         assert opt.step_count == 0
 
-    def test_fitting_shapes_accepted(self):
+    def test_one_input_and_target_form(self):
+        # Inputs are (batch, input_dim) and square-loss targets (n, output_dim),
+        # at input_dim and output_dim 1 too: a single example is no 1-d array,
+        # and no (n,) target vector is read as one column.
         net = make_net(2, 8, output_dim=3)
         check_data(net, Dataset(np.zeros((4, 1)), np.array([0, 2, 1, 2])), "cross_entropy")
         check_data(net, Dataset(np.zeros((4, 1)), np.zeros((4, 3))), "square")
-        check_data(make_net(2, 8), Dataset(np.zeros((4, 1)), np.zeros(4)), "square")
+        net = make_net(2, 8)
+        check_data(net, Dataset(np.zeros((4, 1)), np.zeros((4, 1))), "square")
+        flat_input = r"input has shape \(1,\), expected \(batch, 1\)"
+        with pytest.raises(ParameterError, match=flat_input):
+            forward_batch(net, [0.5])
+        with pytest.raises(ParameterError, match=flat_input):
+            plain_grads(net, [0.5], [[0.0]])
+        with pytest.raises(ParameterError, match=flat_input):
+            evaluate(net, [0.5], [[0.0]])
+        flat_targets = r"targets have shape \(4,\), but the net gives \(n, 1\)"
+        with pytest.raises(ParameterError, match=flat_targets):
+            check_data(net, Dataset(np.zeros((4, 1)), np.zeros(4)), "square")
+        with pytest.raises(ParameterError, match=flat_targets):
+            plain_grads(net, np.zeros((4, 1)), np.zeros(4))
+        with pytest.raises(ParameterError, match=flat_targets):
+            evaluate(net, np.zeros((4, 1)), np.zeros(4))
 
     def test_zero_epochs_logs_only_the_initial_loss(self):
         net = make_net(2, 8)

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import stream
 from mfgrow.arch import build_mlp
 from mfgrow.data import load_checkpoint, save_checkpoint, synth_regression
 from mfgrow.errors import ParameterError
@@ -40,21 +41,21 @@ def noised(w, r1, gen):
 class TestApplyNoise:
     def test_perturb_r1_zero_is_identity(self):
         w = np.array([1.5, -2.0])
-        assert np.array_equal(noised(w, 0.0, Rng(0).substream(0)), w)
+        assert np.array_equal(noised(w, 0.0, stream(0)), w)
 
     def test_perturb_mean_ratio(self):
         w = np.ones(100_000)
-        out = noised(w, 0.1, Rng(1).substream(0))
+        out = noised(w, 0.1, stream(1))
         assert abs(np.mean(out / w) - 1.0) < 0.002
 
     def test_negative_r1_rejected(self):
         with pytest.raises(ParameterError):
-            apply_noise(np.ones(3), -0.1, Rng(0).substream(0))
+            apply_noise(np.ones(3), -0.1, stream(0))
 
     @pytest.mark.parametrize("r1", [np.nan, np.inf])
     def test_non_finite_r1_rejected(self, r1):
         with pytest.raises(ParameterError, match="finite"):
-            apply_noise(np.ones(3), r1, Rng(0).substream(0))
+            apply_noise(np.ones(3), r1, stream(0))
         with pytest.raises(ParameterError, match="finite"):
             TransferPlan(r1=r1)
 
@@ -79,7 +80,7 @@ class TestDuplication:
     def test_function_preservation_chain(self, depth, k):
         net = make_net(depth, 10, seed=depth, with_bias=(depth != 2))
         grown = duplicate_grow(net, k)
-        xs = Rng(99).substream(0).uniform(-2, 2, size=(200, 1))
+        xs = stream(99).uniform(-2, 2, size=(200, 1))
         f_old = forward_batch(net, xs)
         f_new = forward_batch(grown, xs)
         assert max_rel_dev(f_new, f_old) <= 1e-9
@@ -88,7 +89,7 @@ class TestDuplication:
     def test_function_preservation_skip(self, k):
         net = make_net(4, 8, seed=4, with_bias=True, with_skip=True)
         grown = duplicate_grow(net, k)
-        xs = Rng(98).substream(0).uniform(-2, 2, size=(200, 1))
+        xs = stream(98).uniform(-2, 2, size=(200, 1))
         assert max_rel_dev(forward_batch(grown, xs), forward_batch(net, xs)) <= 1e-9
 
     def test_doubling_makes_four_equal_blocks(self):
@@ -117,7 +118,7 @@ class TestRandomGrowth:
         # function. (A same-size draw is without replacement: a pure
         # permutation, which leaves the function exactly invariant.)
         net = make_net(3, 100, seed=2)
-        xs = Rng(97).substream(0).uniform(-2, 2, size=(100, 1))
+        xs = stream(97).uniform(-2, 2, size=(100, 1))
         f_src = forward_batch(net, xs)
 
         def mean_deviation(width):
@@ -137,7 +138,7 @@ class TestRandomGrowth:
     def test_same_size_draw_is_permutation(self, depth, width, kw):
         net = make_net(depth, width, seed=12, **kw)
         shuffled, _ = transfer(net, uniform_plan(net.arch, width), Rng(13))
-        xs = Rng(96).substream(0).uniform(-2, 2, size=(50, 1))
+        xs = stream(96).uniform(-2, 2, size=(50, 1))
         assert np.allclose(forward_batch(shuffled, xs), forward_batch(net, xs), atol=1e-12)
         assert not np.array_equal(shuffled.store["v"], net.store["v"])
 
@@ -450,11 +451,11 @@ class TestTransferPinned:
             assert all(a.flags.c_contiguous for a in out.store.values())
             save_checkpoint(out, tmp_path / "t.ckpt")
             back = load_checkpoint(tmp_path / "t.ckpt")
-            xs = Rng(3).substream(0).normal(size=(64, 48))
+            xs = stream(3).normal(size=(64, 48))
             assert np.array_equal(forward_batch(out, xs), forward_batch(back, xs))
 
     def test_apply_noise_matches_reference_in_place(self):
-        w = Rng(51).substream(0).normal(size=(37, 11))
+        w = stream(51).normal(size=(37, 11))
         u = Rng(52).substream("n").uniform(-0.7, 0.7, size=w.shape)
         ref = w * (1.0 + u)
         assert apply_noise(w, 0.7, Rng(52).substream("n")) is None
@@ -465,7 +466,7 @@ class TestTransferPinned:
         # The noise is drawn and applied in blocks, in place; it equals one
         # full-size uniform draw, bit for bit, also where a block boundary
         # cuts a row.
-        w = Rng(53).substream(0).normal(size=shape)
+        w = stream(53).normal(size=shape)
         for r1 in (1.0, 4.0, 0.5, 1e-3, 0.1):
             u = Rng(54).substream("n").uniform(-r1, r1, size=shape)
             ref = (w * (1.0 + u)).tobytes()
@@ -476,4 +477,4 @@ class TestTransferPinned:
         for w in (np.ones((6, 4)).T, np.ones((4, 6), dtype=np.float32), [[1.0, 2.0]],
                   np.broadcast_to(np.ones(6), (4, 6))):
             with pytest.raises(ParameterError):
-                apply_noise(w, 0.5, Rng(0).substream(0))
+                apply_noise(w, 0.5, stream(0))
