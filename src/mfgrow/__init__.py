@@ -7,10 +7,10 @@ from .arch import (
     GammaPartition,
     GammaVar,
     WeightSpec,
-    build_attention_block,
+    attention_block_partition,
     build_mlp,
-    build_skip_block,
     compute_partition,
+    skip_block_partition,
 )
 from .errors import (
     CheckpointError,

@@ -10,18 +10,21 @@ finest one closed under merging such gammas. A group holds only data gammas
 hidden ones.
 
 A transfer resamples each group with one index set, which is correct only if
-the groups follow the wiring. So a ``chain`` or ``skip4`` arch is checked
-when it is built: it has at least 2 layers (skip4 exactly 4); each weight
-sits in exactly one layer slot; a vector is only the embedding or the
-readout; each layer contracts the group its predecessor outputs; the input
-and output axes lie in data groups; a bias lies on its layer's output axis;
-and skip4's residual operands share a group. A ``fragment`` declares no
-layers and is never run.
+the groups follow the wiring. So an arch, whose topology is ``chain`` or
+``skip4``, is checked when it is built: every weight axis has a usage; it has
+at least 2 layers (skip4 exactly 4); each weight sits in exactly one layer
+slot; a vector is only the embedding or the readout; each layer contracts the
+group its predecessor outputs; the input and output axes lie in data groups;
+a bias lies on its layer's output axis; and skip4's residual operands share a
+group.
 
 ``build_mlp`` is the one MLP builder: its layer l maps axis l of
 [input, *hidden, output] to axis l + 1. Its skip4 net is the depth-4 chain
 plus two usages, w1 and b1 rows on gamma 3, which merge gammas 2 and 3 into
 one group; its ``skip4`` topology declares the residual add to the executor.
+The paper's residual and attention blocks are only partitions
+(``skip_block_partition``, ``attention_block_partition``), made by
+``compute_partition`` from their usage tables.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from types import GenericAlias
 from typing import NamedTuple, get_origin
 
 from .errors import MfgrowError, ParameterError, StructureError
+from .tensor import _integer
 
 ROW = "row"
 COL = "col"
@@ -116,27 +120,27 @@ class LayerPlan(NamedTuple):
 class ArchGraph:
     """A checked and indexed architecture: construction raises StructureError
     on any inconsistency, so a graph that exists is valid. It also builds the
-    name lookup, the gamma partition and, unless it is a fragment, the layer
-    plan and each weight's (fan-in, rate multiplier) once; those derived
-    fields take no part in equality, hashing or repr."""
+    name lookup, the gamma partition, the layer plan and each weight's
+    (fan-in, rate multiplier) once; those derived fields take no part in
+    equality, hashing or repr."""
 
     weights: tuple[WeightSpec, ...]
     usages: tuple[AxisUsage, ...]
     gammas: tuple[GammaVar, ...]
     parametrization: str
-    topology: str = "chain"  # "chain" | "skip4" | "fragment"
-    # Forward order as (weight, bias-or-None) pairs; empty for fragments.
+    topology: str = "chain"  # "chain" | "skip4"
+    # Forward order as (weight, bias-or-None) pairs.
     layers: tuple[tuple[str, str | None], ...] = ()
     activations: tuple[str, ...] = ()
     partition: GammaPartition = field(init=False, repr=False, compare=False)
-    plan: LayerPlan | None = field(init=False, repr=False, compare=False)  # None for fragments
+    plan: LayerPlan = field(init=False, repr=False, compare=False)
     _by_name: dict[str, WeightSpec] = field(init=False, repr=False, compare=False)
-    _scales: dict[str, tuple[int, float]] | None = field(init=False, repr=False, compare=False)
+    _scales: dict[str, tuple[int, float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.parametrization not in PARAMETRIZATIONS:
             raise StructureError(f"unknown parametrization {self.parametrization!r}")
-        if self.topology not in ("chain", "skip4", "fragment"):
+        if self.topology not in ("chain", "skip4"):
             raise StructureError(f"unknown topology {self.topology!r}")
         by_name = {w.name: w for w in self.weights}
         if len(by_name) != len(self.weights):
@@ -164,11 +168,10 @@ class ArchGraph:
         missing = set(by_id) - {u.gamma for u in self.usages}
         if missing:
             raise StructureError(f"gammas never used: {sorted(missing)}")
-        if self.topology != "fragment":
-            for w in self.weights:
-                for ax in w.axes:
-                    if (w.name, ax) not in axis_gammas:
-                        raise StructureError(f"weight {w.name}: axis {ax} has no usage")
+        for w in self.weights:
+            for ax in w.axes:
+                if (w.name, ax) not in axis_gammas:
+                    raise StructureError(f"weight {w.name}: axis {ax} has no usage")
         for wname, bname in self.layers:
             self.weight(wname)
             if bname is not None:
@@ -192,17 +195,12 @@ class ArchGraph:
 
     def fan_in(self, name: str) -> int:
         """The width the weight contracts over; 1 for the 1-d embedding and a bias."""
-        return self._scale(name)[0]
+        return self._scales[self.weight(name).name][0]
 
     def rate_multiplier(self, name: str) -> float:
         """Under MFP the product of the weight's resizable axis widths (N*N for
         a hidden matrix, N for a vector, embedding or readout matrix); else 1."""
-        return self._scale(name)[1]
-
-    def _scale(self, name: str) -> tuple[int, float]:
-        if self._scales is None:
-            raise StructureError(f"weight {name}: a fragment has no fan-in or rate multiplier")
-        return self._scales[self.weight(name).name]
+        return self._scales[self.weight(name).name][1]
 
     @property
     def hidden_widths(self) -> set[int]:
@@ -230,13 +228,6 @@ class GammaPartition:
 
     def __len__(self) -> int:
         return len(self.groups)
-
-    def axis_group(self, weight: str, axis: str) -> int:
-        """The group of a (weight, axis); a fragment's boundary axis has none."""
-        try:
-            return self.axis_groups[(weight, axis)]
-        except KeyError:
-            raise StructureError(f"weight {weight}: no usage recorded for axis {axis!r}") from None
 
 
 def compute_partition(gammas: tuple[GammaVar, ...],
@@ -290,14 +281,10 @@ def _forward_scalar(parametrization: str, width: int, resizable: bool, final: bo
     return 1.0 / math.sqrt(width) if resizable else 1.0
 
 
-def _layer_plan(g: ArchGraph) -> tuple[LayerPlan | None, dict[str, tuple[int, float]] | None]:
+def _layer_plan(g: ArchGraph) -> tuple[LayerPlan, dict[str, tuple[int, float]]]:
     """Check how a chain's or skip4's layers are wired. Return the plan the
     executor runs and each weight's (fan-in, rate multiplier), read off the
-    same groups; a fragment declares no layers and has neither."""
-    if g.topology == "fragment":
-        if g.layers:
-            raise StructureError("a fragment has no layers and no activations")
-        return None, None
+    same groups."""
     n = len(g.layers)
     last = n - 1
     if n < 2 or (g.topology == "skip4" and n != 4):
@@ -374,15 +361,24 @@ def format_partition(p: GammaPartition) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _count(value, what: str, least: int = 1) -> int:
+    """``value`` as a Python int, if it is an int or NumPy integer (not a
+    bool) of at least ``least``; anything else raises ParameterError."""
+    if not _integer(value):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{what} must be >= {least}, got {value}")
+    return int(value)
+
+
 def _as_width_list(widths, count: int) -> list[int]:
-    if isinstance(widths, int):
+    if _integer(widths):
         widths = [widths] * count
-    widths = [int(w) for w in widths]
+    elif not isinstance(widths, (list, tuple)):
+        raise ParameterError(f"widths must be an integer or a list of integers, got {widths!r}")
     if len(widths) != count:
         raise ParameterError(f"expected {count} hidden widths, got {len(widths)}")
-    if any(w < 1 for w in widths):
-        raise ParameterError(f"hidden widths must be >= 1, got {widths}")
-    return widths
+    return [_count(w, "hidden width") for w in widths]
 
 
 def build_mlp(
@@ -397,16 +393,15 @@ def build_mlp(
 ) -> ArchGraph:
     """Fully-connected chain of ``depth`` weight layers u -> w1 -> ... -> v.
 
-    ``widths`` gives the depth-1 hidden sizes (or one int for all).
+    ``widths`` gives the depth-1 hidden sizes (or one int for all). Every
+    size is an int or NumPy integer, not a bool; the graph holds Python ints.
     ``with_skip`` builds skip4: the depth-4 chain with biases and one common
     hidden width, plus two usages. w1's rows feed both w2 and, through a
     residual add, the output layer's input, so w1 and b1 rows also carry
     gamma 3. The ``skip4`` topology declares that residual to the executor.
     """
-    if depth < 2:
-        raise ParameterError(f"depth must be >= 2, got {depth}")
-    if input_dim < 1 or output_dim < 1:
-        raise ParameterError("input_dim and output_dim must be >= 1")
+    depth = _count(depth, "depth", 2)
+    input_dim, output_dim = _count(input_dim, "input_dim"), _count(output_dim, "output_dim")
     if parametrization not in PARAMETRIZATIONS:
         raise ParameterError(f"unknown parametrization {parametrization!r}")
     if activation not in ACTIVATION_NAMES:
@@ -476,72 +471,35 @@ def build_mlp(
     )
 
 
-def build_skip_block(n: int) -> ArchGraph:
-    """Residual block fragment: two parallel paths from a shared input are
-    re-merged by a fourth matrix, so the first matrix's rows carry two index
-    variables. The block's outgoing axis is a boundary and carries no gamma,
-    which leaves w4's row axis (and its bias) outside the partition.
-    """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    weights = tuple(
-        [WeightSpec(f"w{i}", "matrix", (n, n)) for i in range(1, 5)]
-        + [WeightSpec(f"b{i}", "vector", (n,)) for i in range(1, 5)]
-    )
-    usages = (
-        AxisUsage("w1", ROW, 2),
-        AxisUsage("w1", ROW, 5),
-        AxisUsage("w1", COL, 1),
-        AxisUsage("b1", ROW, 2),
-        AxisUsage("b1", ROW, 5),
-        AxisUsage("w2", ROW, 3),
-        AxisUsage("w2", COL, 2),
-        AxisUsage("b2", ROW, 3),
-        AxisUsage("w3", ROW, 5),
-        AxisUsage("w3", COL, 4),
-        AxisUsage("b3", ROW, 5),
-        AxisUsage("w4", COL, 5),
-    )
-    gammas = tuple(GammaVar(i, n, "hidden") for i in range(1, 6))
-    return ArchGraph(weights, usages, gammas, "MFP", topology="fragment")
+def _block_partition(n, axis_gammas: dict[tuple[str, str], tuple[int, ...]]) -> GammaPartition:
+    """The partition of a block whose gammas are all hidden and ``n`` wide,
+    from the gammas each (weight, axis) carries."""
+    n = _count(n, "n")
+    ids = sorted({gid for gids in axis_gammas.values() for gid in gids})
+    return compute_partition(tuple(GammaVar(gid, n) for gid in ids), axis_gammas)
 
 
-def build_attention_block(n: int) -> ArchGraph:
-    """Attention block fragment: the query/key/value matrices all consume the
+def skip_block_partition(n: int) -> GammaPartition:
+    """Residual block: two parallel paths from a shared input are re-merged
+    by a fourth matrix, so the first matrix's rows carry two index variables.
+    The block's outgoing axis is a boundary and carries no gamma, which
+    leaves w4's row axis (and b4) outside the partition."""
+    return _block_partition(n, {
+        ("w1", ROW): (2, 5), ("w1", COL): (1,), ("b1", ROW): (2, 5),
+        ("w2", ROW): (3,), ("w2", COL): (2,), ("b2", ROW): (3,),
+        ("w3", ROW): (5,), ("w3", COL): (4,), ("b3", ROW): (5,),
+        ("w4", COL): (5,)})
+
+
+def attention_block_partition(n: int) -> GammaPartition:
+    """Attention block: the query/key/value matrices all consume the
     projected input, so their column gammas merge with the projection's row
-    gammas. The token dimension indexes no weight, so it has no gamma. Both
-    fragments are "MFP", which no forward scalar reads: they have no plan."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    weights = (
-        WeightSpec("w1", "matrix", (n, n)),
-        WeightSpec("b1", "vector", (n,)),
-        WeightSpec("wq", "matrix", (n, n)),
-        WeightSpec("wk", "matrix", (n, n)),
-        WeightSpec("wv", "matrix", (n, n)),
-        WeightSpec("w2", "matrix", (n, n)),
-        WeightSpec("b2", "vector", (n,)),
-    )
-    usages = (
-        AxisUsage("w1", ROW, 2),
-        AxisUsage("w1", ROW, 3),
-        AxisUsage("w1", ROW, 4),
-        AxisUsage("w1", COL, 1),
-        AxisUsage("b1", ROW, 2),
-        AxisUsage("b1", ROW, 3),
-        AxisUsage("b1", ROW, 4),
-        AxisUsage("wq", ROW, 5),
-        AxisUsage("wq", COL, 2),
-        AxisUsage("wk", ROW, 5),
-        AxisUsage("wk", COL, 3),
-        AxisUsage("wv", ROW, 6),
-        AxisUsage("wv", COL, 4),
-        AxisUsage("w2", ROW, 7),
-        AxisUsage("w2", COL, 6),
-        AxisUsage("b2", ROW, 7),
-    )
-    gammas = tuple(GammaVar(i, n, "hidden") for i in range(1, 8))
-    return ArchGraph(weights, usages, gammas, "MFP", topology="fragment")
+    gammas. The token dimension indexes no weight, so it has no gamma."""
+    return _block_partition(n, {
+        ("w1", ROW): (2, 3, 4), ("w1", COL): (1,), ("b1", ROW): (2, 3, 4),
+        ("wq", ROW): (5,), ("wq", COL): (2,), ("wk", ROW): (5,), ("wk", COL): (3,),
+        ("wv", ROW): (6,), ("wv", COL): (4,), ("w2", ROW): (7,), ("w2", COL): (6,),
+        ("b2", ROW): (7,)})
 
 
 # ---------------------------------------------------------------------------

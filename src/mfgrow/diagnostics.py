@@ -201,8 +201,8 @@ def histogram_trajectory(nets: list[Network], weight: str):
         values.append(profile(n, weight, "row"))
     lo = min(float(v.min()) for v in values)
     hi = max(float(v.max()) for v in values)
-    if hi == lo:
-        hi = lo + 1e-12
+    if hi == lo:  # a pad relative to |lo| keeps the edges apart at any magnitude
+        hi = lo + max(1e-12, abs(lo) * 1e-12)
     edges = np.linspace(lo, hi, _HIST_BINS + 1)
     counts = [np.histogram(v, bins=edges)[0] for v in values]
     return edges, counts

@@ -28,7 +28,7 @@ def rc_eligible(arch: ArchGraph, name: str) -> bool:
     if arch.weight(name).kind != "matrix":
         return False
     p = arch.partition
-    return all(p.resizable[p.axis_group(name, ax)] for ax in (ROW, COL))
+    return all(p.resizable[p.axis_groups[(name, ax)]] for ax in (ROW, COL))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ candidates first and scores them in one pass over the features.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,6 +142,10 @@ def draw_indices(m: GroupMeasure, target: int, strategy: str, r2: float,
             f"unknown sampling strategy {strategy!r}; expected one of {STRATEGIES}")
     if target < 1:
         raise ParameterError(f"target must be >= 1, got {target}")
+    # The int64 index set, like a WeightSpec's array, must fit the address space.
+    if 8 * target > sys.maxsize:
+        raise ParameterError(f"target {target} needs {8 * target} bytes of indices, "
+                             f"past the address space")
     if strategy == "duplicate":
         if target % m.width != 0:
             raise ParameterError(

@@ -10,8 +10,8 @@ per layer the weight, the bias, the forward scalar, the activation, and a
 flag that adds the previous layer's pre-activation before the activation.
 skip4 is the depth-4 chain plus two usages (w1 and b1 rows on gamma 3, since
 w1's rows feed both paths), and its ``skip4`` topology sets that residual
-flag on the third layer. A Network holds only a chain or skip4 arch. The
-forward scalars follow ``arch._forward_scalar``.
+flag on the third layer; every arch is a chain or a skip4, so every arch
+runs. The forward scalars follow ``arch._forward_scalar``.
 
 Each scalar is applied to the smaller side of its product: in place on the
 (batch, out) forward output, and folded with the batch mean's 1/B and the
@@ -130,16 +130,14 @@ _ACTIVATIONS = {
 
 @dataclass
 class Network:
-    """A runnable (chain or skip4) architecture plus concrete weight arrays:
-    construction raises StructureError unless the arch has a layer plan and
-    the store holds each of its weights at the declared shape."""
+    """An architecture plus concrete weight arrays: construction raises
+    StructureError unless the store holds each of the arch's weights at the
+    declared shape."""
 
     arch: ArchGraph
     store: dict[str, np.ndarray]
 
     def __post_init__(self):
-        if self.arch.plan is None:
-            raise StructureError("network needs a runnable topology (chain or skip4)")
         for w in self.arch.weights:
             arr = self.store.get(w.name)
             if arr is None:

@@ -16,7 +16,7 @@ import pytest
 
 from conftest import record_acceptance, stream
 import mfgrow
-from mfgrow.arch import build_attention_block, build_mlp, build_skip_block
+from mfgrow.arch import attention_block_partition, build_mlp, skip_block_partition
 from mfgrow.data import load_checkpoint, load_cifar10, save_checkpoint, synth_regression
 from mfgrow.experiments import (
     accuracy_experiment,
@@ -65,8 +65,8 @@ def _fresh_net(depth, width, parametrization="MFP", seed=0, **kw):
 def test_criterion_1_partition_exactness():
     t0 = time.time()
     p_skipnet = build_mlp(4, 64, with_bias=True, with_skip=True).partition
-    p_block = build_skip_block(32).partition
-    p_attn = build_attention_block(32).partition
+    p_block = skip_block_partition(32)
+    p_attn = attention_block_partition(32)
     ok = (
         p_skipnet.groups == ((1,), (2, 3), (4,))
         and p_block.groups == ((1,), (2, 5), (3,), (4,))

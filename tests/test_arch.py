@@ -8,6 +8,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,14 +21,15 @@ from mfgrow.arch import (
     WeightSpec,
     arch_from_json,
     arch_to_json,
-    build_attention_block,
+    attention_block_partition,
     build_mlp,
-    build_skip_block,
+    compute_partition,
     format_partition,
+    skip_block_partition,
 )
 from mfgrow.cli import main
 from mfgrow.errors import ParameterError, StructureError
-from mfgrow.init import rc_eligible
+from mfgrow.net import zeros_network
 
 
 class TestReferencePartitions:
@@ -39,20 +41,40 @@ class TestReferencePartitions:
         assert p.resizable == (True, True, False)
 
     def test_skip_block(self):
-        p = build_skip_block(8).partition
+        p = skip_block_partition(8)
         assert p.groups == ((1,), (2, 5), (3,), (4,))
         assert p.widths == (8, 8, 8, 8)
+        assert p.resizable == (True,) * 4
+        # The block's outgoing axis is a boundary: w4's rows and b4 carry no gamma.
+        assert p.axis_groups[("w1", "row")] == p.axis_groups[("w3", "row")] == 1
+        assert ("w4", "row") not in p.axis_groups and ("w4", "col") in p.axis_groups
 
     def test_attention_block(self):
-        g = build_attention_block(8)
-        assert len(g.gammas) == 7
-        p = g.partition
+        p = attention_block_partition(8)
         assert p.groups == ((1,), (2, 3, 4), (5,), (6,), (7,))
+        assert {p.axis_groups[(w, "col")] for w in ("wq", "wk", "wv")} == {1}
+        assert format_partition(p) == "\n".join([
+            "Γ_1: {γ_1} width=8", "Γ_2: {γ_2, γ_3, γ_4} width=8", "Γ_3: {γ_5} width=8",
+            "Γ_4: {γ_6} width=8", "Γ_5: {γ_7} width=8"])
 
     def test_attention_width_one(self):
-        p = build_attention_block(1).partition
+        p = attention_block_partition(1)
         assert p.groups == ((1,), (2, 3, 4), (5,), (6,), (7,))
         assert p.widths == (1, 1, 1, 1, 1)
+
+    @pytest.mark.parametrize("block", [skip_block_partition, attention_block_partition])
+    @pytest.mark.parametrize("n, match", [
+        (0, "n must be >= 1, got 0"), (-3, "n must be >= 1, got -3"),
+        (2.0, "n must be an integer, got 2.0"), (True, "n must be an integer, got True"),
+        ("8", "n must be an integer, got '8'")])
+    def test_block_width_checked(self, block, n, match):
+        with pytest.raises(ParameterError, match=match):
+            block(n)
+
+    @pytest.mark.parametrize("block", [skip_block_partition, attention_block_partition])
+    def test_numpy_integer_width(self, block):
+        p = block(np.int64(3))
+        assert p == block(3) and all(type(w) is int for w in p.widths)
 
     def test_plain_chain_all_singletons(self):
         p = build_mlp(5, 8).partition
@@ -98,28 +120,13 @@ class TestAxisGroups:
     @pytest.mark.parametrize("arch", [
         build_mlp(5, [3, 4, 5, 6], with_bias=True, input_dim=2, output_dim=3),
         build_mlp(4, 6, with_skip=True, input_dim=4),
-        build_skip_block(5),
-        build_attention_block(4),
-    ], ids=["chain-5", "skip4-wide-input", "skip-block", "attention-block"])
+    ], ids=["chain-5", "skip4-wide-input"])
     def test_every_usage_maps_to_its_gammas_group(self, arch):
-        # Fragments leave boundary axes (the skip block's w4 rows) unmapped.
         p = arch.partition
+        assert set(p.axis_groups) == {(w.name, ax) for w in arch.weights for ax in w.axes}
         assert set(p.axis_groups) == {(u.weight, u.axis) for u in arch.usages}
         for u in arch.usages:
             assert u.gamma in p.groups[p.axis_groups[(u.weight, u.axis)]]
-
-    def test_unmapped_axis_lookup_raises_structure_error(self):
-        with pytest.raises(StructureError, match="w4: no usage recorded for axis 'row'"):
-            rc_eligible(build_skip_block(3), "w4")
-
-    @pytest.mark.parametrize("block", [build_skip_block(3), build_attention_block(4)],
-                             ids=["skip-block", "attention-block"])
-    def test_fragment_has_no_fan_ins_or_multipliers(self, block):
-        for w in block.weights:
-            for lookup in (block.fan_in, block.rate_multiplier):
-                with pytest.raises(StructureError,
-                                   match=f"weight {w.name}: a fragment has no fan-in"):
-                    lookup(w.name)
 
 
 class TestPartitionProperties:
@@ -130,7 +137,7 @@ class TestPartitionProperties:
     @settings(max_examples=25, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_usage_permutation_invariance(self, rnd):
-        g = build_attention_block(4)
+        g = build_mlp(4, 4, with_skip=True, input_dim=3, output_dim=2)
         usages = list(g.usages)
         rnd.shuffle(usages)
         shuffled = dataclasses.replace(g, usages=tuple(usages))
@@ -149,19 +156,13 @@ class TestPartitionProperties:
         assert len(merged) < len(base)
 
     def test_group_widths_equal_checked(self):
-        weights = (
-            WeightSpec("a", "matrix", (4, 8)),
-            WeightSpec("b", "vector", (8,)),
-        )
-        usages = (
-            AxisUsage("a", "row", 1),
-            AxisUsage("a", "col", 2),
-            AxisUsage("a", "row", 3),  # same axis as gamma 1, width conflict below
-            AxisUsage("b", "row", 2),
-        )
+        # Gammas 1 and 3 share a's row axis, so they merge into one group.
+        axis_gammas = {("a", "row"): [1, 3], ("a", "col"): [2], ("b", "row"): [2]}
         gammas = (GammaVar(1, 4), GammaVar(2, 8), GammaVar(3, 4))
-        g = ArchGraph(weights, usages, gammas, "MFP", topology="fragment")
-        assert g.partition.groups == ((1, 3), (2,))
+        p = compute_partition(gammas, axis_gammas)
+        assert p.groups == ((1, 3), (2,))
+        assert p.widths == (4, 8)
+        assert p.axis_groups == {("a", "row"): 0, ("a", "col"): 1, ("b", "row"): 1}
 
     def test_forced_merge_width_conflict_raises(self):
         weights = (WeightSpec("a", "matrix", (4, 8)),)
@@ -172,8 +173,8 @@ class TestPartitionProperties:
         )
         # Gamma 3 declared with the wrong width: construction names the axis.
         gammas = (GammaVar(1, 4), GammaVar(2, 8), GammaVar(3, 4))
-        with pytest.raises(StructureError, match="a"):
-            ArchGraph(weights, usages, gammas, "MFP", topology="fragment")
+        with pytest.raises(StructureError, match="weight a axis col: size 8 != gamma 3 width 4"):
+            ArchGraph(weights, usages, gammas, "MFP", topology="chain")
 
 
 class TestBuilders:
@@ -193,6 +194,43 @@ class TestBuilders:
         p = g.partition
         assert sorted(p.widths) == [10, 300, 300, 3072]
         assert sum(p.resizable) == 2
+
+    # Each of these once built: [2.7, 3.2] as widths [2, 3], True as width
+    # 1, and an input_dim of 2.0 as a graph that zeros_network could not fill.
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"depth": 3.0}, "depth must be an integer, got 3.0"),
+        ({"depth": True}, "depth must be an integer, got True"),
+        ({"widths": [2.7, 3.2]}, "hidden width must be an integer, got 2.7"),
+        ({"widths": [8, False]}, "hidden width must be an integer, got False"),
+        ({"widths": [8, 0]}, "hidden width must be >= 1, got 0"),
+        ({"widths": True}, "widths must be an integer or a list of integers, got True"),
+        ({"widths": 8.0}, "widths must be an integer or a list of integers, got 8.0"),
+        ({"widths": "88"}, "widths must be an integer or a list of integers, got '88'"),
+        ({"input_dim": 2.0}, "input_dim must be an integer, got 2.0"),
+        ({"input_dim": 0}, "input_dim must be >= 1, got 0"),
+        ({"output_dim": True}, "output_dim must be an integer, got True"),
+        ({"output_dim": None}, "output_dim must be an integer, got None"),
+    ], ids=["depth-float", "depth-bool", "widths-floats", "widths-bool-entry", "widths-zero",
+            "widths-bool", "widths-float", "widths-string", "input-dim-float", "input-dim-zero",
+            "output-dim-bool", "output-dim-none"])
+    def test_non_integer_sizes_rejected(self, kwargs, match):
+        with pytest.raises(ParameterError, match=match):
+            build_mlp(**{"depth": 3, "widths": 8, **kwargs})
+
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_numpy_integer_sizes_build_the_int_graph(self, skip):
+        # np.int64(8) once raised TypeError, and an np.int64 input_dim built a
+        # graph that arch_to_json, so save_checkpoint, could not write.
+        depth = np.int64(4) if skip else np.int32(3)
+        widths = np.uint16(5) if skip else [np.int64(5), np.uint8(6)]
+        g = build_mlp(depth, widths, with_skip=skip, input_dim=np.int64(2),
+                      output_dim=np.int8(3))
+        ref = build_mlp(4 if skip else 3, 5 if skip else [5, 6], with_skip=skip, input_dim=2,
+                        output_dim=3)
+        assert arch_to_json(g) == arch_to_json(ref)
+        assert repr(g.plan) == repr(ref.plan)
+        assert all(type(d) is int for w in g.weights for d in w.shape)
+        assert zeros_network(g).plan == ref.plan
 
     def test_hidden_widths(self):
         g = build_mlp(3, 300, with_bias=True, input_dim=3072, output_dim=10)
@@ -240,15 +278,15 @@ class TestValidation:
         weights = (WeightSpec("b", "vector", (4,)),)
         usages = (AxisUsage("b", "col", 1),)
         gammas = (GammaVar(1, 4),)
-        with pytest.raises(StructureError):
-            ArchGraph(weights, usages, gammas, "MFP", topology="fragment")
+        with pytest.raises(StructureError, match="vector usages must be on the row axis"):
+            ArchGraph(weights, usages, gammas, "MFP", topology="chain")
 
     def test_unused_gamma_rejected(self):
         weights = (WeightSpec("b", "vector", (4,)),)
         usages = (AxisUsage("b", "row", 1),)
         gammas = (GammaVar(1, 4), GammaVar(2, 4))
         with pytest.raises(StructureError, match="never used"):
-            ArchGraph(weights, usages, gammas, "MFP", topology="fragment")
+            ArchGraph(weights, usages, gammas, "MFP", topology="chain")
 
     def test_one_activation_per_hidden_layer(self):
         # A chain short of an activation once failed with an IndexError at
@@ -315,7 +353,7 @@ class TestFanInsAndMultipliers:
         if g.parametrization == "MFP":
             p = g.partition
             for ax in w.axes:
-                k = p.axis_group(name, ax)
+                k = p.axis_groups[(name, ax)]
                 mult *= p.widths[k] if p.resizable[k] else 1
         return (1 if name in biases else fan), mult
 
@@ -423,8 +461,6 @@ _FUZZ_BASES = [
     build_mlp(3, 4, with_bias=True),
     build_mlp(4, 4, with_skip=True),
     build_mlp(3, 6, with_bias=True, input_dim=3072, output_dim=10),
-    build_skip_block(3),
-    build_attention_block(2),
 ]
 _JSON_VALUES = st.one_of(
     st.sampled_from([_HUGE, 1.7, True, False, None, 0, -1, 2**70, "", "row", [], {}, [1],
@@ -484,6 +520,7 @@ class TestArchJsonFuzz:
     @example(_edited(lambda d: d["usages"].append(d["usages"][0])))  # accepted
     @example(_edited(lambda d: d["layers"][0].__setitem__(1, None)))  # rejected
     @example(_edited(lambda d: d["gammas"][0].__setitem__("width", _HUGE)))
+    @example(_edited(lambda d: d.update(topology="fragment")))  # rejected
     def test_one_mutation_is_rejected_or_round_trips(self, text):
         try:
             g = arch_from_json(text)
@@ -492,6 +529,7 @@ class TestArchJsonFuzz:
         else:
             expected = 0
             assert arch_from_json(arch_to_json(g)) == g
+            zeros_network(g)  # every graph that exists runs
             assert arch_to_json(g) == json.dumps(json.loads(text), sort_keys=True,
                                                  separators=(",", ":"))
         with tempfile.TemporaryDirectory() as tmp:

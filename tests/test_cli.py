@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import stream
 from mfgrow import cli, data, experiments
-from mfgrow.arch import (arch_from_json, arch_to_json, build_attention_block, build_mlp,
-                         build_skip_block, format_partition)
+from mfgrow.arch import arch_from_json, arch_to_json, build_mlp, format_partition
 from mfgrow.cli import main
 from mfgrow.data import CIFAR_RECORD, load_checkpoint, load_cifar10, save_checkpoint
 from mfgrow.errors import CheckpointError, StructureError
@@ -53,18 +52,32 @@ def mfp_ckpt(tmp_path):
     return path
 
 
+# An 8-wide residual block as a hand-written arch file of topology
+# "fragment", which no ArchGraph takes: no layers and no activations.
+FRAGMENT_DOC = {
+    "parametrization": "MFP", "topology": "fragment",
+    "weights": ([{"name": f"w{i}", "kind": "matrix", "shape": [8, 8]} for i in range(1, 5)]
+                + [{"name": f"b{i}", "kind": "vector", "shape": [8]} for i in range(1, 5)]),
+    "usages": [{"weight": w, "axis": axis, "gamma": gamma} for w, axis, gamma in (
+        ("w1", "row", 2), ("w1", "row", 5), ("w1", "col", 1), ("b1", "row", 2), ("b1", "row", 5),
+        ("w2", "row", 3), ("w2", "col", 2), ("b2", "row", 3), ("w3", "row", 5), ("w3", "col", 4),
+        ("b3", "row", 5), ("w4", "col", 5))],
+    "gammas": [{"id": i, "width": 8, "role": "hidden"} for i in range(1, 6)],
+    "layers": [], "activations": []}
+
+
 def write_fragment_checkpoint(path):
-    """A v1 checkpoint of build_skip_block(8) and zero weights. No Network
-    holds a fragment, so save_checkpoint cannot write it: the bytes are
-    written here in its layout."""
-    arch = build_skip_block(8)
-    text = arch_to_json(arch).encode()
+    """A v1 checkpoint of FRAGMENT_DOC and zero weights. save_checkpoint
+    writes only a Network, so the bytes are written here in its layout."""
+    text = json.dumps(FRAGMENT_DOC, sort_keys=True, separators=(",", ":")).encode()
+    weights = FRAGMENT_DOC["weights"]
     parts = [b"MFW1", struct.pack("<IQBI", 1, 0, 2, len(text)), text,
-             struct.pack("<I", len(arch.weights))]
-    for w in arch.weights:
-        parts += [struct.pack("<H", len(w.name)), w.name.encode(),
-                  struct.pack(f"<BB{len(w.shape)}I", 1, len(w.shape), *w.shape),
-                  np.zeros(w.shape).tobytes()]
+             struct.pack("<I", len(weights))]
+    for w in weights:
+        name, shape = w["name"], w["shape"]
+        parts += [struct.pack("<H", len(name)), name.encode(),
+                  struct.pack(f"<BB{len(shape)}I", 1, len(shape), *shape),
+                  np.zeros(shape).tobytes()]
     path.write_bytes(b"".join(parts))
 
 
@@ -218,7 +231,7 @@ class TestTransferCli:
         rc = main(["transfer", "--from", str(src), "--widths", "16",
                    "--out", str(tmp_path / "big.ckpt")])
         assert rc == 2
-        assert "runnable topology" in capsys.readouterr().err
+        assert "unknown topology 'fragment'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag", [
         (command, flag)
@@ -701,6 +714,14 @@ class TestFailedCommandsWriteNothing:
          2),
         (["transfer", "--from", "{tmp}/fragment.ckpt", "--widths", "16", "--out",
           "{tmp}/big.ckpt"], 2),
+        (["transfer", "--from", "{tmp}/width8.ckpt", "--widths", str(2**60), "--out",
+          "{tmp}/t.ckpt"], 2),
+        (["transfer", "--from", "{tmp}/width8.ckpt", "--widths", str(2**60), "--strategy",
+          "function_based", "--out", "{tmp}/t.ckpt"], 2),
+        (["transfer", "--from", "{tmp}/width8.ckpt", "--widths", str(2**62), "--strategy",
+          "group", "--out", "{tmp}/t.ckpt"], 2),
+        (["transfer", "--from", "{tmp}/width8.ckpt", "--widths", str(2**62), "--strategy",
+          "duplicate", "--out", "{tmp}/t.ckpt"], 2),
     ], ids=["transfer-zero-width", "transfer-duplicate-not-a-multiple", "reproduce-no-cifar",
             "reproduce-cifar-dir-missing",
             "heatmap-vector-weight", "hist-unknown-weight", "heatmap-two-ckpts", "corr-two-ckpts",
@@ -716,7 +737,8 @@ class TestFailedCommandsWriteNothing:
             "train-inputs-narrower-than-input-dim", "train-width-scale-overflows",
             "train-rate-overflows", "train-rate-underflows", "train-fragment",
             "init-fragment", "init-uniform-width-overflows", "diagnose-fragment",
-            "transfer-fragment"])
+            "transfer-fragment", "transfer-random-2**60", "transfer-function-based-2**60",
+            "transfer-group-2**62", "transfer-duplicate-2**62"])
     def test_exits_with_error_and_leaves_outputs_alone(self, argv, code, small_ckpt, tmp_path,
                                                         monkeypatch, capsys):
         monkeypatch.delenv("MFGROW_CIFAR10_DIR", raising=False)
@@ -739,14 +761,19 @@ class TestFailedCommandsWriteNothing:
         (tmp_path / "uniform-overflow.json").write_text(
             json.dumps({**doc, "init": {"mode": "iid", "distributions": dists}}),
             encoding="utf-8")
-        fragment = tmp_path / "attention.json"
-        fragment.write_text(arch_to_json(build_attention_block(4)), encoding="utf-8")
+        fragment = tmp_path / "fragment-arch.json"
+        fragment.write_text(json.dumps(FRAGMENT_DOC), encoding="utf-8")
         (tmp_path / "fragment.json").write_text(
             json.dumps({**doc, "arch": {"file": str(fragment)}}), encoding="utf-8")
         write_fragment_checkpoint(tmp_path / "fragment.ckpt")
         (tmp_path / "taken").mkdir()
         (tmp_path / "file").write_text("not a directory", encoding="utf-8")
         save_checkpoint(zeros_network(build_mlp(2, 8)), tmp_path / "vectors.ckpt")
+        # An index set of 2**60 or 2**62 int64s once ended in NumPy's "array
+        # is too big" traceback, exit 1, from this width-8 source.
+        width8 = build_mlp(3, 8)
+        save_checkpoint(initialize(zeros_network(width8), nonzero_mean_default("MFP", width8),
+                                   Rng(0)), tmp_path / "width8.ckpt")
         for cifar in ("truncated", "dir-batch", "bad-label", "good"):
             (tmp_path / cifar).mkdir()
             (tmp_path / cifar / "test_batch.bin").write_bytes(bytes(CIFAR_RECORD))
@@ -823,8 +850,8 @@ def _mixed_roles(doc):
 # miswired ones (from "untied-residual" on) once built and trained a net that
 # a transfer does not resample as one: a residual whose operands lie in two
 # groups, a layer contracting a group its predecessor does not output, a
-# weight in no layer or in two, a runnable topology without layers or a
-# fragment with them, and a group whose width is both hidden and data.
+# weight in no layer or in two, a topology without layers, the removed
+# "fragment" topology, and a group whose width is both hidden and data.
 @pytest.mark.parametrize("command", ["gamma", "train"])
 @pytest.mark.parametrize("edit, literal", [
     (lambda d: d.pop("gammas"), None),
@@ -842,7 +869,7 @@ def _mixed_roles(doc):
     (_mixed_roles, None),
 ], ids=["gamma-less", "role-less", "topology-less", "width-1e400", "gamma-1.7",
         "activation-short", "untied-residual", "fresh-w2-columns", "bu-in-no-slot",
-        "b1-in-two-slots", "no-layers", "fragment-with-layers", "mixed-role-group"])
+        "b1-in-two-slots", "no-layers", "fragment-topology", "mixed-role-group"])
 def test_hostile_arch_file_exits_2_and_writes_nothing(command, edit, literal, tmp_path, capsys):
     doc = json.loads(arch_to_json(build_mlp(4, 8, with_skip=True)))
     edit(doc)

@@ -315,6 +315,18 @@ class TestHistograms:
         edges, counts = histogram_trajectory([net, copy_net(net)], "w1")
         assert np.array_equal(counts[0], counts[1])
 
+    # A constant profile once gave 41 equal edges from |value| ~ 4e3 up, as
+    # its pad of 1e-12 rounded away; the pad is unchanged where |value| <= 1.
+    @pytest.mark.parametrize("value", [5e4, -5e4, 1e300, 5e-324, 0.0, -0.75])
+    def test_constant_profile_gives_increasing_edges(self, value):
+        net = make_net(3, 8, seed=19)
+        net.store["w1"][:] = value
+        edges, counts = histogram_trajectory([net], "w1")
+        assert np.all(np.diff(edges) > 0)
+        assert edges[0] == value and counts[0].sum() == 8
+        if abs(value) <= 1:
+            assert edges[-1] == value + 1e-12
+
     def test_shape_drift_rejected(self):
         a = make_net(3, 16, seed=14)
         b = duplicate_grow(a, 2)

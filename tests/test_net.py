@@ -1,11 +1,12 @@
 import copy
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from conftest import stream
-from mfgrow.arch import build_mlp, build_skip_block
+from mfgrow.arch import build_mlp
 from mfgrow.data import Dataset, synth_regression
 from mfgrow.errors import DivergenceError, ParameterError, StructureError
 from mfgrow import net as net_module
@@ -112,9 +113,11 @@ class TestConstruction:
         with pytest.raises(StructureError, match=match):
             Network(net.arch, store)
 
-    def test_fragment_rejected(self):
-        with pytest.raises(StructureError, match="runnable topology"):
-            zeros_network(build_skip_block(4))
+    def test_arch_graph_rejects_topology_fragment(self):
+        # Every ArchGraph is a chain or a skip4, so every one has a layer plan.
+        g = build_mlp(3, 4)
+        with pytest.raises(StructureError, match="unknown topology 'fragment'"):
+            dataclasses.replace(g, topology="fragment", layers=(), activations=())
 
 
 class TestForward:
