@@ -8,6 +8,7 @@ scripted experiments train the nets and pass them in.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,7 +203,11 @@ def histogram_trajectory(nets: list[Network], weight: str):
     lo = min(float(v.min()) for v in values)
     hi = max(float(v.max()) for v in values)
     if hi == lo:  # a pad relative to |lo| keeps the edges apart at any magnitude
-        hi = lo + max(1e-12, abs(lo) * 1e-12)
+        pad = max(1e-12, abs(lo) * 1e-12)
+        if math.isfinite(lo + pad):
+            hi = lo + pad
+        else:  # lo within the pad of the largest float: pad downward
+            lo -= pad
     edges = np.linspace(lo, hi, _HIST_BINS + 1)
     counts = [np.histogram(v, bins=edges)[0] for v in values]
     return edges, counts

@@ -143,8 +143,9 @@ def draw_indices(m: GroupMeasure, target: int, strategy: str, r2: float,
     if target < 1:
         raise ParameterError(f"target must be >= 1, got {target}")
     # The int64 index set, like a WeightSpec's array, must fit the address space.
-    if 8 * target > sys.maxsize:
-        raise ParameterError(f"target {target} needs {8 * target} bytes of indices, "
+    # Compared without a product, which a NumPy integer target would wrap.
+    if target > sys.maxsize // 8:
+        raise ParameterError(f"target {target} needs {8 * int(target)} bytes of indices, "
                              f"past the address space")
     if strategy == "duplicate":
         if target % m.width != 0:

@@ -111,11 +111,68 @@ AXIS_GROUP_PINS = {
 }
 
 
+# Each block's (weight, axis, gamma) usages, kept apart from the tables in
+# arch.py so the block partitions are checked against a second statement.
+BLOCK_USAGES = {
+    "skip-block": (skip_block_partition, [
+        ("w1", "row", 2), ("w1", "row", 5), ("w1", "col", 1), ("b1", "row", 2),
+        ("b1", "row", 5), ("w2", "row", 3), ("w2", "col", 2), ("b2", "row", 3),
+        ("w3", "row", 5), ("w3", "col", 4), ("b3", "row", 5), ("w4", "col", 5)]),
+    "attention-block": (attention_block_partition, [
+        ("w1", "row", 2), ("w1", "row", 3), ("w1", "row", 4), ("w1", "col", 1),
+        ("b1", "row", 2), ("b1", "row", 3), ("b1", "row", 4), ("wq", "row", 5),
+        ("wq", "col", 2), ("wk", "row", 5), ("wk", "col", 3), ("wv", "row", 6),
+        ("wv", "col", 4), ("w2", "row", 7), ("w2", "col", 6), ("b2", "row", 7)]),
+}
+
+BLOCK_AXIS_GROUP_PINS = {
+    "skip-block": {
+        ("w1", "col"): 0,
+        ("w1", "row"): 1, ("b1", "row"): 1, ("w2", "col"): 1, ("w3", "row"): 1,
+        ("b3", "row"): 1, ("w4", "col"): 1,
+        ("w2", "row"): 2, ("b2", "row"): 2,
+        ("w3", "col"): 3,
+    },
+    "attention-block": {
+        ("w1", "col"): 0,
+        ("w1", "row"): 1, ("b1", "row"): 1, ("wq", "col"): 1, ("wk", "col"): 1,
+        ("wv", "col"): 1,
+        ("wq", "row"): 2, ("wk", "row"): 2,
+        ("wv", "row"): 3, ("w2", "col"): 3,
+        ("w2", "row"): 4, ("b2", "row"): 4,
+    },
+}
+
+
+def _block_table(usages):
+    """compute_partition's arguments for a block's usages at width 4, each
+    list in the order the usages give."""
+    axis_gammas = {}
+    for w, ax, gid in usages:
+        axis_gammas.setdefault((w, ax), []).append(gid)
+    return tuple(GammaVar(gid, 4) for gid in dict.fromkeys(g for _, _, g in usages)), axis_gammas
+
+
 class TestAxisGroups:
     @pytest.mark.parametrize("name", list(AXIS_GROUP_PINS))
     def test_axis_group_map_pinned(self, name):
         arch, expected = AXIS_GROUP_PINS[name]
         assert arch.partition.axis_groups == expected
+
+    @pytest.mark.parametrize("name", list(BLOCK_AXIS_GROUP_PINS))
+    def test_block_axis_group_map_pinned(self, name):
+        block, _ = BLOCK_USAGES[name]
+        assert block(8).axis_groups == BLOCK_AXIS_GROUP_PINS[name]
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("name", list(BLOCK_USAGES))
+    def test_every_block_usage_maps_to_its_gammas_group(self, name, n):
+        # The block's outgoing axis (the skip block's w4 rows) carries no gamma.
+        block, usages = BLOCK_USAGES[name]
+        p = block(n)
+        assert set(p.axis_groups) == {(w, ax) for w, ax, _ in usages}
+        for w, ax, gid in usages:
+            assert gid in p.groups[p.axis_groups[(w, ax)]]
 
     @pytest.mark.parametrize("arch", [
         build_mlp(5, [3, 4, 5, 6], with_bias=True, input_dim=2, output_dim=3),
@@ -155,6 +212,13 @@ class TestPartitionProperties:
             assert set().union(*covered) == set(grp)
         assert len(merged) < len(base)
 
+    # The attention block holds the one three-way merge (gammas 2, 3 and 4).
+    @settings(max_examples=25, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_block_usage_permutation_invariance(self, rnd):
+        usages = list(BLOCK_USAGES["attention-block"][1])
+        rnd.shuffle(usages)
+        assert compute_partition(*_block_table(usages)) == attention_block_partition(4)
     def test_group_widths_equal_checked(self):
         # Gammas 1 and 3 share a's row axis, so they merge into one group.
         axis_gammas = {("a", "row"): [1, 3], ("a", "col"): [2], ("b", "row"): [2]}

@@ -317,13 +317,18 @@ class TestHistograms:
 
     # A constant profile once gave 41 equal edges from |value| ~ 4e3 up, as
     # its pad of 1e-12 rounded away; the pad is unchanged where |value| <= 1.
-    @pytest.mark.parametrize("value", [5e4, -5e4, 1e300, 5e-324, 0.0, -0.75])
-    def test_constant_profile_gives_increasing_edges(self, value):
-        net = make_net(3, 8, seed=19)
+    # At the largest float the pad goes below the value, as above it would
+    # overflow to inf.
+    @pytest.mark.parametrize("value, width", [
+        (5e4, 8), (-5e4, 8), (1e300, 8), (5e-324, 8), (0.0, 8), (-0.75, 8),
+        (np.finfo(np.float64).max, 1), (-np.finfo(np.float64).max, 1)])
+    def test_constant_profile_gives_increasing_edges(self, value, width):
+        net = make_net(3, width, seed=19)
         net.store["w1"][:] = value
         edges, counts = histogram_trajectory([net], "w1")
-        assert np.all(np.diff(edges) > 0)
-        assert edges[0] == value and counts[0].sum() == 8
+        assert np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)
+        assert counts[0].sum() == width
+        assert edges[-1 if value == np.finfo(np.float64).max else 0] == value
         if abs(value) <= 1:
             assert edges[-1] == value + 1e-12
 

@@ -10,6 +10,7 @@ from mfgrow.arch import build_mlp
 from mfgrow.data import load_checkpoint, save_checkpoint, synth_regression
 from mfgrow.errors import ParameterError
 from mfgrow.init import initialize, nonzero_mean_default
+from mfgrow.measure import STRATEGIES
 from mfgrow.net import OptimizerState, _run, evaluate, forward_batch, train, zeros_network
 from mfgrow.tensor import Rng
 from mfgrow.transfer import (
@@ -63,6 +64,20 @@ class TestApplyNoise:
 def test_unknown_strategy_rejected():
     with pytest.raises(ParameterError, match="unknown sampling strategy 'bogus'"):
         TransferPlan(strategy="bogus")
+
+
+# A NumPy integer target once wrapped the address-space product 8 * target
+# (with a RuntimeWarning) and reached NumPy's "array is too big" ValueError.
+@pytest.mark.parametrize("target", [2**60, np.int64(2**60), np.uint64(2**62)],
+                         ids=["int-2**60", "int64-2**60", "uint64-2**62"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_target_past_the_address_space_rejected(target, strategy):
+    net = make_net(3, 8)
+    plan = TransferPlan({1: target}, strategy=strategy)
+    for call in (index_sets, transfer):
+        with pytest.raises(ParameterError, match=f"target {target} needs "
+                           f"{8 * int(target)} bytes of indices, past the address space"):
+            call(net, plan, Rng(0))
 
 
 class TestIdentityTransfer:
