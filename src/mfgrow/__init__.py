@@ -20,7 +20,6 @@ from .errors import (
     MfgrowError,
     MissingDataError,
     ParameterError,
-    StructureError,
 )
 from .net import Network, OptimizerState, TrainingLog, train
 from .tensor import DistributionSpec, Rng, constant, gaussian, uniform

@@ -16,7 +16,7 @@ at least 2 layers (skip4 exactly 4); each weight sits in exactly one layer
 slot; a vector is only the embedding or the readout; each layer contracts the
 group its predecessor outputs; the input and output axes lie in data groups;
 a bias lies on its layer's output axis; and skip4's residual operands share a
-group.
+group. A graph or arch file that breaks any of these raises ParameterError.
 
 ``build_mlp`` is the one MLP builder: its layer l maps axis l of
 [input, *hidden, output] to axis l + 1. Its skip4 net is the depth-4 chain
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from types import GenericAlias
 from typing import NamedTuple, get_origin
 
-from .errors import MfgrowError, ParameterError, StructureError
+from .errors import MfgrowError, ParameterError
 from .tensor import _integer
 
 ROW = "row"
@@ -56,9 +56,9 @@ class GammaVar:
 
     def __post_init__(self):
         if self.width < 1:
-            raise StructureError(f"gamma {self.id}: width must be >= 1, got {self.width}")
+            raise ParameterError(f"gamma {self.id}: width must be >= 1, got {self.width}")
         if self.role not in ("hidden", "data"):
-            raise StructureError(f"gamma {self.id}: unknown role {self.role!r}")
+            raise ParameterError(f"gamma {self.id}: unknown role {self.role!r}")
 
 
 @dataclass(frozen=True)
@@ -70,14 +70,14 @@ class WeightSpec:
     def __post_init__(self):
         if self.kind == "matrix":
             if len(self.shape) != 2:
-                raise StructureError(f"weight {self.name}: matrix needs a 2-d shape, got {self.shape}")
+                raise ParameterError(f"weight {self.name}: matrix needs a 2-d shape, got {self.shape}")
         elif self.kind == "vector":
             if len(self.shape) != 1:
-                raise StructureError(f"weight {self.name}: vector needs a 1-d shape, got {self.shape}")
+                raise ParameterError(f"weight {self.name}: vector needs a 1-d shape, got {self.shape}")
         else:
-            raise StructureError(f"weight {self.name}: unknown kind {self.kind!r}")
+            raise ParameterError(f"weight {self.name}: unknown kind {self.kind!r}")
         if any(d < 1 for d in self.shape):
-            raise StructureError(f"weight {self.name}: dimensions must be >= 1, got {self.shape}")
+            raise ParameterError(f"weight {self.name}: dimensions must be >= 1, got {self.shape}")
         # A store holds each weight as one float64 array, whose byte size
         # must fit the address space.
         if 8 * math.prod(self.shape) > sys.maxsize:
@@ -118,7 +118,7 @@ class LayerPlan(NamedTuple):
 
 @dataclass(frozen=True)
 class ArchGraph:
-    """A checked and indexed architecture: construction raises StructureError
+    """A checked and indexed architecture: construction raises ParameterError
     on any inconsistency, so a graph that exists is valid. It also builds the
     name lookup, the gamma partition, the layer plan and each weight's
     (fan-in, rate multiplier) once; those derived fields take no part in
@@ -139,48 +139,48 @@ class ArchGraph:
 
     def __post_init__(self):
         if self.parametrization not in PARAMETRIZATIONS:
-            raise StructureError(f"unknown parametrization {self.parametrization!r}")
+            raise ParameterError(f"unknown parametrization {self.parametrization!r}")
         if self.topology not in ("chain", "skip4"):
-            raise StructureError(f"unknown topology {self.topology!r}")
+            raise ParameterError(f"unknown topology {self.topology!r}")
         by_name = {w.name: w for w in self.weights}
         if len(by_name) != len(self.weights):
-            raise StructureError("weight names must be unique")
+            raise ParameterError("weight names must be unique")
         by_id = {g.id: g for g in self.gammas}
         if len(by_id) != len(self.gammas):
-            raise StructureError("gamma ids must be unique")
+            raise ParameterError("gamma ids must be unique")
         object.__setattr__(self, "_by_name", by_name)
         axis_gammas: dict[tuple[str, str], list[int]] = {}
         for u in self.usages:
             w = self.weight(u.weight)
             if w.kind == "vector" and u.axis != ROW:
-                raise StructureError(f"weight {w.name}: vector usages must be on the row axis")
+                raise ParameterError(f"weight {w.name}: vector usages must be on the row axis")
             if u.axis not in (ROW, COL):
-                raise StructureError(f"weight {w.name}: unknown axis {u.axis!r}")
+                raise ParameterError(f"weight {w.name}: unknown axis {u.axis!r}")
             if u.gamma not in by_id:
-                raise StructureError(f"usage of {w.name} references unknown gamma {u.gamma}")
+                raise ParameterError(f"usage of {w.name} references unknown gamma {u.gamma}")
             size = w.shape[0] if u.axis == ROW else w.shape[1]
             if by_id[u.gamma].width != size:
-                raise StructureError(
+                raise ParameterError(
                     f"weight {w.name} axis {u.axis}: size {size} != gamma {u.gamma} width "
                     f"{by_id[u.gamma].width}"
                 )
             axis_gammas.setdefault((u.weight, u.axis), []).append(u.gamma)
         missing = set(by_id) - {u.gamma for u in self.usages}
         if missing:
-            raise StructureError(f"gammas never used: {sorted(missing)}")
+            raise ParameterError(f"gammas never used: {sorted(missing)}")
         for w in self.weights:
             for ax in w.axes:
                 if (w.name, ax) not in axis_gammas:
-                    raise StructureError(f"weight {w.name}: axis {ax} has no usage")
+                    raise ParameterError(f"weight {w.name}: axis {ax} has no usage")
         for wname, bname in self.layers:
             self.weight(wname)
             if bname is not None:
                 self.weight(bname)
         for act in self.activations:
             if act not in ACTIVATION_NAMES:
-                raise StructureError(f"unknown activation {act!r}")
+                raise ParameterError(f"unknown activation {act!r}")
         if len(self.activations) != max(len(self.layers) - 1, 0):
-            raise StructureError(
+            raise ParameterError(
                 f"{len(self.layers)} layers need {max(len(self.layers) - 1, 0)} activations, "
                 f"got {len(self.activations)}")
         object.__setattr__(self, "partition", compute_partition(self.gammas, axis_gammas))
@@ -191,7 +191,7 @@ class ArchGraph:
         try:
             return self._by_name[name]
         except KeyError:
-            raise StructureError(f"unknown weight {name!r}") from None
+            raise ParameterError(f"unknown weight {name!r}") from None
 
     def fan_in(self, name: str) -> int:
         """The width the weight contracts over; 1 for the 1-d embedding and a bias."""
@@ -207,8 +207,6 @@ class ArchGraph:
         return {g.width for g in self.gammas if g.role == "hidden"}
 
     def with_parametrization(self, parametrization: str) -> "ArchGraph":
-        if parametrization not in PARAMETRIZATIONS:
-            raise ParameterError(f"unknown parametrization {parametrization!r}")
         return replace(self, parametrization=parametrization)
 
 
@@ -236,7 +234,7 @@ def compute_partition(gammas: tuple[GammaVar, ...],
     at the same (weight, axis) position. Returns the finest partition closed
     under that rule, with the group of each such position. Construction ties
     every gamma to its axis size, so merged gammas always share one width; a
-    group that mixes data and hidden gammas is a StructureError. Every graph
+    group that mixes data and hidden gammas is a ParameterError. Every graph
     holds its own as ``g.partition``."""
     parent = {gm.id: gm.id for gm in gammas}
 
@@ -258,7 +256,7 @@ def compute_partition(gammas: tuple[GammaVar, ...],
     groups = sorted(members.values(), key=lambda grp: grp[0].id)
     for grp in groups:
         if len({gm.role for gm in grp}) > 1:
-            raise StructureError(
+            raise ParameterError(
                 f"gammas {[gm.id for gm in grp]} share a group but mix data and hidden roles")
     ids = tuple(tuple(gm.id for gm in grp) for grp in groups)
     group_index = {gid: i for i, grp in enumerate(ids) for gid in grp}
@@ -288,12 +286,12 @@ def _layer_plan(g: ArchGraph) -> tuple[LayerPlan, dict[str, tuple[int, float]]]:
     n = len(g.layers)
     last = n - 1
     if n < 2 or (g.topology == "skip4" and n != 4):
-        raise StructureError(f"a {g.topology} net needs "
+        raise ParameterError(f"a {g.topology} net needs "
                              f"{'4' if g.topology == 'skip4' else 'at least 2'} layers, got {n}")
     for w in g.weights:
         at = [i for i, pair in enumerate(g.layers) for name in pair if name == w.name]
         if len(at) != 1:
-            raise StructureError(f"weight {w.name} sits in {f'layers {at}' if at else 'no layer'}; "
+            raise ParameterError(f"weight {w.name} sits in {f'layers {at}' if at else 'no layer'}; "
                                  f"every weight sits in exactly one layer slot")
     p, mfp = g.partition, g.parametrization == "MFP"
 
@@ -309,7 +307,7 @@ def _layer_plan(g: ArchGraph) -> tuple[LayerPlan, dict[str, tuple[int, float]]]:
         vector = g.weight(wname).kind == "vector"
         prev, into = out, None
         if vector and 0 < i < last:
-            raise StructureError(f"{where}: a vector weight is only the embedding or the readout")
+            raise ParameterError(f"{where}: a vector weight is only the embedding or the readout")
         if vector and i == 0:
             scalar = 1.0  # the elementwise embedding of a 1-d input contracts nothing
         else:
@@ -317,9 +315,9 @@ def _layer_plan(g: ArchGraph) -> tuple[LayerPlan, dict[str, tuple[int, float]]]:
             scalar = _forward_scalar(g.parametrization, p.widths[into], p.resizable[into],
                                      i == last)
         if i == 0 and into is not None and p.resizable[into]:
-            raise StructureError(f"{where}: the input axis lies in a hidden group")
+            raise ParameterError(f"{where}: the input axis lies in a hidden group")
         if i > 0 and into != prev:
-            raise StructureError(f"{where}: contracts gammas {p.groups[into]}, but layer {i - 1} "
+            raise ParameterError(f"{where}: contracts gammas {p.groups[into]}, but layer {i - 1} "
                                  f"outputs gammas {p.groups[prev]}")
         # A vector readout has one output value, which its bias (if any) carries.
         out = None if vector and i == last else p.axis_groups[(wname, ROW)]
@@ -328,14 +326,14 @@ def _layer_plan(g: ArchGraph) -> tuple[LayerPlan, dict[str, tuple[int, float]]]:
             if out is None and b.shape == (1,):
                 out = p.axis_groups[(bname, ROW)]
             if b.kind != "vector" or p.axis_groups[(bname, ROW)] != out:
-                raise StructureError(f"{where}: bias {bname} is not a vector on the layer's "
+                raise ParameterError(f"{where}: bias {bname} is not a vector on the layer's "
                                      f"output axis")
         residual = g.topology == "skip4" and i == 2
         if residual and out != prev:
-            raise StructureError(f"{where}: the residual adds layer 1's output, on gammas "
+            raise ParameterError(f"{where}: the residual adds layer 1's output, on gammas "
                                  f"{p.groups[prev]}, to this layer's, on gammas {p.groups[out]}")
         if i == last and out is not None and p.resizable[out]:
-            raise StructureError(f"{where}: the output axis lies in a hidden group")
+            raise ParameterError(f"{where}: the output axis lies in a hidden group")
         activation = g.activations[i] if i < last else None
         layers.append(Layer(wname, bname, vector, scalar, activation, residual))
         # The embedding vector contracts nothing; the readout's output is data.
@@ -395,17 +393,17 @@ def build_mlp(
 
     ``widths`` gives the depth-1 hidden sizes (or one int for all). Every
     size is an int or NumPy integer, not a bool; the graph holds Python ints.
-    ``with_skip`` builds skip4: the depth-4 chain with biases and one common
-    hidden width, plus two usages. w1's rows feed both w2 and, through a
-    residual add, the output layer's input, so w1 and b1 rows also carry
-    gamma 3. The ``skip4`` topology declares that residual to the executor.
+    Both flags are bools. ``with_skip`` builds skip4: the depth-4 chain with
+    biases and one common hidden width, plus two usages. w1's rows feed both
+    w2 and, through a residual add, the output layer's input, so w1 and b1
+    rows also carry gamma 3. The ``skip4`` topology declares that residual to
+    the executor.
     """
     depth = _count(depth, "depth", 2)
     input_dim, output_dim = _count(input_dim, "input_dim"), _count(output_dim, "output_dim")
-    if parametrization not in PARAMETRIZATIONS:
-        raise ParameterError(f"unknown parametrization {parametrization!r}")
-    if activation not in ACTIVATION_NAMES:
-        raise ParameterError(f"unknown activation {activation!r}")
+    for flag, value in (("with_bias", with_bias), ("with_skip", with_skip)):
+        if type(value) is not bool:
+            raise ParameterError(f"{flag} must be True or False, got {value!r}")
     if with_skip:
         if depth != 4:
             raise ParameterError("the skip variant is defined for depth=4 only")
@@ -628,18 +626,18 @@ _ENTRIES = {"weights": _required(name=str, kind=str, shape=list[int]),
 
 def arch_from_json(text: str) -> ArchGraph:
     """Read an architecture in the form ``arch_to_json`` writes, and only
-    that form. Anything else raises StructureError."""
+    that form. Anything else raises ParameterError."""
     where = "malformed architecture file"
-    doc = checked_object(read_json(text, "architecture file", StructureError), _ARCH, where,
-                         StructureError)
+    doc = checked_object(read_json(text, "architecture file", ParameterError), _ARCH, where,
+                         ParameterError)
     weights, usages, gammas = (
-        [checked_object(entry, schema, f"{where} {key}[{i}]", StructureError)
+        [checked_object(entry, schema, f"{where} {key}[{i}]", ParameterError)
          for i, entry in enumerate(doc[key])]
         for key, schema in _ENTRIES.items())
     for i, pair in enumerate(doc["layers"]):
         if (type(pair) is not list or len(pair) != 2 or type(pair[0]) is not str
                 or not (pair[1] is None or type(pair[1]) is str)):
-            raise StructureError(f"{where} layers[{i}] must be a [weight, bias-or-null] pair, "
+            raise ParameterError(f"{where} layers[{i}] must be a [weight, bias-or-null] pair, "
                                  f"got {_shown(pair)}")
     return ArchGraph(
         weights=tuple(WeightSpec(w["name"], w["kind"], tuple(w["shape"])) for w in weights),

@@ -26,7 +26,7 @@ from .arch import (REQUIRED, Choice, arch_from_json, build_mlp, checked_object, 
 from .data import load_checkpoint, load_cifar10, save_checkpoint, synth_regression
 from .diagnostics import (correlation_matrix, heatmap_export, histogram_trajectory,
                           histograms_to_csv, profile, write_gnuplot_script)
-from .errors import ConfigError, MfgrowError, MissingDataError, ParameterError, StructureError
+from .errors import ConfigError, MfgrowError, MissingDataError, ParameterError
 from .init import InitSpec, initialize, iid_spec, nonzero_mean_default, rc_spec
 from .measure import STRATEGIES
 from .net import OptimizerState, check_data, check_schedule, train, zeros_network
@@ -97,7 +97,7 @@ def load_config(path) -> dict:
 def _build_arch(cfg: dict):
     arch = cfg["arch"]
     if arch["builder"] == "file":
-        graph = arch_from_json(_read_text(arch["file"], StructureError, "architecture file"))
+        graph = arch_from_json(_read_text(arch["file"], ConfigError, "architecture file"))
     else:
         graph = build_mlp(**{key: arch[key] for key in _MLP})
     if cfg["parametrization"] is not None:
@@ -183,7 +183,7 @@ def _out_dir(args, path=_SCHEMA["out_dir"][1]) -> Path:
 def cmd_gamma(args) -> int:
     if args.arch is not None:
         _refuse(args, ("mlp", "width", "skip", "bias"), "gamma with an architecture file")
-        graph = arch_from_json(_read_text(args.arch, StructureError, "architecture file"))
+        graph = arch_from_json(_read_text(args.arch, ParameterError, "architecture file"))
     elif args.mlp is not None:
         graph = build_mlp(args.mlp, 8 if args.width is None else args.width,
                           with_bias=args.bias, with_skip=args.skip)

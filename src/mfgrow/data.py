@@ -287,7 +287,8 @@ def load_checkpoint(path) -> Network:
     """Read a v1 checkpoint. The payload must hold the arch's weights in the
     arch's order, each once and of its declared shape. Every weight comes back
     as its own writeable float64 array, read from the file without an
-    intermediate copy."""
+    intermediate copy. A malformed file, its arch JSON included, raises
+    CheckpointError."""
     try:
         f = open(path, "rb")
     except FileNotFoundError:
@@ -306,7 +307,10 @@ def load_checkpoint(path) -> Network:
         if param_code not in _PARAM_NAME:
             raise CheckpointError(f"{path}: unknown parametrization code {param_code}")
         arch_len = r.unpack("<I")
-        arch = arch_from_json(r.text(arch_len))
+        try:
+            arch = arch_from_json(r.text(arch_len))
+        except ParameterError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
         if arch.parametrization != _PARAM_NAME[param_code]:
             raise CheckpointError(f"{path}: parametrization byte disagrees with arch JSON")
         count = r.unpack("<I")

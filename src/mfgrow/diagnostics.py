@@ -23,12 +23,17 @@ from .tensor import Rng, pearson_abs
 
 def profile(net: Network, weight: str, axis: str) -> np.ndarray:
     """Mean over the opposing axis, ``arch.ROW`` or ``arch.COL``. A vector
-    weight's profile is a copy of the vector, whatever the axis."""
+    weight's profile is a copy of the vector, whatever the axis. A mean whose
+    sum of finite weights overflows raises ParameterError."""
     if axis not in (ROW, COL):
         raise ParameterError(f"profile axis must be {ROW!r} or {COL!r}, got {axis!r}")
     if net.arch.weight(weight).kind == "vector":
         return net.store[weight].copy()
-    return net.store[weight].mean(axis=1 if axis == ROW else 0)
+    try:
+        with np.errstate(over="raise"):
+            return net.store[weight].mean(axis=1 if axis == ROW else 0)
+    except FloatingPointError:
+        raise ParameterError(f"weight {weight}: its {axis} profile overflows float64") from None
 
 
 @dataclass

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, one per kind of broken input: each class's docstring
+names the input that raises it. ``mfgrow`` exits 3 on MissingDataError and
+2 on every other class."""
 
 
 class MfgrowError(Exception):
@@ -6,15 +8,12 @@ class MfgrowError(Exception):
 
 
 class ParameterError(MfgrowError):
-    """An argument (its value or its shape) violates its contract."""
-
-
-class StructureError(MfgrowError):
-    """An architecture graph violates a structural invariant."""
+    """An argument (its value or its shape) breaks its contract. An
+    ``ArchGraph``'s fields and an arch file count as arguments."""
 
 
 class ConfigError(MfgrowError):
-    """An experiment config or CLI input is malformed."""
+    """A CLI config or flag is malformed."""
 
 
 class DataError(MfgrowError):
@@ -26,11 +25,12 @@ class MissingDataError(DataError):
 
 
 class CheckpointError(MfgrowError):
-    """A checkpoint file is malformed or inconsistent."""
+    """A checkpoint file is malformed or inconsistent, its embedded arch
+    included."""
 
 
 class DivergenceError(MfgrowError):
-    """Training produced a non-finite or exploding loss."""
+    """A training run produced a non-finite or exploding loss."""
 
     def __init__(self, message: str, step: int):
         super().__init__(f"{message} (step {step})")

@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .arch import ArchGraph, LayerPlan
-from .errors import DivergenceError, ParameterError, StructureError
+from .errors import DivergenceError, ParameterError
 from .tensor import Rng, as_f64
 
 DIVERGENCE_LIMIT = 1e6
@@ -131,7 +131,7 @@ _ACTIVATIONS = {
 @dataclass
 class Network:
     """An architecture plus concrete weight arrays: construction raises
-    StructureError unless the store holds each of the arch's weights at the
+    ParameterError unless the store holds each of the arch's weights at the
     declared shape."""
 
     arch: ArchGraph
@@ -141,9 +141,9 @@ class Network:
         for w in self.arch.weights:
             arr = self.store.get(w.name)
             if arr is None:
-                raise StructureError(f"store is missing weight {w.name}")
+                raise ParameterError(f"store is missing weight {w.name}")
             if tuple(arr.shape) != w.shape:
-                raise StructureError(f"weight {w.name}: stored shape {tuple(arr.shape)} "
+                raise ParameterError(f"weight {w.name}: stored shape {tuple(arr.shape)} "
                                      f"!= declared {w.shape}")
 
     @property

@@ -28,7 +28,7 @@ from mfgrow.arch import (
     skip_block_partition,
 )
 from mfgrow.cli import main
-from mfgrow.errors import ParameterError, StructureError
+from mfgrow.errors import ParameterError
 from mfgrow.net import zeros_network
 
 
@@ -237,7 +237,7 @@ class TestPartitionProperties:
         )
         # Gamma 3 declared with the wrong width: construction names the axis.
         gammas = (GammaVar(1, 4), GammaVar(2, 8), GammaVar(3, 4))
-        with pytest.raises(StructureError, match="weight a axis col: size 8 != gamma 3 width 4"):
+        with pytest.raises(ParameterError, match="weight a axis col: size 8 != gamma 3 width 4"):
             ArchGraph(weights, usages, gammas, "MFP", topology="chain")
 
 
@@ -280,6 +280,24 @@ class TestBuilders:
     def test_non_integer_sizes_rejected(self, kwargs, match):
         with pytest.raises(ParameterError, match=match):
             build_mlp(**{"depth": 3, "widths": 8, **kwargs})
+
+    # with_skip="no" once built a skip4 net, and with_bias="no" added biases.
+    @pytest.mark.parametrize("flag, value", [
+        ("with_skip", "no"), ("with_bias", "no"), ("with_bias", 1), ("with_skip", 0),
+        ("with_bias", None)])
+    def test_flags_must_be_bools(self, flag, value):
+        with pytest.raises(ParameterError, match=f"{flag} must be True or False, got {value!r}"):
+            build_mlp(4, 8, **{flag: value})
+
+    # build_mlp and with_parametrization leave these to the graph they build.
+    @pytest.mark.parametrize("build, match", [
+        (lambda: build_mlp(3, 8, parametrization="NTK"), "unknown parametrization 'NTK'"),
+        (lambda: build_mlp(3, 8, activation="gelu"), "unknown activation 'gelu'"),
+        (lambda: build_mlp(3, 8).with_parametrization("NTK"), "unknown parametrization 'NTK'"),
+    ], ids=["parametrization", "activation", "with-parametrization"])
+    def test_arch_rules_reached_through_the_builder(self, build, match):
+        with pytest.raises(ParameterError, match=match):
+            build()
 
     @pytest.mark.parametrize("skip", [False, True])
     def test_numpy_integer_sizes_build_the_int_graph(self, skip):
@@ -324,7 +342,7 @@ class TestBuilders:
                               activation=act)
                 out = arch_to_json(g) + repr(g.plan)
                 assert arch_from_json(arch_to_json(g)) == g
-            except (ParameterError, StructureError) as exc:
+            except ParameterError as exc:
                 out = f"{type(exc).__name__}: {exc}"
             digest.update(out.encode() + b"\n")
         assert digest.hexdigest() == self.BUILD_GRID_DIGEST
@@ -335,28 +353,28 @@ class TestValidation:
         weights = (WeightSpec("a", "matrix", (4, 4)),)
         usages = (AxisUsage("a", "row", 1),)
         gammas = (GammaVar(1, 4),)
-        with pytest.raises(StructureError, match="col"):
+        with pytest.raises(ParameterError, match="col"):
             ArchGraph(weights, usages, gammas, "MFP", topology="chain")
 
     def test_vector_col_usage_rejected(self):
         weights = (WeightSpec("b", "vector", (4,)),)
         usages = (AxisUsage("b", "col", 1),)
         gammas = (GammaVar(1, 4),)
-        with pytest.raises(StructureError, match="vector usages must be on the row axis"):
+        with pytest.raises(ParameterError, match="vector usages must be on the row axis"):
             ArchGraph(weights, usages, gammas, "MFP", topology="chain")
 
     def test_unused_gamma_rejected(self):
         weights = (WeightSpec("b", "vector", (4,)),)
         usages = (AxisUsage("b", "row", 1),)
         gammas = (GammaVar(1, 4), GammaVar(2, 4))
-        with pytest.raises(StructureError, match="never used"):
+        with pytest.raises(ParameterError, match="never used"):
             ArchGraph(weights, usages, gammas, "MFP", topology="chain")
 
     def test_one_activation_per_hidden_layer(self):
         # A chain short of an activation once failed with an IndexError at
         # its first forward pass.
         g = build_mlp(3, 4)
-        with pytest.raises(StructureError, match="3 layers need 2 activations, got 1"):
+        with pytest.raises(ParameterError, match="3 layers need 2 activations, got 1"):
             dataclasses.replace(g, activations=g.activations[:1])
 
 
@@ -389,7 +407,7 @@ class TestWiring:
     def test_miswired_layer_named(self, base, edit, match):
         doc = json.loads(arch_to_json(base))
         edit(doc)
-        with pytest.raises(StructureError, match=match):
+        with pytest.raises(ParameterError, match=match):
             arch_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("parametrization", ["SP", "muP", "MFP"])
@@ -439,7 +457,7 @@ class TestFanInsAndMultipliers:
         assert count == 696
 
     def test_unknown_weight(self):
-        with pytest.raises(StructureError, match="unknown weight 'w9'"):
+        with pytest.raises(ParameterError, match="unknown weight 'w9'"):
             build_mlp(3, 4).fan_in("w9")
 
     def test_derived_like_the_partition(self):
@@ -465,12 +483,12 @@ class TestJson:
     def test_incomplete_documents_rejected(self, strip, match):
         doc = json.loads(arch_to_json(build_mlp(4, 8, with_skip=True)))
         strip(doc)
-        with pytest.raises(StructureError, match=match):
+        with pytest.raises(ParameterError, match=match):
             arch_from_json(json.dumps(doc))
 
     def test_unknown_key_rejected(self):
         doc = {**json.loads(arch_to_json(build_mlp(2, 4))), "bogus": 1}
-        with pytest.raises(StructureError, match="bogus"):
+        with pytest.raises(ParameterError, match="bogus"):
             arch_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("corrupt", [
@@ -484,11 +502,11 @@ class TestJson:
     def test_malformed_entries_rejected(self, corrupt):
         doc = json.loads(arch_to_json(build_mlp(3, 4, with_bias=True)))
         corrupt(doc)
-        with pytest.raises(StructureError, match="malformed"):
+        with pytest.raises(ParameterError, match="malformed"):
             arch_from_json(json.dumps(doc))
 
     def test_invalid_json_rejected(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(ParameterError):
             arch_from_json("{not json")
 
     # SHA-256 of the skip4 arch JSON: its usage order is written into every
@@ -585,10 +603,12 @@ class TestArchJsonFuzz:
     @example(_edited(lambda d: d["layers"][0].__setitem__(1, None)))  # rejected
     @example(_edited(lambda d: d["gammas"][0].__setitem__("width", _HUGE)))
     @example(_edited(lambda d: d.update(topology="fragment")))  # rejected
+    @example(_edited(lambda d: (d["weights"][0].update(shape=[2**62]),  # u, past the address space
+                                d["gammas"][0].update(width=2**62))))
     def test_one_mutation_is_rejected_or_round_trips(self, text):
         try:
             g = arch_from_json(text)
-        except StructureError:
+        except ParameterError:
             expected = 2
         else:
             expected = 0
@@ -610,5 +630,5 @@ class TestArchJsonFuzz:
     ])
     def test_non_integer_numbers_rejected(self, entries, key, literal):
         text = _edited(lambda d: d[entries][0].__setitem__(key, _HUGE)).replace("1e400", literal)
-        with pytest.raises(StructureError, match=rf"{entries}\[0\] '{key}' must be an integer"):
+        with pytest.raises(ParameterError, match=rf"{entries}\[0\] '{key}' must be an integer"):
             arch_from_json(text)

@@ -2,6 +2,7 @@ import copy
 import functools
 import json
 import os
+import re
 import shutil
 import struct
 import tempfile
@@ -18,7 +19,7 @@ from mfgrow import cli, data, experiments
 from mfgrow.arch import arch_from_json, arch_to_json, build_mlp, format_partition
 from mfgrow.cli import main
 from mfgrow.data import CIFAR_RECORD, load_checkpoint, load_cifar10, save_checkpoint
-from mfgrow.errors import CheckpointError, StructureError
+from mfgrow.errors import CheckpointError, ParameterError
 from mfgrow.init import initialize, nonzero_mean_default, rc_eligible
 from mfgrow.net import forward_batch, zeros_network
 from mfgrow.tensor import Rng
@@ -722,6 +723,8 @@ class TestFailedCommandsWriteNothing:
           "group", "--out", "{tmp}/t.ckpt"], 2),
         (["transfer", "--from", "{tmp}/width8.ckpt", "--widths", str(2**62), "--strategy",
           "duplicate", "--out", "{tmp}/t.ckpt"], 2),
+        (["diagnose", "--ckpt", "{tmp}/huge.ckpt", "--report", "hist", "--out", "{tmp}/diag"], 2),
+        (["diagnose", "--ckpt", "{tmp}/huge.ckpt", "--report", "corr", "--out", "{tmp}/diag"], 2),
     ], ids=["transfer-zero-width", "transfer-duplicate-not-a-multiple", "reproduce-no-cifar",
             "reproduce-cifar-dir-missing",
             "heatmap-vector-weight", "hist-unknown-weight", "heatmap-two-ckpts", "corr-two-ckpts",
@@ -738,7 +741,8 @@ class TestFailedCommandsWriteNothing:
             "train-rate-overflows", "train-rate-underflows", "train-fragment",
             "init-fragment", "init-uniform-width-overflows", "diagnose-fragment",
             "transfer-fragment", "transfer-random-2**60", "transfer-function-based-2**60",
-            "transfer-group-2**62", "transfer-duplicate-2**62"])
+            "transfer-group-2**62", "transfer-duplicate-2**62", "hist-profile-overflows",
+            "corr-profile-overflows"])
     def test_exits_with_error_and_leaves_outputs_alone(self, argv, code, small_ckpt, tmp_path,
                                                         monkeypatch, capsys):
         monkeypatch.delenv("MFGROW_CIFAR10_DIR", raising=False)
@@ -774,6 +778,10 @@ class TestFailedCommandsWriteNothing:
         width8 = build_mlp(3, 8)
         save_checkpoint(initialize(zeros_network(width8), nonzero_mean_default("MFP", width8),
                                    Rng(0)), tmp_path / "width8.ckpt")
+        # Finite weights whose row and column sums overflow to inf.
+        huge = zeros_network(width8)
+        huge.store["w1"][:] = 1.7e308
+        save_checkpoint(huge, tmp_path / "huge.ckpt")
         for cifar in ("truncated", "dir-batch", "bad-label", "good"):
             (tmp_path / cifar).mkdir()
             (tmp_path / cifar / "test_batch.bin").write_bytes(bytes(CIFAR_RECORD))
@@ -934,6 +942,17 @@ def _header_byte(at, value):
     return edit
 
 
+def _arch_doc(edit):
+    """A checkpoint edit that rewrites its arch JSON document, and its length."""
+    def apply(raw):
+        end = 21 + int.from_bytes(raw[17:21], "little")
+        doc = json.loads(raw[21:end])
+        edit(doc)
+        text = json.dumps(doc).encode()
+        raw[17:end] = struct.pack("<I", len(text)) + text
+    return apply
+
+
 # A checkpoint is the 21-byte header (magic, version, seed, parametrization
 # code, arch JSON length), the arch JSON, the weight count, then per weight
 # its name length and name, dtype code, ndim, dims and float64 payload.
@@ -962,8 +981,16 @@ class TestRejectedFiles:
         # payload, and inside bv's dims.
         (None, lambda offsets, size: offsets["w1"][1] + 16000, "truncated at byte {w1}"),
         (None, lambda offsets, size: size - 10, "truncated at byte {bv_dims}"),
+        # The embedded arch fails as the checkpoint, not as an arch file.
+        (_header_byte(21, b"}"), None, "architecture file is not valid JSON"),
+        (_arch_doc(lambda d: d.update(topology="fragment")), None, "unknown topology 'fragment'"),
+        (_arch_doc(lambda d: d["weights"][2].update(shape=[2**62, 64])), None,
+         "weight w1: shape (4611686018427387904, 64) needs"),
+        (_arch_doc(lambda d: d.update(parametrization="NTK")), None,
+         "unknown parametrization 'NTK'"),
     ], ids=["version", "parametrization-code", "parametrization-disagrees",
-            "shrunk-in-a-payload", "shrunk-in-a-record"])
+            "shrunk-in-a-payload", "shrunk-in-a-record", "arch-byte-broken", "arch-fragment",
+            "arch-2**62-rows", "arch-parametrization"])
     def test_checkpoint(self, edit, shrink, match, tmp_path, monkeypatch, capsys):
         arch = build_mlp(3, 64, with_bias=True, parametrization="MFP")
         net = initialize(zeros_network(arch), nonzero_mean_default("MFP", arch), Rng(0))
@@ -983,15 +1010,16 @@ class TestRejectedFiles:
             monkeypatch.setattr(data, "arch_from_json", shrink_after_open)
         match = match.format(w1=offsets["w1"][1], bv_dims=offsets["bv"][1] - 4)
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match=match):
+        with pytest.raises(CheckpointError, match=re.escape(match)) as info:
             load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: ")
         path.write_bytes(bytes(raw))
         out = tmp_path / "out"
         out.mkdir()
         assert main(["transfer", "--from", str(path), "--widths", "32",
                      "--out", str(out / "t.ckpt")]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and match in captured.err
+        assert captured.err.startswith(f"error: {path}: ") and match in captured.err
         assert captured.out == ""
         assert _tree(out) == {}
 
@@ -1016,7 +1044,7 @@ class TestRejectedFiles:
         edit(doc)
         path = tmp_path / "arch.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(StructureError, match=match):
+        with pytest.raises(ParameterError, match=match):
             arch_from_json(path.read_text(encoding="utf-8"))
         before = _tree(tmp_path)
         assert main(["gamma", str(path)]) == 2

@@ -55,6 +55,16 @@ class TestProfile:
         net = make_net(2, 6)
         assert np.array_equal(profile(net, "v", "row"), net.store["v"])
 
+    # Eight finite entries of 1.7e308 once gave inf row means, so NaN
+    # histogram edges whose counts summed to 0 of 8.
+    def test_overflowing_mean_rejected(self):
+        net = make_net(3, 8)
+        net.store["w1"][:] = 1.7e308
+        for axis in ("row", "col"):
+            with pytest.raises(ParameterError, match=f"weight w1: its {axis} profile overflows"):
+                profile(net, "w1", axis)
+        with pytest.raises(ParameterError, match="weight w1: its row profile overflows"):
+            histogram_trajectory([net], "w1")
 
     @pytest.mark.parametrize("weight", ["w1", "v"])
     @pytest.mark.parametrize("axis", ["rows", "ROW", None])

@@ -8,7 +8,7 @@ import pytest
 from conftest import stream
 from mfgrow.arch import build_mlp
 from mfgrow.data import Dataset, synth_regression
-from mfgrow.errors import DivergenceError, ParameterError, StructureError
+from mfgrow.errors import DivergenceError, ParameterError
 from mfgrow import net as net_module
 from mfgrow.init import initialize, nonzero_mean_default
 from mfgrow.net import (
@@ -110,13 +110,13 @@ class TestConstruction:
         net = make_net(3, 8)
         store = dict(net.store)
         edit(store)
-        with pytest.raises(StructureError, match=match):
+        with pytest.raises(ParameterError, match=match):
             Network(net.arch, store)
 
     def test_arch_graph_rejects_topology_fragment(self):
         # Every ArchGraph is a chain or a skip4, so every one has a layer plan.
         g = build_mlp(3, 4)
-        with pytest.raises(StructureError, match="unknown topology 'fragment'"):
+        with pytest.raises(ParameterError, match="unknown topology 'fragment'"):
             dataclasses.replace(g, topology="fragment", layers=(), activations=())
 
 
