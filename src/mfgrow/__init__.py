@@ -7,10 +7,8 @@ from .arch import (
     GammaPartition,
     GammaVar,
     WeightSpec,
-    attention_block_partition,
     build_mlp,
     compute_partition,
-    skip_block_partition,
 )
 from .errors import (
     CheckpointError,

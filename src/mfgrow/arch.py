@@ -22,9 +22,6 @@ group. A graph or arch file that breaks any of these raises ParameterError.
 [input, *hidden, output] to axis l + 1. Its skip4 net is the depth-4 chain
 plus two usages, w1 and b1 rows on gamma 3, which merge gammas 2 and 3 into
 one group; its ``skip4`` topology declares the residual add to the executor.
-The paper's residual and attention blocks are only partitions
-(``skip_block_partition``, ``attention_block_partition``), made by
-``compute_partition`` from their usage tables.
 """
 
 from __future__ import annotations
@@ -467,37 +464,6 @@ def build_mlp(
         layers=tuple(layers),
         activations=(activation,) * (depth - 1),
     )
-
-
-def _block_partition(n, axis_gammas: dict[tuple[str, str], tuple[int, ...]]) -> GammaPartition:
-    """The partition of a block whose gammas are all hidden and ``n`` wide,
-    from the gammas each (weight, axis) carries."""
-    n = _count(n, "n")
-    ids = sorted({gid for gids in axis_gammas.values() for gid in gids})
-    return compute_partition(tuple(GammaVar(gid, n) for gid in ids), axis_gammas)
-
-
-def skip_block_partition(n: int) -> GammaPartition:
-    """Residual block: two parallel paths from a shared input are re-merged
-    by a fourth matrix, so the first matrix's rows carry two index variables.
-    The block's outgoing axis is a boundary and carries no gamma, which
-    leaves w4's row axis (and b4) outside the partition."""
-    return _block_partition(n, {
-        ("w1", ROW): (2, 5), ("w1", COL): (1,), ("b1", ROW): (2, 5),
-        ("w2", ROW): (3,), ("w2", COL): (2,), ("b2", ROW): (3,),
-        ("w3", ROW): (5,), ("w3", COL): (4,), ("b3", ROW): (5,),
-        ("w4", COL): (5,)})
-
-
-def attention_block_partition(n: int) -> GammaPartition:
-    """Attention block: the query/key/value matrices all consume the
-    projected input, so their column gammas merge with the projection's row
-    gammas. The token dimension indexes no weight, so it has no gamma."""
-    return _block_partition(n, {
-        ("w1", ROW): (2, 3, 4), ("w1", COL): (1,), ("b1", ROW): (2, 3, 4),
-        ("wq", ROW): (5,), ("wq", COL): (2,), ("wk", ROW): (5,), ("wk", COL): (3,),
-        ("wv", ROW): (6,), ("wv", COL): (4,), ("w2", ROW): (7,), ("w2", COL): (6,),
-        ("b2", ROW): (7,)})
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,7 @@ def cmd_diagnose(args) -> int:
     nets = [load_checkpoint(p) for p in args.ckpt]
     net = nets[0]
     # Each report is computed and its weight checked before the output
-    # directory is made.
+    # directory is made: heatmap_export makes it once its grid exists.
     if args.report == "corr":
         _refuse(args, ("weight",), "diagnose --report corr")
         profiles, names = [], []
@@ -291,11 +291,12 @@ def cmd_diagnose(args) -> int:
         path = _out_dir(args) / f"{weight}_hist.csv"
         path.write_text(histograms_to_csv(edges, counts), encoding="utf-8")
     else:
-        if net.arch.weight(weight).kind != "matrix":
-            raise ConfigError(f"heatmap needs a matrix weight, got {weight!r}")
-        out = _out_dir(args)
+        out = Path(args.out or _SCHEMA["out_dir"][1])
         path = out / f"{weight}.grid"
-        heatmap_export(net, weight, path=path)
+        try:
+            heatmap_export(net, weight, path=path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from None
         write_gnuplot_script(path, out / f"{weight}.gp")
     print(f"wrote {path}")
     return EXIT_OK

@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -149,29 +150,31 @@ def _format_exact_rows(k: np.ndarray) -> bytes:
 
 
 def heatmap_export(net: Network, weight: str, *, path=None) -> np.ndarray:
-    """Min-max normalized grid of a matrix weight, rows/cols sorted by their
-    own profile means so row-column banding is visible. Values map to
-    [0, 1]; a constant matrix maps to 0.5.
+    """Min-max normalized grid of a matrix weight, rows and columns sorted by
+    their ``profile`` (ParameterError if one overflows) so row-column banding
+    is visible. Values map to [0, 1]; a constant matrix maps to 0.5.
 
     With ``path``, the grid is written after a header line as text, one line
     per row, every value exactly as ``"%.6f"`` formats it, separated by
-    single spaces (see ``_write_grid``)."""
+    single spaces (see ``_write_grid``), into a directory made if missing."""
     w = net.arch.weight(weight)
     if w.kind != "matrix":
         raise ParameterError(f"heatmap needs a matrix weight, got {weight!r}")
     # The grid is the one full-size array: the sorted grid is normalized in
     # place, and the net's own weight is only read.
-    arr = net.store[weight]
-    row_order = np.argsort(arr.mean(axis=1), kind="stable")
-    col_order = np.argsort(arr.mean(axis=0), kind="stable")
-    grid = arr[np.ix_(row_order, col_order)]
-    lo, hi = float(grid.min()), float(grid.max())
+    row_order = np.argsort(profile(net, weight, ROW), kind="stable")
+    col_order = np.argsort(profile(net, weight, COL), kind="stable")
+    grid = net.store[weight][np.ix_(row_order, col_order)]
+    # On halves, so hi - lo cannot overflow; halving is exact above the subnormals.
+    lo, hi = float(grid.min()) * 0.5, float(grid.max()) * 0.5
     if hi == lo:
         grid.fill(0.5)
     else:
+        grid *= 0.5
         grid -= lo
         grid /= hi - lo
     if path is not None:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         with open(path, "wb") as fh:
             fh.write(f"# weight={weight} rows={grid.shape[0]} cols={grid.shape[1]} "
                      f"normalize=minmax sorted=True\n".encode("utf-8"))

@@ -132,7 +132,6 @@ def fig1_heatmaps(train_data, test_data, out_dir, width=300, epochs=10, seed=0) 
     """Middle-layer heatmap grids at init and after training, written to
     ``out_dir``."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for param in PARAMETRIZATIONS:
         net = _cifar_net(param, width, seed, train_data)

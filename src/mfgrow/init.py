@@ -14,7 +14,7 @@ from math import sqrt
 
 import numpy as np
 
-from .arch import ArchGraph, COL, ROW
+from .arch import ArchGraph, COL, PARAMETRIZATIONS, ROW
 from .errors import ParameterError
 from .net import Network
 from .tensor import DistributionSpec, Rng, constant, gaussian, uniform
@@ -68,7 +68,7 @@ def nonzero_mean_default(parametrization: str, arch: ArchGraph) -> InitSpec:
     gaussian(1, 3) on weights, SP a symmetric uniform with bounds
     ±sqrt(1/fan_in), muP a zero-mean gaussian with std sqrt(1/fan_in), the
     fan-in read off the arch (``ArchGraph.fan_in``). Biases start at zero."""
-    if parametrization not in ("SP", "muP", "MFP"):
+    if parametrization not in PARAMETRIZATIONS:
         raise ParameterError(f"unknown parametrization {parametrization!r}")
     dists: dict[str, DistributionSpec] = {}
     bias_names = {b for _, b in arch.layers if b is not None}

@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import record_acceptance, stream
+from conftest import BLOCK_USAGES, _block_table, record_acceptance, stream
 import mfgrow
-from mfgrow.arch import attention_block_partition, build_mlp, skip_block_partition
+from mfgrow.arch import build_mlp, compute_partition
 from mfgrow.data import load_checkpoint, load_cifar10, save_checkpoint, synth_regression
 from mfgrow.experiments import (
     accuracy_experiment,
@@ -65,8 +65,8 @@ def _fresh_net(depth, width, parametrization="MFP", seed=0, **kw):
 def test_criterion_1_partition_exactness():
     t0 = time.time()
     p_skipnet = build_mlp(4, 64, with_bias=True, with_skip=True).partition
-    p_block = skip_block_partition(32)
-    p_attn = attention_block_partition(32)
+    p_block = compute_partition(*_block_table(BLOCK_USAGES["skip-block"], 32))
+    p_attn = compute_partition(*_block_table(BLOCK_USAGES["attention-block"], 32))
     ok = (
         p_skipnet.groups == ((1,), (2, 3), (4,))
         and p_block.groups == ((1,), (2, 5), (3,), (4,))

@@ -21,15 +21,15 @@ from mfgrow.arch import (
     WeightSpec,
     arch_from_json,
     arch_to_json,
-    attention_block_partition,
     build_mlp,
     compute_partition,
     format_partition,
-    skip_block_partition,
 )
 from mfgrow.cli import main
 from mfgrow.errors import ParameterError
 from mfgrow.net import zeros_network
+
+from conftest import BLOCK_USAGES, _block_table
 
 
 class TestReferencePartitions:
@@ -41,7 +41,7 @@ class TestReferencePartitions:
         assert p.resizable == (True, True, False)
 
     def test_skip_block(self):
-        p = skip_block_partition(8)
+        p = compute_partition(*_block_table(BLOCK_USAGES["skip-block"], 8))
         assert p.groups == ((1,), (2, 5), (3,), (4,))
         assert p.widths == (8, 8, 8, 8)
         assert p.resizable == (True,) * 4
@@ -50,7 +50,7 @@ class TestReferencePartitions:
         assert ("w4", "row") not in p.axis_groups and ("w4", "col") in p.axis_groups
 
     def test_attention_block(self):
-        p = attention_block_partition(8)
+        p = compute_partition(*_block_table(BLOCK_USAGES["attention-block"], 8))
         assert p.groups == ((1,), (2, 3, 4), (5,), (6,), (7,))
         assert {p.axis_groups[(w, "col")] for w in ("wq", "wk", "wv")} == {1}
         assert format_partition(p) == "\n".join([
@@ -58,23 +58,9 @@ class TestReferencePartitions:
             "Γ_4: {γ_6} width=8", "Γ_5: {γ_7} width=8"])
 
     def test_attention_width_one(self):
-        p = attention_block_partition(1)
+        p = compute_partition(*_block_table(BLOCK_USAGES["attention-block"], 1))
         assert p.groups == ((1,), (2, 3, 4), (5,), (6,), (7,))
         assert p.widths == (1, 1, 1, 1, 1)
-
-    @pytest.mark.parametrize("block", [skip_block_partition, attention_block_partition])
-    @pytest.mark.parametrize("n, match", [
-        (0, "n must be >= 1, got 0"), (-3, "n must be >= 1, got -3"),
-        (2.0, "n must be an integer, got 2.0"), (True, "n must be an integer, got True"),
-        ("8", "n must be an integer, got '8'")])
-    def test_block_width_checked(self, block, n, match):
-        with pytest.raises(ParameterError, match=match):
-            block(n)
-
-    @pytest.mark.parametrize("block", [skip_block_partition, attention_block_partition])
-    def test_numpy_integer_width(self, block):
-        p = block(np.int64(3))
-        assert p == block(3) and all(type(w) is int for w in p.widths)
 
     def test_plain_chain_all_singletons(self):
         p = build_mlp(5, 8).partition
@@ -111,20 +97,6 @@ AXIS_GROUP_PINS = {
 }
 
 
-# Each block's (weight, axis, gamma) usages, kept apart from the tables in
-# arch.py so the block partitions are checked against a second statement.
-BLOCK_USAGES = {
-    "skip-block": (skip_block_partition, [
-        ("w1", "row", 2), ("w1", "row", 5), ("w1", "col", 1), ("b1", "row", 2),
-        ("b1", "row", 5), ("w2", "row", 3), ("w2", "col", 2), ("b2", "row", 3),
-        ("w3", "row", 5), ("w3", "col", 4), ("b3", "row", 5), ("w4", "col", 5)]),
-    "attention-block": (attention_block_partition, [
-        ("w1", "row", 2), ("w1", "row", 3), ("w1", "row", 4), ("w1", "col", 1),
-        ("b1", "row", 2), ("b1", "row", 3), ("b1", "row", 4), ("wq", "row", 5),
-        ("wq", "col", 2), ("wk", "row", 5), ("wk", "col", 3), ("wv", "row", 6),
-        ("wv", "col", 4), ("w2", "row", 7), ("w2", "col", 6), ("b2", "row", 7)]),
-}
-
 BLOCK_AXIS_GROUP_PINS = {
     "skip-block": {
         ("w1", "col"): 0,
@@ -144,15 +116,6 @@ BLOCK_AXIS_GROUP_PINS = {
 }
 
 
-def _block_table(usages):
-    """compute_partition's arguments for a block's usages at width 4, each
-    list in the order the usages give."""
-    axis_gammas = {}
-    for w, ax, gid in usages:
-        axis_gammas.setdefault((w, ax), []).append(gid)
-    return tuple(GammaVar(gid, 4) for gid in dict.fromkeys(g for _, _, g in usages)), axis_gammas
-
-
 class TestAxisGroups:
     @pytest.mark.parametrize("name", list(AXIS_GROUP_PINS))
     def test_axis_group_map_pinned(self, name):
@@ -161,15 +124,15 @@ class TestAxisGroups:
 
     @pytest.mark.parametrize("name", list(BLOCK_AXIS_GROUP_PINS))
     def test_block_axis_group_map_pinned(self, name):
-        block, _ = BLOCK_USAGES[name]
-        assert block(8).axis_groups == BLOCK_AXIS_GROUP_PINS[name]
+        p = compute_partition(*_block_table(BLOCK_USAGES[name], 8))
+        assert p.axis_groups == BLOCK_AXIS_GROUP_PINS[name]
 
     @pytest.mark.parametrize("n", [1, 5])
     @pytest.mark.parametrize("name", list(BLOCK_USAGES))
     def test_every_block_usage_maps_to_its_gammas_group(self, name, n):
         # The block's outgoing axis (the skip block's w4 rows) carries no gamma.
-        block, usages = BLOCK_USAGES[name]
-        p = block(n)
+        usages = BLOCK_USAGES[name]
+        p = compute_partition(*_block_table(usages, n))
         assert set(p.axis_groups) == {(w, ax) for w, ax, _ in usages}
         for w, ax, gid in usages:
             assert gid in p.groups[p.axis_groups[(w, ax)]]
@@ -216,9 +179,10 @@ class TestPartitionProperties:
     @settings(max_examples=25, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_block_usage_permutation_invariance(self, rnd):
-        usages = list(BLOCK_USAGES["attention-block"][1])
+        usages = list(BLOCK_USAGES["attention-block"])
+        expected = compute_partition(*_block_table(usages, 4))
         rnd.shuffle(usages)
-        assert compute_partition(*_block_table(usages)) == attention_block_partition(4)
+        assert compute_partition(*_block_table(usages, 4)) == expected
     def test_group_widths_equal_checked(self):
         # Gammas 1 and 3 share a's row axis, so they merge into one group.
         axis_gammas = {("a", "row"): [1, 3], ("a", "col"): [2], ("b", "row"): [2]}

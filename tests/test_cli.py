@@ -725,6 +725,9 @@ class TestFailedCommandsWriteNothing:
           "duplicate", "--out", "{tmp}/t.ckpt"], 2),
         (["diagnose", "--ckpt", "{tmp}/huge.ckpt", "--report", "hist", "--out", "{tmp}/diag"], 2),
         (["diagnose", "--ckpt", "{tmp}/huge.ckpt", "--report", "corr", "--out", "{tmp}/diag"], 2),
+        (["diagnose", "--ckpt", "{tmp}/huge.ckpt", "--report", "heatmap", "--weight", "w1",
+          "--out", "{tmp}/diag"], 2),
+        (["diagnose", "--ckpt", "{ckpt}", "--report", "heatmap", "--out", "{tmp}/file"], 2),
     ], ids=["transfer-zero-width", "transfer-duplicate-not-a-multiple", "reproduce-no-cifar",
             "reproduce-cifar-dir-missing",
             "heatmap-vector-weight", "hist-unknown-weight", "heatmap-two-ckpts", "corr-two-ckpts",
@@ -742,7 +745,7 @@ class TestFailedCommandsWriteNothing:
             "init-fragment", "init-uniform-width-overflows", "diagnose-fragment",
             "transfer-fragment", "transfer-random-2**60", "transfer-function-based-2**60",
             "transfer-group-2**62", "transfer-duplicate-2**62", "hist-profile-overflows",
-            "corr-profile-overflows"])
+            "corr-profile-overflows", "heatmap-profile-overflows", "heatmap-out-is-file"])
     def test_exits_with_error_and_leaves_outputs_alone(self, argv, code, small_ckpt, tmp_path,
                                                         monkeypatch, capsys):
         monkeypatch.delenv("MFGROW_CIFAR10_DIR", raising=False)

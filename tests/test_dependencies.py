@@ -1,6 +1,8 @@
 """mfgrow's runtime imports stay within what pyproject declares:
-``dependencies = ["numpy>=1.24"]``, beside the standard library."""
+``dependencies = ["numpy>=1.24"]``, beside the standard library. And every
+public function and class of the package has a caller in the package."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -34,3 +36,41 @@ def test_runtime_imports_are_stdlib_or_numpy():
     added = set(out.split())
     assert {"mfgrow", "numpy"} <= added
     assert added - sys.stdlib_module_names - {"mfgrow", "numpy"} == set()
+
+
+# Public names that nothing in the package calls, each kept for its own
+# reason.
+_UNCALLED = {
+    ("measure", "coupling_contrast"): "criterion 10's subject: the paired-minus-decoupled gap",
+    ("transfer", "duplicate_grow"): "the paper's naive-duplication baseline, criterion 3",
+}
+
+
+def _names_used(tree, skip):
+    """Every name and attribute read in ``tree`` outside the node ``skip``."""
+    used, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def test_every_public_definition_has_a_caller():
+    # By name, outside the definition's own body; __init__.py's re-exports
+    # are not callers.
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+    uncalled = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and not any(node.name in _names_used(t, node) for t in trees.values())):
+                uncalled.add((module, node.name))
+    assert uncalled == set(_UNCALLED)

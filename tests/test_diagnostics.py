@@ -214,6 +214,37 @@ class TestHeatmap:
         with pytest.raises(ParameterError):
             heatmap_export(net, "u")
 
+    def test_entries_spanning_past_the_float_range_stay_in_unit_range(self):
+        # The entries span more than the float range: hi - lo overflows to inf.
+        net = make_net(3, 4)
+        net.store["w1"] = np.ones((4, 4))
+        np.fill_diagonal(net.store["w1"], [-1.7e308, 1.7e308, 1.0, 1.0])
+        with np.errstate(all="raise"):
+            grid = heatmap_export(net, "w1")
+        assert not np.isnan(grid).any()
+        assert grid.min() == 0.0 and grid.max() == 1.0
+
+    def test_extremes_that_halve_to_one_value_map_to_half(self):
+        # The one rounding edge of normalizing on halves: 3 and 4 times the
+        # least subnormal both halve to twice it, so the halved matrix is
+        # constant. Its halves are compared, so the grid is 0.5, not 0 / 0.
+        net = make_net(3, 2)
+        net.store["w1"] = np.array([[3.0, 4.0], [4.0, 4.0]]) * 5e-324
+        assert np.array_equal(heatmap_export(net, "w1"), np.full((2, 2), 0.5))
+
+    def test_overflowing_profile_rejected_before_writing(self, tmp_path):
+        # The rows and columns sort by their profiles, which overflow here.
+        net = make_net(3, 8)
+        net.store["w1"][:] = 1.7e308
+        with pytest.raises(ParameterError, match="weight w1: its row profile overflows"):
+            heatmap_export(net, "w1", path=tmp_path / "out" / "w1.grid")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_directory_made_for_the_file(self, tmp_path):
+        grid_path = tmp_path / "a" / "b" / "w1.grid"
+        heatmap_export(make_net(3, 6), "w1", path=grid_path)
+        assert grid_path.read_text().startswith("# weight=w1 rows=6 cols=6")
+
 
 def per_value_text(grid):
     """The reference grid text: every value through Python's "%.6f"."""

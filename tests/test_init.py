@@ -146,6 +146,10 @@ class TestDefaults:
         assert d.a == 0.0
         assert d.b == pytest.approx(1.0 / 20.0)
 
+    def test_unknown_parametrization_rejected(self):
+        with pytest.raises(ParameterError, match="unknown parametrization 'NTK'"):
+            nonzero_mean_default("NTK", build_mlp(3, 8))
+
 
 class TestDeterminism:
     def test_seed_deterministic(self):
