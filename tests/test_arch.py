@@ -62,6 +62,14 @@ class TestReferencePartitions:
         assert p.groups == ((1,), (2, 3, 4), (5,), (6,), (7,))
         assert p.widths == (1, 1, 1, 1, 1)
 
+    # The 0 and -3 of the deleted block-width check: GammaVar rejects them,
+    # at the block's first gamma.
+    @pytest.mark.parametrize("name", list(BLOCK_USAGES))
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_block_width_below_one_rejected(self, name, n):
+        with pytest.raises(ParameterError, match=f"gamma 2: width must be >= 1, got {n}"):
+            _block_table(BLOCK_USAGES[name], n)
+
     def test_plain_chain_all_singletons(self):
         p = build_mlp(5, 8).partition
         assert p.groups == ((1,), (2,), (3,), (4,))
@@ -127,7 +135,8 @@ class TestAxisGroups:
         p = compute_partition(*_block_table(BLOCK_USAGES[name], 8))
         assert p.axis_groups == BLOCK_AXIS_GROUP_PINS[name]
 
-    @pytest.mark.parametrize("n", [1, 5])
+    # 32 is criterion 1's width.
+    @pytest.mark.parametrize("n", [1, 5, 32])
     @pytest.mark.parametrize("name", list(BLOCK_USAGES))
     def test_every_block_usage_maps_to_its_gammas_group(self, name, n):
         # The block's outgoing axis (the skip block's w4 rows) carries no gamma.
@@ -183,6 +192,7 @@ class TestPartitionProperties:
         expected = compute_partition(*_block_table(usages, 4))
         rnd.shuffle(usages)
         assert compute_partition(*_block_table(usages, 4)) == expected
+
     def test_group_widths_equal_checked(self):
         # Gammas 1 and 3 share a's row axis, so they merge into one group.
         axis_gammas = {("a", "row"): [1, 3], ("a", "col"): [2], ("b", "row"): [2]}
